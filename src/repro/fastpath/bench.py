@@ -332,9 +332,10 @@ def _build_sim_shard_xl(fastpath: bool, quick: bool
     shard group, ``fastpath=True`` eight — but on the
     :meth:`~repro.netsim.fattree.FatTreeConfig.scale_xl` fabric (16
     pods, 416 switches, 10240 hosts), where the *flow table itself* is
-    partitioned per owner pod: per-Δt NIC sharing, AIMD and finish
-    detection cost scales with the largest pod's flow count, not the
-    fabric total.  The result carries the per-shard ``memory_report()``
+    partitioned per owner pod (rows of one stacked table, stepped in
+    one fabric-wide pass whatever the shard count, so both legs do the
+    same in-process work).  The result carries the per-shard
+    ``memory_report()``
     and the flow-balance evidence (max per-pod vs total active flows);
     both legs must fingerprint bit-identically.  Quick mode runs the
     same 16-pod shape narrowed to ~1k hosts.

@@ -167,9 +167,10 @@ class FlowTableMixin:
 
         One table per *owner*: the monolithic networks call this once on
         themselves; the sharded fat-tree instantiates one
-        :class:`~repro.netsim.shard.FlowShard` per pod, each carrying
-        its own table, so the flow phase decomposes spatially exactly
-        like the queue phase does.
+        :class:`~repro.netsim.shard.FlowShard` per pod, whose arrays it
+        then re-points at rows of one stacked table (as
+        :class:`~repro.netsim.batchfluid.BatchFluidNetwork` does with
+        its replicas).
         """
         if cap < 1:
             raise ValueError("flow capacity must be >= 1")
@@ -253,20 +254,27 @@ class FlowTableMixin:
                 raise KeyError(f"unknown host {name!r}") from None
         return int(name)
 
-    def _activate_due(self) -> None:
-        if not self._pending:
-            return
+    def _pop_due(self) -> List[Flow]:
+        """Remove and return the pending flows whose start time has come,
+        in start-time order (ties in registration order)."""
+        pend = self._pending
+        if not pend:
+            return []
         if not self._pending_sorted:
-            self._pending.sort(key=lambda f: f.start_time)
+            pend.sort(key=lambda f: f.start_time)
             self._pending_sorted = True
         # Walk an index over the sorted prefix and delete it in one slice
         # afterwards — the former pop(0)-per-flow loop was O(k·P) in the
         # pending backlog P every step.
-        pend = self._pending
         consumed = 0
         while consumed < len(pend) and pend[consumed].start_time <= self.now:
-            flow = pend[consumed]
             consumed += 1
+        due = pend[:consumed]
+        del pend[:consumed]
+        return due
+
+    def _activate_due(self) -> None:
+        for flow in self._pop_due():
             if self._n_flows >= self._cap_flows:
                 self._grow()
             idx = self._free_slot()
@@ -282,8 +290,6 @@ class FlowTableMixin:
             self.f_alpha[idx] = 1.0
             self.f_active[idx] = True
             self._route(idx)
-        if consumed:
-            del pend[:consumed]
 
     def _free_slot(self) -> int:
         # O(1): recycle a finished flow's slot, else extend the
@@ -321,6 +327,10 @@ class SwitchStatsMixin:
     the three simulators.
     """
 
+    #: the ``sim`` label of this substrate's ``netsim.*`` counters —
+    #: the one its ``advance`` reports.
+    _SIM_LABEL = "fluid"
+
     def _switch_index_cache(self) -> List[np.ndarray]:
         """Per-switch queue-index arrays (``q_switch`` is static)."""
         if self._sw_q_idx is None:
@@ -330,7 +340,7 @@ class SwitchStatsMixin:
 
     def queue_stats(self) -> Dict[str, QueueStats]:
         """Per-switch interval statistics; resets the interval."""
-        get_registry().inc("netsim.stats_collections", sim="fluid")
+        get_registry().inc("netsim.stats_collections", sim=self._SIM_LABEL)
         interval = max(self._acc_time, 1e-12)
         if self._names_cache is None:
             self._names_cache = self.switch_names()
@@ -463,7 +473,7 @@ class SwitchStatsMixin:
         self.kmax[mask] = config.kmax_bytes
         self.pmax[mask] = config.pmax
         self._ecn_by_switch[s] = config
-        get_registry().inc("netsim.ecn_set", sim="fluid")
+        get_registry().inc("netsim.ecn_set", sim=self._SIM_LABEL)
 
     def set_ecn_all(self, config: ECNConfig) -> None:
         for name in self.switch_names():

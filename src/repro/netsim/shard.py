@@ -3,33 +3,40 @@
 The monolithic :class:`~repro.netsim.fluid.FluidNetwork` tops out at one
 leaf–spine pod; production-scale fabrics (ROADMAP item 2) are fat-trees
 with hundreds of switches.  :class:`ShardedFluidNetwork` steps that
-shape by spatial decomposition of **both** phases of the fluid model:
+shape over a state that is spatially decomposed in **both** halves of
+the fluid model:
 
 - the global queue state is laid out in **subdomain blocks** — one
   contiguous block per pod (edge-down, edge-up, agg-up and agg-down
-  queues) plus one block for the core plane — and each Δt every block
-  integrates independently via
-  :func:`~repro.netsim.fluid.integrate_queue_block`;
+  queues) plus one block for the core plane —
+  :func:`~repro.netsim.fluid.integrate_queue_block` is elementwise per
+  queue, so the blocks integrate in one in-process call or as
+  independent Engine tasks with the same bits;
 - the flow table is partitioned by **owner pod** (a flow belongs to its
   source edge's pod — :meth:`~repro.netsim.fattree.FatTreeConfig.
-  owner_pod_of_flow`): each pod's :class:`FlowShard` runs NIC sharing,
-  arrival scatter, the AIMD feedback and finish detection purely over
-  its local flows, so per-Δt flow-phase cost scales with the largest
-  pod's flow count, not the fabric total;
-- pods exchange only **compact boundary aggregates**: each pod reduces
-  its flows' contributions to non-local queues (core plane + remote
-  pods) to unique ``(queue_id, summed_rate)`` rows, merged into the
-  global arrival vector in fixed owner-pod order.
+  owner_pod_of_flow`): one ``(n_pods, cap)`` stack of ``f_*`` arrays
+  whose rows the per-pod :class:`FlowShard` objects hold as views.  The
+  step is **one fabric-wide vectorised pass per phase** over the active
+  ``(pod, slot)`` pairs — NIC sharing + arrival reduction, queue
+  integration, AIMD + finish detection — so per-Δt cost is proportional
+  to the fabric's *active* flows at one pass's worth of NumPy dispatch,
+  whatever the pod count (measured: docs/PERFORMANCE.md);
+- the arrival reduction keeps the **boundary-aggregate** association:
+  each pod's flows are first summed per ``(owner pod, queue)``, and
+  those rows are added into the global arrival vector with the queue's
+  own pod first and the boundary rows — core-plane and remote-pod
+  queues — after it in fixed owner-pod order.
 
 **Determinism contract** — ``shards=N`` is bit-identical to
 ``shards=1`` for every N and for the Engine-parallel path.  Both
 partitions (queue subdomains *and* flow ownership) are fixed by the
-topology, never by the shard count; per-pod reductions accumulate in
-hop-major slot order; queue integration is elementwise per queue; and
-every merge writes disjoint slices back in a fixed order.
-``tests/test_shard.py`` pins this with canonical fingerprints and
-``bench --hotpath`` carries it as the ``sim_shard`` / ``sim_shard_xl``
-workloads.
+topology, never by the shard count, which only groups subdomains into
+Engine tasks; per-pod reductions accumulate in hop-major slot order;
+queue integration is elementwise per queue; and every Engine merge
+writes disjoint slices back in a fixed order.  ``tests/test_shard.py``
+pins this with canonical fingerprint literals and an independent
+plain-loop oracle, and ``bench --hotpath`` carries it as the
+``sim_shard`` / ``sim_shard_xl`` workloads.
 
 On the Engine path the per-Δt exchange is **zero-copy**: queue state
 lives in a preallocated :class:`~repro.parallel.engine.SharedArena`
@@ -76,6 +83,11 @@ _FLOAT_ARRAYS_PER_QUEUE = 16
 #: :func:`_integrate_arena_span`.
 _ARENA_FIELDS = ("q_len", "q_cap", "kmin", "kmax", "pmax", "arrival",
                  "served", "new_qlen", "drops", "p_mark", "srv_ratio")
+
+#: the per-flow arrays, stacked ``(n_pods, cap)`` on the network with
+#: each :class:`FlowShard` holding its row as views.
+_FLOW_FIELDS = ("f_src", "f_dst", "f_size", "f_remaining", "f_rate",
+                "f_alpha", "f_active", "f_core", "f_path")
 
 
 class Subdomain:
@@ -139,166 +151,29 @@ def _integrate_arena_span(arena_name: str, n_queues: int, lo: int, hi: int,
 
 
 class FlowShard(FlowTableMixin):
-    """One pod's flow table — the unit of flow-phase decomposition.
+    """One pod's flow table — a row of the fabric-wide stacked table.
 
-    Owns the ``f_*`` arrays, slot maps and pending queue for every flow
-    whose source host lives in this pod (the ownership rule:
-    :meth:`~repro.netsim.fattree.FatTreeConfig.owner_pod_of_flow`).
-    NIC sharing is pod-local by construction — a host's flows are all
-    in its own pod's table — and routing delegates to the owning
-    network, which knows the global queue layout and uplink state.
-    The core-plane subdomain owns no flows.
+    Owns the slot maps, free list and pending queue of every flow whose
+    source host lives in this pod (the ownership rule:
+    :meth:`~repro.netsim.fattree.FatTreeConfig.owner_pod_of_flow`).  Its
+    ``f_*`` arrays are row views into the owning network's ``(n_pods,
+    cap)`` storage — the :class:`~repro.netsim.batchfluid.
+    BatchFluidNetwork` idiom — so the network steps every pod in one
+    vectorised pass while per-pod readers (stats, fingerprints, memory
+    attribution) keep the solo flow-table surface.  Growth goes through
+    the network (:meth:`ShardedFluidNetwork._grow_flows`), which regrows
+    all rows together and re-points the views.  The core-plane
+    subdomain owns no flows.
     """
 
     _MAX_HOPS = 5
     _FLOW_CHOICE_1D = ("f_core",)
 
-    def __init__(self, net: "ShardedFluidNetwork", pod: int) -> None:
-        self.net = net
-        self.pod = pod
+    def __init__(self, net: "ShardedFluidNetwork") -> None:
         self.config = net.config
         self.now = 0.0
-        #: global queue-id range of the owner pod's subdomain block —
-        #: arrival rows inside it are local, everything else is boundary.
-        self.block_start = pod * net._pod_block
-        self.block_stop = (pod + 1) * net._pod_block
         self._init_flow_table(net.config.initial_flow_capacity)
-        # per-step handoff from the flow phase to the feedback phase
-        self._send: Optional[np.ndarray] = None
-        self._act_idx = np.zeros(0, dtype=np.int64)
-        self._qdelay = np.zeros(0)
-
-    def _route(self, idx: int) -> None:
-        self.net._route_flow(self, idx)
-
-    # ------------------------------------------------------------ flow phase
-    def _flow_phase(self, arrival: np.ndarray
-                    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """NIC sharing + arrival reduction over this pod's flows.
-
-        Contributions to the pod's own queue block are written straight
-        into its slice of ``arrival``; everything else — core-plane and
-        remote-pod queues — is reduced to compact unique
-        ``(queue_id, summed_rate)`` boundary rows and returned for the
-        owner-pod-ordered merge.  Returns ``None`` when the pod has
-        nothing to contribute.
-
-        Bit-exactness: per-queue sums accumulate in hop-major local-slot
-        order (``bincount`` adds in appearance order — the same order
-        for every shard count, because ownership is topology-fixed), and
-        the local/boundary split only *routes* already-summed rows, so
-        no floating-point operation depends on the grouping.
-        """
-        n = self._n_flows
-        if n == 0:
-            self._send = None
-            return None
-        cfg = self.config
-        active = self.f_active[:n]
-        idx = active.nonzero()[0]
-        rate = self.f_rate[:n]
-
-        # NIC sharing over this pod's hosts only: the per-host line-rate
-        # cap needs no cross-pod exchange at all, because a host's flows
-        # all live in its own pod's table.
-        line = cfg.host_rate_bps / 8.0
-        hpp = cfg.hosts_per_pod
-        src_local = self.f_src[:n] - self.pod * hpp
-        send = np.where(active, rate, 0.0)
-        per_src = np.bincount(src_local[idx], weights=send[idx],
-                              minlength=hpp)
-        over = per_src > line
-        if over.any():
-            scale_src = np.ones(hpp)
-            scale_src[over] = line / per_src[over]
-            send = send * scale_src[src_local]
-        self._send = send
-
-        if not idx.size:
-            return None
-        # Hop-major COO reduction: queue ids of every active hop, summed
-        # per unique queue in appearance order.
-        p_t = self.f_path[:n][idx].T                       # (H, k)
-        qs = p_t.ravel()
-        w = np.broadcast_to(send[idx], p_t.shape).ravel()
-        ok = qs >= 0
-        qs, w = qs[ok], w[ok]
-        uq, inv = np.unique(qs, return_inverse=True)
-        agg = np.bincount(inv, weights=w, minlength=uq.size)
-        local = (uq >= self.block_start) & (uq < self.block_stop)
-        # unique ids: fancy += adds each element exactly once
-        arrival[uq[local]] += agg[local]
-        if local.all():
-            return None
-        return uq[~local], agg[~local]
-
-    # -------------------------------------------------------- feedback phase
-    def _feedback_phase(self, dt: float, p_mark: np.ndarray,
-                        srv_ratio: np.ndarray, q_len: np.ndarray,
-                        q_cap: np.ndarray) -> None:
-        """AIMD + progress + finish detection over this pod's flows.
-
-        Reads back global post-integration queue state (mark
-        probability, service ratio, occupancy) along each local flow's
-        path — the only inter-shard input the feedback needs — and
-        appends finished flows to the owning network's records.  Leaves
-        ``_act_idx`` / ``_qdelay`` behind for the network's latency
-        sampler.
-        """
-        net = self.net
-        cfg = self.config
-        n = self._n_flows
-        if n == 0:
-            self._act_idx = np.zeros(0, dtype=np.int64)
-            return
-        active = self.f_active[:n]
-        path = self.f_path[:n]
-        rate = self.f_rate[:n]
-        send = self._send
-
-        # --- end-to-end mark fraction per flow ----------------------------
-        no_mark = np.ones(n)
-        bottleneck = np.ones(n)
-        qdelay = np.zeros(n)
-        for hop in range(self._MAX_HOPS):
-            qs = path[:, hop]
-            ok = (qs >= 0) & active
-            if ok.any():
-                no_mark[ok] *= 1.0 - p_mark[qs[ok]]
-                bottleneck[ok] = np.minimum(bottleneck[ok],
-                                            srv_ratio[qs[ok]])
-                qdelay[ok] += q_len[qs[ok]] / q_cap[qs[ok]]
-        mark_frac = 1.0 - no_mark
-
-        # --- DCQCN-like AIMD ----------------------------------------------
-        line = cfg.host_rate_bps / 8.0
-        a = self.f_alpha[:n]
-        a[active] = (1.0 - cfg.g) * a[active] + cfg.g * mark_frac[active]
-        cut = 1.0 - (a * 0.5 * cfg.md_gain * mark_frac)
-        grow = cfg.ai_fraction * line
-        new_rate = np.where(mark_frac > 1e-3, rate * cut, rate + grow)
-        floor = cfg.min_rate_fraction * line
-        self.f_rate[:n] = np.where(active, np.clip(new_rate, floor, line),
-                                   rate)
-
-        # --- progress & completion ----------------------------------------
-        throughput = send * bottleneck
-        self.f_remaining[:n] -= throughput * dt
-        finished = active & (self.f_remaining[:n] <= 0.0)
-        if finished.any():
-            for i in np.flatnonzero(finished):
-                fid = self._idx_to_fid[int(i)]
-                flow = net.flow_objs[fid]
-                flow.finish_time = net.now + qdelay[i]
-                flow.bytes_sent = flow.size_bytes
-                flow.bytes_acked = flow.size_bytes
-                net.finished_flows.append(flow)
-                self.f_active[i] = False
-                self.f_remaining[i] = 0.0
-                del self._idx_to_fid[int(i)]
-                self._free_list.append(int(i))
-        self._act_idx = self.f_active[:n].nonzero()[0]
-        self._qdelay = qdelay
+        self._batch = net
 
 
 class ShardedFluidNetwork(SwitchStatsMixin):
@@ -319,6 +194,7 @@ class ShardedFluidNetwork(SwitchStatsMixin):
     """
 
     _MAX_HOPS = 5
+    _SIM_LABEL = "fluid_shard"
 
     def __init__(self, config: Optional[FatTreeConfig] = None, *,
                  shards: int = 1, seed: Optional[int] = None,
@@ -420,13 +296,17 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         self.uplink_up = np.ones((n_p, n_c), dtype=bool)
         self.fabric_capacity_factor = 1.0
 
-        # ---- per-pod flow tables (FlowTableMixin instances) ---------------
+        # ---- flow table: one (n_pods, cap) stack, one FlowShard per row ----
         #: flow ownership follows the flow's source edge's pod
         #: (:meth:`FatTreeConfig.owner_pod_of_flow`); the core subdomain
         #: owns no flows.  The partition is topology-determined, so it —
         #: like the queue blocks — is identical for every shard count.
-        self.flow_shards: List[FlowShard] = [FlowShard(self, p)
-                                             for p in range(n_p)]
+        self.flow_shards: List[FlowShard] = [FlowShard(self)
+                                             for _ in range(n_p)]
+        self._alloc_flow_storage(cfg.initial_flow_capacity)
+        #: live-core candidates per (src pod, dst pod), filled on demand
+        #: by :meth:`_path_of`, dropped whenever link state changes.
+        self._live_cores: Dict[Tuple[int, int], List[int]] = {}
         self.flow_objs: Dict[int, Flow] = {}
         self.finished_flows: List[Flow] = []
         self.latencies: List[Tuple[float, float]] = []
@@ -451,11 +331,11 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             for i, sub in enumerate(self.subdomains):
                 reg.set_gauge("netsim.shard_queue_bytes",
                               float(len(sub) * 8 * _FLOAT_ARRAYS_PER_QUEUE),
-                              sim="fluid_shard", subdomain=sub.name)
+                              sim=self._SIM_LABEL, subdomain=sub.name)
                 flow_bytes = (self.flow_shards[i].flow_table_bytes()
                               if i < len(self.flow_shards) else 0)
                 reg.set_gauge("netsim.shard_flow_bytes", float(flow_bytes),
-                              sim="fluid_shard", subdomain=sub.name)
+                              sim=self._SIM_LABEL, subdomain=sub.name)
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -533,49 +413,98 @@ class ShardedFluidNetwork(SwitchStatsMixin):
     def _q_core_down(self, core: int, pod: int) -> int:
         return self._core0 + core * self.config.n_pods + pod
 
-    def _route_flow(self, tbl: FlowShard, idx: int) -> None:
-        """(Re)compute the queue path of ``tbl``'s flow slot ``idx``.
+    def _path_of(self, fid: int, src: int, dst: int) -> Tuple[List[int], int]:
+        """Queue path (``-1``-padded to five hops) and core of one flow.
 
         Routing needs the *global* picture — queue-id layout and uplink
         health — so it lives on the network; the flow arrays live on the
-        owner pod's shard.  A reroute rewrites ``f_path`` / ``f_core``
-        in place and never migrates the flow between shards (the source
-        host, hence the owner pod, is immutable).
+        owner pod's row.  A reroute rewrites ``f_path`` / ``f_core`` in
+        place and never migrates the flow between pods (the source host,
+        hence the owner pod, is immutable).
         """
         cfg = self.config
-        src, dst = int(tbl.f_src[idx]), int(tbl.f_dst[idx])
-        ps, pd = cfg.pod_of_host(src), cfg.pod_of_host(dst)
-        es, ed = cfg.edge_of_host(src), cfg.edge_of_host(dst)
-        h_local = dst % cfg.hosts_per_pod
-        path = np.full(self._MAX_HOPS, -1, dtype=np.int64)
-        fid = tbl._idx_to_fid[idx]
-        if ps == pd and es == ed:
-            path[0] = self._q_edge_down(pd, h_local)
-            tbl.f_core[idx] = -1
-        elif ps == pd:
+        hpp = cfg.hosts_per_pod
+        ps, hs = divmod(src, hpp)
+        pd, hd = divmod(dst, hpp)
+        es, ed = hs // cfg.hosts_per_edge, hd // cfg.hosts_per_edge
+        down = self._q_edge_down(pd, hd)
+        if ps != pd:
+            # inter-pod: pick a core live on both ends; the core fixes
+            # the aggregation switch (a = c // core_per_agg) in each pod
+            live = self._live_cores.get((ps, pd))
+            if live is None:
+                both = np.flatnonzero(self.uplink_up[ps] & self.uplink_up[pd])
+                # partitioned pod pair: hash over every core (old path)
+                live = both.tolist() or list(range(cfg.n_core))
+                self._live_cores[ps, pd] = live
+            c = live[ecmp_hash(fid, len(live))]
+            a = c // cfg.core_per_agg
+            return [self._q_edge_up(ps, es, a), self._q_agg_up(ps, c),
+                    self._q_core_down(c, pd), self._q_agg_down(pd, a, ed),
+                    down], c
+        if es != ed:
             # intra-pod: pick an aggregation switch (pod-internal links
             # have no failure bit, so every agg is live)
             a = ecmp_hash(fid, cfg.agg_per_pod)
-            path[0] = self._q_edge_up(ps, es, a)
-            path[1] = self._q_agg_down(pd, a, ed)
-            path[2] = self._q_edge_down(pd, h_local)
-            tbl.f_core[idx] = -1
-        else:
-            # inter-pod: pick a core live on both ends; the core fixes
-            # the aggregation switch (a = c // core_per_agg) in each pod
-            live = [c for c in range(cfg.n_core)
-                    if self.uplink_up[ps, c] and self.uplink_up[pd, c]]
-            if not live:
-                live = list(range(cfg.n_core))   # partitioned: keep old path
-            c = live[ecmp_hash(fid, len(live))]
-            a = c // cfg.core_per_agg
-            path[0] = self._q_edge_up(ps, es, a)
-            path[1] = self._q_agg_up(ps, c)
-            path[2] = self._q_core_down(c, pd)
-            path[3] = self._q_agg_down(pd, a, ed)
-            path[4] = self._q_edge_down(pd, h_local)
-            tbl.f_core[idx] = c
-        tbl.f_path[idx] = path
+            return [self._q_edge_up(ps, es, a), self._q_agg_down(pd, a, ed),
+                    down, -1, -1], -1
+        return [down, -1, -1, -1, -1], -1
+
+    # ------------------------------------------------------------ flow table
+    def _alloc_flow_storage(self, cap: int) -> None:
+        """(Re)allocate the stacked ``(n_pods, cap)`` flow arrays, carry
+        the old slots over and re-point every pod's row views."""
+        n_p = self.config.n_pods
+        for name in _FLOW_FIELDS:
+            old = getattr(self, "_" + name, None)
+            tail = (self._MAX_HOPS,) if name == "f_path" else ()
+            fill = -1 if name in ("f_path", "f_core") else 0
+            new = np.full((n_p, cap) + tail, fill,
+                          dtype=getattr(self.flow_shards[0], name).dtype)
+            if old is not None:
+                new[:, :old.shape[1]] = old
+            setattr(self, "_" + name, new)
+            for p, sh in enumerate(self.flow_shards):
+                setattr(sh, name, new[p])
+        for sh in self.flow_shards:
+            sh._cap_flows = cap
+
+    def _grow_flows(self) -> None:
+        """Double every pod's capacity (called from
+        :meth:`FlowTableMixin._grow` when any one pod's row is full)."""
+        self._alloc_flow_storage(self._f_active.shape[1] * 2)
+
+    def _activate_due(self) -> None:
+        """Admit every pending flow whose start time has come — all pods'
+        due flows routed and stored as one batch."""
+        pods: List[int] = []
+        slots: List[int] = []
+        due: List[Flow] = []
+        for p, sh in enumerate(self.flow_shards):
+            sh.now = self.now
+            for flow in sh._pop_due():
+                idx = sh._free_slot()
+                sh._idx_to_fid[idx] = flow.flow_id
+                pods.append(p)
+                slots.append(idx)
+                due.append(flow)
+        if not due:
+            return
+        host = FlowTableMixin._host_index
+        src = [host(f.src) for f in due]
+        dst = [host(f.dst) for f in due]
+        routes = [self._path_of(f.flow_id, s, d)
+                  for f, s, d in zip(due, src, dst)]
+        # index arrays only now: _free_slot may have regrown the storage
+        at = (np.array(pods), np.array(slots))
+        self._f_src[at] = src
+        self._f_dst[at] = dst
+        self._f_size[at] = self._f_remaining[at] = [f.size_bytes for f in due]
+        self._f_rate[at] = (self.config.start_rate_fraction
+                            * self.config.host_rate_bps / 8.0)
+        self._f_alpha[at] = 1.0
+        self._f_active[at] = True
+        self._f_path[at], self._f_core[at] = zip(*routes)
 
     # ------------------------------------------------------------ flow intake
     def start_flow(self, flow: Flow) -> None:
@@ -639,9 +568,9 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             self._step(step_dt)
         reg = get_registry()
         if reg:
-            reg.inc("netsim.advance_calls", sim="fluid_shard")
-            reg.inc("netsim.steps", steps, sim="fluid_shard")
-            reg.inc("netsim.virtual_s", dt, sim="fluid_shard")
+            reg.inc("netsim.advance_calls", sim=self._SIM_LABEL)
+            reg.inc("netsim.steps", steps, sim=self._SIM_LABEL)
+            reg.inc("netsim.virtual_s", dt, sim=self._SIM_LABEL)
 
     def _group_payload(self, group: Sequence[Subdomain],
                        arrival: np.ndarray) -> List[Dict[str, np.ndarray]]:
@@ -657,33 +586,25 @@ class ShardedFluidNetwork(SwitchStatsMixin):
 
     def _step_subdomains(self, arrival: np.ndarray, dt: float) -> Tuple[
             np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Queue integration, one shard group at a time.
+        """Queue integration over the merged arrival vector.
 
-        Every subdomain receives its slice of the merged arrival vector,
-        steps independently, and the results land in disjoint slices of
-        the preallocated output rows in task-id order — so the shard
-        count can never change a bit.  Three transports, same bits:
-        in-process (``engine=None`` or one group), shared-memory arena
-        (Engine + arena: workers write the rows in place, nothing is
-        pickled), or pickled block payloads (Engine without arena).
+        Elementwise per queue, so how the queues are split can never
+        change a bit.  Three transports, same bits: in-process
+        (``engine=None`` or one group) integrates the whole arrays in
+        one call; on the Engine every shard group integrates its own
+        span, either in place in the shared-memory arena (nothing is
+        pickled) or from pickled block payloads whose results land in
+        disjoint slices of the output rows in task-id order.
         """
         groups = self.shard_groups
         buffer_bytes = float(self.config.switch_buffer_bytes)
+        if self._engine is None or len(groups) == 1:
+            return integrate_queue_block(self.q_len, self.q_cap, self.kmin,
+                                         self.kmax, self.pmax, arrival, dt,
+                                         buffer_bytes)
         outs = (self._served, self._new_qlen, self._drops, self._p_mark,
                 self._srv_ratio)
-        if self._engine is None or len(groups) == 1:
-            for g in groups:
-                for s in g:
-                    res = integrate_queue_block(
-                        self.q_len[s.start:s.stop],
-                        self.q_cap[s.start:s.stop],
-                        self.kmin[s.start:s.stop],
-                        self.kmax[s.start:s.stop],
-                        self.pmax[s.start:s.stop],
-                        arrival[s.start:s.stop], dt, buffer_bytes)
-                    for dst, src in zip(outs, res):
-                        dst[s.start:s.stop] = src
-        elif self._arena is not None:
+        if self._arena is not None:
             # Zero-copy: groups are contiguous, so each task is one
             # [lo, hi) span of the arena; workers fill the output rows.
             specs = [TaskSpec(task_id=t, fn=_integrate_arena_span,
@@ -705,67 +626,136 @@ class ShardedFluidNetwork(SwitchStatsMixin):
 
     def _step(self, dt: float) -> None:
         """One Δt — the reference :meth:`FluidNetwork._step` phases, each
-        decomposed over the topology-fixed partitions: flow phases per
-        owner pod (in pod order), queue integration per subdomain block,
-        feedback per owner pod (in pod order)."""
-        cfg = self.config
+        one fabric-wide pass over the active flows in (owner pod, slot)
+        order; only the Engine transports split the queue integration."""
         self.now += dt
-        shards_ = self.flow_shards
-        for sh in shards_:
-            sh.now = self.now
-            sh._activate_due()
-        if not any(sh._n_flows for sh in shards_):
+        self._activate_due()
+        n = max(sh._n_flows for sh in self.flow_shards)
+        if n == 0:
             self._acc_qlen_area += self.q_len * dt
             self._acc_time += dt
             return
+        pods, slots = self._f_active[:, :n].nonzero()
+        path = self._f_path[pods, slots].T          # (H, k), hop-major
+        send = self._flow_phase(pods, slots, path)
 
-        # --- flow phase per owner pod, then the boundary merge ------------
-        arrival = self._arrival
-        arrival.fill(0.0)
-        boundary = [sh._flow_phase(arrival) for sh in shards_]
-        rows = 0
-        for b in boundary:   # fixed owner-pod merge order
-            if b is not None:
-                bq, bw = b
-                arrival[bq] += bw
-                rows += bq.size
-        self._last_boundary_rows = rows
-
-        # --- sharded queue integration & marking --------------------------
+        # --- queue integration & marking ----------------------------------
         served_rate, new_qlen, drops, p_mark, srv_ratio = \
-            self._step_subdomains(arrival, dt)
+            self._step_subdomains(self._arrival, dt)
 
         # --- stats --------------------------------------------------------
-        self._acc_tx += served_rate * dt
-        self._acc_marked += served_rate * dt * p_mark
+        tx = served_rate * dt
+        self._acc_tx += tx
+        self._acc_marked += tx * p_mark
         self._acc_qlen_area += 0.5 * (self.q_len + new_qlen) * dt
         self._acc_drops += drops
         self._acc_time += dt
         # copy, not rebind: q_len may be an arena row the workers map
         np.copyto(self.q_len, new_qlen)
 
-        # --- feedback/AIMD/completion per owner pod -----------------------
-        for sh in shards_:
-            sh._feedback_phase(dt, p_mark, srv_ratio, self.q_len, self.q_cap)
+        if pods.size:
+            self._feedback_phase(dt, pods, slots, path, send, p_mark,
+                                 srv_ratio)
+
+    def _flow_phase(self, pods: np.ndarray, slots: np.ndarray,
+                    path: np.ndarray) -> np.ndarray:
+        """NIC sharing + arrival reduction; returns each flow's send rate
+        and leaves the merged per-queue arrival in ``self._arrival``.
+
+        Bit-exactness: the per-queue sum keeps the association of the
+        per-pod exchange it replaces.  Every owner pod's contribution to
+        a queue is summed first, in hop-major slot order (``bincount``
+        adds in appearance order); the per-pod partial sums are then
+        added into the queue with the queue's own pod first and the
+        boundary rows — core-plane and remote-pod queues — after it in
+        owner-pod order.
+        """
+        cfg = self.config
+        # NIC sharing: a host's flows all sit in its own pod's row, so one
+        # bincount over the global host id sums them in slot order.
+        line = cfg.host_rate_bps / 8.0
+        src = self._f_src[pods, slots]
+        send = self._f_rate[pods, slots]
+        per_src = np.bincount(src, weights=send, minlength=cfg.n_hosts)
+        over = per_src > line
+        if over.any():
+            scale_src = np.ones(cfg.n_hosts)
+            scale_src[over] = line / per_src[over]
+            send = send * scale_src[src]
+
+        ok = path >= 0
+        key = (pods * self.n_queues + path)[ok]     # (owner pod, queue)
+        rows, inv = np.unique(key, return_inverse=True)
+        agg = np.bincount(inv, weights=np.broadcast_to(send, path.shape)[ok],
+                          minlength=rows.size)
+        owner, q = np.divmod(rows, self.n_queues)
+        boundary = owner != q // self._pod_block
+        order = np.concatenate((np.flatnonzero(~boundary),
+                                np.flatnonzero(boundary)))
+        self._arrival[:] = np.bincount(q[order], weights=agg[order],
+                                       minlength=self.n_queues)
+        self._last_boundary_rows = int(boundary.sum())
+        return send
+
+    def _feedback_phase(self, dt: float, pods: np.ndarray, slots: np.ndarray,
+                        path: np.ndarray, send: np.ndarray,
+                        p_mark: np.ndarray, srv_ratio: np.ndarray) -> None:
+        """AIMD + progress + finish detection over the active flows.
+
+        Reads back post-integration queue state along each flow's path;
+        a padded hop contributes the identity (×1.0, min 1.0, +0.0), so
+        every flow sees the reference's per-hop operation order.
+        """
+        cfg = self.config
+        at = (pods, slots)
+        ok = path >= 0
+        qs = np.where(ok, path, 0)
+        hop_no_mark = np.where(ok, 1.0 - p_mark[qs], 1.0)
+        hop_srv = np.where(ok, srv_ratio[qs], 1.0)
+        hop_delay = np.where(ok, self.q_len[qs] / self.q_cap[qs], 0.0)
+        no_mark, bottleneck, qdelay = hop_no_mark[0], hop_srv[0], hop_delay[0]
+        for hop in range(1, self._MAX_HOPS):
+            no_mark = no_mark * hop_no_mark[hop]
+            bottleneck = np.minimum(bottleneck, hop_srv[hop])
+            qdelay = qdelay + hop_delay[hop]
+        mark_frac = 1.0 - no_mark
+
+        # --- DCQCN-like AIMD ----------------------------------------------
+        line = cfg.host_rate_bps / 8.0
+        rate = self._f_rate[at]
+        a = (1.0 - cfg.g) * self._f_alpha[at] + cfg.g * mark_frac
+        self._f_alpha[at] = a
+        cut = 1.0 - (a * 0.5 * cfg.md_gain * mark_frac)
+        grow = cfg.ai_fraction * line
+        new_rate = np.where(mark_frac > 1e-3, rate * cut, rate + grow)
+        self._f_rate[at] = np.clip(new_rate, cfg.min_rate_fraction * line,
+                                   line)
+
+        # --- progress & completion ----------------------------------------
+        remaining = self._f_remaining[at] - send * bottleneck * dt
+        self._f_remaining[at] = remaining
+        done = remaining <= 0.0
+        if done.any():
+            fp, fs = pods[done], slots[done]
+            self._f_active[fp, fs] = False
+            self._f_remaining[fp, fs] = 0.0
+            for p, i, t in zip(fp.tolist(), fs.tolist(),
+                               self.now + qdelay[done]):
+                sh = self.flow_shards[p]
+                flow = self.flow_objs[sh._idx_to_fid.pop(i)]
+                flow.finish_time = t
+                flow.bytes_sent = flow.bytes_acked = flow.size_bytes
+                self.finished_flows.append(flow)
+                sh._free_list.append(i)
+            qdelay = qdelay[~done]
 
         # --- latency sampling: one random active flow per step ------------
-        if len(self.latencies) < cfg.latency_sample_cap:
-            total = 0
-            for sh in shards_:
-                total += sh._act_idx.size
-            if total:
-                # one draw over the (pod, slot)-ordered concatenation —
-                # the same RNG consumption for every shard count
-                r = int(self.rng.integers(total))
-                for sh in shards_:
-                    k = sh._act_idx.size
-                    if r < k:
-                        i = int(sh._act_idx[r])
-                        self.latencies.append(
-                            (self.now,
-                             cfg.base_rtt / 2.0 + sh._qdelay[i]))
-                        break
-                    r -= k
+        # one draw over the (pod, slot)-ordered survivors — the same RNG
+        # consumption for every shard count
+        if qdelay.size and len(self.latencies) < cfg.latency_sample_cap:
+            self.latencies.append(
+                (self.now, cfg.base_rtt / 2.0
+                 + qdelay[int(self.rng.integers(qdelay.size))]))
 
     # ------------------------------------------------------------ stats
     def _flow_observations(self) -> Dict[int, Dict[int, FlowObservation]]:
@@ -842,6 +832,7 @@ class ShardedFluidNetwork(SwitchStatsMixin):
                 qd = self._q_core_down(c, p)
                 self.q_cap[qu] = self.q_cap_nominal[qu] * link
                 self.q_cap[qd] = self.q_cap_nominal[qd] * link
+        self._live_cores.clear()
         # Reroute flows whose core is unreachable on either end, owner
         # pod by owner pod — same visit order for every shard count.
         for sh in self.flow_shards:
@@ -849,10 +840,11 @@ class ShardedFluidNetwork(SwitchStatsMixin):
                 c = int(sh.f_core[i])
                 if c < 0:
                     continue
-                ps = cfg.pod_of_host(int(sh.f_src[i]))
-                pd = cfg.pod_of_host(int(sh.f_dst[i]))
-                if not (self.uplink_up[ps, c] and self.uplink_up[pd, c]):
-                    self._route_flow(sh, int(i))
+                src, dst = int(sh.f_src[i]), int(sh.f_dst[i])
+                if not (self.uplink_up[cfg.pod_of_host(src), c]
+                        and self.uplink_up[cfg.pod_of_host(dst), c]):
+                    sh.f_path[i], sh.f_core[i] = self._path_of(
+                        sh._idx_to_fid[int(i)], src, dst)
 
     # ------------------------------------------------------------ capacity
     def bytes_in_flight(self) -> float:
@@ -864,9 +856,9 @@ class ShardedFluidNetwork(SwitchStatsMixin):
 
         The capacity story of sharding: ``queue_bytes`` is what one
         shard group's worker needs for the queue phase and scales with
-        the largest subdomain; ``flow_bytes`` is the owner pod's flow
-        table (the core plane owns none), scaling with the largest
-        *per-pod* concurrent flow count rather than the fabric total.
+        the largest subdomain; ``flow_bytes`` is the owner pod's row of
+        the stacked flow table (the core plane owns none) — every row
+        has the capacity the fullest pod has needed so far.
         Mirrors — and refreshes — the ``netsim.shard_queue_bytes`` and
         ``netsim.shard_flow_bytes`` gauges.
         """
@@ -883,5 +875,5 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             for name, entry in report.items():
                 reg.set_gauge("netsim.shard_flow_bytes",
                               float(entry["flow_bytes"]),
-                              sim="fluid_shard", subdomain=name)
+                              sim=self._SIM_LABEL, subdomain=name)
         return report

@@ -192,6 +192,11 @@ def _build_handler(server: PolicyServer):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Buffered: headers and body leave as one segment when the
+        # handler flushes after the request.  Unbuffered, they are two
+        # small writes on a keep-alive connection, and Nagle holds the
+        # body until the client's delayed ACK (~40 ms per request).
+        wbufsize = -1
 
         def log_message(self, fmt: str, *args: Any) -> None:
             pass               # quiet: obs carries the signal, not stderr

@@ -93,3 +93,27 @@ class TestZeroOverheadWhenDisabled:
         after = _fingerprint(_tiny_pretrain())
         assert baseline == traced
         assert baseline == after
+
+
+class TestSimLabels:
+    def test_stats_counters_carry_the_substrates_own_label(self):
+        """``queue_stats`` / ``set_ecn`` live on a mixin shared by every
+        fluid substrate; their counters must carry the label the owning
+        class's ``advance`` reports, not the mixin author's."""
+        from repro.netsim.ecn import ECNConfig
+        from repro.netsim.fattree import FatTreeConfig
+        from repro.netsim.fluid import FluidConfig, FluidNetwork
+        from repro.netsim.shard import ShardedFluidNetwork
+        with obs.telemetry() as (reg, _):
+            nets = {"fluid": FluidNetwork(FluidConfig.small(), seed=0),
+                    "fluid_shard": ShardedFluidNetwork(FatTreeConfig.small(),
+                                                       seed=0)}
+            for net in nets.values():
+                net.advance(net.config.step_dt)
+                net.queue_stats()
+                net.set_ecn(net.switch_names()[0], ECNConfig(1000, 2000, 0.1))
+            for label in nets:
+                for counter in ("netsim.advance_calls",
+                                "netsim.stats_collections", "netsim.ecn_set"):
+                    assert reg.counter_value(counter, sim=label) == 1, \
+                        (counter, label)

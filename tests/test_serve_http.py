@@ -1,7 +1,9 @@
 """End-to-end HTTP tests: a real ThreadingHTTPServer on an ephemeral
 port, driven with urllib — no test client shims."""
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -120,6 +122,29 @@ class TestEndpoints:
         status, body = _request(f"{server.url}/reset", {})
         assert status == 200 and body["reset"] is True
         assert plane.net is not old_net
+
+
+    def test_keep_alive_reply_is_one_segment(self, served):
+        """Headers and body written separately on a keep-alive socket
+        cost one Nagle/delayed-ACK stall (~44 ms on loopback) per
+        request; sent as one segment a request takes about a millisecond."""
+        plane, server = served
+        plane.tick()
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=5.0)
+        laps = []
+        try:
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/state")
+                resp = conn.getresponse()
+                body = resp.read()
+                laps.append(time.perf_counter() - t0)
+                assert resp.status == 200 and json.loads(body)
+        finally:
+            conn.close()
+        # the median, so one scheduler stall on a busy box cannot fail it
+        assert sorted(laps)[len(laps) // 2] < 0.015
 
 
 class TestRolloutOps:

@@ -9,7 +9,14 @@ under mid-run uplink failures.  Plus the splitmix64 routing regression
 and Hypothesis properties: the boundary exchange conserves
 bytes-in-flight, and failure/reroute behaviour agrees sharded vs
 monolithic.
+
+Self-reference (N vs 1) cannot see both legs drift together, so the
+suite also pins fingerprint literals captured from the per-pod
+implementation the fused step replaced, and checks the flow phase
+against a plain-Python-loop oracle written here, not in ``src/``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,11 +35,19 @@ def _small():
     return FatTreeConfig.small()
 
 
-def _load(net, cfg, n_flows=40, seed=5, spread=2e-3):
+def _load(net, cfg, n_flows=40, seed=5, spread=2e-3, hot=0):
+    """Random flows; ``hot`` > 0 draws every destination from that many
+    hosts (incast), so several pods feed the same queues and the order
+    in which their partial sums are merged reaches the bits."""
     rng = np.random.default_rng(seed)
+    hot_dsts = rng.choice(cfg.n_hosts, size=hot, replace=False)
     flows = []
     for i in range(n_flows):
-        src, dst = rng.choice(cfg.n_hosts, size=2, replace=False)
+        if hot:
+            dst = rng.choice(hot_dsts)
+            src = (dst + rng.integers(1, cfg.n_hosts)) % cfg.n_hosts
+        else:
+            src, dst = rng.choice(cfg.n_hosts, size=2, replace=False)
         flows.append(Flow(i, f"h{src}", f"h{dst}",
                           int(rng.integers(50_000, 2_000_000)),
                           start_time=float(rng.uniform(0, spread))))
@@ -40,13 +55,13 @@ def _load(net, cfg, n_flows=40, seed=5, spread=2e-3):
 
 
 def _run_fp(cfg, shards, *, steps=150, n_flows=40, engine=None,
-            fail_at=None, seed=3):
+            fail_at=None, seed=3, hot=0):
     """Canonical fingerprint of a driven run: per-interval stats plus the
     final queue/flow state."""
     net = ShardedFluidNetwork(cfg, shards=shards, seed=seed, engine=engine)
     net.set_ecn_all(ECNConfig(kmin_bytes=20_000, kmax_bytes=80_000,
                               pmax=0.2))
-    _load(net, cfg, n_flows=n_flows)
+    _load(net, cfg, n_flows=n_flows, hot=hot)
     stats = []
     for k in range(steps):
         net._step(cfg.step_dt)
@@ -154,6 +169,86 @@ class TestShardConformance:
         assert [(s.name, s.start, s.stop) for s in a.subdomains] == \
                [(s.name, s.start, s.stop) for s in b.subdomains]
         assert sum(len(g) for g in b.shard_groups) == len(b.subdomains)
+
+
+#: ``_run_fp`` digests of the per-pod ``FlowShard._flow_phase`` /
+#: ``_feedback_phase`` implementation (captured at commit 64f8b13, the
+#: parent of the fused step).  A drift here is a behaviour change even
+#: if every shards=N run still agrees with shards=1.
+_PINNED = {
+    "small": "1e5d0965b8d92901d37cb949889c48904c5918420a6c2ac77f179ea9b4f1336e",
+    "production_scale":
+        "ea8551206a9982193391d82dc2c60deb2fae54790e4e643c7138dc13fc42d3d9",
+    "midrun_failures":
+        "f54802d1a6681e0d3c1551d1725c1322eb120ff76b058d58c818c42c13d8061e",
+    "incast": "ac5c3e0a998574f91d931c17c54d188ad0b7f6219d35c355444b81cdf0aa21b9",
+}
+
+
+class TestPinnedFingerprints:
+    def test_small(self):
+        assert _run_fp(_small(), 1) == _PINNED["small"]
+
+    def test_production_scale(self):
+        assert _run_fp(FatTreeConfig.production_scale(), 1, steps=40,
+                       n_flows=120) == _PINNED["production_scale"]
+
+    def test_midrun_fail_uplinks(self):
+        assert _run_fp(_small(), 1, fail_at=40) == _PINNED["midrun_failures"]
+
+    def test_four_pod_incast(self):
+        """The one digest here that moves when the per-pod partial sums
+        are merged in another order (the random loads above do not)."""
+        assert _run_fp(FatTreeConfig(), 1, steps=100, n_flows=60,
+                       hot=3) == _PINNED["incast"]
+
+    def test_growth_from_four_slots(self):
+        """Capacity is storage, not state: a table that starts at four
+        slots and regrows mid-run lands on the same digest."""
+        cfg = dataclasses.replace(_small(), initial_flow_capacity=4)
+        assert _run_fp(cfg, 1) == _PINNED["small"]
+
+
+class TestStackedFlowTable:
+    def test_one_pod_overflowing_regrows_and_repoints_every_pod(self):
+        """Pod 0 takes 30 flows into 4 slots while pod 1 holds two: the
+        stacked storage regrows for all pods, every pod's arrays stay
+        views of it, and the run matches one that never had to grow."""
+        def run(capacity):
+            cfg = dataclasses.replace(_small(), initial_flow_capacity=capacity)
+            net = ShardedFluidNetwork(cfg, seed=0)
+            rng = np.random.default_rng(11)
+            hpp = cfg.hosts_per_pod
+            flows = [Flow(i, f"h{rng.integers(hpp) if i < 30 else hpp}",
+                          f"h{rng.integers(hpp, 2 * hpp) if i < 30 else 0}",
+                          int(rng.integers(200_000, 2_000_000)),
+                          start_time=float(rng.uniform(0, 1e-3)))
+                     for i in range(32)]
+            net.start_flows(flows)
+            for _ in range(80):
+                net._step(cfg.step_dt)
+            return net
+
+        grown, roomy = run(4), run(256)
+        assert grown._f_active.shape[1] > 4
+        assert roomy._f_active.shape[1] == 256
+        assert grown.flow_shards[0]._n_flows > 4 >= \
+            grown.flow_shards[1]._n_flows > 0
+        for net in (grown, roomy):
+            report = net.memory_report()
+            for p, sh in enumerate(net.flow_shards):
+                assert sh._cap_flows == net._f_active.shape[1]
+                for name in ("f_src", "f_rate", "f_active", "f_core",
+                             "f_path"):
+                    assert np.shares_memory(getattr(sh, name),
+                                            getattr(net, "_" + name))
+                    assert len(getattr(sh, name)) == sh._cap_flows
+                assert sh.flow_table_bytes() == \
+                    report[f"pod{p}"]["flow_bytes"]
+        assert [(f.flow_id, f.finish_time) for f in grown.finished_flows] \
+            == [(f.flow_id, f.finish_time) for f in roomy.finished_flows]
+        assert _fingerprint({"q": grown.q_len, **grown.flow_table_state()}) \
+            == _fingerprint({"q": roomy.q_len, **roomy.flow_table_state()})
 
 
 # ------------------------------------------------------------- surface
@@ -272,6 +367,77 @@ def test_boundary_exchange_conserves_bytes_in_flight(shards, n_flows, seed):
         shard._step(cfg.step_dt)
         assert shard.bytes_in_flight() == mono.bytes_in_flight()
         assert 0.0 <= shard.bytes_in_flight() <= injected_cap
+
+
+def _flow_phase_oracle(net):
+    """Per-flow send rates and the per-queue arrival vector, rebuilt with
+    plain Python loops from the per-pod tables.
+
+    NIC sharing caps each host's summed rate at line rate; arrivals are
+    summed per (owner pod, queue) over flows in (pod, hop, slot) order,
+    then merged into each queue with its own pod's sum first and the
+    other pods' after it in pod order.
+    """
+    cfg = net.config
+    line = cfg.host_rate_bps / 8.0
+    active = [[i for i in range(sh._n_flows) if sh.f_active[i]]
+              for sh in net.flow_shards]
+    per_host = {}
+    for sh, slots in zip(net.flow_shards, active):
+        for i in slots:
+            src = int(sh.f_src[i])
+            per_host[src] = per_host.get(src, 0.0) + float(sh.f_rate[i])
+    send, partial = [], {}
+    for p, (sh, slots) in enumerate(zip(net.flow_shards, active)):
+        sends = []
+        for i in slots:
+            rate, total = float(sh.f_rate[i]), per_host[int(sh.f_src[i])]
+            sends.append(rate * (line / total) if total > line else rate)
+        for hop in range(sh.f_path.shape[1]):
+            for i, w in zip(slots, sends):
+                q = int(sh.f_path[i, hop])
+                if q >= 0:
+                    partial[p, q] = partial.get((p, q), 0.0) + w
+        send.extend(sends)
+    arrival = []
+    for q in range(net.n_queues):
+        own = q // net._pod_block            # the core plane owns no flows
+        total = partial.get((own, q), 0.0)
+        for p in range(cfg.n_pods):
+            if p != own and (p, q) in partial:
+                total += partial[p, q]
+        arrival.append(total)
+    return np.array(send), np.array(arrival)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_flows=st.integers(1, 40),
+       seed=st.integers(0, 2**16),
+       steps=st.integers(1, 80),
+       hot=st.sampled_from([0, 3]))
+def test_flow_phase_matches_plain_loop_oracle(n_flows, seed, steps, hot):
+    """The fused NIC-sharing + arrival reduction against an oracle the
+    code did not write: bit-for-bit, not approximately.  Four pods, low
+    marking thresholds and incast, so AIMD has made the rates inexact
+    and queues are fed from three or more pods — merging their partial
+    sums in any other order shows in about a third of the draws."""
+    cfg = FatTreeConfig()
+    net = ShardedFluidNetwork(cfg, seed=0)
+    net.set_ecn_all(ECNConfig(kmin_bytes=20_000, kmax_bytes=80_000,
+                              pmax=0.2))
+    _load(net, cfg, n_flows=n_flows, seed=seed, spread=1e-3, hot=hot)
+    for _ in range(steps):
+        net._step(cfg.step_dt)
+    want_send, want_arrival = _flow_phase_oracle(net)
+    n = max(sh._n_flows for sh in net.flow_shards)
+    pods, slots = net._f_active[:, :n].nonzero()
+    send = net._flow_phase(pods, slots, net._f_path[pods, slots].T)
+    assert send.tobytes() == want_send.tobytes()
+    assert net._arrival.tobytes() == want_arrival.tobytes()
+    line = cfg.host_rate_bps / 8.0
+    per_host = np.bincount(net._f_src[pods, slots], weights=send,
+                           minlength=cfg.n_hosts)
+    assert (per_host <= line * (1 + 1e-12)).all()
 
 
 @settings(max_examples=10, deadline=None)
