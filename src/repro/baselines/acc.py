@@ -18,8 +18,9 @@ schemes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
 from repro.core.ecn_cm import ECNConfigModule
 from repro.core.ncm import NetworkConditionMonitor
-from repro.core.reward import RewardComputer
+from repro.core.reward import REWARD_LOG_LEN, RewardComputer
 from repro.core.state import HistoryWindow, StateBuilder
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.network import QueueStats
@@ -94,7 +95,8 @@ class ACCController:
             self.agents[s] = DDQNAgent(dcfg)
         self.training = True
         self._pending: Dict[str, dict] = {}
-        self._reward_log: Dict[str, List[float]] = {s: [] for s in self.switches}
+        self._reward_log: Dict[str, Deque[float]] = {
+            s: deque(maxlen=REWARD_LOG_LEN) for s in self.switches}
 
     # -- Controller interface ------------------------------------------------
     def set_training(self, training: bool) -> None:
@@ -164,7 +166,8 @@ class ACCController:
             agent.steps += max(steps, 0)
 
     def mean_recent_reward(self, s: str, window: int = 50) -> float:
+        """Mean of the last ``window`` (at most ``REWARD_LOG_LEN``) rewards."""
         log = self._reward_log[s]
         if not log:
             return 0.0
-        return float(np.mean(log[-window:]))
+        return float(np.mean(list(log)[-window:]))

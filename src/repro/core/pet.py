@@ -18,7 +18,8 @@ schemes identically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
 from repro.core.ecn_cm import ECNConfigModule
 from repro.core.ncm import NetworkConditionMonitor
-from repro.core.reward import RewardComputer
+from repro.core.reward import REWARD_LOG_LEN, RewardComputer
 from repro.core.state import HistoryWindow, StateBuilder
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.network import QueueStats
@@ -75,7 +76,8 @@ class PETController:
         self.training = True
         self._pending: Dict[str, dict] = {}      # obs/decision awaiting reward
         self._steps = 0
-        self._reward_log: Dict[str, List[float]] = {s: [] for s in self.switches}
+        self._reward_log: Dict[str, Deque[float]] = {
+            s: deque(maxlen=REWARD_LOG_LEN) for s in self.switches}
         self.update_stats: List[Dict] = []
 
     # -- Controller interface ------------------------------------------------
@@ -173,10 +175,11 @@ class PETController:
 
     # -- diagnostics --------------------------------------------------------------
     def mean_recent_reward(self, s: str, window: int = 50) -> float:
+        """Mean of the last ``window`` (at most ``REWARD_LOG_LEN``) rewards."""
         log = self._reward_log[s]
         if not log:
             return 0.0
-        return float(np.mean(log[-window:]))
+        return float(np.mean(list(log)[-window:]))
 
     def reset_episode(self) -> None:
         """Clear histories/pending state between independent episodes."""

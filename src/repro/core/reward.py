@@ -23,7 +23,12 @@ from __future__ import annotations
 from repro.core.config import PETConfig
 from repro.netsim.network import QueueStats
 
-__all__ = ["RewardComputer"]
+__all__ = ["RewardComputer", "REWARD_LOG_LEN"]
+
+#: rewards each controller keeps per switch for ``mean_recent_reward`` —
+#: the largest trailing window it can average.  The log is a diagnostic,
+#: so it must not grow with the run (one float per switch per tick would).
+REWARD_LOG_LEN = 1024
 
 
 class RewardComputer:

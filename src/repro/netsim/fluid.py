@@ -23,8 +23,11 @@ All per-step work is vectorized over flows and queues with NumPy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from itertools import repeat
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,6 +148,110 @@ def integrate_queue_block(q_len: np.ndarray, q_cap: np.ndarray,
     return served_rate, new_qlen, drops, p_mark, srv_ratio
 
 
+class _PendingFlows:
+    """Registered flows that have not started yet: start-time-ordered
+    columns (ties in registration order) behind a cursor, 32 bytes a flow.
+
+    Chunks registered since the last pop are merged in on the next one,
+    so registering flow by flow stays linear.  Rows ``[lo, len)`` are
+    pending; a merge renumbers them from 0.
+    """
+
+    def __init__(self) -> None:
+        self.start = np.empty(0)                     # seconds
+        self.fid = np.empty(0, dtype=np.uint64)
+        self.src = np.empty(0, dtype=np.int32)       # host indices
+        self.dst = np.empty(0, dtype=np.int32)
+        self.size = np.empty(0)                      # bytes
+        self.lo = 0
+        self._next_start = math.inf
+        self._staged: List[Tuple[np.ndarray, ...]] = []
+        self._n_staged = 0
+
+    def __len__(self) -> int:
+        return len(self.start) - self.lo + self._n_staged
+
+    def add(self, *columns: np.ndarray) -> None:
+        """Register one parsed chunk: start, fid, src, dst, size."""
+        self._staged.append(columns)
+        self._n_staged += len(columns[0])
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return self.start, self.fid, self.src, self.dst, self.size
+
+    def _merge_staged(self) -> None:
+        chunks = self._staged
+        if self.lo < len(self.start):
+            chunks.insert(0, tuple(c[self.lo:] for c in self._columns()))
+        cols = (chunks[0] if len(chunks) == 1
+                else [np.concatenate(c) for c in zip(*chunks)])
+        start = cols[0]
+        if (start[1:] < start[:-1]).any():      # a generator's list is sorted
+            order = start.argsort(kind="stable")
+            cols = [c[order] for c in cols]
+        self.start, self.fid, self.src, self.dst, self.size = cols
+        self.lo = 0
+        self._next_start = float(self.start[0]) if len(start) else math.inf
+        self._staged = []
+        self._n_staged = 0
+
+    def pop_due(self, now: float) -> Tuple[int, int]:
+        """Consume the flows whose start time has come; returns their row
+        range ``[lo, hi)``, in start-time then registration order."""
+        if self._staged:
+            self._merge_staged()
+        lo = self.lo
+        if self._next_start > now:
+            return lo, lo
+        hi = int(self.start.searchsorted(now, "right"))
+        self.lo = hi
+        self._next_start = (float(self.start[hi]) if hi < len(self.start)
+                            else math.inf)
+        return lo, hi
+
+
+def _register_flows(flows: Sequence[Flow], flow_objs: Dict[int, Flow],
+                    pending: _PendingFlows, n_hosts: int) -> None:
+    """Validate a whole list of flows, then register it: the flows go
+    into ``flow_objs`` and, as columns, into ``pending``.
+
+    Raises ``ValueError`` — before anything is registered — on a flow id
+    that is already registered, repeated in the list or outside
+    ``[0, 2**64)``, and on a source or destination that is not a host of
+    this fabric.  Each distinct host name is parsed once.
+    """
+    ids = [f.flow_id for f in flows]
+    try:
+        fid_col = np.array(ids, dtype=np.uint64)
+    except (OverflowError, TypeError):
+        raise ValueError("flow ids must be integers in [0, 2**64)") from None
+    by_id = np.sort(fid_col)
+    if ((by_id[1:] == by_id[:-1]).any()
+            or not flow_objs.keys().isdisjoint(ids)):
+        seen: set = set()
+        for fid in ids:
+            if fid in flow_objs or fid in seen:
+                raise ValueError(f"duplicate flow id {fid}")
+            seen.add(fid)
+    src = [f.src for f in flows]
+    dst = [f.dst for f in flows]
+    index: Dict[Any, int] = {}
+    for name in set(src).union(dst):
+        try:
+            i = FlowTableMixin._host_index(name)
+        except KeyError:
+            i = -1
+        if not 0 <= i < n_hosts:
+            raise ValueError(f"unknown host {name}")
+        index[name] = i
+    pending.add(
+        np.array([f.start_time for f in flows], dtype=np.float64), fid_col,
+        np.array([index[h] for h in src], dtype=np.int32),
+        np.array([index[h] for h in dst], dtype=np.int32),
+        np.array([f.size_bytes for f in flows], dtype=np.float64))
+    flow_objs.update(zip(ids, flows))
+
+
 class FlowTableMixin:
     """Grow-on-demand flow table shared by every fluid-model network.
 
@@ -162,15 +269,15 @@ class FlowTableMixin:
     _FLOW_CHOICE_1D: Tuple[str, ...] = ("f_spine",)
 
     def _init_flow_table(self, cap: int) -> None:
-        """Allocate an empty flow table of ``cap`` slots, plus the slot
-        maps, pending queue and completion records.
+        """Allocate an empty flow table of ``cap`` slots and its slot maps.
 
         One table per *owner*: the monolithic networks call this once on
         themselves; the sharded fat-tree instantiates one
         :class:`~repro.netsim.shard.FlowShard` per pod, whose arrays it
         then re-points at rows of one stacked table (as
         :class:`~repro.netsim.batchfluid.BatchFluidNetwork` does with
-        its replicas).
+        its replicas).  Flow intake — registration, the pending store,
+        completion records — is per *network*: :meth:`_init_flow_intake`.
         """
         if cap < 1:
             raise ValueError("flow capacity must be >= 1")
@@ -186,15 +293,16 @@ class FlowTableMixin:
         self.f_path = np.full((cap, self._MAX_HOPS), -1, dtype=np.int64)
         for name in self._FLOW_CHOICE_1D:
             setattr(self, name, np.full(cap, -1, dtype=np.int64))
-        self.flow_objs: Dict[int, Flow] = {}
         self._fid_to_idx: Dict[int, int] = {}
         self._idx_to_fid: Dict[int, int] = {}
         self._free_list: List[int] = []   # recycled flow slots
-        self._pending: List[Flow] = []    # sorted by start_time (lazily)
-        self._pending_sorted = True
+        self._batch = None
+
+    def _init_flow_intake(self) -> None:
+        self.flow_objs: Dict[int, Flow] = {}
+        self._pending = _PendingFlows()
         self.finished_flows: List[Flow] = []
         self.latencies: List[Tuple[float, float]] = []
-        self._batch = None
 
     def flow_table_bytes(self) -> int:
         """Resident bytes of the ``f_*`` arrays (capacity, not usage)."""
@@ -229,21 +337,14 @@ class FlowTableMixin:
 
     def start_flow(self, flow: Flow) -> None:
         """Register a flow; it activates when ``now`` reaches its start."""
-        if flow.flow_id in self.flow_objs:
-            raise ValueError(f"duplicate flow id {flow.flow_id}")
-        try:
-            known = 0 <= self._host_index(flow.src) < self.config.n_hosts
-        except KeyError:
-            known = False
-        if not known:
-            raise ValueError(f"unknown host {flow.src}")
-        self.flow_objs[flow.flow_id] = flow
-        self._pending.append(flow)
-        self._pending_sorted = False
+        self.start_flows([flow])
 
-    def start_flows(self, flows: List[Flow]) -> None:
-        for f in flows:
-            self.start_flow(f)
+    def start_flows(self, flows: Sequence[Flow]) -> None:
+        """Register a list of flows, all or none: a duplicate flow id or
+        an unknown source or destination host anywhere in the list
+        raises ``ValueError`` and registers nothing."""
+        _register_flows(flows, self.flow_objs, self._pending,
+                        self.config.n_hosts)
 
     @staticmethod
     def _host_index(name) -> int:
@@ -254,37 +355,26 @@ class FlowTableMixin:
                 raise KeyError(f"unknown host {name!r}") from None
         return int(name)
 
-    def _pop_due(self) -> List[Flow]:
-        """Remove and return the pending flows whose start time has come,
-        in start-time order (ties in registration order)."""
-        pend = self._pending
-        if not pend:
-            return []
-        if not self._pending_sorted:
-            pend.sort(key=lambda f: f.start_time)
-            self._pending_sorted = True
-        # Walk an index over the sorted prefix and delete it in one slice
-        # afterwards — the former pop(0)-per-flow loop was O(k·P) in the
-        # pending backlog P every step.
-        consumed = 0
-        while consumed < len(pend) and pend[consumed].start_time <= self.now:
-            consumed += 1
-        due = pend[:consumed]
-        del pend[:consumed]
-        return due
-
     def _activate_due(self) -> None:
-        for flow in self._pop_due():
+        pend = self._pending
+        lo, hi = pend.pop_due(self.now)
+        if lo == hi:
+            return
+        # ~2 flows a sub-step on the leaf-spine fabrics: scalar stores and
+        # the per-flow _route beat any batch call's fixed cost here.
+        for fid, src, dst, size in zip(pend.fid[lo:hi].tolist(),
+                                       pend.src[lo:hi].tolist(),
+                                       pend.dst[lo:hi].tolist(),
+                                       pend.size[lo:hi].tolist()):
             if self._n_flows >= self._cap_flows:
                 self._grow()
             idx = self._free_slot()
-            fid = flow.flow_id
             self._fid_to_idx[fid] = idx
             self._idx_to_fid[idx] = fid
-            self.f_src[idx] = self._host_index(flow.src)
-            self.f_dst[idx] = self._host_index(flow.dst)
-            self.f_size[idx] = flow.size_bytes
-            self.f_remaining[idx] = flow.size_bytes
+            self.f_src[idx] = src
+            self.f_dst[idx] = dst
+            self.f_size[idx] = size
+            self.f_remaining[idx] = size
             self.f_rate[idx] = (self.config.start_rate_fraction
                                 * self.config.host_rate_bps / 8.0)
             self.f_alpha[idx] = 1.0
@@ -315,6 +405,51 @@ class FlowTableMixin:
         return self.flow_objs
 
 
+class _ObsSnapshot:
+    """Collection-time copy of what the per-flow observations are made
+    of — the active flows' ids, bytes seen and queue paths, in flow-table
+    order — expanded into the per-switch ``{fid: FlowObservation}`` dicts
+    once, when the first consumer reads one.  Holding copies makes the
+    expansion immune to whatever happens to the flow slots afterwards.
+    """
+
+    def __init__(self, fids: List[int], seen: np.ndarray, paths: np.ndarray,
+                 now: float, flow_objs: Dict[int, Flow],
+                 q_switch: List[int]) -> None:
+        self._fids = fids
+        self._seen = seen
+        self._paths = paths
+        self._now = now
+        self._flow_objs = flow_objs
+        self._q_switch = q_switch
+        self._by_switch: Optional[Dict[int, Dict[int, FlowObservation]]] = None
+
+    def by_switch(self) -> Dict[int, Dict[int, FlowObservation]]:
+        """The observations grouped by every switch on the flow's path —
+        equal, insertion order included, to the reference loop's
+        (:meth:`SwitchStatsMixin._flow_observations`): the vector
+        subtract that made ``seen`` produces the per-flow scalar
+        subtract's bytes, and flows and hops are visited in its order."""
+        if self._by_switch is None:
+            out: Dict[int, Dict[int, FlowObservation]] = {}
+            qsw = self._q_switch
+            flow_objs = self._flow_objs
+            now = self._now
+            for fid, seen, path in zip(self._fids, self._seen.tolist(),
+                                       self._paths.tolist()):
+                flow = flow_objs[fid]
+                obs = FlowObservation(fid, flow.src, flow.dst,
+                                      int(seen if seen > 1.0 else 1.0), now)
+                for q in path:
+                    if q >= 0:
+                        out.setdefault(qsw[q], {})[fid] = obs
+            self._by_switch = out
+        return self._by_switch
+
+    def of_switch(self, s: int) -> Dict[int, FlowObservation]:
+        return self.by_switch().get(s, {})
+
+
 class SwitchStatsMixin:
     """Per-switch statistics + ECN control over a flat queue array.
 
@@ -331,6 +466,12 @@ class SwitchStatsMixin:
     #: the one its ``advance`` reports.
     _SIM_LABEL = "fluid"
 
+    # lazily built caches of the static queue layout (``q_switch``)
+    _names_cache: Optional[List[str]] = None
+    _sw_q_idx: Optional[List[np.ndarray]] = None
+    _sw_classes: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+    _q_switch_list: Optional[List[int]] = None
+
     def _switch_index_cache(self) -> List[np.ndarray]:
         """Per-switch queue-index arrays (``q_switch`` is static)."""
         if self._sw_q_idx is None:
@@ -338,40 +479,53 @@ class SwitchStatsMixin:
                               for s in range(self.n_switches)]
         return self._sw_q_idx
 
+    def _switch_classes(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The switches grouped by queue count: per class, the switch ids
+        and the ``(n_switches_in_class, n_queues)`` matrix of their queue
+        indices — what lets one gather + row reduction serve a whole
+        class (``q_switch`` is static)."""
+        if self._sw_classes is None:
+            sw_idx = self._switch_index_cache()
+            by_count: Dict[int, List[int]] = {}
+            for s, idx in enumerate(sw_idx):
+                by_count.setdefault(len(idx), []).append(s)
+            self._sw_classes = [
+                (np.array(ss), np.stack([sw_idx[s] for s in ss]))
+                for ss in by_count.values()]
+        return self._sw_classes
+
+    def _switch_names_cached(self) -> List[str]:
+        if self._names_cache is None:
+            self._names_cache = self.switch_names()
+        return self._names_cache
+
     def queue_stats(self) -> Dict[str, QueueStats]:
         """Per-switch interval statistics; resets the interval."""
         get_registry().inc("netsim.stats_collections", sim=self._SIM_LABEL)
         interval = max(self._acc_time, 1e-12)
-        if self._names_cache is None:
-            self._names_cache = self.switch_names()
-        names = self._names_cache
+        names = self._switch_names_cached()
         out: Dict[str, QueueStats] = {}
-        flow_obs_by_switch = self._flow_observations()
-        sw_idx = self._switch_index_cache() if self.fastpath else None
-        for s, name in enumerate(names):
-            # Gathering by precomputed index array extracts exactly the
-            # same elements in the same order as the boolean mask, so
-            # the pairwise sums are bit-identical.
-            if sw_idx is not None:
-                mask: np.ndarray = sw_idx[s]
-                nq = len(mask)
-            else:
+        if self.fastpath:
+            out = self._grouped_stats(names, interval)
+        else:
+            flow_obs_by_switch = self._flow_observations()
+            for s, name in enumerate(names):
                 mask = self.q_switch == s
-                nq = int(mask.sum())
-            tx = float(self._acc_tx[mask].sum())
-            marked = float(self._acc_marked[mask].sum())
-            avg_q = float(self._acc_qlen_area[mask].sum()) / interval
-            drops = float(self._acc_drops[mask].sum())
-            out[name] = QueueStats(
-                switch=name, interval=interval,
-                qlen_bytes=float(self.q_len[mask].sum()),
-                max_port_qlen_bytes=float(self.q_len[mask].max(initial=0.0)),
-                avg_qlen_bytes=avg_q,
-                tx_bytes=int(tx), tx_marked_bytes=int(marked),
-                dropped_pkts=int(drops // 1000) if drops else 0,
-                capacity_bps=float(self.q_cap[mask].sum() * 8.0),
-                ecn=self._ecn_by_switch[s], n_queues=nq,
-                flow_obs=flow_obs_by_switch.get(s, {}))
+                tx = float(self._acc_tx[mask].sum())
+                marked = float(self._acc_marked[mask].sum())
+                avg_q = float(self._acc_qlen_area[mask].sum()) / interval
+                drops = float(self._acc_drops[mask].sum())
+                out[name] = QueueStats(
+                    switch=name, interval=interval,
+                    qlen_bytes=float(self.q_len[mask].sum()),
+                    max_port_qlen_bytes=float(
+                        self.q_len[mask].max(initial=0.0)),
+                    avg_qlen_bytes=avg_q,
+                    tx_bytes=int(tx), tx_marked_bytes=int(marked),
+                    dropped_pkts=int(drops // 1000) if drops else 0,
+                    capacity_bps=float(self.q_cap[mask].sum() * 8.0),
+                    ecn=self._ecn_by_switch[s], n_queues=int(mask.sum()),
+                    flow_obs=flow_obs_by_switch.get(s, {}))
         self._acc_tx[:] = 0.0
         self._acc_marked[:] = 0.0
         self._acc_qlen_area[:] = 0.0
@@ -379,10 +533,60 @@ class SwitchStatsMixin:
         self._acc_time = 0.0
         return out
 
+    def _grouped_stats(self, names: List[str],
+                       interval: float) -> Dict[str, QueueStats]:
+        """The records of :meth:`queue_stats` from one gather + row
+        reduction per switch class and field.
+
+        A row of the C-contiguous gather is reduced by the same pairwise
+        routine, over the same elements in the same order, as the
+        reference's per-switch ``a[mask].sum()``, so the sums are
+        bit-identical (docs/PERFORMANCE.md; not true of
+        ``np.add.reduceat``, which adds sequentially).
+        """
+        cols = np.empty((7, self.n_switches))
+        summed = (self._acc_tx, self._acc_marked, self._acc_qlen_area,
+                  self._acc_drops, self.q_len, self.q_cap)
+        for sw, idx in self._switch_classes():
+            for col, a in zip(cols, summed):
+                col[sw] = a[idx].sum(axis=1)
+            cols[6, sw] = self.q_len[idx].max(axis=1, initial=0.0)
+        cols[2] /= interval
+        cols[5] *= 8.0
+        tx, marked, avg_q, drops, qlen, cap, qmax = cols.tolist()
+        # positional, in QueueStats field order: about half the cost of
+        # a keyword construction per switch
+        records = list(map(
+            QueueStats, names, repeat(interval), qlen, qmax, avg_q,
+            map(int, tx), map(int, marked),
+            [int(d // 1000) if d else 0 for d in drops], cap,
+            map(self._ecn_by_switch.__getitem__, range(len(names))),
+            map(len, self._switch_index_cache())))
+        # per-flow observations: arrays now, dicts on first read
+        snap = self._snapshot_observations()
+        for s, st in enumerate(records):
+            st.defer_flow_obs(partial(snap.of_switch, s))
+        return dict(zip(names, records))
+
+    def _active_flow_columns(self) -> Tuple[List[int], np.ndarray,
+                                            np.ndarray]:
+        """Ids, bytes seen and queue paths of the active flows, copied out
+        of the flow table in slot order."""
+        act = self.f_active[:self._n_flows].nonzero()[0]
+        idx_to_fid = self._idx_to_fid
+        return ([idx_to_fid[i] for i in act.tolist()],
+                self.f_size[act] - self.f_remaining[act], self.f_path[act])
+
+    def _snapshot_observations(self) -> _ObsSnapshot:
+        if self._q_switch_list is None:
+            self._q_switch_list = self.q_switch.tolist()
+        return _ObsSnapshot(*self._active_flow_columns(), self.now,
+                            self.flow_objs, self._q_switch_list)
+
     def _flow_observations(self) -> Dict[int, Dict[int, FlowObservation]]:
         """Active-flow observations grouped by every switch on their path."""
         if self.fastpath:
-            return self._flow_observations_fast()
+            return self._snapshot_observations().by_switch()
         out: Dict[int, Dict[int, FlowObservation]] = {}
         n = self._n_flows
         for i in np.flatnonzero(self.f_active[:n]):
@@ -398,40 +602,10 @@ class SwitchStatsMixin:
                 out.setdefault(int(self.q_switch[q]), {})[fid] = obs
         return out
 
-    def _flow_observations_fast(self) -> Dict[int, Dict[int, FlowObservation]]:
-        """Same observations as the reference loop above, built from three
-        vector gathers plus plain-``int`` Python loops (per-element numpy
-        scalar indexing is what dominated the reference's profile).  The
-        vector subtract produces the same bytes as the per-flow scalar
-        subtract, and flows/hops are visited in the same order, so the
-        dicts are equal including insertion order."""
-        out: Dict[int, Dict[int, FlowObservation]] = {}
-        n = self._n_flows
-        act = self.f_active[:n].nonzero()[0]
-        if not act.size:
-            return out
-        seen_v = self.f_size[act] - self.f_remaining[act]
-        paths = self.f_path[act].tolist()
-        if self._q_switch_list is None:
-            self._q_switch_list = [int(s) for s in self.q_switch]
-        qsw = self._q_switch_list
-        idx_to_fid = self._idx_to_fid
-        flow_objs = self.flow_objs
-        now = self.now
-        for i, seen, path_i in zip(act.tolist(), seen_v.tolist(), paths):
-            fid = idx_to_fid[i]
-            flow = flow_objs[fid]
-            obs = FlowObservation(fid, flow.src, flow.dst,
-                                  int(seen if seen > 1.0 else 1.0), now)
-            for q in path_i:
-                if q >= 0:
-                    out.setdefault(qsw[q], {})[fid] = obs
-        return out
-
     def switch_queue_indices(self, switch_name: str) -> List[int]:
         """Global queue ids belonging to one switch, in stable order."""
-        s = self._switch_id(switch_name)
-        return [int(i) for i in np.flatnonzero(self.q_switch == s)]
+        return self._switch_index_cache()[
+            self._switch_id(switch_name)].tolist()
 
     def port_stats(self) -> Dict[Tuple[str, int], QueueStats]:
         """Per-queue interval statistics (multi-queue mode, §4.5.2).
@@ -441,8 +615,9 @@ class SwitchStatsMixin:
         """
         interval = max(self._acc_time, 1e-12)
         out: Dict[Tuple[str, int], QueueStats] = {}
-        for name in self.switch_names():
-            for local, q in enumerate(self.switch_queue_indices(name)):
+        for name, idx in zip(self._switch_names_cached(),
+                             self._switch_index_cache()):
+            for local, q in enumerate(idx.tolist()):
                 out[(name, local)] = QueueStats(
                     switch=name, interval=interval,
                     qlen_bytes=float(self.q_len[q]),
@@ -468,10 +643,10 @@ class SwitchStatsMixin:
 
     def set_ecn(self, switch_name: str, config: ECNConfig) -> None:
         s = self._switch_id(switch_name)
-        mask = self.q_switch == s
-        self.kmin[mask] = config.kmin_bytes
-        self.kmax[mask] = config.kmax_bytes
-        self.pmax[mask] = config.pmax
+        idx = self._switch_index_cache()[s]
+        self.kmin[idx] = config.kmin_bytes
+        self.kmax[idx] = config.kmax_bytes
+        self.pmax[idx] = config.pmax
         self._ecn_by_switch[s] = config
         get_registry().inc("netsim.ecn_set", sim=self._SIM_LABEL)
 
@@ -536,6 +711,7 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
 
         # ---- flow arrays (grow-on-demand; FlowTableMixin) -----------------
         self._init_flow_table(cfg.initial_flow_capacity)
+        self._init_flow_intake()
 
         # ---- interval stats accumulators -----------------------------------
         self._acc_tx = np.zeros(self.n_queues)        # bytes served
@@ -562,10 +738,6 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
             self._b_onem = np.zeros(nq)
             self._b_hosts = np.ones(cfg.n_hosts)
         self._fbuf_cap = 0
-        # caches for queue_stats (q_switch is static after construction)
-        self._names_cache: Optional[List[str]] = None
-        self._sw_q_idx: Optional[List[np.ndarray]] = None
-        self._q_switch_list: Optional[List[int]] = None
         #: owning :class:`repro.netsim.batchfluid.BatchFluidNetwork`, if
         #: this network's arrays are row views into batch storage.
         self._batch = None

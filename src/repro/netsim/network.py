@@ -15,8 +15,9 @@ interface, so controllers and the gym bridge are simulator-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import copy
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +47,11 @@ class QueueStats:
     category 1 (qlen, txRate, txRate^(m), current ECN) plus the raw
     per-flow observations the NCM turns into the category-2 quantities
     (incast degree, mice/elephant ratio).
+
+    A simulator may *defer* ``flow_obs`` (:meth:`defer_flow_obs`): the
+    per-flow dicts are then built the first time somebody reads the
+    attribute, and never for a consumer that does not (a static
+    controller).  :meth:`replace` copies a record without reading it.
     """
 
     switch: str
@@ -60,6 +66,34 @@ class QueueStats:
     ecn: Optional[ECNConfig]
     n_queues: int = 1            # egress queues aggregated into this record
     flow_obs: Dict[int, FlowObservation] = field(default_factory=dict)
+
+    def defer_flow_obs(
+            self, expand: Callable[[], Dict[int, FlowObservation]]) -> None:
+        """Forget ``flow_obs``; its first read sets it to ``expand()``."""
+        del self.flow_obs
+        self._expand_flow_obs = expand
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails — for ``flow_obs`` that
+        # means a deferred one, and the read is the signal to build it.
+        expand = (self.__dict__.get("_expand_flow_obs")
+                  if name == "flow_obs" else None)
+        if expand is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.flow_obs = obs = expand()
+        return obs
+
+    def replace(self, **changes: Any) -> "QueueStats":
+        """A copy with ``changes`` applied, like ``dataclasses.replace`` —
+        which reads every field and so would force a deferred
+        ``flow_obs``; this carries it across unread."""
+        unknown = set(changes) - {f.name for f in fields(self)}
+        if unknown:
+            raise TypeError(f"unknown QueueStats field(s) {sorted(unknown)}")
+        out = copy.copy(self)
+        out.__dict__.update(changes)
+        return out
 
     @property
     def avg_qlen_per_queue(self) -> float:

@@ -19,7 +19,11 @@ source in sim-state code.
 
 from __future__ import annotations
 
-__all__ = ["splitmix64", "ecmp_hash"]
+from typing import Union
+
+import numpy as np
+
+__all__ = ["splitmix64", "ecmp_hash", "splitmix64_array", "ecmp_hash_array"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -41,3 +45,29 @@ def ecmp_hash(flow_id: int, n: int) -> int:
     if n <= 0:
         raise ValueError("ecmp_hash needs a non-empty choice set")
     return splitmix64(flow_id) % n
+
+
+def splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` of every element of a ``uint64`` array.
+
+    ``uint64`` array arithmetic wraps modulo 2**64, which is exactly the
+    scalar version's masking, so the two agree on every id.
+    """
+    if x.dtype != np.uint64:
+        raise TypeError("splitmix64_array needs a uint64 array")
+    x = x + 0x9E3779B97F4A7C15
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31)
+
+
+def ecmp_hash_array(flow_ids: np.ndarray,
+                    n: Union[int, np.ndarray]) -> np.ndarray:
+    """:func:`ecmp_hash` of a ``uint64`` id array, as ``int64`` indices.
+
+    ``n`` is one choice-set size for every flow, or one per flow.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if (n <= 0).any():
+        raise ValueError("ecmp_hash needs a non-empty choice set")
+    return (splitmix64_array(flow_ids) % n.astype(np.uint64)).astype(np.int64)

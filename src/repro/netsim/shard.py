@@ -21,6 +21,11 @@ the fluid model:
   integration, AIMD + finish detection — so per-Δt cost is proportional
   to the fabric's *active* flows at one pass's worth of NumPy dispatch,
   whatever the pod count (measured: docs/PERFORMANCE.md);
+- registered flows wait in one fabric-wide start-time-ordered table;
+  every flow due inside an ``advance`` window is routed in **one**
+  vectorised call ahead of admission (:meth:`ShardedFluidNetwork.
+  _route_batch`, also the reroute path), and a link-state change drops
+  the routes not yet used;
 - the arrival reduction keeps the **boundary-aggregate** association:
   each pod's flows are first summed per ``(owner pod, queue)``, and
   those rows are added into the global arrival vector with the queue's
@@ -61,9 +66,9 @@ from repro.netsim.ecn import ECNConfig
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import (FlowTableMixin, SwitchStatsMixin,
+                                _PendingFlows, _register_flows,
                                 integrate_queue_block)
-from repro.netsim.queueing import FlowObservation
-from repro.netsim.routing import ecmp_hash
+from repro.netsim.routing import ecmp_hash_array
 from repro.obs.metrics import get_registry
 from repro.parallel.engine import Engine, SharedArena, TaskSpec, attach_arena
 
@@ -153,7 +158,7 @@ def _integrate_arena_span(arena_name: str, n_queues: int, lo: int, hi: int,
 class FlowShard(FlowTableMixin):
     """One pod's flow table — a row of the fabric-wide stacked table.
 
-    Owns the slot maps, free list and pending queue of every flow whose
+    Owns the slot maps and free list of every flow whose
     source host lives in this pod (the ownership rule:
     :meth:`~repro.netsim.fattree.FatTreeConfig.owner_pod_of_flow`).  Its
     ``f_*`` arrays are row views into the owning network's ``(n_pods,
@@ -171,7 +176,6 @@ class FlowShard(FlowTableMixin):
 
     def __init__(self, net: "ShardedFluidNetwork") -> None:
         self.config = net.config
-        self.now = 0.0
         self._init_flow_table(net.config.initial_flow_capacity)
         self._batch = net
 
@@ -304,10 +308,17 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         self.flow_shards: List[FlowShard] = [FlowShard(self)
                                              for _ in range(n_p)]
         self._alloc_flow_storage(cfg.initial_flow_capacity)
-        #: live-core candidates per (src pod, dst pod), filled on demand
-        #: by :meth:`_path_of`, dropped whenever link state changes.
-        self._live_cores: Dict[Tuple[int, int], List[int]] = {}
         self.flow_objs: Dict[int, Flow] = {}
+        #: one fabric-wide start-time-ordered table of the flows that
+        #: have not started yet
+        self._pending = _PendingFlows()
+        #: routes computed ahead of admission, one batch per
+        #: :meth:`advance` window: ``(first pending row, path matrix,
+        #: core vector)``; dropped when link state or the pending table's
+        #: row numbering changes.
+        self._routed: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._route_horizon = -np.inf
+        self._refresh_live_cores()
         self.finished_flows: List[Flow] = []
         self.latencies: List[Tuple[float, float]] = []
         #: boundary rows merged on the most recent step — the size of
@@ -320,11 +331,6 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         self._acc_qlen_area = np.zeros(self.n_queues)
         self._acc_time = 0.0
         self._acc_drops = np.zeros(self.n_queues)
-
-        # caches for the stats mixin
-        self._names_cache: Optional[List[str]] = None
-        self._sw_q_idx: Optional[List[np.ndarray]] = None
-        self._q_switch_list: Optional[List[int]] = None
 
         reg = get_registry()
         if reg:
@@ -394,7 +400,7 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             pass
         raise KeyError(f"unknown switch {name!r}")
 
-    # -- queue ids ----------------------------------------------------------
+    # -- queue ids (of ints, or elementwise of int arrays) --------------------
     def _q_edge_down(self, pod: int, host_local: int) -> int:
         return pod * self._pod_block + self._pb_edge_down + host_local
 
@@ -413,42 +419,61 @@ class ShardedFluidNetwork(SwitchStatsMixin):
     def _q_core_down(self, core: int, pod: int) -> int:
         return self._core0 + core * self.config.n_pods + pod
 
-    def _path_of(self, fid: int, src: int, dst: int) -> Tuple[List[int], int]:
-        """Queue path (``-1``-padded to five hops) and core of one flow.
+    def _refresh_live_cores(self) -> None:
+        """Rebuild the live-core candidates of every (src pod, dst pod):
+        ``_live_cores[ps, pd, :_n_live[ps, pd]]`` are the cores whose
+        uplink is up at both pods, ascending.  A partitioned pod pair
+        falls back to every core (its flows keep their old path)."""
+        up = self.uplink_up
+        both = up[:, None, :] & up[None, :, :]
+        both[~both.any(axis=2)] = True
+        self._n_live = both.sum(axis=2)
+        self._live_cores = np.argsort(~both, axis=2, kind="stable")
 
-        Routing needs the *global* picture — queue-id layout and uplink
-        health — so it lives on the network; the flow arrays live on the
-        owner pod's row.  A reroute rewrites ``f_path`` / ``f_core`` in
-        place and never migrates the flow between pods (the source host,
-        hence the owner pod, is immutable).
+    def _route_batch(self, fids: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Queue paths (``(k, 5)``, ``-1``-padded) and cores (``-1`` when
+        the flow stays inside its pod) of ``k`` flows.
+
+        The one routing function: admission routes through it ahead of
+        time, a link-state change re-routes through it.  Routing needs
+        the *global* picture — queue-id layout and uplink health — so it
+        lives on the network; the flow arrays live on the owner pod's
+        row.  A reroute rewrites ``f_path`` / ``f_core`` in place and
+        never migrates the flow between pods (the source host, hence the
+        owner pod, is immutable).
         """
         cfg = self.config
-        hpp = cfg.hosts_per_pod
-        ps, hs = divmod(src, hpp)
-        pd, hd = divmod(dst, hpp)
+        ps, hs = np.divmod(src.astype(np.int64), cfg.hosts_per_pod)
+        pd, hd = np.divmod(dst.astype(np.int64), cfg.hosts_per_pod)
         es, ed = hs // cfg.hosts_per_edge, hd // cfg.hosts_per_edge
+        path = np.full((len(fids), self._MAX_HOPS), -1, dtype=np.int64)
+        core = np.full(len(fids), -1, dtype=np.int64)
         down = self._q_edge_down(pd, hd)
-        if ps != pd:
-            # inter-pod: pick a core live on both ends; the core fixes
-            # the aggregation switch (a = c // core_per_agg) in each pod
-            live = self._live_cores.get((ps, pd))
-            if live is None:
-                both = np.flatnonzero(self.uplink_up[ps] & self.uplink_up[pd])
-                # partitioned pod pair: hash over every core (old path)
-                live = both.tolist() or list(range(cfg.n_core))
-                self._live_cores[ps, pd] = live
-            c = live[ecmp_hash(fid, len(live))]
-            a = c // cfg.core_per_agg
-            return [self._q_edge_up(ps, es, a), self._q_agg_up(ps, c),
-                    self._q_core_down(c, pd), self._q_agg_down(pd, a, ed),
-                    down], c
-        if es != ed:
-            # intra-pod: pick an aggregation switch (pod-internal links
-            # have no failure bit, so every agg is live)
-            a = ecmp_hash(fid, cfg.agg_per_pod)
-            return [self._q_edge_up(ps, es, a), self._q_agg_down(pd, a, ed),
-                    down, -1, -1], -1
-        return [down, -1, -1, -1, -1], -1
+        inter = ps != pd
+        intra = ~inter & (es != ed)
+        local = ~inter & ~intra
+        path[local, 0] = down[local]
+        # intra-pod: pick an aggregation switch (pod-internal links have
+        # no failure bit, so every agg is live)
+        i = intra.nonzero()[0]
+        a = ecmp_hash_array(fids[i], cfg.agg_per_pod)
+        path[i, 0] = self._q_edge_up(ps[i], es[i], a)
+        path[i, 1] = self._q_agg_down(pd[i], a, ed[i])
+        path[i, 2] = down[i]
+        # inter-pod: pick a core live on both ends; the core fixes the
+        # aggregation switch (a = c // core_per_agg) in each pod
+        i = inter.nonzero()[0]
+        c = self._live_cores[ps[i], pd[i], ecmp_hash_array(
+            fids[i], self._n_live[ps[i], pd[i]])]
+        a = c // cfg.core_per_agg
+        path[i, 0] = self._q_edge_up(ps[i], es[i], a)
+        path[i, 1] = self._q_agg_up(ps[i], c)
+        path[i, 2] = self._q_core_down(c, pd[i])
+        path[i, 3] = self._q_agg_down(pd[i], a, ed[i])
+        path[i, 4] = down[i]
+        core[i] = c
+        return path, core
 
     # ------------------------------------------------------------ flow table
     def _alloc_flow_storage(self, cap: int) -> None:
@@ -474,63 +499,71 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         :meth:`FlowTableMixin._grow` when any one pod's row is full)."""
         self._alloc_flow_storage(self._f_active.shape[1] * 2)
 
+    def _active_slots(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The active ``(pod, slot)`` pairs, in that order."""
+        n = max(sh._n_flows for sh in self.flow_shards)
+        return self._f_active[:, :n].nonzero()
+
+    def _fids_at(self, pods: np.ndarray, slots: np.ndarray) -> List[int]:
+        """Flow ids of the occupied ``(pod, slot)`` pairs."""
+        maps = [sh._idx_to_fid for sh in self.flow_shards]
+        return [maps[p][i] for p, i in zip(pods.tolist(), slots.tolist())]
+
     def _activate_due(self) -> None:
-        """Admit every pending flow whose start time has come — all pods'
-        due flows routed and stored as one batch."""
-        pods: List[int] = []
-        slots: List[int] = []
-        due: List[Flow] = []
-        for p, sh in enumerate(self.flow_shards):
-            sh.now = self.now
-            for flow in sh._pop_due():
-                idx = sh._free_slot()
-                sh._idx_to_fid[idx] = flow.flow_id
-                pods.append(p)
-                slots.append(idx)
-                due.append(flow)
-        if not due:
+        """Admit every pending flow whose start time has come, routes
+        taken from the batch computed ahead for this ``advance`` window."""
+        pend = self._pending
+        lo, hi = pend.pop_due(self.now)
+        if lo == hi:
             return
-        host = FlowTableMixin._host_index
-        src = [host(f.src) for f in due]
-        dst = [host(f.dst) for f in due]
-        routes = [self._path_of(f.flow_id, s, d)
-                  for f, s, d in zip(due, src, dst)]
+        if self._routed is None or hi > self._routed[0] + len(self._routed[2]):
+            # route everything due by the end of the window in one call:
+            # its cost is almost all fixed, whatever the batch size
+            ahead = max(hi, int(pend.start.searchsorted(self._route_horizon,
+                                                        "right")))
+            self._routed = (lo, *self._route_batch(
+                pend.fid[lo:ahead], pend.src[lo:ahead], pend.dst[lo:ahead]))
+        r0, paths, cores = self._routed
+        # Slots in table order (start time, then registration).  A pod's
+        # free list and high-water mark see only that pod's flows, in the
+        # same order as a pod-by-pod walk, so every flow gets the slot it
+        # always got.
+        pods = self.config.owner_pod_of_flow(pend.src[lo:hi]).tolist()
+        shards_ = self.flow_shards
+        slots = []
+        for p, fid in zip(pods, pend.fid[lo:hi].tolist()):
+            sh = shards_[p]
+            idx = sh._free_slot()
+            sh._idx_to_fid[idx] = fid
+            slots.append(idx)
         # index arrays only now: _free_slot may have regrown the storage
         at = (np.array(pods), np.array(slots))
-        self._f_src[at] = src
-        self._f_dst[at] = dst
-        self._f_size[at] = self._f_remaining[at] = [f.size_bytes for f in due]
+        self._f_src[at] = pend.src[lo:hi]
+        self._f_dst[at] = pend.dst[lo:hi]
+        self._f_size[at] = self._f_remaining[at] = pend.size[lo:hi]
         self._f_rate[at] = (self.config.start_rate_fraction
                             * self.config.host_rate_bps / 8.0)
         self._f_alpha[at] = 1.0
         self._f_active[at] = True
-        self._f_path[at], self._f_core[at] = zip(*routes)
+        self._f_path[at] = paths[lo - r0:hi - r0]
+        self._f_core[at] = cores[lo - r0:hi - r0]
 
     # ------------------------------------------------------------ flow intake
     def start_flow(self, flow: Flow) -> None:
-        """Register a flow with its owner pod's shard; it activates when
+        """Register a flow; it activates, in its owner pod's table, when
         ``now`` reaches its start time."""
-        if flow.flow_id in self.flow_objs:
-            raise ValueError(f"duplicate flow id {flow.flow_id}")
-        try:
-            src = FlowTableMixin._host_index(flow.src)
-            known = 0 <= src < self.config.n_hosts
-        except KeyError:
-            known = False
-        if not known:
-            raise ValueError(f"unknown host {flow.src}")
-        self.flow_objs[flow.flow_id] = flow
-        sh = self.flow_shards[self.config.owner_pod_of_flow(src)]
-        sh._pending.append(flow)
-        sh._pending_sorted = False
+        self.start_flows([flow])
 
-    def start_flows(self, flows: List[Flow]) -> None:
-        for f in flows:
-            self.start_flow(f)
+    def start_flows(self, flows: Sequence[Flow]) -> None:
+        """Register a list of flows, all or none: a duplicate flow id or
+        an unknown source or destination host anywhere in the list
+        raises ``ValueError`` and registers nothing."""
+        _register_flows(flows, self.flow_objs, self._pending,
+                        self.config.n_hosts)
+        self._routed = None     # the merge renumbers the pending rows
 
     def active_flow_count(self) -> int:
-        return sum(int(sh.f_active[:sh._n_flows].sum()) + len(sh._pending)
-                   for sh in self.flow_shards)
+        return int(self._f_active.sum()) + len(self._pending)
 
     def total_drops(self) -> int:
         return int(self._acc_drops.sum())
@@ -564,6 +597,7 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             raise ValueError("dt must be positive")
         steps = max(1, int(round(dt / self.config.step_dt)))
         step_dt = self.config.step_dt
+        self._route_horizon = self.now + steps * step_dt
         for _ in range(steps):
             self._step(step_dt)
         reg = get_registry()
@@ -758,35 +792,14 @@ class ShardedFluidNetwork(SwitchStatsMixin):
                  + qdelay[int(self.rng.integers(qdelay.size))]))
 
     # ------------------------------------------------------------ stats
-    def _flow_observations(self) -> Dict[int, Dict[int, FlowObservation]]:
-        """Active-flow observations grouped by every switch on their path,
-        visiting flows in (owner pod, local slot) order — the canonical
-        order every fingerprint and shard count agrees on."""
-        out: Dict[int, Dict[int, FlowObservation]] = {}
-        if self._q_switch_list is None:
-            self._q_switch_list = [int(s) for s in self.q_switch]
-        qsw = self._q_switch_list
-        flow_objs = self.flow_objs
-        now = self.now
-        for sh in self.flow_shards:
-            n = sh._n_flows
-            if n == 0:
-                continue
-            act = sh.f_active[:n].nonzero()[0]
-            if not act.size:
-                continue
-            seen_v = sh.f_size[act] - sh.f_remaining[act]
-            paths = sh.f_path[act].tolist()
-            idx_to_fid = sh._idx_to_fid
-            for i, seen, path_i in zip(act.tolist(), seen_v.tolist(), paths):
-                fid = idx_to_fid[i]
-                flow = flow_objs[fid]
-                obs = FlowObservation(fid, flow.src, flow.dst,
-                                      int(seen if seen > 1.0 else 1.0), now)
-                for q in path_i:
-                    if q >= 0:
-                        out.setdefault(qsw[q], {})[fid] = obs
-        return out
+    def _active_flow_columns(self) -> Tuple[List[int], np.ndarray,
+                                            np.ndarray]:
+        """Ids, bytes seen and queue paths of the active flows, copied
+        out in (owner pod, local slot) order — the canonical order every
+        fingerprint and shard count agrees on."""
+        at = self._active_slots()
+        return (self._fids_at(*at),
+                self._f_size[at] - self._f_remaining[at], self._f_path[at])
 
     # ------------------------------------------------------------ failures
     def fail_uplinks(self, fraction: float,
@@ -832,19 +845,19 @@ class ShardedFluidNetwork(SwitchStatsMixin):
                 qd = self._q_core_down(c, p)
                 self.q_cap[qu] = self.q_cap_nominal[qu] * link
                 self.q_cap[qd] = self.q_cap_nominal[qd] * link
-        self._live_cores.clear()
-        # Reroute flows whose core is unreachable on either end, owner
-        # pod by owner pod — same visit order for every shard count.
-        for sh in self.flow_shards:
-            for i in np.flatnonzero(sh.f_active[:sh._n_flows]):
-                c = int(sh.f_core[i])
-                if c < 0:
-                    continue
-                src, dst = int(sh.f_src[i]), int(sh.f_dst[i])
-                if not (self.uplink_up[cfg.pod_of_host(src), c]
-                        and self.uplink_up[cfg.pod_of_host(dst), c]):
-                    sh.f_path[i], sh.f_core[i] = self._path_of(
-                        sh._idx_to_fid[int(i)], src, dst)
+        self._refresh_live_cores()
+        self._routed = None          # routes made ahead of admission
+        # Reroute the flows whose core is unreachable on either end.
+        at = self._active_slots()
+        c = self._f_core[at]
+        src, dst = self._f_src[at], self._f_dst[at]
+        cut = (c >= 0) & ~(self.uplink_up[cfg.pod_of_host(src), c]
+                           & self.uplink_up[cfg.pod_of_host(dst), c])
+        if cut.any():
+            at = at[0][cut], at[1][cut]
+            self._f_path[at], self._f_core[at] = self._route_batch(
+                np.array(self._fids_at(*at), dtype=np.uint64),
+                src[cut], dst[cut])
 
     # ------------------------------------------------------------ capacity
     def bytes_in_flight(self) -> float:

@@ -37,7 +37,7 @@ one seeded :class:`numpy.random.Generator`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -381,8 +381,7 @@ class ChaosInjector:
                 else:
                     out.pop(spec.switch)
             elif spec.kind == "corrupt" and spec.switch in out:
-                out[spec.switch] = replace(
-                    out[spec.switch],
+                out[spec.switch] = out[spec.switch].replace(
                     **{spec.params["field"]: spec.params["value"]})
         # remember the last telemetry seen outside a blackout (stale mode)
         for name, st in stats.items():

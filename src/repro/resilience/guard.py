@@ -40,7 +40,7 @@ not a runtime fault.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.devtools.sanitize import (ECN_KMAX_CEILING_BYTES,
@@ -224,7 +224,7 @@ class ResilientController:
                 if bad:
                     self.log.record(now, "telemetry-corrupt", s,
                                     {"fields": tuple(sorted(bad))})
-                    st = replace(st, **repl)
+                    st = st.replace(**repl)
                 clean[s] = st
         for s in self.switches:
             if s not in stats:

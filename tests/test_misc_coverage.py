@@ -134,6 +134,36 @@ class TestPETControllerMisc:
         pet = PETController(["leaf0"], PETConfig(seed=0))
         assert pet.mean_recent_reward("leaf0") == 0.0
 
+    @pytest.mark.parametrize("make", ["pet", "acc"])
+    def test_reward_log_is_bounded(self, make):
+        """One float per switch per tick for ever is a leak at hours of
+        1 ms ticks; ``mean_recent_reward`` only reads a trailing window."""
+        from repro.baselines.acc import ACCConfig, ACCController
+        from repro.core.reward import REWARD_LOG_LEN
+
+        net = FluidNetwork(FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                                       host_rate_bps=10e9,
+                                       spine_rate_bps=40e9), seed=0)
+        net.start_flows([Flow(i, f"h{i}", "h3", 10**9) for i in range(3)])
+        ctl = (PETController(["leaf1"], PETConfig(seed=0)) if make == "pet"
+               else ACCController(["leaf1"], ACCConfig(seed=0)))
+        ctl.set_training(False)
+        samples = []
+        for _ in range(8):
+            net.advance(2e-4)
+            samples.append({"leaf1": net.queue_stats()["leaf1"]})
+        rewards = [ctl.reward.compute(st["leaf1"]) for st in samples]
+        assert len(set(rewards)) > 1
+        for k in range(10_000):
+            ctl.decide(samples[k % 8], k * 1e-3, net)
+        assert REWARD_LOG_LEN >= 100
+        assert len(ctl._reward_log["leaf1"]) == REWARD_LOG_LEN
+        history = [rewards[k % 8] for k in range(10_000)]
+        for window in (1, 50, 100):
+            assert ctl.mean_recent_reward("leaf1", window) == \
+                float(np.mean(history[-window:]))
+        assert ctl.mean_recent_reward("leaf1") == float(np.mean(history[-50:]))
+
     def test_reset_episode_clears_history_and_pending(self):
         net = FluidNetwork(FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
                                        host_rate_bps=10e9,
