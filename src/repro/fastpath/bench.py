@@ -8,7 +8,7 @@ Times the four hot paths the :mod:`repro.fastpath` work optimizes —
   cross-agent inference, vectorized GAE, fused Adam),
 - ``packet_sim``  — the packet-level event simulator (tuple-heap event
   loop, O(1) ``pending()``, baseline-list ``queue_stats``),
-- ``fluid_sim``   — the fluid simulator (scratch-buffer ``_step_fast``,
+- ``fluid_sim``   — the fluid simulator (the shared step phases,
   cached per-switch stats indices) —
 
 running each once with ``fastpath=False`` (the pre-existing reference

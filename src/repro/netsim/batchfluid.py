@@ -5,29 +5,26 @@ grids, figure matrices, chaos sweeps — runs R *independent* replicas of
 the same fabric that differ only in seed, ECN configuration, traffic,
 or fault plan.  Stepping them as R separate :class:`FluidNetwork`
 objects pays the Python step overhead R times per Δt;
-:class:`BatchFluidNetwork` refactors the scratch-buffer math of
-``FluidNetwork._step_fast`` to carry a leading replica axis, so R
-replicas advance with **one** vectorized kernel per Δt over
-``(R, n, H)`` flow tensors and ``(R, Q)`` queue tensors.
+:class:`BatchFluidNetwork` steps them through the **same phase
+functions** a solo network uses (:func:`~repro.netsim.fluid.flow_phase`,
+:func:`~repro.netsim.fluid.integrate_queue_block`,
+:func:`~repro.netsim.fluid.feedback_phase`), once per Δt over the active
+``(replica, slot)`` pairs of all R flow tables and the flattened
+``(R*Q,)`` queue state.
 
-The correctness contract is the same bit-identity discipline the
-fastpath and parallel subsystems already prove: every replica of a
-batch is **bit-identical** (canonical fingerprints, ``bench --hotpath``
-style) to a solo ``FluidNetwork`` run with the same seed/config.  The
-kernel earns this by construction rather than by tolerance:
+Every replica of a batch is **bit-identical** (canonical fingerprints)
+to a solo ``FluidNetwork`` run with the same seed/config, by
+construction rather than by tolerance:
 
-- every elementwise ladder keeps ``_step_fast``'s exact operation order
-  and associativity — a leading replica axis never reorders the scalar
-  operations applied to one replica's elements;
-- the two ordered accumulations (``np.bincount`` for NIC sharing,
-  ``np.add.at`` for queue arrivals) run on **offset-flattened** index
-  spaces (replica r's host h → bin ``r*n_hosts + h``; queue q → slot
-  ``r*(Q+1) + q``), so each bin receives exactly its own replica's
-  contributions in exactly the solo iteration order (hop-major, then
-  flow order);
-- padded path entries (-1) land in per-replica dummy slots (``-1``
-  plus a block offset of ``Q+1`` is always *some* block's dummy), so
-  no validity masking perturbs the real sums;
+- the phase functions are elementwise per flow and per queue, so which
+  other flows or queues share a call never changes an element;
+- the two ordered sums (``np.bincount`` for NIC sharing and for queue
+  arrivals) run on **replica-offset** index spaces (replica r's host h →
+  bin ``r*n_hosts + h``; queue q → bin ``r*Q + q``), so each bin
+  receives exactly its own replica's contributions in exactly the solo
+  order (hop-major, then slot order);
+- a replica that has no flows yet has all-zero queues, for which a full
+  step leaves the bits of the solo idle step;
 - per-replica bookkeeping that is inherently scalar — flow activation,
   slot recycling, completion, Fig. 8 latency sampling with the
   replica's own RNG — runs the solo code per replica, in replica-major
@@ -44,20 +41,21 @@ simply mutating one row.  Direct ``advance`` on an attached replica is
 blocked (the batch owns time); ``split()`` detaches every replica into
 a standalone network that continues bit-identically on its own.
 
-Memory scales as ``R * flow_capacity * (H + c)`` floats plus
-``R * Q`` per queue-space buffer — see docs/PERFORMANCE.md for the
-sizing discussion and the ``sim_batch`` benchmark workload.
+Memory is the ``(R, flow_capacity)`` flow table plus nine ``(R, Q)``
+queue rows; the step keeps no scratch between calls — see
+docs/PERFORMANCE.md for the ``sim_batch`` benchmark workload.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.netsim.ecn import ECNConfig
-from repro.netsim.fluid import FluidConfig, FluidNetwork
+from repro.netsim.fluid import (FluidConfig, FluidNetwork,
+                                account_queue_block, feedback_phase,
+                                flow_phase, integrate_queue_block)
 from repro.netsim.network import QueueStats
 from repro.obs.metrics import get_registry
 
@@ -68,8 +66,10 @@ _HOPS = FluidNetwork._MAX_HOPS
 #: flow-array attributes adopted into (R, cap) batch storage.
 _FLOW_1D = ("f_src", "f_dst", "f_size", "f_remaining", "f_rate",
             "f_alpha", "f_active", "f_spine")
-#: queue-array attributes adopted into (R, Q) batch storage.
-_QUEUE_1D = ("q_cap", "q_len", "kmin", "kmax", "pmax",
+#: queue-array attributes adopted into (R, Q) batch storage: the five
+#: :func:`integrate_queue_block` takes, then the four interval
+#: accumulators :func:`account_queue_block` takes, in argument order.
+_QUEUE_1D = ("q_len", "q_cap", "kmin", "kmax", "pmax",
              "_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops")
 
 
@@ -92,7 +92,7 @@ def _kernel_config_key(cfg: FluidConfig) -> tuple:
 
 
 class BatchFluidNetwork:
-    """R fluid-model replicas advanced by one ``(R, n, H)`` kernel.
+    """R fluid-model replicas advanced by one pass of the step phases.
 
     Construct fresh replicas with ``BatchFluidNetwork(config, seeds=...)``
     or adopt existing (possibly mid-run) solo networks with
@@ -163,6 +163,7 @@ class BatchFluidNetwork:
         R, nq = self.R, self.n_queues
         cap = max(net._cap_flows for net in nets)
         # ---- queue-space batch storage (adopt values, re-point views) ----
+        flat = []
         for name in _QUEUE_1D:
             batched = np.zeros((R, nq))
             for r, net in enumerate(nets):
@@ -170,6 +171,10 @@ class BatchFluidNetwork:
             setattr(self, "_q_" + name.lstrip("_"), batched)
             for r, net in enumerate(nets):
                 setattr(net, name, batched[r])
+            flat.append(batched.reshape(-1))
+        #: the same storage as flat ``(R*Q,)`` views — replica r's queue q
+        #: at ``r*Q + q`` — which is what the phase functions step
+        self._queues, self._acc = flat[:5], flat[5:]
         # ---- flow-space batch storage ------------------------------------
         self._cap = cap
         self._alloc_flow_storage(cap, copy_from=None)
@@ -181,20 +186,6 @@ class BatchFluidNetwork:
             self._point_views(r)
             net._cap_flows = cap
             net._batch = self
-        # ---- kernel scratch ----------------------------------------------
-        self._q_qlen_next = np.zeros((R, nq))
-        self._q_served = np.zeros((R, nq))
-        self._q_drops = np.zeros((R, nq))
-        self._q_span = np.zeros((R, nq))
-        self._q_pmark = np.zeros((R, nq))
-        self._q_qtmp = np.zeros((R, nq))
-        self._q_srv = np.zeros((R, nq))
-        self._q_onem = np.zeros((R, nq))
-        self._hosts_scale = np.ones((R, self.config.n_hosts))
-        self._arrival_flat = np.zeros(R * (nq + 1))
-        self._scap = 0          # flow-scratch capacity (lazy, see _alloc)
-        self._qoff = (np.arange(R, dtype=np.int64) * nq)[:, None, None]
-        self._dead = np.zeros(R, dtype=bool)
 
     def _alloc_flow_storage(self, cap: int, copy_from: Optional[int]) -> None:
         """(Re)allocate the (R, cap) flow matrices; ``copy_from`` is the
@@ -220,15 +211,6 @@ class BatchFluidNetwork:
         for name in _FLOW_1D:
             setattr(net, name, getattr(self, "_f_" + name[2:])[r])
         net.f_path = self._f_path[r]
-
-    def _alloc_flow_scratch(self, cap: int) -> None:
-        R = self.R
-        for name in ("_s_send", "_s_nomark", "_s_bneck", "_s_qdelay",
-                     "_s_mark", "_s_f1", "_s_f2"):
-            setattr(self, name, np.zeros((R, cap)))
-        self._s_m1 = np.zeros((R, cap), dtype=bool)
-        self._s_m2 = np.zeros((R, cap), dtype=bool)
-        self._scap = cap
 
     def _grow_flows(self) -> None:
         """Double the batch flow capacity, preserving every replica's
@@ -296,224 +278,48 @@ class BatchFluidNetwork:
         steps = max(1, int(round(dt / self.config.step_dt)))
         step_dt = self.config.step_dt
         for _ in range(steps):
-            self._batch_step(step_dt)
+            self._step(step_dt)
         reg = get_registry()
         if reg:
             reg.inc("netsim.advance_calls", sim="fluid_batch")
             reg.inc("netsim.steps", steps * self.R, sim="fluid_batch")
             reg.inc("netsim.virtual_s", dt, sim="fluid_batch")
 
-    def _batch_step(self, dt: float) -> None:
-        """One Δt for all R replicas — ``_step_fast`` with a replica axis.
-
-        Every ladder below is the solo ladder with ``(R, ...)`` operands;
-        comments call out only where the batch axis needs something the
-        solo kernel does not.
-        """
+    def _step(self, dt: float) -> None:
+        """One Δt for all R replicas: the solo step's phases over the
+        active ``(replica, slot)`` pairs, replica r's hosts and queues
+        offset into its own block of one flat index space
+        (``r*n_hosts + h``, ``r*Q + q``), so no sum mixes two replicas."""
         cfg = self.config
         nets = self.nets
         R, nq = self.R, self.n_queues
-        # -- per-replica scalar prologue (solo: now += dt; _activate_due) --
         for net in nets:
             net.now += dt
             net._activate_due()          # may trigger _grow_flows()
-        q_len = self._q_q_len
-        qtmp = self._q_qtmp
-        dead = self._dead
-        for r, net in enumerate(nets):
-            dead[r] = net._n_flows == 0
-        n = max(net._n_flows for net in nets)
-        if n == 0:
-            # solo early path, for every replica at once
-            np.multiply(q_len, dt, out=qtmp)
-            self._q_acc_qlen_area += qtmp
-            for net in nets:
-                net._acc_time += dt
-            return
-        have_dead = bool(dead.any())
-        if self._scap < self._cap:
-            self._alloc_flow_scratch(self._cap)
-        active = self._f_active[:, :n]
-        rate = self._f_rate[:, :n]
-        r_ids, f_ids = active.nonzero()       # replica-major, flow order
-
-        # --- NIC sharing: cap the sum of a host's flow rates at line rate.
-        line = cfg.host_rate_bps / 8.0
-        src = self._f_src[:, :n]
-        send = self._s_send[:, :n]
-        send.fill(0.0)
-        np.copyto(send, rate, where=active)
-        send_idx = send[r_ids, f_ids]
-        # Offset-flattened bincount: replica r's host h accumulates in
-        # bin r*n_hosts + h, in the solo per-bin order.
-        per_src = np.bincount(src[r_ids, f_ids] + r_ids * cfg.n_hosts,
-                              weights=send_idx,
-                              minlength=R * cfg.n_hosts
-                              ).reshape(R, cfg.n_hosts)
-        over = per_src > line
-        if over.any():
-            scale_src = self._hosts_scale
-            scale_src.fill(1.0)
-            scale_src[over] = line / per_src[over]
-            # x * 1.0 is exact, so replicas with no oversubscribed host
-            # are bit-unchanged even though solo skips the multiply.
-            send *= np.take_along_axis(scale_src, src, axis=1)
-            send_idx = send[r_ids, f_ids]
-
-        # --- arrivals per queue ------------------------------------------
-        # One hop-major scatter-add over the offset-flattened queue space
-        # (block r = [r*(Q+1), r*(Q+1)+Q], dummy at the block end).  A
-        # padded hop (-1) plus its block offset always lands in *a*
-        # dummy slot (block r-1's, or the last block's for r=0), so no
-        # validity mask is needed — exactly the solo trick, replicated
-        # per block.
-        path = self._f_path[:, :n]
-        p_off = path[r_ids, f_ids] + (r_ids * (nq + 1))[:, None]
-        arrival_flat = self._arrival_flat
-        arrival_flat.fill(0.0)
-        p_t = p_off.T
-        np.add.at(arrival_flat, p_t, np.broadcast_to(send_idx, p_t.shape))
-        arrival = arrival_flat.reshape(R, nq + 1)[:, :nq]
-
-        # --- queue integration & marking -----------------------------------
-        cap = self._q_q_cap
-        served_rate = self._q_served
-        np.divide(q_len, dt, out=served_rate)
-        served_rate += arrival
-        np.minimum(served_rate, cap, out=served_rate)
-        new_qlen = self._q_qlen_next
-        np.subtract(arrival, cap, out=new_qlen)
-        new_qlen *= dt
-        new_qlen += q_len
-        np.maximum(new_qlen, 0.0, out=new_qlen)
-        drops = self._q_drops
-        np.subtract(new_qlen, cfg.switch_buffer_bytes, out=drops)
-        np.maximum(drops, 0.0, out=drops)
-        np.minimum(new_qlen, cfg.switch_buffer_bytes, out=new_qlen)
-        # RED mark probability on instantaneous occupancy
-        span = self._q_span
-        np.subtract(self._q_kmax, self._q_kmin, out=span)
-        np.maximum(span, 1.0, out=span)
-        p_mark = self._q_pmark
-        np.subtract(new_qlen, self._q_kmin, out=p_mark)
-        p_mark /= span
-        np.maximum(p_mark, 0.0, out=p_mark)
-        np.minimum(p_mark, 1.0, out=p_mark)
-        p_mark *= self._q_pmax
-        np.copyto(p_mark, 1.0, where=new_qlen >= self._q_kmax)
-
-        # --- stats ----------------------------------------------------------
-        # Replicas with no flows yet take solo's early path: queues hold,
-        # only the qlen area integrates.  Their rows are masked out of
-        # the main-path commits and given the early-path values instead.
-        np.multiply(served_rate, dt, out=qtmp)
-        if have_dead:
-            qtmp[dead] = 0.0
-        self._q_acc_tx += qtmp
-        qtmp *= p_mark
-        self._q_acc_marked += qtmp
-        np.add(q_len, new_qlen, out=qtmp)
-        qtmp *= 0.5
-        qtmp *= dt
-        if have_dead:
-            qtmp[dead] = q_len[dead] * dt
-            drops[dead] = 0.0
-        self._q_acc_qlen_area += qtmp
-        self._q_acc_drops += drops
-        for net in nets:
             net._acc_time += dt
-        # Commit the new queue lengths (solo swaps buffers; the copy
-        # commits the same values while keeping every row view stable).
-        if have_dead:
-            new_qlen[dead] = q_len[dead]
-        q_len[:] = new_qlen
-
-        # --- end-to-end mark fraction per flow --------------------------------
-        # Whole-path (R, n, H) gathers over offset-flattened queue space;
-        # the padding identities (x1.0, min(.,1.0), +0.0) are solo's.
-        srv_ratio = self._q_srv
-        np.maximum(arrival, cap, out=srv_ratio)
-        np.divide(cap, srv_ratio, out=srv_ratio)   # <=1 where overloaded
-        safe = np.maximum(path, 0)
-        safe += self._qoff
-        notval = path < 0
-        one_m = self._q_onem
-        np.subtract(1.0, p_mark, out=one_m)
-        g2 = one_m.reshape(-1).take(safe)          # (R, n, H) of 1 - p_mark
-        np.copyto(g2, 1.0, where=notval)
-        no_mark = self._s_nomark[:, :n]
-        np.copyto(no_mark, g2[:, :, 0])
-        for hop in range(1, _HOPS):
-            no_mark *= g2[:, :, hop]
-        d2 = srv_ratio.reshape(-1).take(safe)
-        np.copyto(d2, 1.0, where=notval)
-        bottleneck = self._s_bneck[:, :n]
-        np.copyto(bottleneck, d2[:, :, 0])
-        for hop in range(1, _HOPS):
-            np.minimum(bottleneck, d2[:, :, hop], out=bottleneck)
-        d2 = q_len.reshape(-1).take(safe)
-        g2 = cap.reshape(-1).take(safe)
-        d2 /= g2
-        np.copyto(d2, 0.0, where=notval)
-        qdelay = self._s_qdelay[:, :n]
-        np.copyto(qdelay, d2[:, :, 0])
-        for hop in range(1, _HOPS):
-            qdelay += d2[:, :, hop]
-        f1 = self._s_f1[:, :n]
-        f2 = self._s_f2[:, :n]
-        mark_frac = self._s_mark[:, :n]
-        np.subtract(1.0, no_mark, out=mark_frac)
-
-        # --- DCQCN-like AIMD ---------------------------------------------------
-        a = self._f_alpha[:, :n]
-        np.multiply(a, 1.0 - cfg.g, out=f1)
-        np.multiply(mark_frac, cfg.g, out=f2)
-        f1 += f2
-        np.copyto(a, f1, where=active)
-        np.multiply(a, 0.5, out=f1)
-        f1 *= cfg.md_gain
-        f1 *= mark_frac
-        np.subtract(1.0, f1, out=f1)
-        f1 *= rate                                  # rate * cut
-        grow = cfg.ai_fraction * line
-        np.add(rate, grow, out=f2)                  # rate + grow
-        marked = self._s_m1[:, :n]
-        np.greater(mark_frac, 1e-3, out=marked)
-        np.copyto(f2, f1, where=marked)             # == where(marked, f1, f2)
-        floor = cfg.min_rate_fraction * line
-        np.maximum(f2, floor, out=f2)
-        np.minimum(f2, line, out=f2)
-        np.copyto(rate, f2, where=active)
-
-        # --- progress & completion ---------------------------------------------
-        np.multiply(send, bottleneck, out=f1)       # throughput
-        f1 *= dt
-        self._f_remaining[:, :n] -= f1
-        finished = self._s_m2[:, :n]
-        np.less_equal(self._f_remaining[:, :n], 0.0, out=finished)
-        finished &= active
-        # -- per-replica scalar epilogue: completion + latency sampling --
-        if finished.any():
-            for r in np.unique(finished.nonzero()[0]):
-                net = nets[r]
-                for i in finished[r].nonzero()[0]:
-                    fid = net._idx_to_fid[int(i)]
-                    flow = net.flow_objs[fid]
-                    flow.finish_time = net.now + qdelay[r, i]
-                    flow.bytes_sent = flow.size_bytes
-                    flow.bytes_acked = flow.size_bytes
-                    net.finished_flows.append(flow)
-                    net.f_active[i] = False
-                    net.f_remaining[i] = 0.0
-                    del net._idx_to_fid[int(i)]
-                    net._free_list.append(int(i))
-        for r, net in enumerate(nets):
-            if len(net.latencies) < cfg.latency_sample_cap:
-                act_idx = net.f_active[:net._n_flows].nonzero()[0]
-                if act_idx.size:
-                    i = int(act_idx[net.rng.integers(act_idx.size)])
-                    net.latencies.append(
-                        (net.now, cfg.base_rtt / 2.0 + qdelay[r, i]))
+        n = max(net._n_flows for net in nets)
+        at = replica, slots = self._f_active[:, :n].nonzero()
+        rate = self._f_rate[at]
+        path = self._f_path[at].T                   # (H, k), hop-major
+        path = np.where(path >= 0, path + replica * nq, -1)
+        send, arrival, _ = flow_phase(
+            self._f_src[at] + replica * cfg.n_hosts, rate, path,
+            cfg.host_rate_bps / 8.0, R * cfg.n_hosts, R * nq)
+        served_rate, new_qlen, drops, p_mark, srv_ratio = \
+            integrate_queue_block(*self._queues, arrival, dt,
+                                  cfg.switch_buffer_bytes)
+        q_len, q_cap = self._queues[:2]
+        account_queue_block(*self._acc, q_len, served_rate, new_qlen, drops,
+                            p_mark, dt)
+        qdelay, done = feedback_phase(
+            cfg, dt, self._f_rate, self._f_alpha, self._f_remaining,
+            self._f_active, at, rate, send, path, p_mark, srv_ratio,
+            q_len, q_cap)
+        # completion and latency sampling are each replica's own, over
+        # its run of the replica-major flow vectors
+        bounds = np.searchsorted(replica, np.arange(R + 1)).tolist()
+        for net, lo, hi in zip(nets, bounds, bounds[1:]):
+            net._settle(slots[lo:hi], qdelay[lo:hi], done[lo:hi])
 
     # ------------------------------------------------------------ control
     def set_ecn(self, r: int, switch_name: str, config: ECNConfig) -> None:

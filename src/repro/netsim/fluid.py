@@ -18,7 +18,15 @@ The per-switch statistics interface (``advance`` / ``queue_stats`` /
 ACC and the static baselines run unmodified on either simulator.  The
 test suite cross-validates the two models' queue dynamics.
 
-All per-step work is vectorized over flows and queues with NumPy.
+One Δt is three phases, each a function over the active flows'
+k-vectors and the flat queue arrays: :func:`flow_phase`,
+:func:`integrate_queue_block` (+ :func:`account_queue_block`) and
+:func:`feedback_phase`.  They are the one production formulation of the
+step: the solo, batch and fat-tree networks gather their flows into them
+by slot, ``(replica, slot)`` and ``(pod, slot)``, and own storage,
+routing, admission and per-owner bookkeeping (docs/PERFORMANCE.md, "One
+fluid step kernel").  :meth:`FluidNetwork._step` (``fastpath=False``)
+stays as the reference the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +48,8 @@ from repro.netsim.routing import ecmp_hash
 from repro.obs.metrics import get_registry
 
 __all__ = ["FluidConfig", "FluidNetwork", "FlowTableMixin",
-           "SwitchStatsMixin", "integrate_queue_block"]
+           "SwitchStatsMixin", "flow_phase", "integrate_queue_block",
+           "account_queue_block", "feedback_phase"]
 
 
 @dataclass
@@ -117,6 +126,54 @@ class FluidConfig:
                    host_rate_bps=10e9, spine_rate_bps=40e9)
 
 
+def flow_phase(src: np.ndarray, rate: np.ndarray, path: np.ndarray,
+               line: float, n_hosts: int, n_queues: int,
+               owners: Optional[Tuple[np.ndarray, np.ndarray]] = None
+               ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """NIC sharing + per-queue arrival reduction over the ``k`` active flows.
+
+    ``src`` and ``rate`` are ``(k,)``; ``path`` is the hop-major ``(H, k)``
+    matrix of queue ids, ``-1`` where a path is shorter than ``H``.  Hosts
+    and queues are whatever index space the caller gathered them into:
+    a network's own, or replica-offset ids (``r*n_hosts + h``,
+    ``r*Q + q``) when several networks step as one.  Returns each flow's
+    send rate, the arrival rate of every queue, and the number of
+    boundary rows merged (0 without ``owners``).
+
+    Flows are summed into a queue in hop-major flow order — one
+    ``bincount``, which adds in appearance order.  Where owners can share
+    a queue (fat-tree pods feeding core and remote-pod queues), pass
+    ``owners = (owner of each flow, owner of each queue)``: each owner's
+    flows are then summed first, per ``(owner, queue)``, and the partial
+    sums are merged with the queue's own owner first and the boundary
+    rows after it in owner order — the association of a per-owner
+    exchange, whatever the number of owners stepped together.
+    """
+    # cap the sum of a host's flow rates at line rate
+    per_src = np.bincount(src, weights=rate, minlength=n_hosts)
+    over = per_src > line
+    send = rate
+    if over.any():
+        scale_src = np.ones(n_hosts)
+        scale_src[over] = line / per_src[over]
+        send = rate * scale_src[src]
+    ok = path >= 0
+    weights = send[ok.nonzero()[1]]             # hop-major, like path[ok]
+    if owners is None:
+        return send, np.bincount(path[ok], weights=weights,
+                                 minlength=n_queues), 0
+    flow_owner, queue_owner = owners
+    rows, inv = np.unique((flow_owner * n_queues + path)[ok],
+                          return_inverse=True)
+    agg = np.bincount(inv, weights=weights, minlength=rows.size)
+    owner, q = np.divmod(rows, n_queues)
+    boundary = owner != queue_owner[q]
+    order = np.concatenate((np.flatnonzero(~boundary),
+                            np.flatnonzero(boundary)))
+    return send, np.bincount(q[order], weights=agg[order],
+                             minlength=n_queues), int(boundary.sum())
+
+
 def integrate_queue_block(q_len: np.ndarray, q_cap: np.ndarray,
                           kmin: np.ndarray, kmax: np.ndarray,
                           pmax: np.ndarray, arrival: np.ndarray,
@@ -131,21 +188,94 @@ def integrate_queue_block(q_len: np.ndarray, q_cap: np.ndarray,
     the global arrays produces bit-identically the elements the whole-
     array call would — which is what lets :mod:`repro.netsim.shard` run
     disjoint subdomain blocks in any grouping (or other processes) and
-    merge the results back without changing a single bit.  The op order
-    is the reference :meth:`FluidNetwork._step` order; keep them in
-    lockstep.
+    merge the results back without changing a single bit.  Clamps are
+    ``maximum``/``minimum`` pairs: ``np.clip`` gives the same bits at two
+    to three times the dispatch cost, and dispatch is what a step on a
+    small fabric is made of.
     """
     served_rate = np.minimum(arrival + q_len / dt, q_cap)
-    new_qlen = np.clip(q_len + (arrival - q_cap) * dt, 0.0, None)
-    overflow = new_qlen - buffer_bytes
-    drops = np.clip(overflow, 0.0, None)
+    new_qlen = np.maximum(q_len + (arrival - q_cap) * dt, 0.0)
+    drops = np.maximum(new_qlen - buffer_bytes, 0.0)
     new_qlen = np.minimum(new_qlen, buffer_bytes)
     # RED mark probability on instantaneous occupancy
     span = np.maximum(kmax - kmin, 1.0)
-    p_mark = np.clip((new_qlen - kmin) / span, 0.0, 1.0) * pmax
+    p_mark = np.minimum(np.maximum((new_qlen - kmin) / span, 0.0), 1.0) * pmax
     p_mark = np.where(new_qlen >= kmax, 1.0, p_mark)
     srv_ratio = q_cap / np.maximum(arrival, q_cap)   # <=1 where overloaded
     return served_rate, new_qlen, drops, p_mark, srv_ratio
+
+
+def account_queue_block(acc_tx: np.ndarray, acc_marked: np.ndarray,
+                        acc_qlen_area: np.ndarray, acc_drops: np.ndarray,
+                        q_len: np.ndarray, served_rate: np.ndarray,
+                        new_qlen: np.ndarray, drops: np.ndarray,
+                        p_mark: np.ndarray, dt: float) -> None:
+    """Add one integrated Δt to the interval accumulators and commit the
+    new queue lengths — in place: ``q_len`` may be a replica's row of
+    batch storage or a shared-memory arena row."""
+    tx = served_rate * dt
+    acc_tx += tx
+    acc_marked += tx * p_mark
+    acc_qlen_area += 0.5 * (q_len + new_qlen) * dt
+    acc_drops += drops
+    np.copyto(q_len, new_qlen)
+
+
+def feedback_phase(cfg: Any, dt: float, f_rate: np.ndarray,
+                   f_alpha: np.ndarray, f_remaining: np.ndarray,
+                   f_active: np.ndarray, at: Any, rate: np.ndarray,
+                   send: np.ndarray, path: np.ndarray, p_mark: np.ndarray,
+                   srv_ratio: np.ndarray, q_len: np.ndarray,
+                   q_cap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-hop feedback, DCQCN-like AIMD and progress of the ``k`` active
+    flows; returns their queueing delay and which of them finished.
+
+    ``at`` indexes the flows' slots in the ``f_*`` storage — a slot
+    vector for one table, an ``(owner, slot)`` pair for stacked ones;
+    ``rate``, ``send`` and ``path`` are what :func:`flow_phase` took and
+    returned.  Rate, alpha and bytes remaining are updated in place, and
+    a finished flow's slot is deactivated with nothing left to send.
+    """
+    # Queue state along each path, read back after integration.  A padded
+    # hop (-1) reads the last queue and is replaced by the identity
+    # (x1.0, min 1.0, +0.0), so every flow sees its own hops in order.
+    ok = path >= 0
+    hop_no_mark = np.where(ok, 1.0 - p_mark[path], 1.0)
+    hop_srv = np.where(ok, srv_ratio[path], 1.0)
+    hop_delay = np.where(ok, q_len[path] / q_cap[path], 0.0)
+    no_mark, bottleneck, qdelay = hop_no_mark[0], hop_srv[0], hop_delay[0]
+    for hop in range(1, len(path)):
+        no_mark = no_mark * hop_no_mark[hop]
+        bottleneck = np.minimum(bottleneck, hop_srv[hop])
+        qdelay = qdelay + hop_delay[hop]
+    mark_frac = 1.0 - no_mark
+
+    line = cfg.host_rate_bps / 8.0
+    a = (1.0 - cfg.g) * f_alpha[at] + cfg.g * mark_frac
+    f_alpha[at] = a
+    cut = 1.0 - (a * 0.5 * cfg.md_gain * mark_frac)
+    new_rate = np.where(mark_frac > 1e-3, rate * cut,
+                        rate + cfg.ai_fraction * line)
+    f_rate[at] = np.minimum(
+        np.maximum(new_rate, cfg.min_rate_fraction * line), line)
+
+    remaining = f_remaining[at] - send * bottleneck * dt
+    done = remaining <= 0.0
+    if done.any():
+        remaining[done] = 0.0
+        f_active[at] = ~done
+    f_remaining[at] = remaining
+    return qdelay, done
+
+
+def sample_latency(net: Any, qdelay: np.ndarray) -> None:
+    """Fig. 8 latency sample: one draw of ``net.rng`` over the queueing
+    delays of the flows still active after this step, in table order."""
+    cfg = net.config
+    if qdelay.size and len(net.latencies) < cfg.latency_sample_cap:
+        net.latencies.append(
+            (net.now, cfg.base_rtt / 2.0
+             + qdelay[int(net.rng.integers(qdelay.size))]))
 
 
 class _PendingFlows:
@@ -296,6 +426,8 @@ class FlowTableMixin:
         self._fid_to_idx: Dict[int, int] = {}
         self._idx_to_fid: Dict[int, int] = {}
         self._free_list: List[int] = []   # recycled flow slots
+        #: the owner of the stacked storage this table's arrays are row
+        #: views into (a batch, a sharded fat-tree), if any
         self._batch = None
 
     def _init_flow_intake(self) -> None:
@@ -366,8 +498,6 @@ class FlowTableMixin:
                                        pend.src[lo:hi].tolist(),
                                        pend.dst[lo:hi].tolist(),
                                        pend.size[lo:hi].tolist()):
-            if self._n_flows >= self._cap_flows:
-                self._grow()
             idx = self._free_slot()
             self._fid_to_idx[fid] = idx
             self._idx_to_fid[idx] = fid
@@ -393,12 +523,25 @@ class FlowTableMixin:
         self._n_flows += 1
         return idx
 
+    @staticmethod
+    def _finish_flows(tables: Iterable["FlowTableMixin"], slots: List[int],
+                      finish_times: np.ndarray, flow_objs: Dict[int, Flow],
+                      finished_flows: List[Flow]) -> None:
+        """Retire flows (already inactive in their tables), one per entry
+        of the parallel ``tables`` / ``slots`` / ``finish_times``: stamp
+        and record each :class:`Flow`, recycle its slot.  The residual
+        queueing delay is part of ``finish_times``, which stay
+        ``np.float64`` — fingerprints print them with ``repr``."""
+        for tbl, i, t in zip(tables, slots, finish_times):
+            flow = flow_objs[tbl._idx_to_fid.pop(i)]
+            flow.finish_time = t
+            flow.bytes_sent = flow.bytes_acked = flow.size_bytes
+            finished_flows.append(flow)
+            tbl._free_list.append(i)
+
     # ------------------------------------------------------------ convenience
     def active_flow_count(self) -> int:
         return int(self.f_active[:self._n_flows].sum()) + len(self._pending)
-
-    def total_drops(self) -> int:
-        return int(self._acc_drops.sum())
 
     @property
     def flows(self) -> Dict[int, Flow]:
@@ -455,7 +598,9 @@ class SwitchStatsMixin:
 
     Generic over topology: hosts provide ``q_switch`` (queue → switch
     id), ``switch_names()``, ``_switch_id(name)``, the ``_acc_*``
-    interval accumulators, the RED arrays and the flow table.  Both the
+    interval accumulators, the RED arrays, the flow table and — for the
+    failure controls — ``uplink_up``, ``rng`` and ``_apply_link_state()``
+    (capacities and reroutes are the topology's business).  Both the
     monolithic leaf–spine network and the sharded fat-tree expose the
     exact :class:`~repro.netsim.network.PacketNetwork` stats interface
     through this mixin, so PET/ACC controllers run unmodified on any of
@@ -471,6 +616,14 @@ class SwitchStatsMixin:
     _sw_q_idx: Optional[List[np.ndarray]] = None
     _sw_classes: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
     _q_switch_list: Optional[List[int]] = None
+    #: bytes dropped in the intervals already collected
+    _dropped_bytes = 0.0
+
+    def total_drops(self) -> int:
+        """Packets dropped since the start of the run — cumulative across
+        :meth:`queue_stats` collections, in the records' ``dropped_pkts``
+        unit (1000-byte packets)."""
+        return int((self._dropped_bytes + self._acc_drops.sum()) // 1000)
 
     def _switch_index_cache(self) -> List[np.ndarray]:
         """Per-switch queue-index arrays (``q_switch`` is static)."""
@@ -529,6 +682,7 @@ class SwitchStatsMixin:
         self._acc_tx[:] = 0.0
         self._acc_marked[:] = 0.0
         self._acc_qlen_area[:] = 0.0
+        self._dropped_bytes += float(self._acc_drops.sum())
         self._acc_drops[:] = 0.0
         self._acc_time = 0.0
         return out
@@ -654,6 +808,40 @@ class SwitchStatsMixin:
         for name in self.switch_names():
             self.set_ecn(name, config)
 
+    # ------------------------------------------------------------ failures
+    def fail_uplinks(self, fraction: float,
+                     rng: Optional[np.random.Generator] = None) -> int:
+        """Disable a fraction of the fabric's uplinks (leaf↔spine, or
+        pod↔core on a fat-tree) and reroute around them."""
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError("fraction must be in (0, 1]")
+        rng = rng or self.rng
+        flat = np.flatnonzero(self.uplink_up.ravel())
+        k = max(1, int(round(fraction * self.uplink_up.size)))
+        chosen = rng.choice(flat, size=min(k, flat.size), replace=False)
+        up = self.uplink_up.ravel()
+        up[chosen] = False
+        self.uplink_up = up.reshape(self.uplink_up.shape)
+        self._apply_link_state()
+        return int(len(chosen))
+
+    def restore_uplinks(self) -> None:
+        self.uplink_up[:] = True
+        self._apply_link_state()
+
+    def set_fabric_capacity_factor(self, factor: float) -> None:
+        """Uniformly scale fabric (switch↔switch) link capacity.
+
+        Models partial degradation (FEC retrain, lane failure, chaos
+        ``degrade`` faults): ``factor=0.5`` halves every fabric link;
+        ``factor=1.0`` restores nominal capacity.  Recomputed from the
+        nominal rates, so repeated calls do not accumulate error.
+        """
+        if not 0.0 < factor <= 1.0:
+            raise ValueError("capacity factor must be in (0, 1]")
+        self.fabric_capacity_factor = float(factor)
+        self._apply_link_state()
+
 
 class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
     """Vectorized fluid simulation of a leaf–spine DCN.
@@ -720,28 +908,6 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
         self._acc_time = 0.0
         self._acc_drops = np.zeros(self.n_queues)
 
-        # ---- fastpath scratch (see _step_fast) ------------------------------
-        # Queue-sized buffers are fixed; flow-sized scratch is
-        # (re)allocated lazily as the flow high-water mark grows.
-        if self.fastpath:
-            nq = self.n_queues
-            # One trailing dummy slot: padded path entries (-1) scatter
-            # into it, so the arrivals add needs no validity mask.
-            self._b_arrival_ext = np.zeros(nq + 1)
-            self._b_served = np.zeros(nq)
-            self._qlen_next = np.zeros(nq)
-            self._b_drops = np.zeros(nq)
-            self._b_span = np.zeros(nq)
-            self._b_pmark = np.zeros(nq)
-            self._b_qtmp = np.zeros(nq)
-            self._b_srv = np.zeros(nq)
-            self._b_onem = np.zeros(nq)
-            self._b_hosts = np.ones(cfg.n_hosts)
-        self._fbuf_cap = 0
-        #: owning :class:`repro.netsim.batchfluid.BatchFluidNetwork`, if
-        #: this network's arrays are row views into batch storage.
-        self._batch = None
-
     # ------------------------------------------------------------ topology
     def switch_names(self) -> List[str]:
         cfg = self.config
@@ -806,7 +972,7 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
                 "this FluidNetwork is a replica of a BatchFluidNetwork; "
                 "advance the batch, or detach it first via split()")
         steps = max(1, int(round(dt / self.config.step_dt)))
-        step = self._step_fast if self.fastpath else self._step
+        step = self._step_phases if self.fastpath else self._step
         step_dt = self.config.step_dt
         for _ in range(steps):
             step(step_dt)
@@ -817,11 +983,9 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
             reg.inc("netsim.virtual_s", dt, sim="fluid")
 
     def _step(self, dt: float) -> None:
-        """Reference step (``fastpath=False``) — the pre-existing loop.
-
-        ``_step_fast`` below is the allocation-reduced rewrite; the two
-        are bit-identical (proved by ``bench --hotpath`` fingerprints and
-        ``tests/test_fastpath.py`` differentials).
+        """Reference step (``fastpath=False``): the whole-table masked
+        formulation :meth:`_step_phases` is tested bit for bit against
+        (``tests/test_fastpath.py``, ``bench --hotpath`` fingerprints).
         """
         cfg = self.config
         self.now += dt
@@ -897,277 +1061,60 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
         self.f_remaining[:n] -= throughput * dt
         finished = active & (self.f_remaining[:n] <= 0.0)
         if finished.any():
-            for i in np.flatnonzero(finished):
-                fid = self._idx_to_fid[int(i)]
-                flow = self.flow_objs[fid]
-                # account residual queueing delay into the FCT
-                flow.finish_time = self.now + qdelay[i]
-                flow.bytes_sent = flow.size_bytes
-                flow.bytes_acked = flow.size_bytes
-                self.finished_flows.append(flow)
-                self.f_active[i] = False
-                self.f_remaining[i] = 0.0
-                del self._idx_to_fid[int(i)]
-                self._free_list.append(int(i))
+            idx = np.flatnonzero(finished)
+            self.f_active[idx] = False
+            self.f_remaining[idx] = 0.0
+            # account residual queueing delay into the FCT
+            self._finish_flows(repeat(self), idx.tolist(),
+                               self.now + qdelay[idx], self.flow_objs,
+                               self.finished_flows)
 
         # --- latency sampling (Fig. 8): one random active flow per step ----------
-        if len(self.latencies) < cfg.latency_sample_cap:
-            act_idx = np.flatnonzero(self.f_active[:n])
-            if act_idx.size:
-                i = int(act_idx[self.rng.integers(act_idx.size)])
-                self.latencies.append(
-                    (self.now, cfg.base_rtt / 2.0 + qdelay[i]))
+        sample_latency(self, qdelay[np.flatnonzero(self.f_active[:n])])
 
-    def _alloc_flow_scratch(self) -> None:
-        cap = self._cap_flows
-        for name in ("_b_send", "_b_nomark", "_b_bneck", "_b_qdelay",
-                     "_b_mark", "_b_f1", "_b_f2"):
-            setattr(self, name, np.zeros(cap))
-        # (cap, H) matrices for the whole-path gathers in _step_fast
-        hops = self._MAX_HOPS
-        self._b_safe = np.zeros((cap, hops), dtype=np.int64)
-        self._b_notval = np.zeros((cap, hops), dtype=bool)
-        self._b_g2 = np.zeros((cap, hops))
-        self._b_d2 = np.zeros((cap, hops))
-        self._b_m1 = np.zeros(cap, dtype=bool)
-        self._b_m2 = np.zeros(cap, dtype=bool)
-        self._fbuf_cap = cap
-
-    def _step_fast(self, dt: float) -> None:
-        """Loop-tightened fluid step — bit-identical to :meth:`_step`.
-
-        Every elementwise operation keeps the reference's order and
-        associativity (commutative scalar-array products aside, which
-        are exact in IEEE-754); temporaries live in preallocated scratch
-        buffers, gathers (``path[idx]``, ``send[idx]``) happen once
-        instead of per hop, and ``np.clip`` calls become the equivalent
-        ``maximum``/``minimum`` pairs.  Masked updates use ufunc
-        ``where=``/``copyto`` which, like the reference's fancy-index
-        assignments, leave unselected elements untouched.
-        """
+    def _step_phases(self, dt: float) -> None:
+        """One Δt through the shared phase functions, over the active
+        flows gathered by slot."""
         cfg = self.config
         self.now += dt
         self._activate_due()
+        self._acc_time += dt
         n = self._n_flows
         if n == 0:
-            np.multiply(self.q_len, dt, out=self._b_qtmp)
-            self._acc_qlen_area += self._b_qtmp
-            self._acc_time += dt
+            self._acc_qlen_area += self.q_len * dt
             return
-        if self._fbuf_cap < n:
-            self._alloc_flow_scratch()
-        active = self.f_active[:n]
-        idx = active.nonzero()[0]
-        rate = self.f_rate[:n]
+        at = self.f_active[:n].nonzero()[0]
+        rate = self.f_rate[at]
+        path = self.f_path[at].T                    # (H, k), hop-major
+        send, arrival, _ = flow_phase(
+            self.f_src[at], rate, path, cfg.host_rate_bps / 8.0,
+            cfg.n_hosts, self.n_queues)
+        served_rate, new_qlen, drops, p_mark, srv_ratio = \
+            integrate_queue_block(self.q_len, self.q_cap, self.kmin,
+                                  self.kmax, self.pmax, arrival, dt,
+                                  cfg.switch_buffer_bytes)
+        account_queue_block(self._acc_tx, self._acc_marked,
+                            self._acc_qlen_area, self._acc_drops, self.q_len,
+                            served_rate, new_qlen, drops, p_mark, dt)
+        qdelay, done = feedback_phase(
+            cfg, dt, self.f_rate, self.f_alpha, self.f_remaining,
+            self.f_active, at, rate, send, path, p_mark, srv_ratio,
+            self.q_len, self.q_cap)
+        self._settle(at, qdelay, done)
 
-        # --- NIC sharing: cap the sum of a host's flow rates at line rate.
-        line = cfg.host_rate_bps / 8.0
-        src = self.f_src[:n]
-        send = self._b_send[:n]
-        send.fill(0.0)
-        np.copyto(send, rate, where=active)
-        send_idx = send[idx]
-        per_src = np.bincount(src[idx], weights=send_idx,
-                              minlength=cfg.n_hosts)
-        over = per_src > line
-        if over.any():
-            scale_src = self._b_hosts
-            scale_src.fill(1.0)
-            scale_src[over] = line / per_src[over]
-            send *= scale_src[src]
-            send_idx = send[idx]
+    def _settle(self, slots: np.ndarray, qdelay: np.ndarray,
+                done: np.ndarray) -> None:
+        """Completion records and the latency sample for this network's
+        active flows, given in slot order with the step's outcome."""
+        if done.any():
+            self._finish_flows(repeat(self), slots[done].tolist(),
+                               self.now + qdelay[done], self.flow_objs,
+                               self.finished_flows)
+            qdelay = qdelay[~done]
+        sample_latency(self, qdelay)
 
-        # --- arrivals per queue ------------------------------------------
-        # One hop-major scatter-add.  ``add.at`` iterates the broadcast
-        # (H, k) index row-major — hop 0 for every flow, then hop 1, ...
-        # — the reference loop's exact accumulation order; padded hops
-        # (-1) land in the trailing dummy slot, so no validity mask is
-        # needed and additions to real queues keep their exact sequence.
-        path = self.f_path[:n]
-        p_idx = path[idx]
-        arrival_ext = self._b_arrival_ext
-        arrival_ext.fill(0.0)
-        p_t = p_idx.T
-        np.add.at(arrival_ext, p_t, np.broadcast_to(send_idx, p_t.shape))
-        arrival = arrival_ext[:-1]
-
-        # --- queue integration & marking -----------------------------------
-        cap = self.q_cap
-        q_len = self.q_len
-        served_rate = self._b_served
-        np.divide(q_len, dt, out=served_rate)
-        served_rate += arrival
-        np.minimum(served_rate, cap, out=served_rate)
-        new_qlen = self._qlen_next
-        np.subtract(arrival, cap, out=new_qlen)
-        new_qlen *= dt
-        new_qlen += q_len
-        np.maximum(new_qlen, 0.0, out=new_qlen)
-        drops = self._b_drops
-        np.subtract(new_qlen, cfg.switch_buffer_bytes, out=drops)
-        np.maximum(drops, 0.0, out=drops)
-        np.minimum(new_qlen, cfg.switch_buffer_bytes, out=new_qlen)
-        # RED mark probability on instantaneous occupancy
-        span = self._b_span
-        np.subtract(self.kmax, self.kmin, out=span)
-        np.maximum(span, 1.0, out=span)
-        p_mark = self._b_pmark
-        np.subtract(new_qlen, self.kmin, out=p_mark)
-        p_mark /= span
-        np.maximum(p_mark, 0.0, out=p_mark)
-        np.minimum(p_mark, 1.0, out=p_mark)
-        p_mark *= self.pmax
-        np.copyto(p_mark, 1.0, where=new_qlen >= self.kmax)
-
-        # --- stats ----------------------------------------------------------
-        qtmp = self._b_qtmp
-        np.multiply(served_rate, dt, out=qtmp)
-        self._acc_tx += qtmp
-        qtmp *= p_mark
-        self._acc_marked += qtmp
-        np.add(q_len, new_qlen, out=qtmp)
-        qtmp *= 0.5
-        qtmp *= dt
-        self._acc_qlen_area += qtmp
-        self._acc_drops += drops
-        self._acc_time += dt
-        # Double-buffer swap: the old q_len array becomes next step's
-        # scratch (external readers always go through the attribute).
-        self.q_len, self._qlen_next = new_qlen, q_len
-        q_len = new_qlen
-
-        # --- end-to-end mark fraction per flow --------------------------------
-        # Whole-path (n, H) gathers + column-sequential reductions replace
-        # the per-hop loop.  Padding identities are IEEE-exact: invalid
-        # hops contribute x1.0 to the no-mark product, min(. , 1.0) to the
-        # bottleneck (srv_ratio <= 1), and +0.0 to the queueing delay, so
-        # every active flow gets exactly the reference's per-hop results.
-        # Inactive rows compute garbage that is never committed (the AIMD
-        # and progress updates below mask on ``active``, and ``send`` is
-        # exactly 0.0 for inactive flows).
-        srv_ratio = self._b_srv
-        np.maximum(arrival, cap, out=srv_ratio)
-        np.divide(cap, srv_ratio, out=srv_ratio)   # <=1 where overloaded
-        hops = self._MAX_HOPS
-        safe = self._b_safe[:n]
-        np.maximum(path, 0, out=safe)
-        notval = self._b_notval[:n]
-        np.less(path, 0, out=notval)
-        g2 = self._b_g2[:n]
-        d2 = self._b_d2[:n]
-        one_m = self._b_onem
-        np.subtract(1.0, p_mark, out=one_m)
-        one_m.take(safe, out=g2)                   # (n, H) of 1 - p_mark
-        np.copyto(g2, 1.0, where=notval)
-        no_mark = self._b_nomark[:n]
-        np.copyto(no_mark, g2[:, 0])
-        for hop in range(1, hops):
-            no_mark *= g2[:, hop]
-        srv_ratio.take(safe, out=d2)
-        np.copyto(d2, 1.0, where=notval)
-        bottleneck = self._b_bneck[:n]
-        np.copyto(bottleneck, d2[:, 0])
-        for hop in range(1, hops):
-            np.minimum(bottleneck, d2[:, hop], out=bottleneck)
-        q_len.take(safe, out=d2)
-        cap.take(safe, out=g2)
-        d2 /= g2
-        np.copyto(d2, 0.0, where=notval)
-        qdelay = self._b_qdelay[:n]
-        np.copyto(qdelay, d2[:, 0])
-        for hop in range(1, hops):
-            qdelay += d2[:, hop]
-        f1 = self._b_f1[:n]
-        f2 = self._b_f2[:n]
-        mark_frac = self._b_mark[:n]
-        np.subtract(1.0, no_mark, out=mark_frac)
-
-        # --- DCQCN-like AIMD ---------------------------------------------------
-        a = self.f_alpha[:n]
-        np.multiply(a, 1.0 - cfg.g, out=f1)
-        np.multiply(mark_frac, cfg.g, out=f2)
-        f1 += f2
-        np.copyto(a, f1, where=active)
-        np.multiply(a, 0.5, out=f1)
-        f1 *= cfg.md_gain
-        f1 *= mark_frac
-        np.subtract(1.0, f1, out=f1)
-        f1 *= rate                                  # rate * cut
-        grow = cfg.ai_fraction * line
-        np.add(rate, grow, out=f2)                  # rate + grow
-        marked = self._b_m1[:n]
-        np.greater(mark_frac, 1e-3, out=marked)
-        np.copyto(f2, f1, where=marked)             # == where(marked, f1, f2)
-        floor = cfg.min_rate_fraction * line
-        np.maximum(f2, floor, out=f2)
-        np.minimum(f2, line, out=f2)
-        np.copyto(rate, f2, where=active)
-
-        # --- progress & completion ---------------------------------------------
-        np.multiply(send, bottleneck, out=f1)       # throughput
-        f1 *= dt
-        self.f_remaining[:n] -= f1
-        finished = self._b_m2[:n]
-        np.less_equal(self.f_remaining[:n], 0.0, out=finished)
-        finished &= active
-        if finished.any():
-            for i in finished.nonzero()[0]:
-                fid = self._idx_to_fid[int(i)]
-                flow = self.flow_objs[fid]
-                # account residual queueing delay into the FCT
-                flow.finish_time = self.now + qdelay[i]
-                flow.bytes_sent = flow.size_bytes
-                flow.bytes_acked = flow.size_bytes
-                self.finished_flows.append(flow)
-                self.f_active[i] = False
-                self.f_remaining[i] = 0.0
-                del self._idx_to_fid[int(i)]
-                self._free_list.append(int(i))
-
-        # --- latency sampling (Fig. 8): one random active flow per step ----------
-        if len(self.latencies) < cfg.latency_sample_cap:
-            act_idx = self.f_active[:n].nonzero()[0]
-            if act_idx.size:
-                i = int(act_idx[self.rng.integers(act_idx.size)])
-                self.latencies.append(
-                    (self.now, cfg.base_rtt / 2.0 + qdelay[i]))
-
-    # ------------------------------------------------------------ stats & control
-    # (queue_stats / port_stats / set_ecn* live in SwitchStatsMixin)
-
-    # ------------------------------------------------------------ failures
-    def fail_uplinks(self, fraction: float,
-                     rng: Optional[np.random.Generator] = None) -> int:
-        """Disable a fraction of leaf↔spine links and reroute around them."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        rng = rng or self.rng
-        flat = np.flatnonzero(self.uplink_up.ravel())
-        k = max(1, int(round(fraction * self.uplink_up.size)))
-        chosen = rng.choice(flat, size=min(k, flat.size), replace=False)
-        up = self.uplink_up.ravel()
-        up[chosen] = False
-        self.uplink_up = up.reshape(self.uplink_up.shape)
-        self._apply_link_state()
-        return int(len(chosen))
-
-    def restore_uplinks(self) -> None:
-        self.uplink_up[:] = True
-        self._apply_link_state()
-
-    def set_fabric_capacity_factor(self, factor: float) -> None:
-        """Uniformly scale fabric (leaf↔spine) link capacity.
-
-        Models partial degradation (FEC retrain, lane failure, chaos
-        ``degrade`` faults): ``factor=0.5`` halves every fabric link;
-        ``factor=1.0`` restores nominal capacity.  Recomputed from the
-        nominal rates, so repeated calls do not accumulate error.
-        """
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("capacity factor must be in (0, 1]")
-        self.fabric_capacity_factor = float(factor)
-        self._apply_link_state()
-
+    # ------------------------------------------------------------ link state
+    # (queue_stats / set_ecn* / fail_uplinks & co. live in SwitchStatsMixin)
     def _apply_link_state(self) -> None:
         cfg = self.config
         for j in range(cfg.n_leaf):

@@ -17,8 +17,10 @@ the fluid model:
   owner_pod_of_flow`): one ``(n_pods, cap)`` stack of ``f_*`` arrays
   whose rows the per-pod :class:`FlowShard` objects hold as views.  The
   step is **one fabric-wide vectorised pass per phase** over the active
-  ``(pod, slot)`` pairs — NIC sharing + arrival reduction, queue
-  integration, AIMD + finish detection — so per-Δt cost is proportional
+  ``(pod, slot)`` pairs — the phase functions of
+  :mod:`repro.netsim.fluid` that the solo and batch networks step
+  through too: NIC sharing + arrival reduction, queue integration,
+  AIMD + finish detection — so per-Δt cost is proportional
   to the fabric's *active* flows at one pass's worth of NumPy dispatch,
   whatever the pod count (measured: docs/PERFORMANCE.md);
 - registered flows wait in one fabric-wide start-time-ordered table;
@@ -26,7 +28,8 @@ the fluid model:
   vectorised call ahead of admission (:meth:`ShardedFluidNetwork.
   _route_batch`, also the reroute path), and a link-state change drops
   the routes not yet used;
-- the arrival reduction keeps the **boundary-aggregate** association:
+- pods can feed one queue, so the arrival reduction is given the pods
+  as owners and keeps the **boundary-aggregate** association:
   each pod's flows are first summed per ``(owner pod, queue)``, and
   those rows are added into the global arrival vector with the queue's
   own pod first and the boundary rows — core-plane and remote-pod
@@ -67,7 +70,9 @@ from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import (FlowTableMixin, SwitchStatsMixin,
                                 _PendingFlows, _register_flows,
-                                integrate_queue_block)
+                                account_queue_block, feedback_phase,
+                                flow_phase, integrate_queue_block,
+                                sample_latency)
 from repro.netsim.routing import ecmp_hash_array
 from repro.obs.metrics import get_registry
 from repro.parallel.engine import Engine, SharedArena, TaskSpec, attach_arena
@@ -235,6 +240,9 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             Subdomain(f"pod{p}", p * self._pod_block, (p + 1) * self._pod_block)
             for p in range(n_p)]
         self.subdomains.append(Subdomain("core", self._core0, self.n_queues))
+        #: the pod whose block holds each queue; the core plane's get
+        #: ``n_pods``, which owns no flows
+        self._q_owner = np.arange(self.n_queues) // self._pod_block
         #: contiguous shard groups of subdomains — fixed partition, any
         #: grouping: bit-identity over ``shards`` holds by construction.
         self.shard_groups: List[List[Subdomain]] = [
@@ -565,9 +573,6 @@ class ShardedFluidNetwork(SwitchStatsMixin):
     def active_flow_count(self) -> int:
         return int(self._f_active.sum()) + len(self._pending)
 
-    def total_drops(self) -> int:
-        return int(self._acc_drops.sum())
-
     @property
     def flows(self) -> Dict[int, Flow]:
         return self.flow_objs
@@ -659,137 +664,52 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         return outs
 
     def _step(self, dt: float) -> None:
-        """One Δt — the reference :meth:`FluidNetwork._step` phases, each
-        one fabric-wide pass over the active flows in (owner pod, slot)
-        order; only the Engine transports split the queue integration."""
+        """One Δt through the shared phase functions, over the active
+        flows in (owner pod, slot) order; only the Engine transports
+        split the queue integration."""
+        cfg = self.config
         self.now += dt
         self._activate_due()
+        self._acc_time += dt
         n = max(sh._n_flows for sh in self.flow_shards)
         if n == 0:
             self._acc_qlen_area += self.q_len * dt
-            self._acc_time += dt
             return
-        pods, slots = self._f_active[:, :n].nonzero()
-        path = self._f_path[pods, slots].T          # (H, k), hop-major
+        at = pods, slots = self._f_active[:, :n].nonzero()
+        path = self._f_path[at].T                   # (H, k), hop-major
         send = self._flow_phase(pods, slots, path)
-
-        # --- queue integration & marking ----------------------------------
         served_rate, new_qlen, drops, p_mark, srv_ratio = \
             self._step_subdomains(self._arrival, dt)
-
-        # --- stats --------------------------------------------------------
-        tx = served_rate * dt
-        self._acc_tx += tx
-        self._acc_marked += tx * p_mark
-        self._acc_qlen_area += 0.5 * (self.q_len + new_qlen) * dt
-        self._acc_drops += drops
-        self._acc_time += dt
-        # copy, not rebind: q_len may be an arena row the workers map
-        np.copyto(self.q_len, new_qlen)
-
-        if pods.size:
-            self._feedback_phase(dt, pods, slots, path, send, p_mark,
-                                 srv_ratio)
+        account_queue_block(self._acc_tx, self._acc_marked,
+                            self._acc_qlen_area, self._acc_drops, self.q_len,
+                            served_rate, new_qlen, drops, p_mark, dt)
+        qdelay, done = feedback_phase(
+            cfg, dt, self._f_rate, self._f_alpha, self._f_remaining,
+            self._f_active, at, self._f_rate[at], send, path, p_mark,
+            srv_ratio, self.q_len, self.q_cap)
+        if done.any():
+            # finished flows retire in (pod, slot) order
+            FlowShard._finish_flows(
+                map(self.flow_shards.__getitem__, pods[done].tolist()),
+                slots[done].tolist(), self.now + qdelay[done],
+                self.flow_objs, self.finished_flows)
+            qdelay = qdelay[~done]
+        # one draw over the (pod, slot)-ordered survivors — the same RNG
+        # consumption for every shard count
+        sample_latency(self, qdelay)
 
     def _flow_phase(self, pods: np.ndarray, slots: np.ndarray,
                     path: np.ndarray) -> np.ndarray:
-        """NIC sharing + arrival reduction; returns each flow's send rate
-        and leaves the merged per-queue arrival in ``self._arrival``.
-
-        Bit-exactness: the per-queue sum keeps the association of the
-        per-pod exchange it replaces.  Every owner pod's contribution to
-        a queue is summed first, in hop-major slot order (``bincount``
-        adds in appearance order); the per-pod partial sums are then
-        added into the queue with the queue's own pod first and the
-        boundary rows — core-plane and remote-pod queues — after it in
-        owner-pod order.
-        """
+        """NIC sharing + arrival reduction (:func:`~repro.netsim.fluid.
+        flow_phase` with the pods as owners, so the boundary-aggregate
+        association holds); returns each flow's send rate and leaves the
+        merged per-queue arrival in ``self._arrival``."""
         cfg = self.config
-        # NIC sharing: a host's flows all sit in its own pod's row, so one
-        # bincount over the global host id sums them in slot order.
-        line = cfg.host_rate_bps / 8.0
-        src = self._f_src[pods, slots]
-        send = self._f_rate[pods, slots]
-        per_src = np.bincount(src, weights=send, minlength=cfg.n_hosts)
-        over = per_src > line
-        if over.any():
-            scale_src = np.ones(cfg.n_hosts)
-            scale_src[over] = line / per_src[over]
-            send = send * scale_src[src]
-
-        ok = path >= 0
-        key = (pods * self.n_queues + path)[ok]     # (owner pod, queue)
-        rows, inv = np.unique(key, return_inverse=True)
-        agg = np.bincount(inv, weights=np.broadcast_to(send, path.shape)[ok],
-                          minlength=rows.size)
-        owner, q = np.divmod(rows, self.n_queues)
-        boundary = owner != q // self._pod_block
-        order = np.concatenate((np.flatnonzero(~boundary),
-                                np.flatnonzero(boundary)))
-        self._arrival[:] = np.bincount(q[order], weights=agg[order],
-                                       minlength=self.n_queues)
-        self._last_boundary_rows = int(boundary.sum())
+        send, self._arrival[:], self._last_boundary_rows = flow_phase(
+            self._f_src[pods, slots], self._f_rate[pods, slots], path,
+            cfg.host_rate_bps / 8.0, cfg.n_hosts, self.n_queues,
+            owners=(pods, self._q_owner))
         return send
-
-    def _feedback_phase(self, dt: float, pods: np.ndarray, slots: np.ndarray,
-                        path: np.ndarray, send: np.ndarray,
-                        p_mark: np.ndarray, srv_ratio: np.ndarray) -> None:
-        """AIMD + progress + finish detection over the active flows.
-
-        Reads back post-integration queue state along each flow's path;
-        a padded hop contributes the identity (×1.0, min 1.0, +0.0), so
-        every flow sees the reference's per-hop operation order.
-        """
-        cfg = self.config
-        at = (pods, slots)
-        ok = path >= 0
-        qs = np.where(ok, path, 0)
-        hop_no_mark = np.where(ok, 1.0 - p_mark[qs], 1.0)
-        hop_srv = np.where(ok, srv_ratio[qs], 1.0)
-        hop_delay = np.where(ok, self.q_len[qs] / self.q_cap[qs], 0.0)
-        no_mark, bottleneck, qdelay = hop_no_mark[0], hop_srv[0], hop_delay[0]
-        for hop in range(1, self._MAX_HOPS):
-            no_mark = no_mark * hop_no_mark[hop]
-            bottleneck = np.minimum(bottleneck, hop_srv[hop])
-            qdelay = qdelay + hop_delay[hop]
-        mark_frac = 1.0 - no_mark
-
-        # --- DCQCN-like AIMD ----------------------------------------------
-        line = cfg.host_rate_bps / 8.0
-        rate = self._f_rate[at]
-        a = (1.0 - cfg.g) * self._f_alpha[at] + cfg.g * mark_frac
-        self._f_alpha[at] = a
-        cut = 1.0 - (a * 0.5 * cfg.md_gain * mark_frac)
-        grow = cfg.ai_fraction * line
-        new_rate = np.where(mark_frac > 1e-3, rate * cut, rate + grow)
-        self._f_rate[at] = np.clip(new_rate, cfg.min_rate_fraction * line,
-                                   line)
-
-        # --- progress & completion ----------------------------------------
-        remaining = self._f_remaining[at] - send * bottleneck * dt
-        self._f_remaining[at] = remaining
-        done = remaining <= 0.0
-        if done.any():
-            fp, fs = pods[done], slots[done]
-            self._f_active[fp, fs] = False
-            self._f_remaining[fp, fs] = 0.0
-            for p, i, t in zip(fp.tolist(), fs.tolist(),
-                               self.now + qdelay[done]):
-                sh = self.flow_shards[p]
-                flow = self.flow_objs[sh._idx_to_fid.pop(i)]
-                flow.finish_time = t
-                flow.bytes_sent = flow.bytes_acked = flow.size_bytes
-                self.finished_flows.append(flow)
-                sh._free_list.append(i)
-            qdelay = qdelay[~done]
-
-        # --- latency sampling: one random active flow per step ------------
-        # one draw over the (pod, slot)-ordered survivors — the same RNG
-        # consumption for every shard count
-        if qdelay.size and len(self.latencies) < cfg.latency_sample_cap:
-            self.latencies.append(
-                (self.now, cfg.base_rtt / 2.0
-                 + qdelay[int(self.rng.integers(qdelay.size))]))
 
     # ------------------------------------------------------------ stats
     def _active_flow_columns(self) -> Tuple[List[int], np.ndarray,
@@ -802,32 +722,6 @@ class ShardedFluidNetwork(SwitchStatsMixin):
                 self._f_size[at] - self._f_remaining[at], self._f_path[at])
 
     # ------------------------------------------------------------ failures
-    def fail_uplinks(self, fraction: float,
-                     rng: Optional[np.random.Generator] = None) -> int:
-        """Disable a fraction of pod↔core links and reroute around them."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        rng = rng or self.rng
-        flat = np.flatnonzero(self.uplink_up.ravel())
-        k = max(1, int(round(fraction * self.uplink_up.size)))
-        chosen = rng.choice(flat, size=min(k, flat.size), replace=False)
-        up = self.uplink_up.ravel()
-        up[chosen] = False
-        self.uplink_up = up.reshape(self.uplink_up.shape)
-        self._apply_link_state()
-        return int(len(chosen))
-
-    def restore_uplinks(self) -> None:
-        self.uplink_up[:] = True
-        self._apply_link_state()
-
-    def set_fabric_capacity_factor(self, factor: float) -> None:
-        """Uniformly scale fabric (edge↔agg and pod↔core) link capacity."""
-        if not 0.0 < factor <= 1.0:
-            raise ValueError("capacity factor must be in (0, 1]")
-        self.fabric_capacity_factor = float(factor)
-        self._apply_link_state()
-
     def _apply_link_state(self) -> None:
         cfg = self.config
         factor = self.fabric_capacity_factor

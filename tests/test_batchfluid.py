@@ -235,6 +235,22 @@ class TestGrowAliasing:
         assert state_fp(solo) == state_fp(batch.view(0))
 
 
+    def test_replica_with_free_slots_does_not_regrow_the_batch(self):
+        """A replica whose four-slot row is full of finished flows takes
+        the next flow into a recycled slot: no ``_grow_flows`` for all R."""
+        cfg = replace(CFG, initial_flow_capacity=4)
+        batch = BatchFluidNetwork(cfg, seeds=(0, 1))
+        net = batch.view(1)
+        net.start_flows([Flow(i, f"h{i}", f"h{i + 8}", 10_000)
+                         for i in range(4)])
+        batch.advance(0.002)
+        assert len(net.finished_flows) == 4
+        net.start_flow(Flow(4, "h0", "h8", 10_000, start_time=net.now))
+        batch.advance(0.002)
+        assert len(net.finished_flows) == 5
+        assert batch._cap == net._cap_flows == 4
+
+
 def replace_flow(f):
     return Flow(flow_id=f.flow_id, src=f.src, dst=f.dst,
                 size_bytes=f.size_bytes, start_time=f.start_time)

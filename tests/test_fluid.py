@@ -1,11 +1,15 @@
 """Tests for the fluid-model simulator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.netsim.ecn import ECNConfig
+from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
+from repro.netsim.shard import ShardedFluidNetwork
 
 
 def mk_net(seed=0, **kw):
@@ -94,6 +98,18 @@ class TestConservationAndSharing:
         assert all(f.done for f in net.flow_objs.values())
         assert net._n_flows <= 5
 
+    def test_full_table_with_free_slots_does_not_grow(self):
+        """Four flows fill a four-slot table and finish; a fifth takes a
+        recycled slot — the table at its high-water mark must not double."""
+        net = mk_net(initial_flow_capacity=4)
+        net.start_flows([Flow(i, f"h{i}", "h4", 10_000) for i in range(4)])
+        net.advance(2e-3)
+        assert len(net.finished_flows) == 4 and len(net._free_list) == 4
+        net.start_flow(Flow(4, "h0", "h4", 10_000, start_time=net.now))
+        net.advance(2e-3)
+        assert len(net.finished_flows) == 5
+        assert net._cap_flows == 4
+
 
 class TestQueueDynamics:
     def test_overload_builds_queue(self):
@@ -155,6 +171,29 @@ class TestQueueDynamics:
         net.start_flows(flows)
         net.advance(0.02)
         assert net.q_len.max() <= net.config.switch_buffer_bytes + 1
+
+    @pytest.mark.parametrize("sim", ["fluid", "fluid_shard"])
+    def test_total_drops_is_cumulative_and_counts_packets(self, sim):
+        """``queue_stats`` resets the interval's drop bytes; the total
+        must keep them, in the records' 1000-byte ``dropped_pkts`` unit."""
+        if sim == "fluid":
+            net = mk_net(switch_buffer_bytes=20_000)
+        else:
+            net = ShardedFluidNetwork(replace(
+                FatTreeConfig.small(), switch_buffer_bytes=20_000), seed=0)
+        net.set_ecn_all(ECNConfig(50_000_000, 90_000_000, 0.01))
+        net.start_flows([Flow(i, f"h{i % 4}", "h4", 5_000_000)
+                         for i in range(12)])
+        dropped_bytes, record_pkts = 0.0, 0
+        for _ in range(3):
+            net.advance(1e-3)
+            dropped_bytes += float(net._acc_drops.sum())
+            record_pkts += sum(st.dropped_pkts
+                               for st in net.queue_stats().values())
+        assert record_pkts > 0
+        assert net.total_drops() == int(dropped_bytes // 1000)
+        # the records round down per switch and collection
+        assert 0 <= net.total_drops() - record_pkts <= 3 * net.n_switches
 
 
 class TestStatsInterface:
