@@ -18,7 +18,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from repro.core.config import PETConfig
-from repro.core.ncm import NetworkConditionMonitor
 from repro.core.pet import PETController
 from repro.core.training import run_control_loop
 from repro.netsim.fluid import FluidConfig, FluidNetwork
@@ -60,17 +59,17 @@ def main() -> None:
     print("\nlive run — leaf0 hosts the aggregator; every incast round "
           "should spike the NCM's incast degree:\n")
     net = build_network(seed=7, duration=0.04)
+    leaf0 = pet.switches.index("leaf0")
     print(f"{'t(ms)':>6} {'incast':>6} {'M/E':>5} {'qlen(KB)':>9} "
           f"{'Kmax(KB)':>9} {'Pmax':>5} {'reward':>7}")
     for i in range(40):
         net.advance(DELTA_T)
         stats = net.queue_stats()
         applied = pet.decide(stats, net.now, net)
-        ncm: NetworkConditionMonitor = pet.ncm["leaf0"]
-        analysis = ncm._analyze()
+        incast, flow_ratio, _ = pet.observer.ncm.analyze()
         ecn = applied.get("leaf0") or pet.ecn_cm["leaf0"].current
-        print(f"{net.now*1e3:6.1f} {analysis.incast_degree:6d} "
-              f"{analysis.flow_ratio:5.2f} "
+        print(f"{net.now*1e3:6.1f} {incast[leaf0]:6d} "
+              f"{flow_ratio[leaf0]:5.2f} "
               f"{stats['leaf0'].qlen_bytes/1e3:9.1f} "
               f"{ecn.kmax_bytes/1e3:9.0f} {ecn.pmax:5.2f} "
               f"{pet.mean_recent_reward('leaf0', 1):7.3f}")
@@ -81,10 +80,10 @@ def main() -> None:
         print(f"\n{len(finished)} incast responses finished; "
               f"FCT avg {np.mean(fcts):.2f} ms, p99 "
               f"{np.percentile(fcts, 99):.2f} ms")
-    mem = pet.ncm["leaf0"].memory_bytes()
-    print(f"NCM observation memory at leaf0: {mem} bytes "
-          f"({pet.ncm['leaf0'].cleanups_scheduled} scheduled cleanups, "
-          f"{pet.ncm['leaf0'].cleanups_threshold} threshold cleanups)")
+    ncm = pet.observer.ncm
+    print(f"NCM observation memory at leaf0: {ncm.memory_bytes()[leaf0]} bytes "
+          f"({ncm.cleanups_scheduled[leaf0]} scheduled cleanups, "
+          f"{ncm.cleanups_threshold[leaf0]} threshold cleanups)")
 
 
 if __name__ == "__main__":

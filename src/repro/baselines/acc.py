@@ -18,18 +18,15 @@ schemes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
 from repro.core.ecn_cm import ECNConfigModule
-from repro.core.ncm import NetworkConditionMonitor
-from repro.core.reward import REWARD_LOG_LEN, RewardComputer
-from repro.core.state import HistoryWindow, StateBuilder
+from repro.core.observer import FleetObserver
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.network import QueueStats
 from repro.rl.ddqn import DDQNAgent, DDQNConfig
@@ -71,10 +68,8 @@ class ACCController:
         base = self.config.base
         self.switches = list(switch_names)
         self.codec = ActionCodec.from_config(base)
-        self.state_builder = StateBuilder(base)
-        self.reward = RewardComputer(base)
-        self.ncm = {s: NetworkConditionMonitor(s, base) for s in self.switches}
-        self.history = {s: HistoryWindow(base.history_k) for s in self.switches}
+        self.observer = FleetObserver(self.switches, base)
+        self.reward = self.observer.reward
         self.ecn_cm = {s: ECNConfigModule(s, self.codec, base.delta_t)
                        for s in self.switches}
         rng = np.random.default_rng(self.config.seed)
@@ -94,9 +89,9 @@ class ACCController:
                               seed=seed)
             self.agents[s] = DDQNAgent(dcfg)
         self.training = True
-        self._pending: Dict[str, dict] = {}
-        self._reward_log: Dict[str, Deque[float]] = {
-            s: deque(maxlen=REWARD_LOG_LEN) for s in self.switches}
+        #: (observation, action) of each switch's decision awaiting reward
+        self._pending: Dict[str, Tuple[np.ndarray, int]] = {}
+        self._reward_log = self.observer.reward_log
 
     # -- Controller interface ------------------------------------------------
     def set_training(self, training: bool) -> None:
@@ -104,27 +99,16 @@ class ACCController:
 
     def decide(self, stats: Dict[str, QueueStats], now: float,
                network) -> Dict[str, ECNConfig]:
-        obs_now: Dict[str, np.ndarray] = {}
-        rewards: Dict[str, float] = {}
-        for s in self.switches:
-            st = stats.get(s)
-            if st is None:
-                continue
-            analysis = self.ncm[s].ingest(st, now)
-            features = self.state_builder.build(
-                st, analysis.incast_degree, analysis.flow_ratio)
-            self.history[s].push(features)
-            obs_now[s] = self.history[s].observation()
-            rewards[s] = self.reward.compute(st)
-            self._reward_log[s].append(rewards[s])
+        seen = self.observer.observe(stats)
+        obs_now = dict(zip(seen.switches, seen.obs))
 
         if self.training:
             # Complete pending transitions into the *global* pool …
-            for s, pending in list(self._pending.items()):
-                if s not in obs_now:
-                    continue
-                self.global_replay.add(s, pending["obs"], pending["action"],
-                                       rewards[s], obs_now[s], False)
+            rewards = dict(zip(seen.switches, seen.reward.tolist()))
+            for s, (obs, action) in self._pending.items():
+                if s in obs_now:
+                    self.global_replay.add(s, obs, action, rewards[s],
+                                           obs_now[s], False)
             # … and let every agent sample TD updates from the union.
             for _ in range(self.config.train_every):
                 for s in self.switches:
@@ -133,11 +117,17 @@ class ACCController:
         applied: Dict[str, ECNConfig] = {}
         for s, obs in obs_now.items():
             a = self.agents[s].act(obs, greedy=not self.training)
-            self._pending[s] = {"obs": obs, "action": a}
+            self._pending[s] = (obs, a)
             cfgd = self.ecn_cm[s].apply(a, now, network)
             if cfgd is not None:
                 applied[s] = cfgd
         return applied
+
+    def reset_episode(self) -> None:
+        """Clear NCM windows, histories and pending decisions between
+        independent episodes."""
+        self.observer.clear()
+        self._pending.clear()
 
     # -- overhead metering (the PET-vs-ACC systems argument) -------------------
     def overhead_report(self) -> Dict[str, float]:
@@ -167,7 +157,4 @@ class ACCController:
 
     def mean_recent_reward(self, s: str, window: int = 50) -> float:
         """Mean of the last ``window`` (at most ``REWARD_LOG_LEN``) rewards."""
-        log = self._reward_log[s]
-        if not log:
-            return 0.0
-        return float(np.mean(list(log)[-window:]))
+        return self.observer.mean_recent_reward(s, window)

@@ -9,7 +9,11 @@
 - :mod:`repro.core.reward` — ``r = beta1*T + beta2*La`` (Eq. 6-8).
 - :mod:`repro.core.ncm` — Network Condition Monitor: monitoring,
   computation & analysis (incast degree, mice/elephant ratio), and the
-  scheduled + threshold cleanup strategies (§4.5.1).
+  scheduled + threshold cleanup strategies (§4.5.1), one columnar
+  table for a whole fleet.
+- :mod:`repro.core.observer` — :class:`~repro.core.observer.FleetObserver`:
+  a collection's telemetry to every switch's observation and reward in
+  one pass (NCM → state → history, and Eq. 6).
 - :mod:`repro.core.ecn_cm` — ECN Configuration Module: decodes actions
   and applies thresholds, rate-limited to one tuning per Δt (§4.2.2).
 - :mod:`repro.core.pet` — :class:`~repro.core.pet.PETController`, the
@@ -22,7 +26,8 @@ from repro.core.config import PETConfig
 from repro.core.action import ActionCodec
 from repro.core.state import StateBuilder, HistoryWindow, StateFeatures
 from repro.core.reward import RewardComputer
-from repro.core.ncm import NetworkConditionMonitor
+from repro.core.ncm import FleetNCM, NetworkConditionMonitor
+from repro.core.observer import FleetObservation, FleetObserver
 from repro.core.ecn_cm import ECNConfigModule
 from repro.core.pet import PETController
 from repro.core.multiqueue import MultiQueuePETController
@@ -33,6 +38,7 @@ from repro.core.training import (SeedRunResult, pretrain_multi_seed,
 __all__ = [
     "PETConfig", "ActionCodec", "StateBuilder", "HistoryWindow",
     "StateFeatures", "RewardComputer", "NetworkConditionMonitor",
+    "FleetNCM", "FleetObserver", "FleetObservation",
     "ECNConfigModule", "PETController", "MultiQueuePETController",
     "pretrain_offline", "pretrain_offline_multi", "run_control_loop",
     "SeedRunResult", "pretrain_one_seed", "pretrain_multi_seed",

@@ -9,7 +9,10 @@ One fully independent pipeline per switch:
 
 Nothing crosses switches: no shared replay, no shared parameters, no
 central critic — the properties the paper argues make PET deployable
-where ACC's global experience replay is not.
+where ACC's global experience replay is not.  Independent is not
+separate, though: the pipelines tick together, so everything up to the
+agents runs once for the fleet, a column per quantity
+(:class:`~repro.core.observer.FleetObserver`).
 
 The controller implements the shared :class:`~repro.core.controller.Controller`
 interface so the experiment harness can drive PET, ACC and the static
@@ -18,17 +21,14 @@ schemes identically.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
 from repro.core.ecn_cm import ECNConfigModule
-from repro.core.ncm import NetworkConditionMonitor
-from repro.core.reward import REWARD_LOG_LEN, RewardComputer
-from repro.core.state import HistoryWindow, StateBuilder
+from repro.core.observer import FleetObserver
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.network import QueueStats
 from repro.obs.metrics import get_registry
@@ -51,12 +51,8 @@ class PETController:
         cfg = self.config
         self.switches = list(switch_names)
         self.codec = ActionCodec.from_config(cfg)
-        self.state_builder = StateBuilder(cfg)
-        self.reward = RewardComputer(cfg)
-        self.ncm: Dict[str, NetworkConditionMonitor] = {
-            s: NetworkConditionMonitor(s, cfg) for s in self.switches}
-        self.history: Dict[str, HistoryWindow] = {
-            s: HistoryWindow(cfg.history_k) for s in self.switches}
+        self.observer = FleetObserver(self.switches, cfg)
+        self.reward = self.observer.reward
         self.ecn_cm: Dict[str, ECNConfigModule] = {
             s: ECNConfigModule(s, self.codec, cfg.delta_t) for s in self.switches}
         obs_dim = cfg.history_k * cfg.n_state_features
@@ -74,10 +70,12 @@ class PETController:
             s: ExplorationSchedule(cfg.explore_eps0, cfg.decay_rate,
                                    cfg.decay_step) for s in self.switches}
         self.training = True
-        self._pending: Dict[str, dict] = {}      # obs/decision awaiting reward
+        #: the decisions awaiting their reward, as fleet-wide columns
+        #: (``obs``, ``action``, ``log_prob``, ``value``, ``valid``); a
+        #: switch that sits a tick out keeps its row until it is back
+        self._pending: Dict[str, np.ndarray] = {}
         self._steps = 0
-        self._reward_log: Dict[str, Deque[float]] = {
-            s: deque(maxlen=REWARD_LOG_LEN) for s in self.switches}
+        self._reward_log = self.observer.reward_log
         self.update_stats: List[Dict] = []
 
     # -- Controller interface ------------------------------------------------
@@ -88,57 +86,58 @@ class PETController:
                network) -> Dict[str, ECNConfig]:
         """One tuning interval for every switch agent.
 
-        Per switch: (1) NCM ingests the interval's stats and produces the
-        category-2 features; (2) the reward for the *previous* action is
-        computed from the same interval and the pending transition is
-        recorded; (3) the agent selects a new action on the fresh
-        observation; (4) the ECN-CM pushes the decoded thresholds.
+        (1) The observer ingests the interval's stats: NCM features,
+        normalized state, history and the reward for the *previous*
+        action, for every reporting switch at once; (2) the pending
+        transitions are recorded with those rewards; (3) the agents
+        select new actions on the fresh observations; (4) the ECN-CMs
+        push the decoded thresholds.
         """
         tr = get_tracer()
-        obs_now: Dict[str, np.ndarray] = {}
-        rewards: Dict[str, float] = {}
         with tr.span("pet.ingest", now=now, switches=len(self.switches)):
-            for s in self.switches:
-                st = stats.get(s)
-                if st is None:
-                    continue
-                analysis = self.ncm[s].ingest(st, now)
-                features = self.state_builder.build(
-                    st, analysis.incast_degree, analysis.flow_ratio)
-                self.history[s].push(features)
-                obs_now[s] = self.history[s].observation()
-                rewards[s] = self.reward.compute(st)
-                self._reward_log[s].append(rewards[s])
+            seen = self.observer.observe(stats)
+        rows, n_seen = seen.rows, len(seen.switches)
+        pend = self._pending
+        if not pend:
+            n = len(self.switches)
+            pend.update(obs=np.zeros((n, seen.obs.shape[1])),
+                        action=np.zeros(n, dtype=np.int64),
+                        log_prob=np.zeros(n), value=np.zeros(n),
+                        valid=np.zeros(n, dtype=bool))
 
         # close out the previous decisions with this interval's rewards
         if self.training:
-            for s, pending in list(self._pending.items()):
-                if s not in obs_now:
-                    continue
-                agent = self.trainer.agents[s]
-                agent.record(pending["obs"], pending["action"], rewards[s],
-                             False, pending["log_prob"], pending["value"])
+            agents = list(self.trainer.agents.values())
+            for row, ok, obs, a, r, logp, v in zip(
+                    rows.tolist(), pend["valid"][rows].tolist(),
+                    pend["obs"][rows], pend["action"][rows].tolist(),
+                    seen.reward.tolist(), pend["log_prob"][rows].tolist(),
+                    pend["value"][rows].tolist()):
+                if ok:
+                    agents[row].record(obs, a, r, False, logp, v)
             self._steps += 1
             if self._steps % self.config.update_interval == 0:
                 with tr.span("ppo.update", now=now, step=self._steps,
-                             agents=len(obs_now)):
-                    self.update_stats.append(self.trainer.update(obs_now))
+                             agents=n_seen):
+                    self.update_stats.append(self.trainer.update(
+                        dict(zip(seen.switches, seen.obs))))
 
         # select and apply new actions
         applied: Dict[str, ECNConfig] = {}
-        with tr.span("pet.act", now=now, agents=len(obs_now)):
+        with tr.span("pet.act", now=now, agents=n_seen):
             # One exploration-schedule tick per switch (independent
             # schedules, so pulling them ahead of the batched act is
             # order-equivalent to the interleaved per-switch loop).
-            epsilons = {s: (self.exploration[s].step() if self.training
-                            else 0.0) for s in obs_now}
-            decisions = self.trainer.act(obs_now, epsilons=epsilons,
-                                         greedy=not self.training)
-            for s, obs in obs_now.items():
-                decision = decisions[s]
-                self._pending[s] = {"obs": obs, **decision}
-                cfgd = self.ecn_cm[s].apply(int(decision["action"]), now,
-                                            network)
+            epsilons = ([self.exploration[s].step() for s in seen.switches]
+                        if self.training else None)
+            decided = self.trainer.act(seen.obs, rows=rows, epsilons=epsilons,
+                                       greedy=not self.training)
+            for name, column in decided.items():
+                pend[name][rows] = column
+            pend["obs"][rows] = seen.obs
+            pend["valid"][rows] = True
+            for s, action in zip(seen.switches, decided["action"].tolist()):
+                cfgd = self.ecn_cm[s].apply(action, now, network)
                 if cfgd is not None:
                     applied[s] = cfgd
                     tr.event("ecn.reconfig", switch=s, now=now,
@@ -148,7 +147,7 @@ class PETController:
         if reg:
             reg.inc("pet.decide_intervals")
             reg.inc("ecn.reconfigs", len(applied))
-            for s, r in rewards.items():
+            for s, r in zip(seen.switches, seen.reward.tolist()):
                 reg.observe("pet.reward", r, switch=s)
         return applied
 
@@ -176,13 +175,11 @@ class PETController:
     # -- diagnostics --------------------------------------------------------------
     def mean_recent_reward(self, s: str, window: int = 50) -> float:
         """Mean of the last ``window`` (at most ``REWARD_LOG_LEN``) rewards."""
-        log = self._reward_log[s]
-        if not log:
-            return 0.0
-        return float(np.mean(list(log)[-window:]))
+        return self.observer.mean_recent_reward(s, window)
 
     def reset_episode(self) -> None:
-        """Clear histories/pending state between independent episodes."""
-        for s in self.switches:
-            self.history[s].clear()
+        """Clear NCM windows, histories and pending decisions between
+        independent episodes: the next interval is observed exactly as a
+        fresh controller (with these weights) would observe it."""
+        self.observer.clear()
         self._pending.clear()

@@ -20,7 +20,10 @@ queue, and crosses 1/2 at ``qlen_ref``.  Set
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import PETConfig
+from repro.core.state import TelemetryColumns
 from repro.netsim.network import QueueStats
 
 __all__ = ["RewardComputer", "REWARD_LOG_LEN"]
@@ -59,3 +62,13 @@ class RewardComputer:
         """r = beta1*T + beta2*La (Eq. 6)."""
         return (self.config.beta1 * self.throughput_term(stats)
                 + self.config.beta2 * self.latency_term(stats))
+
+    def compute_fleet(self, cols: TelemetryColumns) -> np.ndarray:
+        """:meth:`compute` for every record of ``cols`` at once."""
+        cfg = self.config
+        avg_q = np.maximum(cols.avg_qlen_per_queue, 0.0)
+        if cfg.raw_reciprocal_reward:
+            latency = 1.0 / np.maximum(avg_q, 1_000.0) * 1_000.0
+        else:
+            latency = 1.0 / (1.0 + avg_q / max(cfg.reward_qlen_ref_bytes, 1.0))
+        return cfg.beta1 * cols.utilization + cfg.beta2 * latency

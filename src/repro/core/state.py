@@ -14,20 +14,30 @@ last ``k`` slots are stacked into the sequence state s'_t (Eq. 3).
 
 The Fig. 9 ablation zero-masks D_incast / R_flow rather than dropping
 them, so network shapes are identical across arms.
+
+A fleet of switches is normalized and stacked a column at a time
+(:class:`TelemetryColumns`, :meth:`StateBuilder.build_fleet`, a
+:class:`HistoryWindow` of many rows); the per-record forms are what the
+columns are checked against, element by element.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import PETConfig
 from repro.netsim.network import QueueStats
 
-__all__ = ["StateFeatures", "StateBuilder", "HistoryWindow"]
+__all__ = ["StateFeatures", "TelemetryColumns", "StateBuilder",
+           "HistoryWindow"]
+
+_SCALARS = attrgetter("qlen_bytes", "tx_bytes", "tx_marked_bytes",
+                      "capacity_bps", "interval", "avg_qlen_bytes",
+                      "n_queues", "ecn")
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,35 @@ class StateFeatures:
         return np.array([self.qlen, self.tx_rate, self.tx_marked_rate,
                          self.ecn_threshold, self.incast_degree,
                          self.flow_ratio], dtype=np.float64)
+
+
+class TelemetryColumns:
+    """The scalar fields of one or more :class:`QueueStats` records as float64
+    columns, with the record's derived quantities computed the way its
+    properties compute them.  Read off the records themselves, so a
+    repaired or corrupted copy counts as what it says."""
+
+    def __init__(self, records: Sequence[QueueStats]) -> None:
+        fields = list(zip(*map(_SCALARS, records)))
+        (self.qlen_bytes, tx_bytes, tx_marked_bytes, self.capacity_bps,
+         interval, avg_qlen_bytes, n_queues) = np.array(fields[:7],
+                                                        dtype=np.float64)
+        #: Kmax of the record's ECN setting, 0 where it has none
+        self.kmax_bytes = np.array(
+            [0.0 if ecn is None else ecn.kmax_bytes for ecn in fields[7]])
+        timed = interval > 0
+        zero = np.zeros_like(interval)
+        # garbage in (a corrupted record), garbage out — quietly, as the
+        # record's own float arithmetic would
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.tx_rate_bps = np.divide(tx_bytes * 8.0, interval,
+                                         out=zero.copy(), where=timed)
+            self.tx_marked_rate_bps = np.divide(
+                tx_marked_bytes * 8.0, interval, out=zero.copy(), where=timed)
+            self.utilization = np.minimum(
+                np.divide(self.tx_rate_bps, self.capacity_bps, out=zero,
+                          where=~(self.capacity_bps <= 0)), 1.0)
+        self.avg_qlen_per_queue = avg_qlen_bytes / np.maximum(n_queues, 1.0)
 
 
 class StateBuilder:
@@ -79,42 +118,76 @@ class StateBuilder:
                              ecn_threshold=ecn, incast_degree=inc,
                              flow_ratio=ratio)
 
+    def build_fleet(self, cols: TelemetryColumns, incast_degree: np.ndarray,
+                    flow_ratio: np.ndarray) -> np.ndarray:
+        """:meth:`build` for every record of ``cols`` at once: the
+        ``(records, 6)`` feature matrix, each row equal to
+        ``build(record, …).to_array()``."""
+        cfg = self.config
+        qn = max(cfg.qlen_norm_bytes, 1.0)
+        bw = np.maximum(cols.capacity_bps, 1.0)
+        out = np.zeros((len(bw), 6))
+        out[:, 0] = np.minimum(cols.qlen_bytes / qn, 1.0)
+        with np.errstate(invalid="ignore"):        # inf / inf, as above
+            out[:, 1] = np.minimum(cols.tx_rate_bps / bw, 1.0)
+            out[:, 2] = np.minimum(cols.tx_marked_rate_bps / bw, 1.0)
+        out[:, 3] = np.minimum(cols.kmax_bytes / qn, 1.0)
+        if cfg.use_incast:           # Fig. 9 ablation arms stay zero
+            out[:, 4] = np.minimum(
+                incast_degree / max(cfg.incast_norm, 1.0), 1.0)
+        if cfg.use_flow_ratio:
+            out[:, 5] = np.clip(flow_ratio, 0.0, 1.0)
+        return out
+
 
 class HistoryWindow:
-    """Fixed-length state history: s'_t = {s_{t-k+1}, ..., s_t} (Eq. 3).
+    """Fixed-length state history: s'_t = {s_{t-k+1}, ..., s_t} (Eq. 3),
+    for one switch or, with ``rows``, for a fleet at once.
 
     Until ``k`` slots have been observed the window is left-padded with
     zeros, so the observation dimension is constant (= 6k) from the very
     first decision.
     """
 
-    def __init__(self, k: int, n_features: int = 6) -> None:
+    def __init__(self, k: int, n_features: int = 6, rows: int = 1) -> None:
         if k < 1:
             raise ValueError("window length must be >= 1")
         self.k = k
         self.n_features = n_features
-        self._window: Deque[np.ndarray] = deque(maxlen=k)
+        #: one shift register per row, oldest slot first
+        self._buf = np.zeros((rows, k * n_features))
+        self._pushed = np.zeros(rows, dtype=np.int64)
 
-    def push(self, features: StateFeatures | np.ndarray) -> None:
+    def push(self, features: StateFeatures | np.ndarray,
+             rows: slice | np.ndarray = slice(None)) -> None:
+        """Append one slot to ``rows`` (default all): a feature vector, or
+        a matrix with one row each."""
         arr = features.to_array() if isinstance(features, StateFeatures) \
             else np.asarray(features, dtype=np.float64)
-        if arr.shape != (self.n_features,):
+        if arr.shape[-1:] != (self.n_features,):
             raise ValueError(f"expected {self.n_features} features, "
                              f"got shape {arr.shape}")
-        self._window.append(arr)
+        n = self.n_features
+        self._buf[rows, :-n] = self._buf[rows, n:]
+        self._buf[rows, -n:] = arr
+        self._pushed[rows] += 1
 
-    def observation(self) -> np.ndarray:
-        """Concatenated window, oldest first, zero-padded when young."""
-        pad = self.k - len(self._window)
-        parts = [np.zeros(self.n_features)] * pad + list(self._window)
-        return np.concatenate(parts)
+    def observation(self, rows: slice | np.ndarray | None = None
+                    ) -> np.ndarray:
+        """Concatenated window, oldest first, zero-padded when young: a
+        fresh vector for a one-row window, one row per ``rows`` else."""
+        if rows is None and len(self._buf) == 1:
+            return self._buf[0].copy()
+        return self._buf[slice(None) if rows is None else rows].copy()
 
     @property
     def obs_dim(self) -> int:
         return self.k * self.n_features
 
     def __len__(self) -> int:
-        return len(self._window)
+        """Slots held by the (first) row."""
+        return min(int(self._pushed[0]), self.k)
 
     def clear(self) -> None:
-        self._window.clear()
+        self._buf[:] = 0.0
+        self._pushed[:] = 0

@@ -29,7 +29,7 @@ per-agent loop.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -132,19 +132,18 @@ class StackedAgents:
     """Batched act/values over an :class:`IPPOTrainer`'s agents.
 
     The stack covers every agent in trainer order; calls taking a subset
-    of agents zero-fill the missing rows (stacked GEMMs are per-slice,
-    so absent rows never affect present ones) and sample only the
-    requested agents, replaying each agent's private RNG in exactly the
-    per-agent call order.
+    of agents leave the other rows as they were (stacked GEMMs are
+    per-slice, so absent rows never affect present ones) and sample only
+    the requested agents, replaying each agent's private RNG in exactly
+    the per-agent call order.
     """
 
     def __init__(self, agents: Mapping[Hashable, "PPOAgent"]) -> None:  # noqa: F821
         self.ids: List[Hashable] = list(agents.keys())
         self.row: Dict[Hashable, int] = {aid: i for i, aid in enumerate(self.ids)}
-        agent_list = list(agents.values())
-        self.agents = agents
-        self.actor = StackedMLPs([a.actor for a in agent_list])
-        self.critic = StackedMLPs([a.critic for a in agent_list])
+        self._agents = list(agents.values())
+        self.actor = StackedMLPs([a.actor for a in self._agents])
+        self.critic = StackedMLPs([a.critic for a in self._agents])
         self._obs_buf = np.zeros((len(self.ids), self.actor.in_dim))
 
     def _gather_obs(self, observations: Mapping[Hashable, np.ndarray]) -> np.ndarray:
@@ -153,45 +152,51 @@ class StackedAgents:
             buf[self.row[aid]] = obs
         return buf
 
-    def act(self, observations: Mapping[Hashable, np.ndarray], *,
-            epsilon: float = 0.0, greedy: bool = False,
-            epsilons: Optional[Mapping[Hashable, float]] = None
-            ) -> Dict[Hashable, Dict[str, float]]:
+    def act(self, observations: np.ndarray, rows: Optional[np.ndarray],
+            epsilons: Optional[Sequence[float]], greedy: bool
+            ) -> Dict[str, np.ndarray]:
         """Batched equivalent of the per-agent ``PPOAgent.act`` loop.
 
-        Returns the same ``{aid: {action, log_prob, value}}`` mapping,
-        bit-identical per agent (same logits → same probabilities, and
-        each agent's own generator is consumed in the same sequence as
-        the serial path).
+        ``observations[j]`` belongs to agent ``rows[j]`` (every agent, in
+        trainer order, when ``rows`` is None) and is explored with
+        ``epsilons[j]``.  Returns the ``action`` / ``log_prob`` /
+        ``value`` columns, bit-identical per agent (same logits → same
+        probabilities, and each agent's own generator is consumed in the
+        same sequence as the serial path); a greedy call touches no
+        generator and runs no per-agent Python at all.
         """
-        x = self._gather_obs(observations)
-        logits = self.actor.forward(x)          # (A, n_actions)
-        vals = self.critic.forward(x)           # (A, 1)
-        probs = _softmax_rows(logits)
-        out: Dict[Hashable, Dict[str, float]] = {}
-        row = self.row
-        agents = self.agents
-        for aid in observations:
-            i = row[aid]
-            eps = epsilon if epsilons is None else epsilons.get(aid, epsilon)
-            p = probs[i]
-            rng = agents[aid].policy.rng
-            if greedy:
-                a = int(np.argmax(p))
-            elif eps > 0.0 and rng.random() < eps:
-                a = int(rng.integers(p.shape[0]))
-            else:
-                # Inlined ``rng.choice(n, p=p)``: numpy's implementation
-                # normalizes the cumsum, draws one uniform, and
-                # right-searchsorts it — replicated verbatim (same single
-                # RNG draw, same floats), minus its per-call validation.
-                cdf = p.cumsum()
-                cdf /= cdf[-1]
-                a = int(cdf.searchsorted(rng.random(), side="right"))
-            logp = float(np.log(max(p[a], 1e-12)))
-            out[aid] = {"action": a, "log_prob": logp,
-                        "value": float(vals[i, 0])}
-        return out
+        x = observations
+        if rows is not None:
+            x = self._obs_buf
+            x[rows] = observations
+        probs = _softmax_rows(self.actor.forward(x))   # (A, n_actions)
+        vals = self.critic.forward(x)[:, 0]
+        if rows is not None:
+            probs, vals = probs[rows], vals[rows]
+        if greedy:
+            actions = probs.argmax(axis=1)
+        else:
+            agents = (self._agents if rows is None
+                      else [self._agents[i] for i in rows.tolist()])
+            eps_of = epsilons if epsilons is not None else [0.0] * len(agents)
+            actions = np.empty(len(agents), dtype=np.int64)
+            for j, (agent, eps, p) in enumerate(zip(agents, eps_of, probs)):
+                rng = agent.policy.rng
+                if eps > 0.0 and rng.random() < eps:
+                    actions[j] = rng.integers(p.shape[0])
+                else:
+                    # Inlined ``rng.choice(n, p=p)``: numpy's implementation
+                    # normalizes the cumsum, draws one uniform, and
+                    # right-searchsorts it — replicated verbatim (same
+                    # single RNG draw, same floats), minus its per-call
+                    # validation.
+                    cdf = p.cumsum()
+                    cdf /= cdf[-1]
+                    actions[j] = cdf.searchsorted(rng.random(), side="right")
+        chosen = probs[np.arange(len(actions)), actions]
+        return {"action": actions,
+                "log_prob": np.log(np.maximum(chosen, 1e-12)),
+                "value": vals}
 
     def values(self, observations: Mapping[Hashable, np.ndarray]
                ) -> Dict[Hashable, float]:

@@ -23,9 +23,7 @@ import numpy as np
 
 from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
-from repro.core.ncm import NetworkConditionMonitor
-from repro.core.reward import RewardComputer
-from repro.core.state import HistoryWindow, StateBuilder
+from repro.core.observer import FleetObserver
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -60,12 +58,10 @@ class DCNEnv:
             from repro.devtools import sanitize as _sanitize
             _sanitize.enable()
         self.codec = ActionCodec.from_config(cfg.pet)
-        self.state_builder = StateBuilder(cfg.pet)
-        self.reward = RewardComputer(cfg.pet)
         self.net = None
         self.agent_switch = cfg.agent_switch
-        self.history = HistoryWindow(cfg.pet.history_k)
-        self.ncm: Optional[NetworkConditionMonitor] = None
+        #: NCM → state → history → reward of the one tuned switch
+        self.observer: Optional[FleetObserver] = None
         self._t = 0
         self._episode = 0
 
@@ -76,7 +72,7 @@ class DCNEnv:
 
     @property
     def obs_dim(self) -> int:
-        return self.history.obs_dim
+        return self.config.pet.history_k * self.config.pet.n_state_features
 
     # -- construction ----------------------------------------------------------
     def _default_factory(self):
@@ -97,16 +93,11 @@ class DCNEnv:
         self._episode += 1
         if self.agent_switch is None:
             self.agent_switch = self.net.switch_names()[0]
-        self.ncm = NetworkConditionMonitor(self.agent_switch, self.config.pet)
-        self.history.clear()
+        self.observer = FleetObserver([self.agent_switch], self.config.pet)
         self._t = 0
         # prime the first observation with one idle interval
         self.net.advance(self.config.pet.delta_t)
-        stats = self.net.queue_stats()[self.agent_switch]
-        analysis = self.ncm.ingest(stats, self.net.now)
-        self.history.push(self.state_builder.build(
-            stats, analysis.incast_degree, analysis.flow_ratio))
-        return self.history.observation()
+        return self.observer.observe(self.net.queue_stats()).obs[0]
 
     def step(self, action: int) -> Tuple[np.ndarray, float, bool, Dict]:
         if self.net is None:
@@ -120,11 +111,8 @@ class DCNEnv:
         self.net.advance(self.config.pet.delta_t)
         stats_all = self.net.queue_stats()
         stats = stats_all[self.agent_switch]
-        analysis = self.ncm.ingest(stats, self.net.now)
-        self.history.push(self.state_builder.build(
-            stats, analysis.incast_degree, analysis.flow_ratio))
-        obs = self.history.observation()
-        reward = self.reward.compute(stats)
+        seen = self.observer.observe(stats_all)
+        obs, reward = seen.obs[0], float(seen.reward[0])
         self._t += 1
         # The only episode end is the time horizon — a truncation, not a
         # termination (there is no absorbing state in ECN tuning).

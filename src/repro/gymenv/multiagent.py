@@ -13,9 +13,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.action import ActionCodec
-from repro.core.ncm import NetworkConditionMonitor
-from repro.core.reward import RewardComputer
-from repro.core.state import HistoryWindow, StateBuilder
+from repro.core.observer import FleetObserver
 from repro.gymenv.env import EnvConfig
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -32,12 +30,9 @@ class MultiAgentDCNEnv:
         self.config = config or EnvConfig()
         self._inner = DCNEnv(self.config, network_factory)
         self.codec = ActionCodec.from_config(self.config.pet)
-        self.state_builder = StateBuilder(self.config.pet)
-        self.reward = RewardComputer(self.config.pet)
         self.net = None
         self.agents: list = []
-        self.ncm: Dict[str, NetworkConditionMonitor] = {}
-        self.history: Dict[str, HistoryWindow] = {}
+        self.observer: Optional[FleetObserver] = None
         self._t = 0
 
     @property
@@ -52,24 +47,15 @@ class MultiAgentDCNEnv:
         self._inner._episode += 1
         self.net = self._inner._factory()
         self.agents = self.net.switch_names()
-        cfg = self.config.pet
-        self.ncm = {s: NetworkConditionMonitor(s, cfg) for s in self.agents}
-        self.history = {s: HistoryWindow(cfg.history_k) for s in self.agents}
+        self.observer = FleetObserver(self.agents, self.config.pet)
         self._t = 0
-        self.net.advance(cfg.delta_t)
+        self.net.advance(self.config.pet.delta_t)
         return self._observe()
 
     def _observe(self) -> Dict[str, np.ndarray]:
-        stats = self.net.queue_stats()
-        obs: Dict[str, np.ndarray] = {}
-        self._last_stats = stats
-        for s in self.agents:
-            st = stats[s]
-            analysis = self.ncm[s].ingest(st, self.net.now)
-            self.history[s].push(self.state_builder.build(
-                st, analysis.incast_degree, analysis.flow_ratio))
-            obs[s] = self.history[s].observation()
-        return obs
+        self._last_stats = self.net.queue_stats()
+        self._seen = self.observer.observe(self._last_stats)
+        return dict(zip(self._seen.switches, self._seen.obs))
 
     def step(self, actions: Dict[str, int]
              ) -> Tuple[Dict[str, np.ndarray], Dict[str, float],
@@ -82,8 +68,8 @@ class MultiAgentDCNEnv:
                 self.net.set_ecn(s, self.codec.decode(int(a)))
             self.net.advance(self.config.pet.delta_t)
             obs = self._observe()
-            rewards = {s: self.reward.compute(self._last_stats[s])
-                       for s in self.agents}
+            rewards = dict(zip(self._seen.switches,
+                               self._seen.reward.tolist()))
             self._t += 1
             # Horizon reached = time-limit truncation for every agent
             # simultaneously (no terminal states in ECN tuning).

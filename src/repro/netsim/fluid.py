@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -550,22 +549,48 @@ class FlowTableMixin:
 
 class _ObsSnapshot:
     """Collection-time copy of what the per-flow observations are made
-    of — the active flows' ids, bytes seen and queue paths, in flow-table
-    order — expanded into the per-switch ``{fid: FlowObservation}`` dicts
-    once, when the first consumer reads one.  Holding copies makes the
-    expansion immune to whatever happens to the flow slots afterwards.
+    of — the active flows' ids, bytes seen, endpoints and queue paths, in
+    flow-table order.  Array consumers read :meth:`rows`; the per-switch
+    ``{fid: FlowObservation}`` dicts are expanded once, when the first
+    consumer reads one.  Holding copies makes both immune to whatever
+    happens to the flow slots afterwards.
     """
 
     def __init__(self, fids: List[int], seen: np.ndarray, paths: np.ndarray,
-                 now: float, flow_objs: Dict[int, Flow],
-                 q_switch: List[int]) -> None:
+                 src: np.ndarray, dst: np.ndarray, now: float,
+                 flow_objs: Dict[int, Flow], q_switch: np.ndarray) -> None:
         self._fids = fids
         self._seen = seen
         self._paths = paths
+        self._src = src
+        self._dst = dst
         self._now = now
         self._flow_objs = flow_objs
         self._q_switch = q_switch
+        self._rows: Optional[Tuple[np.ndarray, ...]] = None
         self._by_switch: Optional[Dict[int, Dict[int, FlowObservation]]] = None
+
+    def rows(self) -> Tuple[np.ndarray, ...]:
+        """The observations of every switch as five int64 columns
+        ``(switch index, flow id, src host id, dst host id, bytes seen)``
+        — one row per entry of :meth:`by_switch`, each switch's rows in
+        its dict's insertion order, every row last seen at collection time.
+        Built on first call and shared by every reader of the collection."""
+        if self._rows is None:
+            on_path = self._paths >= 0
+            sw = self._q_switch[self._paths]
+            keep = on_path.copy()
+            # a flow that meets a switch twice is one entry, at its first hop
+            for hop in range(1, sw.shape[1]):
+                for earlier in range(hop):
+                    keep[:, hop] &= ~(on_path[:, earlier]
+                                      & (sw[:, earlier] == sw[:, hop]))
+            flow, at_hop = keep.nonzero()
+            seen = np.where(self._seen > 1.0, self._seen, 1.0).astype(np.int64)
+            self._rows = (sw[flow, at_hop],
+                          np.array(self._fids, dtype=np.int64)[flow],
+                          self._src[flow], self._dst[flow], seen[flow])
+        return self._rows
 
     def by_switch(self) -> Dict[int, Dict[int, FlowObservation]]:
         """The observations grouped by every switch on the flow's path —
@@ -575,7 +600,7 @@ class _ObsSnapshot:
         subtract's bytes, and flows and hops are visited in its order."""
         if self._by_switch is None:
             out: Dict[int, Dict[int, FlowObservation]] = {}
-            qsw = self._q_switch
+            qsw = self._q_switch.tolist()
             flow_objs = self._flow_objs
             now = self._now
             for fid, seen, path in zip(self._fids, self._seen.tolist(),
@@ -615,7 +640,6 @@ class SwitchStatsMixin:
     _names_cache: Optional[List[str]] = None
     _sw_q_idx: Optional[List[np.ndarray]] = None
     _sw_classes: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-    _q_switch_list: Optional[List[int]] = None
     #: bytes dropped in the intervals already collected
     _dropped_bytes = 0.0
 
@@ -716,26 +740,26 @@ class SwitchStatsMixin:
             [int(d // 1000) if d else 0 for d in drops], cap,
             map(self._ecn_by_switch.__getitem__, range(len(names))),
             map(len, self._switch_index_cache())))
-        # per-flow observations: arrays now, dicts on first read
+        # per-flow observations: columns now, rows or dicts on first read
         snap = self._snapshot_observations()
         for s, st in enumerate(records):
-            st.defer_flow_obs(partial(snap.of_switch, s))
+            st.defer_flow_obs(snap, s)
         return dict(zip(names, records))
 
     def _active_flow_columns(self) -> Tuple[List[int], np.ndarray,
+                                            np.ndarray, np.ndarray,
                                             np.ndarray]:
-        """Ids, bytes seen and queue paths of the active flows, copied out
-        of the flow table in slot order."""
+        """Ids, bytes seen, queue paths and src/dst host ids of the active
+        flows, copied out of the flow table in slot order."""
         act = self.f_active[:self._n_flows].nonzero()[0]
         idx_to_fid = self._idx_to_fid
         return ([idx_to_fid[i] for i in act.tolist()],
-                self.f_size[act] - self.f_remaining[act], self.f_path[act])
+                self.f_size[act] - self.f_remaining[act], self.f_path[act],
+                self.f_src[act], self.f_dst[act])
 
     def _snapshot_observations(self) -> _ObsSnapshot:
-        if self._q_switch_list is None:
-            self._q_switch_list = self.q_switch.tolist()
         return _ObsSnapshot(*self._active_flow_columns(), self.now,
-                            self.flow_objs, self._q_switch_list)
+                            self.flow_objs, self.q_switch)
 
     def _flow_observations(self) -> Dict[int, Dict[int, FlowObservation]]:
         """Active-flow observations grouped by every switch on their path."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,9 +49,11 @@ class QueueStats:
     (incast degree, mice/elephant ratio).
 
     A simulator may *defer* ``flow_obs`` (:meth:`defer_flow_obs`): the
-    per-flow dicts are then built the first time somebody reads the
-    attribute, and never for a consumer that does not (a static
-    controller).  :meth:`replace` copies a record without reading it.
+    record then only points at the collection's columnar snapshot, and
+    the per-flow dicts are built the first time somebody reads the
+    attribute — never for a consumer that does not (a static controller)
+    or that reads the snapshot's rows instead (:attr:`flow_source`, the
+    fleet observer).  :meth:`replace` copies a record without reading it.
     """
 
     switch: str
@@ -67,32 +69,43 @@ class QueueStats:
     n_queues: int = 1            # egress queues aggregated into this record
     flow_obs: Dict[int, FlowObservation] = field(default_factory=dict)
 
-    def defer_flow_obs(
-            self, expand: Callable[[], Dict[int, FlowObservation]]) -> None:
-        """Forget ``flow_obs``; its first read sets it to ``expand()``."""
+    def defer_flow_obs(self, snapshot: Any, index: int) -> None:
+        """Forget ``flow_obs``: it is switch ``index`` of ``snapshot``, and
+        its first read sets it to ``snapshot.of_switch(index)``."""
         del self.flow_obs
-        self._expand_flow_obs = expand
+        self._flow_source = (snapshot, index)
+
+    @property
+    def flow_source(self) -> Optional[Tuple[Any, int]]:
+        """``(snapshot, switch index)`` when the per-flow observations are
+        a slice of a collection snapshot's ``rows()``, else ``None`` (they
+        are the ``flow_obs`` dict and nothing else)."""
+        return self.__dict__.get("_flow_source")
 
     def __getattr__(self, name: str) -> Any:
         # Reached only when normal lookup fails — for ``flow_obs`` that
         # means a deferred one, and the read is the signal to build it.
-        expand = (self.__dict__.get("_expand_flow_obs")
+        source = (self.__dict__.get("_flow_source")
                   if name == "flow_obs" else None)
-        if expand is None:
+        if source is None:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.flow_obs = obs = expand()
+        self.flow_obs = obs = source[0].of_switch(source[1])
         return obs
 
     def replace(self, **changes: Any) -> "QueueStats":
         """A copy with ``changes`` applied, like ``dataclasses.replace`` —
         which reads every field and so would force a deferred
-        ``flow_obs``; this carries it across unread."""
+        ``flow_obs``; this carries it across unread, snapshot handle
+        included.  Replacing ``flow_obs`` itself drops the handle: the
+        new dict is then all there is."""
         unknown = set(changes) - {f.name for f in fields(self)}
         if unknown:
             raise TypeError(f"unknown QueueStats field(s) {sorted(unknown)}")
         out = copy.copy(self)
         out.__dict__.update(changes)
+        if "flow_obs" in changes:
+            out.__dict__.pop("_flow_source", None)
         return out
 
     @property

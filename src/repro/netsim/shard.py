@@ -713,13 +713,15 @@ class ShardedFluidNetwork(SwitchStatsMixin):
 
     # ------------------------------------------------------------ stats
     def _active_flow_columns(self) -> Tuple[List[int], np.ndarray,
+                                            np.ndarray, np.ndarray,
                                             np.ndarray]:
-        """Ids, bytes seen and queue paths of the active flows, copied
-        out in (owner pod, local slot) order — the canonical order every
-        fingerprint and shard count agrees on."""
+        """Ids, bytes seen, queue paths and src/dst host ids of the active
+        flows, copied out in (owner pod, local slot) order — the canonical
+        order every fingerprint and shard count agrees on."""
         at = self._active_slots()
         return (self._fids_at(*at),
-                self._f_size[at] - self._f_remaining[at], self._f_path[at])
+                self._f_size[at] - self._f_remaining[at], self._f_path[at],
+                self._f_src[at], self._f_dst[at])
 
     # ------------------------------------------------------------ failures
     def _apply_link_state(self) -> None:

@@ -16,7 +16,7 @@ per-agent updates.  Nothing in it mixes data across agents.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Hashable, Iterable, Mapping, Optional
+from typing import Any, Dict, Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +50,7 @@ class IPPOTrainer:
         for i, aid in enumerate(ids):
             seed = None if config.seed is None else config.seed + i
             self.agents[aid] = PPOAgent(replace(config, seed=seed))
+        self._row = {aid: i for i, aid in enumerate(ids)}
         # Lazily-built batched-inference stack; False means stacking was
         # attempted and failed (heterogeneous agents) -> per-agent loop.
         self._stack: object = None
@@ -75,27 +76,57 @@ class IPPOTrainer:
                 self._stack = False
         return self._stack or None
 
-    def act(self, observations: Mapping[Hashable, np.ndarray], *,
-            epsilon: float = 0.0, greedy: bool = False,
-            epsilons: Optional[Mapping[Hashable, float]] = None
-            ) -> Dict[Hashable, Dict[str, float]]:
+    def act(self, observations: Mapping[Hashable, np.ndarray] | np.ndarray,
+            *, epsilon: float = 0.0, greedy: bool = False,
+            epsilons: Any = None, rows: Optional[np.ndarray] = None) -> Dict:
         """Per-agent action selection from per-agent local observations.
 
-        ``epsilons`` optionally overrides ``epsilon`` per agent (the PET
-        controller runs one exploration schedule per switch).  With
-        ``config.fastpath`` the per-agent MLP forwards collapse into one
-        stacked batched forward — bit-identical per agent, including
+        Two shapes of call, one implementation.  A mapping ``{agent id:
+        observation}`` returns ``{agent id: {action, log_prob, value}}``;
+        ``epsilons`` optionally overrides ``epsilon`` per agent id (the
+        PET controller runs one exploration schedule per switch).  A
+        matrix whose row ``j`` is the observation of agent number
+        ``rows[j]`` in trainer order (every agent when ``rows`` is None)
+        takes ``epsilons`` as a sequence aligned with it and returns the
+        three columns as arrays — the form the fleet observer feeds.
+
+        With ``config.fastpath`` the per-agent MLP forwards collapse into
+        one stacked batched forward — bit-identical per agent, including
         each agent's private sampling stream.
         """
+        if isinstance(observations, np.ndarray):
+            if epsilons is None and epsilon:
+                epsilons = [epsilon] * len(observations)
+            return self._act_rows(observations, rows, epsilons, greedy)
+        ids = list(observations)
+        if not ids:
+            return {}
+        eps = [epsilon if epsilons is None else epsilons.get(aid, epsilon)
+               for aid in ids]
+        cols = self._act_rows(
+            np.array([observations[aid] for aid in ids], dtype=np.float64),
+            np.array([self._row[aid] for aid in ids]), eps, greedy)
+        return {aid: {"action": a, "log_prob": lp, "value": v}
+                for aid, a, lp, v in zip(ids, cols["action"].tolist(),
+                                         cols["log_prob"].tolist(),
+                                         cols["value"].tolist())}
+
+    def _act_rows(self, observations: np.ndarray, rows: Optional[np.ndarray],
+                  epsilons: Optional[Sequence[float]], greedy: bool
+                  ) -> Dict[str, np.ndarray]:
         stack = self._stacked()
         if stack is not None:
-            return stack.act(observations, epsilon=epsilon, greedy=greedy,
-                             epsilons=epsilons)
-        out = {}
-        for aid, obs in observations.items():
-            eps = epsilon if epsilons is None else epsilons.get(aid, epsilon)
-            out[aid] = self.agents[aid].act(obs, epsilon=eps, greedy=greedy)
-        return out
+            return stack.act(observations, rows, epsilons, greedy)
+        agents = list(self.agents.values())
+        if rows is not None:
+            agents = [agents[i] for i in rows.tolist()]
+        eps_of = epsilons if epsilons is not None else [0.0] * len(agents)
+        decisions = [agent.act(obs, epsilon=eps, greedy=greedy)
+                     for agent, obs, eps in zip(agents, observations, eps_of)]
+        return {"action": np.array([d["action"] for d in decisions],
+                                   dtype=np.int64),
+                "log_prob": np.array([d["log_prob"] for d in decisions]),
+                "value": np.array([d["value"] for d in decisions])}
 
     def values(self, observations: Mapping[Hashable, np.ndarray]
                ) -> Dict[Hashable, float]:

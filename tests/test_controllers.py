@@ -120,11 +120,9 @@ class TestPETController:
         net.advance(1e-3)
         stats = net.queue_stats()
         pet.decide(stats, net.now, net)
-        s = net.switch_names()[0]
-        obs = pet.history[s].observation()
-        # features 4 and 5 of the newest slot must be masked to zero
-        newest = obs[-6:]
-        assert newest[4] == 0.0 and newest[5] == 0.0
+        # features 4 and 5 of every switch's newest slot are masked to zero
+        newest = pet.observer.history.observation()[:, -6:]
+        assert not newest[:, 4:].any() and newest[:, :4].any()
 
 
 class TestStaticControllers:

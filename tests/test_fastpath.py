@@ -77,6 +77,70 @@ def test_heterogeneous_agents_fall_back_to_per_agent_loop():
     assert vals["a"] == trainer.agents["a"].value(obs["a"])
 
 
+def _random_weight_trainer(seed, fastpath=True, n_agents=5):
+    cfg = PPOConfig(obs_dim=6, n_actions=10, hidden=(16, 16), seed=seed,
+                    fastpath=fastpath)
+    trainer = IPPOTrainer([f"sw{i}" for i in range(n_agents)], cfg)
+    rng = np.random.default_rng(seed + 99)
+    for agent in trainer.agents.values():       # policies far from uniform
+        for net in (agent.actor, agent.critic):
+            for layer in net.layers:
+                if hasattr(layer, "W"):
+                    layer.W[...] = rng.normal(size=layer.W.shape)
+                    layer.b[...] = rng.normal(size=layer.b.shape)
+    return trainer
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_greedy_matrix_act_equals_per_agent_act(seed):
+    """The array-native greedy act — one argmax, one log, no per-agent
+    Python — returns each agent's own ``PPOAgent.act(greedy=True)``, and
+    touches nobody's generator."""
+    trainer = _random_weight_trainer(seed)
+    ids = trainer.agent_ids
+    obs = np.random.default_rng(seed).normal(size=(len(ids), 6))
+    rng_states = [a.policy.rng.bit_generator.state
+                  for a in trainer.agents.values()]
+    want = [trainer.agents[aid].act(o, greedy=True) for aid, o in zip(ids, obs)]
+    assert len({w["action"] for w in want}) > 1
+    cols = trainer.act(obs, greedy=True)
+    assert trainer.stacking_status()["stacked"]
+    for name in ("action", "log_prob", "value"):
+        assert cols[name].tolist() == [w[name] for w in want]
+    # a subset, in any order, addressed by trainer row
+    rows = np.array([3, 1])
+    sub = trainer.act(obs[rows], rows=rows, greedy=True)
+    for name in ("action", "log_prob", "value"):
+        assert sub[name].tolist() == [want[3][name], want[1][name]]
+    # the mapping form is the same computation
+    as_dicts = trainer.act(dict(zip(ids, obs)), greedy=True)
+    assert [as_dicts[aid] for aid in ids] == want
+    assert [a.policy.rng.bit_generator.state
+            for a in trainer.agents.values()] == rng_states
+
+
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_sampling_matrix_act_equals_mapping_act(fastpath):
+    """Same private generators, same draw order, whichever way the
+    observations arrive — stacked or per-agent loop."""
+    by_matrix = _random_weight_trainer(3, fastpath)
+    by_mapping = _random_weight_trainer(3, fastpath)
+    ids = by_matrix.agent_ids
+    obs_rng = np.random.default_rng(8)
+    for step in range(20):
+        obs = obs_rng.normal(size=(len(ids), 6))
+        eps = [0.5 if (step + i) % 2 else 0.0 for i in range(len(ids))]
+        rows = np.array([4, 0, 2]) if step % 3 == 0 else None
+        take = slice(None) if rows is None else rows
+        cols = by_matrix.act(obs[take], rows=rows,
+                             epsilons=list(np.array(eps)[take]))
+        chosen = ids if rows is None else [ids[i] for i in rows]
+        dicts = by_mapping.act({aid: obs[ids.index(aid)] for aid in chosen},
+                               epsilons=dict(zip(ids, eps)))
+        for j, aid in enumerate(chosen):
+            assert {k: v[j] for k, v in cols.items()} == dicts[aid]
+
+
 # ------------------------------------------------------------ vectorized GAE
 @given(seed=st.integers(0, 2**16), t=st.integers(1, 40))
 @settings(max_examples=40, deadline=None)

@@ -91,7 +91,7 @@ class TestTrainedPETBehaviour:
         # greedy decision on the final observation
         leaf_kmax = []
         for s in ("leaf0", "leaf1"):
-            obs = pet.history[s].observation()
+            obs = pet.observer.history.observation()[pet.switches.index(s)]
             d = pet.trainer.agents[s].act(obs, greedy=True)
             leaf_kmax.append(pet.codec.decode(d["action"]).kmax_bytes)
         assert min(leaf_kmax) <= 1_280_000, \

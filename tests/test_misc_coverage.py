@@ -174,7 +174,8 @@ class TestPETControllerMisc:
         assert pet._pending
         pet.reset_episode()
         assert not pet._pending
-        assert all(len(w) == 0 for w in pet.history.values())
+        assert not pet.observer.history.observation().any()
+        assert not pet.observer.ncm.retained_slots().any()
 
     def test_decide_tolerates_missing_switch_stats(self):
         pet = PETController(["leaf0", "leaf1"], PETConfig(seed=0))
