@@ -69,8 +69,8 @@ def run_sweep_report(spec: SweepSpec, base: Optional[ScenarioConfig] = None, *,
     """Run the grid through the rollout engine; returns the full report.
 
     The report carries per-task wall times and structured failures on
-    top of the cell values — ``python -m repro bench`` uses it for the
-    per-stage breakdown.  Task ids follow :meth:`SweepSpec.cells` order.
+    top of the cell values.  Task ids follow :meth:`SweepSpec.cells`
+    order.
     """
     base = base or ScenarioConfig()
     eng = engine if engine is not None else Engine(workers=workers)

@@ -19,17 +19,9 @@ Chaos/robustness benchmark (fault injection + resilience guard)::
 
     python -m repro chaos --quick --seed 0
 
-Fan the scheme comparison across worker processes, and benchmark the
-parallel rollout engine itself (docs/PARALLEL.md)::
+Fan the scheme comparison across worker processes (docs/PARALLEL.md)::
 
     python -m repro --scheme pet secn1 secn2 --workers 3
-    python -m repro bench --quick --workers 2
-
-Benchmark the fastpath (batched inference / vectorized RL math /
-simulator hot paths) against the reference implementations
-(docs/PERFORMANCE.md)::
-
-    python -m repro bench --hotpath --quick
 
 Run one scenario under full telemetry and emit a JSONL trace plus a
 metrics summary (docs/OBSERVABILITY.md)::
@@ -123,13 +115,6 @@ def _dispatch(argv: List[str]) -> int:
     if argv and argv[0] == "chaos":
         from repro.resilience.cli import chaos_main
         return chaos_main(argv[1:])
-    if argv and argv[0] == "bench":
-        rest = argv[1:]
-        if "--hotpath" in rest:
-            from repro.fastpath.bench import hotpath_main
-            return hotpath_main([a for a in rest if a != "--hotpath"])
-        from repro.parallel.perfbench import bench_main
-        return bench_main(rest)
     if argv and argv[0] == "trace":
         from repro.obs.cli import trace_main
         return trace_main(argv[1:])

@@ -74,14 +74,6 @@ class PETConfig:
     #: constructed; also enabled globally by the ``PET_SANITIZE`` env var.
     sanitize: bool = False
 
-    # ---- fastpath ---------------------------------------------------------
-    #: use the batched/vectorized hot-path implementations
-    #: (:mod:`repro.fastpath`): batched cross-agent inference, vectorized
-    #: GAE, fused optimizer steps.  Bit-identical to the reference loops,
-    #: which remain available with ``fastpath=False`` for differential
-    #: testing (see docs/PERFORMANCE.md).
-    fastpath: bool = True
-
     def __post_init__(self) -> None:
         if self.alpha_kb <= 0:
             raise ValueError("alpha must be positive")

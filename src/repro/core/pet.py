@@ -63,8 +63,7 @@ class PETController:
                             entropy_coef=cfg.entropy_coef,
                             epochs=cfg.ppo_epochs,
                             minibatch_size=cfg.minibatch_size,
-                            seed=cfg.seed,
-                            fastpath=getattr(cfg, "fastpath", True))
+                            seed=cfg.seed)
         self.trainer = IPPOTrainer(self.switches, ppo_cfg)
         self.exploration: Dict[str, ExplorationSchedule] = {
             s: ExplorationSchedule(cfg.explore_eps0, cfg.decay_rate,

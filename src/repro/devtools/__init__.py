@@ -12,11 +12,10 @@ good as the harness's determinism and unit discipline):
   ``python -m repro.devtools.lint src/``).
 - :mod:`repro.devtools.analyze` — a whole-program dataflow analyzer
   (``PET101``..``PET105``): RNG seed provenance, Engine
-  process-boundary safety, fastpath/reference dual-path parity,
-  iteration-order determinism on merge/export paths, zero-overhead
-  telemetry discipline.  Run it with ``python -m repro devtools
-  analyze``; CI gates on *new* findings against the checked-in
-  ``ANALYZE_BASELINE.json``.
+  process-boundary safety, iteration-order determinism on
+  merge/export paths, zero-overhead telemetry discipline.  Run it with
+  ``python -m repro devtools analyze``; CI gates on *new* findings
+  against the checked-in ``ANALYZE_BASELINE.json``.
 - :mod:`repro.devtools.sanitize` — a runtime :class:`SimSanitizer`
   that instruments the event engine, queues, markers, and switches to
   check invariants on every event (monotonic virtual time, queue

@@ -18,9 +18,6 @@ PET102    process-boundary safety — callables submitted to the rollout
           closure-free, and code reachable from a task body must not
           capture module-global mutable state or spawn new closures
           into program functions (pickling + determinism hazard).
-PET103    dual-path parity — every ``fastpath``-gated branch must keep
-          a reachable reference twin, and some test must exercise the
-          gated code with ``fastpath=False``.
 PET104    iteration-order nondeterminism — dict/set iteration inside
           functions reachable from Engine merge, fingerprint, or obs
           export paths must be order-stabilized (``sorted(...)``).

@@ -1,4 +1,4 @@
-"""Interprocedural dataflow rules PET101–PET105.
+"""Interprocedural dataflow rules PET101, PET102, PET104 and PET105.
 
 Each rule is a function ``(Program, _Context) -> List[Finding]`` working
 over the linked model from :mod:`repro.devtools.analyze.model`.  The
@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.analyze.model import (CallSite, FunctionInfo, ModuleInfo,
                                           Program, build_program,
-                                          iter_py_files, resolve_dotted)
+                                          resolve_dotted)
 from repro.devtools.analyze.report import Finding
 from repro.devtools.lint import _suppressed_rules
 
@@ -29,8 +29,6 @@ RULES: Dict[str, str] = {
               "or training code (seed it or derive via parallel.seeding)",
     "PET102": "process-boundary safety: Engine task path uses a closure, "
               "nested/bound callable, or module-global mutable state",
-    "PET103": "dual-path parity: fastpath-gated branch lost its reference "
-              "twin or has no fastpath=False test coverage",
     "PET104": "iteration-order nondeterminism: unsorted dict/set iteration "
               "on a merge/fingerprint/export path",
     "PET105": "zero-overhead telemetry: eager computation in obs arguments "
@@ -64,7 +62,6 @@ def _sim_scoped(module: ModuleInfo) -> bool:
 class _Context:
     """Shared analysis state handed to every rule."""
 
-    tests: List[Path] = field(default_factory=list)
     select: Optional[Set[str]] = None
     #: interprocedural RNG provenance of (function qualname, param name).
     param_prov: Dict[Tuple[str, str], str] = field(default_factory=dict)
@@ -496,176 +493,6 @@ def _assigned_names(fn_node: ast.AST) -> Set[str]:
 
 
 # =========================================================================
-# PET103 — dual-path parity
-# =========================================================================
-
-def _is_fastpath_expr(expr: ast.expr, flag_locals: Set[str]) -> bool:
-    if isinstance(expr, ast.Name):
-        return expr.id == "fastpath" or expr.id in flag_locals
-    if isinstance(expr, ast.Attribute):
-        return expr.attr == "fastpath"
-    if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Not):
-        return _is_fastpath_expr(expr.operand, flag_locals)
-    if isinstance(expr, ast.BoolOp):
-        return any(_is_fastpath_expr(v, flag_locals) for v in expr.values)
-    if isinstance(expr, ast.Call):
-        dotted = expr.func
-        name = dotted.id if isinstance(dotted, ast.Name) else (
-            dotted.attr if isinstance(dotted, ast.Attribute) else "")
-        if name in ("bool", "getattr"):
-            return any(_is_fastpath_expr(a, flag_locals) for a in expr.args
-                       if not isinstance(a, ast.Constant)) or any(
-                isinstance(a, ast.Constant) and a.value == "fastpath"
-                for a in expr.args)
-    return False
-
-
-def _fastpath_locals(fn: FunctionInfo) -> Set[str]:
-    """Locals assigned from a fastpath-flag expression."""
-    out: Set[str] = set()
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and _is_fastpath_expr(node.value, out):
-            out.add(node.targets[0].id)
-    return out
-
-
-@dataclass
-class _TestIndex:
-    """What the tests/ tree exercises, per file."""
-
-    names: Set[str] = field(default_factory=set)       # referenced identifiers
-    modules: Set[str] = field(default_factory=set)     # imported repro modules
-    has_reference_leg: bool = False                    # fastpath=False seen
-
-
-def _index_tests(paths: Sequence[Path]) -> List[_TestIndex]:
-    out: List[_TestIndex] = []
-    for f in iter_py_files([str(p) for p in paths]):
-        try:
-            tree = ast.parse(f.read_text(encoding="utf-8"), filename=str(f))
-        except SyntaxError:
-            continue
-        idx = _TestIndex()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                idx.names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                idx.names.add(node.attr)
-            elif isinstance(node, ast.Import):
-                idx.modules.update(a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                if node.module:
-                    idx.modules.add(node.module)
-                    for a in node.names:
-                        idx.names.add(a.name)
-            elif isinstance(node, ast.keyword) and node.arg == "fastpath":
-                if isinstance(node.value, ast.Constant) \
-                        and node.value.value is False:
-                    idx.has_reference_leg = True
-                elif isinstance(node.value, ast.Name):
-                    idx.has_reference_leg = True   # parametrized variable
-            elif isinstance(node, ast.Assign):
-                for t in node.targets:
-                    if isinstance(t, ast.Attribute) and t.attr == "fastpath" \
-                            and isinstance(node.value, ast.Constant) \
-                            and node.value.value is False:
-                        idx.has_reference_leg = True
-        out.append(idx)
-    return out
-
-
-def _twin_missing(module: ModuleInfo, gate: ast.AST,
-                  fn: FunctionInfo, program: Program,
-                  flag_locals: Set[str]) -> Optional[str]:
-    """Reason string when the reference twin is missing, else None."""
-    if isinstance(gate, ast.IfExp):
-        for leg, label in ((gate.body, "fastpath"), (gate.orelse,
-                                                     "reference")):
-            if isinstance(leg, ast.Attribute) and isinstance(
-                    leg.value, ast.Name) and leg.value.id == "self" \
-                    and fn.cls is not None:
-                cls = module.classes.get(fn.cls)
-                if cls is not None and program.method_in_class(
-                        cls, leg.attr) is None:
-                    return (f"{label} leg `self.{leg.attr}` does not "
-                            "resolve to any method")
-        return None
-    assert isinstance(gate, ast.If)
-    test_negated = isinstance(gate.test, ast.UnaryOp) \
-        and isinstance(gate.test.op, ast.Not)
-    ref_body = gate.body if test_negated else gate.orelse
-    if ref_body and all(isinstance(s, ast.Raise) for s in ref_body):
-        return "reference twin only raises"
-    if ref_body:
-        return None
-    if test_negated:       # `if not fastpath: <ref>` — ref is the body
-        return None
-    # `if fastpath: <fast>` with no else: acceptable only when the
-    # reference path continues after the gate (conditional setup or an
-    # early return into shared code).
-    parent = module.parent_of(gate)
-    for attr in ("body", "orelse", "finalbody"):
-        seq = getattr(parent, attr, None)
-        if isinstance(seq, list) and gate in seq:
-            rest = seq[seq.index(gate) + 1:]
-            if rest and all(isinstance(s, ast.Raise) for s in rest):
-                return "reference twin only raises"
-            if rest:
-                return None
-            break
-    return "gate has no else-branch and no code follows it"
-
-
-def rule_pet103(program: Program, ctx: _Context) -> List[Finding]:
-    findings: List[Finding] = []
-    tests = _index_tests(ctx.tests) if ctx.tests else []
-    gated: Dict[str, List[Tuple[FunctionInfo, ast.AST]]] = {}
-
-    for fn in program.functions.values():
-        flag_locals = _fastpath_locals(fn)
-        for node in ast.walk(fn.node):
-            gate = None
-            if isinstance(node, ast.If) and _is_fastpath_expr(
-                    node.test, flag_locals):
-                gate = node
-            elif isinstance(node, ast.IfExp) and _is_fastpath_expr(
-                    node.test, flag_locals):
-                gate = node
-            if gate is None:
-                continue
-            owner = program.function_at(fn.module, gate)
-            if owner is not fn:
-                continue
-            reason = _twin_missing(fn.module, gate, fn, program, flag_locals)
-            if reason is not None:
-                findings.append(_finding(
-                    "PET103", fn.module, gate, fn.qualname,
-                    f"fastpath gate without a reachable reference twin: "
-                    f"{reason}"))
-            gated.setdefault(fn.qualname, []).append((fn, gate))
-
-    if tests:
-        for qual, sites in sorted(gated.items()):
-            fn, gate = sites[0]
-            subjects = {fn.name}
-            if fn.cls:
-                subjects.add(fn.cls)
-            covered = any(
-                idx.has_reference_leg and (
-                    subjects & idx.names
-                    or fn.module.modname in idx.modules)
-                for idx in tests)
-            if not covered:
-                findings.append(_finding(
-                    "PET103", fn.module, gate, qual,
-                    f"no test exercises `{qual}` with fastpath=False — "
-                    "the reference twin is untested"))
-    return findings
-
-
-# =========================================================================
 # PET104 — iteration-order nondeterminism
 # =========================================================================
 
@@ -883,7 +710,6 @@ def rule_pet105(program: Program, ctx: _Context) -> List[Finding]:
 _ALL_RULES = {
     "PET101": rule_pet101,
     "PET102": rule_pet102,
-    "PET103": rule_pet103,
     "PET104": rule_pet104,
     "PET105": rule_pet105,
 }
@@ -905,11 +731,10 @@ def _noqa_filtered(program: Program,
 
 
 def analyze_program(program: Program, *,
-                    tests: Optional[Sequence[str]] = None,
                     select: Optional[Iterable[str]] = None) -> List[Finding]:
     """Run the PET100 rules over a built :class:`Program`."""
     sel = {s.upper() for s in select} if select is not None else None
-    ctx = _Context(tests=[Path(t) for t in (tests or [])], select=sel)
+    ctx = _Context(select=sel)
     findings: List[Finding] = []
     for rule_id, rule_fn in _ALL_RULES.items():
         if sel is not None and rule_id not in sel:
@@ -920,8 +745,7 @@ def analyze_program(program: Program, *,
 
 
 def analyze_paths(paths: Sequence[str], *,
-                  tests: Optional[Sequence[str]] = None,
                   select: Optional[Iterable[str]] = None) -> List[Finding]:
     """Build the program model for ``paths`` and analyze it."""
     program = build_program(paths)
-    return analyze_program(program, tests=tests, select=select)
+    return analyze_program(program, select=select)

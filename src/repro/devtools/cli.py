@@ -66,9 +66,6 @@ def build_devtools_parser() -> argparse.ArgumentParser:
     an_p = sub.add_parser(
         "analyze", help="whole-program dataflow analyzer (PET101-PET105)")
     common(an_p, ["src"])
-    an_p.add_argument("--tests", default="tests",
-                      help="tests tree for PET103 coverage cross-reference "
-                           "(default: tests; skipped when missing)")
     an_p.add_argument("--baseline", default=None,
                       help="baseline file of accepted findings "
                            f"(default: {DEFAULT_BASELINE} when it exists)")
@@ -151,9 +148,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
         return 0
     select = _parse_select(args.select, RULES100)
     _check_paths(args.paths)
-    tests = [args.tests] if args.tests and Path(args.tests).exists() else None
     try:
-        findings = analyze_paths(args.paths, tests=tests, select=select)
+        findings = analyze_paths(args.paths, select=select)
     except SyntaxError as exc:
         print(f"{exc.filename}:{exc.lineno}: parse error: {exc.msg}",
               file=sys.stderr)

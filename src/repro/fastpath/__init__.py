@@ -7,13 +7,12 @@ stacks the per-agent MLP weights into 3-D tensors and replaces the
 per-agent Python loops in :class:`repro.rl.ippo.IPPOTrainer` with a
 single batched forward per tick.
 
-Every fastpath is **bit-identical** to the reference loop it replaces
-(proved by fingerprint verification in ``python -m repro bench
---hotpath`` and the differential tests in ``tests/test_fastpath.py``);
-the reference implementations remain available behind
-``PETConfig.fastpath=False`` / ``PPOConfig.fastpath=False``.
+The stacked forward is **bit-identical** per agent to the per-agent
+loop, which :class:`~repro.rl.ippo.IPPOTrainer` still runs for agents
+that do not stack (``tests/test_fastpath.py`` compares the two).
 
-See ``docs/PERFORMANCE.md`` for the hot-path inventory.
+See ``docs/PERFORMANCE.md`` for the hot-path inventory and what checks
+each entry.
 """
 
 from repro.fastpath.batched import StackedAgents, StackedMLPs, stacking_error

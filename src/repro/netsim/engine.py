@@ -6,30 +6,22 @@ execute in scheduling order (deterministic runs).  Events can be
 cancelled in O(1) by flagging the handle; cancelled entries are skipped
 at pop time (lazy deletion).
 
-Two heap layouts are supported:
+The heap stores ``(time, seq, Event)`` tuples, so sift comparisons stay
+entirely in C (tuple comparison on ``(float, int)`` prefixes — ``seq``
+is unique, so the ``Event`` element is never compared).
+``tests/test_engine.py`` checks the execution order against a sorted
+``(time, seq)`` list.
 
-- **fastpath** (default): the heap stores ``(time, seq, Event)``
-  tuples.  Heap sift comparisons then stay entirely in C (tuple
-  comparison on ``(float, int)`` prefixes — ``seq`` is unique, so the
-  ``Event`` element is never compared), eliminating the per-comparison
-  ``Event.__lt__`` Python frames that dominate packet-simulation
-  profiles.  Event ordering is identical to the reference layout, which
-  keys on exactly the same ``(time, seq)`` pair.
-- **reference** (``fastpath=False``): the heap stores ``Event`` objects
-  ordered by ``Event.__lt__``, the pre-existing implementation kept for
-  differential testing (``python -m repro bench --hotpath`` proves the
-  two bit-identical).
-
-``pending()`` is O(1) in both modes via a live-event counter maintained
-at schedule/cancel/pop; the original O(n) heap scan remains as a debug
-assertion under the runtime sanitizer (:mod:`repro.devtools.sanitize`).
+``pending()`` is O(1) via a live-event counter maintained at
+schedule/cancel/pop; the O(n) heap scan remains as a debug assertion
+under the runtime sanitizer (:mod:`repro.devtools.sanitize`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Event", "Simulator"]
 
@@ -67,9 +59,6 @@ class Event:
             if sim is not None:
                 sim._live -= 1
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.9f} seq={self.seq} {state}>"
@@ -85,17 +74,11 @@ def _sanitizer_enabled() -> bool:
 
 
 class Simulator:
-    """Event loop with virtual time in seconds.
+    """Event loop with virtual time in seconds."""
 
-    ``fastpath`` selects the tuple-heap layout (see module docstring);
-    event execution order is identical either way.
-    """
-
-    def __init__(self, *, fastpath: bool = True) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
-        self.fastpath = bool(fastpath)
-        # fastpath: (time, seq, Event) tuples; reference: Event objects.
-        self._heap: List[Any] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._live = 0
         self._events_processed = 0
@@ -112,10 +95,7 @@ class Simulator:
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         ev = Event(time, next(self._seq), fn, args, self)
-        if self.fastpath:
-            _heappush(self._heap, (time, ev.seq, ev))
-        else:
-            _heappush(self._heap, ev)
+        _heappush(self._heap, (time, ev.seq, ev))
         self._live += 1
         return ev
 
@@ -128,8 +108,6 @@ class Simulator:
         drained earlier, so repeated ``run(until=...)`` calls advance a
         wall-clock-like timeline.
         """
-        if not self.fastpath:
-            return self._run_reference(until, max_events)
         # Hot loop: heap ops and attribute lookups bound to locals; the
         # event batch between heap sifts never re-enters Python for
         # ordering (tuple comparisons run in C).
@@ -160,51 +138,22 @@ class Simulator:
             self.now = until
         return processed
 
-    def _run_reference(self, until: Optional[float],
-                       max_events: Optional[int]) -> int:
-        """The pre-existing event loop (``fastpath=False``)."""
-        processed = 0
-        while self._heap:
-            ev = self._heap[0]
-            if until is not None and ev.time > until:
-                break
-            heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            ev.executed = True
-            self._live -= 1
-            self.now = ev.time
-            ev.fn(*ev.args)
-            processed += 1
-            self._events_processed += 1
-            if max_events is not None and processed >= max_events:
-                break
-        if until is not None and self.now < until:
-            self.now = until
-        return processed
-
     def peek_time(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, if any."""
         heap = self._heap
-        if self.fastpath:
-            while heap and heap[0][2].cancelled:
-                heapq.heappop(heap)
-            return heap[0][0] if heap else None
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
-        return heap[0].time if heap else None
+        return heap[0][0] if heap else None
 
     def _scan_pending(self) -> int:
         """O(n) live-event count straight off the heap (debug only)."""
-        if self.fastpath:
-            return sum(1 for entry in self._heap if not entry[2].cancelled)
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def pending(self) -> int:
         """Number of non-cancelled events still queued (O(1)).
 
         Maintained as a live counter at schedule/cancel/pop; under the
-        runtime sanitizer the original heap scan cross-checks it.
+        runtime sanitizer the heap scan cross-checks it.
         """
         live = self._live
         if _sanitizer_enabled():

@@ -184,11 +184,11 @@ class FatTreeConfig:
     def scale_xl(cls) -> "FatTreeConfig":
         """The 10k-host shape: 16 pods, 416 switches, 10240 hosts.
 
-        The fabric behind the ``fabric_xl`` benchmark workload and the
-        ``sim_shard_xl`` hotpath workload: 15360 queues in 17 subdomain
-        blocks, one ``(16, cap)`` stacked flow table.  Per-Δt step cost
-        is proportional to the fabric-wide *active* flow count at one
-        vectorised pass's dispatch overhead, not to the pod count
+        The fabric behind the ``fabric_xl`` benchmark workload: 15360
+        queues in 17 subdomain blocks, one ``(16, cap)`` stacked flow
+        table.  Per-Δt step cost is proportional to the fabric-wide
+        *active* flow count at one vectorised pass's dispatch overhead,
+        not to the pod count
         (measured: docs/PERFORMANCE.md, "Flow-phase sharding").
         """
         return cls(n_pods=16, edge_per_pod=16, agg_per_pod=8,

@@ -25,8 +25,8 @@ k-vectors and the flat queue arrays: :func:`flow_phase`,
 step: the solo, batch and fat-tree networks gather their flows into them
 by slot, ``(replica, slot)`` and ``(pod, slot)``, and own storage,
 routing, admission and per-owner bookkeeping (docs/PERFORMANCE.md, "One
-fluid step kernel").  :meth:`FluidNetwork._step` (``fastpath=False``)
-stays as the reference the parity tests compare against.
+fluid step kernel"); ``tests/test_step_oracle.py`` holds the plain-loop
+oracle they are checked against.
 """
 
 from __future__ import annotations
@@ -593,11 +593,9 @@ class _ObsSnapshot:
         return self._rows
 
     def by_switch(self) -> Dict[int, Dict[int, FlowObservation]]:
-        """The observations grouped by every switch on the flow's path —
-        equal, insertion order included, to the reference loop's
-        (:meth:`SwitchStatsMixin._flow_observations`): the vector
-        subtract that made ``seen`` produces the per-flow scalar
-        subtract's bytes, and flows and hops are visited in its order."""
+        """The observations grouped by every switch on the flow's path,
+        flows in slot order and hops in path order — the insertion order
+        ``tests/test_switch_telemetry.py`` checks against a plain loop."""
         if self._by_switch is None:
             out: Dict[int, Dict[int, FlowObservation]] = {}
             qsw = self._q_switch.tolist()
@@ -681,28 +679,7 @@ class SwitchStatsMixin:
         get_registry().inc("netsim.stats_collections", sim=self._SIM_LABEL)
         interval = max(self._acc_time, 1e-12)
         names = self._switch_names_cached()
-        out: Dict[str, QueueStats] = {}
-        if self.fastpath:
-            out = self._grouped_stats(names, interval)
-        else:
-            flow_obs_by_switch = self._flow_observations()
-            for s, name in enumerate(names):
-                mask = self.q_switch == s
-                tx = float(self._acc_tx[mask].sum())
-                marked = float(self._acc_marked[mask].sum())
-                avg_q = float(self._acc_qlen_area[mask].sum()) / interval
-                drops = float(self._acc_drops[mask].sum())
-                out[name] = QueueStats(
-                    switch=name, interval=interval,
-                    qlen_bytes=float(self.q_len[mask].sum()),
-                    max_port_qlen_bytes=float(
-                        self.q_len[mask].max(initial=0.0)),
-                    avg_qlen_bytes=avg_q,
-                    tx_bytes=int(tx), tx_marked_bytes=int(marked),
-                    dropped_pkts=int(drops // 1000) if drops else 0,
-                    capacity_bps=float(self.q_cap[mask].sum() * 8.0),
-                    ecn=self._ecn_by_switch[s], n_queues=int(mask.sum()),
-                    flow_obs=flow_obs_by_switch.get(s, {}))
+        out = self._grouped_stats(names, interval)
         self._acc_tx[:] = 0.0
         self._acc_marked[:] = 0.0
         self._acc_qlen_area[:] = 0.0
@@ -717,9 +694,9 @@ class SwitchStatsMixin:
         reduction per switch class and field.
 
         A row of the C-contiguous gather is reduced by the same pairwise
-        routine, over the same elements in the same order, as the
-        reference's per-switch ``a[mask].sum()``, so the sums are
-        bit-identical (docs/PERFORMANCE.md; not true of
+        routine, over the same elements in the same order, as a
+        per-switch ``a[q_switch == s].sum()``, so the sums are
+        bit-identical to it (docs/PERFORMANCE.md; not true of
         ``np.add.reduceat``, which adds sequentially).
         """
         cols = np.empty((7, self.n_switches))
@@ -760,25 +737,6 @@ class SwitchStatsMixin:
     def _snapshot_observations(self) -> _ObsSnapshot:
         return _ObsSnapshot(*self._active_flow_columns(), self.now,
                             self.flow_objs, self.q_switch)
-
-    def _flow_observations(self) -> Dict[int, Dict[int, FlowObservation]]:
-        """Active-flow observations grouped by every switch on their path."""
-        if self.fastpath:
-            return self._snapshot_observations().by_switch()
-        out: Dict[int, Dict[int, FlowObservation]] = {}
-        n = self._n_flows
-        for i in np.flatnonzero(self.f_active[:n]):
-            fid = self._idx_to_fid[int(i)]
-            flow = self.flow_objs[fid]
-            seen = float(self.f_size[i] - self.f_remaining[i])
-            obs = FlowObservation(fid, flow.src, flow.dst,
-                                  int(max(seen, 1.0)), self.now)
-            for hop in range(self._MAX_HOPS):
-                q = int(self.f_path[i, hop])
-                if q < 0:
-                    continue
-                out.setdefault(int(self.q_switch[q]), {})[fid] = obs
-        return out
 
     def switch_queue_indices(self, switch_name: str) -> List[int]:
         """Global queue ids belonging to one switch, in stable order."""
@@ -883,10 +841,9 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
     _MAX_HOPS = 3
 
     def __init__(self, config: Optional[FluidConfig] = None, *,
-                 seed: Optional[int] = None, fastpath: bool = True) -> None:
+                 seed: Optional[int] = None) -> None:
         self.config = config or FluidConfig()
         self.rng = np.random.default_rng(seed)
-        self.fastpath = bool(fastpath)
         cfg = self.config
         self.now = 0.0
 
@@ -996,105 +953,14 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
                 "this FluidNetwork is a replica of a BatchFluidNetwork; "
                 "advance the batch, or detach it first via split()")
         steps = max(1, int(round(dt / self.config.step_dt)))
-        step = self._step_phases if self.fastpath else self._step
         step_dt = self.config.step_dt
         for _ in range(steps):
-            step(step_dt)
+            self._step_phases(step_dt)
         reg = get_registry()
         if reg:
             reg.inc("netsim.advance_calls", sim="fluid")
             reg.inc("netsim.steps", steps, sim="fluid")
             reg.inc("netsim.virtual_s", dt, sim="fluid")
-
-    def _step(self, dt: float) -> None:
-        """Reference step (``fastpath=False``): the whole-table masked
-        formulation :meth:`_step_phases` is tested bit for bit against
-        (``tests/test_fastpath.py``, ``bench --hotpath`` fingerprints).
-        """
-        cfg = self.config
-        self.now += dt
-        self._activate_due()
-        n = self._n_flows
-        if n == 0:
-            self._acc_qlen_area += self.q_len * dt
-            self._acc_time += dt
-            return
-        active = self.f_active[:n]
-        idx = np.flatnonzero(active)
-        rate = self.f_rate[:n]
-
-        # --- NIC sharing: cap the sum of a host's flow rates at line rate.
-        line = cfg.host_rate_bps / 8.0
-        src = self.f_src[:n]
-        send = np.where(active, rate, 0.0)
-        per_src = np.bincount(src[idx], weights=send[idx], minlength=cfg.n_hosts)
-        over = per_src > line
-        if over.any():
-            scale_src = np.ones(cfg.n_hosts)
-            scale_src[over] = line / per_src[over]
-            send = send * scale_src[src]
-
-        # --- arrivals per queue ------------------------------------------
-        path = self.f_path[:n]
-        arrival = np.zeros(self.n_queues)
-        for hop in range(self._MAX_HOPS):
-            qs = path[idx, hop]
-            ok = qs >= 0
-            if ok.any():
-                np.add.at(arrival, qs[ok], send[idx][ok])
-
-        # --- queue integration & marking -----------------------------------
-        cap = self.q_cap
-        served_rate, new_qlen, drops, p_mark, srv_ratio = \
-            integrate_queue_block(self.q_len, cap, self.kmin, self.kmax,
-                                  self.pmax, arrival, dt,
-                                  cfg.switch_buffer_bytes)
-
-        # --- stats ----------------------------------------------------------
-        self._acc_tx += served_rate * dt
-        self._acc_marked += served_rate * dt * p_mark
-        self._acc_qlen_area += 0.5 * (self.q_len + new_qlen) * dt
-        self._acc_drops += drops
-        self._acc_time += dt
-        self.q_len = new_qlen
-
-        # --- end-to-end mark fraction per flow --------------------------------
-        no_mark = np.ones(n)
-        bottleneck = np.ones(n)
-        qdelay = np.zeros(n)
-        for hop in range(self._MAX_HOPS):
-            qs = path[:, hop]
-            ok = (qs >= 0) & active
-            if ok.any():
-                no_mark[ok] *= 1.0 - p_mark[qs[ok]]
-                bottleneck[ok] = np.minimum(bottleneck[ok], srv_ratio[qs[ok]])
-                qdelay[ok] += self.q_len[qs[ok]] / cap[qs[ok]]
-        mark_frac = 1.0 - no_mark
-
-        # --- DCQCN-like AIMD ---------------------------------------------------
-        a = self.f_alpha[:n]
-        a[active] = (1.0 - cfg.g) * a[active] + cfg.g * mark_frac[active]
-        cut = 1.0 - (a * 0.5 * cfg.md_gain * mark_frac)
-        grow = cfg.ai_fraction * line
-        new_rate = np.where(mark_frac > 1e-3, rate * cut, rate + grow)
-        floor = cfg.min_rate_fraction * line
-        self.f_rate[:n] = np.where(active, np.clip(new_rate, floor, line), rate)
-
-        # --- progress & completion ---------------------------------------------
-        throughput = send * bottleneck
-        self.f_remaining[:n] -= throughput * dt
-        finished = active & (self.f_remaining[:n] <= 0.0)
-        if finished.any():
-            idx = np.flatnonzero(finished)
-            self.f_active[idx] = False
-            self.f_remaining[idx] = 0.0
-            # account residual queueing delay into the FCT
-            self._finish_flows(repeat(self), idx.tolist(),
-                               self.now + qdelay[idx], self.flow_objs,
-                               self.finished_flows)
-
-        # --- latency sampling (Fig. 8): one random active flow per step ----------
-        sample_latency(self, qdelay[np.flatnonzero(self.f_active[:n])])
 
     def _step_phases(self, dt: float) -> None:
         """One Δt through the shared phase functions, over the active

@@ -136,8 +136,7 @@ class PacketNetwork:
     def __init__(self, config: Optional[TopologyConfig | FatTreeConfig] = None,
                  *, transport: str = "dcqcn", seed: Optional[int] = 0,
                  latency_sample_cap: int = 200_000,
-                 transport_kwargs: Optional[dict] = None,
-                 fastpath: bool = True) -> None:
+                 transport_kwargs: Optional[dict] = None) -> None:
         if transport not in _TRANSPORTS:
             raise ValueError(f"unknown transport {transport!r}; "
                              f"choose from {sorted(_TRANSPORTS)}")
@@ -145,8 +144,7 @@ class PacketNetwork:
         if transport == "hpcc" and not self.config.int_enabled:
             # HPCC needs telemetry; enable it transparently.
             self.config.int_enabled = True
-        self.fastpath = bool(fastpath)
-        self.sim = Simulator(fastpath=fastpath)
+        self.sim = Simulator()
         self.rng = np.random.default_rng(seed)
         # The two builders expose the same duck-typed surface (hosts,
         # switches(), node(), fabric_ports); everything below is
@@ -165,8 +163,8 @@ class PacketNetwork:
         self._install_transports(transport, transport_kwargs or {})
         # per-port counter baselines for interval deltas
         self._port_baseline: Dict[Tuple[str, int], Tuple[int, int, int]] = {}
-        # fastpath layout: switch name -> flat list of (tx, marked, drops)
-        # baselines parallel to sw.ports (no tuple-key hashing per port).
+        # switch name -> flat list of (tx, marked, drops) baselines
+        # parallel to sw.ports (no tuple-key hashing per port).
         self._switch_baseline: Dict[str, List[Tuple[int, int, int]]] = {}
         self._switch_list = list(self.topology.switches())
         self._last_stats_time = 0.0
@@ -254,27 +252,17 @@ class PacketNetwork:
             tx = marked = drops = 0
             avg_q = 0.0
             flow_obs: Dict[int, FlowObservation] = {}
-            if self.fastpath:
-                # Baselines read positionally from the per-switch list —
-                # the same integers the tuple-keyed dict holds, without
-                # per-port key construction and hashing.
-                for (b_tx, b_m, b_d), port in zip(
-                        self._switch_baseline[sw.name], sw.ports):
-                    c = port.queue.counters
-                    tx += c.dequeued_bytes - b_tx
-                    marked += c.dequeued_marked_bytes - b_m
-                    drops += c.dropped_pkts - b_d
-                    avg_q += port.queue.time_avg_qlen(now)
-                    flow_obs.update(port.queue.flow_obs)
-            else:
-                for i, port in enumerate(sw.ports):
-                    c = port.queue.counters
-                    b_tx, b_m, b_d = self._port_baseline[(sw.name, i)]
-                    tx += c.dequeued_bytes - b_tx
-                    marked += c.dequeued_marked_bytes - b_m
-                    drops += c.dropped_pkts - b_d
-                    avg_q += port.queue.time_avg_qlen(now)
-                    flow_obs.update(port.queue.flow_obs)
+            # Baselines read positionally from the per-switch list —
+            # the same integers ``_port_baseline`` holds for
+            # ``port_stats()``, without per-port key construction.
+            for (b_tx, b_m, b_d), port in zip(
+                    self._switch_baseline[sw.name], sw.ports):
+                c = port.queue.counters
+                tx += c.dequeued_bytes - b_tx
+                marked += c.dequeued_marked_bytes - b_m
+                drops += c.dropped_pkts - b_d
+                avg_q += port.queue.time_avg_qlen(now)
+                flow_obs.update(port.queue.flow_obs)
             out[sw.name] = QueueStats(
                 switch=sw.name, interval=interval,
                 qlen_bytes=float(sw.total_qlen_bytes()),

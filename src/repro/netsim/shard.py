@@ -43,8 +43,7 @@ Engine tasks; per-pod reductions accumulate in hop-major slot order;
 queue integration is elementwise per queue; and every Engine merge
 writes disjoint slices back in a fixed order.  ``tests/test_shard.py``
 pins this with canonical fingerprint literals and an independent
-plain-loop oracle, and ``bench --hotpath`` carries it as the
-``sim_shard`` / ``sim_shard_xl`` workloads.
+plain-loop oracle.
 
 On the Engine path the per-Δt exchange is **zero-copy**: queue state
 lives in a preallocated :class:`~repro.parallel.engine.SharedArena`
@@ -220,10 +219,6 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         self.rng = np.random.default_rng(seed)
         self._engine = engine
         self.now = 0.0
-        # The stats mixin's fast observation builder is topology-generic;
-        # there is no dual step path here (the conformance axis is
-        # shards, not fastpath).
-        self.fastpath = True
 
         # ---- queue layout: one block per pod, then the core plane --------
         n_p, n_e, n_a = cfg.n_pods, cfg.edge_per_pod, cfg.agg_per_pod

@@ -1,10 +1,9 @@
 """Profiling hooks — opt-in cProfile wrapper and hot-path attribution.
 
-``perfbench`` (``python -m repro bench --profile``) uses
-:func:`hot_path_attribution` to turn the tracer's span timings into the
-per-stage breakdown BENCH files report: how much of a run's wall time
-went to ``net.advance`` vs ``controller.decide`` vs ``ppo.update`` —
-the attribution the ROADMAP's perf work needs before optimizing.
+:func:`hot_path_attribution` turns the tracer's span timings into a
+per-stage breakdown: how much of a run's wall time went to
+``net.advance`` vs ``controller.decide`` vs ``ppo.update``
+(``benchmarks/perf`` reports the same spans as its per-layer metrics).
 
 :func:`profiled` is a plain cProfile context for ad-hoc deep dives::
 
@@ -57,8 +56,7 @@ def hot_path_attribution(tracer: Optional[Tracer] = None
     """Per-stage totals (seconds + span counts) from recorded spans.
 
     Returns ``{span_name: {"total_s": ..., "count": ..., "mean_s": ...}}``
-    for every hot-path span name that actually appeared, so BENCH
-    reports gain per-stage attribution without guessing at ratios.
+    for every span name that actually appeared.
     """
     tr = tracer if tracer is not None else get_tracer()
     out: Dict[str, Dict[str, float]] = {}

@@ -4,8 +4,6 @@
   derivation and the per-process task-seed context.
 - :mod:`repro.parallel.engine` — the bounded process-pool engine with
   pickled run-specs, ordered merging, and crash recovery.
-- :mod:`repro.parallel.perfbench` — ``python -m repro bench`` harness
-  (imported lazily: it pulls in the experiment stack).
 """
 
 from repro.parallel.engine import (Engine, EngineReport, TaskFailedError,

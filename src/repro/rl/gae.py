@@ -32,61 +32,35 @@ import numpy as np
 __all__ = ["compute_gae", "discounted_returns"]
 
 
-def _gae_next_values(values: np.ndarray, dones: np.ndarray, last_value: float,
-                     truncateds: Optional[np.ndarray],
-                     bootstrap_values: Optional[np.ndarray]) -> np.ndarray:
-    """``V(s_{t+1})`` per step with episode-boundary semantics applied.
-
-    Shifted values, with done steps replaced by their bootstrap (the
-    successor value at truncations, zero at terminations).
+def _episode_boundaries(T: int, dones: np.ndarray,
+                        truncateds: Optional[np.ndarray],
+                        bootstrap_values: Optional[np.ndarray]
+                        ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``dones`` as a length-``T`` bool array, and the successor value of
+    each done step: ``bootstrap_values`` at truncations, zero at
+    terminations — ``None`` (all zero) unless both optional arrays are
+    given.  Every array must have length ``T``.
     """
-    T = len(values)
-    nv = np.empty(T)
-    nv[:-1] = values[1:]
-    nv[-1] = float(last_value)
-    if dones.any():
-        if truncateds is not None and bootstrap_values is not None:
-            nv[dones] = np.where(truncateds, bootstrap_values, 0.0)[dones]
-        else:
-            nv[dones] = 0.0
-    return nv
-
-
-def _compute_gae_fast(rewards: np.ndarray, values: np.ndarray,
-                      dones: np.ndarray, last_value: float, gamma: float,
-                      lam: float, truncateds: Optional[np.ndarray],
-                      bootstrap_values: Optional[np.ndarray]
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized GAE: one vectorized delta, one tight reverse scan.
-
-    Bit-identical to the reference loop: the per-element operations and
-    their order are unchanged — only the Python interpreter overhead per
-    step (array indexing, branch on numpy bools) is removed.
-    """
-    T = len(rewards)
-    adv = np.empty(T)
-    if T == 0:
-        return adv, adv.copy()
-    nv = _gae_next_values(values, dones, last_value, truncateds,
-                          bootstrap_values)
-    delta = rewards + gamma * nv
-    delta -= values
-    dl = delta.tolist()
-    dn = dones.tolist()
-    gl = gamma * lam
-    gae = 0.0
-    for t in range(T - 1, -1, -1):
-        gae = dl[t] if dn[t] else dl[t] + gl * gae
-        adv[t] = gae
-    returns = adv + values
-    return adv, returns
+    dones = np.asarray(dones, dtype=bool)
+    if len(dones) != T:
+        raise ValueError("dones must match rewards length")
+    if truncateds is not None:
+        truncateds = np.asarray(truncateds, dtype=bool)
+        if len(truncateds) != T:
+            raise ValueError("truncateds must match rewards length")
+    if bootstrap_values is not None:
+        bootstrap_values = np.asarray(bootstrap_values, dtype=np.float64)
+        if len(bootstrap_values) != T:
+            raise ValueError("bootstrap_values must match rewards length")
+    if truncateds is None or bootstrap_values is None:
+        return dones, None
+    return dones, np.where(truncateds, bootstrap_values, 0.0)
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
                 last_value: float, gamma: float, lam: float,
                 truncateds: Optional[np.ndarray] = None,
-                bootstrap_values: Optional[np.ndarray] = None,
-                fastpath: bool = True
+                bootstrap_values: Optional[np.ndarray] = None
                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Compute GAE advantages and bootstrapped returns.
 
@@ -111,10 +85,6 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
         elsewhere).  Required semantically when ``truncateds`` has any
         True entry; missing values default to 0 (the old, biased
         behaviour) so callers can opt in incrementally.
-    fastpath:
-        Use the vectorized single-scan implementation (bit-identical to
-        the reference Python loop, which remains available for
-        differential testing with ``fastpath=False``).
 
     Returns
     -------
@@ -124,85 +94,58 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    dones = np.asarray(dones, dtype=bool)
-    if not (len(rewards) == len(values) == len(dones)):
-        raise ValueError("rewards, values, dones must have equal length")
     T = len(rewards)
-    if truncateds is not None:
-        truncateds = np.asarray(truncateds, dtype=bool)
-        if len(truncateds) != T:
-            raise ValueError("truncateds must match rewards length")
-    if bootstrap_values is not None:
-        bootstrap_values = np.asarray(bootstrap_values, dtype=np.float64)
-        if len(bootstrap_values) != T:
-            raise ValueError("bootstrap_values must match rewards length")
-    if fastpath:
-        return _compute_gae_fast(rewards, values, dones, last_value,
-                                 gamma, lam, truncateds, bootstrap_values)
-    adv = np.zeros(T)
+    if len(values) != T:
+        raise ValueError("values must match rewards length")
+    dones, resets = _episode_boundaries(T, dones, truncateds,
+                                        bootstrap_values)
+    adv = np.empty(T)
+    if T == 0:
+        return adv, adv.copy()
+    # V(s_{t+1}) per step: shifted values, done steps replaced by their
+    # successor value
+    nv = np.empty(T)
+    nv[:-1] = values[1:]
+    nv[-1] = float(last_value)
+    if dones.any():
+        nv[dones] = 0.0 if resets is None else resets[dones]
+    delta = rewards + gamma * nv
+    delta -= values
+    # one reverse scan over Python floats: the per-element operations of
+    # Eq. 9 without an array index and a numpy-bool branch per step
+    dl = delta.tolist()
+    dn = dones.tolist()
+    gl = gamma * lam
     gae = 0.0
-    next_value = float(last_value)
     for t in range(T - 1, -1, -1):
-        if dones[t]:
-            # Episode boundary: the chain resets; only a truncation
-            # bootstraps the successor state's value into the delta.
-            boot = 0.0
-            if truncateds is not None and truncateds[t] \
-                    and bootstrap_values is not None:
-                boot = float(bootstrap_values[t])
-            delta = rewards[t] + gamma * boot - values[t]
-            gae = delta
-        else:
-            delta = rewards[t] + gamma * next_value - values[t]
-            gae = delta + gamma * lam * gae
+        gae = dl[t] if dn[t] else dl[t] + gl * gae
         adv[t] = gae
-        next_value = values[t]
     returns = adv + values
     return adv, returns
 
 
 def discounted_returns(rewards: np.ndarray, dones: np.ndarray, last_value: float,
                        gamma: float, truncateds: Optional[np.ndarray] = None,
-                       bootstrap_values: Optional[np.ndarray] = None,
-                       fastpath: bool = True) -> np.ndarray:
+                       bootstrap_values: Optional[np.ndarray] = None
+                       ) -> np.ndarray:
     """Plain rewards-to-go with bootstrap (Algorithm 1, line 6).
 
     Truncation handling mirrors :func:`compute_gae`: a truncated step
     restarts the running return from ``bootstrap_values[t]`` instead of
-    zero.  ``fastpath`` selects the tight scan over Python floats
-    (bit-identical to the reference loop).
+    zero, and every array must have the length of ``rewards``.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
-    dones = np.asarray(dones, dtype=bool)
-    if truncateds is not None:
-        truncateds = np.asarray(truncateds, dtype=bool)
-    if bootstrap_values is not None:
-        bootstrap_values = np.asarray(bootstrap_values, dtype=np.float64)
     T = len(rewards)
+    dones, resets = _episode_boundaries(T, dones, truncateds,
+                                        bootstrap_values)
     out = np.zeros(T)
-    if fastpath:
-        if T == 0:
-            return out
-        if truncateds is not None and bootstrap_values is not None:
-            resets = np.where(truncateds, bootstrap_values, 0.0).tolist()
-        else:
-            resets = None
-        rl_ = rewards.tolist()
-        dn = dones.tolist()
-        running = float(last_value)
-        for t in range(T - 1, -1, -1):
-            if dn[t]:
-                running = 0.0 if resets is None else resets[t]
-            running = rl_[t] + gamma * running
-            out[t] = running
-        return out
+    restart = None if resets is None else resets.tolist()
+    rl_ = rewards.tolist()
+    dn = dones.tolist()
     running = float(last_value)
     for t in range(T - 1, -1, -1):
-        if dones[t]:
-            running = 0.0
-            if truncateds is not None and truncateds[t] \
-                    and bootstrap_values is not None:
-                running = float(bootstrap_values[t])
-        running = rewards[t] + gamma * running
+        if dn[t]:
+            running = 0.0 if restart is None else restart[t]
+        running = rl_[t] + gamma * running
         out[t] = running
     return out

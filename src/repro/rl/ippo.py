@@ -45,7 +45,6 @@ class IPPOTrainer:
         if len(set(ids)) != len(ids):
             raise ValueError("agent ids must be unique")
         self.config = config
-        self.fastpath = bool(getattr(config, "fastpath", True))
         self.agents: Dict[Hashable, PPOAgent] = {}
         for i, aid in enumerate(ids):
             seed = None if config.seed is None else config.seed + i
@@ -66,8 +65,6 @@ class IPPOTrainer:
         (agents with diverging shapes/activations) disables batching for
         the trainer's lifetime and the per-agent loops take over.
         """
-        if not self.fastpath:
-            return None
         if self._stack is None:
             from repro.fastpath.batched import StackedAgents, StackingError
             try:
@@ -90,9 +87,9 @@ class IPPOTrainer:
         takes ``epsilons`` as a sequence aligned with it and returns the
         three columns as arrays — the form the fleet observer feeds.
 
-        With ``config.fastpath`` the per-agent MLP forwards collapse into
-        one stacked batched forward — bit-identical per agent, including
-        each agent's private sampling stream.
+        When the agents stack (:meth:`_stacked`) the per-agent MLP
+        forwards collapse into one batched forward — bit-identical per
+        agent, including each agent's private sampling stream.
         """
         if isinstance(observations, np.ndarray):
             if epsilons is None and epsilon:
@@ -130,7 +127,7 @@ class IPPOTrainer:
 
     def values(self, observations: Mapping[Hashable, np.ndarray]
                ) -> Dict[Hashable, float]:
-        """Per-agent critic values, batched when fastpath permits."""
+        """Per-agent critic values, batched when the agents stack."""
         stack = self._stacked()
         if stack is not None:
             return stack.values(observations)
@@ -165,9 +162,9 @@ class IPPOTrainer:
                ) -> Dict[Hashable, Dict[str, float]]:
         """Run one PPO update per agent on its own buffer.
 
-        With fastpath, the per-agent bootstrap values ``V(s_T)`` are
-        evaluated in one stacked critic forward (bit-identical to the
-        per-agent calls) and handed to each learner.
+        When the agents stack, the per-agent bootstrap values ``V(s_T)``
+        are evaluated in one stacked critic forward (bit-identical to
+        the per-agent calls) and handed to each learner.
         """
         last_values: Dict[Hashable, float] = {}
         if last_observations:
@@ -188,19 +185,15 @@ class IPPOTrainer:
 
         The serve plane's ``/state`` endpoint surfaces this per policy,
         so an operator can see when a fleet silently fell back to the
-        per-agent loop (heterogeneous agents, fastpath disabled).
+        per-agent loop (heterogeneous agents).
         """
-        if not self.fastpath:
-            return {"fastpath": False, "stacked": False,
-                    "agents": len(self.agents), "reason": "fastpath disabled"}
         stack = self._stacked()
         if stack is None:
             from repro.fastpath.batched import stacking_error
-            return {"fastpath": True, "stacked": False,
-                    "agents": len(self.agents),
+            return {"stacked": False, "agents": len(self.agents),
                     "reason": stacking_error(list(self.agents.values()))
                     or "stacking unavailable"}
-        return {"fastpath": True, "stacked": True, **stack.describe()}
+        return {"stacked": True, **stack.describe()}
 
     # -- checkpointing (offline pre-training -> online deployment) ---------
     def state_dict(self) -> Dict[Hashable, Dict]:

@@ -60,75 +60,44 @@ class Adam(Optimizer):
 
     Matches the PyTorch defaults (beta1=0.9, beta2=0.999, eps=1e-8) the
     paper's implementation would have used.
+
+    Flat packing: every parameter occupies one [a, b) span of a single
+    first/second-moment vector, so the whole update is a dozen
+    full-vector ufunc calls instead of a dozen *per parameter*.  Adam is
+    purely elementwise, so packing cannot change any result bit
+    (``tests/test_optim.py`` holds it to the textbook per-parameter
+    update).
     """
 
     def __init__(self, module: Module, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
-                 fused: bool = True) -> None:
+                 beta2: float = 0.999, eps: float = 1e-8) -> None:
         super().__init__(module, lr)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.fused = bool(fused)
-        self._m: Dict[str, np.ndarray] = {
-            k: np.zeros_like(v) for k, v in module.parameters().items()
-        }
-        self._v: Dict[str, np.ndarray] = {
-            k: np.zeros_like(v) for k, v in module.parameters().items()
-        }
-        if self.fused:
-            # Flat packing: every parameter occupies one [a, b) span of a
-            # single first/second-moment vector, so the whole update is a
-            # dozen full-vector ufunc calls instead of a dozen *per
-            # parameter*.  Adam is purely elementwise, so packing cannot
-            # change any result bit.
-            self._slots = []
-            off = 0
-            for k, p in module.parameters().items():
-                self._slots.append((k, off, off + p.size))
-                off += p.size
-            self._fg = np.zeros(off)
-            self._fm = np.zeros(off)
-            self._fv = np.zeros(off)
-            self._f1 = np.zeros(off)
-            self._f2 = np.zeros(off)
-            # per-parameter flat views, rebuilt when the module's cached
-            # item list is invalidated (e.g. by the weight stacker)
-            self._items_key: object = None
-            self._packed: list = []
+        self._slots = []
+        off = 0
+        for k, p in module.parameters().items():
+            self._slots.append((k, off, off + p.size))
+            off += p.size
+        self._fg = np.zeros(off)
+        self._fm = np.zeros(off)
+        self._fv = np.zeros(off)
+        self._f1 = np.zeros(off)
+        self._f2 = np.zeros(off)
+        # per-parameter flat views, rebuilt when the module's cached
+        # item list is invalidated (e.g. by the weight stacker)
+        self._items_key: object = None
+        self._packed: list = []
         self._t = 0
 
     def step(self) -> None:
+        """One allocation-free step: a gradient gather and an update
+        scatter per parameter plus ~12 full-vector ufunc calls,
+        regardless of parameter count."""
         self._t += 1
         b1t = 1.0 - self.beta1 ** self._t
         b2t = 1.0 - self.beta2 ** self._t
-        if self.fused:
-            self._step_fused(b1t, b2t)
-            return
-        params = self.module.parameters()
-        grads = self.module.gradients()
-        for k, p in params.items():
-            g = grads[k]
-            m, v = self._m[k], self._v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / b1t
-            v_hat = v / b2t
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _step_fused(self, b1t: float, b2t: float) -> None:
-        """Flat-packed, allocation-free Adam step.
-
-        Bit-identical to the reference loop: every elementwise operation
-        matches (scalar-array multiplication is commutative in IEEE-754)
-        and Adam has no cross-element reductions, so operating on the
-        concatenation of all parameters produces exactly the per-element
-        results of the per-parameter loop.  Per step this costs one
-        gradient gather + one update scatter per parameter plus ~12
-        full-vector ufunc calls, regardless of parameter count.
-        """
         fg, fm, fv = self._fg, self._fm, self._fv
         f1, f2 = self._f1, self._f2
         items = self.module.param_grad_items()
@@ -138,12 +107,12 @@ class Adam(Optimizer):
             # guard with shares_memory in case a layer ever holds a
             # non-contiguous parameter (reshape would silently copy).
             self._packed = []
-            for (_k, a, b), (_k2, p, g) in zip(self._slots, items):
+            for (name, a, b), (_, p, g) in zip(self._slots, items):
                 pf, gf = p.reshape(-1), g.reshape(-1)
                 if not (np.shares_memory(pf, p) and np.shares_memory(gf, g)):
                     raise ValueError(
-                        "fused Adam needs contiguous parameters; "
-                        "use Adam(..., fused=False)")
+                        "Adam needs C-contiguous parameters and gradients; "
+                        f"{name!r} is not")
                 self._packed.append((a, b, pf, gf))
             self._items_key = items
         packed = self._packed

@@ -61,10 +61,6 @@ class PPOConfig:
     max_grad_norm: float = 0.5
     normalize_advantages: bool = True
     seed: Optional[int] = None
-    # Use the vectorized/batched implementations (bit-identical to the
-    # reference loops, which remain available with fastpath=False for
-    # differential testing — see docs/PERFORMANCE.md).
-    fastpath: bool = True
 
 
 @dataclass
@@ -119,9 +115,8 @@ class PPOAgent:
         self.critic = MLP([config.obs_dim, *config.hidden, 1],
                           activation="tanh", rng=self.rng)
         self.policy = CategoricalPolicy(self.actor, rng=self.rng)
-        fused = bool(getattr(config, "fastpath", True))
-        self.actor_opt = Adam(self.actor, config.actor_lr, fused=fused)
-        self.critic_opt = Adam(self.critic, config.critic_lr, fused=fused)
+        self.actor_opt = Adam(self.actor, config.actor_lr)
+        self.critic_opt = Adam(self.critic, config.critic_lr)
         self.buffer = RolloutBuffer()
         self.updates = 0
         self._arange_cache: Dict[int, np.ndarray] = {}
@@ -173,7 +168,6 @@ class PPOAgent:
             return {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
                     "approx_kl": 0.0, "clip_frac": 0.0}
         cfg = self.config
-        fast = bool(getattr(cfg, "fastpath", True))
         obs = np.stack(buf.obs)
         actions = np.asarray(buf.actions, dtype=np.int64)
         old_logp = np.asarray(buf.log_probs)
@@ -192,8 +186,7 @@ class PPOAgent:
                                    np.asarray(buf.dones), lv,
                                    cfg.gamma, cfg.gae_lambda,
                                    truncateds=truncateds,
-                                   bootstrap_values=bootstraps,
-                                   fastpath=fast)
+                                   bootstrap_values=bootstraps)
         if cfg.normalize_advantages and len(adv) > 1:
             adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
@@ -205,25 +198,15 @@ class PPOAgent:
         mbs = cfg.minibatch_size
         for _ in range(cfg.epochs):
             self.rng.shuffle(idx)
-            if fast:
-                # One gather per epoch, contiguous views per minibatch —
-                # same minibatch contents as the per-minibatch fancy
-                # indexing below, assembled with one pass.
-                obs_e, act_e = obs[idx], actions[idx]
-                logp_e, adv_e, ret_e = old_logp[idx], adv[idx], returns[idx]
-                for start in range(0, n, mbs):
-                    end = start + mbs
-                    s = self._update_minibatch(
-                        obs_e[start:end], act_e[start:end], logp_e[start:end],
-                        adv_e[start:end], ret_e[start:end])
-                    for k in stats:
-                        stats[k] += s[k]
-                    batches += 1
-                continue
+            # One gather per epoch, contiguous views per minibatch: the
+            # minibatch at ``start`` is ``x[idx[start:start + mbs]]``.
+            obs_e, act_e = obs[idx], actions[idx]
+            logp_e, adv_e, ret_e = old_logp[idx], adv[idx], returns[idx]
             for start in range(0, n, mbs):
-                mb = idx[start:start + mbs]
-                s = self._update_minibatch(obs[mb], actions[mb], old_logp[mb],
-                                           adv[mb], returns[mb])
+                end = start + mbs
+                s = self._update_minibatch(
+                    obs_e[start:end], act_e[start:end], logp_e[start:end],
+                    adv_e[start:end], ret_e[start:end])
                 for k in stats:
                     stats[k] += s[k]
                 batches += 1

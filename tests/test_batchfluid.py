@@ -1,11 +1,10 @@
 """Conformance suite for :mod:`repro.netsim.batchfluid`.
 
-The sim-as-batch contract is the same one fastpath and parallel already
-prove elsewhere: **bit-identity**.  Every replica of a
+The sim-as-batch contract is **bit-identity**.  Every replica of a
 :class:`BatchFluidNetwork` must be indistinguishable — canonical
-fingerprints over the full observable surface, same discipline as
-``bench --hotpath`` — from a solo :class:`FluidNetwork` advanced with
-the same seed/config.  These tests pin that contract across replica
+fingerprints (:mod:`repro.fingerprint`) over the full observable
+surface — from a solo :class:`FluidNetwork` advanced with the same
+seed/config.  These tests pin that contract across replica
 counts R ∈ {1, 2, 8}, heterogeneous per-replica ECN configs, mid-run
 ``set_ecn`` divergence, flow start/finish boundaries, chaos variants,
 and mid-episode ``_grow`` reallocation.
@@ -20,7 +19,7 @@ from repro.netsim.batchfluid import BatchCompatError, BatchFluidNetwork
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
-from repro.parallel.perfbench import _fingerprint
+from repro.fingerprint import fingerprint
 
 CFG = FluidConfig.small()
 
@@ -54,7 +53,7 @@ def state_fp(net):
     moments; ``_grow`` never changes results).
     """
     n = net._n_flows
-    return _fingerprint({
+    return fingerprint({
         "now": net.now,
         "n_flows": n,
         "qlen": net.q_len.copy(),
@@ -75,7 +74,7 @@ def state_fp(net):
 
 
 def stats_fp(stats):
-    return _fingerprint(stats)
+    return fingerprint(stats)
 
 
 def make_pair(R, *, cfg=CFG, traffic=load_traffic, ecns=None,
@@ -125,8 +124,9 @@ class TestConformance:
             net.advance(0.001)
         batch.advance(0.001)
         for r, solo in enumerate(solos):
-            assert _fingerprint(solo._flow_observations()) == \
-                _fingerprint(batch.view(r)._flow_observations())
+            assert fingerprint(solo._snapshot_observations().by_switch()) \
+                == fingerprint(
+                    batch.view(r)._snapshot_observations().by_switch())
 
     def test_start_finish_boundaries(self):
         """Flows that start mid-run (incl. exactly on a step edge), finish

@@ -19,7 +19,7 @@ from repro.netsim.batchfluid import BatchFluidNetwork
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
-from repro.parallel.perfbench import _fingerprint
+from repro.fingerprint import fingerprint
 
 from tests.test_batchfluid import load_traffic, state_fp
 
@@ -80,8 +80,8 @@ def test_random_batches_bit_identical(spec):
         batch.advance(0.001)
     for r, solo in enumerate(solos):
         assert state_fp(solo) == state_fp(batch.view(r))
-        assert _fingerprint(solo.queue_stats()) == \
-            _fingerprint(batch.view(r).queue_stats())
+        assert fingerprint(solo.queue_stats()) == \
+            fingerprint(batch.view(r).queue_stats())
 
 
 @settings(max_examples=10, deadline=None)

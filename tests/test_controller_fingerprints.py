@@ -22,7 +22,7 @@ from repro.netsim.network import PacketNetwork
 from repro.netsim.queueing import FlowObservation
 from repro.netsim.shard import ShardedFluidNetwork
 from repro.netsim.topology import TopologyConfig
-from repro.parallel.perfbench import _fingerprint
+from repro.fingerprint import fingerprint
 from repro.resilience.guard import ResilientController
 
 DT = 1e-3
@@ -88,7 +88,7 @@ def _run(net, controller, ticks, *, absent=None):
         for switch, cfg in controller.decide(stats, net.now, net).items():
             applied.append((switch, cfg.kmin_bytes, cfg.kmax_bytes, cfg.pmax))
     assert applied
-    return _fingerprint({"ecn": applied, "state": controller.state_dict()})
+    return fingerprint({"ecn": applied, "state": controller.state_dict()})
 
 
 def _pet_fluid():

@@ -7,11 +7,13 @@ seed must agree bit-for-bit on flow completion times and queue traces;
 a different seed must not.
 """
 
+import dataclasses
 import os
 import pickle
 
 import numpy as np
 
+from repro.fingerprint import fingerprint
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
@@ -148,7 +150,6 @@ class TestParallelTrainingDeterminism:
             checkpoint_dir=ckpt_dir, checkpoint_every=20)
 
     def test_workers1_vs_workers4_identical(self, tmp_path):
-        from repro.parallel.perfbench import _fingerprint
         from repro.rl.checkpoint import CheckpointManager
 
         d1, d4 = str(tmp_path / "w1"), str(tmp_path / "w4")
@@ -158,13 +159,38 @@ class TestParallelTrainingDeterminism:
         for a, b in zip(r1, r4):
             assert a.reward_trace == b.reward_trace   # exact float equality
             assert len(a.reward_trace) == self.INTERVALS
-            assert _fingerprint(a.state) == _fingerprint(b.state)
+            assert fingerprint(a.state) == fingerprint(b.state)
         for r in r1:
             sub = f"seed-{r.seed:08d}"
             s1, step1 = CheckpointManager(os.path.join(d1, sub)).load_latest()
             s4, step4 = CheckpointManager(os.path.join(d4, sub)).load_latest()
             assert step1 == step4
-            assert _fingerprint(s1) == _fingerprint(s4)
+            assert fingerprint(s1) == fingerprint(s4)
+
+    def test_scenario_matrix_workers1_vs_workers2_identical(self):
+        """``run_scenario`` with the incast generator on — a scheme × seed
+        figure matrix — through the engine serially and across workers."""
+        from repro.analysis.experiments import ScenarioConfig, run_scenario
+        from repro.parallel.engine import Engine, TaskSpec
+
+        def specs():
+            out = []
+            for i, seed in enumerate((0, 1)):
+                cfg = ScenarioConfig(
+                    duration=0.02, pretrain_intervals=0, seed=seed,
+                    incast=True, incast_fan_in=2,
+                    fluid=FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                                      host_rate_bps=10e9,
+                                      spine_rate_bps=40e9))
+                out.append(TaskSpec(task_id=i, fn=run_scenario,
+                                    args=("secn1", cfg), seed=seed))
+            return out
+
+        serial = Engine(workers=1).run(specs()).values(strict=True)
+        fanned = Engine(workers=2).run(specs()).values(strict=True)
+        assert len(serial) == 2
+        assert fingerprint(serial[0]) != fingerprint(serial[1])
+        assert fingerprint(serial) == fingerprint(fanned)
 
     def test_different_seed_root_differs(self, tmp_path):
         from repro.core.training import pretrain_multi_seed
@@ -173,3 +199,32 @@ class TestParallelTrainingDeterminism:
         r2 = pretrain_multi_seed(_train_net, n_seeds=1, seed_root=2,
                                  intervals_per_episode=self.INTERVALS)
         assert r1[0].reward_trace != r2[0].reward_trace
+
+
+# ----------------------------------------------------- the digest itself
+@dataclasses.dataclass
+class _Record:
+    name: str
+    x: float
+    arr: np.ndarray
+
+
+def test_fingerprint_bytes_are_frozen():
+    """Every ``_PINNED`` literal in this suite and the benchmark's
+    per-seed ``sim_fingerprint`` are sha256 over exactly these bytes:
+    dict keys in ``repr`` order (non-str keys included), dataclasses as
+    dicts, sequences bracketed, arrays as dtype + shape + C-order data.
+    Digest captured at commit 1252d4f (``repro.parallel.perfbench``)."""
+    value = {
+        3: "three", "a": (1, 2.5, None), (1, 2): [True, False],
+        "rec": _Record("r", 0.1, np.arange(6, dtype=np.int64).reshape(2, 3)),
+        "f": np.linspace(0.0, 1.0, 5, dtype=np.float64),
+        "b": np.array([True, False, True]),
+        "nc": np.arange(12, dtype=np.float64).reshape(3, 4).T[::2],
+    }
+    assert not value["nc"].flags["C_CONTIGUOUS"]      # nor in C memory order
+    assert fingerprint(value) == \
+        "0dcec423b49993b77ebc156b5bf5c7837e4355590c5665b39a4b34b514108414"
+    # order of a sequence matters, order of dict insertion does not
+    assert fingerprint({"x": 1, "y": 2}) == fingerprint({"y": 2, "x": 1})
+    assert fingerprint([1, 2]) != fingerprint([2, 1])

@@ -202,66 +202,6 @@ class TestPET102:
         assert "_ARENA_ATTACHMENTS" in found[0].message
 
 
-# ---------------------------------------------------------------- PET103
-
-class TestPET103:
-    NET = """
-        class Net:
-            def __init__(self, fastpath=True):
-                self.fastpath = bool(fastpath)
-
-            def step(self):
-                if self.fastpath:
-                    return self._fast()
-                return self._ref()
-
-            def _fast(self):
-                return 1.0
-
-            def _ref(self):
-                return 1.0
-    """
-
-    def test_reference_twin_that_only_raises_fires(self, tmp_path):
-        _tree(tmp_path, {"repro/netsim/fast.py": """
-            class Net:
-                def __init__(self, fastpath=True):
-                    self.fastpath = bool(fastpath)
-
-                def step(self):
-                    if self.fastpath:
-                        return 1.0
-                    raise RuntimeError("no reference implementation")
-        """})
-        found = analyze_paths([str(tmp_path)], select={"PET103"})
-        assert any("only raises" in f.message for f in found)
-
-    def test_untested_reference_leg_fires(self, tmp_path):
-        src = _tree(tmp_path / "src", {"repro/netsim/fast.py": self.NET})
-        tests = _tree(tmp_path / "t", {"test_net.py": """
-            from repro.netsim.fast import Net
-
-            def test_fast_only():
-                assert Net(fastpath=True).step() == 1.0
-        """})
-        found = analyze_paths([str(src)], tests=[str(tests)],
-                              select={"PET103"})
-        assert len(found) == 1
-        assert "untested" in found[0].message
-
-    def test_covered_reference_leg_is_clean(self, tmp_path):
-        src = _tree(tmp_path / "src", {"repro/netsim/fast.py": self.NET})
-        tests = _tree(tmp_path / "t", {"test_net.py": """
-            from repro.netsim.fast import Net
-
-            def test_twins():
-                assert Net(fastpath=True).step() == \\
-                    Net(fastpath=False).step()
-        """})
-        assert analyze_paths([str(src)], tests=[str(tests)],
-                             select={"PET103"}) == []
-
-
 # ---------------------------------------------------------------- PET104
 
 class TestPET104:

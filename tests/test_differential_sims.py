@@ -115,9 +115,9 @@ def test_batched_backend_is_bit_identical_to_solo():
     the differential scenario itself is bit-identical through the batch
     kernel, so the packet-vs-fluid bands above are one comparison, not
     two."""
-    from repro.parallel.perfbench import _fingerprint
+    from repro.fingerprint import fingerprint
 
-    assert _fingerprint(_fluid_stats(False)) == _fingerprint(_fluid_stats(True))
+    assert fingerprint(_fluid_stats(False)) == fingerprint(_fluid_stats(True))
 
 
 # --------------------------------------------------------------- fat-tree
@@ -189,7 +189,7 @@ class TestFatTreeDifferential:
 def test_sharded_backend_is_bit_identical_across_shard_counts():
     """On the differential scenario itself, the shard count never changes
     a bit — the packet-vs-fluid bands above are one comparison."""
-    from repro.parallel.perfbench import _fingerprint
+    from repro.fingerprint import fingerprint
 
-    fps = {_fingerprint(_ft_fluid_stats(s)) for s in (1, 2, 3)}
+    fps = {fingerprint(_ft_fluid_stats(s)) for s in (1, 2, 3)}
     assert len(fps) == 1

@@ -1,6 +1,9 @@
 """Tests for the discrete-event engine."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim.engine import Simulator
 
@@ -117,3 +120,98 @@ def test_events_processed_counter():
         sim.schedule(float(i + 1), lambda: None)
     sim.run()
     assert sim.events_processed == 5
+
+
+# ------------------------------------------------------------- order oracle
+class _SortedListSim:
+    """The calendar as a plain list kept sorted by ``(time, seq)``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.live = []          # [time, seq, tag, rearm, period]
+        self.seq = 0
+        self.log = []
+
+    def schedule(self, delay, rearm, period):
+        tag = self.seq
+        self.live.append([self.now + delay, self.seq, tag, rearm, period])
+        self.seq += 1
+
+    def cancel(self, tag):
+        self.live = [e for e in self.live if e[2] != tag]
+
+    def run(self, until=math.inf, max_events=math.inf):
+        fired = 0
+        while self.live and fired < max_events:
+            self.live.sort(key=lambda e: (e[0], e[1]))
+            time, _, tag, rearm, period = self.live[0]
+            if time > until:
+                break
+            del self.live[0]
+            self.now = time
+            self.log.append((tag, time))
+            if rearm:
+                self.schedule(period, rearm - 1, period)
+            fired += 1
+        if until < math.inf:
+            self.now = max(self.now, until)
+        return fired
+
+
+_TICK = 0.125       # exact in binary, so equal times really tie
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 8), st.integers(0, 3),
+              st.integers(0, 4)),
+    st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+    st.tuples(st.just("run"), st.integers(0, 8)),
+    st.tuples(st.just("run_n"), st.integers(1, 5)),
+), min_size=1, max_size=50)
+
+
+@given(ops=_OPS)
+@settings(max_examples=150, deadline=None)
+def test_event_order_matches_sorted_time_seq_list(ops):
+    """A random schedule / cancel / run script — with timers that cancel
+    their own fired handle and re-arm from inside the callback, as the
+    transports do — executes in the order of a list sorted by
+    ``(time, seq)``, and ``pending`` / ``peek_time`` / ``now`` agree with
+    that list after every operation."""
+    sim, model = Simulator(), _SortedListSim()
+    handles, log = [], []
+
+    def arm(delay, rearm, period):
+        tag = len(handles)
+        handles.append(sim.schedule(delay, fire, tag, rearm, period))
+
+    def fire(tag, rearm, period):
+        log.append((tag, sim.now))
+        handles[tag].cancel()           # already fired: must change nothing
+        if rearm:
+            arm(period, rearm - 1, period)
+
+    for op, *args in ops:
+        if op == "schedule":
+            delay, rearm, period = args
+            arm(delay * _TICK, rearm, period * _TICK)
+            model.schedule(delay * _TICK, rearm, period * _TICK)
+        elif op == "cancel" and handles:
+            tag = args[0] % len(handles)
+            handles[tag].cancel()
+            model.cancel(tag)
+        elif op == "run":
+            until = sim.now + args[0] * _TICK
+            assert sim.run(until=until) == model.run(until=until)
+        elif op == "run_n":
+            assert sim.run(max_events=args[0]) == \
+                model.run(max_events=args[0])
+        assert log == model.log
+        assert sim.now == model.now
+        assert sim.pending() == sim._scan_pending() == len(model.live)
+        assert sim.peek_time() == min((e[0] for e in model.live),
+                                      default=None)
+    sim.run()
+    model.run()
+    assert log == model.log
+    assert sim.pending() == 0
+    assert sim.events_processed == len(log)

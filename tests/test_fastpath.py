@@ -1,22 +1,34 @@
-"""Differential tests for :mod:`repro.fastpath` — fast vs reference.
+"""Bit-identity tests for the vectorised hot paths (:mod:`repro.fastpath`
+and friends).
 
-The fastpath contract is *bit-identity*: every optimized implementation
-(batched cross-agent inference, vectorized GAE, fused Adam, tuple-heap
-event loop, scratch-buffer fluid step) must produce exactly the bytes
-the pre-existing reference loops produce, across seeds and workloads.
-These tests pin that contract; ``python -m repro bench --hotpath``
-re-proves it on the full benchmark workloads.
+The stacked IPPO forward is compared with the per-agent loop the
+trainer still runs for agents that do not stack.  The paths whose
+reference loops were deleted are held by plain-loop oracles
+(``tests/test_gae.py``, ``tests/test_optim.py``, ``tests/test_ppo.py``,
+``tests/test_engine.py``, ``tests/test_packet_network.py``,
+``tests/test_step_oracle.py``, ``tests/test_switch_telemetry.py``) and,
+end to end, by the digests pinned at the bottom of this file.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import PETConfig
+from repro.core.pet import PETController
+from repro.core.training import run_control_loop
+from repro.fingerprint import fingerprint
+from repro.netsim.ecn import ECNConfig
 from repro.netsim.engine import Simulator
-from repro.rl.gae import compute_gae, discounted_returns
+from repro.netsim.flow import Flow
+from repro.netsim.fluid import FluidConfig, FluidNetwork
+from repro.netsim.network import PacketNetwork
+from repro.netsim.topology import TopologyConfig
 from repro.rl.ippo import IPPOTrainer
 from repro.rl.nn import MLP, clip_gradients
 from repro.rl.ppo import PPOConfig
+from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
+from repro.traffic.workloads import workload_by_name
 
 
 def _canon(x):
@@ -30,13 +42,23 @@ def _canon(x):
     return x
 
 
+def _per_agent(trainer):
+    """Put ``trainer`` in the state a ``StackingError`` leaves it in: the
+    per-agent loops serve every call."""
+    trainer._stack = False
+    assert trainer._stacked() is None
+    return trainer
+
+
 # ------------------------------------------------------------ batched IPPO
-def _rollout(fastpath, seed, n_agents=4, steps=30, updates=2):
+def _rollout(stacked, seed, n_agents=4, steps=30, updates=2):
     """Drive act/record/update for a few cycles; return everything observable."""
     cfg = PPOConfig(obs_dim=6, n_actions=10, hidden=(16, 16), seed=seed,
-                    minibatch_size=16, epochs=2, fastpath=fastpath)
+                    minibatch_size=16, epochs=2)
     ids = [f"sw{i}" for i in range(n_agents)]
     trainer = IPPOTrainer(ids, cfg)
+    if not stacked:
+        _per_agent(trainer)
     obs_rng = np.random.default_rng(seed + 1000)
     log = []
     for u in range(updates):
@@ -52,18 +74,17 @@ def _rollout(fastpath, seed, n_agents=4, steps=30, updates=2):
         last = {aid: obs_rng.normal(size=6) for aid in ids}
         stats = trainer.update(last)
         log.append(_canon(stats))
+    assert trainer.stacking_status()["stacked"] is stacked
     return log, _canon(trainer.state_dict())
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_batched_ippo_bit_identical(seed):
-    fast = _rollout(True, seed)
-    ref = _rollout(False, seed)
-    assert fast == ref
+    assert _rollout(True, seed) == _rollout(False, seed)
 
 
 def test_heterogeneous_agents_fall_back_to_per_agent_loop():
-    cfg = PPOConfig(obs_dim=5, n_actions=4, hidden=(8,), seed=3, fastpath=True)
+    cfg = PPOConfig(obs_dim=5, n_actions=4, hidden=(8,), seed=3)
     trainer = IPPOTrainer(["a", "b"], cfg)
     # Make agent b's actor a different shape -> stacking must fail ...
     trainer.agents["b"].actor = MLP([5, 12, 4], activation="tanh",
@@ -77,10 +98,11 @@ def test_heterogeneous_agents_fall_back_to_per_agent_loop():
     assert vals["a"] == trainer.agents["a"].value(obs["a"])
 
 
-def _random_weight_trainer(seed, fastpath=True, n_agents=5):
-    cfg = PPOConfig(obs_dim=6, n_actions=10, hidden=(16, 16), seed=seed,
-                    fastpath=fastpath)
+def _random_weight_trainer(seed, stacked=True, n_agents=5):
+    cfg = PPOConfig(obs_dim=6, n_actions=10, hidden=(16, 16), seed=seed)
     trainer = IPPOTrainer([f"sw{i}" for i in range(n_agents)], cfg)
+    if not stacked:
+        _per_agent(trainer)
     rng = np.random.default_rng(seed + 99)
     for agent in trainer.agents.values():       # policies far from uniform
         for net in (agent.actor, agent.critic):
@@ -119,12 +141,12 @@ def test_greedy_matrix_act_equals_per_agent_act(seed):
             for a in trainer.agents.values()] == rng_states
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_sampling_matrix_act_equals_mapping_act(fastpath):
+@pytest.mark.parametrize("stacked", [True, False])
+def test_sampling_matrix_act_equals_mapping_act(stacked):
     """Same private generators, same draw order, whichever way the
     observations arrive — stacked or per-agent loop."""
-    by_matrix = _random_weight_trainer(3, fastpath)
-    by_mapping = _random_weight_trainer(3, fastpath)
+    by_matrix = _random_weight_trainer(3, stacked)
+    by_mapping = _random_weight_trainer(3, stacked)
     ids = by_matrix.agent_ids
     obs_rng = np.random.default_rng(8)
     for step in range(20):
@@ -141,63 +163,33 @@ def test_sampling_matrix_act_equals_mapping_act(fastpath):
             assert {k: v[j] for k, v in cols.items()} == dicts[aid]
 
 
-# ------------------------------------------------------------ vectorized GAE
-@given(seed=st.integers(0, 2**16), t=st.integers(1, 40))
-@settings(max_examples=40, deadline=None)
-def test_gae_fastpath_exact(seed, t):
-    rng = np.random.default_rng(seed)
-    rewards = rng.normal(size=t)
-    values = rng.normal(size=t)
-    dones = rng.random(t) < 0.2
-    truncs = dones & (rng.random(t) < 0.5)
-    boots = np.where(truncs, rng.normal(size=t), 0.0)
-    last_value = float(rng.normal())
-    a_f, r_f = compute_gae(rewards, values, dones, last_value, 0.99, 0.95,
-                           truncateds=truncs, bootstrap_values=boots,
-                           fastpath=True)
-    a_r, r_r = compute_gae(rewards, values, dones, last_value, 0.99, 0.95,
-                           truncateds=truncs, bootstrap_values=boots,
-                           fastpath=False)
-    assert a_f.tobytes() == a_r.tobytes()
-    assert r_f.tobytes() == r_r.tobytes()
-    d_f = discounted_returns(rewards, dones, last_value, 0.99, fastpath=True)
-    d_r = discounted_returns(rewards, dones, last_value, 0.99, fastpath=False)
-    assert d_f.tobytes() == d_r.tobytes()
-
-
 # ------------------------------------------------------------ event engine
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_engine_pending_counter_matches_scan(data):
-    """Random schedule/cancel/run in both heap layouts: the O(1) counter
-    always equals the O(n) heap scan, and both modes execute the same
-    event sequence."""
+    """Random schedule/cancel/run: the O(1) counter always equals the
+    O(n) heap scan.  (``tests/test_engine.py`` checks the execution
+    order itself against a sorted ``(time, seq)`` list.)"""
     ops = data.draw(st.lists(
         st.tuples(st.sampled_from(["schedule", "cancel", "run"]),
                   st.floats(0.0, 1.0, allow_nan=False)),
         min_size=1, max_size=60))
-    fired = {True: [], False: []}
-    pend = {True: [], False: []}
-    for fastpath in (True, False):
-        sim = Simulator(fastpath=fastpath)
-        handles = []
-        for i, (op, x) in enumerate(ops):
-            if op == "schedule":
-                handles.append(sim.schedule(x, fired[fastpath].append, i))
-            elif op == "cancel" and handles:
-                handles[int(x * (len(handles) - 1))].cancel()
-            elif op == "run":
-                sim.run(until=sim.now + x)
-            assert sim.pending() == sim._scan_pending()
-            pend[fastpath].append(sim.pending())
-        sim.run()
-        assert sim.pending() == sim._scan_pending() == 0
-    assert fired[True] == fired[False]
-    assert pend[True] == pend[False]
+    sim = Simulator()
+    handles = []
+    for op, x in ops:
+        if op == "schedule":
+            handles.append(sim.schedule(x, lambda: None))
+        elif op == "cancel" and handles:
+            handles[int(x * (len(handles) - 1))].cancel()
+        elif op == "run":
+            sim.run(until=sim.now + x)
+        assert sim.pending() == sim._scan_pending()
+    sim.run()
+    assert sim.pending() == sim._scan_pending() == 0
 
 
 def test_engine_cancel_after_fire_does_not_corrupt_counter():
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
     ev = sim.schedule(0.1, lambda: None)
     sim.run(until=0.2)
     assert sim.pending() == 0
@@ -229,90 +221,130 @@ def test_clip_gradients_pins_pre_clip_norm():
         assert a.tobytes() == b.tobytes()
 
 
-# ------------------------------------------------------------ simulators
-def test_fluid_network_fastpath_bit_identical():
-    from repro.fastpath.bench import HOTPATH_WORKLOADS, fingerprint
-    run_f, _ = HOTPATH_WORKLOADS["fluid_sim"](True, True)
-    run_r, _ = HOTPATH_WORKLOADS["fluid_sim"](False, True)
-    assert fingerprint(run_f()) == fingerprint(run_r())
+# ------------------------------------------------------------ pinned runs
+#
+# The quick-mode workloads of the retired ``repro bench --hotpath``
+# harness, which timed each of them once per leg of the old ``fastpath=``
+# switch and required equal fingerprints.  The digests below were
+# captured at commit 1252d4f — the last one where both legs existed, and
+# agreed — so they hold the surviving leg to the deleted reference's
+# bytes.
+
+_FABRIC = FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                      host_rate_bps=10e9, spine_rate_bps=40e9)
 
 
-def test_packet_network_fastpath_bit_identical():
-    from repro.fastpath.bench import HOTPATH_WORKLOADS, fingerprint
-    run_f, _ = HOTPATH_WORKLOADS["packet_sim"](True, True)
-    run_r, _ = HOTPATH_WORKLOADS["packet_sim"](False, True)
-    assert fingerprint(run_f()) == fingerprint(run_r())
-
-
-def test_control_loop_fastpath_bit_identical():
-    from repro.fastpath.bench import HOTPATH_WORKLOADS, fingerprint
-    run_f, _ = HOTPATH_WORKLOADS["tick_loop"](True, True)
-    run_r, _ = HOTPATH_WORKLOADS["tick_loop"](False, True)
-    assert fingerprint(run_f()) == fingerprint(run_r())
-
-
-# The bench workloads above exercise the networks through the harness;
-# the two tests below construct the twins *directly* so the reference
-# legs of FluidNetwork/PacketNetwork (__init__, advance, queue_stats,
-# _flow_observations with fastpath=False) are pinned by name — the
-# PET103 dual-path-parity contract.
-
-def _twin_fluid(fastpath):
-    from repro.netsim.flow import Flow
-    from repro.netsim.fluid import FluidConfig, FluidNetwork
-
-    net = FluidNetwork(FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
-                                   host_rate_bps=1e8, spine_rate_bps=4e8),
-                       seed=5, fastpath=fastpath)
-    net.start_flows([Flow(i, f"h{i}", "h3", 120_000) for i in range(3)])
-    for _ in range(5):
-        net.advance(0.002)
+def _traffic_net(*, seed, duration, load):
+    net = FluidNetwork(_FABRIC, seed=seed)
+    gen = PoissonTrafficGenerator(net.host_names(),
+                                  workload_by_name("websearch"),
+                                  rng=np.random.default_rng(seed + 1))
+    net.start_flows(gen.generate(TrafficConfig(
+        load=load, duration=duration, host_rate_bps=_FABRIC.host_rate_bps,
+        start_time=0.0)))
     return net
 
 
-def test_fluid_network_reference_twin_direct():
-    fast, ref = _twin_fluid(True), _twin_fluid(False)
-    assert fast.queue_stats() == ref.queue_stats()
-    assert fast._flow_observations() == ref._flow_observations()
+def _interval_stats(net, intervals):
+    stats = []
+    for _ in range(intervals):
+        net.advance(1e-3)
+        stats.append(net.queue_stats())
+    return stats
 
 
-def test_packet_network_reference_twin_direct():
-    from repro.netsim.flow import Flow
-    from repro.netsim.network import PacketNetwork
-    from repro.netsim.topology import TopologyConfig
-
-    stats = {}
-    for fastpath in (True, False):
-        net = PacketNetwork(TopologyConfig(n_spine=1, n_leaf=2,
-                                           hosts_per_leaf=2,
-                                           host_rate_bps=1e8,
-                                           spine_rate_bps=4e8),
-                            seed=5, fastpath=fastpath)
-        net.start_flows([Flow(i, f"h{i}", "h3", 30_000) for i in range(3)])
-        net.advance(0.02)
-        stats[fastpath] = net.queue_stats()
-    assert stats[True] == stats[False]
+def _tick_loop():
+    """The full PET control loop: fluid simulator, fleet observer, IPPO
+    inference and PPO updates."""
+    net = _traffic_net(seed=0, duration=60e-3, load=0.6)
+    pet = PETController(net.switch_names(),
+                        PETConfig(delta_t=1e-3, update_interval=16, seed=0))
+    res = run_control_loop(net, pet, intervals=60, delta_t=1e-3)
+    return {"trace": res.reward_trace, "rewards": res.rewards_per_switch,
+            "state": pet.state_dict(), "q_len": net.q_len.copy()}
 
 
-# ------------------------------------------------------------ bench harness
-def test_hotpath_bench_quick_smoke(tmp_path):
-    import json
+def _ppo_update():
+    """IPPO act/record/update in isolation: stacked inference, GAE, Adam."""
+    n_agents, obs_dim, steps, horizon = 12, 24, 128, 64
+    cfg = PPOConfig(obs_dim=obs_dim, n_actions=10, hidden=(64, 64),
+                    epochs=4, minibatch_size=64, seed=0)
+    ids = [f"s{i}" for i in range(n_agents)]
+    trainer = IPPOTrainer(ids, cfg)
+    rng = np.random.default_rng(123)
+    all_obs = [dict(zip(ids, rng.normal(size=(n_agents, obs_dim))))
+               for _ in range(steps + 1)]
+    all_rewards = rng.normal(size=(steps, n_agents))
+    out = {"stats": []}
+    for t in range(steps):
+        obs = all_obs[t]
+        dec = trainer.act(obs, epsilon=0.1)
+        for i, aid in enumerate(ids):
+            d = dec[aid]
+            trainer.agents[aid].record(
+                obs[aid], int(d["action"]), float(all_rewards[t, i]),
+                False, d["log_prob"], d["value"])
+        if (t + 1) % horizon == 0:
+            out["stats"].append(trainer.update(all_obs[t + 1]))
+    out["state"] = trainer.state_dict()
+    return out
 
-    from repro.fastpath.bench import hotpath_main
 
-    out = tmp_path / "bench.json"
-    rc = hotpath_main(["--quick", "--repeat", "1", "--workload", "ppo_update",
-                       "--out", str(out), "--no-attribution"])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    (w,) = report["workloads"]
-    assert w["name"] == "ppo_update" and w["results_match"] is True
-    # regression guard: a doctored baseline with a huge speedup must fail
-    doctored = dict(report)
-    doctored["workloads"] = [dict(w, speedup=w["speedup"] * 100)]
-    base = tmp_path / "base.json"
-    base.write_text(json.dumps(doctored))
-    rc = hotpath_main(["--quick", "--repeat", "1", "--workload", "ppo_update",
-                       "--out", str(out), "--no-attribution",
-                       "--baseline", str(base)])
-    assert rc != 0
+def _packet_sim():
+    """The packet-level event simulator: event order, ``pending()``,
+    per-switch ``queue_stats``."""
+    topo = TopologyConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                          host_rate_bps=2e8, spine_rate_bps=8e8)
+    net = PacketNetwork(topo, seed=0)
+    rng = np.random.default_rng(7)
+    hosts = net.host_names()
+    flows = []
+    for i in range(12):
+        src, dst = rng.choice(len(hosts), size=2, replace=False)
+        flows.append(Flow(i, hosts[src], hosts[dst],
+                          int(rng.integers(20_000, 300_000)),
+                          start_time=float(rng.uniform(0, 2e-3))))
+    net.start_flows(flows)
+    return {"stats": _interval_stats(net, 20),
+            "events": net.sim.events_processed,
+            "latencies": list(net.latencies),
+            "finished": [(f.flow_id, f.finish_time)
+                         for f in net.finished_flows]}
+
+
+def _fluid_sim():
+    """The fluid simulator: step phases and grouped switch telemetry."""
+    net = _traffic_net(seed=3, duration=50e-3, load=0.7)
+    net.set_ecn_all(ECNConfig(kmin_bytes=20_000, kmax_bytes=80_000,
+                              pmax=0.2))
+    return {"stats": _interval_stats(net, 50), "q_len": net.q_len.copy()}
+
+
+#: captured at commit 1252d4f, where ``fastpath=True`` and
+#: ``fastpath=False`` produced the same digest for each workload.
+_PINNED = {
+    "tick_loop":
+        "cd790a1f6d05c0c445096d81b70bd195425efec514bccc4a5cb115dd99ab5763",
+    "ppo_update":
+        "b99d5e6636f9ec384184ccabaccade507781b2f69a3116e631f5d08dc68141f5",
+    "packet_sim":
+        "1ca1c35788b63a4463a98fb51802e91155ffd2ac39446ef1d03e0d9a68db90a8",
+    "fluid_sim":
+        "c2eb4e2ae20e777bc295efa7cc3fcee4496213782b2bf2322da4523281dd09a9",
+}
+
+
+def test_control_loop_fastpath_bit_identical():
+    assert fingerprint(_tick_loop()) == _PINNED["tick_loop"]
+
+
+def test_ppo_update_fastpath_bit_identical():
+    assert fingerprint(_ppo_update()) == _PINNED["ppo_update"]
+
+
+def test_packet_network_fastpath_bit_identical():
+    assert fingerprint(_packet_sim()) == _PINNED["packet_sim"]
+
+
+def test_fluid_network_fastpath_bit_identical():
+    assert fingerprint(_fluid_sim()) == _PINNED["fluid_sim"]

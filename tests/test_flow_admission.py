@@ -98,9 +98,10 @@ def test_admission_follows_start_time_then_registration(kind, data):
     tab = net.flow_shards[0] if kind == "fat_tree" else net
 
     seen_steps = []
+    one_step = net._step if kind == "fat_tree" else net._step_phases
 
     def step():
-        net._step(dt)
+        one_step(dt)
         seen_steps.append(net.now)
         admitted.extend(tab._idx_to_fid[i]
                         for i in range(len(admitted), tab._n_flows))

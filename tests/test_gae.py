@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rl.gae import compute_gae, discounted_returns
 
@@ -130,3 +131,98 @@ class TestDiscountedReturns:
                                  gamma=0.9)
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(10.0)
+
+
+# ------------------------------------------------------------- plain loops
+def _gae_loop(rewards, values, dones, last_value, gamma, lam, truncateds,
+              bootstrap_values):
+    """Eq. 9-10 one step at a time, indexing the arrays."""
+    T = len(rewards)
+    adv = np.zeros(T)
+    gae = 0.0
+    next_value = float(last_value)
+    for t in range(T - 1, -1, -1):
+        if dones[t]:
+            # the chain resets; only a truncation bootstraps
+            boot = 0.0
+            if truncateds is not None and truncateds[t] \
+                    and bootstrap_values is not None:
+                boot = float(bootstrap_values[t])
+            gae = rewards[t] + gamma * boot - values[t]
+        else:
+            delta = rewards[t] + gamma * next_value - values[t]
+            gae = delta + gamma * lam * gae
+        adv[t] = gae
+        next_value = values[t]
+    return adv, adv + values
+
+
+def _returns_loop(rewards, dones, last_value, gamma, truncateds,
+                  bootstrap_values):
+    T = len(rewards)
+    out = np.zeros(T)
+    running = float(last_value)
+    for t in range(T - 1, -1, -1):
+        if dones[t]:
+            running = 0.0
+            if truncateds is not None and truncateds[t] \
+                    and bootstrap_values is not None:
+                running = float(bootstrap_values[t])
+        running = rewards[t] + gamma * running
+        out[t] = running
+    return out
+
+
+@given(seed=st.integers(0, 2**16), t=st.integers(0, 40),
+       with_truncs=st.booleans(), with_boots=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_gae_and_returns_equal_plain_loops_bit_for_bit(seed, t, with_truncs,
+                                                       with_boots):
+    rng = np.random.default_rng(seed)
+    rewards = rng.normal(size=t)
+    values = rng.normal(size=t)
+    dones = rng.random(t) < 0.2
+    truncs = dones & (rng.random(t) < 0.5)
+    boots = np.where(truncs, rng.normal(size=t), 0.0)
+    last_value = float(rng.normal())
+    truncs = truncs if with_truncs else None
+    boots = boots if with_boots else None
+    adv, ret = compute_gae(rewards, values, dones, last_value, 0.99, 0.95,
+                           truncateds=truncs, bootstrap_values=boots)
+    want_adv, want_ret = _gae_loop(rewards, values, dones, last_value,
+                                   0.99, 0.95, truncs, boots)
+    assert adv.tobytes() == want_adv.tobytes()
+    assert ret.tobytes() == want_ret.tobytes()
+    rtg = discounted_returns(rewards, dones, last_value, 0.99,
+                             truncateds=truncs, bootstrap_values=boots)
+    assert rtg.tobytes() == _returns_loop(rewards, dones, last_value, 0.99,
+                                          truncs, boots).tobytes()
+
+
+# ------------------------------------------------------------- validation
+_GOOD = dict(rewards=[1.0, 2.0], values=[0.5, 0.4], dones=[False, True],
+             truncateds=[False, True], bootstrap_values=[0.0, 3.0])
+
+
+@pytest.mark.parametrize("field", ["values", "dones", "truncateds",
+                                   "bootstrap_values"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_compute_gae_rejects_each_length_mismatch(field, length):
+    args = dict(_GOOD, **{field: [0.0] * length})
+    with pytest.raises(ValueError, match=field):
+        compute_gae(args["rewards"], args["values"], args["dones"], 0.0,
+                    0.9, 0.9, truncateds=args["truncateds"],
+                    bootstrap_values=args["bootstrap_values"])
+
+
+@pytest.mark.parametrize("field", ["dones", "truncateds", "bootstrap_values"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_discounted_returns_rejects_each_length_mismatch(field, length):
+    """Surplus ``dones`` used to be ignored, and ``truncateds`` /
+    ``bootstrap_values`` of another length mis-aligned or raised a bare
+    ``IndexError``."""
+    args = dict(_GOOD, **{field: [0.0] * length})
+    with pytest.raises(ValueError, match=field):
+        discounted_returns(args["rewards"], args["dones"], 0.0, 0.9,
+                           truncateds=args["truncateds"],
+                           bootstrap_values=args["bootstrap_values"])

@@ -6,19 +6,23 @@ Two acceptance properties of the observability PR:
    every instrumented layer — control loop, simulator, PET pipeline,
    RL update, fault events — plus the metrics summary.
 2. Telemetry is *zero-overhead when disabled*: a pretraining run is
-   bit-identical (perfbench fingerprint) whether it executes before,
+   bit-identical (``repro.fingerprint``) whether it executes before,
    during, or after an enabled-telemetry run.
 """
 
 from functools import partial
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
 from repro.core.training import pretrain_one_seed
+from repro.fingerprint import fingerprint
+from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.obs.cli import trace_main
 from repro.obs.export import OBS_SCHEMA, read_jsonl
-from repro.parallel.perfbench import _bench_train_network, _fingerprint
+from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
+from repro.traffic.workloads import workload_by_name
 
 
 @pytest.fixture(autouse=True)
@@ -71,9 +75,23 @@ class TestTraceCLI:
         assert any(s.name == "loop.tick" for s in spans)
 
 
+def _train_network(seed, duration, load):
+    """Traffic-loaded trainer fabric for ``pretrain_one_seed``."""
+    fabric = FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                         host_rate_bps=10e9, spine_rate_bps=40e9)
+    net = FluidNetwork(fabric, seed=seed)
+    gen = PoissonTrafficGenerator(net.host_names(),
+                                  workload_by_name("websearch"),
+                                  rng=np.random.default_rng(seed + 1))
+    net.start_flows(gen.generate(TrafficConfig(
+        load=load, duration=duration, host_rate_bps=fabric.host_rate_bps,
+        start_time=0.0)))
+    return net
+
+
 def _tiny_pretrain():
     """A short, seeded offline pretraining run (the acceptance workload)."""
-    make = partial(_bench_train_network, duration=0.03, load=0.4)
+    make = partial(_train_network, duration=0.03, load=0.4)
     return pretrain_one_seed(make, None, seed=3, episodes=1,
                              intervals_per_episode=30)
 
@@ -83,14 +101,14 @@ class TestZeroOverheadWhenDisabled:
         """The overhead guard: enabling the full bus must not perturb a
         single bit of the training result — telemetry never touches an
         RNG stream or a control-flow decision."""
-        baseline = _fingerprint(_tiny_pretrain())
+        baseline = fingerprint(_tiny_pretrain())
         with obs.telemetry() as (reg, tracer):
-            traced = _fingerprint(_tiny_pretrain())
+            traced = fingerprint(_tiny_pretrain())
             # the instrumented layers really did collect during the run
             assert reg.counter_value("loop.intervals") > 0
             assert reg.counter_value("netsim.advance_calls", sim="fluid") > 0
             assert len(tracer.by_name("loop.tick")) > 0
-        after = _fingerprint(_tiny_pretrain())
+        after = fingerprint(_tiny_pretrain())
         assert baseline == traced
         assert baseline == after
 

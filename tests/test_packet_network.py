@@ -89,6 +89,44 @@ class TestStats:
         total_marked = sum(s.tx_marked_bytes for s in net.queue_stats().values())
         assert total_marked > 0
 
+    def test_switch_record_is_the_sum_of_its_ports(self):
+        """``queue_stats()`` reads its baselines from a per-switch list;
+        ``port_stats()`` reads the ``(switch, port)``-keyed dict.  Read
+        back to back, every per-switch counter must be the in-order sum
+        of that switch's port records — under marking and tail drops."""
+        net = mk_net(switch_buffer_bytes=30_000)
+        net.set_ecn_all(ECNConfig(2_000, 10_000, 0.5))
+        net.start_flows([Flow(i, f"h{i % 3}", "h3", 400_000)
+                         for i in range(6)])
+        seen = {"tx": 0, "marked": 0, "drops": 0}
+        for _ in range(6):
+            net.advance(0.004)
+            ports = net.port_stats()
+            stats = net.queue_stats()
+            assert set(stats) == set(net.switch_names())
+            for name, st in stats.items():
+                mine = [ports[(name, i)] for i in range(st.n_queues)]
+                assert len(mine) == sum(1 for sw, _ in ports if sw == name)
+                avg_q = 0.0
+                flow_obs = {}
+                for p in mine:
+                    avg_q += p.avg_qlen_bytes
+                    flow_obs.update(p.flow_obs)
+                assert st.tx_bytes == sum(p.tx_bytes for p in mine)
+                assert st.tx_marked_bytes == sum(p.tx_marked_bytes
+                                                 for p in mine)
+                assert st.dropped_pkts == sum(p.dropped_pkts for p in mine)
+                assert st.avg_qlen_bytes == avg_q
+                assert st.qlen_bytes == sum(p.qlen_bytes for p in mine)
+                assert st.max_port_qlen_bytes == max(p.qlen_bytes
+                                                     for p in mine)
+                assert st.interval == mine[0].interval
+                assert st.flow_obs == flow_obs
+                seen["tx"] += st.tx_bytes
+                seen["marked"] += st.tx_marked_bytes
+                seen["drops"] += st.dropped_pkts
+        assert all(seen.values()), seen
+
     def test_no_marks_with_huge_thresholds(self):
         net = mk_net()
         net.set_ecn_all(ECNConfig(50_000_000, 99_000_000, 0.01))

@@ -233,3 +233,61 @@ class TestTruncationBootstrap:
         assert buf.truncateds == [True]
         buf.clear()
         assert buf.truncateds == [] and buf.bootstraps == []
+
+
+class TestEpochGather:
+    def test_minibatches_are_slices_of_the_epoch_shuffle(self, monkeypatch):
+        """``update()`` gathers each array once per epoch; what
+        ``_update_minibatch`` receives must still be ``x[idx[start:end]]``
+        of that epoch's shuffle, ragged tail included."""
+        import copy
+
+        import repro.rl.ppo as ppo_mod
+
+        agent = _agent(minibatch_size=8, epochs=3,
+                       normalize_advantages=False)
+        rng = np.random.default_rng(4)
+        n = 21
+        for t in range(n):
+            obs = rng.normal(size=3)
+            d = agent.act(obs)
+            agent.record(obs, d["action"], float(rng.normal()),
+                         t % 9 == 8, d["log_prob"], d["value"])
+        buf = agent.buffer
+        obs, actions = np.stack(buf.obs), np.asarray(buf.actions)
+        old_logp = np.asarray(buf.log_probs)
+
+        gae_out = []
+        real_gae = ppo_mod.compute_gae
+
+        def spy_gae(*args, **kw):
+            gae_out.append(real_gae(*args, **kw))
+            return gae_out[-1]
+
+        received = []
+        real_minibatch = agent._update_minibatch
+
+        def spy_minibatch(*arrays):
+            received.append([a.copy() for a in arrays])
+            return real_minibatch(*arrays)
+
+        monkeypatch.setattr(ppo_mod, "compute_gae", spy_gae)
+        monkeypatch.setattr(agent, "_update_minibatch", spy_minibatch)
+        shuffler = copy.deepcopy(agent.rng)
+        agent.update(last_obs=np.zeros(3))
+
+        (adv, returns), = gae_out
+        idx = np.arange(n)
+        expected = []
+        for _ in range(3):
+            shuffler.shuffle(idx)
+            for start in range(0, n, 8):
+                mb = idx[start:start + 8]
+                expected.append([obs[mb], actions[mb], old_logp[mb],
+                                 adv[mb], returns[mb]])
+        assert [len(e[0]) for e in expected] == [8, 8, 5] * 3
+        assert len(received) == len(expected)
+        for got, want in zip(received, expected):
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()

@@ -27,7 +27,7 @@ from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.routing import ecmp_hash, splitmix64
 from repro.netsim.shard import ShardedFluidNetwork
-from repro.parallel.perfbench import _fingerprint
+from repro.fingerprint import fingerprint
 
 
 # ------------------------------------------------------------- helpers
@@ -70,7 +70,7 @@ def _run_fp(cfg, shards, *, steps=150, n_flows=40, engine=None,
         if (k + 1) % 50 == 0:
             stats.append(net.queue_stats())
     flows = net.flow_table_state()
-    return _fingerprint({"stats": stats, "q_len": net.q_len.copy(),
+    return fingerprint({"stats": stats, "q_len": net.q_len.copy(),
                          "rates": flows["f_rate"], "paths": flows["f_path"],
                          "alpha": flows["f_alpha"],
                          "finished": [(f.flow_id, f.finish_time)
@@ -151,7 +151,7 @@ class TestShardConformance:
             _load(net, cfg, n_flows=40)
             for _ in range(60):
                 net._step(cfg.step_dt)
-            fps.append(_fingerprint({"q": net.q_len.copy(),
+            fps.append(fingerprint({"q": net.q_len.copy(),
                                      **net.flow_table_state()}))
         arena_net.close()
         assert fps[0] == fps[1]
@@ -247,8 +247,8 @@ class TestStackedFlowTable:
                     report[f"pod{p}"]["flow_bytes"]
         assert [(f.flow_id, f.finish_time) for f in grown.finished_flows] \
             == [(f.flow_id, f.finish_time) for f in roomy.finished_flows]
-        assert _fingerprint({"q": grown.q_len, **grown.flow_table_state()}) \
-            == _fingerprint({"q": roomy.q_len, **roomy.flow_table_state()})
+        assert fingerprint({"q": grown.q_len, **grown.flow_table_state()}) \
+            == fingerprint({"q": roomy.q_len, **roomy.flow_table_state()})
 
 
 # ------------------------------------------------------------- surface
@@ -517,8 +517,8 @@ def test_sharded_flow_tables_survive_divergence_and_reroutes(
         shard._step(cfg.step_dt)
         assert shard.bytes_in_flight() == mono.bytes_in_flight()
     mf, sf = mono.flow_table_state(), shard.flow_table_state()
-    assert _fingerprint({"q": shard.q_len.copy(), **sf}) == \
-        _fingerprint({"q": mono.q_len.copy(), **mf})
+    assert fingerprint({"q": shard.q_len.copy(), **sf}) == \
+        fingerprint({"q": mono.q_len.copy(), **mf})
     # ownership is immutable: every flow is still in its source pod's
     # table (the reroute may have changed f_core, never the shard)
     for p, sh in enumerate(shard.flow_shards):

@@ -2,8 +2,8 @@
 
 The solo, batch and fat-tree networks all step through the phase
 functions of :mod:`repro.netsim.fluid`; every other conformance suite
-compares those networks with each other (or with the ``fastpath=False``
-reference), which cannot see all legs drift together.  Here one step —
+compares those networks with each other, which cannot see all of them
+drift together.  Here one step —
 send rates, arrivals, queue integration and RED marking, per-flow mark
 fraction / bottleneck / queueing delay, AIMD, bytes remaining, finished
 flows, the latency sample — is rebuilt with plain Python loops over
@@ -25,7 +25,6 @@ import copy
 import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.batchfluid import BatchFluidNetwork
@@ -33,8 +32,8 @@ from repro.netsim.ecn import ECNConfig
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork, flow_phase
+from repro.fingerprint import fingerprint
 from repro.netsim.shard import ShardedFluidNetwork
-from repro.fastpath.bench import fingerprint
 
 #: a buffer small enough that incast overflows it, so drops are exercised
 CFG = dataclasses.replace(FluidConfig.small(), switch_buffer_bytes=150_000)
@@ -214,8 +213,8 @@ def _merge(seen, more):
 
 
 # ------------------------------------------------------------------- solo
-def _solo_steps(n_flows, seed, steps, fastpath=True):
-    net = FluidNetwork(CFG, seed=seed, fastpath=fastpath)
+def _solo_steps(n_flows, seed, steps):
+    net = FluidNetwork(CFG, seed=seed)
     net.set_ecn_all(TIGHT)
     _load(net, n_flows, seed)
     seen = {}
@@ -242,11 +241,9 @@ def test_solo_step_matches_plain_loop_oracle(n_flows, seed, steps):
     _solo_steps(n_flows, seed, steps)
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_solo_oracle_run_meets_every_corner(fastpath):
-    """The fixed run the mutation checks were made on (CHANGES.md) — and
-    the reference ``_step`` held to the same oracle."""
-    seen = _solo_steps(40, 11, 80, fastpath=fastpath)
+def test_solo_oracle_run_meets_every_corner():
+    """The fixed run the mutation checks were made on (CHANGES.md)."""
+    seen = _solo_steps(40, 11, 80)
     assert all(seen.values()), seen
 
 

@@ -72,8 +72,8 @@ class TestSimBatchSweep:
 
     @staticmethod
     def _canon(cells):
-        from repro.parallel.perfbench import _fingerprint
-        return _fingerprint([(c.scheme, c.load, c.workload, c.metrics)
+        from repro.fingerprint import fingerprint
+        return fingerprint([(c.scheme, c.load, c.workload, c.metrics)
                              for c in cells])
 
     def test_matches_serial_bitwise(self):
@@ -107,12 +107,12 @@ class TestSimBatchSweep:
         from repro.analysis.experiments import (clear_pretrain_cache,
                                                 run_scenario,
                                                 run_scenario_grid)
-        from repro.parallel.perfbench import _fingerprint
+        from repro.fingerprint import fingerprint
         base = tiny_base()
         jobs = [("secn1", base), ("secn2", base)]
         clear_pretrain_cache()
         ref = [run_scenario(s, c) for s, c in jobs]
         clear_pretrain_cache()
         bat = run_scenario_grid(jobs, sim_batch=True)
-        assert [_fingerprint(r.summary_row()) for r in ref] == \
-            [_fingerprint(r.summary_row()) for r in bat]
+        assert [fingerprint(r.summary_row()) for r in ref] == \
+            [fingerprint(r.summary_row()) for r in bat]

@@ -74,6 +74,27 @@ def _bits(x):
     return np.float64(x).tobytes() if isinstance(x, float) else x
 
 
+def _collect_and_check_against_mask(net):
+    """``net.queue_stats()``, every field of every record compared bit
+    for bit with :func:`_mask_oracle` over the accumulators as they stood
+    just before the call."""
+    interval = net._acc_time
+    arrays = {"tx": net._acc_tx.copy(), "marked": net._acc_marked.copy(),
+              "area": net._acc_qlen_area.copy(),
+              "drops": net._acc_drops.copy(), "q_len": net.q_len.copy(),
+              "q_cap": net.q_cap.copy()}
+    stats = net.queue_stats()
+    names = net.switch_names()
+    assert list(stats) == names
+    for s, name in enumerate(names):
+        assert stats[name].switch == name
+        for field_, want in _mask_oracle(net, arrays, interval, s).items():
+            have = getattr(stats[name], field_)
+            assert type(have) is type(want), (name, field_)
+            assert _bits(have) == _bits(want), (name, field_, have, want)
+    return stats
+
+
 @pytest.mark.parametrize("kind", ["leaf_spine", "fat_tree"])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
@@ -96,21 +117,8 @@ def test_queue_stats_equals_boolean_mask_recomputation(kind, seed, lo, hi,
         a[:] = 10.0 ** rng.uniform(lo, hi, size=a.size)
         a[rng.random(a.size) < zero_share] = 0.0
     net._acc_time = interval
-    arrays = {"tx": net._acc_tx.copy(), "marked": net._acc_marked.copy(),
-              "area": net._acc_qlen_area.copy(),
-              "drops": net._acc_drops.copy(), "q_len": net.q_len.copy(),
-              "q_cap": net.q_cap.copy()}
-    stats = net.queue_stats()
-    names = net.switch_names()
-    assert list(stats) == names
-    for s, name in enumerate(names):
-        got = stats[name]
-        assert got.switch == name
-        assert got.ecn == net.config.default_ecn
-        for field_, want in _mask_oracle(net, arrays, interval, s).items():
-            have = getattr(got, field_)
-            assert type(have) is type(want), (name, field_)
-            assert _bits(have) == _bits(want), (name, field_, have, want)
+    stats = _collect_and_check_against_mask(net)
+    assert all(st_.ecn == net.config.default_ecn for st_ in stats.values())
     # the interval was reset
     assert net._acc_time == 0.0 and not net._acc_tx.any()
 
@@ -123,24 +131,21 @@ def test_one_switch_class_is_exercised():
 
 
 def test_queue_stats_fast_equals_reference_after_traffic():
-    """The two legs of the ``fastpath`` gate, driven by real traffic
-    (drops included: incast into a tiny buffer), compare equal record
-    for record."""
+    """Accumulators filled by real traffic (drops included: incast into
+    a tiny buffer) rather than drawn at random: every record still equals
+    the boolean-mask reference above, bit for bit."""
     cfg = FluidConfig(n_spine=2, n_leaf=3, hosts_per_leaf=4,
                       host_rate_bps=10e9, spine_rate_bps=10e9,
                       switch_buffer_bytes=30_000)
-    nets = [FluidNetwork(cfg, seed=4, fastpath=fp) for fp in (True, False)]
+    net = FluidNetwork(cfg, seed=4)
+    _load(net, 40, seed=9)
+    net.start_flows([Flow(100 + i, f"h{i}", "h0", 2_000_000)
+                     for i in range(1, 12)])
     dropped = 0
-    for net in nets:
-        _load(net, 40, seed=9)
-        net.start_flows([Flow(100 + i, f"h{i}", "h0", 2_000_000)
-                         for i in range(1, 12)])
     for _ in range(4):
-        for net in nets:
-            net.advance(5e-4)
-        fast, ref = (net.queue_stats() for net in nets)
-        assert fast == ref
-        dropped += sum(st_.dropped_pkts for st_ in ref.values())
+        net.advance(5e-4)
+        stats = _collect_and_check_against_mask(net)
+        dropped += sum(st_.dropped_pkts for st_ in stats.values())
     assert dropped > 0
 
 
@@ -237,17 +242,19 @@ def test_flow_obs_is_a_collection_time_snapshot(kind):
 
 
 def test_flow_obs_equals_reference_twin_in_order():
-    nets = [FluidNetwork(_LEAF_SPINE, seed=2, fastpath=fp)
-            for fp in (True, False)]
-    for net in nets:
-        _load(net, 40, seed=5, spread=2e-3)
+    """Collection after collection, as flows start and finish in between:
+    every switch's dict equals the plain-loop twin above, item for item
+    in insertion order."""
+    net = FluidNetwork(_LEAF_SPINE, seed=2)
+    _load(net, 40, seed=5, spread=2e-3)
     for _ in range(3):
-        for net in nets:
-            net.advance(1e-3)
-        fast, ref = (net.queue_stats() for net in nets)
-        for name in ref:
-            assert list(fast[name].flow_obs.items()) == \
-                list(ref[name].flow_obs.items())
+        net.advance(1e-3)
+        want = _obs_oracle(net)
+        stats = net.queue_stats()
+        assert any(want.values())
+        for s, name in enumerate(net.switch_names()):
+            assert list(stats[name].flow_obs.items()) == \
+                list(want.get(s, {}).items())
 
 
 @pytest.fixture

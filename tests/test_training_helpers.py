@@ -76,8 +76,8 @@ class TestPretrainMultiSeedSimBatch:
 
     @staticmethod
     def _canon(results):
-        from repro.parallel.perfbench import _fingerprint
-        return _fingerprint([
+        from repro.fingerprint import fingerprint
+        return fingerprint([
             (r.seed, r.state,
              [(ep.intervals, ep.mean_reward, ep.rewards_per_switch,
                ep.reward_trace) for ep in r.episodes])
