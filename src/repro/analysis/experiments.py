@@ -73,9 +73,8 @@ class ScenarioConfig:
         host_rate_bps=10e9, spine_rate_bps=40e9))
     # packet fabric
     packet: TopologyConfig = field(default_factory=TopologyConfig)
-    # sharded fat-tree fabric (docs/TOPOLOGIES.md)
+    # fat-tree fabric (docs/TOPOLOGIES.md)
     fattree: FatTreeConfig = field(default_factory=FatTreeConfig)
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.simulator not in ("fluid", "packet", "fluid_shard"):
@@ -134,7 +133,7 @@ def _make_network(cfg: ScenarioConfig, seed: int):
     if cfg.simulator == "fluid":
         return FluidNetwork(cfg.fluid, seed=seed)
     if cfg.simulator == "fluid_shard":
-        return ShardedFluidNetwork(cfg.fattree, shards=cfg.shards, seed=seed)
+        return ShardedFluidNetwork(cfg.fattree, seed=seed)
     return PacketNetwork(cfg.packet, seed=seed)
 
 

@@ -10,9 +10,9 @@ Quick smoke run::
 
     python -m repro --scheme secn1 --duration 0.02 --pretrain 0
 
-Sharded multi-pod fat-tree substrate (docs/TOPOLOGIES.md)::
+Multi-pod fat-tree substrate (docs/TOPOLOGIES.md)::
 
-    python -m repro --scheme secn1 --topology fattree --pods 4 --shards 4 \
+    python -m repro --scheme secn1 --topology fattree --pods 4 \
         --duration 0.02 --pretrain 0
 
 Chaos/robustness benchmark (fault injection + resilience guard)::
@@ -76,16 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default="leafspine",
                    choices=["leafspine", "fattree"],
                    help="fabric shape: single-pod leaf-spine (fluid "
-                        "model) or multi-pod fat-tree (spatially "
-                        "sharded; docs/TOPOLOGIES.md)")
+                        "model) or multi-pod fat-tree (fluid model; "
+                        "docs/TOPOLOGIES.md)")
     p.add_argument("--hosts-per-leaf", type=int, default=8)
     p.add_argument("--leaves", type=int, default=4)
     p.add_argument("--spines", type=int, default=2)
     p.add_argument("--pods", type=int, default=4,
                    help="fat-tree pod count (--topology fattree)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="spatial shard count for the fat-tree "
-                        "simulator (bit-identical for any value)")
     p.add_argument("--sanitize", action="store_true",
                    help="enable the runtime invariant sanitizer "
                         "(repro.devtools.sanitize) for this run")
@@ -138,10 +135,8 @@ def _dispatch(argv: List[str]) -> int:
                                host_rate_bps=10e9, agg_rate_bps=40e9,
                                core_rate_bps=40e9)
         cfg = ScenarioConfig(simulator="fluid_shard", fattree=fabric,
-                             shards=args.shards, **common)
+                             **common)
     else:
-        if args.shards != 1:
-            raise ValueError("--shards applies to --topology fattree only")
         fabric = FluidConfig(n_spine=args.spines, n_leaf=args.leaves,
                              hosts_per_leaf=args.hosts_per_leaf,
                              host_rate_bps=10e9, spine_rate_bps=40e9)

@@ -347,26 +347,6 @@ def _resolve_callable_name(fn: FunctionInfo, program: Program,
     return program.functions.get(nested)
 
 
-def _arena_cache_globals(module: ModuleInfo) -> Set[str]:
-    """Mutable globals that are shared-memory arena attachment caches.
-
-    A process-local ``{name -> view}`` cache over named
-    ``multiprocessing.shared_memory`` segments is the sanctioned way to
-    hand workers zero-copy state: the *shared* thing is the OS segment,
-    addressed by a string handle riding in the TaskSpec args, and the
-    module-level dict is merely each process's attachment table — worker
-    results cannot depend on process history through it.  Exempt such
-    caches from the mutable-global check: the module must import
-    ``multiprocessing`` (or a submodule) and the global's name must say
-    "arena".
-    """
-    imports = list(module.aliases.values()) + list(module.from_imports.values())
-    if not any(q == "multiprocessing" or q.startswith("multiprocessing.")
-               for q in imports):
-        return set()
-    return {n for n in module.mutable_globals if "arena" in n.lower()}
-
-
 def rule_pet102(program: Program, ctx: _Context) -> List[Finding]:
     findings: List[Finding] = []
     task_roots: Set[str] = set()
@@ -438,13 +418,11 @@ def rule_pet102(program: Program, ctx: _Context) -> List[Finding]:
     for qual in sorted(program.reachable_from(task_roots)):
         body = program.functions[qual]
         local_names = _assigned_names(body.node)
-        arena_exempt = _arena_cache_globals(body.module)
         reported: Set[str] = set()
         for node in ast.walk(body.node):
             if isinstance(node, ast.Global):
                 for name in node.names:
                     if name in body.module.mutable_globals \
-                            and name not in arena_exempt \
                             and name not in reported:
                         reported.add(name)
                         findings.append(_finding(
@@ -454,7 +432,6 @@ def rule_pet102(program: Program, ctx: _Context) -> List[Finding]:
                             "results would depend on process history"))
             elif isinstance(node, ast.Name) \
                     and node.id in body.module.mutable_globals \
-                    and node.id not in arena_exempt \
                     and node.id not in local_names \
                     and node.id not in reported:
                 reported.add(node.id)

@@ -27,11 +27,10 @@ same per-switch statistics interface; it is orders of magnitude faster
 and is what the RL training sweeps in the benchmark harness run on.
 :mod:`repro.netsim.batchfluid` steps R independent fluid replicas as one
 ``(R, n, H)`` tensor program, bit-identical per replica to solo runs.
-:mod:`repro.netsim.shard` steps a multi-pod fat-tree as per-pod
-subdomains with pod-owned flow tables, exchanging compact boundary
-aggregates each Δt — ``shards=N`` is bit-identical to ``shards=1``,
-in-process or across :class:`repro.parallel.Engine` workers (zero-copy
-via a shared-memory arena when available).
+:mod:`repro.netsim.shard` steps a multi-pod fat-tree over per-pod
+queue blocks plus one stacked ``(n_pods, cap)`` flow table whose row
+``p`` holds the flows pod ``p`` owns, one vectorised pass per phase, in
+one process.
 """
 
 from repro.netsim.engine import Simulator, Event
@@ -44,7 +43,7 @@ from repro.netsim.fattree import FatTreeConfig, FatTreeTopology
 from repro.netsim.network import PacketNetwork, QueueStats
 from repro.netsim.fluid import FluidNetwork, FluidConfig
 from repro.netsim.batchfluid import BatchFluidNetwork, BatchCompatError
-from repro.netsim.shard import ShardedFluidNetwork, FlowShard
+from repro.netsim.shard import ShardedFluidNetwork
 from repro.netsim.failures import LinkFailureInjector
 from repro.netsim.pfc import PFCController, enable_pfc
 
@@ -56,6 +55,5 @@ __all__ = [
     "PacketNetwork", "QueueStats",
     "FluidNetwork", "FluidConfig", "LinkFailureInjector",
     "BatchFluidNetwork", "BatchCompatError", "ShardedFluidNetwork",
-    "FlowShard",
     "PFCController", "enable_pfc",
 ]

@@ -181,16 +181,12 @@ def integrate_queue_block(q_len: np.ndarray, q_cap: np.ndarray,
                               np.ndarray, np.ndarray]:
     """One Δt of queue integration + RED marking for a block of queues.
 
-    Returns ``(served_rate, new_qlen, drops, p_mark, srv_ratio)``.  This
-    is the spatially-decomposable core of the fluid step: every
-    operation is elementwise per queue, so evaluating it on a slice of
-    the global arrays produces bit-identically the elements the whole-
-    array call would — which is what lets :mod:`repro.netsim.shard` run
-    disjoint subdomain blocks in any grouping (or other processes) and
-    merge the results back without changing a single bit.  Clamps are
-    ``maximum``/``minimum`` pairs: ``np.clip`` gives the same bits at two
-    to three times the dispatch cost, and dispatch is what a step on a
-    small fabric is made of.
+    Returns ``(served_rate, new_qlen, drops, p_mark, srv_ratio)``.
+    Every operation is elementwise per queue, so which other queues —
+    another replica's, another pod's — share the call never changes an
+    element.  Clamps are ``maximum``/``minimum`` pairs: ``np.clip`` gives
+    the same bits at two to three times the dispatch cost, and dispatch
+    is what a step on a small fabric is made of.
     """
     served_rate = np.minimum(arrival + q_len / dt, q_cap)
     new_qlen = np.maximum(q_len + (arrival - q_cap) * dt, 0.0)
@@ -211,7 +207,7 @@ def account_queue_block(acc_tx: np.ndarray, acc_marked: np.ndarray,
                         p_mark: np.ndarray, dt: float) -> None:
     """Add one integrated Δt to the interval accumulators and commit the
     new queue lengths — in place: ``q_len`` may be a replica's row of
-    batch storage or a shared-memory arena row."""
+    batch storage."""
     tx = served_rate * dt
     acc_tx += tx
     acc_marked += tx * p_mark
@@ -339,6 +335,17 @@ class _PendingFlows:
         return lo, hi
 
 
+def _record_finished(flows: Iterable[Flow], finish_times: np.ndarray,
+                     finished_flows: List[Flow]) -> None:
+    """Stamp and record the flows that finished this step.  The residual
+    queueing delay is part of ``finish_times``, which stay
+    ``np.float64`` — fingerprints print them with ``repr``."""
+    for flow, t in zip(flows, finish_times):
+        flow.finish_time = t
+        flow.bytes_sent = flow.bytes_acked = flow.size_bytes
+        finished_flows.append(flow)
+
+
 def _register_flows(flows: Sequence[Flow], flow_objs: Dict[int, Flow],
                     pending: _PendingFlows, n_hosts: int) -> None:
     """Validate a whole list of flows, then register it: the flows go
@@ -382,7 +389,9 @@ def _register_flows(flows: Sequence[Flow], flow_objs: Dict[int, Flow],
 
 
 class FlowTableMixin:
-    """Grow-on-demand flow table shared by every fluid-model network.
+    """Grow-on-demand flow table of a leaf–spine fluid network, solo or
+    batch replica (the fat-tree stacks its pods' tables as one array:
+    :mod:`repro.netsim.shard`).
 
     Hosts provide the ``f_*`` arrays, ``config`` (``n_hosts``,
     ``host_rate_bps``, ``start_rate_fraction``), ``now`` and a
@@ -393,20 +402,16 @@ class FlowTableMixin:
     """
 
     #: extra per-flow int64 arrays (grown filled with -1) beyond the
-    #: base table — the leaf–spine network records the chosen spine,
-    #: the sharded fat-tree the chosen core.
+    #: base table — the leaf–spine network records the chosen spine.
     _FLOW_CHOICE_1D: Tuple[str, ...] = ("f_spine",)
 
     def _init_flow_table(self, cap: int) -> None:
         """Allocate an empty flow table of ``cap`` slots and its slot maps.
 
-        One table per *owner*: the monolithic networks call this once on
-        themselves; the sharded fat-tree instantiates one
-        :class:`~repro.netsim.shard.FlowShard` per pod, whose arrays it
-        then re-points at rows of one stacked table (as
-        :class:`~repro.netsim.batchfluid.BatchFluidNetwork` does with
-        its replicas).  Flow intake — registration, the pending store,
-        completion records — is per *network*: :meth:`_init_flow_intake`.
+        One table per network; :class:`~repro.netsim.batchfluid.
+        BatchFluidNetwork` re-points its replicas' arrays at rows of one
+        stacked table.  Flow intake — registration, the pending store,
+        completion records — is :meth:`_init_flow_intake`.
         """
         if cap < 1:
             raise ValueError("flow capacity must be >= 1")
@@ -422,11 +427,10 @@ class FlowTableMixin:
         self.f_path = np.full((cap, self._MAX_HOPS), -1, dtype=np.int64)
         for name in self._FLOW_CHOICE_1D:
             setattr(self, name, np.full(cap, -1, dtype=np.int64))
-        self._fid_to_idx: Dict[int, int] = {}
-        self._idx_to_fid: Dict[int, int] = {}
+        self._idx_to_fid: Dict[int, int] = {}   # occupied slots only
         self._free_list: List[int] = []   # recycled flow slots
-        #: the owner of the stacked storage this table's arrays are row
-        #: views into (a batch, a sharded fat-tree), if any
+        #: the batch whose stacked storage this table's arrays are row
+        #: views into, if any
         self._batch = None
 
     def _init_flow_intake(self) -> None:
@@ -498,7 +502,6 @@ class FlowTableMixin:
                                        pend.dst[lo:hi].tolist(),
                                        pend.size[lo:hi].tolist()):
             idx = self._free_slot()
-            self._fid_to_idx[fid] = idx
             self._idx_to_fid[idx] = fid
             self.f_src[idx] = src
             self.f_dst[idx] = dst
@@ -522,21 +525,14 @@ class FlowTableMixin:
         self._n_flows += 1
         return idx
 
-    @staticmethod
-    def _finish_flows(tables: Iterable["FlowTableMixin"], slots: List[int],
-                      finish_times: np.ndarray, flow_objs: Dict[int, Flow],
-                      finished_flows: List[Flow]) -> None:
-        """Retire flows (already inactive in their tables), one per entry
-        of the parallel ``tables`` / ``slots`` / ``finish_times``: stamp
-        and record each :class:`Flow`, recycle its slot.  The residual
-        queueing delay is part of ``finish_times``, which stay
-        ``np.float64`` — fingerprints print them with ``repr``."""
-        for tbl, i, t in zip(tables, slots, finish_times):
-            flow = flow_objs[tbl._idx_to_fid.pop(i)]
-            flow.finish_time = t
-            flow.bytes_sent = flow.bytes_acked = flow.size_bytes
-            finished_flows.append(flow)
-            tbl._free_list.append(i)
+    def _finish_flows(self, slots: List[int],
+                      finish_times: np.ndarray) -> None:
+        """Retire the flows in ``slots`` (already inactive): record each
+        :class:`Flow` and recycle its slot."""
+        fids = [self._idx_to_fid.pop(i) for i in slots]
+        self._free_list.extend(slots)
+        _record_finished(map(self.flow_objs.__getitem__, fids), finish_times,
+                         self.finished_flows)
 
     # ------------------------------------------------------------ convenience
     def active_flow_count(self) -> int:
@@ -997,9 +993,7 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
         """Completion records and the latency sample for this network's
         active flows, given in slot order with the step's outcome."""
         if done.any():
-            self._finish_flows(repeat(self), slots[done].tolist(),
-                               self.now + qdelay[done], self.flow_objs,
-                               self.finished_flows)
+            self._finish_flows(slots[done].tolist(), self.now + qdelay[done])
             qdelay = qdelay[~done]
         sample_latency(self, qdelay)
 

@@ -1,27 +1,25 @@
-"""Spatially-sharded fluid simulation of a multi-pod fat-tree.
+"""Fluid simulation of a multi-pod fat-tree.
 
 The monolithic :class:`~repro.netsim.fluid.FluidNetwork` tops out at one
-leaf–spine pod; production-scale fabrics (ROADMAP item 2) are fat-trees
-with hundreds of switches.  :class:`ShardedFluidNetwork` steps that
-shape over a state that is spatially decomposed in **both** halves of
-the fluid model:
+leaf–spine pod; production-scale fabrics are fat-trees with hundreds of
+switches.  :class:`ShardedFluidNetwork` steps that shape in one process
+(docs/PERFORMANCE.md, "Why the fat-tree steps in one process") over
+state whose **pod axis is an array axis**:
 
-- the global queue state is laid out in **subdomain blocks** — one
-  contiguous block per pod (edge-down, edge-up, agg-up and agg-down
-  queues) plus one block for the core plane —
-  :func:`~repro.netsim.fluid.integrate_queue_block` is elementwise per
-  queue, so the blocks integrate in one in-process call or as
-  independent Engine tasks with the same bits;
-- the flow table is partitioned by **owner pod** (a flow belongs to its
-  source edge's pod — :meth:`~repro.netsim.fattree.FatTreeConfig.
-  owner_pod_of_flow`): one ``(n_pods, cap)`` stack of ``f_*`` arrays
-  whose rows the per-pod :class:`FlowShard` objects hold as views.  The
-  step is **one fabric-wide vectorised pass per phase** over the active
-  ``(pod, slot)`` pairs — the phase functions of
+- the queue arrays are laid out in blocks — one contiguous block per
+  pod (edge-down, edge-up, agg-up and agg-down queues), then the core
+  plane — and :func:`~repro.netsim.fluid.integrate_queue_block`
+  integrates all of them in one call;
+- the flow table is one ``(n_pods, cap)`` stack of ``_f_*`` columns,
+  row ``p`` holding the flows **owned** by pod ``p`` (a flow belongs to
+  its source edge's pod — :meth:`~repro.netsim.fattree.FatTreeConfig.
+  owner_pod_of_flow`), with a high-water mark and a LIFO free list per
+  pod.  The step is **one fabric-wide vectorised pass per phase** over
+  the active ``(pod, slot)`` pairs — the phase functions of
   :mod:`repro.netsim.fluid` that the solo and batch networks step
   through too: NIC sharing + arrival reduction, queue integration,
-  AIMD + finish detection — so per-Δt cost is proportional
-  to the fabric's *active* flows at one pass's worth of NumPy dispatch,
+  AIMD + finish detection — so per-Δt cost is proportional to the
+  fabric's *active* flows at one pass's worth of NumPy dispatch,
   whatever the pod count (measured: docs/PERFORMANCE.md);
 - registered flows wait in one fabric-wide start-time-ordered table;
   every flow due inside an ``advance`` window is routed in **one**
@@ -35,23 +33,12 @@ the fluid model:
   own pod first and the boundary rows — core-plane and remote-pod
   queues — after it in fixed owner-pod order.
 
-**Determinism contract** — ``shards=N`` is bit-identical to
-``shards=1`` for every N and for the Engine-parallel path.  Both
-partitions (queue subdomains *and* flow ownership) are fixed by the
-topology, never by the shard count, which only groups subdomains into
-Engine tasks; per-pod reductions accumulate in hop-major slot order;
-queue integration is elementwise per queue; and every Engine merge
-writes disjoint slices back in a fixed order.  ``tests/test_shard.py``
-pins this with canonical fingerprint literals and an independent
-plain-loop oracle.
-
-On the Engine path the per-Δt exchange is **zero-copy**: queue state
-lives in a preallocated :class:`~repro.parallel.engine.SharedArena`
-(one named float64 slab), TaskSpecs carry only the arena handle plus a
-``[lo, hi)`` span, and workers integrate task-id-ordered disjoint
-slices in place — comms cost is O(boundary), not O(flows).  When
-shared memory is unavailable the engine path falls back to the pickled
-block payloads transparently (same bits either way).
+**Determinism contract** — ownership and the queue blocks are fixed by
+the topology; per-pod reductions accumulate in hop-major slot order; a
+pod that owns no flow contributes nothing, so the same flows on a
+fabric with more (idle) pods give the same bits.  ``tests/test_shard.py``
+pins this with canonical fingerprint literals, an independent
+plain-loop oracle and the idle-pods metamorphic test.
 
 The controller-facing surface (``advance`` / ``queue_stats`` /
 ``set_ecn`` / ``fail_uplinks``) matches the other two simulators, so
@@ -67,125 +54,33 @@ import numpy as np
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
-from repro.netsim.fluid import (FlowTableMixin, SwitchStatsMixin,
-                                _PendingFlows, _register_flows,
+from repro.netsim.fluid import (SwitchStatsMixin, _PendingFlows,
+                                _record_finished, _register_flows,
                                 account_queue_block, feedback_phase,
                                 flow_phase, integrate_queue_block,
                                 sample_latency)
 from repro.netsim.routing import ecmp_hash_array
 from repro.obs.metrics import get_registry
-from repro.parallel.engine import Engine, SharedArena, TaskSpec, attach_arena
 
-__all__ = ["Subdomain", "FlowShard", "ShardedFluidNetwork"]
+__all__ = ["ShardedFluidNetwork"]
 
-#: floating-point queue-state arrays held per queue — the 11 arena rows
-#: (5 RED/state inputs + arrival + 5 integration outputs) plus
-#: ``q_cap_nominal`` and the 4 interval accumulators — used for the
-#: per-shard memory attribution in
-#: :meth:`ShardedFluidNetwork.memory_report`.
-_FLOAT_ARRAYS_PER_QUEUE = 16
+#: per-queue state arrays (attribute names), all ``(n_queues,)``
+_QUEUE_FIELDS = ("q_len", "q_cap", "q_cap_nominal", "kmin", "kmax", "pmax",
+                 "_arrival", "_acc_tx", "_acc_marked", "_acc_qlen_area",
+                 "_acc_drops", "q_switch", "_q_owner")
 
-#: row layout of the shared float64 arena (and of the in-process state
-#: block standing in for it): inputs first, then the arrival vector,
-#: then the five :func:`integrate_queue_block` outputs.  Workers and the
-#: parent both index rows by this tuple — keep it in lockstep with
-#: :func:`_integrate_arena_span`.
-_ARENA_FIELDS = ("q_len", "q_cap", "kmin", "kmax", "pmax", "arrival",
-                 "served", "new_qlen", "drops", "p_mark", "srv_ratio")
-
-#: the per-flow arrays, stacked ``(n_pods, cap)`` on the network with
-#: each :class:`FlowShard` holding its row as views.
-_FLOW_FIELDS = ("f_src", "f_dst", "f_size", "f_remaining", "f_rate",
-                "f_alpha", "f_active", "f_core", "f_path")
-
-
-class Subdomain:
-    """One contiguous block of the global queue arrays.
-
-    A pod's queues (or the core plane's) — the unit of spatial
-    decomposition.  Holds only layout metadata; the owning network
-    holds the state, so re-grouping subdomains into a different shard
-    count never moves data.
-    """
-
-    def __init__(self, name: str, start: int, stop: int) -> None:
-        self.name = name
-        self.start = start
-        self.stop = stop
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def __repr__(self) -> str:
-        return f"Subdomain({self.name!r}, [{self.start}, {self.stop}))"
-
-
-def _integrate_block_group(blocks: List[Dict[str, np.ndarray]],
-                           dt: float) -> List[Tuple[np.ndarray, ...]]:
-    """Engine task body (pickle fallback): integrate one shard group.
-
-    Module-level and pure so it pickles to worker processes; blocks are
-    self-contained state dicts, results are returned per block in block
-    order (the caller merges groups in task-id order).
-    """
-    return [integrate_queue_block(b["q_len"], b["q_cap"], b["kmin"],
-                                  b["kmax"], b["pmax"], b["arrival"],
-                                  dt, b["buffer_bytes"])
-            for b in blocks]
-
-
-def _integrate_arena_span(arena_name: str, n_queues: int, lo: int, hi: int,
-                          dt: float, buffer_bytes: float) -> int:
-    """Engine task body (zero-copy path): integrate a queue span in place.
-
-    The TaskSpec carries only this handle + ``[lo, hi)`` span — O(1)
-    bytes.  Fork-started workers inherit the creator's mapping through
-    the arena attachment cache, so no simulation state is pickled or
-    copied across the process boundary; outputs land in the span's
-    disjoint slices of the arena's output rows, where the parent reads
-    them back.  Spans are per-task disjoint, so concurrent workers never
-    write the same element.
-    """
-    state = attach_arena(arena_name, len(_ARENA_FIELDS) * n_queues)
-    v = state.reshape(len(_ARENA_FIELDS), n_queues)
-    served, new_qlen, drops, p_mark, srv = integrate_queue_block(
-        v[0][lo:hi], v[1][lo:hi], v[2][lo:hi], v[3][lo:hi], v[4][lo:hi],
-        v[5][lo:hi], dt, buffer_bytes)
-    v[6][lo:hi] = served
-    v[7][lo:hi] = new_qlen
-    v[8][lo:hi] = drops
-    v[9][lo:hi] = p_mark
-    v[10][lo:hi] = srv
-    return hi - lo
-
-
-class FlowShard(FlowTableMixin):
-    """One pod's flow table — a row of the fabric-wide stacked table.
-
-    Owns the slot maps and free list of every flow whose
-    source host lives in this pod (the ownership rule:
-    :meth:`~repro.netsim.fattree.FatTreeConfig.owner_pod_of_flow`).  Its
-    ``f_*`` arrays are row views into the owning network's ``(n_pods,
-    cap)`` storage — the :class:`~repro.netsim.batchfluid.
-    BatchFluidNetwork` idiom — so the network steps every pod in one
-    vectorised pass while per-pod readers (stats, fingerprints, memory
-    attribution) keep the solo flow-table surface.  Growth goes through
-    the network (:meth:`ShardedFluidNetwork._grow_flows`), which regrows
-    all rows together and re-points the views.  The core-plane
-    subdomain owns no flows.
-    """
-
-    _MAX_HOPS = 5
-    _FLOW_CHOICE_1D = ("f_core",)
-
-    def __init__(self, net: "ShardedFluidNetwork") -> None:
-        self.config = net.config
-        self._init_flow_table(net.config.initial_flow_capacity)
-        self._batch = net
+#: per-flow columns of the stacked ``(n_pods, cap)`` table, held on the
+#: network as ``_f_src`` ...: name, dtype, value of a slot never used.
+#: ``f_fid`` is the id of the flow in the slot (ids span ``[0, 2**64)``).
+_FLOW_FIELDS = (("f_src", np.int64, 0), ("f_dst", np.int64, 0),
+                ("f_size", float, 0), ("f_remaining", float, 0),
+                ("f_rate", float, 0), ("f_alpha", float, 0),
+                ("f_active", bool, 0), ("f_core", np.int64, -1),
+                ("f_path", np.int64, -1), ("f_fid", np.uint64, 0))
 
 
 class ShardedFluidNetwork(SwitchStatsMixin):
-    """Vectorized fluid simulation of a fat-tree, one subdomain per pod.
+    """Vectorized fluid simulation of a fat-tree, stepped in one process.
 
     Queue layout, per pod ``p`` (one contiguous block each), then core:
 
@@ -195,29 +90,25 @@ class ShardedFluidNetwork(SwitchStatsMixin):
     - ``agg_down[a, e]``  — agg ``a`` to edge ``e``,
     - ``core_down[c, p]`` — core ``c`` to pod ``p`` (core block).
 
-    An intra-edge flow takes 1 queue, intra-pod 3, inter-pod 5.  The
-    flow table is partitioned into one :class:`FlowShard` per pod (see
+    An intra-edge flow takes 1 queue, intra-pod 3, inter-pod 5.  Row
+    ``p`` of the stacked flow table holds the flows pod ``p`` owns (see
     the module docstring for the ownership rule and boundary-aggregate
-    exchange).
+    association).
     """
 
     _MAX_HOPS = 5
     _SIM_LABEL = "fluid_shard"
 
+    # ``shards=1``, ``close()`` and ``memory_report()``'s shape are what the
+    # frozen benchmarks/perf harness uses; 1 is the only shard count.
     def __init__(self, config: Optional[FatTreeConfig] = None, *,
-                 shards: int = 1, seed: Optional[int] = None,
-                 engine: Optional[Engine] = None) -> None:
+                 shards: int = 1, seed: Optional[int] = None) -> None:
         self.config = config or FatTreeConfig()
         cfg = self.config
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if shards > cfg.n_pods + 1:
-            raise ValueError(
-                f"shards={shards} exceeds the {cfg.n_pods + 1} subdomains "
-                f"({cfg.n_pods} pods + core plane) of this fabric")
-        self.shards = int(shards)
+        if shards != 1:
+            raise ValueError("the fat-tree steps in one process: shards "
+                             f"must be 1, got {shards}")
         self.rng = np.random.default_rng(seed)
-        self._engine = engine
         self.now = 0.0
 
         # ---- queue layout: one block per pod, then the core plane --------
@@ -231,39 +122,13 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         self._pod_block = hpp + n_e * n_a + n_a * cpa + n_a * n_e
         self._core0 = n_p * self._pod_block
         self.n_queues = self._core0 + n_c * n_p
-        self.subdomains: List[Subdomain] = [
-            Subdomain(f"pod{p}", p * self._pod_block, (p + 1) * self._pod_block)
-            for p in range(n_p)]
-        self.subdomains.append(Subdomain("core", self._core0, self.n_queues))
         #: the pod whose block holds each queue; the core plane's get
         #: ``n_pods``, which owns no flows
         self._q_owner = np.arange(self.n_queues) // self._pod_block
-        #: contiguous shard groups of subdomains — fixed partition, any
-        #: grouping: bit-identity over ``shards`` holds by construction.
-        self.shard_groups: List[List[Subdomain]] = [
-            list(g) for g in np.array_split(np.array(self.subdomains,
-                                                     dtype=object), shards)]
 
-        # ---- queue state: 11 float64 rows, arena-backed on the Engine
-        # path so workers integrate spans in place with zero pickling;
-        # a plain in-process block otherwise (same layout, same bits).
-        self._arena: Optional[SharedArena] = None
-        state: Optional[np.ndarray] = None
-        if engine is not None and self.shards > 1 and SharedArena.available():
-            try:
-                self._arena = SharedArena(
-                    len(_ARENA_FIELDS) * self.n_queues)
-                assert self._arena.array is not None
-                state = self._arena.array.reshape(len(_ARENA_FIELDS),
-                                                  self.n_queues)
-            except OSError:   # e.g. /dev/shm exhausted: pickle fallback
-                self._arena = None
-        if state is None:
-            state = np.zeros((len(_ARENA_FIELDS), self.n_queues))
-        (self.q_len, self.q_cap, self.kmin, self.kmax, self.pmax,
-         self._arrival, self._served, self._new_qlen, self._drops,
-         self._p_mark, self._srv_ratio) = state
-
+        self.q_len = np.zeros(self.n_queues)
+        self.q_cap = np.zeros(self.n_queues)
+        self._arrival = np.zeros(self.n_queues)
         self.q_switch = np.empty(self.n_queues, dtype=np.int64)
         sw_per_pod = n_e + n_a
         for p in range(n_p):
@@ -293,9 +158,9 @@ class ShardedFluidNetwork(SwitchStatsMixin):
                 self.q_switch[q] = n_p * sw_per_pod + c
         self.q_cap_nominal = self.q_cap.copy()
         self.n_switches = cfg.n_switches
-        self.kmin.fill(float(cfg.default_ecn.kmin_bytes))
-        self.kmax.fill(float(cfg.default_ecn.kmax_bytes))
-        self.pmax.fill(float(cfg.default_ecn.pmax))
+        self.kmin = np.full(self.n_queues, float(cfg.default_ecn.kmin_bytes))
+        self.kmax = np.full(self.n_queues, float(cfg.default_ecn.kmax_bytes))
+        self.pmax = np.full(self.n_queues, float(cfg.default_ecn.pmax))
         self._ecn_by_switch: Dict[int, ECNConfig] = {
             s: cfg.default_ecn for s in range(self.n_switches)}
         #: per-(pod, core) uplink health — one bit covers the agg_up and
@@ -303,14 +168,14 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         self.uplink_up = np.ones((n_p, n_c), dtype=bool)
         self.fabric_capacity_factor = 1.0
 
-        # ---- flow table: one (n_pods, cap) stack, one FlowShard per row ----
+        # ---- flow table: one (n_pods, cap) stack, row p owned by pod p ----
         #: flow ownership follows the flow's source edge's pod
-        #: (:meth:`FatTreeConfig.owner_pod_of_flow`); the core subdomain
-        #: owns no flows.  The partition is topology-determined, so it —
-        #: like the queue blocks — is identical for every shard count.
-        self.flow_shards: List[FlowShard] = [FlowShard(self)
-                                             for _ in range(n_p)]
+        #: (:meth:`FatTreeConfig.owner_pod_of_flow`); the core plane owns
+        #: no flows
         self._alloc_flow_storage(cfg.initial_flow_capacity)
+        #: per pod: slots ever used (high-water mark) and recycled slots
+        self._n_flows: List[int] = [0] * n_p
+        self._free: List[List[int]] = [[] for _ in range(n_p)]
         self.flow_objs: Dict[int, Flow] = {}
         #: one fabric-wide start-time-ordered table of the flows that
         #: have not started yet
@@ -324,8 +189,8 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         self._refresh_live_cores()
         self.finished_flows: List[Flow] = []
         self.latencies: List[Tuple[float, float]] = []
-        #: boundary rows merged on the most recent step — the size of
-        #: the per-Δt inter-shard exchange (O(boundary), not O(flows)).
+        #: ``(owner pod, queue)`` rows merged across a pod boundary on
+        #: the most recent step
         self._last_boundary_rows = 0
 
         # ---- interval stats accumulators ----------------------------------
@@ -335,36 +200,10 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         self._acc_time = 0.0
         self._acc_drops = np.zeros(self.n_queues)
 
-        reg = get_registry()
-        if reg:
-            for i, sub in enumerate(self.subdomains):
-                reg.set_gauge("netsim.shard_queue_bytes",
-                              float(len(sub) * 8 * _FLOAT_ARRAYS_PER_QUEUE),
-                              sim=self._SIM_LABEL, subdomain=sub.name)
-                flow_bytes = (self.flow_shards[i].flow_table_bytes()
-                              if i < len(self.flow_shards) else 0)
-                reg.set_gauge("netsim.shard_flow_bytes", float(flow_bytes),
-                              sim=self._SIM_LABEL, subdomain=sub.name)
-
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Release the shared-memory arena, if any (idempotent).
-
-        The queue state survives: every view detaches into a private
-        copy first, so a closed network keeps stepping in-process with
-        identical results — only the zero-copy Engine path is gone.
-        """
-        if self._arena is None:
-            return
-        (self.q_len, self.q_cap, self.kmin, self.kmax, self.pmax,
-         self._arrival, self._served, self._new_qlen, self._drops,
-         self._p_mark, self._srv_ratio) = [
-            a.copy() for a in (self.q_len, self.q_cap, self.kmin, self.kmax,
-                               self.pmax, self._arrival, self._served,
-                               self._new_qlen, self._drops, self._p_mark,
-                               self._srv_ratio)]
-        arena, self._arena = self._arena, None
-        arena.close()
+        """No-op (there is nothing to release but the network's own
+        arrays), kept because the frozen benchmark harness calls it."""
 
     # ------------------------------------------------------------ topology
     def switch_names(self) -> List[str]:
@@ -480,37 +319,19 @@ class ShardedFluidNetwork(SwitchStatsMixin):
 
     # ------------------------------------------------------------ flow table
     def _alloc_flow_storage(self, cap: int) -> None:
-        """(Re)allocate the stacked ``(n_pods, cap)`` flow arrays, carry
-        the old slots over and re-point every pod's row views."""
-        n_p = self.config.n_pods
-        for name in _FLOW_FIELDS:
+        """(Re)allocate the stacked ``(n_pods, cap)`` flow columns,
+        carrying the old slots over."""
+        for name, dtype, fill in _FLOW_FIELDS:
             old = getattr(self, "_" + name, None)
             tail = (self._MAX_HOPS,) if name == "f_path" else ()
-            fill = -1 if name in ("f_path", "f_core") else 0
-            new = np.full((n_p, cap) + tail, fill,
-                          dtype=getattr(self.flow_shards[0], name).dtype)
+            new = np.full((self.config.n_pods, cap) + tail, fill, dtype=dtype)
             if old is not None:
                 new[:, :old.shape[1]] = old
             setattr(self, "_" + name, new)
-            for p, sh in enumerate(self.flow_shards):
-                setattr(sh, name, new[p])
-        for sh in self.flow_shards:
-            sh._cap_flows = cap
-
-    def _grow_flows(self) -> None:
-        """Double every pod's capacity (called from
-        :meth:`FlowTableMixin._grow` when any one pod's row is full)."""
-        self._alloc_flow_storage(self._f_active.shape[1] * 2)
 
     def _active_slots(self) -> Tuple[np.ndarray, np.ndarray]:
         """The active ``(pod, slot)`` pairs, in that order."""
-        n = max(sh._n_flows for sh in self.flow_shards)
-        return self._f_active[:, :n].nonzero()
-
-    def _fids_at(self, pods: np.ndarray, slots: np.ndarray) -> List[int]:
-        """Flow ids of the occupied ``(pod, slot)`` pairs."""
-        maps = [sh._idx_to_fid for sh in self.flow_shards]
-        return [maps[p][i] for p, i in zip(pods.tolist(), slots.tolist())]
+        return self._f_active[:, :max(self._n_flows)].nonzero()
 
     def _activate_due(self) -> None:
         """Admit every pending flow whose start time has come, routes
@@ -530,17 +351,26 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         # Slots in table order (start time, then registration).  A pod's
         # free list and high-water mark see only that pod's flows, in the
         # same order as a pod-by-pod walk, so every flow gets the slot it
-        # always got.
+        # always got: a recycled one first (O(1), keeping per-step vector
+        # ops proportional to the concurrent flow count), else the next
+        # above the high-water mark.
         pods = self.config.owner_pod_of_flow(pend.src[lo:hi]).tolist()
-        shards_ = self.flow_shards
+        n_flows, free = self._n_flows, self._free
         slots = []
-        for p, fid in zip(pods, pend.fid[lo:hi].tolist()):
-            sh = shards_[p]
-            idx = sh._free_slot()
-            sh._idx_to_fid[idx] = fid
-            slots.append(idx)
-        # index arrays only now: _free_slot may have regrown the storage
+        for p in pods:
+            if free[p]:
+                slots.append(free[p].pop())
+            else:
+                slots.append(n_flows[p])
+                n_flows[p] += 1
+        cap, need = self._f_active.shape[1], max(n_flows)
+        if need > cap:
+            # every pod's row doubles until the fullest pod fits
+            while cap < need:
+                cap *= 2
+            self._alloc_flow_storage(cap)
         at = (np.array(pods), np.array(slots))
+        self._f_fid[at] = pend.fid[lo:hi]
         self._f_src[at] = pend.src[lo:hi]
         self._f_dst[at] = pend.dst[lo:hi]
         self._f_size[at] = self._f_remaining[at] = pend.size[lo:hi]
@@ -573,22 +403,15 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         return self.flow_objs
 
     def flow_table_state(self) -> Dict[str, np.ndarray]:
-        """Canonical aggregate of the per-pod flow tables.
-
-        Concatenated in (owner pod, local slot) order — identical across
-        shard counts because the ownership partition is
-        topology-determined.  This is the flow half of every conformance
-        fingerprint; per-shard state is on ``flow_shards`` directly.
+        """Canonical aggregate of the stacked flow table: every column
+        (but the flow ids) concatenated in (owner pod, local slot) order
+        up to each pod's high-water mark.  This is the flow half of
+        every conformance fingerprint.
         """
-        shards_ = self.flow_shards
-        out: Dict[str, np.ndarray] = {
-            name: np.concatenate([getattr(sh, name)[:sh._n_flows]
-                                  for sh in shards_])
-            for name in ("f_src", "f_dst", "f_size", "f_remaining",
-                         "f_rate", "f_alpha", "f_active", "f_core")}
-        out["f_path"] = np.concatenate([sh.f_path[:sh._n_flows]
-                                        for sh in shards_])
-        return out
+        return {name: np.concatenate(
+                    [rows[:n] for rows, n in zip(getattr(self, "_" + name),
+                                                 self._n_flows)])
+                for name, _, _ in _FLOW_FIELDS if name != "f_fid"}
 
     # ------------------------------------------------------------ dynamics
     def advance(self, dt: float) -> None:
@@ -606,67 +429,14 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             reg.inc("netsim.steps", steps, sim=self._SIM_LABEL)
             reg.inc("netsim.virtual_s", dt, sim=self._SIM_LABEL)
 
-    def _group_payload(self, group: Sequence[Subdomain],
-                       arrival: np.ndarray) -> List[Dict[str, np.ndarray]]:
-        buffer_bytes = float(self.config.switch_buffer_bytes)
-        return [{"q_len": self.q_len[s.start:s.stop],
-                 "q_cap": self.q_cap[s.start:s.stop],
-                 "kmin": self.kmin[s.start:s.stop],
-                 "kmax": self.kmax[s.start:s.stop],
-                 "pmax": self.pmax[s.start:s.stop],
-                 "arrival": arrival[s.start:s.stop],
-                 "buffer_bytes": buffer_bytes}
-                for s in group]
-
-    def _step_subdomains(self, arrival: np.ndarray, dt: float) -> Tuple[
-            np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Queue integration over the merged arrival vector.
-
-        Elementwise per queue, so how the queues are split can never
-        change a bit.  Three transports, same bits: in-process
-        (``engine=None`` or one group) integrates the whole arrays in
-        one call; on the Engine every shard group integrates its own
-        span, either in place in the shared-memory arena (nothing is
-        pickled) or from pickled block payloads whose results land in
-        disjoint slices of the output rows in task-id order.
-        """
-        groups = self.shard_groups
-        buffer_bytes = float(self.config.switch_buffer_bytes)
-        if self._engine is None or len(groups) == 1:
-            return integrate_queue_block(self.q_len, self.q_cap, self.kmin,
-                                         self.kmax, self.pmax, arrival, dt,
-                                         buffer_bytes)
-        outs = (self._served, self._new_qlen, self._drops, self._p_mark,
-                self._srv_ratio)
-        if self._arena is not None:
-            # Zero-copy: groups are contiguous, so each task is one
-            # [lo, hi) span of the arena; workers fill the output rows.
-            specs = [TaskSpec(task_id=t, fn=_integrate_arena_span,
-                              args=(self._arena.name, self.n_queues,
-                                    g[0].start, g[-1].stop, dt,
-                                    buffer_bytes))
-                     for t, g in enumerate(groups)]
-            self._engine.run(specs).values()   # raises on task failure
-        else:
-            specs = [TaskSpec(task_id=t, fn=_integrate_block_group,
-                              args=(self._group_payload(g, arrival), dt))
-                     for t, g in enumerate(groups)]
-            results = self._engine.run(specs).values()
-            for group, group_res in zip(groups, results):
-                for sub, res in zip(group, group_res):
-                    for dst, src in zip(outs, res):
-                        dst[sub.start:sub.stop] = src
-        return outs
-
     def _step(self, dt: float) -> None:
         """One Δt through the shared phase functions, over the active
-        flows in (owner pod, slot) order; only the Engine transports
-        split the queue integration."""
+        flows in (owner pod, slot) order."""
         cfg = self.config
         self.now += dt
         self._activate_due()
         self._acc_time += dt
-        n = max(sh._n_flows for sh in self.flow_shards)
+        n = max(self._n_flows)
         if n == 0:
             self._acc_qlen_area += self.q_len * dt
             return
@@ -674,7 +444,9 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         path = self._f_path[at].T                   # (H, k), hop-major
         send = self._flow_phase(pods, slots, path)
         served_rate, new_qlen, drops, p_mark, srv_ratio = \
-            self._step_subdomains(self._arrival, dt)
+            integrate_queue_block(self.q_len, self.q_cap, self.kmin,
+                                  self.kmax, self.pmax, self._arrival, dt,
+                                  float(cfg.switch_buffer_bytes))
         account_queue_block(self._acc_tx, self._acc_marked,
                             self._acc_qlen_area, self._acc_drops, self.q_len,
                             served_rate, new_qlen, drops, p_mark, dt)
@@ -683,14 +455,16 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             self._f_active, at, self._f_rate[at], send, path, p_mark,
             srv_ratio, self.q_len, self.q_cap)
         if done.any():
-            # finished flows retire in (pod, slot) order
-            FlowShard._finish_flows(
-                map(self.flow_shards.__getitem__, pods[done].tolist()),
-                slots[done].tolist(), self.now + qdelay[done],
-                self.flow_objs, self.finished_flows)
+            # finished flows retire in (pod, slot) order, each slot going
+            # back to its own pod's free list
+            fin_pods, fin_slots = pods[done], slots[done]
+            for p, i in zip(fin_pods.tolist(), fin_slots.tolist()):
+                self._free[p].append(i)
+            _record_finished(
+                map(self.flow_objs.__getitem__,
+                    self._f_fid[fin_pods, fin_slots].tolist()),
+                self.now + qdelay[done], self.finished_flows)
             qdelay = qdelay[~done]
-        # one draw over the (pod, slot)-ordered survivors — the same RNG
-        # consumption for every shard count
         sample_latency(self, qdelay)
 
     def _flow_phase(self, pods: np.ndarray, slots: np.ndarray,
@@ -712,9 +486,9 @@ class ShardedFluidNetwork(SwitchStatsMixin):
                                             np.ndarray]:
         """Ids, bytes seen, queue paths and src/dst host ids of the active
         flows, copied out in (owner pod, local slot) order — the canonical
-        order every fingerprint and shard count agrees on."""
+        order of every fingerprint."""
         at = self._active_slots()
-        return (self._fids_at(*at),
+        return (self._f_fid[at].tolist(),
                 self._f_size[at] - self._f_remaining[at], self._f_path[at],
                 self._f_src[at], self._f_dst[at])
 
@@ -747,37 +521,27 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         if cut.any():
             at = at[0][cut], at[1][cut]
             self._f_path[at], self._f_core[at] = self._route_batch(
-                np.array(self._fids_at(*at), dtype=np.uint64),
-                src[cut], dst[cut])
+                self._f_fid[at], src[cut], dst[cut])
 
     # ------------------------------------------------------------ capacity
     def bytes_in_flight(self) -> float:
-        """Total buffered bytes across every subdomain (conservation probe)."""
+        """Total buffered bytes across the fabric (conservation probe)."""
         return float(self.q_len.sum())
 
     def memory_report(self) -> Dict[str, Dict[str, int]]:
-        """Resident queue- and flow-state bytes attributed per subdomain.
-
-        The capacity story of sharding: ``queue_bytes`` is what one
-        shard group's worker needs for the queue phase and scales with
-        the largest subdomain; ``flow_bytes`` is the owner pod's row of
-        the stacked flow table (the core plane owns none) — every row
-        has the capacity the fullest pod has needed so far.
-        Mirrors — and refreshes — the ``netsim.shard_queue_bytes`` and
-        ``netsim.shard_flow_bytes`` gauges.
-        """
-        report: Dict[str, Dict[str, int]] = {}
-        for i, sub in enumerate(self.subdomains):
-            flow_bytes = (self.flow_shards[i].flow_table_bytes()
-                          if i < len(self.flow_shards) else 0)
-            report[sub.name] = {
-                "queue_bytes": len(sub) * 8 * _FLOAT_ARRAYS_PER_QUEUE,
-                "flow_bytes": flow_bytes,
-            }
-        reg = get_registry()
-        if reg:
-            for name, entry in report.items():
-                reg.set_gauge("netsim.shard_flow_bytes",
-                              float(entry["flow_bytes"]),
-                              sim=self._SIM_LABEL, subdomain=name)
+        """Bytes of the per-queue and per-flow arrays this network holds,
+        attributed to ``pod{p}`` (its queue block and its row of the
+        stacked flow table — every row has the capacity the fullest pod
+        has needed so far) and ``core`` (the core plane's queues; it
+        owns no flows)."""
+        per_queue = sum(getattr(self, name).itemsize
+                        for name in _QUEUE_FIELDS)
+        per_pod_flows = sum(getattr(self, "_" + name)[0].nbytes
+                            for name, _, _ in _FLOW_FIELDS)
+        report = {f"pod{p}": {"queue_bytes": self._pod_block * per_queue,
+                              "flow_bytes": per_pod_flows}
+                  for p in range(self.config.n_pods)}
+        report["core"] = {
+            "queue_bytes": (self.n_queues - self._core0) * per_queue,
+            "flow_bytes": 0}
         return report

@@ -45,7 +45,6 @@ from __future__ import annotations
 import pickle
 import time
 import traceback
-import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -53,135 +52,12 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
-import numpy as np
-
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import get_tracer
 from repro.parallel import seeding
 
-try:    # always present on CPython >= 3.8; guarded for exotic builds
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:          # pragma: no cover
-    _shared_memory = None    # type: ignore[assignment]
-
 __all__ = ["TaskSpec", "TaskFailure", "TaskOutcome", "TaskFailedError",
-           "EngineReport", "Engine", "SharedArena", "attach_arena",
-           "run_tasks", "map_tasks"]
-
-
-# --------------------------------------------------------------- shared arena
-#: process-local cache of attached arena views, keyed by segment name:
-#: ``name -> (float64 view, SharedMemory-or-None)``.  The creator
-#: registers its own view here, so fork-started workers *inherit* the
-#: mapping and never re-open the segment; spawn-started workers attach
-#: once on first use.  Process-local by design — the shared state is
-#: the named OS segment itself, and its handle rides in the TaskSpec
-#: args (PET102 recognizes this pattern as process-boundary safe).
-_ARENA_ATTACHMENTS: Dict[str, Tuple[np.ndarray, Any]] = {}
-
-
-def _untrack_segment(shm: Any) -> None:
-    """Keep an *attaching* process's resource tracker off the segment.
-
-    bpo-38119: every ``SharedMemory(name=...)`` attach registers the
-    segment with that process's resource tracker, which unlinks it when
-    the process exits — yanking the arena out from under its creator.
-    Only the creator may unlink; attachers unregister (or, on Python
-    3.13+, never register thanks to ``track=False``).
-    """
-    try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:   # noqa: BLE001 — tracker internals vary by version
-        pass
-
-
-def _release_segment(name: str, shm: Any) -> None:
-    """Finalizer body: drop the cache entry, close and unlink."""
-    _ARENA_ATTACHMENTS.pop(name, None)
-    try:
-        shm.close()
-    except BufferError:   # outstanding views keep the mapping alive
-        pass
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):
-        pass
-
-
-class SharedArena:
-    """A preallocated float64 slab in named shared memory.
-
-    The zero-copy boundary-exchange substrate for the sharded fluid
-    simulator (docs/PERFORMANCE.md): the creator lays its queue-state
-    arrays out as views into :attr:`array`, workers attach by *name*
-    (O(1) bytes in the TaskSpec) and read/write task-id-ordered disjoint
-    slices in place — no per-Δt pickling of simulation state.  The
-    creator owns the segment: it alone unlinks, via :meth:`close` or a
-    GC/interpreter-exit finalizer.  Callers must be prepared for
-    construction to raise ``OSError`` (e.g. ``/dev/shm`` exhausted) and
-    fall back to pickled payloads.
-    """
-
-    def __init__(self, n_floats: int) -> None:
-        if _shared_memory is None:
-            raise RuntimeError(
-                "multiprocessing.shared_memory is unavailable")
-        if n_floats < 1:
-            raise ValueError("n_floats must be >= 1")
-        self.n_floats = int(n_floats)
-        self._shm = _shared_memory.SharedMemory(
-            create=True, size=8 * self.n_floats)
-        self.name = self._shm.name
-        self.array: Optional[np.ndarray] = np.ndarray(
-            (self.n_floats,), dtype=np.float64, buffer=self._shm.buf)
-        self.array.fill(0.0)
-        _ARENA_ATTACHMENTS[self.name] = (self.array, None)
-        self._finalizer = weakref.finalize(
-            self, _release_segment, self.name, self._shm)
-
-    @staticmethod
-    def available() -> bool:
-        """Whether this interpreter can create shared-memory arenas."""
-        return _shared_memory is not None
-
-    def close(self) -> None:
-        """Release and unlink the segment (idempotent).
-
-        Any still-outstanding numpy views keep the local mapping alive
-        until they are garbage-collected; the *name* is gone immediately,
-        so no new attach can race a reuse.
-        """
-        self.array = None
-        self._finalizer()
-
-
-def attach_arena(name: str, n_floats: int) -> np.ndarray:
-    """Process-local float64 view of a :class:`SharedArena` by handle.
-
-    Cache hit (the creator itself, or a fork-started worker that
-    inherited the creator's mapping) costs a dict lookup and copies
-    nothing; a spawn-started worker attaches once and caches the view
-    for the life of the process.
-    """
-    cached = _ARENA_ATTACHMENTS.get(name)
-    if cached is not None:
-        arr = cached[0]
-        if arr.size != n_floats:
-            raise ValueError(
-                f"arena {name!r} holds {arr.size} floats, caller expected "
-                f"{n_floats}")
-        return arr
-    if _shared_memory is None:
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
-    try:
-        shm = _shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:   # Python < 3.13: no track kwarg
-        shm = _shared_memory.SharedMemory(name=name)
-        _untrack_segment(shm)
-    arr = np.ndarray((n_floats,), dtype=np.float64, buffer=shm.buf)
-    _ARENA_ATTACHMENTS[name] = (arr, shm)
-    return arr
+           "EngineReport", "Engine", "run_tasks", "map_tasks"]
 
 
 @dataclass(frozen=True)

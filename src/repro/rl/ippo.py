@@ -21,6 +21,7 @@ from typing import Any, Dict, Hashable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.rl.ppo import PPOAgent, PPOConfig
+from repro.rl.stacked import StackedAgents, StackingError, stacking_error
 
 __all__ = ["IPPOTrainer"]
 
@@ -61,12 +62,11 @@ class IPPOTrainer:
     def _stacked(self):
         """The batched-inference stack, or None when unavailable.
 
-        Built on first use; a :class:`~repro.fastpath.batched.StackingError`
+        Built on first use; a :class:`~repro.rl.stacked.StackingError`
         (agents with diverging shapes/activations) disables batching for
         the trainer's lifetime and the per-agent loops take over.
         """
         if self._stack is None:
-            from repro.fastpath.batched import StackedAgents, StackingError
             try:
                 self._stack = StackedAgents(self.agents)
             except StackingError:
@@ -189,7 +189,6 @@ class IPPOTrainer:
         """
         stack = self._stacked()
         if stack is None:
-            from repro.fastpath.batched import stacking_error
             return {"stacked": False, "agents": len(self.agents),
                     "reason": stacking_error(list(self.agents.values()))
                     or "stacking unavailable"}

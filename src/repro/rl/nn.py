@@ -46,7 +46,7 @@ class Module:
 
         Optimizers iterate this every step; subclasses may cache it (the
         arrays are mutated in place, never rebound, except by the
-        :mod:`repro.fastpath` weight stacker which calls
+        :mod:`repro.rl.stacked` weight stacker which calls
         :meth:`MLP.invalidate_param_cache`).
         """
         grads = self.gradients()
@@ -198,7 +198,7 @@ class MLP(Module):
     def parameters(self) -> Dict[str, np.ndarray]:
         # Cached: parameter arrays are mutated in place (never rebound)
         # by optimizers and load_state_dict, so the mapping stays valid.
-        # The repro.fastpath weight stacker rebinds them and must call
+        # The repro.rl.stacked weight stacker rebinds them and must call
         # invalidate_param_cache().
         if self._param_cache is None:
             out: Dict[str, np.ndarray] = {}
@@ -226,7 +226,7 @@ class MLP(Module):
     def invalidate_param_cache(self) -> None:
         """Drop cached parameter/gradient views after arrays were rebound.
 
-        Only the :mod:`repro.fastpath` weight stacker rebinds layer
+        Only the :mod:`repro.rl.stacked` weight stacker rebinds layer
         arrays (to views into stacked 3-D tensors); every other mutation
         is in place.
         """

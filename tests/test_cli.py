@@ -45,17 +45,13 @@ class TestMain:
         assert "secn1" in out and "secn2" in out
 
     def test_fattree_sharded_run(self, capsys):
-        rc = main(["--scheme", "secn1", "--topology", "fattree",
-                   "--pods", "2", "--hosts-per-leaf", "2", "--shards", "2",
-                   "--duration", "0.01", "--pretrain", "0", "--no-incast"])
-        assert rc == 0
+        args = ["--scheme", "secn1", "--topology", "fattree",
+                "--pods", "2", "--hosts-per-leaf", "2",
+                "--duration", "0.01", "--pretrain", "0", "--no-incast"]
+        assert main(args) == 0
         assert "overall_avg_fct" in capsys.readouterr().out
-
-    def test_shards_require_fattree_topology(self, capsys):
-        rc = main(["--scheme", "secn1", "--shards", "2",
-                   "--duration", "0.01", "--pretrain", "0"])
-        assert rc == 1
-        assert "--topology fattree" in capsys.readouterr().err
+        with pytest.raises(SystemExit):         # the flag is gone
+            main(args + ["--shards", "2"])
 
 
 class TestExitCodes:

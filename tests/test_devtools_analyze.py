@@ -158,49 +158,6 @@ class TestPET102:
         """})
         assert analyze_paths([str(tmp_path)], select={"PET102"}) == []
 
-    def test_shared_memory_arena_cache_is_exempt(self, tmp_path):
-        """A process-local attachment cache over named shared-memory
-        segments is legal task state: the segment handle rides in the
-        TaskSpec args and the dict is per-process plumbing, not shared
-        mutable state (the sharded fluid step's zero-copy path)."""
-        _tree(tmp_path, {"repro/analysis/jobs.py": """
-            from multiprocessing import shared_memory
-            from repro.parallel.engine import TaskSpec
-
-            _ARENA_ATTACHMENTS = {}
-
-            def work(name):
-                cached = _ARENA_ATTACHMENTS.get(name)
-                if cached is None:
-                    cached = shared_memory.SharedMemory(name=name)
-                    _ARENA_ATTACHMENTS[name] = cached
-                return cached.size
-
-            def submit():
-                return TaskSpec(0, work, ("seg",), {}, 0)
-        """})
-        assert analyze_paths([str(tmp_path)], select={"PET102"}) == []
-
-    def test_arena_named_global_without_shared_memory_still_fires(self,
-                                                                  tmp_path):
-        """The exemption is the *pair* — an arena-named dict in a module
-        that never touches multiprocessing stays a finding."""
-        _tree(tmp_path, {"repro/analysis/jobs.py": """
-            from repro.parallel.engine import TaskSpec
-
-            _ARENA_ATTACHMENTS = {}
-
-            def work(name):
-                _ARENA_ATTACHMENTS[name] = 1
-                return name
-
-            def submit():
-                return TaskSpec(0, work, ("seg",), {}, 0)
-        """})
-        found = analyze_paths([str(tmp_path)], select={"PET102"})
-        assert len(found) == 1
-        assert "_ARENA_ATTACHMENTS" in found[0].message
-
 
 # ---------------------------------------------------------------- PET104
 

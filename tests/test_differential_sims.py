@@ -123,7 +123,7 @@ def test_batched_backend_is_bit_identical_to_solo():
 # --------------------------------------------------------------- fat-tree
 #
 # The same physics bands on the multi-pod fabric: the packet simulator on
-# a FatTreeConfig vs the spatially-sharded fluid model.  Fan-in converges
+# a FatTreeConfig vs the fat-tree fluid model.  Fan-in converges
 # on h7 (pod1.edge1): two inter-pod senders and one intra-edge one, so
 # the congestion point is pod1.edge1's downlink to h7.
 
@@ -150,19 +150,18 @@ def _ft_packet_stats():
     return net.queue_stats()
 
 
-def _ft_fluid_stats(shards=1):
+def _ft_fluid_stats():
     from repro.netsim.shard import ShardedFluidNetwork
-    net = ShardedFluidNetwork(_ft_cfg(), shards=shards, seed=0)
+    net = ShardedFluidNetwork(_ft_cfg(), seed=0)
     net.start_flows(_ft_flows())
     net.advance(_DURATION)
     return net.queue_stats()
 
 
-@pytest.mark.parametrize("shards", [1, 2], ids=["shards1", "shards2"])
 class TestFatTreeDifferential:
-    def test_destination_edge_utilization_within_band(self, shards):
+    def test_destination_edge_utilization_within_band(self):
         pkt = _ft_packet_stats()
-        fld = _ft_fluid_stats(shards)
+        fld = _ft_fluid_stats()
         u_pkt = pkt["pod1.edge1"].utilization
         u_fld = fld["pod1.edge1"].utilization
         assert u_pkt > 0 and u_fld > 0, "scenario produced no traffic"
@@ -170,26 +169,17 @@ class TestFatTreeDifferential:
             f"pod1.edge1 utilization diverged: packet={u_pkt:.3f} "
             f"fluid={u_fld:.3f}")
 
-    def test_occupancy_ordering_agrees(self, shards):
+    def test_occupancy_ordering_agrees(self):
         pkt = _ft_packet_stats()
-        fld = _ft_fluid_stats(shards)
+        fld = _ft_fluid_stats()
         assert set(pkt) == set(fld)          # same switch names
         hottest_pkt = max(pkt, key=lambda n: pkt[n].avg_qlen_bytes)
         hottest_fld = max(fld, key=lambda n: fld[n].avg_qlen_bytes)
         assert hottest_pkt == hottest_fld == "pod1.edge1"
 
-    def test_both_models_deliver_the_offered_bytes(self, shards):
+    def test_both_models_deliver_the_offered_bytes(self):
         offered = sum(size for _, size in _FT_FLOW_SPECS)
-        for stats in (_ft_packet_stats(), _ft_fluid_stats(shards)):
+        for stats in (_ft_packet_stats(), _ft_fluid_stats()):
             delivered = stats["pod1.edge1"].tx_bytes
             assert delivered >= 0.75 * offered
             assert delivered <= 2.0 * offered
-
-
-def test_sharded_backend_is_bit_identical_across_shard_counts():
-    """On the differential scenario itself, the shard count never changes
-    a bit — the packet-vs-fluid bands above are one comparison."""
-    from repro.fingerprint import fingerprint
-
-    fps = {fingerprint(_ft_fluid_stats(s)) for s in (1, 2, 3)}
-    assert len(fps) == 1

@@ -1,4 +1,4 @@
-"""Bit-identity tests for the vectorised hot paths (:mod:`repro.fastpath`
+"""Bit-identity tests for the vectorised hot paths (:mod:`repro.rl.stacked`
 and friends).
 
 The stacked IPPO forward is compared with the per-agent loop the

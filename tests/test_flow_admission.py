@@ -18,6 +18,7 @@ from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.routing import (ecmp_hash, ecmp_hash_array, splitmix64,
                                   splitmix64_array)
 from repro.netsim.shard import ShardedFluidNetwork
+from tests.pod_tables import pod_tables
 
 _NETWORKS = {
     "leaf_spine": lambda: FluidNetwork(FluidConfig.small(), seed=0),
@@ -95,7 +96,6 @@ def test_admission_follows_start_time_then_registration(kind, data):
              for i, k in enumerate(starts)]
     steps_between = data.draw(st.integers(0, 3))
     admitted = []
-    tab = net.flow_shards[0] if kind == "fat_tree" else net
 
     seen_steps = []
     one_step = net._step if kind == "fat_tree" else net._step_phases
@@ -103,6 +103,7 @@ def test_admission_follows_start_time_then_registration(kind, data):
     def step():
         one_step(dt)
         seen_steps.append(net.now)
+        tab = pod_tables(net)[0] if kind == "fat_tree" else net
         admitted.extend(tab._idx_to_fid[i]
                         for i in range(len(admitted), tab._n_flows))
 
@@ -226,7 +227,7 @@ class _RouteOracle:
 
     def _table(self):
         out = {}
-        for sh in self.net.flow_shards:
+        for sh in pod_tables(self.net):
             for i, fid in sh._idx_to_fid.items():
                 out[fid] = (int(sh.f_src[i]), int(sh.f_dst[i]),
                             sh.f_path[i].tolist(), int(sh.f_core[i]))

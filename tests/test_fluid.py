@@ -110,6 +110,30 @@ class TestConservationAndSharing:
         assert len(net.finished_flows) == 5
         assert net._cap_flows == 4
 
+    def test_short_flows_leave_no_bookkeeping_behind(self):
+        """Several hundred short flows through a 16-slot table: the slot
+        map tracks the live flows, not the flows ever started (the
+        fat-tree twin: ``tests/test_shard.py``)."""
+        net = mk_net(initial_flow_capacity=16)
+        fid = 0
+        for wave in range(40):
+            net.start_flows([Flow(fid + k, f"h{(wave + k) % 8}",
+                                  f"h{(wave + k + 4) % 8}", 20_000,
+                                  start_time=net.now) for k in range(10)])
+            fid += 10
+            net.advance(2e-3)       # each wave finishes before the next
+        net.start_flows([Flow(fid + k, f"h{k}", f"h{k + 4}", 10**9,
+                              start_time=net.now) for k in range(3)])
+        net.advance(net.config.step_dt)
+        assert len(net.finished_flows) == 400
+        assert net._cap_flows == 16
+        live = int(net.f_active[:net._n_flows].sum())
+        assert live == 3 == len(net._idx_to_fid)
+        assert net._n_flows - len(net._free_list) == live
+        # nothing but the caller-visible flow record grows with history
+        assert {k for k, v in vars(net).items()
+                if isinstance(v, dict) and len(v) > 16} == {"flow_objs"}
+
 
 class TestQueueDynamics:
     def test_overload_builds_queue(self):

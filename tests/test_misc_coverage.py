@@ -91,7 +91,8 @@ class TestFluidRoutingMisc:
                                        spine_rate_bps=40e9), seed=0)
         net.start_flow(Flow(1, "h0", "h1", 1_000_000))
         net.advance(net.config.step_dt)
-        idx = net._fid_to_idx[1]
+        (idx, fid), = net._idx_to_fid.items()
+        assert fid == 1
         path = net.f_path[idx]
         assert (path >= 0).sum() == 1
         assert net.f_spine[idx] == -1
@@ -102,7 +103,8 @@ class TestFluidRoutingMisc:
                                        spine_rate_bps=40e9), seed=0)
         net.start_flow(Flow(1, "h0", "h4", 1_000_000))
         net.advance(net.config.step_dt)
-        idx = net._fid_to_idx[1]
+        (idx, fid), = net._idx_to_fid.items()
+        assert fid == 1
         assert (net.f_path[idx] >= 0).sum() == 3
         assert net.f_spine[idx] >= 0
 

@@ -374,82 +374,3 @@ class TestConcurrentCheckpointWriters:
         assert np.array_equal(state["w"], np.full(4, float(max(steps))))
         leftovers = [n for n in os.listdir(directory) if n.endswith(".tmp")]
         assert leftovers == []
-
-
-# --------------------------------------------------------- shared arena
-def _arena_fill_span(name, n_floats, lo, hi, value):
-    """Worker body: write ``value`` into the arena span ``[lo, hi)``."""
-    from repro.parallel.engine import attach_arena
-    arr = attach_arena(name, n_floats)
-    arr[lo:hi] = value
-    return hi - lo
-
-
-class TestSharedArena:
-    """The zero-copy exchange substrate behind the sharded fluid step:
-    one named float64 slab, creator-owned lifetime, task-id-ordered
-    disjoint spans written in place by pool workers."""
-
-    def setup_method(self):
-        from repro.parallel.engine import SharedArena
-        if not SharedArena.available():   # pragma: no cover
-            pytest.skip("multiprocessing.shared_memory unavailable")
-
-    def test_creator_view_round_trips(self):
-        from repro.parallel.engine import SharedArena, attach_arena
-        arena = SharedArena(16)
-        try:
-            assert arena.array is not None
-            assert arena.array.size == 16
-            assert (arena.array == 0.0).all()   # zero-initialized
-            arena.array[3] = 7.5
-            # creator's own attach is a cache hit on the same view
-            view = attach_arena(arena.name, 16)
-            assert view is arena.array
-            assert view[3] == 7.5
-        finally:
-            arena.close()
-
-    def test_attach_size_mismatch_raises(self):
-        from repro.parallel.engine import SharedArena, attach_arena
-        arena = SharedArena(8)
-        try:
-            with pytest.raises(ValueError, match="holds 8 floats"):
-                attach_arena(arena.name, 9)
-        finally:
-            arena.close()
-
-    def test_close_is_idempotent_and_unlinks(self):
-        from repro.parallel.engine import (SharedArena,
-                                           _ARENA_ATTACHMENTS)
-        arena = SharedArena(4)
-        name = arena.name
-        assert name in _ARENA_ATTACHMENTS
-        arena.close()
-        arena.close()
-        assert name not in _ARENA_ATTACHMENTS
-        assert arena.array is None
-
-    def test_invalid_sizes_raise(self):
-        from repro.parallel.engine import SharedArena
-        with pytest.raises(ValueError):
-            SharedArena(0)
-
-    def test_workers_write_disjoint_spans_in_place(self):
-        """Pool workers mutate the creator's slab through the handle —
-        no pickled state in either direction beyond the span bounds."""
-        from repro.parallel.engine import SharedArena
-        arena = SharedArena(12)
-        try:
-            specs = [TaskSpec(task_id=t,
-                              fn=_arena_fill_span,
-                              args=(arena.name, 12, t * 4, (t + 1) * 4,
-                                    float(t + 1)))
-                     for t in range(3)]
-            sizes = Engine(workers=WORKERS).run(specs).values()
-            assert sizes == [4, 4, 4]
-            assert arena.array is not None
-            expected = np.repeat([1.0, 2.0, 3.0], 4)
-            assert np.array_equal(arena.array, expected)
-        finally:
-            arena.close()

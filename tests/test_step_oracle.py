@@ -34,6 +34,7 @@ from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork, flow_phase
 from repro.fingerprint import fingerprint
 from repro.netsim.shard import ShardedFluidNetwork
+from tests.pod_tables import pod_tables
 
 #: a buffer small enough that incast overflows it, so drops are exercised
 CFG = dataclasses.replace(FluidConfig.small(), switch_buffer_bytes=150_000)
@@ -296,7 +297,7 @@ def test_fattree_step_matches_plain_loop_oracle(n_flows, seed, steps):
     queue_owner = (np.arange(net.n_queues) // net._pod_block).tolist()
     for _ in range(steps):
         _admit(net)
-        want = _oracle_step(net, net.flow_shards, queue_owner)
+        want = _oracle_step(net, pod_tables(net), queue_owner)
         net.advance(cfg.step_dt)
         _assert_stepped(net, want)
 

@@ -22,6 +22,7 @@ from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.queueing import FlowObservation
 from repro.netsim.shard import ShardedFluidNetwork
 from repro.resilience.faults import ChaosInjector, FaultPlan
+from tests.pod_tables import pod_tables
 
 #: edge switches 5 queues (×8), agg switches 3 (×4), and a core plane of
 #: ONE switch with 4 — three classes, one of them a single switch.
@@ -196,10 +197,14 @@ def test_ecn_stores_and_port_stats_follow_queue_ownership(kind):
 
 
 # ------------------------------------------------------------ flow_obs
+def _tables(net):
+    return pod_tables(net) if isinstance(net, ShardedFluidNetwork) else [net]
+
+
 def _obs_oracle(net):
     """Per-switch observations by a plain loop over the flow table(s) in
     (owner, slot) order."""
-    tables = getattr(net, "flow_shards", [net])
+    tables = _tables(net)
     out = {}
     for tab in tables:
         for i in range(tab._n_flows):
@@ -283,7 +288,7 @@ def test_flow_obs_never_built_when_unread(kind, obs_built):
         controller.decide(stats, net.now, net)
     assert obs_built == []
     active = sum(int(t.f_active[:t._n_flows].sum())
-                 for t in getattr(net, "flow_shards", [net]))
+                 for t in _tables(net))
     assert active > 0
     for st_ in stats.values():
         st_.flow_obs
