@@ -1,0 +1,170 @@
+"""Fat-tree sub-step cost against live queues and active flows.
+
+Measures what one 50 µs sub-step of ``ShardedFluidNetwork`` costs on the
+``scale_xl`` per-pod shape (16 edges × 40 hosts, 8 aggregation switches
+× 4 core uplinks per pod) over two sweeps of Web Search Poisson traffic:
+
+- ``n_pods`` ∈ {4, 8, 16} at 5 % load;
+- load ∈ {1, 5, 20 %} at 16 pods (``FatTreeConfig.scale_xl()`` itself).
+
+One trial builds the fabric, starts the whole trial's traffic, runs warm-up
+ticks and then times ``advance(1 ms)`` (20 sub-steps) tick by tick, with
+``queue_stats()`` between ticks outside the timed part, as the control
+loop calls it.  Each sub-step's active flows and live queues (the block
+the step integrates: queues on an active path or holding bytes) are
+counted by wrapping ``flow_phase`` / ``integrate_queue_block`` where the
+network calls them.  Trials visit the points round-robin, so a slow spell
+of the machine spreads over all of them; ``calib_ms`` (the fixed kernel of
+``benchmarks/perf/stats.py``) is recorded beside every trial to show one.
+
+Writes one JSON row per trial to ``--out`` (pods, load, seed, mean
+active flows, mean live queues, ``n_queues``, ms per sub-step,
+``cpu_count``, ``calib_ms``), then prints the summary: per point the
+median [q1..q3] of ms per sub-step, and least-squares slopes of ms per
+sub-step against live queues and against active flows over all rows.
+
+    python benchmarks/scale/fabric_cost.py            # 5 trials a point
+    python benchmarks/scale/fabric_cost.py --quick    # 1 short trial a point
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import sys
+import time
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+sys.path.insert(0, os.path.join(ROOT, "benchmarks", "perf"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from stats import calibrate, quartiles                 # noqa: E402
+
+from repro.netsim import shard                          # noqa: E402
+from repro.netsim.fattree import FatTreeConfig          # noqa: E402
+from repro.traffic.generator import (PoissonTrafficGenerator,  # noqa: E402
+                                     TrafficConfig)
+from repro.traffic.workloads import workload_by_name    # noqa: E402
+
+#: control tick: ``advance(TICK)`` is 20 sub-steps of ``step_dt`` = 50 µs
+TICK = 1e-3
+#: (n_pods, load) points: the pod sweep at 5 %, the load sweep at 16 pods
+POINTS = ((4, 0.05), (8, 0.05), (16, 0.05), (16, 0.01), (16, 0.20))
+
+
+def trial(pods: int, load: float, seed: int, warm: int,
+          ticks: int) -> Dict[str, Any]:
+    """One fabric, warmed up, timed over ``ticks`` control ticks."""
+    cfg = dataclasses.replace(FatTreeConfig.scale_xl(), n_pods=pods)
+    net = shard.ShardedFluidNetwork(cfg, seed=seed)
+    gen = PoissonTrafficGenerator(net.host_names(),
+                                  workload_by_name("websearch"),
+                                  rng=np.random.default_rng(seed + 1))
+    net.start_flows(gen.generate(TrafficConfig(
+        load=load, duration=(warm + ticks) * TICK,
+        host_rate_bps=cfg.host_rate_bps)))
+    for _ in range(warm):
+        net.advance(TICK)
+        net.queue_stats()
+
+    flows: List[int] = []
+    live: List[int] = []
+    flow_phase, integrate = shard.flow_phase, shard.integrate_queue_block
+
+    def counted_flow_phase(src, *args, **kwargs):
+        flows.append(len(src))
+        return flow_phase(src, *args, **kwargs)
+
+    def counted_integrate(q_len, *args):
+        live.append(len(q_len))
+        return integrate(q_len, *args)
+
+    shard.flow_phase = counted_flow_phase
+    shard.integrate_queue_block = counted_integrate
+    try:
+        spent = 0.0
+        for _ in range(ticks):
+            t0 = time.perf_counter()
+            net.advance(TICK)
+            spent += time.perf_counter() - t0
+            net.queue_stats()
+    finally:
+        shard.flow_phase, shard.integrate_queue_block = flow_phase, integrate
+    return {"pods": pods, "load": load, "seed": seed,
+            "active_flows": float(np.mean(flows)) if flows else 0.0,
+            "live_queues": float(np.mean(live)) if live else 0.0,
+            "n_queues": net.n_queues,
+            "ms_per_substep": spent / (ticks * round(TICK / cfg.step_dt)) * 1e3,
+            "cpu_count": os.cpu_count(), "calib_ms": calibrate()}
+
+
+def slope(rows: List[Dict[str, Any]], x: str) -> Tuple[float, float]:
+    """Least-squares ``(intercept ms, µs per unit of x)`` of ms per
+    sub-step against column ``x``."""
+    b, a = np.polyfit([r[x] for r in rows],
+                      [r["ms_per_substep"] for r in rows], 1)
+    return float(a), float(b) * 1e3
+
+
+def summary(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
+    points = []
+    for pods, load in POINTS:
+        mine = [r for r in rows if (r["pods"], r["load"]) == (pods, load)]
+        points.append({
+            "pods": pods, "load": load, "n_queues": mine[0]["n_queues"],
+            "active_flows": quartiles([r["active_flows"] for r in mine]),
+            "live_queues": quartiles([r["live_queues"] for r in mine]),
+            "ms_per_substep": quartiles([r["ms_per_substep"] for r in mine])})
+    fits = {x: dict(zip(("intercept_ms", "us_per_unit"), slope(rows, x)))
+            for x in ("live_queues", "active_flows")}
+    return {"points": points, "fits": fits, "cpu_count": os.cpu_count()}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--quick", action="store_true",
+                    help="one short trial per point (under 20 s)")
+    ap.add_argument("--trials", type=int, default=5,
+                    help="trials per point (ignored with --quick)")
+    ap.add_argument("--out", default=os.path.join(HERE, "out",
+                                                  "fabric_cost.jsonl"))
+    args = ap.parse_args(argv)
+    trials, warm, ticks = (1, 5, 10) if args.quick else (args.trials, 10, 40)
+
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    rows = []
+    with open(args.out, "w") as fh:
+        for t in range(trials):
+            for pods, load in POINTS:
+                row = trial(pods, load, seed=t, warm=warm, ticks=ticks)
+                rows.append(row)
+                fh.write(json.dumps(row) + "\n")
+                print(f"pods={pods:2d} load={load:.2f} seed={t}: "
+                      f"{row['active_flows']:7.0f} flows "
+                      f"{row['live_queues']:7.0f}/{row['n_queues']} live queues "
+                      f"{row['ms_per_substep']:.3f} ms/sub-step", flush=True)
+
+    s = summary(rows)
+    print(f"\nms per sub-step, median [q1..q3] of {trials} trial(s); "
+          f"cpu_count={s['cpu_count']}")
+    for p in s["points"]:
+        m = p["ms_per_substep"]
+        print(f"  pods={p['pods']:2d} load={p['load']:.2f}  "
+              f"flows {p['active_flows']['median']:7.0f}  "
+              f"live {p['live_queues']['median']:7.0f} of {p['n_queues']:6d}  "
+              f"{m['median']:.3f} [{m['q1']:.3f}..{m['q3']:.3f}]")
+    for x, fit in s["fits"].items():
+        print(f"  fit vs {x}: {fit['intercept_ms']:.3f} ms + "
+              f"{fit['us_per_unit']:.4f} µs × {x}")
+    print(json.dumps(s))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,8 +10,8 @@ This module is the topology half of that step:
 - :class:`FatTreeTopology` instantiates it at packet level alongside
   :class:`repro.netsim.topology.LeafSpineTopology` (same duck-typed
   surface, so :class:`repro.netsim.network.PacketNetwork` drives either);
-- the sharded fluid model (:mod:`repro.netsim.shard`) steps the same
-  shape one subdomain per pod.
+- the fat-tree fluid model (:mod:`repro.netsim.shard`) steps the same
+  shape with the pod as an array axis.
 
 Naming: hosts are global ``h{i}``; switches are ``pod{p}.edge{e}``,
 ``pod{p}.agg{a}`` (pod-local indices) and ``core{c}``.  Global switch
@@ -174,8 +174,9 @@ class FatTreeConfig:
     def production_scale(cls) -> "FatTreeConfig":
         """The capacity headline: 8 pods, 80 switches, 256 hosts.
 
-        Too many switches for the monolithic leaf–spine layout — this
-        is the shape the sharded stepper exists for (ROADMAP item 2).
+        A multi-tier fabric the single-pod leaf–spine layout cannot
+        express, small enough for tests: 768 queues in 8 pod blocks
+        plus the core plane.
         """
         return cls(n_pods=8, edge_per_pod=4, agg_per_pod=4, core_per_agg=4,
                    hosts_per_edge=8)
@@ -185,11 +186,12 @@ class FatTreeConfig:
         """The 10k-host shape: 16 pods, 416 switches, 10240 hosts.
 
         The fabric behind the ``fabric_xl`` benchmark workload: 15360
-        queues in 17 subdomain blocks, one ``(16, cap)`` stacked flow
-        table.  Per-Δt step cost is proportional to the fabric-wide
-        *active* flow count at one vectorised pass's dispatch overhead,
-        not to the pod count
-        (measured: docs/PERFORMANCE.md, "Flow-phase sharding").
+        queues in 16 pod blocks plus the core plane, one ``(16, cap)``
+        stacked flow table.  Per-Δt step cost follows the fabric-wide
+        *active* flow count and the live queues those flows touch, at
+        one vectorised pass's dispatch overhead, not the pod count
+        (measured: docs/PERFORMANCE.md, "The pod axis is an array axis"
+        and "Live queues"; ``benchmarks/scale/fabric_cost.py``).
         """
         return cls(n_pods=16, edge_per_pod=16, agg_per_pod=8,
                    core_per_agg=4, hosts_per_edge=40)

@@ -757,7 +757,7 @@ class SwitchStatsMixin:
                     avg_qlen_bytes=float(self._acc_qlen_area[q]) / interval,
                     tx_bytes=int(self._acc_tx[q]),
                     tx_marked_bytes=int(self._acc_marked[q]),
-                    dropped_pkts=0,
+                    dropped_pkts=int(self._acc_drops[q] // 1000),
                     capacity_bps=float(self.q_cap[q] * 8.0),
                     ecn=ECNConfig(int(self.kmin[q]), int(self.kmax[q]),
                                   float(self.pmax[q])),

@@ -8,8 +8,10 @@ state whose **pod axis is an array axis**:
 
 - the queue arrays are laid out in blocks — one contiguous block per
   pod (edge-down, edge-up, agg-up and agg-down queues), then the core
-  plane — and :func:`~repro.netsim.fluid.integrate_queue_block`
-  integrates all of them in one call;
+  plane — and each sub-step integrates only the **live** queues, those
+  on an active flow's path or holding bytes, gathered into one
+  :func:`~repro.netsim.fluid.integrate_queue_block` call: any other
+  queue is empty and unfed, so integrating it would change no bit;
 - the flow table is one ``(n_pods, cap)`` stack of ``_f_*`` columns,
   row ``p`` holding the flows **owned** by pod ``p`` (a flow belongs to
   its source edge's pod — :meth:`~repro.netsim.fattree.FatTreeConfig.
@@ -18,9 +20,10 @@ state whose **pod axis is an array axis**:
   the active ``(pod, slot)`` pairs — the phase functions of
   :mod:`repro.netsim.fluid` that the solo and batch networks step
   through too: NIC sharing + arrival reduction, queue integration,
-  AIMD + finish detection — so per-Δt cost is proportional to the
-  fabric's *active* flows at one pass's worth of NumPy dispatch,
-  whatever the pod count (measured: docs/PERFORMANCE.md);
+  AIMD + finish detection — so per-Δt cost follows the fabric's
+  *active* flows and the queues they touch, at one pass's worth of
+  NumPy dispatch, whatever the pod count (measured:
+  docs/PERFORMANCE.md, ``benchmarks/scale/fabric_cost.py``);
 - registered flows wait in one fabric-wide start-time-ordered table;
   every flow due inside an ``advance`` window is routed in **one**
   vectorised call ahead of admission (:meth:`ShardedFluidNetwork.
@@ -36,9 +39,11 @@ state whose **pod axis is an array axis**:
 **Determinism contract** — ownership and the queue blocks are fixed by
 the topology; per-pod reductions accumulate in hop-major slot order; a
 pod that owns no flow contributes nothing, so the same flows on a
-fabric with more (idle) pods give the same bits.  ``tests/test_shard.py``
-pins this with canonical fingerprint literals, an independent
-plain-loop oracle and the idle-pods metamorphic test.
+fabric with more (idle) pods give the same bits; the live-queue set is
+recomputed from the arrays every sub-step and changes no bit either.
+``tests/test_shard.py`` pins this with canonical fingerprint literals,
+an independent plain-loop oracle and the idle-pods metamorphic test;
+``tests/test_step_oracle.py`` steps every queue with plain loops.
 
 The controller-facing surface (``advance`` / ``queue_stats`` /
 ``set_ecn`` / ``fail_uplinks``) matches the other two simulators, so
@@ -67,7 +72,8 @@ __all__ = ["ShardedFluidNetwork"]
 #: per-queue state arrays (attribute names), all ``(n_queues,)``
 _QUEUE_FIELDS = ("q_len", "q_cap", "q_cap_nominal", "kmin", "kmax", "pmax",
                  "_arrival", "_acc_tx", "_acc_marked", "_acc_qlen_area",
-                 "_acc_drops", "q_switch", "_q_owner")
+                 "_acc_drops", "_p_mark", "_srv_ratio", "q_switch",
+                 "_q_owner")
 
 #: per-flow columns of the stacked ``(n_pods, cap)`` table, held on the
 #: network as ``_f_src`` ...: name, dtype, value of a slot never used.
@@ -199,6 +205,10 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         self._acc_qlen_area = np.zeros(self.n_queues)
         self._acc_time = 0.0
         self._acc_drops = np.zeros(self.n_queues)
+        #: the most recent sub-step's RED mark probability and service
+        #: ratio, by global queue id; only the live queues' are current
+        self._p_mark = np.zeros(self.n_queues)
+        self._srv_ratio = np.ones(self.n_queues)
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -443,17 +453,11 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         at = pods, slots = self._f_active[:, :n].nonzero()
         path = self._f_path[at].T                   # (H, k), hop-major
         send = self._flow_phase(pods, slots, path)
-        served_rate, new_qlen, drops, p_mark, srv_ratio = \
-            integrate_queue_block(self.q_len, self.q_cap, self.kmin,
-                                  self.kmax, self.pmax, self._arrival, dt,
-                                  float(cfg.switch_buffer_bytes))
-        account_queue_block(self._acc_tx, self._acc_marked,
-                            self._acc_qlen_area, self._acc_drops, self.q_len,
-                            served_rate, new_qlen, drops, p_mark, dt)
+        self._integrate_live(path, dt)
         qdelay, done = feedback_phase(
             cfg, dt, self._f_rate, self._f_alpha, self._f_remaining,
-            self._f_active, at, self._f_rate[at], send, path, p_mark,
-            srv_ratio, self.q_len, self.q_cap)
+            self._f_active, at, self._f_rate[at], send, path, self._p_mark,
+            self._srv_ratio, self.q_len, self.q_cap)
         if done.any():
             # finished flows retire in (pod, slot) order, each slot going
             # back to its own pod's free list
@@ -479,6 +483,37 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             cfg.host_rate_bps / 8.0, cfg.n_hosts, self.n_queues,
             owners=(pods, self._q_owner))
         return send
+
+    def _integrate_live(self, path: np.ndarray, dt: float) -> None:
+        """Queue integration + interval accounting of the **live** queues
+        only — every queue on an active flow's path (``path``, as the
+        flow phase took it) and every queue whose buffer is not exactly
+        empty (``!= 0.0``, so a NaN is never skipped) — recomputed from
+        the arrays, gathered, stepped as one block and scattered back.
+
+        Every queue left out holds no bytes and receives none, so its
+        integration is an exact no-op — ``+0.0`` on non-negative
+        accumulators, ``q_len`` stays ``0.0`` — and no path reads its
+        ``p_mark`` / ``srv_ratio``; skipping it changes no bit.
+        """
+        live = self.q_len != 0.0
+        live[path[path >= 0]] = True
+        live = live.nonzero()[0]
+        q_len = self.q_len[live]
+        served_rate, new_qlen, drops, p_mark, srv_ratio = \
+            integrate_queue_block(q_len, self.q_cap[live], self.kmin[live],
+                                  self.kmax[live], self.pmax[live],
+                                  self._arrival[live], dt,
+                                  float(self.config.switch_buffer_bytes))
+        acc = [a[live] for a in (self._acc_tx, self._acc_marked,
+                                 self._acc_qlen_area, self._acc_drops)]
+        account_queue_block(*acc, q_len, served_rate, new_qlen, drops,
+                            p_mark, dt)
+        self.q_len[live] = q_len
+        (self._acc_tx[live], self._acc_marked[live],
+         self._acc_qlen_area[live], self._acc_drops[live]) = acc
+        self._p_mark[live] = p_mark
+        self._srv_ratio[live] = srv_ratio
 
     # ------------------------------------------------------------ stats
     def _active_flow_columns(self) -> Tuple[List[int], np.ndarray,

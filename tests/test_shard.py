@@ -21,6 +21,7 @@ from repro.netsim.ecn import ECNConfig
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.routing import ecmp_hash, splitmix64
+from repro.netsim import shard as shard_mod
 from repro.netsim.shard import ShardedFluidNetwork
 from repro.fingerprint import fingerprint
 from tests.pod_tables import pod_tables
@@ -141,7 +142,7 @@ class TestPinnedFingerprints:
 #: taken from ``src/``
 _PER_QUEUE = ("q_len", "q_cap", "q_cap_nominal", "kmin", "kmax", "pmax",
               "_arrival", "_acc_tx", "_acc_marked", "_acc_qlen_area",
-              "_acc_drops", "q_switch", "_q_owner")
+              "_acc_drops", "_p_mark", "_srv_ratio", "q_switch", "_q_owner")
 _PER_FLOW = ("_f_src", "_f_dst", "_f_size", "_f_remaining", "_f_rate",
              "_f_alpha", "_f_active", "_f_core", "_f_path", "_f_fid")
 
@@ -501,6 +502,58 @@ def test_sharded_flow_tables_survive_divergence_and_reroutes(
         for idx, fid in tab._idx_to_fid.items():
             assert owner[fid] == p
             assert cfg.owner_pod_of_flow(int(tab.f_src[idx])) == p
+
+
+# ------------------------------------------------------------- live queues
+def test_integration_work_follows_live_queues(monkeypatch):
+    """Every sub-step integrates one block of exactly the queues on an
+    active flow's path or holding bytes — counted here with plain loops
+    over the pod tables — through an incast whose flows finish while
+    their queues still drain, and an empty block once the fabric has
+    drained."""
+    cfg = FatTreeConfig.production_scale()
+    net = ShardedFluidNetwork(cfg, seed=0)
+    _load(net, cfg, n_flows=60, spread=1e-3, hot=3)
+    # seven equal flows into h0 from its edge neighbours finish on the
+    # same step, with h0's queue still deep
+    net.start_flows([Flow(100 + k, f"h{k}", "h0", 200_000)
+                     for k in range(1, cfg.hosts_per_edge)])
+    calls = []
+    real = shard_mod.integrate_queue_block
+
+    def spy(q_len, *args):
+        on_path = {int(q) for tab in pod_tables(net)
+                   for i in range(tab._n_flows) if tab.f_active[i]
+                   for q in tab.f_path[i] if q >= 0}
+        backlog = {q for q in range(net.n_queues) if net.q_len[q] != 0.0}
+        calls.append((len(q_len), len(on_path | backlog),
+                      len(backlog - on_path)))
+        return real(q_len, *args)
+
+    monkeypatch.setattr(shard_mod, "integrate_queue_block", spy)
+    while net.active_flow_count() or net.q_len.any():
+        net._step(cfg.step_dt)
+        assert len(calls) < 5_000
+    net._step(cfg.step_dt)
+    assert [block for block, _, _ in calls] == [live for _, live, _ in calls]
+    assert max(off_path for _, _, off_path in calls) > 0
+    assert len(net.finished_flows) == len(net.flow_objs)
+    assert calls[-1][0] == 0
+
+
+def test_nan_buffer_off_every_path_is_still_integrated():
+    """A corrupted (NaN) queue no flow crosses is live — ``!= 0.0``, not
+    ``> 0.0`` — so the NaN reaches its accumulators exactly as a
+    whole-fabric integration would carry it there."""
+    cfg = _small()
+    net = ShardedFluidNetwork(cfg, seed=0)
+    net.start_flow(Flow(0, "h0", "h1", 10**8))
+    net._step(cfg.step_dt)
+    far = net._q_core_down(cfg.n_core - 1, cfg.n_pods - 1)
+    assert net.q_len[far] == 0.0 and net._acc_qlen_area[far] == 0.0
+    net.q_len[far] = np.nan
+    net._step(cfg.step_dt)
+    assert np.isnan(net.q_len[far]) and np.isnan(net._acc_qlen_area[far])
 
 
 # ------------------------------------------------------------- metamorphic

@@ -15,6 +15,9 @@ The oracle knows nothing about batching: a replica of a
 claims to be.  It does know about owners sharing a queue (fat-tree pods):
 there each owner's flows are summed first and the partial sums merged
 own-owner-first, which with a single owner is the plain hop-major sum.
+Nor does it know that the fat-tree integrates only its live queues: it
+steps every queue, so skipping one whose integration changes anything
+shows as a mismatch.
 
 Also here: the ``np.float64`` type pin and the digests, captured at the
 parent of the shared-kernel change, of a solo run and of a batch replica
@@ -94,8 +97,14 @@ def _oracle_step(net, tables, queue_owner=None):
                     "alpha": float(tbl.f_alpha[i]),
                     "remaining": float(tbl.f_remaining[i]),
                     "path": [int(q) for q in tbl.f_path[i] if q >= 0]})
+    on_path = {q for f in flows for q in f["path"]}
     seen = {"nic_over": False, "padded": False, "marked": False,
-            "dropped": False, "finished": False}
+            "dropped": False, "finished": False,
+            # a buffer still draining that no active flow feeds: the
+            # fat-tree integrates it only because its q_len is not 0.0
+            "backlog_off_path": any(float(net.q_len[q]) != 0.0
+                                    and q not in on_path
+                                    for q in range(n_queues))}
 
     # ---- send rates: a host's flows share its NIC
     per_host = {}
@@ -245,6 +254,7 @@ def test_solo_step_matches_plain_loop_oracle(n_flows, seed, steps):
 def test_solo_oracle_run_meets_every_corner():
     """The fixed run the mutation checks were made on (CHANGES.md)."""
     seen = _solo_steps(40, 11, 80)
+    del seen["backlog_off_path"]    # only the fat-tree skips idle queues
     assert all(seen.values()), seen
 
 
@@ -279,27 +289,51 @@ def test_batch_step_matches_plain_loop_oracle(n_flows, seed, steps):
 
 def test_batch_oracle_run_meets_every_corner():
     seen = _batch_steps(40, 11, 80)
+    del seen["backlog_off_path"]    # only the fat-tree skips idle queues
     assert all(seen.values()), seen
 
 
 # --------------------------------------------------------------- fat-tree
-@settings(max_examples=8, deadline=None)
-@given(n_flows=st.integers(1, 40), seed=st.integers(0, 2**16),
-       steps=st.integers(1, 40))
-def test_fattree_step_matches_plain_loop_oracle(n_flows, seed, steps):
-    """Four pods feeding shared core and remote-pod queues: the whole Δt
-    with the own-pod-first merge (``tests/test_shard.py`` has the flow
-    phase alone, on larger draws)."""
+def _fattree_steps(n_flows, seed, steps):
+    """Four pods feeding shared core and remote-pod queues.  The oracle
+    integrates every queue; the network only the live ones (on an active
+    path or holding bytes), so each step also checks that the queues it
+    skipped are exactly the ones whose integration changes nothing."""
     cfg = dataclasses.replace(FatTreeConfig(), switch_buffer_bytes=150_000)
     net = ShardedFluidNetwork(cfg, seed=seed)
     net.set_ecn_all(TIGHT)
     _load(net, n_flows, seed, hot=3)
+    # two equal flows into the last host from its edge neighbours, started
+    # together: they finish on the same step with that host's queue still
+    # full, so the next step finds a backlog no active path crosses
+    dst = cfg.n_hosts - 1
+    net.start_flows([Flow(n_flows + k, f"h{dst - 1 - k}", f"h{dst}", 150_000,
+                          start_time=1e-3) for k in range(2)])
     queue_owner = (np.arange(net.n_queues) // net._pod_block).tolist()
+    seen = {}
     for _ in range(steps):
         _admit(net)
         want = _oracle_step(net, pod_tables(net), queue_owner)
         net.advance(cfg.step_dt)
         _assert_stepped(net, want)
+        _merge(seen, want["seen"])
+    return seen
+
+
+@settings(max_examples=8, deadline=None)
+@given(n_flows=st.integers(1, 40), seed=st.integers(0, 2**16),
+       steps=st.integers(1, 40))
+def test_fattree_step_matches_plain_loop_oracle(n_flows, seed, steps):
+    """The whole Δt with the own-pod-first merge (``tests/test_shard.py``
+    has the flow phase alone, on larger draws)."""
+    _fattree_steps(n_flows, seed, steps)
+
+
+def test_fattree_oracle_run_meets_every_corner():
+    """The fixed run the live-queue mutation checks were made on
+    (CHANGES.md): it reaches a backlog no active path crosses."""
+    seen = _fattree_steps(40, 11, 80)
+    assert all(seen.values()), seen
 
 
 # -------------------------------------------------- types and pinned digests

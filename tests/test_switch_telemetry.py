@@ -8,6 +8,8 @@ bit — the grouped row sums replace per-switch sums on the control path
 of every simulator, so an association change would move fingerprints.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +196,26 @@ def test_ecn_stores_and_port_stats_follow_queue_ownership(kind):
         assert st_.qlen_bytes == float(net.q_len[q])
         assert st_.tx_bytes == int(net._acc_tx[q])
         assert st_.ecn.kmin_bytes == int(net.kmin[q])
+
+
+@pytest.mark.parametrize("kind", ["leaf_spine", "fat_tree"])
+def test_port_stats_report_the_drops_their_switch_sums(kind):
+    """12-to-1 incast into a 20 kB buffer for 2 ms: the ports report
+    drops, and each switch's ``dropped_pkts`` is their sum give or take
+    the sub-packet remainders (at most one packet per port)."""
+    net = (FluidNetwork(dataclasses.replace(FluidConfig.small(),
+                                            switch_buffer_bytes=20_000))
+           if kind == "leaf_spine" else
+           ShardedFluidNetwork(dataclasses.replace(
+               FatTreeConfig(), switch_buffer_bytes=20_000)))
+    net.start_flows([Flow(i, f"h{i}", "h0", 10**8) for i in range(1, 13)])
+    net.advance(2e-3)
+    ports = net.port_stats()
+    stats = net.queue_stats()
+    assert sum(p.dropped_pkts for p in ports.values()) > 0
+    for name, st_ in stats.items():
+        mine = [p.dropped_pkts for (sw, _), p in ports.items() if sw == name]
+        assert sum(mine) <= st_.dropped_pkts <= sum(mine) + len(mine), name
 
 
 # ------------------------------------------------------------ flow_obs
