@@ -46,7 +46,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from stats import calibrate, quartiles                 # noqa: E402
 
-from repro.netsim import shard                          # noqa: E402
+from repro.netsim import fluid, shard                   # noqa: E402
 from repro.netsim.fattree import FatTreeConfig          # noqa: E402
 from repro.traffic.generator import (PoissonTrafficGenerator,  # noqa: E402
                                      TrafficConfig)
@@ -75,7 +75,7 @@ def trial(pods: int, load: float, seed: int, warm: int,
 
     flows: List[int] = []
     live: List[int] = []
-    flow_phase, integrate = shard.flow_phase, shard.integrate_queue_block
+    flow_phase, integrate = fluid.flow_phase, shard.integrate_queue_block
 
     def counted_flow_phase(src, *args, **kwargs):
         flows.append(len(src))
@@ -85,7 +85,7 @@ def trial(pods: int, load: float, seed: int, warm: int,
         live.append(len(q_len))
         return integrate(q_len, *args)
 
-    shard.flow_phase = counted_flow_phase
+    fluid.flow_phase = counted_flow_phase
     shard.integrate_queue_block = counted_integrate
     try:
         spent = 0.0
@@ -95,7 +95,7 @@ def trial(pods: int, load: float, seed: int, warm: int,
             spent += time.perf_counter() - t0
             net.queue_stats()
     finally:
-        shard.flow_phase, shard.integrate_queue_block = flow_phase, integrate
+        fluid.flow_phase, shard.integrate_queue_block = flow_phase, integrate
     return {"pods": pods, "load": load, "seed": seed,
             "active_flows": float(np.mean(flows)) if flows else 0.0,
             "live_queues": float(np.mean(live)) if live else 0.0,

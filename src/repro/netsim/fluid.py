@@ -15,18 +15,16 @@ models the same leaf–spine fabric at *rate* granularity:
 
 The per-switch statistics interface (``advance`` / ``queue_stats`` /
 ``set_ecn``) matches :class:`repro.netsim.network.PacketNetwork`, so PET,
-ACC and the static baselines run unmodified on either simulator.  The
-test suite cross-validates the two models' queue dynamics.
+ACC and the static baselines run unmodified on either simulator.
 
-One Δt is three phases, each a function over the active flows'
-k-vectors and the flat queue arrays: :func:`flow_phase`,
+Every fluid network — solo, batch (:mod:`repro.netsim.batchfluid`) and
+fat-tree (:mod:`repro.netsim.shard`) — keeps its flows in one
+:class:`FlowTable` of ``(n_owners, cap)`` rows and is stepped by the one
+:meth:`_FluidStepper._step`: :func:`flow_phase`,
 :func:`integrate_queue_block` (+ :func:`account_queue_block`) and
-:func:`feedback_phase`.  They are the one production formulation of the
-step: the solo, batch and fat-tree networks gather their flows into them
-by slot, ``(replica, slot)`` and ``(pod, slot)``, and own storage,
-routing, admission and per-owner bookkeeping (docs/PERFORMANCE.md, "One
-fluid step kernel"); ``tests/test_step_oracle.py`` holds the plain-loop
-oracle they are checked against.
+:func:`feedback_phase` over the active rows (docs/PERFORMANCE.md, "One
+flow table, one step"; ``tests/test_step_oracle.py`` holds the
+plain-loop oracle).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,10 +41,10 @@ from repro.netsim.ecn import SECN1 as _DEFAULT_ECN
 from repro.netsim.flow import Flow
 from repro.netsim.network import QueueStats
 from repro.netsim.queueing import FlowObservation
-from repro.netsim.routing import ecmp_hash
+from repro.netsim.routing import ecmp_hash_array
 from repro.obs.metrics import get_registry
 
-__all__ = ["FluidConfig", "FluidNetwork", "FlowTableMixin",
+__all__ = ["FluidConfig", "FluidNetwork", "FlowTable", "FlowTableMixin",
            "SwitchStatsMixin", "flow_phase", "integrate_queue_block",
            "account_queue_block", "feedback_phase"]
 
@@ -82,8 +80,8 @@ class FluidConfig:
     switch_buffer_bytes: int = 9_000_000
     latency_sample_cap: int = 100_000
     #: initial flow-slot capacity (grown by doubling on demand).  The
-    #: capacity never affects results — ``_grow`` preserves contents —
-    #: so tests shrink it to exercise mid-run reallocation cheaply.
+    #: capacity never affects results — growth preserves contents — so
+    #: tests shrink it to exercise mid-run reallocation cheaply.
     initial_flow_capacity: int = 1024
 
     def __post_init__(self) -> None:
@@ -225,11 +223,10 @@ def feedback_phase(cfg: Any, dt: float, f_rate: np.ndarray,
     """Per-hop feedback, DCQCN-like AIMD and progress of the ``k`` active
     flows; returns their queueing delay and which of them finished.
 
-    ``at`` indexes the flows' slots in the ``f_*`` storage — a slot
-    vector for one table, an ``(owner, slot)`` pair for stacked ones;
-    ``rate``, ``send`` and ``path`` are what :func:`flow_phase` took and
-    returned.  Rate, alpha and bytes remaining are updated in place, and
-    a finished flow's slot is deactivated with nothing left to send.
+    ``at`` holds the flows' rows of the flat ``f_*`` columns; ``rate``,
+    ``send`` and ``path`` are what :func:`flow_phase` took and returned.
+    Rate, alpha and bytes remaining are updated in place, and a finished
+    flow's slot is deactivated with nothing left to send.
     """
     # Queue state along each path, read back after integration.  A padded
     # hop (-1) reads the last queue and is replaced by the identity
@@ -261,16 +258,6 @@ def feedback_phase(cfg: Any, dt: float, f_rate: np.ndarray,
         f_active[at] = ~done
     f_remaining[at] = remaining
     return qdelay, done
-
-
-def sample_latency(net: Any, qdelay: np.ndarray) -> None:
-    """Fig. 8 latency sample: one draw of ``net.rng`` over the queueing
-    delays of the flows still active after this step, in table order."""
-    cfg = net.config
-    if qdelay.size and len(net.latencies) < cfg.latency_sample_cap:
-        net.latencies.append(
-            (net.now, cfg.base_rtt / 2.0
-             + qdelay[int(net.rng.integers(qdelay.size))]))
 
 
 class _PendingFlows:
@@ -335,140 +322,245 @@ class _PendingFlows:
         return lo, hi
 
 
-def _record_finished(flows: Iterable[Flow], finish_times: np.ndarray,
-                     finished_flows: List[Flow]) -> None:
-    """Stamp and record the flows that finished this step.  The residual
-    queueing delay is part of ``finish_times``, which stay
-    ``np.float64`` — fingerprints print them with ``repr``."""
-    for flow, t in zip(flows, finish_times):
-        flow.finish_time = t
-        flow.bytes_sent = flow.bytes_acked = flow.size_bytes
-        finished_flows.append(flow)
-
-
-def _register_flows(flows: Sequence[Flow], flow_objs: Dict[int, Flow],
-                    pending: _PendingFlows, n_hosts: int) -> None:
-    """Validate a whole list of flows, then register it: the flows go
-    into ``flow_objs`` and, as columns, into ``pending``.
-
-    Raises ``ValueError`` — before anything is registered — on a flow id
-    that is already registered, repeated in the list or outside
-    ``[0, 2**64)``, and on a source or destination that is not a host of
-    this fabric.  Each distinct host name is parsed once.
-    """
-    ids = [f.flow_id for f in flows]
-    try:
-        fid_col = np.array(ids, dtype=np.uint64)
-    except (OverflowError, TypeError):
-        raise ValueError("flow ids must be integers in [0, 2**64)") from None
-    by_id = np.sort(fid_col)
-    if ((by_id[1:] == by_id[:-1]).any()
-            or not flow_objs.keys().isdisjoint(ids)):
-        seen: set = set()
-        for fid in ids:
-            if fid in flow_objs or fid in seen:
-                raise ValueError(f"duplicate flow id {fid}")
-            seen.add(fid)
-    src = [f.src for f in flows]
-    dst = [f.dst for f in flows]
-    index: Dict[Any, int] = {}
-    for name in set(src).union(dst):
-        try:
-            i = FlowTableMixin._host_index(name)
-        except KeyError:
-            i = -1
-        if not 0 <= i < n_hosts:
-            raise ValueError(f"unknown host {name}")
-        index[name] = i
-    pending.add(
-        np.array([f.start_time for f in flows], dtype=np.float64), fid_col,
-        np.array([index[h] for h in src], dtype=np.int32),
-        np.array([index[h] for h in dst], dtype=np.int32),
-        np.array([f.size_bytes for f in flows], dtype=np.float64))
-    flow_objs.update(zip(ids, flows))
-
-
-class FlowTableMixin:
-    """Grow-on-demand flow table of a leaf–spine fluid network, solo or
-    batch replica (the fat-tree stacks its pods' tables as one array:
-    :mod:`repro.netsim.shard`).
-
-    Hosts provide the ``f_*`` arrays, ``config`` (``n_hosts``,
-    ``host_rate_bps``, ``start_rate_fraction``), ``now`` and a
-    ``_route(idx)`` that fills ``f_path[idx]``; the mixin owns slot
-    allocation, pending-flow activation and reallocation.  Attribute
-    names are a stable contract — :class:`~repro.netsim.batchfluid.
-    BatchFluidNetwork` re-points them at batch storage row views.
+class FlowTable:
+    """The flow columns of ``n_owners`` owners as one ``(n_owners, cap)``
+    stack stored flat (owner ``r``'s slot ``i`` is row ``r*cap + i``), so
+    a step gathers and scatters with 1-D indices.  An owner's next slot
+    is its LIFO free list's, else its high-water mark's; a full owner
+    doubles every row.  ``f_fid`` holds flow ids (``[0, 2**64)``);
+    ``choice`` names the ECMP-choice column (spine, core; ``-1``: none).
     """
 
-    #: extra per-flow int64 arrays (grown filled with -1) beyond the
-    #: base table — the leaf–spine network records the chosen spine.
-    _FLOW_CHOICE_1D: Tuple[str, ...] = ("f_spine",)
-
-    def _init_flow_table(self, cap: int) -> None:
-        """Allocate an empty flow table of ``cap`` slots and its slot maps.
-
-        One table per network; :class:`~repro.netsim.batchfluid.
-        BatchFluidNetwork` re-points its replicas' arrays at rows of one
-        stacked table.  Flow intake — registration, the pending store,
-        completion records — is :meth:`_init_flow_intake`.
-        """
+    def __init__(self, n_owners: int, cap: int, hops: int,
+                 choice: str) -> None:
         if cap < 1:
             raise ValueError("flow capacity must be >= 1")
-        self._cap_flows = cap
-        self._n_flows = 0
-        self.f_src = np.zeros(cap, dtype=np.int64)
-        self.f_dst = np.zeros(cap, dtype=np.int64)
-        self.f_size = np.zeros(cap)
-        self.f_remaining = np.zeros(cap)
-        self.f_rate = np.zeros(cap)                      # bytes/s
-        self.f_alpha = np.zeros(cap)
-        self.f_active = np.zeros(cap, dtype=bool)
-        self.f_path = np.full((cap, self._MAX_HOPS), -1, dtype=np.int64)
-        for name in self._FLOW_CHOICE_1D:
-            setattr(self, name, np.full(cap, -1, dtype=np.int64))
-        self._idx_to_fid: Dict[int, int] = {}   # occupied slots only
-        self._free_list: List[int] = []   # recycled flow slots
-        #: the batch whose stacked storage this table's arrays are row
-        #: views into, if any
-        self._batch = None
+        #: name, dtype and value of a slot never used, per column
+        self.columns = (("f_src", np.int64, 0), ("f_dst", np.int64, 0),
+                        ("f_size", float, 0), ("f_remaining", float, 0),
+                        ("f_rate", float, 0), ("f_alpha", float, 0),
+                        ("f_active", bool, 0), (choice, np.int64, -1),
+                        ("f_path", np.int64, -1), ("f_fid", np.uint64, 0))
+        self.choice, self.n_owners, self.hops, self.cap = choice, n_owners, hops, 0
+        #: per owner: slots ever used (high-water mark) and recycled slots
+        self.n_flows = [0] * n_owners
+        self.free: List[List[int]] = [[] for _ in range(n_owners)]
+        self._resize(cap)
 
-    def _init_flow_intake(self) -> None:
+    def _resize(self, cap: int) -> None:
+        for name, dtype, fill in self.columns:
+            tail = (self.hops,) if name == "f_path" else ()
+            new = np.full((self.n_owners, cap) + tail, fill, dtype=dtype)
+            if self.cap:
+                new[:, :self.cap] = self.rows(name)
+            setattr(self, name, new.reshape((-1,) + tail))
+        self.cap = cap
+        self._refresh_hi()
+
+    def _refresh_hi(self) -> None:
+        #: one past the last row any owner has used
+        self.hi = max((r * self.cap + n for r, n in enumerate(self.n_flows)
+                       if n), default=0)
+
+    @classmethod
+    def stack(cls, parts: Sequence[Tuple["FlowTable", int]]) -> "FlowTable":
+        """A table whose owner ``k`` is a copy of owner ``r`` of the
+        ``k``-th ``(table, r)`` of ``parts``: slots, free list and all."""
+        first = parts[0][0]
+        new = cls(len(parts), max(t.cap for t, _ in parts), first.hops,
+                  first.choice)
+        for k, (tab, r) in enumerate(parts):
+            for name, _, _ in new.columns:
+                new.rows(name)[k, :tab.cap] = tab.rows(name)[r]
+            new.n_flows[k] = tab.n_flows[r]
+            new.free[k] = list(tab.free[r])
+        new._refresh_hi()
+        return new
+
+    def rows(self, name: str) -> np.ndarray:
+        """Column ``name`` as its ``(n_owners, cap[, hops])`` stack (a view)."""
+        col = getattr(self, name)
+        return col.reshape((self.n_owners, self.cap) + col.shape[1:])
+
+    @property
+    def choices(self) -> np.ndarray:
+        return getattr(self, self.choice)
+
+    def row_bytes(self) -> int:
+        """Resident bytes of one owner's slots (capacity, not usage)."""
+        return sum(getattr(self, name).nbytes
+                   for name, _, _ in self.columns) // self.n_owners
+
+    def active(self, owners: range) -> np.ndarray:
+        """Rows of the active flows of ``owners``, in (owner, slot) order."""
+        lo = owners.start * self.cap
+        at = self.f_active[lo:min(self.hi, owners.stop * self.cap)].nonzero()[0]
+        return at + lo if lo else at
+
+    def admit(self, owners: List[int], fid: np.ndarray, src: np.ndarray,
+              dst: np.ndarray, size: np.ndarray, rate: float,
+              path: np.ndarray, choice: np.ndarray) -> None:
+        """Start one flow in a slot of each entry of ``owners``, in order."""
+        n_flows, free = self.n_flows, self.free
+        slots = []
+        for r in owners:
+            if free[r]:
+                slots.append(free[r].pop())
+            else:
+                slots.append(n_flows[r])
+                n_flows[r] += 1
+        cap = self.cap
+        while cap < max(n_flows):
+            cap *= 2
+        if cap > self.cap:
+            self._resize(cap)
+        rows = [r * cap + i for r, i in zip(owners, slots)]
+        self.hi = max(self.hi, max(rows) + 1)
+        at = np.array(rows)
+        self.f_fid[at] = fid
+        self.f_src[at] = src
+        self.f_dst[at] = dst
+        self.f_size[at] = self.f_remaining[at] = size
+        self.f_rate[at] = rate
+        self.f_alpha[at] = 1.0
+        self.f_active[at] = True
+        self.f_path[at] = path
+        self.choices[at] = choice
+
+    def release(self, rows: np.ndarray) -> None:
+        """Give finished flows' slots back to their owners' free lists."""
+        cap, free = self.cap, self.free
+        for i in rows.tolist():
+            free[i // cap].append(i % cap)
+
+
+class _FluidStepper:
+    """The one fluid Δt over a :class:`FlowTable`.  Hosts provide
+    ``config``, ``_table``, the flat queue arrays and ``_nets`` (one
+    network owning every row, or one per owner).  ``_OWNER_AXIS`` is
+    ``None`` (one owner), ``"replica"`` (disjoint blocks: owner ``r``'s
+    ids offset to ``r*n_hosts + h``, ``r*Q + q``, so no ``bincount`` bin
+    mixes two) or ``"pod"`` (shared ids, given to :func:`flow_phase` as
+    owners)."""
+
+    _OWNER_AXIS: Optional[str] = None
+    #: ``(owner, queue)`` rows merged across owners on the latest step
+    _last_boundary_rows = 0
+
+    def _advance(self, dt: float) -> None:
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        steps = max(1, int(round(dt / self.config.step_dt)))
+        for net in self._nets:      # admission routes this far ahead
+            net._route_horizon = net.now + steps * self.config.step_dt
+        for _ in range(steps):
+            self._step(self.config.step_dt)
+        reg = get_registry()
+        if reg:
+            reg.inc("netsim.advance_calls", sim=self._SIM_LABEL)
+            reg.inc("netsim.steps", steps * len(self._nets),
+                    sim=self._SIM_LABEL)
+            reg.inc("netsim.virtual_s", dt, sim=self._SIM_LABEL)
+
+    def _step(self, dt: float) -> None:
+        """One Δt: admission, then the three phases over the active rows
+        in (owner, slot) order, then each network's completion records
+        and Fig. 8 latency sample over its run of them."""
+        cfg, tab, nets = self.config, self._table, self._nets
+        for net in nets:
+            net.now += dt
+            net._activate_due()
+            net._acc_time += dt
+        if not tab.hi:              # no flow yet: every queue is empty
+            self._acc_qlen_area += self.q_len * dt
+            return
+        at = tab.f_active[:tab.hi].nonzero()[0]
+        rate, src = tab.f_rate[at], tab.f_src[at]
+        path = tab.f_path[at].T                     # (H, k), hop-major
+        n_hosts, owners = cfg.n_hosts, None
+        if self._OWNER_AXIS == "pod":
+            owners = (at // tab.cap, self._q_owner)
+        elif self._OWNER_AXIS == "replica":
+            owner = at // tab.cap
+            n_hosts *= tab.n_owners
+            src = src + owner * cfg.n_hosts
+            path = np.where(path >= 0, path + owner * self.n_queues, -1)
+        send, arrival, self._last_boundary_rows = flow_phase(
+            src, rate, path, cfg.host_rate_bps / 8.0, n_hosts,
+            len(self.q_len), owners)
+        p_mark, srv_ratio = self._integrate(arrival, path, dt)
+        qdelay, done = feedback_phase(
+            cfg, dt, tab.f_rate, tab.f_alpha, tab.f_remaining, tab.f_active,
+            at, rate, send, path, p_mark, srv_ratio, self.q_len, self.q_cap)
+        bounds = ([0, len(at)] if len(nets) == 1 else
+                  at.searchsorted(np.arange(len(nets) + 1) * tab.cap).tolist())
+        for net, lo, hi in zip(nets, bounds, bounds[1:]):
+            fin, delay = done[lo:hi], qdelay[lo:hi]
+            if fin.any():
+                rows = at[lo:hi][fin]
+                tab.release(rows)
+                # finish times keep the residual queueing delay and stay
+                # np.float64: fingerprints print them with repr
+                for fid, t in zip(tab.f_fid[rows].tolist(),
+                                  net.now + delay[fin]):
+                    flow = net.flow_objs[fid]
+                    flow.finish_time = t
+                    flow.bytes_sent = flow.bytes_acked = flow.size_bytes
+                    net.finished_flows.append(flow)
+                delay = delay[~fin]
+            # one draw of the network's RNG over its surviving flows
+            if delay.size and len(net.latencies) < cfg.latency_sample_cap:
+                net.latencies.append((net.now, cfg.base_rtt / 2.0 + delay[
+                    int(net.rng.integers(delay.size))]))
+
+    def _integrate(self, arrival: np.ndarray, path: np.ndarray,
+                   dt: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Integrate and account every queue; returns ``(p_mark, srv_ratio)``."""
+        served_rate, new_qlen, drops, p_mark, srv_ratio = \
+            integrate_queue_block(self.q_len, self.q_cap, self.kmin,
+                                  self.kmax, self.pmax, arrival, dt,
+                                  self.config.switch_buffer_bytes)
+        account_queue_block(self._acc_tx, self._acc_marked,
+                            self._acc_qlen_area, self._acc_drops, self.q_len,
+                            served_rate, new_qlen, drops, p_mark, dt)
+        return p_mark, srv_ratio
+
+
+class FlowTableMixin(_FluidStepper):
+    """A network's flows — intake, routing, admission into the owners it
+    holds (a solo network's one, replica ``r``'s, a fat-tree's pods) —
+    given ``_owners_of(src)`` and ``_route_batch(fids, src, dst)`` →
+    ``(paths, choices)``: ECMP over the uplinks ``uplink_up[i, c]`` up
+    at both ends, ``i`` a host's leaf or pod."""
+
+    def _init_flows(self, table: FlowTable, hosts_per_end: int) -> None:
+        """Empty intake over ``table``, after ``_init_queues``."""
+        self._table = table
+        #: the owners (rows of ``_table``) this network's flows live in
+        self._owners = range(table.n_owners)
+        #: hosts under each row of ``uplink_up`` (a leaf, a pod)
+        self._hosts_per_end = hosts_per_end
         self.flow_objs: Dict[int, Flow] = {}
         self._pending = _PendingFlows()
         self.finished_flows: List[Flow] = []
         self.latencies: List[Tuple[float, float]] = []
+        #: routes computed ahead of admission, one batch per ``advance``
+        #: window: ``(first pending row, path matrix, choice vector)``;
+        #: dropped when link state or the pending rows' numbering changes
+        self._routed: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._route_horizon = -np.inf
+        self._refresh_routes()
+
+    @property
+    def _nets(self) -> Tuple["FlowTableMixin", ...]:
+        return (self,)      # not stored: a self-reference would need the GC
+
+    def host_names(self) -> List[str]:
+        return [f"h{i}" for i in range(self.config.n_hosts)]
 
     def flow_table_bytes(self) -> int:
-        """Resident bytes of the ``f_*`` arrays (capacity, not usage)."""
-        total = self.f_path.nbytes
-        for name in ("f_src", "f_dst", "f_size", "f_remaining", "f_rate",
-                     "f_alpha", "f_active") + self._FLOW_CHOICE_1D:
-            total += getattr(self, name).nbytes
-        return int(total)
-
-    def _grow(self) -> None:
-        if self._batch is not None:
-            # A batched replica's flow arrays are row views into the
-            # batch's (R, cap) storage: growing them locally would break
-            # that aliasing (this replica would silently detach while
-            # the batch kernel keeps stepping the stale storage).  The
-            # batch grows all replicas together and re-points the views.
-            self._batch._grow_flows()
-            return
-        new_cap = self._cap_flows * 2
-        for name in ("f_src", "f_dst", "f_size", "f_remaining", "f_rate",
-                     "f_alpha", "f_active") + self._FLOW_CHOICE_1D:
-            arr = getattr(self, name)
-            grown = np.zeros(new_cap, dtype=arr.dtype)
-            grown[:self._cap_flows] = arr
-            if name in self._FLOW_CHOICE_1D:
-                grown[self._cap_flows:] = -1
-            setattr(self, name, grown)
-        grown_path = np.full((new_cap, self._MAX_HOPS), -1, dtype=np.int64)
-        grown_path[:self._cap_flows] = self.f_path
-        self.f_path = grown_path
-        self._cap_flows = new_cap
+        """Resident bytes of this network's flow slots (capacity, not usage)."""
+        return self._table.row_bytes() * len(self._owners)
 
     def start_flow(self, flow: Flow) -> None:
         """Register a flow; it activates when ``now`` reaches its start."""
@@ -478,8 +570,49 @@ class FlowTableMixin:
         """Register a list of flows, all or none: a duplicate flow id or
         an unknown source or destination host anywhere in the list
         raises ``ValueError`` and registers nothing."""
-        _register_flows(flows, self.flow_objs, self._pending,
-                        self.config.n_hosts)
+        self._register(flows)
+
+    def _register(self, flows: Sequence[Flow]) -> None:
+        """Validate a whole list of flows, then register it: the flows go
+        into ``flow_objs`` and, as columns, into the pending table.
+
+        Raises ``ValueError`` — before anything is registered — on a flow
+        id that is already registered, repeated in the list or outside
+        ``[0, 2**64)``, and on a source or destination that is not a host
+        of this fabric.  Each distinct host name is parsed once.
+        """
+        flow_objs = self.flow_objs
+        ids = [f.flow_id for f in flows]
+        try:
+            fid_col = np.array(ids, dtype=np.uint64)
+        except (OverflowError, TypeError):
+            raise ValueError("flow ids must be integers in [0, 2**64)") from None
+        by_id = np.sort(fid_col)
+        if ((by_id[1:] == by_id[:-1]).any()
+                or not flow_objs.keys().isdisjoint(ids)):
+            seen: set = set()
+            for fid in ids:
+                if fid in flow_objs or fid in seen:
+                    raise ValueError(f"duplicate flow id {fid}")
+                seen.add(fid)
+        src = [f.src for f in flows]
+        dst = [f.dst for f in flows]
+        index: Dict[Any, int] = {}
+        for name in set(src).union(dst):
+            try:
+                i = self._host_index(name)
+            except KeyError:
+                i = -1
+            if not 0 <= i < self.config.n_hosts:
+                raise ValueError(f"unknown host {name}")
+            index[name] = i
+        self._pending.add(
+            np.array([f.start_time for f in flows], dtype=np.float64), fid_col,
+            np.array([index[h] for h in src], dtype=np.int32),
+            np.array([index[h] for h in dst], dtype=np.int32),
+            np.array([f.size_bytes for f in flows], dtype=np.float64))
+        flow_objs.update(zip(ids, flows))
+        self._routed = None     # the merge renumbers the pending rows
 
     @staticmethod
     def _host_index(name) -> int:
@@ -491,52 +624,56 @@ class FlowTableMixin:
         return int(name)
 
     def _activate_due(self) -> None:
-        pend = self._pending
+        """Admit the flows whose start time has come, in start-time then
+        registration order, with routes made for the whole ``advance``
+        window in one call (its cost is almost all fixed)."""
+        pend, cfg = self._pending, self.config
         lo, hi = pend.pop_due(self.now)
         if lo == hi:
             return
-        # ~2 flows a sub-step on the leaf-spine fabrics: scalar stores and
-        # the per-flow _route beat any batch call's fixed cost here.
-        for fid, src, dst, size in zip(pend.fid[lo:hi].tolist(),
-                                       pend.src[lo:hi].tolist(),
-                                       pend.dst[lo:hi].tolist(),
-                                       pend.size[lo:hi].tolist()):
-            idx = self._free_slot()
-            self._idx_to_fid[idx] = fid
-            self.f_src[idx] = src
-            self.f_dst[idx] = dst
-            self.f_size[idx] = size
-            self.f_remaining[idx] = size
-            self.f_rate[idx] = (self.config.start_rate_fraction
-                                * self.config.host_rate_bps / 8.0)
-            self.f_alpha[idx] = 1.0
-            self.f_active[idx] = True
-            self._route(idx)
+        if self._routed is None or hi > self._routed[0] + len(self._routed[2]):
+            ahead = max(hi, int(pend.start.searchsorted(self._route_horizon,
+                                                        "right")))
+            self._routed = (lo, *self._route_batch(
+                pend.fid[lo:ahead], pend.src[lo:ahead], pend.dst[lo:ahead]))
+        r0, paths, choices = self._routed
+        self._table.admit(
+            self._owners_of(pend.src[lo:hi]), pend.fid[lo:hi],
+            pend.src[lo:hi], pend.dst[lo:hi], pend.size[lo:hi],
+            cfg.start_rate_fraction * cfg.host_rate_bps / 8.0,
+            paths[lo - r0:hi - r0], choices[lo - r0:hi - r0])
 
-    def _free_slot(self) -> int:
-        # O(1): recycle a finished flow's slot, else extend the
-        # high-water mark (keeping per-step vector ops proportional to
-        # the concurrent — not cumulative — flow count).
-        if self._free_list:
-            return self._free_list.pop()
-        if self._n_flows >= self._cap_flows:
-            self._grow()
-        idx = self._n_flows
-        self._n_flows += 1
-        return idx
+    def _refresh_routes(self) -> None:
+        """Rebuild ``_live[i, j, :_n_live[i, j]]``, the uplinks up at both
+        ends ``i``, ``j`` (every uplink for a partitioned pair), drop the
+        routes made ahead, and re-route in place the active flows whose
+        choice lost an uplink."""
+        up = self.uplink_up
+        both = up[:, None, :] & up[None, :, :]
+        both[~both.any(axis=2)] = True
+        self._n_live = both.sum(axis=2)
+        self._live = np.argsort(~both, axis=2, kind="stable")
+        self._routed = None
+        tab, at = self._table, self._table.active(self._owners)
+        c, src, dst = tab.choices[at], tab.f_src[at], tab.f_dst[at]
+        end = self._hosts_per_end
+        cut = (c >= 0) & ~(up[src // end, c] & up[dst // end, c])
+        if cut.any():
+            at = at[cut]
+            tab.f_path[at], tab.choices[at] = self._route_batch(
+                tab.f_fid[at], src[cut], dst[cut])
 
-    def _finish_flows(self, slots: List[int],
-                      finish_times: np.ndarray) -> None:
-        """Retire the flows in ``slots`` (already inactive): record each
-        :class:`Flow` and recycle its slot."""
-        fids = [self._idx_to_fid.pop(i) for i in slots]
-        self._free_list.extend(slots)
-        _record_finished(map(self.flow_objs.__getitem__, fids), finish_times,
-                         self.finished_flows)
+    def _snapshot_observations(self) -> _ObsSnapshot:
+        """The active flows' ids, bytes seen, queue paths and src/dst host
+        ids, copied out in (owner, slot) order."""
+        tab, at = self._table, self._table.active(self._owners)
+        return _ObsSnapshot(
+            tab.f_fid[at].tolist(), tab.f_size[at] - tab.f_remaining[at],
+            tab.f_path[at], tab.f_src[at], tab.f_dst[at], self.now,
+            self.flow_objs, self.q_switch)
 
-    # ------------------------------------------------------------ convenience
     def active_flow_count(self) -> int:
-        return int(self.f_active[:self._n_flows].sum()) + len(self._pending)
+        return len(self._table.active(self._owners)) + len(self._pending)
 
     @property
     def flows(self) -> Dict[int, Flow]:
@@ -613,17 +750,16 @@ class _ObsSnapshot:
 
 
 class SwitchStatsMixin:
-    """Per-switch statistics + ECN control over a flat queue array.
+    """Per-switch statistics, ECN control and link state over a flat
+    queue array.
 
-    Generic over topology: hosts provide ``q_switch`` (queue → switch
-    id), ``switch_names()``, ``_switch_id(name)``, the ``_acc_*``
-    interval accumulators, the RED arrays, the flow table and — for the
-    failure controls — ``uplink_up``, ``rng`` and ``_apply_link_state()``
-    (capacities and reroutes are the topology's business).  Both the
-    monolithic leaf–spine network and the sharded fat-tree expose the
-    exact :class:`~repro.netsim.network.PacketNetwork` stats interface
-    through this mixin, so PET/ACC controllers run unmodified on any of
-    the three simulators.
+    Generic over topology: hosts call :meth:`_init_queues` and provide
+    ``switch_names()``, the flow table, ``rng`` and ``_refresh_routes()``
+    (the re-route after a link change).  Both the monolithic leaf–spine
+    network and the fat-tree expose the exact
+    :class:`~repro.netsim.network.PacketNetwork` stats interface through
+    this mixin, so PET/ACC controllers run unmodified on any of the three
+    simulators.
     """
 
     #: the ``sim`` label of this substrate's ``netsim.*`` counters —
@@ -632,10 +768,49 @@ class SwitchStatsMixin:
 
     # lazily built caches of the static queue layout (``q_switch``)
     _names_cache: Optional[List[str]] = None
+    _ids_cache: Optional[Dict[str, int]] = None
     _sw_q_idx: Optional[List[np.ndarray]] = None
     _sw_classes: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
     #: bytes dropped in the intervals already collected
     _dropped_bytes = 0.0
+
+    def _init_queues(self, q_cap: np.ndarray, q_switch: np.ndarray,
+                     n_switches: int, uplinks: Tuple[np.ndarray, ...],
+                     fabric: np.ndarray) -> None:
+        """Empty queues of capacity ``q_cap`` (bytes/s) on switches
+        ``q_switch`` with default ECN and every link up.  ``uplinks``: the
+        queues of each failable link's two directions, shaped like
+        ``uplink_up``; ``fabric``: the other switch-to-switch queues."""
+        n, ecn = len(q_cap), self.config.default_ecn
+        self.n_queues, self.n_switches = n, n_switches
+        self.q_cap, self.q_cap_nominal = q_cap, q_cap.copy()
+        self.q_switch = q_switch
+        self.q_len = np.zeros(n)                                # bytes
+        self.kmin = np.full(n, float(ecn.kmin_bytes))
+        self.kmax = np.full(n, float(ecn.kmax_bytes))
+        self.pmax = np.full(n, float(ecn.pmax))
+        self._ecn_by_switch: Dict[int, ECNConfig] = {
+            s: ecn for s in range(n_switches)}
+        self._uplink_queues, self._fabric_queues = uplinks, fabric
+        self.uplink_up = np.ones(uplinks[0].shape, dtype=bool)
+        # uniform fabric capacity scale (chaos degradation faults)
+        self.fabric_capacity_factor = 1.0
+        self._acc_tx = np.zeros(n)              # bytes served
+        self._acc_marked = np.zeros(n)          # marked bytes served
+        self._acc_qlen_area = np.zeros(n)
+        self._acc_drops = np.zeros(n)
+        self._acc_time = 0.0
+
+    def _switch_id(self, name: str) -> int:
+        # Unknown names raise KeyError (not a bare int() ValueError) so
+        # serve/chaos callers can degrade per-switch instead of crashing.
+        if self._ids_cache is None:
+            self._ids_cache = {n: s for s, n in
+                               enumerate(self._switch_names_cached())}
+        try:
+            return self._ids_cache[name]
+        except KeyError:
+            raise KeyError(f"unknown switch {name!r}") from None
 
     def total_drops(self) -> int:
         """Packets dropped since the start of the run — cumulative across
@@ -718,21 +893,6 @@ class SwitchStatsMixin:
         for s, st in enumerate(records):
             st.defer_flow_obs(snap, s)
         return dict(zip(names, records))
-
-    def _active_flow_columns(self) -> Tuple[List[int], np.ndarray,
-                                            np.ndarray, np.ndarray,
-                                            np.ndarray]:
-        """Ids, bytes seen, queue paths and src/dst host ids of the active
-        flows, copied out of the flow table in slot order."""
-        act = self.f_active[:self._n_flows].nonzero()[0]
-        idx_to_fid = self._idx_to_fid
-        return ([idx_to_fid[i] for i in act.tolist()],
-                self.f_size[act] - self.f_remaining[act], self.f_path[act],
-                self.f_src[act], self.f_dst[act])
-
-    def _snapshot_observations(self) -> _ObsSnapshot:
-        return _ObsSnapshot(*self._active_flow_columns(), self.now,
-                            self.flow_objs, self.q_switch)
 
     def switch_queue_indices(self, switch_name: str) -> List[int]:
         """Global queue ids belonging to one switch, in stable order."""
@@ -820,6 +980,17 @@ class SwitchStatsMixin:
         self.fabric_capacity_factor = float(factor)
         self._apply_link_state()
 
+    def _apply_link_state(self) -> None:
+        """Capacities from the nominal ones — a failed link keeps 1e-6 of
+        its own — then the re-route."""
+        factor = self.fabric_capacity_factor
+        q = self._fabric_queues
+        self.q_cap[q] = self.q_cap_nominal[q] * factor
+        link = np.where(self.uplink_up, factor, 1e-6)
+        for q in self._uplink_queues:
+            self.q_cap[q] = self.q_cap_nominal[q] * link
+        self._refresh_routes()
+
 
 class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
     """Vectorized fluid simulation of a leaf–spine DCN.
@@ -831,190 +1002,69 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
     - ``spine_down[s, j]``— spine s to leaf j (n_spine*n_leaf).
 
     Each flow traverses up to three of them; intra-leaf flows only the
-    final ``leaf_down``.
+    final ``leaf_down``.  A solo network owns the one row of its flow
+    table; a replica of a :class:`~repro.netsim.batchfluid.
+    BatchFluidNetwork` owns row ``r`` of the batch's.
     """
 
     _MAX_HOPS = 3
 
     def __init__(self, config: Optional[FluidConfig] = None, *,
                  seed: Optional[int] = None) -> None:
-        self.config = config or FluidConfig()
+        self.config = cfg = config or FluidConfig()
         self.rng = np.random.default_rng(seed)
-        cfg = self.config
         self.now = 0.0
-
-        # ---- queues ------------------------------------------------------
-        n_ld = cfg.n_hosts
-        n_lu = cfg.n_leaf * cfg.n_spine
-        n_sd = cfg.n_spine * cfg.n_leaf
-        self.n_queues = n_ld + n_lu + n_sd
+        n_ld, n_lu = cfg.n_hosts, cfg.n_leaf * cfg.n_spine
         self._ld0, self._lu0, self._sd0 = 0, n_ld, n_ld + n_lu
-        self.q_cap = np.empty(self.n_queues)                 # bytes/s
-        self.q_cap[:n_ld] = cfg.host_rate_bps / 8.0
-        self.q_cap[n_ld:] = cfg.spine_rate_bps / 8.0
-        self.q_cap_nominal = self.q_cap.copy()
-        self.q_len = np.zeros(self.n_queues)                 # bytes
-        self.q_switch = np.empty(self.n_queues, dtype=np.int64)
+        j, s = np.arange(cfg.n_leaf)[:, None], np.arange(cfg.n_spine)
+        leaf_up = self._lu0 + j * cfg.n_spine + s     # (n_leaf, n_spine)
+        spine_down = self._sd0 + s * cfg.n_leaf + j
+        q_cap = np.full(n_ld + 2 * n_lu, cfg.spine_rate_bps / 8.0)
+        q_cap[:n_ld] = cfg.host_rate_bps / 8.0
         # switch ids: 0..n_leaf-1 leaves, n_leaf..n_leaf+n_spine-1 spines
-        for i in range(n_ld):
-            self.q_switch[self._ld0 + i] = i // cfg.hosts_per_leaf
-        for j in range(cfg.n_leaf):
-            for s in range(cfg.n_spine):
-                self.q_switch[self._lu0 + j * cfg.n_spine + s] = j
-                self.q_switch[self._sd0 + s * cfg.n_leaf + j] = cfg.n_leaf + s
-        self.n_switches = cfg.n_leaf + cfg.n_spine
-        self.kmin = np.full(self.n_queues, float(cfg.default_ecn.kmin_bytes))
-        self.kmax = np.full(self.n_queues, float(cfg.default_ecn.kmax_bytes))
-        self.pmax = np.full(self.n_queues, float(cfg.default_ecn.pmax))
-        self._ecn_by_switch: Dict[int, ECNConfig] = {
-            s: cfg.default_ecn for s in range(self.n_switches)}
-        self.spine_up = np.ones(cfg.n_spine, dtype=bool)
-        # per-(leaf,spine) uplink health for fine-grained failures
-        self.uplink_up = np.ones((cfg.n_leaf, cfg.n_spine), dtype=bool)
-        # uniform fabric capacity scale (chaos degradation faults)
-        self.fabric_capacity_factor = 1.0
+        q_switch = np.empty(len(q_cap), dtype=np.int64)
+        q_switch[:n_ld] = np.arange(n_ld) // cfg.hosts_per_leaf
+        q_switch[leaf_up], q_switch[spine_down] = j, cfg.n_leaf + s
+        # uplink_up[j, s]: the leaf j <-> spine s link
+        self._init_queues(q_cap, q_switch, cfg.n_leaf + cfg.n_spine,
+                          (leaf_up, spine_down), np.empty(0, np.int64))
+        self._init_flows(FlowTable(1, cfg.initial_flow_capacity,
+                                   self._MAX_HOPS, "f_spine"),
+                         cfg.hosts_per_leaf)
+        #: the batch this network is a replica of, if any
+        self._batch = None
 
-        # ---- flow arrays (grow-on-demand; FlowTableMixin) -----------------
-        self._init_flow_table(cfg.initial_flow_capacity)
-        self._init_flow_intake()
-
-        # ---- interval stats accumulators -----------------------------------
-        self._acc_tx = np.zeros(self.n_queues)        # bytes served
-        self._acc_marked = np.zeros(self.n_queues)    # marked bytes served
-        self._acc_qlen_area = np.zeros(self.n_queues)
-        self._acc_time = 0.0
-        self._acc_drops = np.zeros(self.n_queues)
-
-    # ------------------------------------------------------------ topology
     def switch_names(self) -> List[str]:
         cfg = self.config
         return [f"leaf{j}" for j in range(cfg.n_leaf)] + \
                [f"spine{s}" for s in range(cfg.n_spine)]
 
-    def host_names(self) -> List[str]:
-        return [f"h{i}" for i in range(self.config.n_hosts)]
+    def _owners_of(self, src: np.ndarray) -> List[int]:
+        return [self._owners.start] * len(src)
 
-    def _switch_id(self, name: str) -> int:
-        # Unknown names raise KeyError (not a bare int() ValueError) so
-        # serve/chaos callers can degrade per-switch instead of crashing.
-        try:
-            if name.startswith("leaf"):
-                s = int(name[4:])
-                if 0 <= s < self.config.n_leaf:
-                    return s
-            elif name.startswith("spine"):
-                s = int(name[5:])
-                if 0 <= s < self.config.n_spine:
-                    return self.config.n_leaf + s
-        except ValueError:
-            pass
-        raise KeyError(f"unknown switch {name!r}")
-
-    def _leaf_of(self, host: int) -> int:
-        return host // self.config.hosts_per_leaf
-
-    def _route(self, idx: int) -> None:
-        """(Re)compute the queue path of flow slot ``idx``."""
+    def _route_batch(self, fids: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Queue paths (``(k, 3)``, ``-1``-padded) and spines (``-1`` for
+        an intra-leaf flow) of ``k`` flows: the spine is the flow id's
+        splitmix64 ECMP choice among those live at both leaves."""
         cfg = self.config
-        src, dst = int(self.f_src[idx]), int(self.f_dst[idx])
-        jl, jr = self._leaf_of(src), self._leaf_of(dst)
-        path = np.full(self._MAX_HOPS, -1, dtype=np.int64)
-        if jl == jr:
-            path[0] = self._ld0 + dst
-            self.f_spine[idx] = -1
-        else:
-            live = [s for s in range(cfg.n_spine)
-                    if self.uplink_up[jl, s] and self.uplink_up[jr, s]]
-            if not live:
-                live = list(range(cfg.n_spine))   # partitioned: keep old path
-            fid = self._idx_to_fid[idx]
-            # Explicit splitmix64 mix (repro.netsim.routing): builtin
-            # hash() is implementation-defined and unpinnable across
-            # interpreter versions (PET007).
-            s = live[ecmp_hash(fid, len(live))]
-            self.f_spine[idx] = s
-            path[0] = self._lu0 + jl * cfg.n_spine + s
-            path[1] = self._sd0 + s * cfg.n_leaf + jr
-            path[2] = self._ld0 + dst
-        self.f_path[idx] = path
+        jl, jr = src // cfg.hosts_per_leaf, dst // cfg.hosts_per_leaf
+        path = np.full((len(fids), self._MAX_HOPS), -1, dtype=np.int64)
+        spine = np.full(len(fids), -1, dtype=np.int64)
+        path[:, 0] = self._ld0 + dst
+        i = (jl != jr).nonzero()[0]
+        jl, jr = jl[i], jr[i]
+        s = self._live[jl, jr, ecmp_hash_array(fids[i], self._n_live[jl, jr])]
+        path[i, 0] = self._lu0 + jl * cfg.n_spine + s
+        path[i, 1] = self._sd0 + s * cfg.n_leaf + jr
+        path[i, 2] = self._ld0 + dst[i]
+        spine[i] = s
+        return path, spine
 
-    # ------------------------------------------------------------ dynamics
-    # (flow registration/activation lives in FlowTableMixin)
     def advance(self, dt: float) -> None:
         """Advance virtual time by ``dt`` (an integer number of steps)."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
         if self._batch is not None:
             raise RuntimeError(
                 "this FluidNetwork is a replica of a BatchFluidNetwork; "
                 "advance the batch, or detach it first via split()")
-        steps = max(1, int(round(dt / self.config.step_dt)))
-        step_dt = self.config.step_dt
-        for _ in range(steps):
-            self._step_phases(step_dt)
-        reg = get_registry()
-        if reg:
-            reg.inc("netsim.advance_calls", sim="fluid")
-            reg.inc("netsim.steps", steps, sim="fluid")
-            reg.inc("netsim.virtual_s", dt, sim="fluid")
-
-    def _step_phases(self, dt: float) -> None:
-        """One Δt through the shared phase functions, over the active
-        flows gathered by slot."""
-        cfg = self.config
-        self.now += dt
-        self._activate_due()
-        self._acc_time += dt
-        n = self._n_flows
-        if n == 0:
-            self._acc_qlen_area += self.q_len * dt
-            return
-        at = self.f_active[:n].nonzero()[0]
-        rate = self.f_rate[at]
-        path = self.f_path[at].T                    # (H, k), hop-major
-        send, arrival, _ = flow_phase(
-            self.f_src[at], rate, path, cfg.host_rate_bps / 8.0,
-            cfg.n_hosts, self.n_queues)
-        served_rate, new_qlen, drops, p_mark, srv_ratio = \
-            integrate_queue_block(self.q_len, self.q_cap, self.kmin,
-                                  self.kmax, self.pmax, arrival, dt,
-                                  cfg.switch_buffer_bytes)
-        account_queue_block(self._acc_tx, self._acc_marked,
-                            self._acc_qlen_area, self._acc_drops, self.q_len,
-                            served_rate, new_qlen, drops, p_mark, dt)
-        qdelay, done = feedback_phase(
-            cfg, dt, self.f_rate, self.f_alpha, self.f_remaining,
-            self.f_active, at, rate, send, path, p_mark, srv_ratio,
-            self.q_len, self.q_cap)
-        self._settle(at, qdelay, done)
-
-    def _settle(self, slots: np.ndarray, qdelay: np.ndarray,
-                done: np.ndarray) -> None:
-        """Completion records and the latency sample for this network's
-        active flows, given in slot order with the step's outcome."""
-        if done.any():
-            self._finish_flows(slots[done].tolist(), self.now + qdelay[done])
-            qdelay = qdelay[~done]
-        sample_latency(self, qdelay)
-
-    # ------------------------------------------------------------ link state
-    # (queue_stats / set_ecn* / fail_uplinks & co. live in SwitchStatsMixin)
-    def _apply_link_state(self) -> None:
-        cfg = self.config
-        for j in range(cfg.n_leaf):
-            for s in range(cfg.n_spine):
-                alive = self.uplink_up[j, s]
-                factor = (self.fabric_capacity_factor if alive else 1e-6)
-                qu = self._lu0 + j * cfg.n_spine + s
-                qd = self._sd0 + s * cfg.n_leaf + j
-                self.q_cap[qu] = self.q_cap_nominal[qu] * factor
-                self.q_cap[qd] = self.q_cap_nominal[qd] * factor
-        # Reroute flows whose spine is unreachable on either end.
-        for i in np.flatnonzero(self.f_active[:self._n_flows]):
-            s = int(self.f_spine[i])
-            if s < 0:
-                continue
-            jl = self._leaf_of(int(self.f_src[i]))
-            jr = self._leaf_of(int(self.f_dst[i]))
-            if not (self.uplink_up[jl, s] and self.uplink_up[jr, s]):
-                self._route(int(i))
+        self._advance(dt)

@@ -7,7 +7,7 @@ surface — from a solo :class:`FluidNetwork` advanced with the same
 seed/config.  These tests pin that contract across replica
 counts R ∈ {1, 2, 8}, heterogeneous per-replica ECN configs, mid-run
 ``set_ecn`` divergence, flow start/finish boundaries, chaos variants,
-and mid-episode ``_grow`` reallocation.
+and mid-episode flow-table growth.
 """
 
 from dataclasses import replace
@@ -20,6 +20,7 @@ from repro.netsim.ecn import ECNConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.fingerprint import fingerprint
+from tests.owner_tables import owner_tables
 
 CFG = FluidConfig.small()
 
@@ -47,22 +48,22 @@ def load_traffic(net, seed, n=40, t0=0.0, t1=0.002):
 def state_fp(net):
     """Canonical fingerprint of everything a solo network exposes.
 
-    Flow arrays are fingerprinted up to the high-water mark: slots
-    beyond ``_n_flows`` are unobservable padding whose *count* may
-    legitimately differ (solo and batch grow capacity at different
-    moments; ``_grow`` never changes results).
+    Flow columns are fingerprinted up to the high-water mark: slots
+    beyond it are unobservable padding whose *count* may legitimately
+    differ (solo and batch grow capacity at different moments; growth
+    never changes results).
     """
-    n = net._n_flows
+    tab, = owner_tables(net)
     return fingerprint({
         "now": net.now,
-        "n_flows": n,
+        "n_flows": tab.n_flows,
         "qlen": net.q_len.copy(),
         "qcap": net.q_cap.copy(),
-        "rate": net.f_rate[:n].copy(),
-        "alpha": net.f_alpha[:n].copy(),
-        "remaining": net.f_remaining[:n].copy(),
-        "active": net.f_active[:n].copy(),
-        "path": net.f_path[:n].copy(),
+        "rate": tab.f_rate.copy(),
+        "alpha": tab.f_alpha.copy(),
+        "remaining": tab.f_remaining.copy(),
+        "active": tab.f_active.copy(),
+        "path": tab.f_path.copy(),
         "acc": (net._acc_tx.copy(), net._acc_marked.copy(),
                 net._acc_qlen_area.copy(), net._acc_drops.copy(),
                 net._acc_time),
@@ -198,30 +199,27 @@ class TestChaosVariants:
         assert_replicas_match(solos, batch)
 
 
-# ------------------------------------------------------------ _grow regression
+# ------------------------------------------------------------ growth
 class TestGrowAliasing:
-    """Regression for the `_grow`-under-batching fix: reallocation while
-    batched must preserve the row-view aliasing (a replica that grew
-    locally would silently detach from the kernel's storage)."""
+    """Flow-table growth while batched: a replica that fills its row
+    regrows the one table every replica steps in."""
 
     def test_grow_mid_episode_keeps_fingerprints(self):
         cfg = replace(CFG, initial_flow_capacity=2)
         solos, batch = make_pair(2, cfg=cfg, n_flows=30)
-        assert batch._cap == 2
+        assert batch._table.cap == 2
         for _ in range(6):
             for net in solos:
                 net.advance(0.001)
             batch.advance(0.001)
             assert_replicas_match(solos, batch)
-        assert batch._cap > 2, "test never forced _grow"
-        # aliasing must survive growth: replica arrays are still views
-        # of the batch storage
+        assert batch._table.cap > 2, "test never forced growth"
+        # every replica still reaches its flows through the batch's table
         for r, net in enumerate(batch.views()):
-            assert net.f_rate.base is batch._f_rate
-            assert net._cap_flows == batch._cap
+            assert net._table is batch._table and net._owners == range(r, r + 1)
 
     def test_grow_via_free_slot_high_water(self):
-        """_free_slot's own grow path (no recycled slots available)."""
+        """Growth from the high-water mark (no recycled slots available)."""
         cfg = replace(CFG, initial_flow_capacity=1)
         batch = BatchFluidNetwork(cfg, seeds=(0, 1))
         solo = FluidNetwork(cfg, seed=0)
@@ -237,7 +235,7 @@ class TestGrowAliasing:
 
     def test_replica_with_free_slots_does_not_regrow_the_batch(self):
         """A replica whose four-slot row is full of finished flows takes
-        the next flow into a recycled slot: no ``_grow_flows`` for all R."""
+        the next flow into a recycled slot: the table does not regrow."""
         cfg = replace(CFG, initial_flow_capacity=4)
         batch = BatchFluidNetwork(cfg, seeds=(0, 1))
         net = batch.view(1)
@@ -248,7 +246,7 @@ class TestGrowAliasing:
         net.start_flow(Flow(4, "h0", "h8", 10_000, start_time=net.now))
         batch.advance(0.002)
         assert len(net.finished_flows) == 5
-        assert batch._cap == net._cap_flows == 4
+        assert batch._table.cap == 4
 
 
 def replace_flow(f):
@@ -293,15 +291,13 @@ class TestAdoptSplit:
         batch.split()
         with pytest.raises(RuntimeError):
             batch.advance(0.001)
-        with pytest.raises(RuntimeError):
-            batch._grow_flows()
 
     def test_view_is_live_shared_storage(self):
         _, batch = make_pair(2)
         v = batch.view(1)
         assert v is batch.view(1)
         v.kmin[:] = 123.0
-        assert float(batch._q_kmin[1, 0]) == 123.0
+        assert float(batch.kmin[batch.n_queues]) == 123.0
 
 
 # ------------------------------------------------------------ validation
@@ -324,6 +320,14 @@ class TestValidation:
         BatchFluidNetwork.from_networks([a])
         with pytest.raises(BatchCompatError, match="already"):
             BatchFluidNetwork.from_networks([a])
+
+    def test_rejects_a_network_given_twice(self):
+        """Batched twice, one network would be stepped twice per Δt (its
+        flows finished at twice the solo time)."""
+        a = FluidNetwork(CFG, seed=0)
+        with pytest.raises(BatchCompatError, match="twice"):
+            BatchFluidNetwork.from_networks([a, a])
+        a.advance(0.001)                # left untouched: still solo
 
     def test_rejects_empty_batch(self):
         with pytest.raises(BatchCompatError):

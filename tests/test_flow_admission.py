@@ -18,7 +18,7 @@ from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.routing import (ecmp_hash, ecmp_hash_array, splitmix64,
                                   splitmix64_array)
 from repro.netsim.shard import ShardedFluidNetwork
-from tests.pod_tables import pod_tables
+from tests.owner_tables import owner_tables
 
 _NETWORKS = {
     "leaf_spine": lambda: FluidNetwork(FluidConfig.small(), seed=0),
@@ -98,14 +98,13 @@ def test_admission_follows_start_time_then_registration(kind, data):
     admitted = []
 
     seen_steps = []
-    one_step = net._step if kind == "fat_tree" else net._step_phases
 
     def step():
-        one_step(dt)
+        net._step(dt)
         seen_steps.append(net.now)
-        tab = pod_tables(net)[0] if kind == "fat_tree" else net
-        admitted.extend(tab._idx_to_fid[i]
-                        for i in range(len(admitted), tab._n_flows))
+        tab = owner_tables(net)[0]
+        admitted.extend(tab.fid_at[i]
+                        for i in range(len(admitted), tab.n_flows))
 
     steps_before = {}
     for lo, hi in zip([0] + cuts, cuts + [n]):
@@ -227,8 +226,8 @@ class _RouteOracle:
 
     def _table(self):
         out = {}
-        for sh in pod_tables(self.net):
-            for i, fid in sh._idx_to_fid.items():
+        for sh in owner_tables(self.net):
+            for i, fid in sh.fid_at.items():
                 out[fid] = (int(sh.f_src[i]), int(sh.f_dst[i]),
                             sh.f_path[i].tolist(), int(sh.f_core[i]))
         return out

@@ -10,6 +10,7 @@ from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.shard import ShardedFluidNetwork
+from tests.owner_tables import owner_tables
 
 
 def mk_net(seed=0, **kw):
@@ -87,7 +88,7 @@ class TestConservationAndSharing:
         net.start_flow(f)
         net.advance(1e-3)
         # cannot have delivered more than line-rate * time
-        delivered = f.size_bytes - net.f_remaining[0]
+        delivered = f.size_bytes - owner_tables(net)[0].f_remaining[0]
         assert delivered <= 10e9 / 8 * 1.2e-3
 
     def test_flow_slots_reused(self):
@@ -96,7 +97,7 @@ class TestConservationAndSharing:
             net.start_flow(Flow(i, "h0", "h4", 10_000, start_time=i * 1e-3))
         net.advance(0.05)
         assert all(f.done for f in net.flow_objs.values())
-        assert net._n_flows <= 5
+        assert owner_tables(net)[0].n_flows <= 5
 
     def test_full_table_with_free_slots_does_not_grow(self):
         """Four flows fill a four-slot table and finish; a fifth takes a
@@ -104,11 +105,12 @@ class TestConservationAndSharing:
         net = mk_net(initial_flow_capacity=4)
         net.start_flows([Flow(i, f"h{i}", "h4", 10_000) for i in range(4)])
         net.advance(2e-3)
-        assert len(net.finished_flows) == 4 and len(net._free_list) == 4
+        assert len(net.finished_flows) == 4
+        assert len(owner_tables(net)[0].free) == 4
         net.start_flow(Flow(4, "h0", "h4", 10_000, start_time=net.now))
         net.advance(2e-3)
         assert len(net.finished_flows) == 5
-        assert net._cap_flows == 4
+        assert net._table.cap == 4
 
     def test_short_flows_leave_no_bookkeeping_behind(self):
         """Several hundred short flows through a 16-slot table: the slot
@@ -126,10 +128,11 @@ class TestConservationAndSharing:
                               start_time=net.now) for k in range(3)])
         net.advance(net.config.step_dt)
         assert len(net.finished_flows) == 400
-        assert net._cap_flows == 16
-        live = int(net.f_active[:net._n_flows].sum())
-        assert live == 3 == len(net._idx_to_fid)
-        assert net._n_flows - len(net._free_list) == live
+        assert net._table.cap == 16
+        tab, = owner_tables(net)
+        live = int(tab.f_active.sum())
+        assert live == 3 == len(tab.fid_at)
+        assert tab.n_flows - len(tab.free) == live
         # nothing but the caller-visible flow record grows with history
         assert {k for k, v in vars(net).items()
                 if isinstance(v, dict) and len(v) > 16} == {"flow_objs"}
@@ -284,8 +287,8 @@ class TestFailures:
         # kill every uplink through spine0
         net.uplink_up[:, 0] = False
         net._apply_link_state()
-        for i in np.flatnonzero(net.f_active[:net._n_flows]):
-            assert net.f_spine[i] != 0
+        tab, = owner_tables(net)
+        assert (tab.f_spine[tab.f_active] != 0).all()
 
     def test_failure_fraction_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from repro.netsim.link import OutputPort
 from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
 from repro.traffic.patterns import PatternSchedule, PatternSegment
+from tests.owner_tables import owner_tables
 
 
 class _Sink:
@@ -91,11 +92,12 @@ class TestFluidRoutingMisc:
                                        spine_rate_bps=40e9), seed=0)
         net.start_flow(Flow(1, "h0", "h1", 1_000_000))
         net.advance(net.config.step_dt)
-        (idx, fid), = net._idx_to_fid.items()
+        tab, = owner_tables(net)
+        (idx, fid), = tab.fid_at.items()
         assert fid == 1
-        path = net.f_path[idx]
+        path = tab.f_path[idx]
         assert (path >= 0).sum() == 1
-        assert net.f_spine[idx] == -1
+        assert tab.f_spine[idx] == -1
 
     def test_cross_leaf_path_has_three_hops(self):
         net = FluidNetwork(FluidConfig(n_spine=2, n_leaf=2, hosts_per_leaf=4,
@@ -103,10 +105,11 @@ class TestFluidRoutingMisc:
                                        spine_rate_bps=40e9), seed=0)
         net.start_flow(Flow(1, "h0", "h4", 1_000_000))
         net.advance(net.config.step_dt)
-        (idx, fid), = net._idx_to_fid.items()
+        tab, = owner_tables(net)
+        (idx, fid), = tab.fid_at.items()
         assert fid == 1
-        assert (net.f_path[idx] >= 0).sum() == 3
-        assert net.f_spine[idx] >= 0
+        assert (tab.f_path[idx] >= 0).sum() == 3
+        assert tab.f_spine[idx] >= 0
 
     def test_host_index_accepts_ints(self):
         assert FluidNetwork._host_index(5) == 5

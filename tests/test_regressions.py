@@ -104,11 +104,11 @@ class TestFluidSlotRecycling:
         net.start_flow(Flow(1, "h0", "h2", 10_000))
         net.advance(5e-3)
         assert net.flow_objs[1].done
-        assert net._free_list          # slot returned
+        assert net._table.free == [[0]]     # slot returned
         net.start_flow(Flow(2, "h0", "h2", 10_000, start_time=net.now))
         net.advance(5e-3)
         assert net.flow_objs[2].done
-        assert net._n_flows == 1       # second flow reused the slot
+        assert net._table.n_flows == [1]    # second flow reused the slot
 
 
 class TestUnseededFallbackRNGs:

@@ -20,11 +20,12 @@ from hypothesis import given, settings, strategies as st
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
+from repro.netsim.fluid import flow_phase
 from repro.netsim.routing import ecmp_hash, splitmix64
 from repro.netsim import shard as shard_mod
 from repro.netsim.shard import ShardedFluidNetwork
 from repro.fingerprint import fingerprint
-from tests.pod_tables import pod_tables
+from tests.owner_tables import flow_table_state, owner_tables
 
 
 # ------------------------------------------------------------- helpers
@@ -65,7 +66,7 @@ def _run_fp(cfg, *, steps=150, n_flows=40, fail_at=None, seed=3, hot=0):
             net.fail_uplinks(0.25, rng=np.random.default_rng(99))
         if (k + 1) % 50 == 0:
             stats.append(net.queue_stats())
-    flows = net.flow_table_state()
+    flows = flow_table_state(net)
     return fingerprint({"stats": stats, "q_len": net.q_len.copy(),
                          "rates": flows["f_rate"], "paths": flows["f_path"],
                          "alpha": flows["f_alpha"],
@@ -141,10 +142,11 @@ class TestPinnedFingerprints:
 #: the arrays ``memory_report()`` must account for, named here and not
 #: taken from ``src/``
 _PER_QUEUE = ("q_len", "q_cap", "q_cap_nominal", "kmin", "kmax", "pmax",
-              "_arrival", "_acc_tx", "_acc_marked", "_acc_qlen_area",
-              "_acc_drops", "_p_mark", "_srv_ratio", "q_switch", "_q_owner")
-_PER_FLOW = ("_f_src", "_f_dst", "_f_size", "_f_remaining", "_f_rate",
-             "_f_alpha", "_f_active", "_f_core", "_f_path", "_f_fid")
+              "_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops",
+              "_p_mark", "_srv_ratio", "q_switch", "_q_owner")
+#: ... and the columns of its flow table
+_PER_FLOW = ("f_src", "f_dst", "f_size", "f_remaining", "f_rate",
+             "f_alpha", "f_active", "f_core", "f_path", "f_fid")
 
 
 def _report_totals(net):
@@ -174,17 +176,16 @@ class TestStackedFlowTable:
             return net
 
         grown, roomy = run(4), run(256)
-        assert grown._f_active.shape[1] > 4
-        assert roomy._f_active.shape[1] == 256
-        assert grown._n_flows[0] > 4 >= grown._n_flows[1] > 0
+        assert grown._table.cap > 4
+        assert roomy._table.cap == 256
+        assert grown._table.n_flows[0] > 4 >= grown._table.n_flows[1] > 0
         for net in (grown, roomy):
-            cap = net._f_active.shape[1]
             for name in _PER_FLOW:
-                assert getattr(net, name).shape[:2] == (2, cap)
+                assert net._table.rows(name).shape[:2] == (2, net._table.cap)
         assert [(f.flow_id, f.finish_time) for f in grown.finished_flows] \
             == [(f.flow_id, f.finish_time) for f in roomy.finished_flows]
-        assert fingerprint({"q": grown.q_len, **grown.flow_table_state()}) \
-            == fingerprint({"q": roomy.q_len, **roomy.flow_table_state()})
+        assert fingerprint({"q": grown.q_len, **flow_table_state(grown)}) \
+            == fingerprint({"q": roomy.q_len, **flow_table_state(roomy)})
 
     def test_short_flows_leave_no_bookkeeping_behind(self):
         """Several hundred short flows through a 16-slot table: what is
@@ -206,11 +207,11 @@ class TestStackedFlowTable:
                               start_time=net.now) for k in range(3)])
         net.advance(cfg.step_dt)
         assert len(net.finished_flows) == 400
-        assert net._f_active.shape[1] == 16
-        live = int(net._f_active.sum())
+        assert net._table.cap == 16
+        live = int(net._table.f_active.sum())
         assert live == 3
-        assert sum(len(t._idx_to_fid) for t in pod_tables(net)) == live
-        assert sum(net._n_flows) - sum(map(len, net._free)) == live
+        assert sum(len(t.fid_at) for t in owner_tables(net)) == live
+        assert sum(t.n_flows - len(t.free) for t in owner_tables(net)) == live
         # nothing but the caller-visible flow record grows with history
         assert {k for k, v in vars(net).items()
                 if isinstance(v, dict) and len(v) > 16} == {"flow_objs"}
@@ -275,7 +276,7 @@ class TestShardedNetworkSurface:
 
         def held():
             return (sum(getattr(net, n).nbytes for n in _PER_QUEUE),
-                    sum(getattr(net, n).nbytes for n in _PER_FLOW))
+                    sum(getattr(net._table, n).nbytes for n in _PER_FLOW))
 
         before = held()
         assert _report_totals(net) == before
@@ -286,7 +287,7 @@ class TestShardedNetworkSurface:
         assert _report_totals(net) == before    # exactly full: no growth
         net.start_flows(flows[4:])
         net.advance(cfg.step_dt)
-        assert net._f_active.shape[1] == 16
+        assert net._table.cap == 16
         queues, flows = held()
         assert _report_totals(net) == (queues, flows)
         assert queues == before[0] and flows == 4 * before[1]
@@ -299,9 +300,9 @@ class TestShardedNetworkSurface:
         net.start_flow(Flow(0, f"h{lo}", f"h{hi}", 10_000))
         net.start_flow(Flow(1, f"h{hi}", f"h{lo}", 10_000))
         net.advance(cfg.step_dt)
-        assert net._n_flows == [1, 1]
-        assert net._f_src[:, 0].tolist() == [lo, hi]
-        assert net._f_fid[:, 0].tolist() == [0, 1]
+        assert net._table.n_flows == [1, 1]
+        assert net._table.rows("f_src")[:, 0].tolist() == [lo, hi]
+        assert net._table.rows("f_fid")[:, 0].tolist() == [0, 1]
         # both flows cross pods: each pod's sum reached a remote queue
         assert net._last_boundary_rows > 0
 
@@ -360,8 +361,8 @@ def _flow_phase_oracle(net):
     """
     cfg = net.config
     line = cfg.host_rate_bps / 8.0
-    tables = pod_tables(net)
-    active = [[i for i in range(sh._n_flows) if sh.f_active[i]]
+    tables = owner_tables(net)
+    active = [[i for i in range(sh.n_flows) if sh.f_active[i]]
               for sh in tables]
     per_host = {}
     for sh, slots in zip(tables, active):
@@ -410,12 +411,14 @@ def test_flow_phase_matches_plain_loop_oracle(n_flows, seed, steps, hot):
     for _ in range(steps):
         net._step(cfg.step_dt)
     want_send, want_arrival = _flow_phase_oracle(net)
-    pods, slots = net._f_active[:, :max(net._n_flows)].nonzero()
-    send = net._flow_phase(pods, slots, net._f_path[pods, slots].T)
+    tab, line = net._table, cfg.host_rate_bps / 8.0
+    at = tab.active(net._owners)
+    send, arrival, _ = flow_phase(
+        tab.f_src[at], tab.f_rate[at], tab.f_path[at].T, line, cfg.n_hosts,
+        net.n_queues, owners=(at // tab.cap, net._q_owner))
     assert send.tobytes() == want_send.tobytes()
-    assert net._arrival.tobytes() == want_arrival.tobytes()
-    line = cfg.host_rate_bps / 8.0
-    per_host = np.bincount(net._f_src[pods, slots], weights=send,
+    assert arrival.tobytes() == want_arrival.tobytes()
+    per_host = np.bincount(tab.f_src[at], weights=send,
                            minlength=cfg.n_hosts)
     assert (per_host <= line * (1 + 1e-12)).all()
 
@@ -424,7 +427,7 @@ def _assert_no_active_flow_on_a_dead_uplink(net):
     """Every active inter-pod flow's core is up at both ends — unless
     its pod pair has no commonly-live core at all (partitioned: the old
     path is kept)."""
-    cfg, table = net.config, net.flow_table_state()
+    cfg, table = net.config, flow_table_state(net)
     for i in np.flatnonzero(table["f_active"]):
         c = int(table["f_core"][i])
         if c < 0:
@@ -458,8 +461,8 @@ def test_failure_reroute_agrees_sharded_vs_monolithic(fraction, fail_seed):
 def _owners_and_cores(net):
     """``{flow id: (owner pod, core)}`` of the flows in the table."""
     return {fid: (p, int(tab.f_core[i]))
-            for p, tab in enumerate(pod_tables(net))
-            for i, fid in tab._idx_to_fid.items()}
+            for p, tab in enumerate(owner_tables(net))
+            for i, fid in tab.fid_at.items()}
 
 
 @settings(max_examples=8, deadline=None)
@@ -498,8 +501,8 @@ def test_sharded_flow_tables_survive_divergence_and_reroutes(
         net._step(cfg.step_dt)
         assert 0.0 <= net.bytes_in_flight() <= injected_cap
     # ownership is immutable: every flow is still in its source pod's row
-    for p, tab in enumerate(pod_tables(net)):
-        for idx, fid in tab._idx_to_fid.items():
+    for p, tab in enumerate(owner_tables(net)):
+        for idx, fid in tab.fid_at.items():
             assert owner[fid] == p
             assert cfg.owner_pod_of_flow(int(tab.f_src[idx])) == p
 
@@ -522,8 +525,8 @@ def test_integration_work_follows_live_queues(monkeypatch):
     real = shard_mod.integrate_queue_block
 
     def spy(q_len, *args):
-        on_path = {int(q) for tab in pod_tables(net)
-                   for i in range(tab._n_flows) if tab.f_active[i]
+        on_path = {int(q) for tab in owner_tables(net)
+                   for i in range(tab.n_flows) if tab.f_active[i]
                    for q in tab.f_path[i] if q >= 0}
         backlog = {q for q in range(net.n_queues) if net.q_len[q] != 0.0}
         calls.append((len(q_len), len(on_path | backlog),
@@ -581,7 +584,7 @@ def _idle_pod_run(n_pods):
     for steps in (60, 240):
         for _ in range(steps):
             net._step(cfg.step_dt)
-        table = net.flow_table_state()
+        table = flow_table_state(net)
         seen.append({
             "finished": [(f.flow_id, repr(f.finish_time))
                          for f in net.finished_flows],

@@ -37,7 +37,7 @@ from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork, flow_phase
 from repro.fingerprint import fingerprint
 from repro.netsim.shard import ShardedFluidNetwork
-from tests.pod_tables import pod_tables
+from tests.owner_tables import owner_tables
 
 #: a buffer small enough that incast overflows it, so drops are exercised
 CFG = dataclasses.replace(FluidConfig.small(), switch_buffer_bytes=150_000)
@@ -75,8 +75,8 @@ def _admit(net):
 
 
 def _oracle_step(net, tables, queue_owner=None):
-    """What one Δt must do to ``net``, whose flows sit in ``tables`` (one
-    per owner, in owner order): the expected queue and flow state, the
+    """What one Δt must do to ``net``, whose flows sit in ``tables``
+    (:func:`owner_tables`): the expected queue and flow state, the
     ``(flow id, finish time)`` of the flows finishing, the latency sample,
     and which corner cases the step met."""
     cfg = net.config
@@ -89,7 +89,7 @@ def _oracle_step(net, tables, queue_owner=None):
 
     flows = []
     for owner, tbl in enumerate(tables):
-        for i in range(tbl._n_flows):
+        for i in range(tbl.n_flows):
             if tbl.f_active[i]:
                 flows.append({
                     "owner": owner, "tbl": tbl, "slot": i,
@@ -185,7 +185,7 @@ def _oracle_step(net, tables, queue_owner=None):
             survivors.append(qdelay)
         else:
             f["remaining"] = 0.0
-            finished.append((f["tbl"]._idx_to_fid[f["slot"]], now + qdelay))
+            finished.append((f["tbl"].fid_at[f["slot"]], now + qdelay))
     seen["finished"] = bool(finished)
 
     # ---- latency sample: one draw of the network's RNG over the survivors
@@ -230,11 +230,12 @@ def _solo_steps(n_flows, seed, steps):
     seen = {}
     for _ in range(steps):
         _admit(net)
-        want = _oracle_step(net, [net])
+        want = _oracle_step(net, owner_tables(net))
         # the flow phase on its own, before the step consumes the state
-        at = np.flatnonzero(net.f_active[:net._n_flows])
+        tab, = owner_tables(net)
+        at = np.flatnonzero(tab.f_active)
         send, arrival, _ = flow_phase(
-            net.f_src[at], net.f_rate[at], net.f_path[at].T,
+            tab.f_src[at], tab.f_rate[at], tab.f_path[at].T,
             CFG.host_rate_bps / 8.0, CFG.n_hosts, net.n_queues)
         assert send.tobytes() == np.array(want["send"]).tobytes()
         assert arrival.tobytes() == np.array(want["arrival"]).tobytes()
@@ -268,15 +269,15 @@ def _batch_steps(n_flows, seed, steps):
     _load(batch.view(2), max(1, n_flows // 2), seed + 2, hot=1)
     seen = {}
     for _ in range(steps):
-        wants = []
-        for net in batch.views():
+        for net in batch.views():   # admission may regrow the table
             _admit(net)
-            wants.append(_oracle_step(net, [net]))
+        wants = [_oracle_step(net, owner_tables(net))
+                 for net in batch.views()]
         batch.advance(CFG.step_dt)
         for net, want in zip(batch.views(), wants):
             _assert_stepped(net, want)
             _merge(seen, want["seen"])
-    assert batch.view(1)._n_flows == 0
+    assert owner_tables(batch.view(1))[0].n_flows == 0
     return seen
 
 
@@ -313,7 +314,7 @@ def _fattree_steps(n_flows, seed, steps):
     seen = {}
     for _ in range(steps):
         _admit(net)
-        want = _oracle_step(net, pod_tables(net), queue_owner)
+        want = _oracle_step(net, owner_tables(net), queue_owner)
         net.advance(cfg.step_dt)
         _assert_stepped(net, want)
         _merge(seen, want["seen"])

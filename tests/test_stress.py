@@ -27,7 +27,7 @@ class TestFluidSlotReuse:
             net.advance(5e-3)   # each wave finishes before the next
         assert len(net.finished_flows) == 1000
         # the live array never needed anywhere near 1000 slots
-        assert net._n_flows < 400
+        assert net._table.n_flows[0] < 400
 
     def test_interleaved_long_and_short_flows(self):
         net = FluidNetwork(FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
@@ -42,7 +42,7 @@ class TestFluidSlotReuse:
         assert all(f.done for f in shorts)
         assert not net.flow_objs[0].done     # elephant still going
         # short flows reused slots around the pinned long flow
-        assert net._n_flows < 60
+        assert net._table.n_flows[0] < 60
 
 
 class TestStatsInterplay:

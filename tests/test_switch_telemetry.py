@@ -24,7 +24,7 @@ from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.queueing import FlowObservation
 from repro.netsim.shard import ShardedFluidNetwork
 from repro.resilience.faults import ChaosInjector, FaultPlan
-from tests.pod_tables import pod_tables
+from tests.owner_tables import owner_tables
 
 #: edge switches 5 queues (×8), agg switches 3 (×4), and a core plane of
 #: ONE switch with 4 — three classes, one of them a single switch.
@@ -219,20 +219,15 @@ def test_port_stats_report_the_drops_their_switch_sums(kind):
 
 
 # ------------------------------------------------------------ flow_obs
-def _tables(net):
-    return pod_tables(net) if isinstance(net, ShardedFluidNetwork) else [net]
-
-
 def _obs_oracle(net):
     """Per-switch observations by a plain loop over the flow table(s) in
     (owner, slot) order."""
-    tables = _tables(net)
     out = {}
-    for tab in tables:
-        for i in range(tab._n_flows):
+    for tab in owner_tables(net):
+        for i in range(tab.n_flows):
             if not tab.f_active[i]:
                 continue
-            fid = tab._idx_to_fid[i]
+            fid = tab.fid_at[i]
             flow = net.flow_objs[fid]
             seen = float(tab.f_size[i]) - float(tab.f_remaining[i])
             obs = FlowObservation(fid, flow.src, flow.dst,
@@ -309,8 +304,7 @@ def test_flow_obs_never_built_when_unread(kind, obs_built):
         stats = net.queue_stats()
         controller.decide(stats, net.now, net)
     assert obs_built == []
-    active = sum(int(t.f_active[:t._n_flows].sum())
-                 for t in _tables(net))
+    active = sum(int(t.f_active.sum()) for t in owner_tables(net))
     assert active > 0
     for st_ in stats.values():
         st_.flow_obs

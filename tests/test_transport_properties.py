@@ -9,6 +9,7 @@ from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
+from tests.owner_tables import owner_tables
 
 
 # Keep the fabrics tiny: hypothesis runs many examples.
@@ -85,10 +86,10 @@ class TestFluidProperties:
         net.advance(0.2)
         assert all(f.done for f in flows)
         # remaining work is non-negative and zero for finished flows
-        n = net._n_flows
-        assert np.all(net.f_remaining[:n] <= max(sizes))
-        for i in range(n):
-            assert net.f_remaining[i] <= 0 or not net.f_active[i]
+        tab, = owner_tables(net)
+        assert np.all(tab.f_remaining <= max(sizes))
+        for i in range(tab.n_flows):
+            assert tab.f_remaining[i] <= 0 or not tab.f_active[i]
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
@@ -114,10 +115,9 @@ class TestFluidProperties:
             net.start_flow(Flow(i, f"h{src}", f"h{dst}", 10_000_000))
         net.advance(2e-3)
         line = net.config.host_rate_bps / 8.0
-        n = net._n_flows
-        active = net.f_active[:n]
-        assert np.all(net.f_rate[:n][active] <= line * (1 + 1e-9))
-        assert np.all(net.f_rate[:n][active] > 0)
+        tab, = owner_tables(net)
+        assert np.all(tab.f_rate[tab.f_active] <= line * (1 + 1e-9))
+        assert np.all(tab.f_rate[tab.f_active] > 0)
 
     @given(fraction=st.floats(0.1, 0.9), seed=st.integers(0, 100))
     @settings(max_examples=15, deadline=None)
