@@ -28,11 +28,11 @@ metrics summary (docs/OBSERVABILITY.md)::
 
     python -m repro trace --scenario websearch --seed 0
 
-Static analysis (docs/DEVTOOLS.md): the per-node PET linter and the
-whole-program dataflow analyzer share one front door::
+Static analysis (docs/DEVTOOLS.md): every PET rule — per-module
+PET001–PET007 and whole-program PET101/102/104/105 — in one command,
+gated on findings not in the checked-in baseline::
 
-    python -m repro devtools lint
-    python -m repro devtools analyze --baseline ANALYZE_BASELINE.json
+    python -m repro devtools src --baseline ANALYZE_BASELINE.json
 
 Serve a supervised control plane over HTTP with shadow/canary policy
 rollout (docs/SERVING.md), or run its CI smoke check::

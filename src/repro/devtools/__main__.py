@@ -1,21 +1,8 @@
-"""``python -m repro.devtools`` — static-analysis front door.
-
-``python -m repro.devtools lint ...`` / ``... analyze ...`` dispatch to
-the shared CLI (:mod:`repro.devtools.cli`).  Bare invocations keep the
-historical behaviour of running the linter directly
-(``python -m repro.devtools src``).
-"""
+"""``python -m repro.devtools`` — the same command as ``python -m repro devtools``."""
 
 import sys
 
-
-def _main(argv):
-    if argv and argv[0] in ("lint", "analyze"):
-        from repro.devtools.cli import devtools_main
-        return devtools_main(argv)
-    from repro.devtools.lint import main
-    return main(argv)
-
+from repro.devtools.cli import devtools_main
 
 if __name__ == "__main__":
-    sys.exit(_main(sys.argv[1:]))
+    sys.exit(devtools_main(sys.argv[1:]))

@@ -1,4 +1,4 @@
-"""Tests for the whole-program dataflow analyzer (PET101–PET105).
+"""Tests for the interprocedural PET rules and the one CLI/report/baseline.
 
 Each rule gets a synthetic fixture package (positive, negative, and
 ``# pet: noqa``-suppressed variants) written under ``tmp_path`` with
@@ -13,10 +13,11 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.devtools.analyze import (RULES, analyze_paths, build_program,
-                                    load_baseline, save_baseline,
-                                    split_by_baseline, to_sarif)
 from repro.devtools.cli import devtools_main
+from repro.devtools.model import build_program
+from repro.devtools.report import (load_baseline, save_baseline,
+                                   split_by_baseline, to_sarif)
+from repro.devtools.rules import _REGISTRY, RULES, analyze_paths
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -304,33 +305,33 @@ class TestCLI:
 
     def test_exit_zero_on_clean(self, tmp_path, capsys):
         root = self._clean_tree(tmp_path)
-        assert devtools_main(["analyze", str(root), "--no-baseline"]) == 0
+        assert devtools_main([str(root), "--no-baseline"]) == 0
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
         root = self._dirty_tree(tmp_path)
-        assert devtools_main(["analyze", str(root), "--no-baseline"]) == 1
+        assert devtools_main([str(root), "--no-baseline"]) == 1
         assert "PET101" in capsys.readouterr().out
 
     def test_exit_two_on_unknown_rule_and_missing_path(self, tmp_path):
         root = self._clean_tree(tmp_path)
-        assert devtools_main(["analyze", str(root), "--select",
+        assert devtools_main([str(root), "--select",
                               "PET999"]) == 2
-        assert devtools_main(["analyze", str(tmp_path / "nope")]) == 2
+        assert devtools_main([str(tmp_path / "nope")]) == 2
 
     def test_exit_two_on_parse_error(self, tmp_path):
         bad = tmp_path / "repro" / "broken.py"
         bad.parent.mkdir(parents=True)
         (bad.parent / "__init__.py").write_text("")
         bad.write_text("def broken(:\n")
-        assert devtools_main(["analyze", str(tmp_path),
+        assert devtools_main([str(tmp_path),
                               "--no-baseline"]) == 2
 
     def test_baseline_gate_blocks_only_new(self, tmp_path, capsys):
         root = self._dirty_tree(tmp_path)
         bl = tmp_path / "bl.json"
-        assert devtools_main(["analyze", str(root), "--baseline", str(bl),
+        assert devtools_main([str(root), "--baseline", str(bl),
                               "--write-baseline"]) == 0
-        assert devtools_main(["analyze", str(root), "--baseline",
+        assert devtools_main([str(root), "--baseline",
                               str(bl)]) == 0
         (root / "repro" / "netsim" / "more.py").write_text(textwrap.dedent("""
             import numpy as np
@@ -339,32 +340,47 @@ class TestCLI:
                 return np.random.default_rng().random()
         """))
         capsys.readouterr()
-        assert devtools_main(["analyze", str(root), "--baseline",
+        assert devtools_main([str(root), "--baseline",
                               str(bl)]) == 1
         out = capsys.readouterr().out
         assert "more.py" in out and "sim.py" not in out
 
     def test_json_and_sarif_formats(self, tmp_path, capsys):
         root = self._dirty_tree(tmp_path)
-        assert devtools_main(["analyze", str(root), "--no-baseline",
-                              "--format", "json"]) == 1
+        # the ambient default_rng() also trips PET002; count only PET101
+        assert devtools_main([str(root), "--no-baseline", "--select",
+                              "PET101", "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "repro.analyze/v1"
         assert doc["count"] == 1
         out_file = tmp_path / "report.sarif"
-        assert devtools_main(["analyze", str(root), "--no-baseline",
-                              "--format", "sarif", "--out",
+        assert devtools_main([str(root), "--no-baseline", "--select",
+                              "PET101", "--format", "sarif", "--out",
                               str(out_file)]) == 1
         capsys.readouterr()
         on_disk = json.loads(out_file.read_text())
         assert on_disk["version"] == "2.1.0"
         assert on_disk["runs"][0]["results"][0]["ruleId"] == "PET101"
 
+    def test_one_rule_catalogue(self, capsys):
+        ids = {"PET001", "PET002", "PET003", "PET004", "PET005", "PET006",
+               "PET007", "PET101", "PET102", "PET104", "PET105"}
+        sarif = to_sarif([], RULES)["runs"][0]["tool"]["driver"]["rules"]
+        assert set(RULES) == set(_REGISTRY) == {r["id"] for r in sarif} == ids
+        assert devtools_main(["--list-rules"]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert {line.split()[0] for line in listed} == ids
+        assert devtools_main(["--select", "PET999"]) == 2
+
     def test_list_rules_both_subcommands(self, capsys):
-        assert devtools_main(["analyze", "--list-rules"]) == 0
-        assert "PET101" in capsys.readouterr().out
-        assert devtools_main(["lint", "--list-rules"]) == 0
-        assert "PET001" in capsys.readouterr().out
+        # `repro devtools` and `python -m repro.devtools` list the same
+        # catalogue: per-module and interprocedural rules together.
+        from repro.cli import main as repro_main
+        assert repro_main(["devtools", "--list-rules"]) == 0
+        via_repro = capsys.readouterr().out
+        assert devtools_main(["--list-rules"]) == 0
+        assert capsys.readouterr().out == via_repro
+        assert "PET001" in via_repro and "PET101" in via_repro
 
     def test_lint_shares_front_door_and_formats(self, tmp_path, capsys):
         root = _tree(tmp_path, {"repro/netsim/sim.py": """
@@ -373,7 +389,8 @@ class TestCLI:
             def step():
                 return time.time()
         """})
-        assert devtools_main(["lint", str(root), "--format", "json"]) == 1
+        assert devtools_main([str(root), "--no-baseline",
+                              "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "repro.analyze/v1"
         assert doc["findings"][0]["rule"].startswith("PET0")
@@ -381,8 +398,21 @@ class TestCLI:
     def test_module_entry_point_subprocess(self):
         """The real front door: repo tree vs the committed baseline."""
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.devtools", "analyze", "src",
+            [sys.executable, "-m", "repro.devtools", "src",
              "--baseline", str(REPO / "ANALYZE_BASELINE.json")],
             cwd=str(REPO), capture_output=True, text=True,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_gate_verdict_is_independent_of_cwd(self, monkeypatch, capsys):
+        """Fingerprints hash the package-rooted path, so the committed
+        baseline matches from the repo root and from ``src/`` alike."""
+        for cwd, args in ((REPO, ["src", "--baseline",
+                                  "ANALYZE_BASELINE.json"]),
+                          (REPO / "src", ["repro", "--baseline",
+                                          "../ANALYZE_BASELINE.json"])):
+            monkeypatch.chdir(cwd)
+            assert devtools_main(args) == 0
+            err = capsys.readouterr().err
+            assert "(6 baselined finding(s) suppressed)" in err
+            assert "stale" not in err

@@ -112,7 +112,7 @@ class TestFluidSlotRecycling:
 
 
 class TestUnseededFallbackRNGs:
-    """Bug (found by PET002 of repro.devtools.lint): seven components fell
+    """Bug (found by lint rule PET002): seven components fell
     back to ``np.random.default_rng()`` — OS entropy — when no Generator
     was injected, so "default" simulations were silently nondeterministic.
     The fallbacks are now seeded (``default_rng(0)``)."""
