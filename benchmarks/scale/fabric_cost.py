@@ -13,15 +13,24 @@ ticks and then times ``advance(1 ms)`` (20 sub-steps) tick by tick, with
 loop calls it.  Each sub-step's active flows and live queues (the block
 the step integrates: queues on an active path or holding bytes) are
 counted by wrapping ``flow_phase`` / ``integrate_queue_block`` where the
-network calls them.  Trials visit the points round-robin, so a slow spell
-of the machine spreads over all of them; ``calib_ms`` (the fixed kernel of
+network calls them; a trial in which either wrapper saw no sub-step
+exits non-zero rather than report zeros.  Between two sub-steps the
+active set changes by the flows admitted and the flows finished (the
+change in active flows plus the finishes), so each trial also records
+admissions and finishes per sub-step and the median number of sub-steps
+between changes of the active set — the length of a membership epoch
+(a reroute would change it too, but this sweep fails no link).  Trials
+visit the points round-robin, so a slow spell of the machine spreads
+over all of them; ``calib_ms`` (the fixed kernel of
 ``benchmarks/perf/stats.py``) is recorded beside every trial to show one.
 
 Writes one JSON row per trial to ``--out`` (pods, load, seed, mean
-active flows, mean live queues, ``n_queues``, ms per sub-step,
-``cpu_count``, ``calib_ms``), then prints the summary: per point the
-median [q1..q3] of ms per sub-step, and least-squares slopes of ms per
-sub-step against live queues and against active flows over all rows.
+active flows, mean live queues, ``n_queues``, admissions and finishes
+per sub-step, median epoch in sub-steps, ms per sub-step, ``cpu_count``,
+``calib_ms``), then prints the summary: per point the median [q1..q3] of
+ms per sub-step and the medians of the epoch columns, and least-squares
+slopes of ms per sub-step against live queues and against active flows
+over all rows.
 
     python benchmarks/scale/fabric_cost.py            # 5 trials a point
     python benchmarks/scale/fabric_cost.py --quick    # 1 short trial a point
@@ -56,6 +65,9 @@ from repro.traffic.workloads import workload_by_name    # noqa: E402
 TICK = 1e-3
 #: (n_pods, load) points: the pod sweep at 5 %, the load sweep at 16 pods
 POINTS = ((4, 0.05), (8, 0.05), (16, 0.05), (16, 0.01), (16, 0.20))
+#: the per-trial columns summarised per point
+_COLUMNS = ("active_flows", "live_queues", "admissions_per_substep",
+            "finishes_per_substep", "epoch_median_substeps", "ms_per_substep")
 
 
 def trial(pods: int, load: float, seed: int, warm: int,
@@ -74,11 +86,13 @@ def trial(pods: int, load: float, seed: int, warm: int,
         net.queue_stats()
 
     flows: List[int] = []
+    finished: List[int] = []
     live: List[int] = []
     flow_phase, integrate = fluid.flow_phase, shard.integrate_queue_block
 
     def counted_flow_phase(src, *args, **kwargs):
         flows.append(len(src))
+        finished.append(len(net.finished_flows))
         return flow_phase(src, *args, **kwargs)
 
     def counted_integrate(q_len, *args):
@@ -96,10 +110,26 @@ def trial(pods: int, load: float, seed: int, warm: int,
             net.queue_stats()
     finally:
         fluid.flow_phase, shard.integrate_queue_block = flow_phase, integrate
+    for name, seen in (("fluid.flow_phase", flows),
+                       ("shard.integrate_queue_block", live)):
+        if not seen:
+            sys.exit(f"pods={pods} load={load} seed={seed}: no sub-step "
+                     f"called {name}, so the trial has no samples")
+    # between consecutive sub-steps: finishes, and admissions = the change
+    # in active flows plus the finishes
+    finishes = np.diff(finished)
+    admissions = np.diff(flows) + finishes
+    changes = np.flatnonzero((admissions > 0) | (finishes > 0))
+    epochs = np.diff(changes)
     return {"pods": pods, "load": load, "seed": seed,
-            "active_flows": float(np.mean(flows)) if flows else 0.0,
-            "live_queues": float(np.mean(live)) if live else 0.0,
+            "active_flows": float(np.mean(flows)),
+            "live_queues": float(np.mean(live)),
             "n_queues": net.n_queues,
+            "admissions_per_substep": float(np.mean(admissions)),
+            "finishes_per_substep": float(np.mean(finishes)),
+            # no two changes in the window: it is one epoch, at least
+            "epoch_median_substeps": (float(np.median(epochs)) if epochs.size
+                                      else float(len(flows))),
             "ms_per_substep": spent / (ticks * round(TICK / cfg.step_dt)) * 1e3,
             "cpu_count": os.cpu_count(), "calib_ms": calibrate()}
 
@@ -116,11 +146,10 @@ def summary(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     points = []
     for pods, load in POINTS:
         mine = [r for r in rows if (r["pods"], r["load"]) == (pods, load)]
-        points.append({
-            "pods": pods, "load": load, "n_queues": mine[0]["n_queues"],
-            "active_flows": quartiles([r["active_flows"] for r in mine]),
-            "live_queues": quartiles([r["live_queues"] for r in mine]),
-            "ms_per_substep": quartiles([r["ms_per_substep"] for r in mine])})
+        points.append({"pods": pods, "load": load,
+                       "n_queues": mine[0]["n_queues"],
+                       **{col: quartiles([r[col] for r in mine])
+                          for col in _COLUMNS}})
     fits = {x: dict(zip(("intercept_ms", "us_per_unit"), slope(rows, x)))
             for x in ("live_queues", "active_flows")}
     return {"points": points, "fits": fits, "cpu_count": os.cpu_count()}
@@ -148,6 +177,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"pods={pods:2d} load={load:.2f} seed={t}: "
                       f"{row['active_flows']:7.0f} flows "
                       f"{row['live_queues']:7.0f}/{row['n_queues']} live queues "
+                      f"+{row['admissions_per_substep']:.1f} "
+                      f"-{row['finishes_per_substep']:.1f} flows "
+                      f"epoch {row['epoch_median_substeps']:g} "
                       f"{row['ms_per_substep']:.3f} ms/sub-step", flush=True)
 
     s = summary(rows)
@@ -158,6 +190,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  pods={p['pods']:2d} load={p['load']:.2f}  "
               f"flows {p['active_flows']['median']:7.0f}  "
               f"live {p['live_queues']['median']:7.0f} of {p['n_queues']:6d}  "
+              f"+{p['admissions_per_substep']['median']:.1f} "
+              f"-{p['finishes_per_substep']['median']:.1f} per sub-step, "
+              f"epoch {p['epoch_median_substeps']['median']:g}  "
               f"{m['median']:.3f} [{m['q1']:.3f}..{m['q3']:.3f}]")
     for x, fit in s["fits"].items():
         print(f"  fit vs {x}: {fit['intercept_ms']:.3f} ms + "

@@ -7,6 +7,7 @@ measured from flow arrival to the last byte acknowledged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -38,6 +39,13 @@ class Flow:
     finish_time: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        # ``nan <= 0`` is False; a fluid network never finishes such a flow
+        if not -math.inf < self.size_bytes < math.inf:
+            raise ValueError(f"flow size_bytes must be finite, got "
+                             f"{self.size_bytes!r}")
+        if not -math.inf < self.start_time < math.inf:
+            raise ValueError(f"flow start_time must be finite, got "
+                             f"{self.start_time!r}")
         if self.size_bytes <= 0:
             raise ValueError("flow size must be positive")
 

@@ -126,7 +126,7 @@ class FluidConfig:
 def flow_phase(src: np.ndarray, rate: np.ndarray, path: np.ndarray,
                line: float, n_hosts: int, n_queues: int,
                owners: Optional[Tuple[np.ndarray, np.ndarray]] = None
-               ) -> Tuple[np.ndarray, np.ndarray, int]:
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """NIC sharing + per-queue arrival reduction over the ``k`` active flows.
 
     ``src`` and ``rate`` are ``(k,)``; ``path`` is the hop-major ``(H, k)``
@@ -134,17 +134,21 @@ def flow_phase(src: np.ndarray, rate: np.ndarray, path: np.ndarray,
     and queues are whatever index space the caller gathered them into:
     a network's own, or replica-offset ids (``r*n_hosts + h``,
     ``r*Q + q``) when several networks step as one.  Returns each flow's
-    send rate, the arrival rate of every queue, and the number of
-    boundary rows merged (0 without ``owners``).
+    send rate, the arrival rate of every queue, and the queue of every
+    on-path hop, hop-major (``path[path >= 0]``).
 
     Flows are summed into a queue in hop-major flow order — one
     ``bincount``, which adds in appearance order.  Where owners can share
     a queue (fat-tree pods feeding core and remote-pod queues), pass
-    ``owners = (owner of each flow, owner of each queue)``: each owner's
-    flows are then summed first, per ``(owner, queue)``, and the partial
-    sums are merged with the queue's own owner first and the boundary
-    rows after it in owner order — the association of a per-owner
-    exchange, whatever the number of owners stepped together.
+    ``owners = (owner of each flow, first)``, ``first`` an int32 scratch
+    of ``n_owners * n_queues`` entries at the int32 maximum (and left so):
+    each owner's flows are summed per ``(owner, queue)`` row, and the rows
+    are added into their queue in first-appearance order.  ``minimum.at``
+    puts each row's first hop-major position in ``first``; that position
+    is the row's ``bincount`` bin, so every other bin holds ``0.0``, and a
+    non-negative sum plus ``+0.0`` is itself.  On the fat-tree that order
+    is own pod first, then pod order (:mod:`repro.netsim.shard`) — the
+    association of a per-pod exchange.
     """
     # cap the sum of a host's flow rates at line rate
     per_src = np.bincount(src, weights=rate, minlength=n_hosts)
@@ -155,20 +159,19 @@ def flow_phase(src: np.ndarray, rate: np.ndarray, path: np.ndarray,
         scale_src[over] = line / per_src[over]
         send = rate * scale_src[src]
     ok = path >= 0
-    weights = send[ok.nonzero()[1]]             # hop-major, like path[ok]
+    flow = ok.nonzero()[1]                      # hop-major, like path[ok]
+    weights, queues = send[flow], path[ok]
     if owners is None:
-        return send, np.bincount(path[ok], weights=weights,
-                                 minlength=n_queues), 0
-    flow_owner, queue_owner = owners
-    rows, inv = np.unique((flow_owner * n_queues + path)[ok],
-                          return_inverse=True)
-    agg = np.bincount(inv, weights=weights, minlength=rows.size)
-    owner, q = np.divmod(rows, n_queues)
-    boundary = owner != queue_owner[q]
-    order = np.concatenate((np.flatnonzero(~boundary),
-                            np.flatnonzero(boundary)))
-    return send, np.bincount(q[order], weights=agg[order],
-                             minlength=n_queues), int(boundary.sum())
+        return send, np.bincount(queues, weights=weights,
+                                 minlength=n_queues), queues
+    flow_owner, first = owners
+    keys = flow_owner[flow] * n_queues + queues
+    np.minimum.at(first, keys, np.arange(len(keys), dtype=np.int32))
+    row = first[keys]
+    first[keys] = np.iinfo(np.int32).max
+    partial = np.bincount(row, weights=weights, minlength=len(keys))
+    return send, np.bincount(queues, weights=partial,
+                             minlength=n_queues), queues
 
 
 def integrate_queue_block(q_len: np.ndarray, q_cap: np.ndarray,
@@ -440,12 +443,10 @@ class _FluidStepper:
     network owning every row, or one per owner).  ``_OWNER_AXIS`` is
     ``None`` (one owner), ``"replica"`` (disjoint blocks: owner ``r``'s
     ids offset to ``r*n_hosts + h``, ``r*Q + q``, so no ``bincount`` bin
-    mixes two) or ``"pod"`` (shared ids, given to :func:`flow_phase` as
-    owners)."""
+    mixes two) or ``"pod"`` (shared ids; the flows' owners and the host's
+    ``_first_seen`` scratch go to :func:`flow_phase`)."""
 
     _OWNER_AXIS: Optional[str] = None
-    #: ``(owner, queue)`` rows merged across owners on the latest step
-    _last_boundary_rows = 0
 
     def _advance(self, dt: float) -> None:
         if dt <= 0:
@@ -479,16 +480,16 @@ class _FluidStepper:
         path = tab.f_path[at].T                     # (H, k), hop-major
         n_hosts, owners = cfg.n_hosts, None
         if self._OWNER_AXIS == "pod":
-            owners = (at // tab.cap, self._q_owner)
+            owners = (at // tab.cap, self._first_seen)
         elif self._OWNER_AXIS == "replica":
             owner = at // tab.cap
             n_hosts *= tab.n_owners
             src = src + owner * cfg.n_hosts
             path = np.where(path >= 0, path + owner * self.n_queues, -1)
-        send, arrival, self._last_boundary_rows = flow_phase(
+        send, arrival, on_path = flow_phase(
             src, rate, path, cfg.host_rate_bps / 8.0, n_hosts,
             len(self.q_len), owners)
-        p_mark, srv_ratio = self._integrate(arrival, path, dt)
+        p_mark, srv_ratio = self._integrate(arrival, on_path, dt)
         qdelay, done = feedback_phase(
             cfg, dt, tab.f_rate, tab.f_alpha, tab.f_remaining, tab.f_active,
             at, rate, send, path, p_mark, srv_ratio, self.q_len, self.q_cap)
@@ -513,7 +514,7 @@ class _FluidStepper:
                 net.latencies.append((net.now, cfg.base_rtt / 2.0 + delay[
                     int(net.rng.integers(delay.size))]))
 
-    def _integrate(self, arrival: np.ndarray, path: np.ndarray,
+    def _integrate(self, arrival: np.ndarray, on_path: np.ndarray,
                    dt: float) -> Tuple[np.ndarray, np.ndarray]:
         """Integrate and account every queue; returns ``(p_mark, srv_ratio)``."""
         served_rate, new_qlen, drops, p_mark, srv_ratio = \
@@ -868,7 +869,7 @@ class SwitchStatsMixin:
         routine, over the same elements in the same order, as a
         per-switch ``a[q_switch == s].sum()``, so the sums are
         bit-identical to it (docs/PERFORMANCE.md; not true of
-        ``np.add.reduceat``, which adds sequentially).
+        ``np.add.reduceat``, which is neither pairwise nor sequential).
         """
         cols = np.empty((7, self.n_switches))
         summed = (self._acc_tx, self._acc_marked, self._acc_qlen_area,

@@ -9,8 +9,13 @@ one fluid step of :mod:`repro.netsim.fluid`, the **pods as its owners**:
 - a flow lives in the row of its source edge's pod (:meth:`~repro.
   netsim.fattree.FatTreeConfig.owner_pod_of_flow`); the core plane owns
   none;
-- pods can feed one queue, so a queue adds its own pod's partial sum
-  first and the other pods' after it in pod order;
+- pods can feed one queue: each pod's flows are summed per queue, and
+  the rows are added into the queue in first-appearance order, hop-major
+  with flows in (pod, slot) order (:func:`~repro.netsim.fluid.
+  flow_phase`).  The routing makes that own pod first, then the others
+  in pod order: edge-down is reached by its own pod at hop 0 or 2 and by
+  every other pod at hop 4, agg-down at 1 and 3, core-down (no own pod)
+  by every pod at hop 2, and edge-up / agg-up carry their own pod only;
 - each sub-step integrates only the **live** queues, on an active path
   or holding bytes: any other is empty and unfed, so integrating it
   would change no bit.
@@ -40,7 +45,7 @@ __all__ = ["ShardedFluidNetwork"]
 #: per-queue state arrays (attribute names), all ``(n_queues,)``
 _QUEUE_FIELDS = ("q_len", "q_cap", "q_cap_nominal", "kmin", "kmax", "pmax",
                  "_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops",
-                 "_p_mark", "_srv_ratio", "q_switch", "_q_owner")
+                 "_p_mark", "_srv_ratio", "q_switch")
 
 
 class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
@@ -104,9 +109,10 @@ class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
         self._init_queues(q_cap, q_switch, cfg.n_switches,
                           (agg_up, core_down),
                           np.concatenate((edge_up.ravel(), agg_down.ravel())))
-        #: the pod whose block holds each queue; the core plane's get
-        #: ``n_pods``, which owns no flows
-        self._q_owner = np.arange(n_queues) // self._pod_block
+        #: the flow phase's first-appearance scratch, one row of queues per
+        #: pod (``pod * n_queues + queue``), all int32 max between steps
+        self._first_seen = np.full(n_p * n_queues, np.iinfo(np.int32).max,
+                                   dtype=np.int32)
         #: the most recent sub-step's RED mark probability and service
         #: ratio, by global queue id; only the live queues' are current
         self._p_mark = np.zeros(n_queues)
@@ -201,13 +207,13 @@ class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
         """Advance virtual time by ``dt`` (an integer number of steps)."""
         self._advance(dt)
 
-    def _integrate(self, arrival: np.ndarray, path: np.ndarray,
+    def _integrate(self, arrival: np.ndarray, on_path: np.ndarray,
                    dt: float) -> Tuple[np.ndarray, np.ndarray]:
         """Queue integration + interval accounting of the **live** queues
-        only — every queue on an active flow's path (``path``, as the
-        flow phase took it) and every queue whose buffer is not exactly
-        empty (``!= 0.0``, so a NaN is never skipped) — recomputed from
-        the arrays, gathered, stepped as one block and scattered back.
+        only — every queue on an active flow's path (``on_path``, as the
+        flow phase found them) and every queue whose buffer is not exactly
+        empty (``!= 0.0``, so a NaN is never skipped) — gathered, stepped
+        as one block and scattered back.
 
         Every queue left out holds no bytes and receives none, so its
         integration is an exact no-op — ``+0.0`` on non-negative
@@ -215,7 +221,7 @@ class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
         ``p_mark`` / ``srv_ratio``; skipping it changes no bit.
         """
         live = self.q_len != 0.0
-        live[path[path >= 0]] = True
+        live[on_path] = True
         live = live.nonzero()[0]
         q_len = self.q_len[live]
         served_rate, new_qlen, drops, p_mark, srv_ratio = \
@@ -241,12 +247,15 @@ class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
 
     def memory_report(self) -> Dict[str, Dict[str, int]]:
         """Bytes of the per-queue and per-flow arrays this network holds,
-        attributed to ``pod{p}`` (its queue block and its row of the flow
-        table — every row has the capacity the fullest pod has needed so
-        far) and ``core`` (the core plane's queues; it owns no flows)."""
+        attributed to ``pod{p}`` (its queue block, its row of the merge
+        scratch and its row of the flow table — every row has the capacity
+        the fullest pod has needed so far) and ``core`` (the core plane's
+        queues; it owns no flows)."""
         per_queue = sum(getattr(self, name).itemsize
                         for name in _QUEUE_FIELDS)
-        report = {f"pod{p}": {"queue_bytes": self._pod_block * per_queue,
+        scratch = self._first_seen.nbytes // self.config.n_pods
+        report = {f"pod{p}": {"queue_bytes": self._pod_block * per_queue
+                              + scratch,
                               "flow_bytes": self._table.row_bytes()}
                   for p in range(self.config.n_pods)}
         report["core"] = {

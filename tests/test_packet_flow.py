@@ -76,6 +76,23 @@ class TestFlow:
         with pytest.raises(ValueError):
             Flow(1, "h0", "h1", 0)
 
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_size_rejected(self, size):
+        """``nan <= 0`` is False: a NaN size once passed, and a fluid
+        network sent it at line rate without ever finishing it."""
+        with pytest.raises(ValueError, match="size_bytes must be finite"):
+            Flow(1, "h0", "h1", size)
+
+    @pytest.mark.parametrize("start", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_start_time_rejected(self, start):
+        with pytest.raises(ValueError, match="start_time must be finite"):
+            Flow(1, "h0", "h1", 1000, start_time=start)
+
+    def test_negative_start_time_accepted(self):
+        assert Flow(1, "h0", "h1", 1000, start_time=-2.5).start_time < 0
+
     def test_remaining_bytes(self):
         f = Flow(1, "h0", "h1", 1000)
         f.bytes_sent = 400

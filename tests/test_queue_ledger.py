@@ -65,8 +65,10 @@ def _ledger_run(kind, n_flows, seed, buffer_bytes, steps):
     real = fluid_mod.flow_phase
 
     def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        arrived[:] += out[1] * cfg.step_dt
+        _, arrival, on_path = out = real(*args, **kwargs)
+        # a queue is fed only from the on-path hops the step integrates
+        assert np.isin(np.flatnonzero(arrival), on_path).all()
+        arrived[:] += arrival * cfg.step_dt
         return out
 
     with mock.patch.object(fluid_mod, "flow_phase", spy):

@@ -143,7 +143,7 @@ class TestPinnedFingerprints:
 #: taken from ``src/``
 _PER_QUEUE = ("q_len", "q_cap", "q_cap_nominal", "kmin", "kmax", "pmax",
               "_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops",
-              "_p_mark", "_srv_ratio", "q_switch", "_q_owner")
+              "_p_mark", "_srv_ratio", "q_switch", "_first_seen")
 #: ... and the columns of its flow table
 _PER_FLOW = ("f_src", "f_dst", "f_size", "f_remaining", "f_rate",
              "f_alpha", "f_active", "f_core", "f_path", "f_fid")
@@ -303,8 +303,10 @@ class TestShardedNetworkSurface:
         assert net._table.n_flows == [1, 1]
         assert net._table.rows("f_src")[:, 0].tolist() == [lo, hi]
         assert net._table.rows("f_fid")[:, 0].tolist() == [0, 1]
-        # both flows cross pods: each pod's sum reached a remote queue
-        assert net._last_boundary_rows > 0
+        # both flows cross pods: each reached its remote edge-down queue
+        for dst in (hi, lo):
+            q = net._q_edge_down(cfg.pod_of_host(dst), dst % cfg.hosts_per_pod)
+            assert net._acc_tx[q] > 0
 
     def test_set_ecn_reaches_only_that_switch(self):
         net = ShardedFluidNetwork(_small(), seed=0)
@@ -413,14 +415,66 @@ def test_flow_phase_matches_plain_loop_oracle(n_flows, seed, steps, hot):
     want_send, want_arrival = _flow_phase_oracle(net)
     tab, line = net._table, cfg.host_rate_bps / 8.0
     at = tab.active(net._owners)
-    send, arrival, _ = flow_phase(
-        tab.f_src[at], tab.f_rate[at], tab.f_path[at].T, line, cfg.n_hosts,
-        net.n_queues, owners=(at // tab.cap, net._q_owner))
+    path = tab.f_path[at].T
+    send, arrival, on_path = flow_phase(
+        tab.f_src[at], tab.f_rate[at], path, line, cfg.n_hosts,
+        net.n_queues, owners=(at // tab.cap, net._first_seen))
     assert send.tobytes() == want_send.tobytes()
     assert arrival.tobytes() == want_arrival.tobytes()
+    assert on_path.tolist() == [q for hop in path for q in hop if q >= 0]
+    assert (net._first_seen == np.iinfo(np.int32).max).all()   # reset
     per_host = np.bincount(tab.f_src[at], weights=send,
                            minlength=cfg.n_hosts)
     assert (per_host <= line * (1 + 1e-12)).all()
+
+
+#: fabrics for the routing fact: the test shapes and five pods of scale_xl
+_ROUTING_SHAPES = {
+    "small": FatTreeConfig.small(),
+    "four_pod": FatTreeConfig(),
+    "production_scale": FatTreeConfig.production_scale(),
+    "scale_xl_5pod": dataclasses.replace(FatTreeConfig.scale_xl(), n_pods=5),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(sorted(_ROUTING_SHAPES)),
+       fail=st.sampled_from([None, 0.3, 0.9]),
+       n_flows=st.integers(20, 120), seed=st.integers(0, 2**16))
+def test_other_pods_reach_a_queue_at_one_hop_after_its_own(shape, fail,
+                                                           n_flows, seed):
+    """The routing fact the flow phase's first-appearance merge rests on:
+    for every queue, the hops at which other pods' flows reach it are one
+    value, later than the first hop of the queue's own pod's flows.  Read
+    from the active paths with plain loops, after a ``fail_uplinks``
+    reroute (0.9 leaves pod pairs partitioned) and on flows routed after
+    it."""
+    cfg = _ROUTING_SHAPES[shape]
+    net = ShardedFluidNetwork(cfg, seed=0)
+    _load(net, cfg, n_flows=n_flows, seed=seed, spread=0.0)
+    net._step(cfg.step_dt)
+    if fail is not None:
+        net.fail_uplinks(fail, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    net.start_flows([Flow(n_flows + i, f"h{s}", f"h{(s + o) % cfg.n_hosts}",
+                          10**8, start_time=net.now)
+                     for i, (s, o) in enumerate(zip(
+                         rng.integers(cfg.n_hosts, size=n_flows),
+                         rng.integers(1, cfg.n_hosts, size=n_flows)))])
+    net._step(cfg.step_dt)
+    own_hops, other_hops = {}, {}
+    for pod, tab in enumerate(owner_tables(net)):
+        for i in tab.fid_at:
+            for hop, q in enumerate(tab.f_path[i].tolist()):
+                if q >= 0:
+                    own = q // net._pod_block == pod
+                    (own_hops if own else other_hops).setdefault(
+                        q, set()).add(hop)
+    assert other_hops
+    for q, hops in other_hops.items():
+        assert len(hops) == 1, (q, hops)
+        if q in own_hops:
+            assert min(own_hops[q]) < min(hops), (q, own_hops[q], hops)
 
 
 def _assert_no_active_flow_on_a_dead_uplink(net):

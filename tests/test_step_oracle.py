@@ -118,12 +118,13 @@ def _oracle_step(net, tables, queue_owner=None):
 
     # ---- arrivals: per (owner, queue) in hop-major table order, merged
     # into the queue own-owner-first, the others after it in owner order
-    partial = {}
+    partial, on_path_hops = {}, []
     for hop in range(tables[0].f_path.shape[1]):
         for f in flows:
             if hop < len(f["path"]):
                 key = f["owner"], f["path"][hop]
                 partial[key] = partial.get(key, 0.0) + f["send"]
+                on_path_hops.append(f["path"][hop])
     arrival = []
     for q in range(n_queues):
         total = partial.get((queue_owner[q], q), 0.0)
@@ -196,7 +197,7 @@ def _oracle_step(net, tables, queue_owner=None):
                   + survivors[int(rng.integers(len(survivors)))])
     return {"flows": flows, "queues": want, "finished": finished,
             "sample": sample, "send": [f["send"] for f in flows],
-            "arrival": arrival, "seen": seen,
+            "arrival": arrival, "on_path": on_path_hops, "seen": seen,
             "before": (len(net.finished_flows), len(net.latencies))}
 
 
@@ -234,11 +235,12 @@ def _solo_steps(n_flows, seed, steps):
         # the flow phase on its own, before the step consumes the state
         tab, = owner_tables(net)
         at = np.flatnonzero(tab.f_active)
-        send, arrival, _ = flow_phase(
+        send, arrival, on_path = flow_phase(
             tab.f_src[at], tab.f_rate[at], tab.f_path[at].T,
             CFG.host_rate_bps / 8.0, CFG.n_hosts, net.n_queues)
         assert send.tobytes() == np.array(want["send"]).tobytes()
         assert arrival.tobytes() == np.array(want["arrival"]).tobytes()
+        assert on_path.tolist() == want["on_path"]
         net.advance(CFG.step_dt)
         _assert_stepped(net, want)
         _merge(seen, want["seen"])
@@ -317,6 +319,8 @@ def _fattree_steps(n_flows, seed, steps):
         want = _oracle_step(net, owner_tables(net), queue_owner)
         net.advance(cfg.step_dt)
         _assert_stepped(net, want)
+        # the merge's first-appearance scratch is clean between steps
+        assert (net._first_seen == np.iinfo(np.int32).max).all()
         _merge(seen, want["seen"])
     return seen
 

@@ -53,6 +53,15 @@ class TestRoundtrip:
         with pytest.raises(ValueError):
             load_trace(str(path))
 
+    def test_nan_start_time_rejected(self, tmp_path):
+        """A ``nan`` cell once loaded: the sort ordered around it and the
+        flow stayed pending on a fluid network forever."""
+        path = tmp_path / "nan.csv"
+        path.write_text("flow_id,src,dst,size_bytes,start_time,tag\n"
+                        "1,h0,h2,500000,0.0,\n2,h1,h3,500000,nan,\n")
+        with pytest.raises(ValueError, match="start_time must be finite"):
+            load_trace(str(path))
+
     def test_replay_into_simulator(self, tmp_path):
         from repro.netsim.fluid import FluidConfig, FluidNetwork
         path = str(tmp_path / "replay.csv")
