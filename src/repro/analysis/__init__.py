@@ -27,8 +27,7 @@ from repro.analysis.convergence import (moving_average, recovery_time,
                                         settling_time)
 from repro.analysis.resilience import (fault_summary, first_fault_time,
                                        quarantine_spans, recovery_after)
-from repro.analysis.sweep import (SweepSpec, run_sweep,
-                                  run_sweep_report, sweep_table_rows)
+from repro.analysis.sweep import SweepSpec, run_sweep, sweep_table_rows
 
 __all__ = [
     "FCTStats", "fct_statistics", "normalized_fcts",
@@ -38,5 +37,5 @@ __all__ = [
     "format_table", "TimeSeriesRecorder",
     "moving_average", "recovery_time", "settling_time",
     "fault_summary", "first_fault_time", "quarantine_spans", "recovery_after",
-    "SweepSpec", "run_sweep", "run_sweep_report", "sweep_table_rows",
+    "SweepSpec", "run_sweep", "sweep_table_rows",
 ]

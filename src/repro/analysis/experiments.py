@@ -30,8 +30,9 @@ from repro.baselines.dynamic_ecn import AMTController, QAECNController
 from repro.baselines.static_ecn import secn1, secn2
 from repro.core.config import PETConfig
 from repro.core.pet import PETController
-from repro.core.training import (pretrain_offline_multi,
-                                 run_control_loop)
+from repro.core.training import (drive, lockstep_groups,
+                                 pretrain_offline_multi, run_control_loop)
+from repro.fingerprint import fingerprint
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
@@ -43,8 +44,7 @@ from repro.traffic.incast import IncastConfig, IncastGenerator
 from repro.traffic.workloads import workload_by_name
 
 __all__ = ["ScenarioConfig", "ExperimentResult", "build_scheme",
-           "run_scenario", "run_scenario_grid", "run_scenarios_batched",
-           "SCHEMES"]
+           "run_scenario", "run_scenario_grid", "SCHEMES"]
 
 SCHEMES = ("pet", "pet_ablated", "acc", "secn1", "secn2", "amt", "qaecn")
 
@@ -200,24 +200,19 @@ def _default_pet_config(cfg: ScenarioConfig) -> PETConfig:
 # --------------------------------------------------------------- pretraining
 #: in-process cache of offline-pretrained models, keyed by everything
 #: that affects the training run.
-_PRETRAIN_CACHE: Dict[tuple, object] = {}
+_PRETRAIN_CACHE: Dict[str, object] = {}
 
 
-def _pretrain_key(scheme: str, cfg: ScenarioConfig, pet_cfg: PETConfig) -> tuple:
-    if cfg.simulator == "fluid":
-        fabric = (cfg.fluid.n_spine, cfg.fluid.n_leaf,
-                  cfg.fluid.hosts_per_leaf, cfg.fluid.host_rate_bps)
-    elif cfg.simulator == "fluid_shard":
-        fabric = (cfg.fattree.n_pods, cfg.fattree.edge_per_pod,
-                  cfg.fattree.agg_per_pod, cfg.fattree.core_per_agg,
-                  cfg.fattree.hosts_per_edge, cfg.fattree.host_rate_bps)
-    else:
-        fabric = (cfg.packet.n_spine, cfg.packet.n_leaf,
-                  cfg.packet.hosts_per_leaf, cfg.packet.host_rate_bps)
-    return (scheme, cfg.simulator, fabric, cfg.workload, round(cfg.load, 3),
-            cfg.pretrain_intervals, cfg.seed, pet_cfg.beta1,
-            pet_cfg.use_incast, pet_cfg.use_flow_ratio, pet_cfg.action_mode,
-            pet_cfg.history_k)
+def _pretrain_key(scheme: str, cfg: ScenarioConfig, pet_cfg: PETConfig) -> str:
+    """Digest of everything the training run reads: the fabric, the
+    traffic, its length and Δt, the seed and the learning config (the
+    sanitizer only checks, so it is left out)."""
+    fabric = {"fluid": cfg.fluid, "fluid_shard": cfg.fattree,
+              "packet": cfg.packet}[cfg.simulator]
+    return fingerprint((scheme, cfg.simulator, fabric, cfg.workload, cfg.load,
+                        cfg.incast, cfg.incast_fan_in, cfg.incast_period,
+                        cfg.incast_bytes, cfg.pretrain_intervals, cfg.delta_t,
+                        cfg.seed, replace(pet_cfg, sanitize=False)))
 
 
 def clear_pretrain_cache() -> None:
@@ -267,8 +262,7 @@ def _cached_pretrain_acc(cfg: ScenarioConfig, controller: ACCController,
 @dataclass
 class _PreparedScenario:
     """A scenario after setup (network, traffic, pretrained controller),
-    before the measured run — the unit :func:`run_scenarios_batched`
-    steps as one batch replica."""
+    before the measured run — one replica of :func:`_measure`."""
 
     scheme: str
     cfg: ScenarioConfig
@@ -276,6 +270,7 @@ class _PreparedScenario:
     controller: object
     n_flows: int
     intervals: int
+    on_interval: Optional[Callable] = None
     queue_samples: List[float] = field(default_factory=list)
     utils: List[float] = field(default_factory=list)
 
@@ -283,16 +278,14 @@ class _PreparedScenario:
     def drain(self) -> int:
         return max(int(0.2 * self.intervals), 10)
 
-    def collector(self, on_interval: Optional[Callable] = None) -> Callable:
-        """The per-interval sampler the measured loop runs."""
-        def _collect(i: int, now: float, stats: Dict) -> None:
-            for st in stats.values():
-                self.queue_samples.append(st.avg_qlen_bytes)
-            u = [st.utilization for st in stats.values()]
-            self.utils.append(float(np.mean(u)) if u else 0.0)
-            if on_interval is not None:
-                on_interval(i, now, stats)
-        return _collect
+    def collect(self, i: int, now: float, stats: Dict) -> None:
+        """The per-interval sampler of the measured run."""
+        for st in stats.values():
+            self.queue_samples.append(st.avg_qlen_bytes)
+        u = [st.utilization for st in stats.values()]
+        self.utils.append(float(np.mean(u)) if u else 0.0)
+        if self.on_interval is not None:
+            self.on_interval(i, now, stats)
 
 
 def _setup_scenario(scheme: str, cfg: Optional[ScenarioConfig] = None, *,
@@ -358,6 +351,30 @@ def _finalize_scenario(prep: _PreparedScenario) -> ExperimentResult:
         queue_samples=prep.queue_samples, extra=extra)
 
 
+def _measure(preps: List[_PreparedScenario]) -> List[ExperimentResult]:
+    """The measured run plus drain of every prepared job, in job order.
+
+    Jobs whose networks :func:`repro.core.training.lockstep_groups` can
+    batch (solo fluid networks of one fabric, Δt and horizon) step as one
+    :class:`repro.netsim.batchfluid.BatchFluidNetwork`; every other job
+    runs solo.  Either way each job's result is bit-identical to its solo
+    run.
+    """
+    tr = get_tracer()
+    horizons = [(p.cfg.delta_t, p.intervals) for p in preps]
+    for stepper, group in lockstep_groups([p.net for p in preps], horizons):
+        jobs = [preps[k] for k in group]
+        first = jobs[0]
+        with tr.span("scenario.measure", scheme=first.scheme, jobs=len(jobs),
+                     intervals=first.intervals):
+            drive(stepper, [(p.net, p.controller, p.collect) for p in jobs],
+                  intervals=first.intervals, delta_t=first.cfg.delta_t)
+            # drain: let in-flight flows finish without new arrivals
+            drive(stepper, [(p.net, p.controller, None) for p in jobs],
+                  intervals=first.drain, delta_t=first.cfg.delta_t)
+    return [_finalize_scenario(p) for p in preps]
+
+
 def run_scenario(scheme: str, cfg: Optional[ScenarioConfig] = None, *,
                  pet_config: Optional[PETConfig] = None,
                  on_interval: Optional[Callable] = None,
@@ -381,98 +398,36 @@ def run_scenario(scheme: str, cfg: Optional[ScenarioConfig] = None, *,
     """
     prep = _setup_scenario(scheme, cfg, pet_config=pet_config,
                            network=network)
-
-    # ---- measured run -----------------------------------------------------
-    tr = get_tracer()
-    with tr.span("scenario.measure", scheme=scheme,
-                 intervals=prep.intervals):
-        run_control_loop(prep.net, prep.controller, intervals=prep.intervals,
-                         delta_t=prep.cfg.delta_t,
-                         on_interval=prep.collector(on_interval))
-        # drain: let in-flight flows finish without new arrivals
-        run_control_loop(prep.net, prep.controller, intervals=prep.drain,
-                         delta_t=prep.cfg.delta_t, on_interval=None)
-
-    return _finalize_scenario(prep)
-
-
-def run_scenarios_batched(jobs: List, *,
-                          pet_config: Optional[PETConfig] = None
-                          ) -> List[ExperimentResult]:
-    """Run ``(scheme, ScenarioConfig)`` jobs as one sim-as-batch program.
-
-    The sim-as-batch sibling of :func:`run_scenario_grid`: every job's
-    fluid simulator becomes one replica of a
-    :class:`repro.netsim.batchfluid.BatchFluidNetwork`, and the measured
-    runs + drains of all jobs advance with one vectorized kernel per Δt
-    instead of J separate processes.  Setup (traffic generation and the
-    cached offline pretraining) runs sequentially in job order, exactly
-    like a serial grid, so results are bit-identical to
-    ``run_scenario`` per job (``tests/test_sweep.py`` locks this down).
-
-    Jobs must share the fluid substrate, fabric shape, ``duration`` and
-    ``delta_t`` (sweeps substitute only scheme/load/workload, so grids
-    qualify); anything else raises
-    :class:`repro.netsim.batchfluid.BatchCompatError`.
-    """
-    from repro.core.training import run_control_loop_batched
-    from repro.netsim.batchfluid import BatchCompatError, BatchFluidNetwork
-
-    if not jobs:
-        return []
-    preps = [_setup_scenario(scheme, cfg, pet_config=pet_config)
-             for scheme, cfg in jobs]
-    for prep in preps:
-        if prep.cfg.simulator != "fluid":
-            raise BatchCompatError(
-                "run_scenarios_batched requires the fluid substrate; "
-                f"job {prep.scheme!r} uses {prep.cfg.simulator!r}")
-    horizons = {(p.intervals, p.cfg.delta_t) for p in preps}
-    if len(horizons) != 1:
-        raise BatchCompatError(
-            "batched scenarios must share duration and delta_t; got "
-            f"{sorted(horizons)}")
-    batch = BatchFluidNetwork.from_networks([p.net for p in preps])
-    controllers = [p.controller for p in preps]
-    tr = get_tracer()
-    with tr.span("scenario.measure_batched", jobs=len(preps),
-                 intervals=preps[0].intervals):
-        run_control_loop_batched(
-            batch, controllers, intervals=preps[0].intervals,
-            delta_t=preps[0].cfg.delta_t,
-            on_intervals=[p.collector() for p in preps])
-        # drain: let in-flight flows finish without new arrivals
-        run_control_loop_batched(
-            batch, controllers, intervals=preps[0].drain,
-            delta_t=preps[0].cfg.delta_t)
-    return [_finalize_scenario(p) for p in preps]
+    prep.on_interval = on_interval
+    return _measure([prep])[0]
 
 
 # --------------------------------------------------------------- grid fan-out
 def run_scenario_grid(jobs: List, *, workers: int = 1,
-                      engine=None, sim_batch: bool = False
+                      engine=None, sim_batch: bool = True
                       ) -> List[ExperimentResult]:
-    """Run many independent ``(scheme, ScenarioConfig)`` jobs, optionally
-    across worker processes.
+    """Run many independent ``(scheme, ScenarioConfig)`` jobs; results
+    come back in job order, each bit-identical to ``run_scenario``.
 
-    The figure-matrix analogue of :func:`repro.analysis.sweep.run_sweep`:
-    each job is one :class:`repro.parallel.TaskSpec` executed by the
-    rollout engine, results return in job order (the engine's ordered
-    merge), and a job whose worker dies is retried once before being
-    surfaced as a structured failure.  Serial runs (``workers=1``) share
-    the in-process pretraining cache; parallel workers each pay their
-    own pretraining (documented trade — see docs/PARALLEL.md).
+    The figure-matrix analogue of :func:`repro.analysis.sweep.run_sweep`.
+    With ``workers=1`` and no ``engine`` the jobs run in this process:
+    set up in job order (sharing the pretraining cache), then measured by
+    :func:`_measure`, which steps compatible fluid jobs as one batch.  A
+    failing job raises its own exception.  Otherwise each job is one
+    :class:`repro.parallel.TaskSpec` of ``engine`` (default: an
+    :class:`repro.parallel.Engine` of ``workers`` processes); each worker
+    pays its own pretraining, a job whose worker dies is retried once,
+    and failures surface as :class:`repro.parallel.TaskFailedError`.
 
-    ``sim_batch=True`` routes the grid through
-    :func:`run_scenarios_batched` instead (one in-process tensor
-    program, bit-identical results; ignores ``workers``).
+    ``sim_batch`` has one legal value, ``True``: batching follows from
+    the jobs themselves.
     """
+    if not sim_batch:
+        raise ValueError("sim_batch=True is the only legal value; "
+                         "compatible fluid jobs batch on their own")
+    if workers == 1 and engine is None:
+        return _measure([_setup_scenario(scheme, cfg) for scheme, cfg in jobs])
     from repro.parallel.engine import Engine, TaskSpec
-    if sim_batch:
-        if engine is not None:
-            raise ValueError("sim_batch=True runs in-process; pass "
-                             "engine=None (or drop sim_batch)")
-        return run_scenarios_batched(jobs)
     eng = engine if engine is not None else Engine(workers=workers)
     specs = [TaskSpec(task_id=i, fn=run_scenario, args=(scheme, cfg))
              for i, (scheme, cfg) in enumerate(jobs)]

@@ -2,15 +2,16 @@
 
 The evaluation grids of the paper (Figs. 4, 5, 8) are embarrassingly
 parallel: every cell is an independent simulation.  ``run_sweep``
-executes a grid either serially (sharing the in-process pretraining
-cache) or across worker processes through the
+executes a grid through
+:func:`repro.analysis.experiments.run_scenario_grid`: in-process
+(sharing the pretraining cache, compatible fluid cells stepping as one
+batch) or across worker processes through the
 :class:`repro.parallel.Engine` (each worker pays its own training, but
 wall-clock scales with cores — the right trade for wide grids on
-many-core machines).  Cells always come back in grid order — the
-engine's ordered merge makes parallel output element-for-element
-identical to the serial run — and a cell that dies in a worker is
-retried once, then surfaced as a structured
-:class:`repro.parallel.TaskFailure` instead of hanging the grid.
+many-core machines).  Cells always come back in grid order with values
+identical either way, and a cell that dies in a worker is retried once,
+then surfaced as a structured :class:`repro.parallel.TaskFailure`
+instead of hanging the grid.
 
 Results come back as flat records ready for
 :func:`repro.analysis.report.format_table`.
@@ -22,12 +23,10 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.experiments import (ScenarioConfig, run_scenario,
-                                        run_scenarios_batched)
-from repro.parallel.engine import Engine, EngineReport, TaskSpec
+from repro.analysis.experiments import ScenarioConfig, run_scenario_grid
+from repro.parallel.engine import Engine
 
-__all__ = ["SweepSpec", "SweepCell", "run_sweep", "run_sweep_report",
-           "sweep_table_rows"]
+__all__ = ["SweepSpec", "SweepCell", "run_sweep", "sweep_table_rows"]
 
 
 @dataclass(frozen=True)
@@ -55,33 +54,9 @@ class SweepCell:
     metrics: Dict[str, float]
 
 
-def _run_cell(args) -> SweepCell:
-    scheme, load, workload, base_cfg = args
-    cfg = replace(base_cfg, load=load, workload=workload)
-    result = run_scenario(scheme, cfg)
-    return SweepCell(scheme=scheme, load=load, workload=workload,
-                     metrics=result.summary_row())
-
-
-def run_sweep_report(spec: SweepSpec, base: Optional[ScenarioConfig] = None, *,
-                     workers: int = 1, engine: Optional[Engine] = None
-                     ) -> EngineReport:
-    """Run the grid through the rollout engine; returns the full report.
-
-    The report carries per-task wall times and structured failures on
-    top of the cell values.  Task ids follow :meth:`SweepSpec.cells`
-    order.
-    """
-    base = base or ScenarioConfig()
-    eng = engine if engine is not None else Engine(workers=workers)
-    specs = [TaskSpec(task_id=i, fn=_run_cell, args=((s, l, w, base),))
-             for i, (s, l, w) in enumerate(spec.cells())]
-    return eng.run(specs)
-
-
 def run_sweep(spec: SweepSpec, base: Optional[ScenarioConfig] = None, *,
-              workers: int = 1, engine: Optional[Engine] = None,
-              sim_batch: bool = False) -> List[SweepCell]:
+              workers: int = 1, engine: Optional[Engine] = None
+              ) -> List[SweepCell]:
     """Run every cell of the grid; cells return in grid order.
 
     Parameters
@@ -91,41 +66,27 @@ def run_sweep(spec: SweepSpec, base: Optional[ScenarioConfig] = None, *,
     base:
         Template scenario; load/workload are substituted per cell.
     workers:
-        1 = serial in-process (pretraining cache shared across cells);
-        >1 = a :class:`repro.parallel.Engine` process pool of that size.
+        1 = in-process (pretraining cache shared across cells, compatible
+        fluid cells stepped as one batch); >1 = a
+        :class:`repro.parallel.Engine` process pool of that size.
     engine:
         Pre-configured engine to use instead of ``workers`` (custom
         retry policy, queue depth, mp context).
-    sim_batch:
-        Step every cell's simulator as one replica of a
-        :class:`repro.netsim.batchfluid.BatchFluidNetwork` — the whole
-        grid's measured runs become one vectorized tensor program in
-        this process (setup and the shared pretraining cache behave
-        exactly like the serial path, and cell values are bit-identical
-        to it).  Requires the fluid substrate; ignores ``workers``.
 
     Raises
     ------
     repro.parallel.TaskFailedError
-        When any cell failed (after the engine's crash-retry); the
-        exception lists every structured failure.
-    repro.netsim.batchfluid.BatchCompatError
-        With ``sim_batch=True``, when cells cannot share a batch (e.g.
-        packet-simulator scenarios).
+        Through an engine, when any cell failed (after the engine's
+        crash-retry); the exception lists every structured failure.
+        In-process, a failing cell raises its own exception.
     """
-    if sim_batch:
-        if engine is not None:
-            raise ValueError("sim_batch=True runs in-process; pass "
-                             "engine=None (or drop sim_batch)")
-        base = base or ScenarioConfig()
-        cells = spec.cells()
-        jobs = [(s, replace(base, load=l, workload=w)) for s, l, w in cells]
-        results = run_scenarios_batched(jobs)
-        return [SweepCell(scheme=s, load=l, workload=w,
-                          metrics=res.summary_row())
-                for (s, l, w), res in zip(cells, results)]
-    return run_sweep_report(spec, base, workers=workers,
-                            engine=engine).values()
+    base = base or ScenarioConfig()
+    cells = spec.cells()
+    results = run_scenario_grid(
+        [(s, replace(base, load=l, workload=w)) for s, l, w in cells],
+        workers=workers, engine=engine)
+    return [SweepCell(scheme=s, load=l, workload=w, metrics=res.summary_row())
+            for (s, l, w), res in zip(cells, results)]
 
 
 def sweep_table_rows(cells: Sequence[SweepCell],

@@ -48,7 +48,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.experiments import (SCHEMES, ScenarioConfig,
-                                        run_scenario)
+                                        run_scenario_grid)
 from repro.analysis.report import format_result_rows
 from repro.devtools import sanitize
 from repro.netsim.fluid import FluidConfig
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repro.devtools.sanitize) for this run")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for the scheme fan-out "
-                        "(1 = serial in-process)")
+                        "(1 = in-process, compatible schemes batched)")
     return p
 
 
@@ -141,22 +141,12 @@ def _dispatch(argv: List[str]) -> int:
                              hosts_per_leaf=args.hosts_per_leaf,
                              host_rate_bps=10e9, spine_rate_bps=40e9)
         cfg = ScenarioConfig(fluid=fabric, **common)
-    rows = {}
-    if args.workers > 1 and len(args.scheme) > 1:
-        from repro.analysis.experiments import run_scenario_grid
-        print(f"running {len(args.scheme)} schemes across "
-              f"{args.workers} workers ...", file=sys.stderr)
-        results = run_scenario_grid([(s, cfg) for s in args.scheme],
-                                    workers=args.workers)
-        for scheme, r in zip(args.scheme, results):
-            rows[scheme] = r.summary_row()
-    else:
-        for scheme in args.scheme:
-            print(f"running {scheme} "
-                  f"({args.workload} @ {args.load:.0%}, "
-                  f"{args.duration * 1e3:.0f} ms) ...", file=sys.stderr)
-            r = run_scenario(scheme, cfg)
-            rows[scheme] = r.summary_row()
+    print(f"running {' '.join(args.scheme)} "
+          f"({args.workload} @ {args.load:.0%}, "
+          f"{args.duration * 1e3:.0f} ms) ...", file=sys.stderr)
+    results = run_scenario_grid([(s, cfg) for s in args.scheme],
+                                workers=args.workers)
+    rows = {s: r.summary_row() for s, r in zip(args.scheme, results)}
     print()
     print(format_result_rows(rows, [
         "overall_avg_fct", "mice_avg_fct", "mice_p99_fct",

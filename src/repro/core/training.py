@@ -2,32 +2,43 @@
 
 ``run_control_loop`` is the generic drive loop shared by training,
 evaluation and every benchmark: advance the simulator one Δt, read the
-per-switch statistics, let the controller decide, repeat.
+per-switch statistics, let the controller decide, repeat.  That tick is
+written once, in :func:`drive`, over the replicas one ``advance`` moves:
+``run_control_loop`` is its one-replica call, and a
+:class:`~repro.netsim.batchfluid.BatchFluidNetwork` that
+:func:`lockstep_groups` builds from R compatible fluid networks is its
+R-replica call.
 
 ``pretrain_offline`` reproduces the offline phase: a PET controller is
 trained against recorded/simulated traffic on a training fabric, and a
 *single* agent's parameters (the best-rewarded one) are exported as the
 initial model that deployment installs on every switch
-(:meth:`repro.core.pet.PETController.install_pretrained`).
+(:meth:`repro.core.pet.PETController.install_pretrained`).  Every
+pretraining entry point runs the one episode loop, :func:`_train`.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import PETConfig
 from repro.core.pet import PETController
+from repro.fingerprint import fingerprint
+from repro.netsim.batchfluid import BatchFluidNetwork
+from repro.netsim.ecn import SECN1
+from repro.netsim.fluid import FluidNetwork
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.parallel.seeding import current_task_seed, derive_seed, task_seed
 from repro.rl.checkpoint import CheckpointManager
 
-__all__ = ["LoopResult", "run_control_loop", "run_control_loop_batched",
+__all__ = ["LoopResult", "run_control_loop", "drive", "lockstep_groups",
            "pretrain_offline",
            "pretrain_offline_multi", "SeedRunResult", "pretrain_one_seed",
            "pretrain_multi_seed"]
@@ -35,11 +46,18 @@ __all__ = ["LoopResult", "run_control_loop", "run_control_loop_batched",
 
 @dataclass
 class LoopResult:
-    """Aggregates of one control-loop run."""
+    """Aggregates of one control-loop run.
+
+    The names predate what the fields hold and stay for their callers:
+    none of them is an RL reward.
+    """
 
     intervals: int
+    #: mean of :attr:`reward_trace` — the run's mean link utilization
     mean_reward: float
+    #: each switch's mean ``avg_qlen_bytes`` over the run's intervals
     rewards_per_switch: Dict[str, float]
+    #: per-interval mean link utilization over every switch's ports
     reward_trace: List[float] = field(default_factory=list)
     #: structured fault events (:class:`repro.resilience.log.FaultEvent`)
     #: collected from the chaos injector and/or the resilient guard.
@@ -62,6 +80,12 @@ def _collect_faults(controller, chaos) -> List:
     if len(logs) > 1:
         events.sort(key=lambda e: (e.time, e.seq, e.kind, e.switch or ""))
     return events
+
+
+def _scoped(seed: Optional[int]):
+    """``task_seed(seed)``; no context for ``None``, which would clear an
+    enclosing task's seed."""
+    return nullcontext() if seed is None else task_seed(seed)
 
 
 def run_control_loop(network, controller, *, intervals: int, delta_t: float,
@@ -88,136 +112,93 @@ def run_control_loop(network, controller, *, intervals: int, delta_t: float,
         ``on_interval`` keep observing the network's ground truth).  The
         injected/handled fault events land in :attr:`LoopResult.faults`.
     """
-    if intervals <= 0:
-        raise ValueError("intervals must be positive")
-    tr = get_tracer()
-    reg = get_registry()
-    trace: List[float] = []
-    per_switch: Dict[str, List[float]] = {}
-    for i in range(intervals):
-        with tr.span("loop.tick", interval=i, now=network.now):
-            if chaos is not None:
-                chaos.tick(network.now)
-            with tr.span("net.advance", interval=i):
-                network.advance(delta_t)
-            with tr.span("net.queue_stats", interval=i):
-                stats = network.queue_stats()
-            seen = (stats if chaos is None
-                    else chaos.filter_stats(stats, network.now))
-            with tr.span("controller.decide", interval=i):
-                controller.decide(seen, network.now, network)
-            util = [st.utilization for st in stats.values()]
-            mean_util = float(np.mean(util)) if util else 0.0
-            trace.append(mean_util)
-            for name, st in stats.items():
-                per_switch.setdefault(name, []).append(st.avg_qlen_bytes)
-            if reg:
-                reg.inc("loop.intervals")
-                reg.observe("loop.mean_utilization", mean_util)
-            if on_interval is not None:
-                on_interval(i, network.now, stats)
-    rewards = {k: float(np.mean(v)) for k, v in per_switch.items()}
-    return LoopResult(intervals=intervals,
-                      mean_reward=float(np.mean(trace)) if trace else 0.0,
-                      rewards_per_switch=rewards, reward_trace=trace,
-                      faults=_collect_faults(controller, chaos))
+    return drive(network, [(network, controller, on_interval)],
+                 intervals=intervals, delta_t=delta_t, chaos=chaos)[0]
 
 
-def run_control_loop_batched(batch, controllers: Sequence, *,
-                             intervals: int, delta_t: float,
-                             on_intervals: Optional[Sequence] = None,
-                             task_seeds: Optional[Sequence] = None
-                             ) -> List[LoopResult]:
-    """Drive R (controller, replica) pairs against one batched simulator.
+def drive(stepper, replicas: Sequence[Tuple], *, intervals: int,
+          delta_t: float, chaos=None,
+          task_seeds: Optional[Sequence[Optional[int]]] = None
+          ) -> List[LoopResult]:
+    """The control-loop tick, over the replicas one ``advance`` moves.
 
-    The sim-as-batch counterpart of :func:`run_control_loop`: ``batch``
-    is a :class:`repro.netsim.batchfluid.BatchFluidNetwork` whose
-    replica *r* is steered by ``controllers[r]``.  All replicas advance
-    with one vectorized kernel per Δt; the per-replica bookkeeping
-    (stats, decide, reward trace) then runs replica-major with exactly
-    :func:`run_control_loop`'s arithmetic, so each replica's
-    ``LoopResult`` is bit-identical to a solo run of the same pair.
-
-    ``task_seeds[r]`` (when given) scopes every replica-r call in
-    :func:`repro.parallel.seeding.task_seed`, mirroring how the rollout
-    engine seeds one task per replica on the per-process path.  Chaos
-    injection is not supported here — batch replicas steer faults
-    directly through ``batch.view(r)``.
+    ``replicas`` holds ``(network, controller, on_interval)`` triples and
+    ``stepper`` advances all their networks: the network itself for one
+    replica, or the :class:`~repro.netsim.batchfluid.BatchFluidNetwork`
+    whose views they are.  After each ``advance`` every replica in turn
+    reads its statistics, lets its controller decide and runs its
+    ``on_interval``, with the same arithmetic for any R, so a replica's
+    :class:`LoopResult` is bit-identical to its solo run.
+    ``task_seeds[r]``, when not None, scopes replica r's decide in
+    :func:`repro.parallel.seeding.task_seed`.
     """
     if intervals <= 0:
         raise ValueError("intervals must be positive")
-    R = len(batch)
-    if len(controllers) != R:
-        raise ValueError(f"need {R} controllers, got {len(controllers)}")
     tr = get_tracer()
     reg = get_registry()
-    seeds = task_seeds if task_seeds is not None else [None] * R
-    traces: List[List[float]] = [[] for _ in range(R)]
-    per_switch: List[Dict[str, List[float]]] = [{} for _ in range(R)]
+    seeds = task_seeds if task_seeds is not None else [None] * len(replicas)
+    traces: List[List[float]] = [[] for _ in replicas]
+    qlens: List[Dict[str, List[float]]] = [{} for _ in replicas]
     for i in range(intervals):
-        with tr.span("loop.tick_batched", interval=i, now=batch.now,
-                     replicas=R):
-            batch.advance(delta_t)
-            for r in range(R):
-                net = batch.view(r)
-                stats = net.queue_stats()
-                with task_seed(seeds[r]):
-                    controllers[r].decide(stats, net.now, net)
+        with tr.span("loop.tick", interval=i, now=stepper.now):
+            if chaos is not None:
+                chaos.tick(stepper.now)
+            with tr.span("net.advance", interval=i):
+                stepper.advance(delta_t)
+            for (net, controller, on_interval), seed, trace, qlen in zip(
+                    replicas, seeds, traces, qlens):
+                with tr.span("net.queue_stats", interval=i):
+                    stats = net.queue_stats()
+                seen = (stats if chaos is None
+                        else chaos.filter_stats(stats, net.now))
+                with tr.span("controller.decide", interval=i), _scoped(seed):
+                    controller.decide(seen, net.now, net)
                 util = [st.utilization for st in stats.values()]
                 mean_util = float(np.mean(util)) if util else 0.0
-                traces[r].append(mean_util)
+                trace.append(mean_util)
                 for name, st in stats.items():
-                    per_switch[r].setdefault(name, []).append(
-                        st.avg_qlen_bytes)
+                    qlen.setdefault(name, []).append(st.avg_qlen_bytes)
                 if reg:
                     reg.inc("loop.intervals")
                     reg.observe("loop.mean_utilization", mean_util)
-                if on_intervals is not None and on_intervals[r] is not None:
-                    on_intervals[r](i, net.now, stats)
-    return [LoopResult(intervals=intervals,
-                       mean_reward=float(np.mean(traces[r])) if traces[r]
-                       else 0.0,
+                if on_interval is not None:
+                    on_interval(i, net.now, stats)
+    return [LoopResult(intervals=intervals, mean_reward=float(np.mean(trace)),
                        rewards_per_switch={k: float(np.mean(v))
-                                           for k, v in per_switch[r].items()},
-                       reward_trace=traces[r],
-                       faults=_collect_faults(controllers[r], None))
-            for r in range(R)]
+                                           for k, v in qlen.items()},
+                       reward_trace=trace,
+                       faults=_collect_faults(controller, chaos))
+            for (_net, controller, _cb), trace, qlen in zip(
+                replicas, traces, qlens)]
 
 
-def pretrain_offline(make_network: Callable[[], object],
-                     config: Optional[PETConfig] = None, *,
-                     episodes: int = 3, intervals_per_episode: int = 200,
-                     seed: Optional[int] = None) -> Dict:
-    """Offline phase: train PET on simulated traffic, export one model.
+def lockstep_groups(nets: Sequence, horizons: Sequence
+                    ) -> List[Tuple[object, List[int]]]:
+    """Group networks into the steppers :func:`drive` advances.
 
-    ``make_network`` builds a fresh traffic-loaded simulator per episode
-    (the caller decides workload/load — typically the historical traffic
-    mix of the target data center, §4.4.1).
-
-    Returns the state dict of the best-performing agent, ready for
-    :meth:`PETController.install_pretrained`.
+    Every group of ≥2 solo fluid networks
+    (:class:`~repro.netsim.fluid.FluidNetwork`) that share ``horizons[k]``
+    (the Δt and interval counts they run for), their fabric config and
+    their virtual time steps as one
+    :class:`~repro.netsim.batchfluid.BatchFluidNetwork` — what
+    :meth:`~repro.netsim.batchfluid.BatchFluidNetwork.from_networks`
+    accepts, seeds, ECN rows, traffic and faults free to differ.  Any
+    other network (packet, fat-tree, its own horizon, a lone job) steps
+    alone.  Returns ``(stepper, indices)`` per group, in order of each
+    group's first member.
     """
-    net = make_network()
-    cfg = _resolve_config(config, seed)
-    controller = PETController(net.switch_names(), cfg)
-    controller.set_training(True)
-    for ep in range(episodes):
-        if ep > 0:
-            net = make_network()
-            controller.reset_episode()
-        run_control_loop(net, controller, intervals=intervals_per_episode,
-                         delta_t=cfg.delta_t)
-    # Export the agent with the best recent reward as the initial model.
-    # Note: reward magnitude tracks how congested a switch is, so the
-    # single-model export picks among the *congested* (leaf) agents —
-    # an idle spine earns a trivially high reward with an untrained
-    # policy.  Congestion is identified by the latency term: agents
-    # whose queues never built saw no learning signal.
-    informative = [s for s in controller.switches
-                   if controller.mean_recent_reward(s) < 0.98]
-    pool = informative or controller.switches
-    best = max(pool, key=lambda s: controller.mean_recent_reward(s))
-    return controller.trainer.agents[best].state_dict()
+    groups: Dict[object, List[int]] = {}
+    for k, (net, horizon) in enumerate(zip(nets, horizons)):
+        key: object = k                     # steps alone
+        if isinstance(net, FluidNetwork) and net._batch is None:
+            # each replica keeps its own ECN rows and flow capacity; the
+            # clocks must match bit for bit, as from_networks demands
+            shared = replace(net.config, default_ecn=SECN1,
+                             initial_flow_capacity=1)
+            key = (fingerprint(shared), net.now, horizon)
+        groups.setdefault(key, []).append(k)
+    return [(BatchFluidNetwork.from_networks([nets[k] for k in g])
+             if len(g) > 1 else nets[g[0]], g) for g in groups.values()]
 
 
 def _resolve_config(config: Optional[PETConfig],
@@ -239,39 +220,111 @@ def _resolve_config(config: Optional[PETConfig],
     return config
 
 
-def _run_training_episodes(controller: PETController,
-                           make_network: Callable[[], object],
-                           first_net, *, episodes: int,
-                           intervals_per_episode: int, delta_t: float,
-                           checkpoints: Optional["CheckpointManager"] = None,
-                           checkpoint_every: int = 500,
-                           done_intervals: int = 0) -> List[LoopResult]:
-    """Drive ``episodes`` training episodes; returns one LoopResult each."""
-    results: List[LoopResult] = []
+# --------------------------------------------------------------- pretraining
+@dataclass
+class _Trainee:
+    """One PET controller's offline run inside :func:`_train`."""
+
+    make_network: Callable[[], object]
+    config: PETConfig
+    #: scopes the trainee's setup and decides (what the engine does per task)
+    task_seed: Optional[int] = None
+    checkpoints: Optional[CheckpointManager] = None
+    #: first restore the newest intact checkpoint from ``checkpoints``
+    resume: bool = False
+    controller: Optional[PETController] = None
+    done_intervals: int = 0
+    episodes: List[LoopResult] = field(default_factory=list)
+
+    def checkpointer(self, base: int, every: int) -> Optional[Callable]:
+        if self.checkpoints is None:
+            return None
+        ckpt, controller = self.checkpoints, self.controller
+
+        def on_interval(i: int, now: float, stats: Dict) -> None:
+            if (i + 1) % every == 0:
+                ckpt.save(controller.state_dict(), base + i + 1)
+        return on_interval
+
+
+def _train(trainees: List[_Trainee], *, episodes: int,
+           intervals_per_episode: int,
+           checkpoint_every: int = 500) -> List[_Trainee]:
+    """The one offline episode loop, over any number of trainees.
+
+    Each episode every trainee gets a fresh network; the networks that
+    :func:`lockstep_groups` can batch step together.  Fills each
+    trainee's ``controller`` and ``episodes``.
+    """
     tr = get_tracer()
-    net = first_net
+    nets = []
+    for t in trainees:
+        with _scoped(t.task_seed):
+            nets.append(t.make_network())
+            t.controller = PETController(nets[-1].switch_names(), t.config)
+            t.controller.set_training(True)
+        if t.resume and t.checkpoints is not None:
+            resumed_step = t.checkpoints.restore_into(t.controller)
+            if resumed_step is not None:
+                t.controller.advance_exploration(resumed_step)
+                t.done_intervals = resumed_step
+    delta_ts = [t.config.delta_t for t in trainees]
     for ep in range(episodes):
         if ep > 0:
-            net = make_network()
-            controller.reset_episode()
-        get_registry().inc("train.episodes")
-        tr.event("train.episode", episode=ep,
-                 intervals=intervals_per_episode)
-        on_interval = None
-        if checkpoints is not None:
-            base = done_intervals + ep * intervals_per_episode
+            for k, t in enumerate(trainees):
+                with _scoped(t.task_seed):
+                    nets[k] = t.make_network()
+                    t.controller.reset_episode()
+        replicas = []
+        for k, t in enumerate(trainees):
+            get_registry().inc("train.episodes")
+            tr.event("train.episode", episode=ep,
+                     intervals=intervals_per_episode)
+            base = t.done_intervals + ep * intervals_per_episode
+            replicas.append((nets[k], t.controller,
+                             t.checkpointer(base, checkpoint_every)))
+        for stepper, group in lockstep_groups(nets, delta_ts):
+            results = drive(stepper, [replicas[k] for k in group],
+                            intervals=intervals_per_episode,
+                            delta_t=delta_ts[group[0]],
+                            task_seeds=[trainees[k].task_seed for k in group])
+            for k, res in zip(group, results):
+                trainees[k].episodes.append(res)
+    for t in trainees:
+        if t.checkpoints is not None:
+            t.checkpoints.save(t.controller.state_dict(), t.done_intervals
+                               + episodes * intervals_per_episode)
+    return trainees
 
-            def on_interval(i: int, now: float, stats: Dict,
-                            _base: int = base) -> None:
-                if (i + 1) % checkpoint_every == 0:
-                    checkpoints.save(controller.state_dict(), _base + i + 1)
-        results.append(run_control_loop(
-            net, controller, intervals=intervals_per_episode,
-            delta_t=delta_t, on_interval=on_interval))
-    if checkpoints is not None:
-        checkpoints.save(controller.state_dict(),
-                         done_intervals + episodes * intervals_per_episode)
-    return results
+
+def pretrain_offline(make_network: Callable[[], object],
+                     config: Optional[PETConfig] = None, *,
+                     episodes: int = 3, intervals_per_episode: int = 200,
+                     seed: Optional[int] = None) -> Dict:
+    """Offline phase: train PET on simulated traffic, export one model.
+
+    ``make_network`` builds a fresh traffic-loaded simulator per episode
+    (the caller decides workload/load — typically the historical traffic
+    mix of the target data center, §4.4.1).
+
+    Returns the state dict of the best-performing agent, ready for
+    :meth:`PETController.install_pretrained`.
+    """
+    (t,) = _train([_Trainee(make_network, _resolve_config(config, seed))],
+                  episodes=episodes,
+                  intervals_per_episode=intervals_per_episode)
+    controller = t.controller
+    # Export the agent with the best recent reward as the initial model.
+    # Note: reward magnitude tracks how congested a switch is, so the
+    # single-model export picks among the *congested* (leaf) agents —
+    # an idle spine earns a trivially high reward with an untrained
+    # policy.  Congestion is identified by the latency term: agents
+    # whose queues never built saw no learning signal.
+    informative = [s for s in controller.switches
+                   if controller.mean_recent_reward(s) < 0.98]
+    pool = informative or controller.switches
+    best = max(pool, key=lambda s: controller.mean_recent_reward(s))
+    return controller.trainer.agents[best].state_dict()
 
 
 def pretrain_offline_multi(make_network: Callable[[], object],
@@ -302,22 +355,12 @@ def pretrain_offline_multi(make_network: Callable[[], object],
     """
     if checkpoints is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    net = make_network()
-    cfg = _resolve_config(config, seed)
-    controller = PETController(net.switch_names(), cfg)
-    controller.set_training(True)
-    done_intervals = 0
-    if checkpoints is not None:
-        resumed_step = checkpoints.restore_into(controller)
-        if resumed_step is not None:
-            controller.advance_exploration(resumed_step)
-            done_intervals = resumed_step
-    _run_training_episodes(controller, make_network, net, episodes=episodes,
-                           intervals_per_episode=intervals_per_episode,
-                           delta_t=cfg.delta_t, checkpoints=checkpoints,
-                           checkpoint_every=checkpoint_every,
-                           done_intervals=done_intervals)
-    return controller.state_dict()
+    (t,) = _train([_Trainee(make_network, _resolve_config(config, seed),
+                            checkpoints=checkpoints, resume=True)],
+                  episodes=episodes,
+                  intervals_per_episode=intervals_per_episode,
+                  checkpoint_every=checkpoint_every)
+    return t.controller.state_dict()
 
 
 # --------------------------------------------------------------- multi-seed
@@ -340,6 +383,26 @@ class SeedRunResult:
         return float(np.mean(trace)) if trace else 0.0
 
 
+def _pretrain_seeds(make_network: Callable[[int], object],
+                    config: Optional[PETConfig], seeds: Sequence[int], *,
+                    episodes: int, intervals_per_episode: int,
+                    checkpoint_dir: Optional[str], checkpoint_every: int,
+                    checkpoint_keep: int = 3) -> List[SeedRunResult]:
+    """Train every seed in this process, each under its own task seed."""
+    trainees = [_Trainee(
+        partial(make_network, s), replace(config or PETConfig(), seed=s),
+        task_seed=s,
+        checkpoints=None if checkpoint_dir is None else CheckpointManager(
+            os.path.join(checkpoint_dir, f"seed-{s:08d}"),
+            keep=checkpoint_keep)) for s in seeds]
+    _train(trainees, episodes=episodes,
+           intervals_per_episode=intervals_per_episode,
+           checkpoint_every=checkpoint_every)
+    return [SeedRunResult(seed=s, state=t.controller.state_dict(),
+                          episodes=t.episodes)
+            for s, t in zip(seeds, trainees)]
+
+
 def pretrain_one_seed(make_network: Callable[[int], object],
                       config: Optional[PETConfig] = None, *,
                       seed: int, episodes: int = 1,
@@ -356,23 +419,11 @@ def pretrain_one_seed(make_network: Callable[[int], object],
     a per-seed subdirectory (``seed-{seed:08d}/``), so concurrent
     workers never contend for the same rotation.
     """
-    cfg = _resolve_config(config, seed)
-    if cfg.seed != seed:
-        cfg = replace(cfg, seed=seed)
-    net = make_network(seed)
-    controller = PETController(net.switch_names(), cfg)
-    controller.set_training(True)
-    checkpoints = None
-    if checkpoint_dir is not None:
-        checkpoints = CheckpointManager(
-            os.path.join(checkpoint_dir, f"seed-{seed:08d}"),
-            keep=checkpoint_keep)
-    episodes_out = _run_training_episodes(
-        controller, partial(make_network, seed), net, episodes=episodes,
-        intervals_per_episode=intervals_per_episode, delta_t=cfg.delta_t,
-        checkpoints=checkpoints, checkpoint_every=checkpoint_every)
-    return SeedRunResult(seed=seed, state=controller.state_dict(),
-                         episodes=episodes_out)
+    return _pretrain_seeds(make_network, config, [seed], episodes=episodes,
+                           intervals_per_episode=intervals_per_episode,
+                           checkpoint_dir=checkpoint_dir,
+                           checkpoint_every=checkpoint_every,
+                           checkpoint_keep=checkpoint_keep)[0]
 
 
 def pretrain_multi_seed(make_network: Callable[[int], object],
@@ -382,25 +433,19 @@ def pretrain_multi_seed(make_network: Callable[[int], object],
                         episodes: int = 1, intervals_per_episode: int = 1000,
                         workers: int = 1, engine=None,
                         checkpoint_dir: Optional[str] = None,
-                        checkpoint_every: int = 500,
-                        sim_batch: bool = False) -> List[SeedRunResult]:
-    """Fan independent per-seed offline trainings across workers.
+                        checkpoint_every: int = 500) -> List[SeedRunResult]:
+    """Independent per-seed offline trainings, one result per seed.
 
-    The multi-seed analogue of :func:`pretrain_offline_multi`: each seed
-    is one :class:`repro.parallel.TaskSpec` executed by the pluggable
-    ``engine`` (default: a fresh :class:`repro.parallel.Engine` with
-    ``workers`` processes).  Seeds default to the spawn-key derivation
-    ``derive_seed(seed_root, i)``; results come back ordered by task id,
-    so ``workers=1`` and ``workers=N`` return identical lists
+    The multi-seed analogue of :func:`pretrain_offline_multi`.  Seeds
+    default to the spawn-key derivation ``derive_seed(seed_root, i)``,
+    and results come back in seed order.  With ``workers=1`` and no
+    ``engine`` every seed trains in this process, under its own task
+    seed, and seeds whose networks :func:`lockstep_groups` can batch
+    step as one :class:`repro.netsim.batchfluid.BatchFluidNetwork`.
+    Otherwise each seed is one :class:`repro.parallel.TaskSpec` run by
+    ``engine`` (default: an :class:`repro.parallel.Engine` of
+    ``workers`` processes).  Both return identical lists
     (``tests/test_determinism.py`` locks this down).
-
-    ``sim_batch=True`` selects the sim-as-batch replica backend instead
-    of the process pool: all seeds' simulators step as one
-    :class:`repro.netsim.batchfluid.BatchFluidNetwork` tensor program
-    in this process.  Results are bit-identical to the per-process path
-    (``tests/test_training_helpers.py`` locks this down); it requires
-    ``make_network`` to build fluid-model networks of one shared fabric
-    shape and ignores ``workers``.
     """
     from repro.parallel.engine import Engine, TaskSpec
     if seeds is None:
@@ -410,14 +455,12 @@ def pretrain_multi_seed(make_network: Callable[[int], object],
     seeds = [int(s) for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    if sim_batch:
-        if engine is not None:
-            raise ValueError("sim_batch=True steps every seed in-process; "
-                             "pass engine=None (or drop sim_batch)")
-        return _pretrain_seeds_batched(
-            make_network, config, seeds=seeds, episodes=episodes,
-            intervals_per_episode=intervals_per_episode,
-            checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every)
+    if workers == 1 and engine is None:
+        return _pretrain_seeds(make_network, config, seeds,
+                               episodes=episodes,
+                               intervals_per_episode=intervals_per_episode,
+                               checkpoint_dir=checkpoint_dir,
+                               checkpoint_every=checkpoint_every)
     eng = engine if engine is not None else Engine(workers=workers)
     specs = [TaskSpec(task_id=i, fn=pretrain_one_seed,
                       args=(make_network, config),
@@ -428,84 +471,3 @@ def pretrain_multi_seed(make_network: Callable[[int], object],
                       seed=s)
              for i, s in enumerate(seeds)]
     return eng.run(specs).values()
-
-
-def _pretrain_seeds_batched(make_network: Callable[[int], object],
-                            config: Optional[PETConfig], *,
-                            seeds: Sequence[int], episodes: int,
-                            intervals_per_episode: int,
-                            checkpoint_dir: Optional[str],
-                            checkpoint_every: int,
-                            checkpoint_keep: int = 3) -> List[SeedRunResult]:
-    """Sim-as-batch body of :func:`pretrain_multi_seed`.
-
-    One replica per seed; per-replica setup/decide runs inside
-    ``task_seed(seed)`` exactly as the engine scopes one task per seed,
-    so every ``SeedRunResult`` is bit-identical to the per-process
-    path's.
-    """
-    from repro.netsim.batchfluid import BatchCompatError, BatchFluidNetwork
-    from repro.netsim.fluid import FluidNetwork
-    tr = get_tracer()
-    ctxs = []                       # (seed, cfg, controller, checkpoints)
-    nets = []
-    for s in seeds:
-        with task_seed(s):
-            cfg = _resolve_config(config, s)
-            if cfg.seed != s:
-                cfg = replace(cfg, seed=s)
-            net = make_network(s)
-            if not isinstance(net, FluidNetwork):
-                raise BatchCompatError(
-                    "sim_batch=True requires fluid-model networks "
-                    f"(got {type(net).__name__}); use the per-process "
-                    "path for other simulators")
-            controller = PETController(net.switch_names(), cfg)
-            controller.set_training(True)
-        checkpoints = None
-        if checkpoint_dir is not None:
-            checkpoints = CheckpointManager(
-                os.path.join(checkpoint_dir, f"seed-{s:08d}"),
-                keep=checkpoint_keep)
-        ctxs.append((s, cfg, controller, checkpoints))
-        nets.append(net)
-    delta_ts = {ctx[1].delta_t for ctx in ctxs}
-    if len(delta_ts) != 1:
-        raise BatchCompatError("sim_batch replicas must share delta_t")
-    delta_t = delta_ts.pop()
-    episodes_out: List[List[LoopResult]] = [[] for _ in seeds]
-    for ep in range(episodes):
-        if ep > 0:
-            nets = []
-            for s, cfg, controller, _ck in ctxs:
-                with task_seed(s):
-                    nets.append(make_network(s))
-                    controller.reset_episode()
-        batch = BatchFluidNetwork.from_networks(nets)
-        on_intervals = []
-        for s, cfg, controller, checkpoints in ctxs:
-            get_registry().inc("train.episodes")
-            tr.event("train.episode", episode=ep,
-                     intervals=intervals_per_episode, seed=s)
-            cb = None
-            if checkpoints is not None:
-                base = ep * intervals_per_episode
-
-                def cb(i: int, now: float, stats: Dict, _base: int = base,
-                       _ck=checkpoints, _ctrl=controller) -> None:
-                    if (i + 1) % checkpoint_every == 0:
-                        _ck.save(_ctrl.state_dict(), _base + i + 1)
-            on_intervals.append(cb)
-        results = run_control_loop_batched(
-            batch, [ctx[2] for ctx in ctxs],
-            intervals=intervals_per_episode, delta_t=delta_t,
-            on_intervals=on_intervals, task_seeds=list(seeds))
-        for r, res in enumerate(results):
-            episodes_out[r].append(res)
-    for s, _cfg, controller, checkpoints in ctxs:
-        if checkpoints is not None:
-            checkpoints.save(controller.state_dict(),
-                             episodes * intervals_per_episode)
-    return [SeedRunResult(seed=s, state=controller.state_dict(),
-                          episodes=episodes_out[r])
-            for r, (s, _cfg, controller, _ck) in enumerate(ctxs)]

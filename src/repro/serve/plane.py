@@ -1,7 +1,7 @@
 """The serving control plane: one tick loop, many policies, one fabric.
 
 :class:`ControlPlane` owns a simulated fabric and drives it tick by
-tick, the way :func:`repro.core.loop.run_control_loop` does for batch
+tick, the way :func:`repro.core.training.run_control_loop` does for batch
 experiments — but built to stay up: every registered policy runs behind
 the resilience guard, every ``decide`` is deadline-bounded on a worker
 thread against a :class:`~repro.serve.lifecycle.BufferedNetwork` (so a

@@ -62,7 +62,7 @@ class TestExitCodes:
         def explode(*_a, **_k):
             raise RuntimeError("simulated scenario crash")
 
-        monkeypatch.setattr(cli_mod, "run_scenario", explode)
+        monkeypatch.setattr(cli_mod, "run_scenario_grid", explode)
         rc = main(["--scheme", "secn1", "--duration", "0.01",
                    "--pretrain", "0", "--hosts-per-leaf", "2",
                    "--leaves", "2", "--spines", "1", "--no-incast"])

@@ -25,7 +25,9 @@ class TestPretrainKey:
 
     @pytest.mark.parametrize("field,value", [
         ("load", 0.31), ("workload", "datamining"),
-        ("pretrain_intervals", 99), ("seed", 5)])
+        ("pretrain_intervals", 99), ("seed", 5), ("incast", False),
+        ("incast_fan_in", 24), ("incast_period", 5e-3),
+        ("incast_bytes", 100_000), ("delta_t", 2e-3)])
     def test_scenario_fields_change_key(self, field, value):
         pet = PETConfig(seed=0)
         assert _pretrain_key("pet", cfg(), pet) != \
@@ -38,7 +40,8 @@ class TestPretrainKey:
 
     @pytest.mark.parametrize("field,value", [
         ("beta1", 0.7), ("use_incast", False), ("use_flow_ratio", False),
-        ("action_mode", "full"), ("history_k", 2)])
+        ("action_mode", "full"), ("history_k", 2), ("actor_lr", 1e-3),
+        ("update_interval", 7)])
     def test_learning_fields_change_key(self, field, value):
         base = PETConfig(seed=0)
         changed = replace(base, **{field: value} if field != "beta1"
@@ -53,6 +56,42 @@ class TestPretrainKey:
                                       spine_rate_bps=40e9))
         assert _pretrain_key("pet", cfg(), pet) != \
             _pretrain_key("pet", other, pet)
+        faster = cfg(fluid=replace(cfg().fluid, spine_rate_bps=80e9))
+        assert _pretrain_key("pet", cfg(), pet) != \
+            _pretrain_key("pet", faster, pet)
+
+    def test_sanitizer_and_untrained_fields_keep_key(self):
+        pet = PETConfig(seed=0)
+        assert _pretrain_key("pet", cfg(), pet) == _pretrain_key(
+            "pet", cfg(duration=0.5, online_training=False),
+            replace(pet, sanitize=True))
+
+
+class TestPretrainCache:
+    def test_incast_fan_in_trains_its_own_model(self, monkeypatch):
+        """Fan-in 8 and 24 must not share one cached model; a repeat of
+        either config still hits the cache."""
+        import repro.analysis.experiments as ex
+        from repro.fingerprint import fingerprint
+        trained = []
+        train = ex.pretrain_offline_multi
+
+        def spy(*args, **kwargs):
+            trained.append(1)
+            return train(*args, **kwargs)
+        monkeypatch.setattr(ex, "pretrain_offline_multi", spy)
+        pet = PETConfig.fast(update_interval=5, seed=3)
+        low, high = (cfg(incast_fan_in=f, incast_period=5e-3, seed=3,
+                         pretrain_intervals=20) for f in (2, 3))
+        ex.clear_pretrain_cache()
+        a = ex._cached_pretrain("pet", low, pet)
+        b = ex._cached_pretrain("pet", high, pet)
+        assert len(trained) == 2
+        assert fingerprint(a) != fingerprint(b)
+        assert ex._cached_pretrain("pet", low, pet) is a
+        assert ex._cached_pretrain("pet", high, pet) is b
+        assert len(trained) == 2
+        ex.clear_pretrain_cache()
 
 
 class TestDefaultPetConfig:
