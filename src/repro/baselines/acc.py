@@ -69,7 +69,6 @@ class ACCController:
         self.switches = list(switch_names)
         self.codec = ActionCodec.from_config(base)
         self.observer = FleetObserver(self.switches, base)
-        self.reward = self.observer.reward
         self.ecn_cm = {s: ECNConfigModule(s, self.codec, base.delta_t)
                        for s in self.switches}
         rng = np.random.default_rng(self.config.seed)

@@ -51,10 +51,3 @@ class ECNConfigModule:
         self.last_applied_time = now
         self.applied += 1
         return config
-
-    def force(self, config: ECNConfig, now: float, network) -> None:
-        """Apply an explicit configuration (initialization path)."""
-        network.set_ecn(self.switch, config)
-        self.current = config
-        self.last_applied_time = now
-        self.applied += 1

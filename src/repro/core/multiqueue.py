@@ -17,7 +17,11 @@ hot and cold queues of the same switch get different thresholds.
 The NCM stays switch-level: incast degree and the mice/elephant ratio
 aggregate "information from all queues … to provide input to the reward
 generator" exactly as §4.5.2 prescribes; the per-queue rows carry the
-queue-local features (qlen, txRate, txRate^(m), ECN^(c)).
+queue-local features (qlen, txRate, txRate^(m), ECN^(c)).  Both levels
+run on the fleet forms PET observes through: one
+:class:`~repro.core.ncm.FleetNCM` row per switch, and one
+:class:`~repro.core.state.TelemetryColumns` → state matrix → history
+row → Eq. 6 reward per queue.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ import numpy as np
 
 from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
-from repro.core.ncm import NetworkConditionMonitor
+from repro.core.ncm import FleetNCM
+from repro.core.pet import ppo_config
 from repro.core.reward import RewardComputer
-from repro.core.state import HistoryWindow, StateBuilder
+from repro.core.state import HistoryWindow, StateBuilder, TelemetryColumns
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.network import QueueStats
+from repro.rl.ippo import IPPOTrainer
 from repro.rl.policy import ExplorationSchedule
-from repro.rl.ppo import PPOAgent, PPOConfig
 
 __all__ = ["MultiQueuePETController"]
 
@@ -50,6 +55,10 @@ class MultiQueuePETController:
         port_stats = net.port_stats()
         switch_stats = net.queue_stats()       # also resets the interval
         controller.decide(port_stats, switch_stats, net.now, net)
+
+    The queues of the first ``port_stats`` are the rows of the input
+    matrix for the controller's lifetime; a later interval may report
+    fewer of them, but none it did not report then.
     """
 
     def __init__(self, switch_names: List[str],
@@ -62,24 +71,16 @@ class MultiQueuePETController:
         self.codec = ActionCodec.from_config(cfg)
         self.state_builder = StateBuilder(cfg)
         self.reward = RewardComputer(cfg)
-        self.ncm: Dict[str, NetworkConditionMonitor] = {
-            s: NetworkConditionMonitor(s, cfg) for s in self.switches}
-        obs_dim = cfg.history_k * cfg.n_state_features
-        self.agents: Dict[str, PPOAgent] = {}
-        for i, s in enumerate(self.switches):
-            seed = None if cfg.seed is None else cfg.seed + i
-            self.agents[s] = PPOAgent(PPOConfig(
-                obs_dim=obs_dim, n_actions=self.codec.n_actions,
-                hidden=cfg.hidden, actor_lr=cfg.actor_lr,
-                critic_lr=cfg.critic_lr, gamma=cfg.gamma,
-                gae_lambda=cfg.gae_lambda, clip_eps=cfg.clip_eps,
-                entropy_coef=cfg.entropy_coef, epochs=cfg.ppo_epochs,
-                minibatch_size=cfg.minibatch_size, seed=seed))
+        self.ncm = FleetNCM(self.switches, cfg)
+        self.trainer = IPPOTrainer(self.switches,
+                                   ppo_config(cfg, self.codec.n_actions))
+        self.agents = self.trainer.agents
         self.exploration: Dict[str, ExplorationSchedule] = {
             s: ExplorationSchedule(cfg.explore_eps0, cfg.decay_rate,
                                    cfg.decay_step) for s in self.switches}
-        #: per-queue feature history (a row of the input matrix each)
-        self.history: Dict[QueueKey, HistoryWindow] = {}
+        #: per-queue feature history, a row of the input matrix each
+        self.history: Optional[HistoryWindow] = None
+        self._port_row: Dict[QueueKey, int] = {}
         self.training = True
         self._pending: Dict[QueueKey, dict] = {}
         self._steps = 0
@@ -87,37 +88,38 @@ class MultiQueuePETController:
     def set_training(self, training: bool) -> None:
         self.training = training
 
-    def _history_for(self, key: QueueKey) -> HistoryWindow:
-        w = self.history.get(key)
-        if w is None:
-            w = HistoryWindow(self.config.history_k)
-            self.history[key] = w
-        return w
-
     def decide(self, port_stats: Dict[QueueKey, QueueStats],
                switch_stats: Dict[str, QueueStats], now: float,
                network) -> Dict[QueueKey, ECNConfig]:
         """One tuning interval: per-queue actions from per-switch models."""
+        cfg = self.config
+        if self.history is None:        # the first interval lays out the rows
+            self._port_row = {key: i for i, key in enumerate(port_stats)}
+            self.history = HistoryWindow(cfg.history_k, cfg.n_state_features,
+                                         rows=len(self._port_row))
         # switch-level analysis feeds every row of that switch's matrix
-        analysis = {}
-        for s in self.switches:
-            st = switch_stats.get(s)
-            if st is not None:
-                analysis[s] = self.ncm[s].ingest(st, now)
-
+        found = [(i, st) for i, st in enumerate(map(switch_stats.get,
+                                                    self.switches))
+                 if st is not None]
+        if found:
+            incast, ratio, _ = self.ncm.ingest(
+                [st for _, st in found], np.array([i for i, _ in found]))
+        present = {self.switches[i]: j for j, (i, _) in enumerate(found)}
+        keys = [key for key in port_stats if key[0] in present]
         obs_now: Dict[QueueKey, np.ndarray] = {}
         rewards: Dict[QueueKey, float] = {}
-        for key, st in port_stats.items():
-            s = key[0]
-            if s not in analysis:
-                continue
-            a = analysis[s]
-            features = self.state_builder.build(st, a.incast_degree,
-                                                a.flow_ratio)
-            w = self._history_for(key)
-            w.push(features)
-            obs_now[key] = w.observation()
-            rewards[key] = self.reward.compute(st)
+        if keys:
+            try:
+                rows = np.array([self._port_row[key] for key in keys])
+            except KeyError as exc:
+                raise ValueError(f"queue {exc.args[0]} was not in the first "
+                                 "interval's port_stats") from None
+            at = np.array([present[key[0]] for key in keys])
+            cols = TelemetryColumns([port_stats[key] for key in keys])
+            self.history.push(self.state_builder.build_fleet(
+                cols, incast[at], ratio[at]), rows)
+            obs_now = dict(zip(keys, self.history.observation(rows)))
+            rewards = dict(zip(keys, self.reward.compute_fleet(cols).tolist()))
 
         if self.training:
             for key, pending in list(self._pending.items()):
@@ -128,9 +130,8 @@ class MultiQueuePETController:
                                            pending["log_prob"],
                                            pending["value"])
             self._steps += 1
-            if self._steps % self.config.update_interval == 0:
-                for agent in self.agents.values():
-                    agent.update()
+            if self._steps % cfg.update_interval == 0:
+                self.trainer.update()
 
         applied: Dict[QueueKey, ECNConfig] = {}
         eps = {s: (self.exploration[s].step() if self.training else 0.0)
@@ -140,9 +141,9 @@ class MultiQueuePETController:
             decision = self.agents[s].act(obs, epsilon=eps[s],
                                           greedy=not self.training)
             self._pending[key] = {"obs": obs, **decision}
-            cfg = self.codec.decode(int(decision["action"]))
-            network.set_ecn_port(s, key[1], cfg)
-            applied[key] = cfg
+            ecn = self.codec.decode(int(decision["action"]))
+            network.set_ecn_port(s, key[1], ecn)
+            applied[key] = ecn
         return applied
 
     def advance_exploration(self, steps: int) -> None:
@@ -150,8 +151,7 @@ class MultiQueuePETController:
             sched.t += max(steps, 0)
 
     def state_dict(self) -> Dict[str, Dict]:
-        return {s: a.state_dict() for s, a in self.agents.items()}
+        return self.trainer.state_dict()
 
     def load_state_dict(self, state: Dict[str, Dict]) -> None:
-        for s, st in state.items():
-            self.agents[s].load_state_dict(st)
+        self.trainer.load_state_dict(state)

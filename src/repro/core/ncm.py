@@ -25,13 +25,12 @@ Every switch runs one NCM, and the NCM plays three roles:
 
 The monitors of a fleet are independent but tick together, so
 :class:`FleetNCM` keeps all their windows in one columnar table and does
-each role once per tick for every switch; a
-:class:`NetworkConditionMonitor` is a fleet of one.
+each role once per tick for every switch that reported — one switch's
+monitor is a fleet of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -40,23 +39,13 @@ from repro.core.config import PETConfig
 from repro.netsim.flow import MICE_ELEPHANT_THRESHOLD
 from repro.obs.metrics import get_registry
 from repro.netsim.network import QueueStats
-from repro.netsim.queueing import FlowObservation
 
-__all__ = ["NCMAnalysis", "FleetNCM", "NetworkConditionMonitor"]
+__all__ = ["FleetNCM"]
 
 #: rough resident size of one retained observation
 _ENTRY_BYTES = 48
 #: rows of the window table
 _SW, _FID, _SRC, _DST, _ELEPHANT, _SLOT = range(6)
-
-
-@dataclass(frozen=True)
-class NCMAnalysis:
-    """Output of the computation-and-analysis module for one slot."""
-
-    incast_degree: int
-    flow_ratio: float
-    n_flows_observed: int
 
 
 def _ends_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
@@ -271,49 +260,3 @@ class FleetNCM:
         self._live[:, rows] &= kept[:, rows]
         self._drop(gone)
         self.cleanups_threshold[rows] += 1
-
-
-class NetworkConditionMonitor:
-    """One switch's monitor on its own — a :class:`FleetNCM` of one."""
-
-    def __init__(self, switch: str, config: PETConfig) -> None:
-        self.switch = switch
-        self.config = config
-        self.fleet = FleetNCM([switch], config)
-
-    def ingest(self, stats: QueueStats, now: float) -> NCMAnalysis:
-        """Record one interval's observations and analyze them."""
-        if stats.switch != self.switch:
-            raise ValueError(f"NCM for {self.switch} fed stats of {stats.switch}")
-        return self._only(self.fleet.ingest([stats], np.array([0])))
-
-    def _analyze(self) -> NCMAnalysis:
-        return self._only(self.fleet.analyze())
-
-    @staticmethod
-    def _only(columns: Tuple[np.ndarray, ...]) -> NCMAnalysis:
-        return NCMAnalysis(*(column[0].item() for column in columns))
-
-    @staticmethod
-    def compute_incast_degree(obs: Dict[int, FlowObservation]) -> int:
-        """Max distinct senders converging on a single receiver."""
-        senders_by_dst: Dict[object, set] = {}
-        for o in obs.values():
-            senders_by_dst.setdefault(o.dst, set()).add(o.src)
-        if not senders_by_dst:
-            return 0
-        return max(len(s) for s in senders_by_dst.values())
-
-    # -- introspection --------------------------------------------------------------
-    def __getattr__(self, name: str) -> int:
-        if name in ("cleanups_scheduled", "cleanups_threshold",
-                    "entries_pruned"):
-            return int(getattr(self.fleet, name)[0])
-        raise AttributeError(name)
-
-    def memory_bytes(self) -> int:
-        """Rough resident size of retained observations (~48 B each)."""
-        return int(self.fleet.memory_bytes()[0])
-
-    def retained_slots(self) -> int:
-        return int(self.fleet.retained_slots()[0])

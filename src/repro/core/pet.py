@@ -37,7 +37,19 @@ from repro.rl.ippo import IPPOTrainer
 from repro.rl.policy import ExplorationSchedule
 from repro.rl.ppo import PPOConfig
 
-__all__ = ["PETController"]
+__all__ = ["PETController", "ppo_config"]
+
+
+def ppo_config(cfg: PETConfig, n_actions: int) -> PPOConfig:
+    """The hyperparameters of every switch's learner (the trainer seeds
+    switch ``i`` with ``cfg.seed + i``)."""
+    return PPOConfig(obs_dim=cfg.history_k * cfg.n_state_features,
+                     n_actions=n_actions, hidden=cfg.hidden,
+                     actor_lr=cfg.actor_lr, critic_lr=cfg.critic_lr,
+                     gamma=cfg.gamma, gae_lambda=cfg.gae_lambda,
+                     clip_eps=cfg.clip_eps, entropy_coef=cfg.entropy_coef,
+                     epochs=cfg.ppo_epochs, minibatch_size=cfg.minibatch_size,
+                     seed=cfg.seed)
 
 
 class PETController:
@@ -52,19 +64,10 @@ class PETController:
         self.switches = list(switch_names)
         self.codec = ActionCodec.from_config(cfg)
         self.observer = FleetObserver(self.switches, cfg)
-        self.reward = self.observer.reward
         self.ecn_cm: Dict[str, ECNConfigModule] = {
             s: ECNConfigModule(s, self.codec, cfg.delta_t) for s in self.switches}
-        obs_dim = cfg.history_k * cfg.n_state_features
-        ppo_cfg = PPOConfig(obs_dim=obs_dim, n_actions=self.codec.n_actions,
-                            hidden=cfg.hidden, actor_lr=cfg.actor_lr,
-                            critic_lr=cfg.critic_lr, gamma=cfg.gamma,
-                            gae_lambda=cfg.gae_lambda, clip_eps=cfg.clip_eps,
-                            entropy_coef=cfg.entropy_coef,
-                            epochs=cfg.ppo_epochs,
-                            minibatch_size=cfg.minibatch_size,
-                            seed=cfg.seed)
-        self.trainer = IPPOTrainer(self.switches, ppo_cfg)
+        self.trainer = IPPOTrainer(self.switches,
+                                   ppo_config(cfg, self.codec.n_actions))
         self.exploration: Dict[str, ExplorationSchedule] = {
             s: ExplorationSchedule(cfg.explore_eps0, cfg.decay_rate,
                                    cfg.decay_step) for s in self.switches}

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.core.config import PETConfig
 from repro.core.state import TelemetryColumns
-from repro.netsim.network import QueueStats
 
 __all__ = ["RewardComputer", "REWARD_LOG_LEN"]
 
@@ -35,39 +34,22 @@ REWARD_LOG_LEN = 1024
 
 
 class RewardComputer:
-    """Computes per-switch rewards from interval statistics."""
+    """Computes per-switch (or per-queue) rewards from interval statistics."""
 
     def __init__(self, config: PETConfig) -> None:
         self.config = config
 
-    def throughput_term(self, stats: QueueStats) -> float:
-        """T = txRate / BW, clamped to [0, 1]."""
-        return stats.utilization
-
-    def latency_term(self, stats: QueueStats) -> float:
-        """La: bounded by default, literal 1/qlen when configured.
-
-        The switch statistics aggregate every egress queue, so the
-        occupancy is first normalized per queue — Eq. 8's
-        ``queueLength_avg`` is a per-queue quantity.
-        """
-        avg_q = max(stats.avg_qlen_per_queue, 0.0)
-        if self.config.raw_reciprocal_reward:
-            # Literal Eq. 8 with a floor of one MTU to avoid division by 0.
-            return 1.0 / max(avg_q, 1_000.0) * 1_000.0
-        ref = max(self.config.reward_qlen_ref_bytes, 1.0)
-        return 1.0 / (1.0 + avg_q / ref)
-
-    def compute(self, stats: QueueStats) -> float:
-        """r = beta1*T + beta2*La (Eq. 6)."""
-        return (self.config.beta1 * self.throughput_term(stats)
-                + self.config.beta2 * self.latency_term(stats))
-
     def compute_fleet(self, cols: TelemetryColumns) -> np.ndarray:
-        """:meth:`compute` for every record of ``cols`` at once."""
+        """r = beta1*T + beta2*La (Eq. 6) for every record of ``cols``.
+
+        T is the utilization, clamped to [0, 1].  A record may aggregate
+        several egress queues, so La's occupancy is first normalized per
+        queue — Eq. 8's ``queueLength_avg`` is a per-queue quantity.
+        """
         cfg = self.config
         avg_q = np.maximum(cols.avg_qlen_per_queue, 0.0)
         if cfg.raw_reciprocal_reward:
+            # literal Eq. 8 with a floor of one MTU against division by 0
             latency = 1.0 / np.maximum(avg_q, 1_000.0) * 1_000.0
         else:
             latency = 1.0 / (1.0 + avg_q / max(cfg.reward_qlen_ref_bytes, 1.0))

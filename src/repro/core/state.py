@@ -15,15 +15,14 @@ last ``k`` slots are stacked into the sequence state s'_t (Eq. 3).
 The Fig. 9 ablation zero-masks D_incast / R_flow rather than dropping
 them, so network shapes are identical across arms.
 
-A fleet of switches is normalized and stacked a column at a time
+Records are normalized and stacked a column at a time
 (:class:`TelemetryColumns`, :meth:`StateBuilder.build_fleet`, a
-:class:`HistoryWindow` of many rows); the per-record forms are what the
-columns are checked against, element by element.
+:class:`HistoryWindow` of one row per switch or queue); the tests check
+the columns against Eq. 2-3 written out per record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
@@ -32,29 +31,11 @@ import numpy as np
 from repro.core.config import PETConfig
 from repro.netsim.network import QueueStats
 
-__all__ = ["StateFeatures", "TelemetryColumns", "StateBuilder",
-           "HistoryWindow"]
+__all__ = ["TelemetryColumns", "StateBuilder", "HistoryWindow"]
 
 _SCALARS = attrgetter("qlen_bytes", "tx_bytes", "tx_marked_bytes",
                       "capacity_bps", "interval", "avg_qlen_bytes",
                       "n_queues", "ecn")
-
-
-@dataclass(frozen=True)
-class StateFeatures:
-    """One normalized state tuple (all in ~[0, 1])."""
-
-    qlen: float          # queue occupancy / qlen_norm
-    tx_rate: float       # txRate / BW
-    tx_marked_rate: float  # txRate^(m) / BW
-    ecn_threshold: float   # Kmax / qlen_norm
-    incast_degree: float   # senders-to-one-receiver / incast_norm
-    flow_ratio: float      # mice / (mice + elephant)
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.qlen, self.tx_rate, self.tx_marked_rate,
-                         self.ecn_threshold, self.incast_degree,
-                         self.flow_ratio], dtype=np.float64)
 
 
 class TelemetryColumns:
@@ -92,37 +73,13 @@ class StateBuilder:
     def __init__(self, config: PETConfig) -> None:
         self.config = config
 
-    def build(self, stats: QueueStats, incast_degree: float,
-              flow_ratio: float) -> StateFeatures:
-        """Normalize one slot's raw observations.
-
-        ``incast_degree`` and ``flow_ratio`` come from the NCM's
-        computation-and-analysis module; the rest from the switch.
-        """
-        cfg = self.config
-        qn = max(cfg.qlen_norm_bytes, 1.0)
-        qlen = min(stats.qlen_bytes / qn, 1.0)
-        bw = max(stats.capacity_bps, 1.0)
-        tx = min(stats.tx_rate_bps / bw, 1.0)
-        txm = min(stats.tx_marked_rate_bps / bw, 1.0)
-        ecn = 0.0
-        if stats.ecn is not None:
-            ecn = min(stats.ecn.kmax_bytes / qn, 1.0)
-        inc = min(incast_degree / max(cfg.incast_norm, 1.0), 1.0)
-        ratio = float(np.clip(flow_ratio, 0.0, 1.0))
-        if not cfg.use_incast:       # Fig. 9 ablation arms
-            inc = 0.0
-        if not cfg.use_flow_ratio:
-            ratio = 0.0
-        return StateFeatures(qlen=qlen, tx_rate=tx, tx_marked_rate=txm,
-                             ecn_threshold=ecn, incast_degree=inc,
-                             flow_ratio=ratio)
-
     def build_fleet(self, cols: TelemetryColumns, incast_degree: np.ndarray,
                     flow_ratio: np.ndarray) -> np.ndarray:
-        """:meth:`build` for every record of ``cols`` at once: the
-        ``(records, 6)`` feature matrix, each row equal to
-        ``build(record, …).to_array()``."""
+        """Normalize one slot of every record of ``cols``: the
+        ``(records, 6)`` matrix of ``(qlen, txRate, txRate^(m), ECN^(c),
+        D_incast, R_flow)``, each clamped to [0, 1].  ``incast_degree``
+        and ``flow_ratio`` (one per record) come from the NCM's
+        computation-and-analysis module; the rest from the records."""
         cfg = self.config
         qn = max(cfg.qlen_norm_bytes, 1.0)
         bw = np.maximum(cols.capacity_bps, 1.0)
@@ -142,7 +99,7 @@ class StateBuilder:
 
 class HistoryWindow:
     """Fixed-length state history: s'_t = {s_{t-k+1}, ..., s_t} (Eq. 3),
-    for one switch or, with ``rows``, for a fleet at once.
+    one row per switch (or queue) of a fleet.
 
     Until ``k`` slots have been observed the window is left-padded with
     zeros, so the observation dimension is constant (= 6k) from the very
@@ -158,12 +115,11 @@ class HistoryWindow:
         self._buf = np.zeros((rows, k * n_features))
         self._pushed = np.zeros(rows, dtype=np.int64)
 
-    def push(self, features: StateFeatures | np.ndarray,
+    def push(self, features: np.ndarray,
              rows: slice | np.ndarray = slice(None)) -> None:
         """Append one slot to ``rows`` (default all): a feature vector, or
         a matrix with one row each."""
-        arr = features.to_array() if isinstance(features, StateFeatures) \
-            else np.asarray(features, dtype=np.float64)
+        arr = np.asarray(features, dtype=np.float64)
         if arr.shape[-1:] != (self.n_features,):
             raise ValueError(f"expected {self.n_features} features, "
                              f"got shape {arr.shape}")
@@ -172,13 +128,11 @@ class HistoryWindow:
         self._buf[rows, -n:] = arr
         self._pushed[rows] += 1
 
-    def observation(self, rows: slice | np.ndarray | None = None
+    def observation(self, rows: slice | np.ndarray = slice(None)
                     ) -> np.ndarray:
         """Concatenated window, oldest first, zero-padded when young: a
-        fresh vector for a one-row window, one row per ``rows`` else."""
-        if rows is None and len(self._buf) == 1:
-            return self._buf[0].copy()
-        return self._buf[slice(None) if rows is None else rows].copy()
+        fresh matrix with one row per ``rows`` (default all)."""
+        return self._buf[rows].copy()
 
     @property
     def obs_dim(self) -> int:

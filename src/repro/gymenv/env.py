@@ -30,7 +30,7 @@ from repro.obs.trace import get_tracer
 from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
 from repro.traffic.workloads import workload_by_name
 
-__all__ = ["EnvConfig", "DCNEnv"]
+__all__ = ["EnvConfig", "DCNEnv", "default_network"]
 
 
 @dataclass
@@ -46,13 +46,29 @@ class EnvConfig:
     seed: int = 0
 
 
+def default_network(config: EnvConfig, episode: int) -> FluidNetwork:
+    """The fabric of an env's ``episode``-th reset (from 0): a
+    ``config.fluid`` network seeded ``config.seed + episode``, loaded
+    with one episode of Poisson ``config.workload`` traffic."""
+    net = FluidNetwork(config.fluid, seed=config.seed + episode)
+    rng = np.random.default_rng(config.seed + 1000 + episode)
+    gen = PoissonTrafficGenerator(net.host_names(),
+                                  workload_by_name(config.workload), rng=rng)
+    net.start_flows(gen.generate(TrafficConfig(
+        load=config.load,
+        duration=config.episode_intervals * config.pet.delta_t,
+        host_rate_bps=config.fluid.host_rate_bps)))
+    return net
+
+
 class DCNEnv:
     """Gym-style wrapper: one agent, one tuned switch."""
 
     def __init__(self, config: Optional[EnvConfig] = None,
                  network_factory: Optional[Callable[[], object]] = None) -> None:
         self.config = config or EnvConfig()
-        self._factory = network_factory or self._default_factory
+        self._factory = network_factory or (
+            lambda: default_network(self.config, self._episode))
         cfg = self.config
         if cfg.pet.sanitize:
             from repro.devtools import sanitize as _sanitize
@@ -73,19 +89,6 @@ class DCNEnv:
     @property
     def obs_dim(self) -> int:
         return self.config.pet.history_k * self.config.pet.n_state_features
-
-    # -- construction ----------------------------------------------------------
-    def _default_factory(self):
-        cfg = self.config
-        net = FluidNetwork(cfg.fluid, seed=cfg.seed + self._episode)
-        rng = np.random.default_rng(cfg.seed + 1000 + self._episode)
-        gen = PoissonTrafficGenerator(net.host_names(),
-                                      workload_by_name(cfg.workload), rng=rng)
-        duration = cfg.episode_intervals * cfg.pet.delta_t
-        net.start_flows(gen.generate(TrafficConfig(
-            load=cfg.load, duration=duration,
-            host_rate_bps=cfg.fluid.host_rate_bps)))
-        return net
 
     # -- gym API --------------------------------------------------------------
     def reset(self) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.action import ActionCodec
 from repro.core.observer import FleetObserver
-from repro.gymenv.env import EnvConfig
+from repro.gymenv.env import EnvConfig, default_network
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
@@ -26,9 +26,13 @@ class MultiAgentDCNEnv:
 
     def __init__(self, config: Optional[EnvConfig] = None,
                  network_factory: Optional[Callable[[], object]] = None) -> None:
-        from repro.gymenv.env import DCNEnv     # reuse its default factory
         self.config = config or EnvConfig()
-        self._inner = DCNEnv(self.config, network_factory)
+        if self.config.pet.sanitize:
+            from repro.devtools import sanitize as _sanitize
+            _sanitize.enable()
+        self._factory = network_factory or (
+            lambda: default_network(self.config, self._episode))
+        self._episode = 0
         self.codec = ActionCodec.from_config(self.config.pet)
         self.net = None
         self.agents: list = []
@@ -44,8 +48,8 @@ class MultiAgentDCNEnv:
         return self.config.pet.history_k * self.config.pet.n_state_features
 
     def reset(self) -> Dict[str, np.ndarray]:
-        self._inner._episode += 1
-        self.net = self._inner._factory()
+        self.net = self._factory()
+        self._episode += 1
         self.agents = self.net.switch_names()
         self.observer = FleetObserver(self.agents, self.config.pet)
         self._t = 0

@@ -684,10 +684,10 @@ class FlowTableMixin(_FluidStepper):
 class _ObsSnapshot:
     """Collection-time copy of what the per-flow observations are made
     of — the active flows' ids, bytes seen, endpoints and queue paths, in
-    flow-table order.  Array consumers read :meth:`rows`; the per-switch
-    ``{fid: FlowObservation}`` dicts are expanded once, when the first
-    consumer reads one.  Holding copies makes both immune to whatever
-    happens to the flow slots afterwards.
+    flow-table order.  Array consumers read :meth:`rows`; a switch's
+    ``{fid: FlowObservation}`` dict (:meth:`of_switch`) is a view of
+    them.  Holding copies makes both immune to whatever happens to the
+    flow slots afterwards.
     """
 
     def __init__(self, fids: List[int], seen: np.ndarray, paths: np.ndarray,
@@ -702,14 +702,15 @@ class _ObsSnapshot:
         self._flow_objs = flow_objs
         self._q_switch = q_switch
         self._rows: Optional[Tuple[np.ndarray, ...]] = None
-        self._by_switch: Optional[Dict[int, Dict[int, FlowObservation]]] = None
+        self._obs: Dict[int, FlowObservation] = {}
 
     def rows(self) -> Tuple[np.ndarray, ...]:
         """The observations of every switch as five int64 columns
         ``(switch index, flow id, src host id, dst host id, bytes seen)``
-        — one row per entry of :meth:`by_switch`, each switch's rows in
-        its dict's insertion order, every row last seen at collection time.
-        Built on first call and shared by every reader of the collection."""
+        — one row per (flow, switch on its path), flows in slot order and
+        a flow's switches in path order (a switch it meets twice counts
+        at its first hop), every row last seen at collection time.  Built
+        on first call and shared by every reader of the collection."""
         if self._rows is None:
             on_path = self._paths >= 0
             sw = self._q_switch[self._paths]
@@ -726,28 +727,16 @@ class _ObsSnapshot:
                           self._src[flow], self._dst[flow], seen[flow])
         return self._rows
 
-    def by_switch(self) -> Dict[int, Dict[int, FlowObservation]]:
-        """The observations grouped by every switch on the flow's path,
-        flows in slot order and hops in path order — the insertion order
-        ``tests/test_switch_telemetry.py`` checks against a plain loop."""
-        if self._by_switch is None:
-            out: Dict[int, Dict[int, FlowObservation]] = {}
-            qsw = self._q_switch.tolist()
-            flow_objs = self._flow_objs
-            now = self._now
-            for fid, seen, path in zip(self._fids, self._seen.tolist(),
-                                       self._paths.tolist()):
-                flow = flow_objs[fid]
-                obs = FlowObservation(fid, flow.src, flow.dst,
-                                      int(seen if seen > 1.0 else 1.0), now)
-                for q in path:
-                    if q >= 0:
-                        out.setdefault(qsw[q], {})[fid] = obs
-            self._by_switch = out
-        return self._by_switch
-
     def of_switch(self, s: int) -> Dict[int, FlowObservation]:
-        return self.by_switch().get(s, {})
+        """Switch ``s``'s rows as ``{fid: FlowObservation}``, in row order —
+        one observation per flow, shared by every switch on its path."""
+        sw, fid, _, _, seen = self.rows()
+        mine = (sw == s).nonzero()[0]
+        obs, flows, now = self._obs, self._flow_objs, self._now
+        for f, b in zip(fid[mine].tolist(), seen[mine].tolist()):
+            if f not in obs:
+                obs[f] = FlowObservation(f, flows[f].src, flows[f].dst, b, now)
+        return {f: obs[f] for f in fid[mine].tolist()}
 
 
 class SwitchStatsMixin:
@@ -790,7 +779,7 @@ class SwitchStatsMixin:
         self.kmin = np.full(n, float(ecn.kmin_bytes))
         self.kmax = np.full(n, float(ecn.kmax_bytes))
         self.pmax = np.full(n, float(ecn.pmax))
-        self._ecn_by_switch: Dict[int, ECNConfig] = {
+        self._switch_ecn: Dict[int, ECNConfig] = {
             s: ecn for s in range(n_switches)}
         self._uplink_queues, self._fabric_queues = uplinks, fabric
         self.uplink_up = np.ones(uplinks[0].shape, dtype=bool)
@@ -887,7 +876,7 @@ class SwitchStatsMixin:
             QueueStats, names, repeat(interval), qlen, qmax, avg_q,
             map(int, tx), map(int, marked),
             [int(d // 1000) if d else 0 for d in drops], cap,
-            map(self._ecn_by_switch.__getitem__, range(len(names))),
+            map(self._switch_ecn.__getitem__, range(len(names))),
             map(len, self._switch_index_cache())))
         # per-flow observations: columns now, rows or dicts on first read
         snap = self._snapshot_observations()
@@ -940,7 +929,7 @@ class SwitchStatsMixin:
         self.kmin[idx] = config.kmin_bytes
         self.kmax[idx] = config.kmax_bytes
         self.pmax[idx] = config.pmax
-        self._ecn_by_switch[s] = config
+        self._switch_ecn[s] = config
         get_registry().inc("netsim.ecn_set", sim=self._SIM_LABEL)
 
     def set_ecn_all(self, config: ECNConfig) -> None:

@@ -16,12 +16,12 @@ per-agent updates.  Nothing in it mixes data across agents.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Dict, Hashable, Iterable, Mapping, Optional
 
 import numpy as np
 
 from repro.rl.ppo import PPOAgent, PPOConfig
-from repro.rl.stacked import StackedAgents, StackingError, stacking_error
+from repro.rl.stacked import StackedAgents
 
 __all__ = ["IPPOTrainer"]
 
@@ -51,27 +51,20 @@ class IPPOTrainer:
             seed = None if config.seed is None else config.seed + i
             self.agents[aid] = PPOAgent(replace(config, seed=seed))
         self._row = {aid: i for i, aid in enumerate(ids)}
-        # Lazily-built batched-inference stack; False means stacking was
-        # attempted and failed (heterogeneous agents) -> per-agent loop.
-        self._stack: object = None
+        self._stack: Optional[StackedAgents] = None
 
     @property
     def agent_ids(self):
         return list(self.agents.keys())
 
-    def _stacked(self):
-        """The batched-inference stack, or None when unavailable.
-
-        Built on first use; a :class:`~repro.rl.stacked.StackingError`
-        (agents with diverging shapes/activations) disables batching for
-        the trainer's lifetime and the per-agent loops take over.
-        """
+    def _stacked(self) -> StackedAgents:
+        """The batched-inference stack, built on first use.  The agents
+        share one :class:`PPOConfig`, so they always stack; agents made
+        to diverge afterwards raise
+        :class:`~repro.rl.stacked.StackingError`."""
         if self._stack is None:
-            try:
-                self._stack = StackedAgents(self.agents)
-            except StackingError:
-                self._stack = False
-        return self._stack or None
+            self._stack = StackedAgents(self.agents)
+        return self._stack
 
     def act(self, observations: Mapping[Hashable, np.ndarray] | np.ndarray,
             *, epsilon: float = 0.0, greedy: bool = False,
@@ -87,20 +80,20 @@ class IPPOTrainer:
         takes ``epsilons`` as a sequence aligned with it and returns the
         three columns as arrays — the form the fleet observer feeds.
 
-        When the agents stack (:meth:`_stacked`) the per-agent MLP
-        forwards collapse into one batched forward — bit-identical per
-        agent, including each agent's private sampling stream.
+        The per-agent MLP forwards collapse into one batched forward
+        (:meth:`_stacked`) — bit-identical per agent, including each
+        agent's private sampling stream.
         """
         if isinstance(observations, np.ndarray):
             if epsilons is None and epsilon:
                 epsilons = [epsilon] * len(observations)
-            return self._act_rows(observations, rows, epsilons, greedy)
+            return self._stacked().act(observations, rows, epsilons, greedy)
         ids = list(observations)
         if not ids:
             return {}
         eps = [epsilon if epsilons is None else epsilons.get(aid, epsilon)
                for aid in ids]
-        cols = self._act_rows(
+        cols = self._stacked().act(
             np.array([observations[aid] for aid in ids], dtype=np.float64),
             np.array([self._row[aid] for aid in ids]), eps, greedy)
         return {aid: {"action": a, "log_prob": lp, "value": v}
@@ -108,31 +101,10 @@ class IPPOTrainer:
                                          cols["log_prob"].tolist(),
                                          cols["value"].tolist())}
 
-    def _act_rows(self, observations: np.ndarray, rows: Optional[np.ndarray],
-                  epsilons: Optional[Sequence[float]], greedy: bool
-                  ) -> Dict[str, np.ndarray]:
-        stack = self._stacked()
-        if stack is not None:
-            return stack.act(observations, rows, epsilons, greedy)
-        agents = list(self.agents.values())
-        if rows is not None:
-            agents = [agents[i] for i in rows.tolist()]
-        eps_of = epsilons if epsilons is not None else [0.0] * len(agents)
-        decisions = [agent.act(obs, epsilon=eps, greedy=greedy)
-                     for agent, obs, eps in zip(agents, observations, eps_of)]
-        return {"action": np.array([d["action"] for d in decisions],
-                                   dtype=np.int64),
-                "log_prob": np.array([d["log_prob"] for d in decisions]),
-                "value": np.array([d["value"] for d in decisions])}
-
     def values(self, observations: Mapping[Hashable, np.ndarray]
                ) -> Dict[Hashable, float]:
-        """Per-agent critic values, batched when the agents stack."""
-        stack = self._stacked()
-        if stack is not None:
-            return stack.values(observations)
-        return {aid: self.agents[aid].value(obs)
-                for aid, obs in observations.items()}
+        """Per-agent critic values, in one stacked forward."""
+        return self._stacked().values(observations)
 
     def record(self, observations: Mapping[Hashable, np.ndarray],
                decisions: Mapping[Hashable, Mapping[str, float]],
@@ -162,15 +134,13 @@ class IPPOTrainer:
                ) -> Dict[Hashable, Dict[str, float]]:
         """Run one PPO update per agent on its own buffer.
 
-        When the agents stack, the per-agent bootstrap values ``V(s_T)``
-        are evaluated in one stacked critic forward (bit-identical to
-        the per-agent calls) and handed to each learner.
+        The per-agent bootstrap values ``V(s_T)`` are evaluated in one
+        stacked critic forward (bit-identical to the per-agent calls) and
+        handed to each learner.
         """
         last_values: Dict[Hashable, float] = {}
         if last_observations:
-            stack = self._stacked()
-            if stack is not None:
-                last_values = stack.values(last_observations)
+            last_values = self.values(last_observations)
         stats = {}
         for aid, agent in self.agents.items():
             last_obs = None
@@ -181,18 +151,9 @@ class IPPOTrainer:
         return stats
 
     def stacking_status(self) -> Dict[str, object]:
-        """JSON-safe report on whether batched inference is active.
-
-        The serve plane's ``/state`` endpoint surfaces this per policy,
-        so an operator can see when a fleet silently fell back to the
-        per-agent loop (heterogeneous agents).
-        """
-        stack = self._stacked()
-        if stack is None:
-            return {"stacked": False, "agents": len(self.agents),
-                    "reason": stacking_error(list(self.agents.values()))
-                    or "stacking unavailable"}
-        return {"stacked": True, **stack.describe()}
+        """JSON-safe summary of the batched-inference stack (the serve
+        plane's ``/state`` endpoint surfaces it per policy)."""
+        return {"stacked": True, **self._stacked().describe()}
 
     # -- checkpointing (offline pre-training -> online deployment) ---------
     def state_dict(self) -> Dict[Hashable, Dict]:

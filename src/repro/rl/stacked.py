@@ -21,10 +21,9 @@ Two properties make this safe:
   steps and ``load_state_dict`` writes update the stacked weights with
   no re-sync step.
 
-When agent networks diverge in shape or activation (e.g. heterogeneous
-experiments), stacking raises :class:`StackingError` and
-:class:`repro.rl.ippo.IPPOTrainer` falls back transparently to the
-per-agent loop.
+:class:`repro.rl.ippo.IPPOTrainer` builds every agent from one
+``PPOConfig``, so its agents always stack; networks that diverge in
+shape or activation raise :class:`StackingError`.
 """
 
 from __future__ import annotations
@@ -35,21 +34,11 @@ import numpy as np
 
 from repro.rl.nn import MLP, Linear
 
-__all__ = ["StackingError", "StackedMLPs", "StackedAgents", "stacking_error"]
+__all__ = ["StackingError", "StackedMLPs", "StackedAgents"]
 
 
 class StackingError(ValueError):
     """Agent networks cannot be stacked (shape/activation mismatch)."""
-
-
-def stacking_error(agents: Sequence) -> Optional[str]:
-    """Why the agents' networks cannot be stacked, or None if they can."""
-    try:
-        _check_stackable([a.actor for a in agents])
-        _check_stackable([a.critic for a in agents])
-    except StackingError as exc:
-        return str(exc)
-    return None
 
 
 def _check_stackable(mlps: Sequence[MLP]) -> None:

@@ -125,9 +125,8 @@ class TestConformance:
             net.advance(0.001)
         batch.advance(0.001)
         for r, solo in enumerate(solos):
-            assert fingerprint(solo._snapshot_observations().by_switch()) \
-                == fingerprint(
-                    batch.view(r)._snapshot_observations().by_switch())
+            assert fingerprint(solo._snapshot_observations().rows()) \
+                == fingerprint(batch.view(r)._snapshot_observations().rows())
 
     def test_start_finish_boundaries(self):
         """Flows that start mid-run (incl. exactly on a step edge), finish

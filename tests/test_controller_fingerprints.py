@@ -13,6 +13,7 @@ import pytest
 
 from repro.baselines.acc import ACCConfig, ACCController
 from repro.core.config import PETConfig
+from repro.core.multiqueue import MultiQueuePETController
 from repro.core.pet import PETController
 from repro.netsim import fluid as fluid_mod
 from repro.netsim.fattree import FatTreeConfig
@@ -125,8 +126,40 @@ def _acc_fluid():
     return _run(net, acc, 60, absent=("spine0", 20, 23))
 
 
+def _run_multiqueue(net, ticks, *, absent=None, **overrides):
+    """advance → port_stats → queue_stats → decide, per-queue; ``absent``
+    as in :func:`_run`, dropping the switch's switch-level record (so its
+    ports sit the ticks out)."""
+    cfg = PETConfig.fast(seed=0, delta_t=DT, update_interval=20, **overrides)
+    ctrl = MultiQueuePETController(net.switch_names(), cfg)
+    applied = []
+    for i in range(ticks):
+        net.advance(DT)
+        ports = net.port_stats()
+        stats = net.queue_stats()
+        if absent is not None and absent[1] <= i < absent[2]:
+            stats.pop(absent[0])
+        for (switch, port), c in ctrl.decide(ports, stats, net.now,
+                                             net).items():
+            applied.append((switch, port, c.kmin_bytes, c.kmax_bytes, c.pmax))
+    assert all(a.updates >= 2 for a in ctrl.agents.values())
+    return fingerprint({"ecn": applied, "state": ctrl.state_dict()})
+
+
+def _multiqueue_fluid():
+    return _run_multiqueue(_fluid(), 64, absent=("leaf1", 10, 14))
+
+
+def _multiqueue_packet():
+    return _run_multiqueue(_packet(), 64, absent=("spine0", 30, 33),
+                           ncm_memory_threshold_bytes=48 * 200)
+
+
 #: captured at commit d613a8d (the parent of the fleet observer), where
-#: every switch ran its own dict-merging ``NetworkConditionMonitor``.
+#: every switch ran its own dict-merging ``NetworkConditionMonitor``; the
+#: multi-queue digests were captured while the multi-queue controller
+#: still ran one such monitor, one-row history window and per-record
+#: reward per queue.
 _PINNED = {
     "pet_fluid":
         "beef1b539115e898b13ca52d73f83189b4b39c6c73545e89f36ce9e64fa506de",
@@ -136,10 +169,16 @@ _PINNED = {
         "a88384811fcd2b1969d3ad4a7c7a8f19f40d475e8673144acbb913c5cd4828ee",
     "acc_fluid":
         "d2cbed04fa9bdd6b2d90c42de29f3a468e76b75e8bba80655b2eeba859a1a176",
+    "multiqueue_fluid":
+        "be1fd9e5419118a080ff6150a34e953d46144afc106b738f9c5529cd5350f145",
+    "multiqueue_packet":
+        "aafac01da95a8a7ee2478bab23842befed892a7927b51c429a1e959b682c7649",
 }
 
 _RUNS = {"pet_fluid": _pet_fluid, "pet_fat_tree": _pet_fat_tree,
-         "pet_packet": _pet_packet, "acc_fluid": _acc_fluid}
+         "pet_packet": _pet_packet, "acc_fluid": _acc_fluid,
+         "multiqueue_fluid": _multiqueue_fluid,
+         "multiqueue_packet": _multiqueue_packet}
 
 
 @pytest.mark.parametrize("name", sorted(_RUNS))

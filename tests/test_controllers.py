@@ -50,7 +50,7 @@ class TestPETController:
         applied = pet.decide(net.queue_stats(), net.now, net)
         assert set(applied) == set(net.switch_names())
         for s, cfg in applied.items():
-            assert net._ecn_by_switch[net._switch_id(s)] == cfg
+            assert net._switch_ecn[net._switch_id(s)] == cfg
 
     def test_rate_limit_between_decisions(self):
         net = loaded_net()

@@ -6,7 +6,7 @@ import pytest
 from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
 from repro.core.reward import RewardComputer
-from repro.core.state import HistoryWindow, StateBuilder, StateFeatures
+from repro.core.state import HistoryWindow, StateBuilder, TelemetryColumns
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.network import QueueStats
 
@@ -19,6 +19,27 @@ def mk_stats(qlen=10_000, tx_bytes=100_000, marked=10_000, interval=1e-3,
                       avg_qlen_bytes=avg_qlen if avg_qlen is not None else qlen,
                       tx_bytes=tx_bytes, tx_marked_bytes=marked,
                       dropped_pkts=0, capacity_bps=capacity, ecn=ecn)
+
+
+#: column of each feature in a state row (Eq. 2's order)
+QLEN, TX, TXM, ECN, INCAST, RATIO = range(6)
+
+
+def build(cfg, stats, incast_degree, flow_ratio):
+    """One record's six normalized features, through the fleet form."""
+    return StateBuilder(cfg).build_fleet(
+        TelemetryColumns([stats]), np.array([incast_degree]),
+        np.array([flow_ratio]))[0]
+
+
+def reward(cfg, stats):
+    return float(RewardComputer(cfg).compute_fleet(
+        TelemetryColumns([stats]))[0])
+
+
+def latency(stats, **cfg):
+    """Eq. 8's La alone: the reward with all the weight on latency."""
+    return reward(PETConfig(beta1=0.0, beta2=1.0, **cfg), stats)
 
 
 class TestPETConfig:
@@ -102,44 +123,40 @@ class TestActionCodec:
 
 class TestStateBuilder:
     def test_six_features_eq2(self):
-        sb = StateBuilder(PETConfig())
-        f = sb.build(mk_stats(), incast_degree=4, flow_ratio=0.8)
-        arr = f.to_array()
-        assert arr.shape == (6,)
-        assert np.all((arr >= 0) & (arr <= 1))
+        f = build(PETConfig(), mk_stats(), incast_degree=4, flow_ratio=0.8)
+        assert f.shape == (6,)
+        assert np.all((f >= 0) & (f <= 1))
 
     def test_normalization_values(self):
         cfg = PETConfig(qlen_norm_bytes=100_000, incast_norm=10)
-        sb = StateBuilder(cfg)
         st = mk_stats(qlen=50_000, tx_bytes=1_250_000, marked=625_000,
                       interval=1e-3, capacity=10e9,
                       ecn=ECNConfig(5_000, 50_000, 0.1))
-        f = sb.build(st, incast_degree=5, flow_ratio=0.6)
-        assert f.qlen == pytest.approx(0.5)
-        assert f.tx_rate == pytest.approx(1.0)    # 1.25MB/1ms = 10 Gbps
-        assert f.tx_marked_rate == pytest.approx(0.5)
-        assert f.ecn_threshold == pytest.approx(0.5)
-        assert f.incast_degree == pytest.approx(0.5)
-        assert f.flow_ratio == pytest.approx(0.6)
+        f = build(cfg, st, incast_degree=5, flow_ratio=0.6)
+        assert f[QLEN] == pytest.approx(0.5)
+        assert f[TX] == pytest.approx(1.0)    # 1.25MB/1ms = 10 Gbps
+        assert f[TXM] == pytest.approx(0.5)
+        assert f[ECN] == pytest.approx(0.5)
+        assert f[INCAST] == pytest.approx(0.5)
+        assert f[RATIO] == pytest.approx(0.6)
 
     def test_clamping(self):
-        sb = StateBuilder(PETConfig(qlen_norm_bytes=1_000, incast_norm=2))
-        f = sb.build(mk_stats(qlen=99_999_999), incast_degree=50,
-                     flow_ratio=2.0)
-        assert f.qlen == 1.0
-        assert f.incast_degree == 1.0
-        assert f.flow_ratio == 1.0
+        f = build(PETConfig(qlen_norm_bytes=1_000, incast_norm=2),
+                  mk_stats(qlen=99_999_999), incast_degree=50, flow_ratio=2.0)
+        assert f[QLEN] == 1.0
+        assert f[INCAST] == 1.0
+        assert f[RATIO] == 1.0
 
     def test_ablation_masks(self):
-        sb = StateBuilder(PETConfig(use_incast=False, use_flow_ratio=False))
-        f = sb.build(mk_stats(), incast_degree=9, flow_ratio=0.9)
-        assert f.incast_degree == 0.0
-        assert f.flow_ratio == 0.0
+        f = build(PETConfig(use_incast=False, use_flow_ratio=False),
+                  mk_stats(), incast_degree=9, flow_ratio=0.9)
+        assert f[INCAST] == 0.0
+        assert f[RATIO] == 0.0
 
     def test_missing_ecn_tolerated(self):
-        sb = StateBuilder(PETConfig())
-        f = sb.build(mk_stats(ecn=None), incast_degree=0, flow_ratio=0.5)
-        assert f.ecn_threshold == 0.0
+        f = build(PETConfig(), mk_stats(ecn=None), incast_degree=0,
+                  flow_ratio=0.5)
+        assert f[ECN] == 0.0
 
 
 class TestHistoryWindow:
@@ -150,7 +167,7 @@ class TestHistoryWindow:
     def test_zero_padding_when_young(self):
         w = HistoryWindow(k=3)
         w.push(np.ones(6))
-        obs = w.observation()
+        obs = w.observation()[0]
         np.testing.assert_allclose(obs[:12], 0.0)
         np.testing.assert_allclose(obs[12:], 1.0)
 
@@ -158,7 +175,7 @@ class TestHistoryWindow:
         w = HistoryWindow(k=2)
         w.push(np.full(6, 0.1))
         w.push(np.full(6, 0.2))
-        obs = w.observation()
+        obs = w.observation()[0]
         np.testing.assert_allclose(obs[:6], 0.1)
         np.testing.assert_allclose(obs[6:], 0.2)
 
@@ -166,15 +183,19 @@ class TestHistoryWindow:
         w = HistoryWindow(k=2)
         for v in (0.1, 0.2, 0.3):
             w.push(np.full(6, v))
-        obs = w.observation()
+        obs = w.observation()[0]
         np.testing.assert_allclose(obs[:6], 0.2)
         np.testing.assert_allclose(obs[6:], 0.3)
 
     def test_push_accepts_features(self):
-        w = HistoryWindow(k=1)
-        w.push(StateFeatures(0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+        """One feature vector goes to every row; a matrix, a row each."""
+        w = HistoryWindow(k=1, rows=2)
+        w.push(np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6]))
         np.testing.assert_allclose(w.observation(),
-                                   [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+                                   [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]] * 2)
+        w.push(np.arange(12.0).reshape(2, 6))
+        np.testing.assert_allclose(w.observation(),
+                                   np.arange(12.0).reshape(2, 6))
 
     def test_shape_validation(self):
         w = HistoryWindow(k=2)
@@ -193,38 +214,33 @@ class TestHistoryWindow:
 
 class TestReward:
     def test_eq6_weighting(self):
-        cfg = PETConfig(beta1=0.3, beta2=0.7)
-        rc = RewardComputer(cfg)
         st = mk_stats(tx_bytes=625_000, interval=1e-3, capacity=10e9,
                       avg_qlen=0.0)
         # T = 0.5, La = 1 (empty queue)
-        assert rc.compute(st) == pytest.approx(0.3 * 0.5 + 0.7 * 1.0)
+        assert reward(PETConfig(beta1=0.3, beta2=0.7), st) == \
+            pytest.approx(0.3 * 0.5 + 0.7 * 1.0)
 
     def test_latency_term_monotone_decreasing_in_qlen(self):
-        rc = RewardComputer(PETConfig())
-        vals = [rc.latency_term(mk_stats(avg_qlen=q))
-                for q in (0, 1e4, 1e5, 1e6)]
+        vals = [latency(mk_stats(avg_qlen=q)) for q in (0, 1e4, 1e5, 1e6)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_latency_term_bounded(self):
-        rc = RewardComputer(PETConfig())
-        assert rc.latency_term(mk_stats(avg_qlen=0.0)) == pytest.approx(1.0)
-        assert rc.latency_term(mk_stats(avg_qlen=1e12)) > 0.0
+        assert latency(mk_stats(avg_qlen=0.0)) == pytest.approx(1.0)
+        assert latency(mk_stats(avg_qlen=1e12)) > 0.0
 
     def test_latency_halves_at_reference(self):
-        cfg = PETConfig(reward_qlen_ref_bytes=50_000)
-        rc = RewardComputer(cfg)
-        assert rc.latency_term(mk_stats(avg_qlen=50_000)) == pytest.approx(0.5)
+        assert latency(mk_stats(avg_qlen=50_000),
+                       reward_qlen_ref_bytes=50_000) == pytest.approx(0.5)
 
     def test_raw_reciprocal_mode(self):
-        rc = RewardComputer(PETConfig(raw_reciprocal_reward=True))
         # literal Eq. 8 scaled by one MTU: 1000/qlen
-        assert rc.latency_term(mk_stats(avg_qlen=10_000)) == pytest.approx(0.1)
+        assert latency(mk_stats(avg_qlen=10_000),
+                       raw_reciprocal_reward=True) == pytest.approx(0.1)
         # floor prevents division blow-up
-        assert rc.latency_term(mk_stats(avg_qlen=0.0)) == pytest.approx(1.0)
+        assert latency(mk_stats(avg_qlen=0.0),
+                       raw_reciprocal_reward=True) == pytest.approx(1.0)
 
     def test_reward_in_unit_interval_for_bounded_mode(self):
-        rc = RewardComputer(PETConfig())
         for q in (0, 1e5, 1e7):
-            r = rc.compute(mk_stats(avg_qlen=q))
+            r = reward(PETConfig(), mk_stats(avg_qlen=q))
             assert 0.0 <= r <= 1.0

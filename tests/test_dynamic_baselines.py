@@ -128,7 +128,7 @@ class TestOnSimulator:
         result = run_control_loop(net, ctrl, intervals=30, delta_t=1e-3)
         assert result.intervals == 30
         # thresholds were actually installed on the simulator
-        cfgs = {net._ecn_by_switch[net._switch_id(s)]
+        cfgs = {net._switch_ecn[net._switch_id(s)]
                 for s in net.switch_names()}
         assert all(isinstance(c, ECNConfig) for c in cfgs)
 

@@ -1,9 +1,9 @@
 """Bit-identity tests for the vectorised hot paths (:mod:`repro.rl.stacked`
 and friends).
 
-The stacked IPPO forward is compared with the per-agent loop the
-trainer still runs for agents that do not stack.  The paths whose
-reference loops were deleted are held by plain-loop oracles
+The stacked IPPO forward is compared with a plain loop over the agents'
+own ``PPOAgent.act/value/record/update``.  The paths whose reference
+loops were deleted are held by plain-loop oracles
 (``tests/test_gae.py``, ``tests/test_optim.py``, ``tests/test_ppo.py``,
 ``tests/test_engine.py``, ``tests/test_packet_network.py``,
 ``tests/test_step_oracle.py``, ``tests/test_switch_telemetry.py``) and,
@@ -27,6 +27,7 @@ from repro.netsim.topology import TopologyConfig
 from repro.rl.ippo import IPPOTrainer
 from repro.rl.nn import MLP, clip_gradients
 from repro.rl.ppo import PPOConfig
+from repro.rl.stacked import StackingError
 from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
 from repro.traffic.workloads import workload_by_name
 
@@ -42,39 +43,49 @@ def _canon(x):
     return x
 
 
-def _per_agent(trainer):
-    """Put ``trainer`` in the state a ``StackingError`` leaves it in: the
-    per-agent loops serve every call."""
-    trainer._stack = False
-    assert trainer._stacked() is None
-    return trainer
+def _act_each(agents, observations, epsilons, greedy=False):
+    """The reference: every agent's own ``PPOAgent.act``, one at a time."""
+    return {aid: agents[aid].act(obs, epsilon=epsilons.get(aid, 0.0),
+                                 greedy=greedy)
+            for aid, obs in observations.items()}
 
 
 # ------------------------------------------------------------ batched IPPO
 def _rollout(stacked, seed, n_agents=4, steps=30, updates=2):
-    """Drive act/record/update for a few cycles; return everything observable."""
+    """Drive act/record/update for a few cycles — through the trainer, or
+    as a plain loop over its agents; return everything observable."""
     cfg = PPOConfig(obs_dim=6, n_actions=10, hidden=(16, 16), seed=seed,
                     minibatch_size=16, epochs=2)
     ids = [f"sw{i}" for i in range(n_agents)]
     trainer = IPPOTrainer(ids, cfg)
-    if not stacked:
-        _per_agent(trainer)
+    agents = trainer.agents
     obs_rng = np.random.default_rng(seed + 1000)
     log = []
     for u in range(updates):
         for t in range(steps):
             obs = {aid: obs_rng.normal(size=6) for aid in ids}
             eps = {aid: 0.2 if (t + i) % 3 else 0.0 for i, aid in enumerate(ids)}
-            dec = trainer.act(obs, epsilons=eps)
-            vals = trainer.values(obs)
+            if stacked:
+                dec = trainer.act(obs, epsilons=eps)
+                vals = trainer.values(obs)
+            else:
+                dec = _act_each(agents, obs, eps)
+                vals = {aid: agents[aid].value(o) for aid, o in obs.items()}
             log.append((_canon(dec), _canon(vals)))
             rewards = {aid: float(obs_rng.normal()) for aid in ids}
             dones = {aid: t == steps - 1 for aid in ids}
-            trainer.record(obs, dec, rewards, dones)
+            if stacked:
+                trainer.record(obs, dec, rewards, dones)
+            else:
+                for aid in ids:
+                    agents[aid].record(obs[aid], dec[aid]["action"],
+                                       rewards[aid], dones[aid],
+                                       dec[aid]["log_prob"], dec[aid]["value"])
         last = {aid: obs_rng.normal(size=6) for aid in ids}
-        stats = trainer.update(last)
+        stats = (trainer.update(last) if stacked else
+                 {aid: agents[aid].update(last[aid]) for aid in ids})
         log.append(_canon(stats))
-    assert trainer.stacking_status()["stacked"] is stacked
+    assert (trainer._stack is not None) is stacked
     return log, _canon(trainer.state_dict())
 
 
@@ -83,26 +94,23 @@ def test_batched_ippo_bit_identical(seed):
     assert _rollout(True, seed) == _rollout(False, seed)
 
 
-def test_heterogeneous_agents_fall_back_to_per_agent_loop():
+def test_heterogeneous_agents_raise_stacking_error():
+    """One config builds every agent, so they stack; an agent made to
+    diverge afterwards is an error, not a quiet per-agent fallback."""
     cfg = PPOConfig(obs_dim=5, n_actions=4, hidden=(8,), seed=3)
     trainer = IPPOTrainer(["a", "b"], cfg)
-    # Make agent b's actor a different shape -> stacking must fail ...
     trainer.agents["b"].actor = MLP([5, 12, 4], activation="tanh",
                                     rng=np.random.default_rng(0))
-    assert trainer._stacked() is None
-    # ... and the per-agent loop must still serve act()/values().
     obs = {"a": np.zeros(5), "b": np.ones(5)}
-    dec = trainer.act(obs, greedy=True)
-    assert set(dec) == {"a", "b"}
-    vals = trainer.values(obs)
-    assert vals["a"] == trainer.agents["a"].value(obs["a"])
+    with pytest.raises(StackingError):
+        trainer.act(obs, greedy=True)
+    with pytest.raises(StackingError):
+        trainer.stacking_status()
 
 
-def _random_weight_trainer(seed, stacked=True, n_agents=5):
+def _random_weight_trainer(seed, n_agents=5):
     cfg = PPOConfig(obs_dim=6, n_actions=10, hidden=(16, 16), seed=seed)
     trainer = IPPOTrainer([f"sw{i}" for i in range(n_agents)], cfg)
-    if not stacked:
-        _per_agent(trainer)
     rng = np.random.default_rng(seed + 99)
     for agent in trainer.agents.values():       # policies far from uniform
         for net in (agent.actor, agent.critic):
@@ -144,9 +152,10 @@ def test_greedy_matrix_act_equals_per_agent_act(seed):
 @pytest.mark.parametrize("stacked", [True, False])
 def test_sampling_matrix_act_equals_mapping_act(stacked):
     """Same private generators, same draw order, whichever way the
-    observations arrive — stacked or per-agent loop."""
-    by_matrix = _random_weight_trainer(3, stacked)
-    by_mapping = _random_weight_trainer(3, stacked)
+    observations arrive — the trainer's mapping form, or (``stacked``
+    False) each agent's own ``PPOAgent.act`` in a plain loop."""
+    by_matrix = _random_weight_trainer(3)
+    by_mapping = _random_weight_trainer(3)
     ids = by_matrix.agent_ids
     obs_rng = np.random.default_rng(8)
     for step in range(20):
@@ -157,8 +166,10 @@ def test_sampling_matrix_act_equals_mapping_act(stacked):
         cols = by_matrix.act(obs[take], rows=rows,
                              epsilons=list(np.array(eps)[take]))
         chosen = ids if rows is None else [ids[i] for i in rows]
-        dicts = by_mapping.act({aid: obs[ids.index(aid)] for aid in chosen},
-                               epsilons=dict(zip(ids, eps)))
+        mapping = {aid: obs[ids.index(aid)] for aid in chosen}
+        dicts = (by_mapping.act(mapping, epsilons=dict(zip(ids, eps)))
+                 if stacked else
+                 _act_each(by_mapping.agents, mapping, dict(zip(ids, eps))))
         for j, aid in enumerate(chosen):
             assert {k: v[j] for k, v in cols.items()} == dicts[aid]
 

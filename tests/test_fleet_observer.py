@@ -2,9 +2,10 @@
 
 The columnar NCM is checked against a plain-dict model of paper §4.5.1
 (one list of slot dicts per switch, merged latest-wins, swept exactly as
-the text says); the whole-fleet state, reward and history against the
-per-record ``StateBuilder.build`` / ``RewardComputer.compute`` and a
-plain list; the snapshot's ``rows()`` against its own dict expansion.
+the text says); the whole-fleet state, reward and history against Eq. 2-3 and 6-8
+written out per record (:func:`_features`, :func:`_reward`) and a plain
+list; the snapshot's ``rows()`` and ``of_switch()`` against a plain loop
+over its paths.
 Everything is compared exactly — the observer feeds learners whose
 weights are fingerprinted.
 """
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.acc import ACCConfig, ACCController
 from repro.core.config import PETConfig
-from repro.core.ncm import FleetNCM, NetworkConditionMonitor
+from repro.core.ncm import FleetNCM
 from repro.core.observer import FleetObserver
 from repro.core.pet import PETController
 from repro.core.reward import RewardComputer
@@ -88,6 +89,31 @@ def _record(switch, flow_obs=None, **fields):
                 ecn=None)
     base.update(fields)
     return QueueStats(**base, flow_obs=flow_obs if flow_obs is not None else {})
+
+
+def _features(cfg, rec, incast, ratio):
+    """Eq. 2's six features of one record, normalized to [0, 1]; the
+    Fig. 9 arms zero D_incast / R_flow."""
+    qn = max(cfg.qlen_norm_bytes, 1.0)
+    bw = max(rec.capacity_bps, 1.0)
+    return [min(rec.qlen_bytes / qn, 1.0),
+            min(rec.tx_rate_bps / bw, 1.0),
+            min(rec.tx_marked_rate_bps / bw, 1.0),
+            0.0 if rec.ecn is None else min(rec.ecn.kmax_bytes / qn, 1.0),
+            (min(incast / max(cfg.incast_norm, 1.0), 1.0)
+             if cfg.use_incast else 0.0),
+            float(np.clip(ratio, 0.0, 1.0)) if cfg.use_flow_ratio else 0.0]
+
+
+def _reward(cfg, rec):
+    """Eq. 6-8 for one record: utilization, and La over the per-queue
+    average occupancy (bounded, or the literal reciprocal)."""
+    avg_q = max(rec.avg_qlen_per_queue, 0.0)
+    if cfg.raw_reciprocal_reward:
+        latency = 1.0 / max(avg_q, 1_000.0) * 1_000.0
+    else:
+        latency = 1.0 / (1.0 + avg_q / max(cfg.reward_qlen_ref_bytes, 1.0))
+    return cfg.beta1 * rec.utilization + cfg.beta2 * latency
 
 
 class FakeSnapshot:
@@ -283,11 +309,26 @@ class TestCasesThatBreakANaivePort:
 
 
 # ------------------------------------------------------ snapshot rows()
+def _dict_expansion(fids, seen, paths, flows, now, q_switch):
+    """Per switch ``{fid: FlowObservation}`` as a plain loop: flows in
+    slot order, each switch on a flow's path in hop order."""
+    out = {}
+    for fid, nbytes, path in zip(fids, seen.tolist(), paths.tolist()):
+        flow = flows[fid]
+        obs = FlowObservation(fid, flow.src, flow.dst,
+                              int(nbytes if nbytes > 1.0 else 1.0), now)
+        for q in path:
+            if q >= 0:
+                out.setdefault(int(q_switch[q]), {})[fid] = obs
+    return out
+
+
 @given(data=st.data(), n_flows=st.integers(0, 12), hops=st.integers(1, 5))
 @settings(max_examples=150, deadline=None)
 def test_snapshot_rows_are_its_dict_expansion(data, n_flows, hops):
     """Any paths at all — padded, revisiting a switch, revisiting a queue:
-    ``rows()`` is ``by_switch()`` flattened, each switch in dict order."""
+    ``rows()`` and ``of_switch()`` are the plain per-switch expansion, each
+    switch in the loop's order, one observation object per flow."""
     q_switch = np.array(data.draw(st.lists(st.integers(0, 3), min_size=6,
                                            max_size=6)))
     paths = np.array(data.draw(st.lists(
@@ -302,14 +343,19 @@ def test_snapshot_rows_are_its_dict_expansion(data, n_flows, hops):
     flows = {f: Flow(f, f"h{s}", f"h{d}", 10)
              for f, s, d in zip(fids, src.tolist(), dst.tolist())}
     snap = _ObsSnapshot(fids, seen, paths, src, dst, 2.5, flows, q_switch)
+    oracle = _dict_expansion(fids, seen, paths, flows, 2.5, q_switch)
     sw, fid, s_, d_, nbytes = (c.tolist() for c in snap.rows())
-    for switch in range(4):
+    dicts = [snap.of_switch(switch) for switch in range(4)]
+    for switch, got in enumerate(dicts):
         mine = [i for i, x in enumerate(sw) if x == switch]
-        want = snap.of_switch(switch)
+        want = oracle.get(switch, {})
         assert [fid[i] for i in mine] == list(want)
         assert [(f"h{s_[i]}", f"h{d_[i]}", nbytes[i]) for i in mine] == \
             [(o.src, o.dst, o.bytes_seen) for o in want.values()]
+        assert list(got.items()) == list(want.items())
     assert set(sw) <= set(range(4))
+    for f in fids:
+        assert len({id(d[f]) for d in dicts if f in d}) <= 1
 
 
 def test_replace_keeps_the_snapshot_handle_unless_flow_obs_changes():
@@ -352,12 +398,11 @@ def test_fleet_state_and_reward_equal_the_per_record_forms(cfg, records, data):
     ratio = np.array(data.draw(st.lists(st.floats(0, 1), min_size=n,
                                         max_size=n)))
     cols = TelemetryColumns(records)
-    builder, rewarder = StateBuilder(cfg), RewardComputer(cfg)
-    want = np.array([builder.build(r, int(i), float(f)).to_array()
-                     for r, i, f in zip(records, incast, ratio)])
-    assert builder.build_fleet(cols, incast, ratio).tolist() == want.tolist()
-    assert rewarder.compute_fleet(cols).tolist() == \
-        [rewarder.compute(r) for r in records]
+    want = [_features(cfg, r, int(i), float(f))
+            for r, i, f in zip(records, incast, ratio)]
+    assert StateBuilder(cfg).build_fleet(cols, incast, ratio).tolist() == want
+    assert RewardComputer(cfg).compute_fleet(cols).tolist() == \
+        [_reward(cfg, r) for r in records]
     assert cols.utilization.tolist() == [r.utilization for r in records]
 
 
@@ -401,14 +446,13 @@ def _loaded(seed=0):
                                  dict(raw_reciprocal_reward=True)])
 def test_observer_equals_the_per_switch_pipeline_on_a_real_fabric(arm):
     """Real collections, one switch blacked out for a while: observations
-    and rewards equal dict-NCM → ``build`` → list history → ``compute``."""
+    and rewards equal dict-NCM → Eq. 2 → list history, and Eq. 6."""
     cfg = PETConfig(history_k=3, ncm_cleanup_interval_slots=4, **arm)
     net = _loaded()
     names = net.switch_names()
     observer = FleetObserver(names, cfg)
     models = {s: DictNCM(cfg) for s in names}
     history = {s: [] for s in names}
-    builder, rewarder = StateBuilder(cfg), RewardComputer(cfg)
     for t in range(30):
         net.advance(1e-3)
         stats = net.queue_stats()
@@ -422,11 +466,11 @@ def test_observer_equals_the_per_switch_pipeline_on_a_real_fabric(arm):
             incast, ratio, _ = models[s].ingest(
                 {fid: (o.src, o.dst, o.bytes_seen, o.last_seen)
                  for fid, o in rec.flow_obs.items()})
-            history[s] = (history[s] + [builder.build(rec, incast, ratio)
-                                        .to_array()])[-cfg.history_k:]
+            history[s] = (history[s] + [np.array(
+                _features(cfg, rec, incast, ratio))])[-cfg.history_k:]
             pad = [np.zeros(6)] * (cfg.history_k - len(history[s]))
             assert obs.tolist() == np.concatenate(pad + history[s]).tolist()
-            assert reward == rewarder.compute(rec)
+            assert reward == _reward(cfg, rec)
             assert observer.mean_recent_reward(s, 1) == reward
 
 
@@ -470,12 +514,15 @@ def test_reset_episode_leaves_nothing_of_the_last_episode(kind):
 
 
 def test_one_switch_monitor_is_the_one_row_fleet():
-    ncm = NetworkConditionMonitor("s0", PETConfig(history_k=2))
-    a = ncm.ingest(_record("s0", {1: FlowObservation(1, "a", "x", 10, 0.0)}), 0.0)
-    b = ncm.ingest(_record("s0", {2: FlowObservation(2, "b", "x", 5 * MB, 1.0)}),
-                   1e-3)
-    assert (a.incast_degree, a.flow_ratio, a.n_flows_observed) == (1, 1.0, 1)
-    assert (b.incast_degree, b.flow_ratio, b.n_flows_observed) == (2, 0.5, 2)
-    assert ncm._analyze() == b and ncm.memory_bytes() == 96
-    with pytest.raises(ValueError):
-        ncm.ingest(_record("s1"), 0.0)
+    """A switch's monitor on its own is ``FleetNCM([switch])``."""
+    ncm = FleetNCM(["s0"], PETConfig(history_k=2))
+    row = np.array([0])
+    a = ncm.ingest([_record("s0", {1: FlowObservation(1, "a", "x", 10, 0.0)})],
+                   row)
+    b = ncm.ingest([_record("s0",
+                            {2: FlowObservation(2, "b", "x", 5 * MB, 1.0)})],
+                   row)
+    assert [c.tolist() for c in a] == [[1], [1.0], [1]]
+    assert [c.tolist() for c in b] == [[2], [0.5], [2]]
+    assert [c.tolist() for c in ncm.analyze()] == [c.tolist() for c in b]
+    assert ncm.memory_bytes().tolist() == [96]

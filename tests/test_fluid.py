@@ -257,9 +257,9 @@ class TestStatsInterface:
         net = mk_net()
         cfg = ECNConfig(111, 222, 0.33)
         net.set_ecn("leaf0", cfg)
-        stats_ecn = net._ecn_by_switch[0]
+        stats_ecn = net._switch_ecn[0]
         assert stats_ecn == cfg
-        assert net._ecn_by_switch[1] != cfg
+        assert net._switch_ecn[1] != cfg
 
     def test_latency_samples(self):
         net = mk_net()

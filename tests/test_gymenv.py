@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import PETConfig
 from repro.gymenv import DCNEnv, EnvConfig, MultiAgentDCNEnv
+from repro.gymenv import env as env_mod
 from repro.netsim.fluid import FluidConfig
 
 
@@ -50,7 +51,7 @@ class TestDCNEnv:
         env.reset()
         a = env.n_actions - 1
         env.step(a)
-        applied = env.net._ecn_by_switch[env.net._switch_id(env.agent_switch)]
+        applied = env.net._switch_ecn[env.net._switch_id(env.agent_switch)]
         assert applied == env.codec.decode(a)
 
     def test_reset_gives_fresh_episode(self):
@@ -75,6 +76,25 @@ class TestDCNEnv:
         _, reward, _, info = env.step(0)
         assert info["avg_qlen_bytes"] < 10_000
         assert reward > env.config.pet.beta2 * 0.8
+
+
+class TestDefaultFabric:
+    @pytest.mark.parametrize("make", [DCNEnv, MultiAgentDCNEnv])
+    def test_episodes_start_at_the_config_seed(self, make, monkeypatch):
+        """Reset ``e`` (from 0) builds its fabric on ``config.seed + e``,
+        whichever env is asked."""
+        seeds = []
+
+        class Spy(env_mod.FluidNetwork):
+            def __init__(self, *args, **kwargs):
+                seeds.append(kwargs["seed"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(env_mod, "FluidNetwork", Spy)
+        env = make(env_config(seed=5))
+        env.reset()
+        env.reset()
+        assert seeds == [5, 6]
 
 
 class TestMultiAgentDCNEnv:
@@ -109,7 +129,7 @@ class TestMultiAgentDCNEnv:
         acts = {s: i % env.n_actions for i, s in enumerate(env.agents)}
         env.step(acts)
         for s, a in acts.items():
-            assert env.net._ecn_by_switch[env.net._switch_id(s)] == \
+            assert env.net._switch_ecn[env.net._switch_id(s)] == \
                 env.codec.decode(a)
 
     def test_step_before_reset_raises(self):

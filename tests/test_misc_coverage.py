@@ -145,6 +145,7 @@ class TestPETControllerMisc:
         1 ms ticks; ``mean_recent_reward`` only reads a trailing window."""
         from repro.baselines.acc import ACCConfig, ACCController
         from repro.core.reward import REWARD_LOG_LEN
+        from repro.core.state import TelemetryColumns
 
         net = FluidNetwork(FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
                                        host_rate_bps=10e9,
@@ -157,7 +158,8 @@ class TestPETControllerMisc:
         for _ in range(8):
             net.advance(2e-4)
             samples.append({"leaf1": net.queue_stats()["leaf1"]})
-        rewards = [ctl.reward.compute(st["leaf1"]) for st in samples]
+        rewards = ctl.observer.reward.compute_fleet(
+            TelemetryColumns([st["leaf1"] for st in samples])).tolist()
         assert len(set(rewards)) > 1
         for k in range(10_000):
             ctl.decide(samples[k % 8], k * 1e-3, net)

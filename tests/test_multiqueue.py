@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import PETConfig
 from repro.core.multiqueue import MultiQueuePETController
+from repro.core.state import TelemetryColumns
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
@@ -132,6 +133,23 @@ class TestMultiQueueController:
         np.testing.assert_allclose(a.agents["leaf0"].policy.probs(obs),
                                    b.agents["leaf0"].policy.probs(obs))
 
+    def test_queues_are_fixed_by_the_first_interval(self):
+        """The first ``port_stats`` lays out the rows of the input
+        matrix: later intervals may report fewer queues, not new ones."""
+        net = fluid_net()
+        ctrl = MultiQueuePETController(net.switch_names(), PETConfig(seed=7))
+        net.advance(1e-3)
+        first = dict(list(net.port_stats().items())[:-1])
+        assert len(ctrl.decide(first, net.queue_stats(), net.now, net)) \
+            == len(first)
+        net.advance(1e-3)
+        fewer = dict(list(first.items())[1:])
+        assert set(ctrl.decide(fewer, net.queue_stats(), net.now, net)) \
+            == set(fewer)
+        net.advance(1e-3)
+        with pytest.raises(ValueError):
+            ctrl.decide(net.port_stats(), net.queue_stats(), net.now, net)
+
     def test_requires_switches(self):
         with pytest.raises(ValueError):
             MultiQueuePETController([])
@@ -149,5 +167,6 @@ class TestMultiQueueController:
         hot = [st for st in port_stats.values() if st.avg_qlen_bytes > 1e4]
         cold = [st for st in port_stats.values() if st.avg_qlen_bytes < 1e2]
         assert hot and cold
-        assert (ctrl.reward.compute(hot[0])
-                < ctrl.reward.compute(cold[0]))
+        hot_r, cold_r = ctrl.reward.compute_fleet(
+            TelemetryColumns([hot[0], cold[0]]))
+        assert hot_r < cold_r

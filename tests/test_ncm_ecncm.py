@@ -1,12 +1,12 @@
 """Tests for the Network Condition Monitor and the ECN Configuration Module."""
 
+import numpy as np
 import pytest
 
 from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
 from repro.core.ecn_cm import ECNConfigModule
-from repro.core.ncm import NetworkConditionMonitor
-from repro.netsim.ecn import ECNConfig
+from repro.core.ncm import FleetNCM
 from repro.netsim.network import QueueStats
 from repro.netsim.queueing import FlowObservation
 
@@ -22,82 +22,90 @@ def obs(fid, src, dst, nbytes=1000, t=0.0):
     return FlowObservation(fid, src, dst, nbytes, t)
 
 
+def monitor(cfg=None):
+    """One switch's monitor: the fleet of one."""
+    return FleetNCM(["leaf0"], cfg or PETConfig())
+
+
+def ingest(ncm, stats):
+    """One slot; returns ``(incast degree, flow ratio, flows observed)``."""
+    return tuple(column[0].item()
+                 for column in ncm.ingest([stats], np.array([0])))
+
+
+def incast_degree(table):
+    return ingest(monitor(), mk_stats(flow_obs=table))[0]
+
+
 class TestIncastDegree:
     def test_empty(self):
-        assert NetworkConditionMonitor.compute_incast_degree({}) == 0
+        assert incast_degree({}) == 0
 
     def test_many_to_one(self):
         table = {i: obs(i, f"h{i}", "h9") for i in range(5)}
-        assert NetworkConditionMonitor.compute_incast_degree(table) == 5
+        assert incast_degree(table) == 5
 
     def test_max_over_receivers(self):
         table = {1: obs(1, "a", "x"), 2: obs(2, "b", "x"),
                  3: obs(3, "c", "y")}
-        assert NetworkConditionMonitor.compute_incast_degree(table) == 2
+        assert incast_degree(table) == 2
 
     def test_duplicate_senders_counted_once(self):
         table = {1: obs(1, "a", "x"), 2: obs(2, "a", "x")}
-        assert NetworkConditionMonitor.compute_incast_degree(table) == 1
+        assert incast_degree(table) == 1
 
 
 class TestNCMIngestAnalyze:
-    def test_wrong_switch_rejected(self):
-        ncm = NetworkConditionMonitor("leaf0", PETConfig())
-        with pytest.raises(ValueError):
-            ncm.ingest(mk_stats(switch="leaf1"), 0.0)
-
     def test_analysis_combines_window_slots(self):
-        cfg = PETConfig(history_k=3)
-        ncm = NetworkConditionMonitor("leaf0", cfg)
-        a1 = ncm.ingest(mk_stats(flow_obs={1: obs(1, "a", "x")}), 1e-3)
-        assert a1.incast_degree == 1
-        a2 = ncm.ingest(mk_stats(flow_obs={2: obs(2, "b", "x")}), 2e-3)
+        ncm = monitor(PETConfig(history_k=3))
+        incast, _, _ = ingest(ncm, mk_stats(flow_obs={1: obs(1, "a", "x")}))
+        assert incast == 1
+        incast, _, flows = ingest(ncm,
+                                  mk_stats(flow_obs={2: obs(2, "b", "x")}))
         # both senders to x retained in the window
-        assert a2.incast_degree == 2
-        assert a2.n_flows_observed == 2
+        assert incast == 2
+        assert flows == 2
 
     def test_flow_ratio_from_observed_bytes(self):
-        ncm = NetworkConditionMonitor("leaf0", PETConfig())
         table = {1: obs(1, "a", "x", nbytes=100),
                  2: obs(2, "b", "x", nbytes=5_000_000)}
-        analysis = ncm.ingest(mk_stats(flow_obs=table), 0.0)
-        assert analysis.flow_ratio == pytest.approx(0.5)
+        _, ratio, _ = ingest(monitor(), mk_stats(flow_obs=table))
+        assert ratio == pytest.approx(0.5)
 
     def test_empty_observation_neutral_ratio(self):
-        ncm = NetworkConditionMonitor("leaf0", PETConfig())
-        analysis = ncm.ingest(mk_stats(), 0.0)
-        assert analysis.flow_ratio == 0.5
-        assert analysis.incast_degree == 0
+        incast, ratio, _ = ingest(monitor(), mk_stats())
+        assert ratio == 0.5
+        assert incast == 0
 
 
 class TestNCMCleanup:
     def test_scheduled_cleanup_expires_old_slots(self):
         cfg = PETConfig(history_k=2, ncm_cleanup_interval_slots=3,
                         ncm_memory_threshold_bytes=10**9)
-        ncm = NetworkConditionMonitor("leaf0", cfg)
+        ncm = monitor(cfg)
         for i in range(6):
-            ncm.ingest(mk_stats(flow_obs={i: obs(i, "a", "x")}), i * 1e-3)
-        assert ncm.cleanups_scheduled == 2      # at slots 3 and 6
-        assert ncm.retained_slots() <= max(cfg.history_k,
-                                           cfg.ncm_cleanup_interval_slots)
-        assert ncm.entries_pruned > 0
+            ingest(ncm, mk_stats(flow_obs={i: obs(i, "a", "x")}))
+        assert ncm.cleanups_scheduled[0] == 2      # at slots 3 and 6
+        assert ncm.retained_slots()[0] <= max(cfg.history_k,
+                                              cfg.ncm_cleanup_interval_slots)
+        assert ncm.entries_pruned[0] > 0
 
     def test_threshold_cleanup_on_burst(self):
         cfg = PETConfig(history_k=8, ncm_cleanup_interval_slots=100,
                         ncm_memory_threshold_bytes=48 * 10,   # tiny budget
                         ncm_threshold_drop_fraction=0.5)
-        ncm = NetworkConditionMonitor("leaf0", cfg)
+        ncm = monitor(cfg)
         burst = {i: obs(i, f"h{i}", "agg", t=float(i)) for i in range(40)}
-        ncm.ingest(mk_stats(flow_obs=burst), 0.0)
-        assert ncm.cleanups_threshold >= 1
-        assert ncm.memory_bytes() <= 48 * 40    # roughly half dropped
-        assert ncm.entries_pruned >= 20
+        ingest(ncm, mk_stats(flow_obs=burst))
+        assert ncm.cleanups_threshold[0] >= 1
+        assert ncm.memory_bytes()[0] <= 48 * 40    # roughly half dropped
+        assert ncm.entries_pruned[0] >= 20
 
     def test_memory_metering(self):
-        ncm = NetworkConditionMonitor("leaf0", PETConfig())
-        assert ncm.memory_bytes() == 0
-        ncm.ingest(mk_stats(flow_obs={1: obs(1, "a", "x")}), 0.0)
-        assert ncm.memory_bytes() == 48
+        ncm = monitor()
+        assert ncm.memory_bytes()[0] == 0
+        ingest(ncm, mk_stats(flow_obs={1: obs(1, "a", "x")}))
+        assert ncm.memory_bytes()[0] == 48
 
 
 class DummyNetwork:
@@ -134,14 +142,6 @@ class TestECNConfigModule:
         mod.apply(0, now=0.0, network=net)
         assert mod.apply(1, now=1e-3, network=net) is not None
 
-    def test_force_bypasses_rate_limit(self):
-        codec = ActionCodec.compact()
-        mod = ECNConfigModule("leaf0", codec, min_interval=1.0)
-        net = DummyNetwork()
-        mod.apply(0, now=0.0, network=net)
-        mod.force(ECNConfig(1, 2, 0.5), now=0.1, network=net)
-        assert mod.current == ECNConfig(1, 2, 0.5)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ECNConfigModule("leaf0", ActionCodec.compact(), min_interval=-1)
@@ -155,37 +155,34 @@ class TestThresholdSweepSlotHygiene:
     @staticmethod
     def _data_bearing_slots(ncm):
         """Distinct slot numbers among the retained window entries."""
-        return len(set(ncm.fleet._win[-1].tolist()))
+        return len(set(ncm._win[-1].tolist()))
 
     def _bursty_ncm(self):
         cfg = PETConfig(history_k=4, ncm_cleanup_interval_slots=10**6,
                         ncm_memory_threshold_bytes=48 * 2,    # ~2 entries
                         ncm_threshold_drop_fraction=0.5)
-        return NetworkConditionMonitor("leaf0", cfg)
+        return monitor(cfg)
 
     def test_sweep_drops_emptied_slots(self):
         ncm = self._bursty_ncm()
         for i in range(6):
-            ncm.ingest(mk_stats(flow_obs={i: obs(i, "a", "x", t=i * 1e-3)}),
-                       i * 1e-3)
-        assert ncm.cleanups_threshold >= 1
+            ingest(ncm, mk_stats(flow_obs={i: obs(i, "a", "x", t=i * 1e-3)}))
+        assert ncm.cleanups_threshold[0] >= 1
         # no empty husks
-        assert ncm.retained_slots() == self._data_bearing_slots(ncm) > 0
+        assert ncm.retained_slots()[0] == self._data_bearing_slots(ncm) > 0
 
     def test_slot_count_stays_bounded_under_burst(self):
         ncm = self._bursty_ncm()
         for i in range(50):
-            ncm.ingest(mk_stats(flow_obs={i: obs(i, "a", "x", t=i * 1e-3)}),
-                       i * 1e-3)
+            ingest(ncm, mk_stats(flow_obs={i: obs(i, "a", "x", t=i * 1e-3)}))
         # pre-fix the list grew ~one emptied slot per sweep; post-fix the
         # retained slots are exactly the data-bearing ones
-        assert ncm.retained_slots() <= 3
-        assert ncm.retained_slots() == self._data_bearing_slots(ncm) > 0
+        assert ncm.retained_slots()[0] <= 3
+        assert ncm.retained_slots()[0] == self._data_bearing_slots(ncm) > 0
 
     def test_memory_gauges_emitted_when_enabled(self):
         import repro.obs as obs_mod
         with obs_mod.telemetry() as (reg, _):
-            ncm = NetworkConditionMonitor("leaf0", PETConfig())
-            ncm.ingest(mk_stats(flow_obs={1: obs(1, "a", "x")}), 0.0)
+            ingest(monitor(), mk_stats(flow_obs={1: obs(1, "a", "x")}))
             assert reg.gauge_value("ncm.memory_bytes", switch="leaf0") == 48.0
             assert reg.gauge_value("ncm.retained_slots", switch="leaf0") == 1.0

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
 from repro.core.reward import RewardComputer
-from repro.core.state import HistoryWindow, StateBuilder
+from repro.core.state import HistoryWindow, StateBuilder, TelemetryColumns
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.engine import Simulator
 from repro.netsim.network import QueueStats
@@ -165,17 +165,17 @@ def _stats(qlen, tx, marked, cap=1e9, avg_qlen=None):
        ratio=st.floats(-1, 2))
 @settings(max_examples=100)
 def test_state_features_always_normalized(qlen, tx, marked, incast, ratio):
-    sb = StateBuilder(PETConfig())
-    f = sb.build(_stats(qlen, tx, marked), incast, ratio)
-    arr = f.to_array()
+    arr = StateBuilder(PETConfig()).build_fleet(
+        TelemetryColumns([_stats(qlen, tx, marked)]), np.array([incast]),
+        np.array([ratio]))
     assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
 
 
 @given(qlen=st.floats(0, 1e9), tx=st.integers(0, 10**9))
 @settings(max_examples=100)
 def test_reward_bounded_in_default_mode(qlen, tx):
-    rc = RewardComputer(PETConfig())
-    r = rc.compute(_stats(qlen, tx, 0))
+    r = RewardComputer(PETConfig()).compute_fleet(
+        TelemetryColumns([_stats(qlen, tx, 0)]))[0]
     assert 0.0 <= r <= 1.0
 
 
@@ -184,7 +184,7 @@ def test_history_window_obs_dim_invariant(k, pushes):
     w = HistoryWindow(k)
     for i in range(pushes):
         w.push(np.full(6, float(i % 3) / 3))
-    assert w.observation().shape == (6 * k,)
+    assert w.observation().shape == (1, 6 * k)
 
 
 # ---------------------------------------------------------------- engine

@@ -77,6 +77,7 @@ class TestRewardPerQueueNormalization:
 
     def test_same_per_queue_occupancy_same_reward(self):
         from repro.core.reward import RewardComputer
+        from repro.core.state import TelemetryColumns
         from repro.netsim.network import QueueStats
 
         def stats(total_qlen, n_queues):
@@ -87,10 +88,11 @@ class TestRewardPerQueueNormalization:
                               tx_bytes=0, tx_marked_bytes=0, dropped_pkts=0,
                               capacity_bps=1e9, ecn=None, n_queues=n_queues)
 
-        rc = RewardComputer(PETConfig())
+        rc = RewardComputer(PETConfig(beta1=0.0, beta2=1.0))   # La alone
         # 10 queues at 50KB each vs 1 queue at 50KB: same La
-        assert rc.latency_term(stats(500_000, 10)) == pytest.approx(
-            rc.latency_term(stats(50_000, 1)))
+        busy, single = rc.compute_fleet(
+            TelemetryColumns([stats(500_000, 10), stats(50_000, 1)]))
+        assert busy == pytest.approx(single)
 
 
 class TestFluidSlotRecycling:
