@@ -29,6 +29,7 @@ from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
 from repro.core.ecn_cm import ECNConfigModule
 from repro.core.observer import FleetObserver
+from repro.core.reward import REWARD_LOG_LEN
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.network import QueueStats
 from repro.obs.metrics import get_registry
@@ -78,6 +79,7 @@ class PETController:
         self._pending: Dict[str, np.ndarray] = {}
         self._steps = 0
         self._reward_log = self.observer.reward_log
+        #: the per-switch stats of the last ``REWARD_LOG_LEN`` updates
         self.update_stats: List[Dict] = []
 
     # -- Controller interface ------------------------------------------------
@@ -91,7 +93,8 @@ class PETController:
         (1) The observer ingests the interval's stats: NCM features,
         normalized state, history and the reward for the *previous*
         action, for every reporting switch at once; (2) the pending
-        transitions are recorded with those rewards; (3) the agents
+        transitions are recorded with those rewards, one column write
+        into the learner's rollouts; (3) the agents
         select new actions on the fresh observations; (4) the ECN-CMs
         push the decoded thresholds.
         """
@@ -109,20 +112,19 @@ class PETController:
 
         # close out the previous decisions with this interval's rewards
         if self.training:
-            agents = list(self.trainer.agents.values())
-            for row, ok, obs, a, r, logp, v in zip(
-                    rows.tolist(), pend["valid"][rows].tolist(),
-                    pend["obs"][rows], pend["action"][rows].tolist(),
-                    seen.reward.tolist(), pend["log_prob"][rows].tolist(),
-                    pend["value"][rows].tolist()):
-                if ok:
-                    agents[row].record(obs, a, r, False, logp, v)
+            ok = pend["valid"][rows]
+            r = rows[ok]
+            if len(r):
+                self.trainer.learner.record(
+                    r, pend["obs"][r], pend["action"][r], seen.reward[ok],
+                    False, pend["log_prob"][r], pend["value"][r])
             self._steps += 1
             if self._steps % self.config.update_interval == 0:
                 with tr.span("ppo.update", now=now, step=self._steps,
                              agents=n_seen):
                     self.update_stats.append(self.trainer.update(
                         dict(zip(seen.switches, seen.obs))))
+                del self.update_stats[:-REWARD_LOG_LEN]
 
         # select and apply new actions
         applied: Dict[str, ECNConfig] = {}

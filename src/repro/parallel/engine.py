@@ -42,6 +42,7 @@ slot is ``None`` and the whole path is a single ``enabled()`` check.
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 import traceback
@@ -57,7 +58,28 @@ from repro.obs.trace import get_tracer
 from repro.parallel import seeding
 
 __all__ = ["TaskSpec", "TaskFailure", "TaskOutcome", "TaskFailedError",
-           "EngineReport", "Engine", "run_tasks", "map_tasks"]
+           "EngineReport", "Engine", "run_tasks", "map_tasks",
+           "usable_cores"]
+
+#: how many processes of one :class:`Engine` pool share the machine's
+#: cores: set in each pool worker as it starts, 1 everywhere else
+_POOL_WORKERS = 1
+
+
+def usable_cores() -> int:
+    """The cores this process may keep busy: its CPU affinity set, or
+    its share of that set inside an ``Engine(workers=N)`` worker, so the
+    threads a task starts never oversubscribe the pool."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:                  # no affinity API here
+        cores = os.cpu_count() or 1
+    return max(1, cores // _POOL_WORKERS)
+
+
+def _join_pool(workers: int) -> None:
+    global _POOL_WORKERS
+    _POOL_WORKERS = workers
 
 
 @dataclass(frozen=True)
@@ -338,12 +360,14 @@ class Engine:
 
     # -- parallel path ------------------------------------------------------
     def _new_pool(self, workers: int) -> ProcessPoolExecutor:
+        # every worker learns the engine's fan-out (usable_cores)
+        share = {"initializer": _join_pool, "initargs": (self.workers,)}
         if self.mp_context is None:
-            return ProcessPoolExecutor(max_workers=workers)
+            return ProcessPoolExecutor(max_workers=workers, **share)
         import multiprocessing
         return ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=multiprocessing.get_context(self.mp_context))
+            mp_context=multiprocessing.get_context(self.mp_context), **share)
 
     def _run_parallel(self, pendings: Sequence[_Pending], collect: bool
                       ) -> Tuple[List[TaskOutcome], int]:

@@ -14,8 +14,10 @@ dependency:
   objective (paper Eq. 11) and squared-error value loss (paper Eq. 12).
 - :mod:`repro.rl.ippo` — Independent PPO: one PPO learner per agent, no
   parameter or experience sharing (the DTDE paradigm of the paper).
-- :mod:`repro.rl.stacked` — the agents' MLP weights stacked into 3-D
-  tensors, so one ``matmul`` per layer serves a whole fleet's inference.
+- :mod:`repro.rl.stacked` — one stacked learner: the agents' weights,
+  Adam moments and rollouts in packed ``(A, …)`` arrays, so one
+  ``matmul`` per layer serves a whole fleet's inference and the PPO
+  update runs as stacked calls, one agent group per core.
 - :mod:`repro.rl.replay` — uniform replay buffers, including the *global*
   replay buffer that ACC's DDQN requires (used to quantify its overhead).
 - :mod:`repro.rl.ddqn` — Double DQN learner (the ACC baseline's algorithm).

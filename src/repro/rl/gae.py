@@ -32,33 +32,34 @@ import numpy as np
 __all__ = ["compute_gae", "discounted_returns"]
 
 
-def _episode_boundaries(T: int, dones: np.ndarray,
+def _episode_boundaries(shape: Tuple[int, ...], dones: np.ndarray,
                         truncateds: Optional[np.ndarray],
                         bootstrap_values: Optional[np.ndarray]
                         ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``dones`` as a length-``T`` bool array, and the successor value of
-    each done step: ``bootstrap_values`` at truncations, zero at
-    terminations — ``None`` (all zero) unless both optional arrays are
-    given.  Every array must have length ``T``.
+    """``dones`` as a bool array of the rewards' ``shape``, and the
+    successor value of each done step: ``bootstrap_values`` at
+    truncations, zero at terminations — ``None`` (all zero) unless both
+    optional arrays are given.  Every array must have that shape.
     """
     dones = np.asarray(dones, dtype=bool)
-    if len(dones) != T:
-        raise ValueError("dones must match rewards length")
+    if dones.shape != shape:
+        raise ValueError("dones must match the shape of rewards")
     if truncateds is not None:
         truncateds = np.asarray(truncateds, dtype=bool)
-        if len(truncateds) != T:
-            raise ValueError("truncateds must match rewards length")
+        if truncateds.shape != shape:
+            raise ValueError("truncateds must match the shape of rewards")
     if bootstrap_values is not None:
         bootstrap_values = np.asarray(bootstrap_values, dtype=np.float64)
-        if len(bootstrap_values) != T:
-            raise ValueError("bootstrap_values must match rewards length")
+        if bootstrap_values.shape != shape:
+            raise ValueError(
+                "bootstrap_values must match the shape of rewards")
     if truncateds is None or bootstrap_values is None:
         return dones, None
     return dones, np.where(truncateds, bootstrap_values, 0.0)
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
-                last_value: float, gamma: float, lam: float,
+                last_value, gamma: float, lam: float,
                 truncateds: Optional[np.ndarray] = None,
                 bootstrap_values: Optional[np.ndarray] = None
                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -67,19 +68,22 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
     Parameters
     ----------
     rewards, values, dones:
-        Arrays of equal length T; ``values[t] = V(s_t)``, ``dones[t]`` is
-        True when ``s_{t+1}`` starts a new episode.
+        Arrays of one shape ``(..., T)``: the last axis is time, any
+        leading axes are independent rollouts (one per agent, for the
+        stacked learner); ``values[..., t] = V(s_t)``, ``dones[..., t]``
+        is True when ``s_{t+1}`` starts a new episode.
     last_value:
         ``V(s_T)``, the bootstrap value of the state after the rollout
-        (used when the rollout does not end on a ``done``).
+        (used when the rollout does not end on a ``done``): a float, or
+        one per leading index.
     gamma, lam:
         Discount factor and the GAE lambda.
     truncateds:
-        Optional bool array of length T; ``truncateds[t]`` marks
-        ``dones[t]`` as a time-limit truncation rather than a true
-        termination.  A truncated step bootstraps
-        ``gamma * bootstrap_values[t]`` in its delta while still cutting
-        the advantage chain.
+        Optional bool array of the same shape; ``truncateds[..., t]``
+        marks ``dones[..., t]`` as a time-limit truncation rather than a
+        true termination.  A truncated step bootstraps
+        ``gamma * bootstrap_values[..., t]`` in its delta while still
+        cutting the advantage chain.
     bootstrap_values:
         ``V`` of the successor state for each truncated step (ignored
         elsewhere).  Required semantically when ``truncateds`` has any
@@ -90,36 +94,35 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
     -------
     advantages, returns:
         ``returns = advantages + values`` (the regression target R-hat of
-        paper Eq. 12).
+        paper Eq. 12).  Each rollout's values are the ones it would get
+        alone: the scan is elementwise across the leading axes.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    T = len(rewards)
-    if len(values) != T:
-        raise ValueError("values must match rewards length")
-    dones, resets = _episode_boundaries(T, dones, truncateds,
+    if values.shape != rewards.shape:
+        raise ValueError("values must match the shape of rewards")
+    dones, resets = _episode_boundaries(rewards.shape, dones, truncateds,
                                         bootstrap_values)
-    adv = np.empty(T)
+    adv = np.empty(rewards.shape)
+    T = rewards.shape[-1]
     if T == 0:
         return adv, adv.copy()
     # V(s_{t+1}) per step: shifted values, done steps replaced by their
     # successor value
-    nv = np.empty(T)
-    nv[:-1] = values[1:]
-    nv[-1] = float(last_value)
-    if dones.any():
-        nv[dones] = 0.0 if resets is None else resets[dones]
+    nv = np.empty(rewards.shape)
+    nv[..., :-1] = values[..., 1:]
+    nv[..., -1] = last_value
+    nv = np.where(dones, 0.0 if resets is None else resets, nv)
     delta = rewards + gamma * nv
     delta -= values
-    # one reverse scan over Python floats: the per-element operations of
-    # Eq. 9 without an array index and a numpy-bool branch per step
-    dl = delta.tolist()
-    dn = dones.tolist()
+    # Eq. 9 as one reverse scan over time; at a done step the chain
+    # restarts from that step's delta
     gl = gamma * lam
-    gae = 0.0
+    gae = np.zeros(rewards.shape[:-1])
     for t in range(T - 1, -1, -1):
-        gae = dl[t] if dn[t] else dl[t] + gl * gae
-        adv[t] = gae
+        dt = delta[..., t]
+        gae = np.where(dones[..., t], dt, dt + gl * gae)
+        adv[..., t] = gae
     returns = adv + values
     return adv, returns
 
@@ -132,11 +135,12 @@ def discounted_returns(rewards: np.ndarray, dones: np.ndarray, last_value: float
 
     Truncation handling mirrors :func:`compute_gae`: a truncated step
     restarts the running return from ``bootstrap_values[t]`` instead of
-    zero, and every array must have the length of ``rewards``.
+    zero, and every array must have the length of ``rewards`` (one
+    rollout: unlike :func:`compute_gae`, this takes 1-D arrays only).
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     T = len(rewards)
-    dones, resets = _episode_boundaries(T, dones, truncateds,
+    dones, resets = _episode_boundaries(rewards.shape, dones, truncateds,
                                         bootstrap_values)
     out = np.zeros(T)
     restart = None if resets is None else resets.tolist()

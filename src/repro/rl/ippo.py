@@ -10,7 +10,8 @@ in :mod:`repro.rl.ddqn`).
 
 :class:`IPPOTrainer` is a thin orchestration convenience: it holds the
 per-agent learners, routes per-agent observations/rewards, and triggers
-per-agent updates.  Nothing in it mixes data across agents.
+per-agent updates.  Nothing in it mixes data across agents: they share
+one stacked learner for speed, never a parameter or a transition.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Dict, Hashable, Iterable, Mapping, Optional
 import numpy as np
 
 from repro.rl.ppo import PPOAgent, PPOConfig
-from repro.rl.stacked import StackedAgents
+from repro.rl.stacked import PPOLearner
 
 __all__ = ["IPPOTrainer"]
 
@@ -37,6 +38,11 @@ class IPPOTrainer:
         Shared hyperparameters; each agent gets its own networks seeded
         from ``config.seed`` + its index, so runs are reproducible but the
         agents are not parameter-tied.
+
+    The agents are rows of one :class:`~repro.rl.stacked.PPOLearner`
+    (``learner``), in ``agent_ids`` order: one stacked forward acts for
+    all of them and one stacked update trains them, bit-identical per
+    agent to its own ``PPOAgent`` calls.
     """
 
     def __init__(self, agent_ids: Iterable[Hashable], config: PPOConfig) -> None:
@@ -50,21 +56,15 @@ class IPPOTrainer:
         for i, aid in enumerate(ids):
             seed = None if config.seed is None else config.seed + i
             self.agents[aid] = PPOAgent(replace(config, seed=seed))
+        self.learner = PPOLearner(list(self.agents.values()))
         self._row = {aid: i for i, aid in enumerate(ids)}
-        self._stack: Optional[StackedAgents] = None
 
     @property
     def agent_ids(self):
         return list(self.agents.keys())
 
-    def _stacked(self) -> StackedAgents:
-        """The batched-inference stack, built on first use.  The agents
-        share one :class:`PPOConfig`, so they always stack; agents made
-        to diverge afterwards raise
-        :class:`~repro.rl.stacked.StackingError`."""
-        if self._stack is None:
-            self._stack = StackedAgents(self.agents)
-        return self._stack
+    def _rows(self, ids) -> np.ndarray:
+        return np.array([self._row[aid] for aid in ids], dtype=np.int64)
 
     def act(self, observations: Mapping[Hashable, np.ndarray] | np.ndarray,
             *, epsilon: float = 0.0, greedy: bool = False,
@@ -81,21 +81,21 @@ class IPPOTrainer:
         three columns as arrays — the form the fleet observer feeds.
 
         The per-agent MLP forwards collapse into one batched forward
-        (:meth:`_stacked`) — bit-identical per agent, including each
-        agent's private sampling stream.
+        over the learner's packed weights — bit-identical per agent,
+        including each agent's private sampling stream.
         """
         if isinstance(observations, np.ndarray):
             if epsilons is None and epsilon:
                 epsilons = [epsilon] * len(observations)
-            return self._stacked().act(observations, rows, epsilons, greedy)
+            return self.learner.act(observations, rows, epsilons, greedy)
         ids = list(observations)
         if not ids:
             return {}
         eps = [epsilon if epsilons is None else epsilons.get(aid, epsilon)
                for aid in ids]
-        cols = self._stacked().act(
+        cols = self.learner.act(
             np.array([observations[aid] for aid in ids], dtype=np.float64),
-            np.array([self._row[aid] for aid in ids]), eps, greedy)
+            self._rows(ids), eps, greedy)
         return {aid: {"action": a, "log_prob": lp, "value": v}
                 for aid, a, lp, v in zip(ids, cols["action"].tolist(),
                                          cols["log_prob"].tolist(),
@@ -104,7 +104,10 @@ class IPPOTrainer:
     def values(self, observations: Mapping[Hashable, np.ndarray]
                ) -> Dict[Hashable, float]:
         """Per-agent critic values, in one stacked forward."""
-        return self._stacked().values(observations)
+        ids = list(observations)
+        vals = self.learner.critic_values(self._rows(ids), np.array(
+            [np.ravel(observations[aid]) for aid in ids], dtype=np.float64))
+        return dict(zip(ids, vals.tolist()))
 
     def record(self, observations: Mapping[Hashable, np.ndarray],
                decisions: Mapping[Hashable, Mapping[str, float]],
@@ -113,7 +116,8 @@ class IPPOTrainer:
                truncateds: Optional[Mapping[Hashable, bool]] = None,
                bootstrap_values: Optional[Mapping[Hashable, float]] = None
                ) -> None:
-        """Store one transition per agent (local experience only).
+        """Store one transition per agent (local experience only), as one
+        column write into the learner's rollout arrays.
 
         ``truncateds`` marks per-agent time-limit cut-offs (the
         multi-agent env surfaces one shared flag via
@@ -121,39 +125,42 @@ class IPPOTrainer:
         through the boundary instead of zeroing ``V`` — see
         :meth:`repro.rl.ppo.PPOAgent.record`.
         """
-        for aid, obs in observations.items():
-            d = decisions[aid]
-            self.agents[aid].record(
-                obs, int(d["action"]), rewards[aid], bool(dones[aid]),
-                d["log_prob"], d["value"],
-                truncated=bool(truncateds.get(aid, False)) if truncateds else False,
-                bootstrap_value=(bootstrap_values.get(aid)
-                                 if bootstrap_values else None))
+        ids = list(observations)
+        if not ids:
+            return
+        truncateds = truncateds or {}
+        boots = bootstrap_values or {}
+        self.learner.record(
+            self._rows(ids),
+            np.array([np.ravel(observations[aid]) for aid in ids],
+                     dtype=np.float64),
+            [int(decisions[aid]["action"]) for aid in ids],
+            [rewards[aid] for aid in ids], [bool(dones[aid]) for aid in ids],
+            [decisions[aid]["log_prob"] for aid in ids],
+            [decisions[aid]["value"] for aid in ids],
+            [bool(truncateds.get(aid, False)) for aid in ids],
+            [0.0 if boots.get(aid) is None else boots[aid] for aid in ids])
 
     def update(self, last_observations: Optional[Mapping[Hashable, np.ndarray]] = None
                ) -> Dict[Hashable, Dict[str, float]]:
-        """Run one PPO update per agent on its own buffer.
-
-        The per-agent bootstrap values ``V(s_T)`` are evaluated in one
-        stacked critic forward (bit-identical to the per-agent calls) and
-        handed to each learner.
-        """
-        last_values: Dict[Hashable, float] = {}
+        """Run one PPO update per agent on its own buffer, as the
+        learner's stacked update; an agent missing from
+        ``last_observations`` does not bootstrap."""
+        ids = self.agent_ids
+        last = has = None
         if last_observations:
-            last_values = self.values(last_observations)
-        stats = {}
-        for aid, agent in self.agents.items():
-            last_obs = None
-            if last_observations is not None:
-                last_obs = last_observations.get(aid)
-            lv = last_values.get(aid) if last_obs is not None else None
-            stats[aid] = agent.update(last_obs, last_value=lv)
-        return stats
+            last = np.zeros((len(ids), self.config.obs_dim))
+            has = np.zeros(len(ids), dtype=bool)
+            for aid, obs in last_observations.items():
+                last[self._row[aid]] = np.ravel(obs)
+                has[self._row[aid]] = True
+        stats = self.learner.update(np.arange(len(ids)), last, has)
+        return dict(zip(ids, stats))
 
     def stacking_status(self) -> Dict[str, object]:
-        """JSON-safe summary of the batched-inference stack (the serve
-        plane's ``/state`` endpoint surfaces it per policy)."""
-        return {"stacked": True, **self._stacked().describe()}
+        """JSON-safe summary of the stack (the serve plane's ``/state``
+        endpoint surfaces it per policy)."""
+        return {"stacked": True, **self.learner.describe()}
 
     # -- checkpointing (offline pre-training -> online deployment) ---------
     def state_dict(self) -> Dict[Hashable, Dict]:

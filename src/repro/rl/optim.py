@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.rl.nn import Module
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "SGD", "Adam", "adam_direction"]
 
 
 class Optimizer:
@@ -96,10 +96,7 @@ class Adam(Optimizer):
         scatter per parameter plus ~12 full-vector ufunc calls,
         regardless of parameter count."""
         self._t += 1
-        b1t = 1.0 - self.beta1 ** self._t
-        b2t = 1.0 - self.beta2 ** self._t
-        fg, fm, fv = self._fg, self._fm, self._fv
-        f1, f2 = self._f1, self._f2
+        fg = self._fg
         items = self.module.param_grad_items()
         if items is not self._items_key:
             # (a, b, flat_param, flat_grad): reshape(-1) of a C-contiguous
@@ -118,18 +115,35 @@ class Adam(Optimizer):
         packed = self._packed
         for a, b, _pf, gf in packed:
             fg[a:b] = gf
-        fm *= self.beta1
-        np.multiply(fg, 1.0 - self.beta1, out=f1)
-        fm += f1
-        fv *= self.beta2
-        np.multiply(fg, fg, out=f2)
-        f2 *= 1.0 - self.beta2
-        fv += f2
-        np.divide(fm, b1t, out=f1)
-        f1 *= self.lr                      # == lr * m_hat
-        np.divide(fv, b2t, out=f2)
-        np.sqrt(f2, out=f2)
-        f2 += self.eps                     # == sqrt(v_hat) + eps
-        f1 /= f2
+        adam_direction(fg, self._fm, self._fv, 1.0 - self.beta1 ** self._t,
+                       1.0 - self.beta2 ** self._t, self.lr, self.beta1,
+                       self.beta2, self.eps, self._f1, self._f2)
         for a, b, pf, _gf in packed:
-            pf -= f1[a:b]
+            pf -= self._f1[a:b]
+
+
+def adam_direction(g: np.ndarray, m: np.ndarray, v: np.ndarray, b1t, b2t,
+                   lr: float, beta1: float, beta2: float, eps: float,
+                   out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Advance Adam's moments ``m``, ``v`` in place by gradient ``g`` and
+    write the step ``lr * m_hat / (sqrt(v_hat) + eps)`` into ``out``.
+
+    ``b1t``/``b2t`` are the bias corrections ``1 - beta ** t``: floats,
+    or ``(A, 1)`` columns when ``g`` packs one agent per row.  Every
+    operation is elementwise, so packing cannot change a result bit;
+    ``tmp`` is scratch of ``g``'s shape.
+    """
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=out)
+    m += out
+    v *= beta2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - beta2
+    v += tmp
+    np.divide(m, b1t, out=out)
+    out *= lr                          # == lr * m_hat
+    np.divide(v, b2t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps                         # == sqrt(v_hat) + eps
+    out /= tmp
+    return out

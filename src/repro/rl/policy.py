@@ -92,10 +92,11 @@ class CategoricalPolicy:
     # -- analytic logits gradients (for manual backprop) ------------------
     @staticmethod
     def grad_log_prob_logits(probs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """d log pi(a|s) / d logits = onehot(a) - probs, rowwise."""
-        batch = probs.shape[0]
-        g = -probs.copy()
-        g[np.arange(batch), actions] += 1.0
+        """d log pi(a|s) / d logits = onehot(a) - probs, rowwise (any
+        leading axes: ``actions`` has the shape of ``probs[..., 0]``)."""
+        g = -probs
+        at = np.asarray(actions)[..., None]
+        np.put_along_axis(g, at, np.take_along_axis(g, at, -1) + 1.0, -1)
         return g
 
     @staticmethod

@@ -10,6 +10,8 @@ loops were deleted are held by plain-loop oracles
 end to end, by the digests pinned at the bottom of this file.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +28,8 @@ from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
 from repro.rl.ippo import IPPOTrainer
 from repro.rl.nn import MLP, clip_gradients
-from repro.rl.ppo import PPOConfig
-from repro.rl.stacked import StackingError
+from repro.rl.ppo import PPOAgent, PPOConfig
+from repro.rl.stacked import PPOLearner, StackingError
 from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
 from repro.traffic.workloads import workload_by_name
 
@@ -85,7 +87,6 @@ def _rollout(stacked, seed, n_agents=4, steps=30, updates=2):
         stats = (trainer.update(last) if stacked else
                  {aid: agents[aid].update(last[aid]) for aid in ids})
         log.append(_canon(stats))
-    assert (trainer._stack is not None) is stacked
     return log, _canon(trainer.state_dict())
 
 
@@ -95,17 +96,21 @@ def test_batched_ippo_bit_identical(seed):
 
 
 def test_heterogeneous_agents_raise_stacking_error():
-    """One config builds every agent, so they stack; an agent made to
-    diverge afterwards is an error, not a quiet per-agent fallback."""
+    """One config builds every agent, so they stack; agents whose
+    networks or hyperparameters diverge cannot share a learner — an
+    error, not a quiet per-agent fallback."""
     cfg = PPOConfig(obs_dim=5, n_actions=4, hidden=(8,), seed=3)
+    wide = PPOAgent(replace(cfg, hidden=(12,)))
+    with pytest.raises(StackingError, match="diverge"):
+        PPOLearner([PPOAgent(cfg), wide])
+    with pytest.raises(StackingError, match="configs diverge"):
+        PPOLearner([PPOAgent(cfg), PPOAgent(replace(cfg, actor_lr=1e-2))])
+    wide.actor = MLP([5, 8, 4], rng=np.random.default_rng(0))
+    wide.critic = MLP([5, 8, 1], rng=np.random.default_rng(0))
+    with pytest.raises(StackingError, match="networks diverge"):
+        PPOLearner([PPOAgent(replace(cfg, hidden=(12,))), wide])
     trainer = IPPOTrainer(["a", "b"], cfg)
-    trainer.agents["b"].actor = MLP([5, 12, 4], activation="tanh",
-                                    rng=np.random.default_rng(0))
-    obs = {"a": np.zeros(5), "b": np.ones(5)}
-    with pytest.raises(StackingError):
-        trainer.act(obs, greedy=True)
-    with pytest.raises(StackingError):
-        trainer.stacking_status()
+    assert trainer.stacking_status()["actor_layers"] == [[5, 8], [8, 4]]
 
 
 def _random_weight_trainer(seed, n_agents=5):

@@ -171,6 +171,37 @@ class TestPETControllerMisc:
                 float(np.mean(history[-window:]))
         assert ctl.mean_recent_reward("leaf1") == float(np.mean(history[-50:]))
 
+    def test_update_stats_are_bounded(self):
+        """Online training appends one per-switch stats dict per PPO
+        update; at 1 ms ticks that grows by hundreds of MB an hour, so
+        only the last ``REWARD_LOG_LEN`` updates are kept."""
+        from repro.core.reward import REWARD_LOG_LEN
+
+        net = FluidNetwork(FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                                       host_rate_bps=10e9,
+                                       spine_rate_bps=40e9), seed=0)
+        net.start_flows([Flow(i, f"h{i}", "h3", 10**9) for i in range(3)])
+        samples = []
+        for _ in range(8):
+            net.advance(2e-4)
+            samples.append({"leaf1": net.queue_stats()["leaf1"]})
+        pet = PETController(["leaf1"], PETConfig(seed=0, update_interval=1,
+                                                 ppo_epochs=1))
+        returned = []
+        update = pet.trainer.update
+
+        def spy(*args):
+            returned.append(update(*args))
+            return returned[-1]
+
+        pet.trainer.update = spy
+        for k in range(REWARD_LOG_LEN + 40):
+            pet.decide(samples[k % 8], k * 1e-3, net)
+        assert len(returned) == REWARD_LOG_LEN + 40
+        assert len(pet.update_stats) == REWARD_LOG_LEN
+        assert all(a is b for a, b in zip(pet.update_stats,
+                                          returned[-REWARD_LOG_LEN:]))
+
     def test_reset_episode_clears_history_and_pending(self):
         net = FluidNetwork(FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
                                        host_rate_bps=10e9,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rl.ppo import PPOAgent, PPOConfig, RolloutBuffer, approx_kl_k3
+from repro.rl.ppo import PPOAgent, PPOConfig, approx_kl_k3
 
 
 def _agent(**overrides):
@@ -13,17 +13,28 @@ def _agent(**overrides):
 
 
 class TestRolloutBuffer:
+    """An agent's buffer is a row view of its learner's rollout arrays."""
+
     def test_add_and_len(self):
-        buf = RolloutBuffer()
+        buf = _agent().buffer
         buf.add(np.zeros(3), 1, 0.5, False, -0.2, 0.1)
         assert len(buf) == 1
+        assert buf.actions.tolist() == [1] and buf.rewards.tolist() == [0.5]
         buf.clear()
         assert len(buf) == 0
 
     def test_flattens_obs(self):
-        buf = RolloutBuffer()
+        buf = _agent().buffer
         buf.add(np.zeros((1, 3)), 0, 0.0, False, 0.0, 0.0)
         assert buf.obs[0].shape == (3,)
+
+    def test_grows_past_its_capacity_keeping_every_row(self):
+        agent = _agent()
+        for t in range(150):
+            agent.record(np.full(3, t), t % 4, float(t), False, 0.0, 0.0)
+        assert agent.learner.cap >= 150
+        assert agent.buffer.obs[:, 0].tolist() == list(range(150))
+        assert agent.buffer.rewards.tolist() == [float(t) for t in range(150)]
 
 
 class TestPPOAgent:
@@ -167,19 +178,20 @@ class TestTruncationBootstrap:
 
     @staticmethod
     def _capture_gae_args(monkeypatch):
-        import repro.rl.ppo as ppo_mod
+        """The learner's (one-agent) GAE call, row 0 of its arrays."""
+        import repro.rl.stacked as stacked_mod
         captured = {}
-        real = ppo_mod.compute_gae
+        real = stacked_mod.compute_gae
 
         def spy(rewards, values, dones, last_value, gamma, lam, **kw):
-            captured["dones"] = np.asarray(dones).copy()
-            captured["last_value"] = float(last_value)
-            captured["truncateds"] = np.asarray(kw["truncateds"]).copy()
+            captured["dones"] = np.asarray(dones)[0].copy()
+            captured["last_value"] = float(np.asarray(last_value)[0])
+            captured["truncateds"] = np.asarray(kw["truncateds"])[0].copy()
             captured["bootstrap_values"] = np.asarray(
-                kw["bootstrap_values"]).copy()
+                kw["bootstrap_values"])[0].copy()
             return real(rewards, values, dones, last_value, gamma, lam, **kw)
 
-        monkeypatch.setattr(ppo_mod, "compute_gae", spy)
+        monkeypatch.setattr(stacked_mod, "compute_gae", spy)
         return captured
 
     def _fill(self, agent, obs, n, *, final_done, final_truncated):
@@ -227,22 +239,22 @@ class TestTruncationBootstrap:
         assert captured["bootstrap_values"][0] == pytest.approx(3.5)
 
     def test_buffer_records_truncation_as_done(self):
-        buf = RolloutBuffer()
+        buf = _agent().buffer
         buf.add(np.zeros(3), 0, 1.0, False, 0.0, 0.0, truncated=True)
-        assert buf.dones == [True]
-        assert buf.truncateds == [True]
+        assert buf.dones.tolist() == [True]
+        assert buf.truncateds.tolist() == [True]
         buf.clear()
-        assert buf.truncateds == [] and buf.bootstraps == []
+        assert len(buf.truncateds) == 0 and len(buf.bootstraps) == 0
 
 
 class TestEpochGather:
     def test_minibatches_are_slices_of_the_epoch_shuffle(self, monkeypatch):
-        """``update()`` gathers each array once per epoch; what
-        ``_update_minibatch`` receives must still be ``x[idx[start:end]]``
-        of that epoch's shuffle, ragged tail included."""
+        """``update()`` gathers each array once per epoch; what each
+        minibatch step receives must still be ``x[idx[start:end]]`` of
+        that epoch's shuffle, ragged tail included."""
         import copy
 
-        import repro.rl.ppo as ppo_mod
+        import repro.rl.stacked as stacked_mod
 
         agent = _agent(minibatch_size=8, epochs=3,
                        normalize_advantages=False)
@@ -254,29 +266,31 @@ class TestEpochGather:
             agent.record(obs, d["action"], float(rng.normal()),
                          t % 9 == 8, d["log_prob"], d["value"])
         buf = agent.buffer
-        obs, actions = np.stack(buf.obs), np.asarray(buf.actions)
-        old_logp = np.asarray(buf.log_probs)
+        obs, actions = buf.obs.copy(), buf.actions.copy()
+        old_logp = buf.log_probs.copy()
 
         gae_out = []
-        real_gae = ppo_mod.compute_gae
+        real_gae = stacked_mod.compute_gae
 
         def spy_gae(*args, **kw):
             gae_out.append(real_gae(*args, **kw))
             return gae_out[-1]
 
         received = []
-        real_minibatch = agent._update_minibatch
+        learner = agent.learner
+        real_minibatch = learner._minibatch
 
-        def spy_minibatch(*arrays):
-            received.append([a.copy() for a in arrays])
-            return real_minibatch(*arrays)
+        def spy_minibatch(nets, steps, *arrays):
+            received.append([a[0].copy() for a in arrays])
+            return real_minibatch(nets, steps, *arrays)
 
-        monkeypatch.setattr(ppo_mod, "compute_gae", spy_gae)
-        monkeypatch.setattr(agent, "_update_minibatch", spy_minibatch)
+        monkeypatch.setattr(stacked_mod, "compute_gae", spy_gae)
+        monkeypatch.setattr(learner, "_minibatch", spy_minibatch)
         shuffler = copy.deepcopy(agent.rng)
         agent.update(last_obs=np.zeros(3))
 
         (adv, returns), = gae_out
+        adv, returns = adv[0], returns[0]
         idx = np.arange(n)
         expected = []
         for _ in range(3):
@@ -291,3 +305,393 @@ class TestEpochGather:
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 assert g.tobytes() == w.tobytes()
+
+
+# ------------------------------------------------------------ the oracle
+def _gae_loop(rewards, values, dones, truncateds, bootstraps, last_value,
+              gamma, lam):
+    """Eq. 9-10 one step at a time, in Python floats."""
+    T = len(rewards)
+    adv = np.zeros(T)
+    gae = 0.0
+    for t in range(T - 1, -1, -1):
+        if dones[t]:
+            nv = bootstraps[t] if truncateds[t] else 0.0
+        else:
+            nv = values[t + 1] if t + 1 < T else last_value
+        delta = rewards[t] + gamma * nv - values[t]
+        gae = delta if dones[t] else delta + gamma * lam * gae
+        adv[t] = gae
+    return adv, adv + np.asarray(values)
+
+
+class _PlainPPO:
+    """The plain per-agent 2-D PPO update that the stacked learner
+    replaced, kept as its oracle: one agent's own MLPs, its own
+    :class:`~repro.rl.optim.Adam` per network, Python-list rollouts and
+    a copy of its generator."""
+
+    def __init__(self, agent):
+        import copy
+
+        from repro.rl.nn import MLP
+        from repro.rl.optim import Adam
+
+        cfg = self.cfg = agent.config
+        self.actor = MLP(agent.actor.sizes)
+        self.critic = MLP(agent.critic.sizes)
+        self.actor.load_state_dict(agent.actor.state_dict())
+        self.critic.load_state_dict(agent.critic.state_dict())
+        self.actor_opt = Adam(self.actor, cfg.actor_lr)
+        self.critic_opt = Adam(self.critic, cfg.critic_lr)
+        self.rng = copy.deepcopy(agent.rng)   # _fill refreshes it
+        self.rollout = []
+
+    def record(self, obs, action, reward, done, log_prob, value,
+               truncated=False, bootstrap=0.0):
+        self.rollout.append((np.asarray(obs, dtype=np.float64).ravel(),
+                             int(action), float(reward),
+                             bool(done) or bool(truncated), float(log_prob),
+                             float(value), bool(truncated), float(bootstrap)))
+
+    def update(self, last_obs=None):
+        from repro.rl.policy import softmax
+
+        zero = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
+                "approx_kl": 0.0, "clip_frac": 0.0}
+        if not self.rollout:
+            return dict(zero)
+        cfg = self.cfg
+        obs, actions, rewards, dones, old_logp, values, truncs, boots = (
+            list(col) for col in zip(*self.rollout))
+        obs, actions = np.stack(obs), np.asarray(actions, dtype=np.int64)
+        old_logp, values = np.asarray(old_logp), np.asarray(values)
+        lv = 0.0
+        if last_obs is not None and (not dones[-1] or truncs[-1]):
+            lv = float(self.critic.forward(np.atleast_2d(last_obs))[0, 0])
+        if truncs[-1] and boots[-1] == 0.0:
+            boots[-1] = lv
+        adv, returns = _gae_loop(rewards, values, dones, truncs, boots, lv,
+                                 cfg.gamma, cfg.gae_lambda)
+        if cfg.normalize_advantages and len(adv) > 1:
+            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        n = len(obs)
+        idx = np.arange(n)
+        stats = dict(zero)
+        batches = 0
+        for _ in range(cfg.epochs):
+            self.rng.shuffle(idx)
+            obs_e, act_e = obs[idx], actions[idx]
+            logp_e, adv_e, ret_e = old_logp[idx], adv[idx], returns[idx]
+            for start in range(0, n, cfg.minibatch_size):
+                mb = slice(start, start + cfg.minibatch_size)
+                s = self._minibatch(obs_e[mb], act_e[mb], logp_e[mb],
+                                    adv_e[mb], ret_e[mb], softmax)
+                for k in stats:
+                    stats[k] += s[k]
+                batches += 1
+        self.rollout = []
+        return {k: v / batches for k, v in stats.items()}
+
+    def _minibatch(self, obs, actions, old_logp, adv, returns, softmax):
+        from repro.rl.nn import clip_gradients
+
+        cfg = self.cfg
+        m = len(obs)
+        probs = softmax(self.actor.forward(obs))
+        logp_all = np.log(np.clip(probs, 1e-12, None))
+        new_logp = logp_all[np.arange(m), actions]
+        ratio = np.exp(new_logp - old_logp)
+        unclipped = ratio * adv
+        clipped = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
+        policy_loss = -float(np.minimum(unclipped, clipped).mean())
+        entropy = -(probs * logp_all).sum(axis=-1)
+        use_unclipped = unclipped <= clipped
+        coef = np.where(use_unclipped, ratio * adv, 0.0)
+        inside = (ratio >= 1.0 - cfg.clip_eps) & (ratio <= 1.0 + cfg.clip_eps)
+        coef = np.where(~use_unclipped & inside, ratio * adv, coef)
+        grad_logp = -probs.copy()
+        grad_logp[np.arange(m), actions] += 1.0
+        grad_logits = -(coef[:, None] * grad_logp) / m
+        ent = -(probs * logp_all).sum(axis=-1, keepdims=True)
+        grad_logits -= cfg.entropy_coef * (-probs * (logp_all + ent)) / m
+        self.actor.zero_grad()
+        self.actor.backward(grad_logits)
+        clip_gradients(self.actor.gradients().values(), cfg.max_grad_norm)
+        self.actor_opt.step()
+
+        v = self.critic.forward(obs)[:, 0]
+        value_loss = float(np.mean((v - returns) ** 2))
+        self.critic.zero_grad()
+        self.critic.backward((2.0 * (v - returns) / m)[:, None])
+        clip_gradients(self.critic.gradients().values(), cfg.max_grad_norm)
+        self.critic_opt.step()
+
+        return {"policy_loss": policy_loss, "value_loss": value_loss,
+                "entropy": float(entropy.mean()),
+                "approx_kl": approx_kl_k3(old_logp, new_logp),
+                "clip_frac": float(np.mean(np.abs(ratio - 1.0)
+                                           > cfg.clip_eps))}
+
+
+def _assert_same_as_oracle(agent, plain):
+    """Weights, Adam moments and generator state, byte for byte."""
+    learner, row = agent.learner, agent.row
+    for net, packed, opt in ((plain.actor, learner.actor, plain.actor_opt),
+                             (plain.critic, learner.critic, plain.critic_opt)):
+        flat = np.concatenate([p.ravel() for p in net.parameters().values()])
+        assert flat.tobytes() == packed.params[row].tobytes()
+        assert opt._fm.tobytes() == packed.m[row].tobytes()
+        assert opt._fv.tobytes() == packed.v[row].tobytes()
+    assert agent.rng.bit_generator.state == plain.rng.bit_generator.state
+
+
+def _fill(agents, plains, rng, lengths, *, truncate_at=()):
+    """Record ``lengths[i]`` transitions for agent ``i`` (and its
+    oracle); a step in ``truncate_at`` is a time-limit cut, mid-buffer
+    ones carrying an explicit bootstrap value.  Each oracle then takes
+    a copy of its agent's generator, which acting has advanced."""
+    import copy
+
+    for agent, plain, T in zip(agents, plains, lengths):
+        dim = agent.config.obs_dim
+        for t in range(T):
+            obs = rng.normal(size=dim)
+            d = agent.act(obs, epsilon=0.1)
+            reward = float(rng.normal())
+            done = bool(rng.random() < 0.05)
+            trunc = t in truncate_at or (t - T) in truncate_at
+            boot = float(rng.normal()) if trunc and t != T - 1 else None
+            args = (obs, d["action"], reward, done, d["log_prob"], d["value"])
+            agent.record(*args, truncated=trunc, bootstrap_value=boot)
+            plain.record(*args, truncated=trunc,
+                         bootstrap=0.0 if boot is None else boot)
+        plain.rng = copy.deepcopy(agent.rng)
+
+
+_ORACLE_CFG = dict(obs_dim=24, n_actions=10, hidden=(64, 64), epochs=3,
+                   minibatch_size=64, actor_lr=3e-3, critic_lr=5e-3)
+
+
+#: (agents, update groups) of the oracle comparisons
+_SHAPES = [(1, 1), (32, 1), (32, 2)]
+_SHAPE_IDS = ["A1", "A32", "A32-2groups"]
+
+
+class TestStackedLearnerOracle:
+    """The stacked learner against the plain 2-D update, at A=1 and at
+    A=32 with one and with two update groups."""
+
+    @staticmethod
+    def _groups(monkeypatch, n):
+        import repro.rl.stacked as stacked_mod
+        monkeypatch.setattr(stacked_mod, "usable_cores", lambda: n)
+
+    @staticmethod
+    def _trainer(n_agents, **overrides):
+        from repro.rl.ippo import IPPOTrainer
+        cfg = PPOConfig(seed=11, **{**_ORACLE_CFG, **overrides})
+        return IPPOTrainer([f"s{i}" for i in range(n_agents)], cfg)
+
+    def _check(self, trainer, lengths, rng, *, truncate_at=(), rounds=2,
+               bootstrap_some=True):
+        agents = list(trainer.agents.values())
+        plains = [_PlainPPO(a) for a in agents]
+        stats_seen = []
+        for _ in range(rounds):
+            _fill(agents, plains, rng, lengths, truncate_at=truncate_at)
+            last = {aid: rng.normal(size=a.config.obs_dim)
+                    for i, (aid, a) in enumerate(trainer.agents.items())
+                    if not bootstrap_some or i % 3}
+            got = trainer.update(last)
+            for (aid, agent), plain in zip(trainer.agents.items(), plains):
+                want = plain.update(last.get(aid))
+                assert got[aid] == want, aid
+                _assert_same_as_oracle(agent, plain)
+                assert len(agent.buffer) == 0
+            stats_seen.append(got)
+        return stats_seen
+
+    @pytest.mark.parametrize("agents,groups", _SHAPES, ids=_SHAPE_IDS)
+    @pytest.mark.parametrize("clip", ["active", "inactive"])
+    def test_full_fleet_with_a_minibatch_tail(self, monkeypatch, agents,
+                                              groups, clip):
+        """100 transitions per agent: a 64 + 36 minibatch tail; the
+        ratio clip and the gradient-norm clip both fire, or neither."""
+        self._groups(monkeypatch, groups)
+        over = (dict(actor_lr=3e-2, max_grad_norm=0.5) if clip == "active"
+                else dict(actor_lr=1e-7, critic_lr=1e-7, max_grad_norm=1e9))
+        trainer = self._trainer(agents, **over)
+        stats = self._check(trainer, [100] * agents,
+                            np.random.default_rng(0))
+        clip_frac = [s["clip_frac"] for s in stats[-1].values()]
+        assert (max(clip_frac) > 0) == (clip == "active")
+
+    @pytest.mark.parametrize("agents,groups", _SHAPES, ids=_SHAPE_IDS)
+    def test_truncation_mid_buffer_and_on_the_final_step(self, monkeypatch,
+                                                         agents, groups):
+        self._groups(monkeypatch, groups)
+        trainer = self._trainer(agents)
+        self._check(trainer, [40] * agents, np.random.default_rng(1),
+                    truncate_at=(7, -1), bootstrap_some=agents > 1)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_unequal_rollout_lengths_and_empty_buffers(self, monkeypatch,
+                                                       groups):
+        """Agents group by rollout length (one a copy of scattered rows);
+        an empty buffer is a no-op that draws nothing."""
+        self._groups(monkeypatch, groups)
+        trainer = self._trainer(32)
+        lengths = [100 if i % 5 else 0 for i in range(32)]
+        lengths[3], lengths[17], lengths[30] = 37, 1, 37
+        agents = list(trainer.agents.values())
+        states = [a.rng.bit_generator.state for a in agents]
+        stats = self._check(trainer, lengths, np.random.default_rng(2),
+                            rounds=1)
+        for i, agent in enumerate(agents):
+            if lengths[i] == 0:
+                assert agent.rng.bit_generator.state == states[i]
+                assert agent.updates == 0
+                assert set(stats[0][f"s{i}"].values()) == {0.0}
+            else:
+                assert agent.updates == 1
+
+    def test_more_groups_than_cores_switching_every_microsecond(
+            self, monkeypatch):
+        """Four update threads on two cores, the interpreter switching
+        between them every microsecond, two rollout lengths (one group
+        of scattered rows): every agent still matches its own plain
+        update, which a lost or crossed row write would break."""
+        import sys
+        self._groups(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            trainer = self._trainer(32)
+            lengths = [100 if i % 5 else 60 for i in range(32)]
+            self._check(trainer, lengths, np.random.default_rng(4), rounds=1)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_agent(self):
+        agent = PPOAgent(PPOConfig(seed=5, **_ORACLE_CFG))
+        plain = _PlainPPO(agent)
+        rng = np.random.default_rng(3)
+        for last in (None, rng.normal(size=24)):
+            _fill([agent], [plain], rng, [100], truncate_at=(50,))
+            assert agent.update(last) == plain.update(last)
+            _assert_same_as_oracle(agent, plain)
+        state = agent.rng.bit_generator.state
+        assert agent.update() == plain.update()        # empty: a no-op
+        assert agent.rng.bit_generator.state == state
+        assert agent.updates == 2
+
+
+class TestUpdateThreads:
+    @staticmethod
+    def _loaded(n_agents=16):
+        from repro.rl.ippo import IPPOTrainer
+        cfg = PPOConfig(seed=0, obs_dim=6, hidden=(16, 16), epochs=1)
+        trainer = IPPOTrainer([f"s{i}" for i in range(n_agents)], cfg)
+        rng = np.random.default_rng(0)
+        agents = list(trainer.agents.values())
+        _fill(agents, [_PlainPPO(a) for a in agents], rng, [20] * n_agents)
+        return trainer
+
+    def test_no_update_thread_outlives_update(self, monkeypatch):
+        import threading
+
+        import repro.rl.stacked as stacked_mod
+        monkeypatch.setattr(stacked_mod, "usable_cores", lambda: 2)
+        started = []
+        real_start = threading.Thread.start
+
+        def spy_start(th):
+            started.append(th)
+            real_start(th)
+
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        trainer = self._loaded()
+        trainer.update()
+        assert [th.name[:10] for th in started] == ["ppo-update"]
+        assert not any(th.is_alive() for th in started)
+        assert not [th for th in threading.enumerate()
+                    if th.name.startswith("ppo-update")]
+
+    def test_a_failing_group_raises_after_every_thread_joined(self,
+                                                              monkeypatch):
+        import threading
+
+        import repro.rl.stacked as stacked_mod
+        monkeypatch.setattr(stacked_mod, "usable_cores", lambda: 2)
+        trainer = self._loaded()
+        learner = trainer.learner
+        real_train = learner._train
+        finished = []
+
+        def train(rows, *rest):
+            if rows[0] != 0:                  # the second group fails
+                raise RuntimeError("group failed")
+            out = real_train(rows, *rest)
+            finished.append(threading.current_thread().name)
+            return out
+
+        monkeypatch.setattr(learner, "_train", train)
+        with pytest.raises(RuntimeError, match="group failed"):
+            trainer.update()
+        assert finished == ["MainThread"]
+        assert not [th for th in threading.enumerate()
+                    if th.name.startswith("ppo-update")]
+        assert all(len(a.buffer) == 20 for a in trainer.agents.values())
+
+    def test_engine_workers_share_the_cores(self):
+        """``pretrain_multi_seed`` under ``Engine(workers=2)`` trains the
+        same bytes as in process, and each worker starts no more update
+        groups than its share of the cores."""
+        from repro.core.config import PETConfig
+        from repro.core.training import pretrain_multi_seed
+        from repro.fingerprint import fingerprint
+        from repro.obs import metrics
+        from repro.parallel import Engine, usable_cores
+
+        cfg = PETConfig(seed=None, update_interval=5, delta_t=1e-3,
+                        ppo_epochs=2)
+        kw = dict(seeds=[3, 14], episodes=1, intervals_per_episode=11)
+
+        def groups(**extra):
+            reg = metrics.MetricsRegistry()
+            prev = metrics.set_registry(reg)
+            try:
+                out = pretrain_multi_seed(_two_group_net, cfg, **kw,
+                                          **extra)
+            finally:
+                metrics.set_registry(prev)
+            seen = [s.maximum for (name, _), s in reg.histograms.items()
+                    if name == "ppo.update_groups"]
+            return fingerprint([(r.seed, r.state) for r in out]), seen
+
+        local, local_groups = groups()
+        fanned, fanned_groups = groups(engine=Engine(workers=2))
+        assert fanned == local
+        cores = usable_cores()
+        assert max(local_groups) == min(cores, 2)
+        assert len(fanned_groups) == 2                    # one per task
+        assert max(fanned_groups) <= max(1, cores // 2)
+
+
+def _two_group_net(seed):
+    """A fabric with switches enough for two update groups."""
+    from repro.netsim.flow import Flow
+    from repro.netsim.fluid import FluidConfig, FluidNetwork
+    from repro.rl.stacked import MIN_AGENTS_PER_GROUP
+    net = FluidNetwork(FluidConfig(n_spine=2,
+                                   n_leaf=2 * MIN_AGENTS_PER_GROUP - 2,
+                                   hosts_per_leaf=2, host_rate_bps=10e9,
+                                   spine_rate_bps=40e9), seed=seed)
+    rng = np.random.default_rng(seed)
+    hosts = net.host_names()
+    for i in range(30):
+        s, d = rng.choice(len(hosts), 2, replace=False)
+        net.start_flow(Flow(i, hosts[s], hosts[d],
+                            int(rng.integers(50_000, 3_000_000))))
+    return net
