@@ -7,27 +7,26 @@ the result (who wins, roughly by how much) rather than absolute numbers
 — our substrate is a scaled fluid-model simulator, not the authors'
 ns-3 testbed.
 
-Scenario runs and offline pre-trainings are cached in-process so the
-suite does not retrain one model per figure.
+A figure is a dict of named ``(scheme, ScenarioConfig)`` jobs run as one
+:func:`repro.analysis.experiments.run_scenario_grid`; offline
+pre-trainings are cached in-process, so the suite does not retrain one
+model per figure.
 """
 
 import os
 import sys
-from typing import Dict, Tuple
-
-import pytest
+from typing import Dict, Hashable, Tuple
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.analysis.experiments import (ScenarioConfig, run_scenario)  # noqa: E402
+from repro.analysis.experiments import (ExperimentResult,  # noqa: E402
+                                        ScenarioConfig, run_scenario_grid)
 from repro.netsim.fluid import FluidConfig  # noqa: E402
 
 #: the paper sweeps 30-80% load; three points span the range
 LOADS = (0.3, 0.6, 0.8)
 #: all schemes of the paper's §5.4 comparison
 ALL_SCHEMES = ("pet", "acc", "secn1", "secn2")
-
-_RUN_CACHE: Dict[Tuple, object] = {}
 
 
 def bench_fabric() -> FluidConfig:
@@ -50,22 +49,10 @@ def standard_scenario(workload: str = "websearch", load: float = 0.6,
     return ScenarioConfig(workload=workload, load=load, **overrides)
 
 
-def cached_run(scheme: str, cfg: ScenarioConfig, **kwargs):
-    """Run a scenario once per (scheme, scenario) within the process.
-
-    Calls with extra kwargs (external networks, per-interval hooks,
-    custom learning configs) are not cacheable by scenario alone and run
-    fresh every time; the offline pre-training underneath is still
-    cached by :mod:`repro.analysis.experiments`.
-    """
-    if kwargs:
-        return run_scenario(scheme, cfg, **kwargs)
-    key = (scheme, cfg.workload, round(cfg.load, 3), cfg.duration,
-           cfg.pretrain_intervals, cfg.seed, cfg.incast,
-           cfg.incast_fan_in, cfg.incast_bytes, cfg.incast_period)
-    if key not in _RUN_CACHE:
-        _RUN_CACHE[key] = run_scenario(scheme, cfg)
-    return _RUN_CACHE[key]
+def run_jobs(jobs: Dict[Hashable, Tuple[str, ScenarioConfig]]
+             ) -> Dict[Hashable, ExperimentResult]:
+    """Run a figure's named jobs as one grid; results keep the names."""
+    return dict(zip(jobs, run_scenario_grid(list(jobs.values()))))
 
 
 def print_banner(title: str) -> None:
@@ -73,8 +60,3 @@ def print_banner(title: str) -> None:
     print("=" * 72)
     print(title)
     print("=" * 72)
-
-
-@pytest.fixture
-def banner():
-    return print_banner

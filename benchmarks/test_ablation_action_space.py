@@ -10,26 +10,17 @@ the full space remains functional (it runs, completes traffic, and is
 not catastrophically worse).
 """
 
-from dataclasses import replace
-
-from conftest import cached_run, print_banner, standard_scenario
-from repro.analysis.experiments import _default_pet_config
+from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
 
 LOAD = 0.6
 
 
 def _collect():
-    cfg = standard_scenario("websearch", LOAD)
-    base = _default_pet_config(cfg)
-    return {
-        "compact(40)": cached_run("pet", cfg,
-                                  pet_config=replace(base,
-                                                     action_mode="compact")),
-        "full(900)": cached_run("pet", cfg,
-                                pet_config=replace(base,
-                                                   action_mode="full")),
-    }
+    return run_jobs({
+        f"{mode}({n})": ("pet", standard_scenario(
+            "websearch", LOAD, pet={"action_mode": mode}))
+        for mode, n in (("compact", 40), ("full", 900))})
 
 
 def test_ablation_action_space(benchmark):

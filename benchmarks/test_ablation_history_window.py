@@ -7,22 +7,15 @@ same scenario.  Expected: the windowed agent is at least as good — the
 window is what lets the agent see queue *growth*, not just level.
 """
 
-from dataclasses import replace
-
-from conftest import cached_run, print_banner, standard_scenario
-from repro.analysis.experiments import _default_pet_config
+from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
 
 LOAD = 0.7
 
 
 def _collect():
-    cfg = standard_scenario("websearch", LOAD)
-    base = _default_pet_config(cfg)
-    return {
-        "k=1": cached_run("pet", cfg, pet_config=replace(base, history_k=1)),
-        "k=4": cached_run("pet", cfg, pet_config=replace(base, history_k=4)),
-    }
+    return run_jobs({f"k={k}": ("pet", standard_scenario(
+        "websearch", LOAD, pet={"history_k": k})) for k in (1, 4)})
 
 
 def test_ablation_history_window(benchmark):

@@ -11,7 +11,7 @@ between switches and resident replay memory (exactly the costs §3.3
 Goal 3 targets).  PET's exchanged bytes are zero by construction.
 """
 
-from conftest import cached_run, print_banner, standard_scenario
+from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
 
 LOAD = 0.6
@@ -19,7 +19,7 @@ LOAD = 0.6
 
 def _collect():
     cfg = standard_scenario("websearch", LOAD)
-    return {s: cached_run(s, cfg) for s in ("pet", "acc")}
+    return run_jobs({s: (s, cfg) for s in ("pet", "acc")})
 
 
 def test_ablation_ippo_vs_ddqn_overhead(benchmark):

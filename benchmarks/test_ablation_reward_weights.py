@@ -8,24 +8,16 @@ queues (at equal-or-better mice FCT), the throughput-leaning reward
 sustains at least as much utilization.
 """
 
-from dataclasses import replace
-
-from conftest import cached_run, print_banner, standard_scenario
-from repro.analysis.experiments import _default_pet_config
+from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
 
 LOAD = 0.6
 
 
 def _collect():
-    cfg = standard_scenario("websearch", LOAD)
-    base = _default_pet_config(cfg)
-    latency_first = replace(base, beta1=0.3, beta2=0.7)
-    throughput_first = replace(base, beta1=0.7, beta2=0.3)
-    return {
-        "beta=(0.3,0.7)": cached_run("pet", cfg, pet_config=latency_first),
-        "beta=(0.7,0.3)": cached_run("pet", cfg, pet_config=throughput_first),
-    }
+    return run_jobs({f"beta=({b1},{b2})": ("pet", standard_scenario(
+        "websearch", LOAD, pet={"beta1": b1, "beta2": b2}))
+        for b1, b2 in ((0.3, 0.7), (0.7, 0.3))})
 
 
 def test_ablation_reward_weights(benchmark):

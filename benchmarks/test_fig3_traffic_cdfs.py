@@ -8,7 +8,7 @@ The benchmarked quantity is the sampling throughput of the generator
 
 import numpy as np
 
-from conftest import print_banner
+from paperbench import print_banner
 from repro.analysis.report import format_table
 from repro.traffic.workloads import DATA_MINING, WEB_SEARCH
 

@@ -12,18 +12,15 @@ and high load.
 
 import numpy as np
 
-from conftest import ALL_SCHEMES, LOADS, cached_run, print_banner, \
+from paperbench import ALL_SCHEMES, LOADS, print_banner, run_jobs, \
     standard_scenario
 from repro.analysis.report import format_table
 
 
 def _collect():
-    results = {}
-    for load in LOADS:
-        cfg = standard_scenario("websearch", load)
-        for scheme in ALL_SCHEMES:
-            results[(scheme, load)] = cached_run(scheme, cfg)
-    return results
+    return run_jobs({(scheme, load): (scheme, standard_scenario("websearch",
+                                                                load))
+                     for load in LOADS for scheme in ALL_SCHEMES})
 
 
 def test_fig4_fct_websearch(benchmark):

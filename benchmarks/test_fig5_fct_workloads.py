@@ -6,19 +6,15 @@ lowest FCT on both workloads — the generalization claim — with the gap
 largest against SECN2 on Web Search.
 """
 
-from conftest import ALL_SCHEMES, cached_run, print_banner, standard_scenario
+from paperbench import ALL_SCHEMES, print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
 
 WORKLOADS = ("websearch", "datamining")
 
 
 def _collect():
-    results = {}
-    for wl in WORKLOADS:
-        cfg = standard_scenario(wl, 0.6)
-        for scheme in ALL_SCHEMES:
-            results[(scheme, wl)] = cached_run(scheme, cfg)
-    return results
+    return run_jobs({(scheme, wl): (scheme, standard_scenario(wl, 0.6))
+                     for wl in WORKLOADS for scheme in ALL_SCHEMES})
 
 
 def test_fig5_fct_workloads(benchmark):

@@ -5,7 +5,9 @@ Mining at 4.1s, back to Web Search at 8.1s and again to Data Mining at
 9.1s, and watches how quickly each learning scheme re-converges (FCT of
 mice and elephant flows per phase).  Our timeline is scaled (the fluid
 runs 0.24s, switches at 0.098/0.194/0.218s) but the schedule *shape* is
-the paper's.
+the paper's.  The schedule is the scenario's ``phases``; the per-phase
+FCTs are its result's ``windows`` in the paper's mice (0,100KB] and
+elephant [10MB,inf) buckets.
 
 Expected shape (§5.5.4): both learning schemes keep working across the
 switches (adaptation), with PET's post-switch FCT at or below ACC's
@@ -14,56 +16,39 @@ switches (adaptation), with PET's post-switch FCT at or below ACC's
 
 import numpy as np
 
-from conftest import cached_run, print_banner, standard_scenario
+from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.convergence import recovery_time
-from repro.analysis.fct import normalized_fcts
 from repro.analysis.report import format_table
-from repro.analysis.timeseries import TimeSeriesRecorder
-from repro.netsim.fluid import FluidNetwork
 from repro.traffic.patterns import PatternSchedule
 
 SCALE = 0.024     # paper timeline 10s -> 0.24s
 LOAD = 0.6
+SCHEDULE = PatternSchedule.paper_fig6(load=LOAD, scale=SCALE)
 
 
-def _run(scheme: str):
-    sched = PatternSchedule.paper_fig6(load=LOAD, scale=SCALE)
-    cfg = standard_scenario("websearch", LOAD,
-                            duration=sched.total_duration(), incast=False)
-    net = FluidNetwork(cfg.fluid, seed=cfg.seed)
-    flows = sched.generate_flows(net.host_names(), cfg.fluid.host_rate_bps,
-                                 rng=np.random.default_rng(cfg.seed + 1))
-    net.start_flows(flows)
-    trace = TimeSeriesRecorder()
-    result = cached_run(scheme, cfg, network=net,
-                        on_interval=lambda i, now, stats: trace.record(
-                            now, qlen=float(np.mean(
-                                [s.avg_qlen_bytes for s in stats.values()]))))
-    # per-segment normalized FCT
-    segments = []
-    bounds = [s.start_time for s in sched.segments] + [sched.total_duration()]
-    for i, seg in enumerate(sched.segments):
-        in_seg = [f for f in net.finished_flows
-                  if bounds[i] <= f.start_time < bounds[i + 1]]
-        mice = normalized_fcts([f for f in in_seg if f.is_mice],
-                               cfg.fluid.host_rate_bps, cfg.fluid.base_rtt)
-        eleph = normalized_fcts([f for f in in_seg if f.is_elephant],
-                                cfg.fluid.host_rate_bps, cfg.fluid.base_rtt)
-        segments.append({
-            "workload": seg.workload,
-            "mice": float(np.mean(mice)) if mice.size else float("nan"),
-            "elephant": float(np.mean(eleph)) if eleph.size else float("nan"),
-            "n": len(in_seg)})
+def _summarise(result):
+    """Per-phase normalized FCT and the queue's recovery after the first
+    abrupt pattern change."""
+    segments = [{"workload": name.split(":")[1], "mice": w["mice"].avg,
+                 "elephant": w["elephant"].avg, "n": w["overall"].count}
+                for name, w in result.windows.items()]
     # convergence-rate metric: intervals for the mean queue to return to
     # its pre-switch level after the first abrupt pattern change
-    switch_idx = int(sched.switch_times()[0] / cfg.delta_t)
-    rec = recovery_time(trace.column("qlen"), switch_idx, band=0.25,
-                        window=10, baseline_window=40)
+    cfg = result.scenario
+    intervals = int(round(cfg.duration / cfg.delta_t))
+    qlen = np.reshape(result.queue_samples, (intervals, -1)).mean(axis=1)
+    switch_idx = int(SCHEDULE.switch_times()[0] / cfg.delta_t)
+    rec = recovery_time(qlen, switch_idx, band=0.25, window=10,
+                        baseline_window=40)
     return result, segments, rec
 
 
 def _collect():
-    return {s: _run(s) for s in ("pet", "acc")}
+    cfg = standard_scenario("websearch", LOAD,
+                            duration=SCHEDULE.total_duration(), incast=False,
+                            phases=tuple(SCHEDULE.segments))
+    results = run_jobs({s: (s, cfg) for s in ("pet", "acc")})
+    return {s: _summarise(r) for s, r in results.items()}
 
 
 def test_fig6_convergence(benchmark):

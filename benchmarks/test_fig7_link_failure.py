@@ -7,57 +7,24 @@ scaled timeline (failure at 1/3 of the run, restore at 2/3) and compare
 the normalized FCT of flows finishing inside the failure window.
 """
 
-import numpy as np
-
-from conftest import cached_run, print_banner, standard_scenario
-from repro.analysis.fct import normalized_fcts
+from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
-from repro.netsim.fluid import FluidNetwork
-from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
-from repro.traffic.workloads import WEB_SEARCH
 
 LOAD = 0.6
 DURATION = 0.24
-FAIL_FRACTION = 0.10
-
-
-def _run(scheme: str):
-    cfg = standard_scenario("websearch", LOAD, duration=DURATION,
-                            incast=False)
-    net = FluidNetwork(cfg.fluid, seed=cfg.seed)
-    gen = PoissonTrafficGenerator(net.host_names(), WEB_SEARCH,
-                                  rng=np.random.default_rng(cfg.seed + 1))
-    net.start_flows(gen.generate(TrafficConfig(
-        load=LOAD, duration=DURATION, host_rate_bps=cfg.fluid.host_rate_bps)))
-
-    intervals = int(round(DURATION / cfg.delta_t))
-    fail_at, restore_at = intervals // 3, 2 * intervals // 3
-    events = {}
-
-    def control(i, now, stats):
-        if i == fail_at:
-            events["fail"] = now
-            net.fail_uplinks(FAIL_FRACTION,
-                             rng=np.random.default_rng(cfg.seed + 2))
-        elif i == restore_at:
-            events["restore"] = now
-            net.restore_uplinks()
-
-    result = cached_run(scheme, cfg, network=net, on_interval=control)
-    t0, t1 = events["fail"], events["restore"]
-    windows = {}
-    for name, lo, hi in (("before", 0.0, t0), ("during", t0, t1),
-                         ("after", t1, 1e9)):
-        done = [f for f in net.finished_flows if lo <= f.finish_time < hi]
-        vals = normalized_fcts(done, cfg.fluid.host_rate_bps,
-                               cfg.fluid.base_rtt)
-        windows[name] = (float(np.mean(vals)) if vals.size else float("nan"),
-                         len(done))
-    return result, windows
+#: (fail_at_s, restore_at_s, fraction): 10% of the uplinks fail at 1/3 of
+#: the run and come back at 2/3
+FAILURE = (0.08, 0.16, 0.10)
 
 
 def _collect():
-    return {s: _run(s) for s in ("pet", "acc", "secn1")}
+    cfg = standard_scenario("websearch", LOAD, duration=DURATION,
+                            incast=False, link_failure=FAILURE)
+    results = run_jobs({s: (s, cfg) for s in ("pet", "acc", "secn1")})
+    return {s: (r, {name: (r.windows[name]["overall"].avg,
+                           r.windows[name]["overall"].count)
+                    for name in ("before", "during", "after")})
+            for s, r in results.items()}
 
 
 def test_fig7_link_failure(benchmark):

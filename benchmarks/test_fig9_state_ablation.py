@@ -10,7 +10,7 @@ better.
 
 import numpy as np
 
-from conftest import cached_run, print_banner, standard_scenario
+from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
 
 LOADS = (0.5, 0.7)
@@ -24,12 +24,8 @@ def _scenario(load):
 
 
 def _collect():
-    results = {}
-    for load in LOADS:
-        cfg = _scenario(load)
-        for scheme in ("pet", "pet_ablated"):
-            results[(scheme, load)] = cached_run(scheme, cfg)
-    return results
+    return run_jobs({(scheme, load): (scheme, _scenario(load))
+                     for load in LOADS for scheme in ("pet", "pet_ablated")})
 
 
 def test_fig9_state_ablation(benchmark):

@@ -10,7 +10,7 @@ faster than the static scheme as the incast pressure rises.
 
 import numpy as np
 
-from conftest import cached_run, print_banner, standard_scenario
+from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
 
 FAN_INS = (8, 24)
@@ -24,12 +24,8 @@ def _scenario(fan_in):
 
 
 def _collect():
-    results = {}
-    for fan_in in FAN_INS:
-        cfg = _scenario(fan_in)
-        for scheme in ("pet", "secn1"):
-            results[(scheme, fan_in)] = cached_run(scheme, cfg)
-    return results
+    return run_jobs({(scheme, fan_in): (scheme, _scenario(fan_in))
+                     for fan_in in FAN_INS for scheme in ("pet", "secn1")})
 
 
 def test_incast_fan_in_sweep(benchmark):

@@ -12,13 +12,13 @@ are per-switch totals on a scaled fabric, so magnitudes differ from the
 paper's per-queue KB; the PET<ACC ordering is what we reproduce.
 """
 
-from conftest import cached_run, print_banner, standard_scenario
+from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
 
 
 def _collect():
     cfg = standard_scenario("websearch", 0.6)
-    return {s: cached_run(s, cfg) for s in ("pet", "acc", "secn1", "secn2")}
+    return run_jobs({s: (s, cfg) for s in ("pet", "acc", "secn1", "secn2")})
 
 
 def test_table1_queue_length(benchmark):

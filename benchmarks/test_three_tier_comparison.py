@@ -12,7 +12,7 @@ rules competitive with or better than the worse static setting; nobody
 below PET.
 """
 
-from conftest import cached_run, print_banner, standard_scenario
+from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
 
 SCHEMES = ("pet", "acc", "amt", "qaecn", "secn1", "secn2")
@@ -21,7 +21,7 @@ LOAD = 0.6
 
 def _collect():
     cfg = standard_scenario("websearch", LOAD)
-    return {s: cached_run(s, cfg) for s in SCHEMES}
+    return run_jobs({s: (s, cfg) for s in SCHEMES})
 
 
 def test_three_tier_comparison(benchmark):

@@ -13,12 +13,19 @@ spatially-sharded multi-pod fat-tree (docs/TOPOLOGIES.md).  Learning
 schemes are offline pre-trained on an identically-distributed training
 run before the measured run, exactly the paper's hybrid offline+online
 regime (§4.4).
+
+Every evaluation beyond Fig. 4 is a change to one scenario, so it is a
+field of :class:`ScenarioConfig`: a traffic-pattern schedule
+(``phases``, Fig. 6), a link-failure episode (``link_failure``,
+Fig. 7) or a learning-config override (``pet``, the ablations).  A
+figure is thus a list of ``(scheme, ScenarioConfig)`` jobs for
+:func:`run_scenario_grid`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +37,8 @@ from repro.baselines.dynamic_ecn import AMTController, QAECNController
 from repro.baselines.static_ecn import secn1, secn2
 from repro.core.config import PETConfig
 from repro.core.pet import PETController
-from repro.core.training import (drive, lockstep_groups,
-                                 pretrain_offline_multi, run_control_loop)
+from repro.core.training import (_Trainee, _train, drive, lockstep_groups,
+                                 pretrain_offline_multi)
 from repro.fingerprint import fingerprint
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.fluid import FluidConfig, FluidNetwork
@@ -39,8 +46,8 @@ from repro.netsim.network import PacketNetwork
 from repro.netsim.shard import ShardedFluidNetwork
 from repro.netsim.topology import TopologyConfig
 from repro.obs.trace import get_tracer
-from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
 from repro.traffic.incast import IncastConfig, IncastGenerator
+from repro.traffic.patterns import PatternSchedule, PatternSegment
 from repro.traffic.workloads import workload_by_name
 
 __all__ = ["ScenarioConfig", "ExperimentResult", "build_scheme",
@@ -67,6 +74,14 @@ class ScenarioConfig:
     # learning
     pretrain_intervals: int = 1500
     online_training: bool = True
+    # Fig. 6: the measured run's background traffic follows this schedule
+    # instead of one ``workload`` @ ``load`` stream (pretraining does not)
+    phases: Tuple[PatternSegment, ...] = ()
+    # Fig. 7: (fail_at_s, restore_at_s, fraction) of the fabric's uplinks
+    # that fail during the measured run
+    link_failure: Optional[Tuple[float, float, float]] = None
+    # the ablations: PETConfig fields overriding the scenario's default
+    pet: Dict[str, Any] = field(default_factory=dict)
     # fluid fabric (benchmark scale; see DESIGN.md for the scaling note)
     fluid: FluidConfig = field(default_factory=lambda: FluidConfig(
         n_spine=2, n_leaf=4, hosts_per_leaf=8,
@@ -81,6 +96,32 @@ class ScenarioConfig:
             raise ValueError(
                 "simulator must be 'fluid', 'packet' or 'fluid_shard'")
         workload_by_name(self.workload)     # validate
+        if self.pretrain_intervals < 0:
+            raise ValueError("pretrain_intervals must be >= 0")
+        self.phases = tuple(self.phases)
+        if self.phases:
+            PatternSchedule(self.phases)    # rejects overlapping phases
+        if self.link_failure is not None:
+            if self.simulator == "packet":
+                raise ValueError("link_failure needs a fluid simulator")
+            fail_at, restore_at, fraction = self.link_failure
+            if not 0.0 < fraction <= 1.0:
+                raise ValueError("link_failure fraction must be in (0, 1]")
+            if not 0 <= self._interval(fail_at) < self._interval(
+                    restore_at) < self._interval(self.duration):
+                raise ValueError(
+                    "link_failure must fail, then restore, at distinct "
+                    "intervals inside the measured run")
+        names = {f.name for f in fields(PETConfig)}
+        bad = sorted(k for k in self.pet
+                     if k not in names or k in ("seed", "delta_t"))
+        if bad:
+            raise ValueError(f"pet cannot override {bad}: not PETConfig "
+                             "fields, or set by the scenario itself")
+
+    def _interval(self, t: float) -> int:
+        """Index of the measured-run interval at time ``t``."""
+        return int(round(t / self.delta_t))
 
     @property
     def host_rate_bps(self) -> float:
@@ -113,6 +154,10 @@ class ExperimentResult:
     flows_total: int
     queue_samples: List[float] = field(default_factory=list)
     extra: Dict[str, float] = field(default_factory=dict)
+    #: FCT statistics per named time window: one per phase
+    #: (``"0:websearch"``, …; flows by start time) and, around a link
+    #: failure, ``"before"``/``"during"``/``"after"`` (by finish time)
+    windows: Dict[str, Dict[str, FCTStats]] = field(default_factory=dict)
 
     def summary_row(self) -> Dict[str, float]:
         """Flat row for the report tables."""
@@ -137,18 +182,23 @@ def _make_network(cfg: ScenarioConfig, seed: int):
     return PacketNetwork(cfg.packet, seed=seed)
 
 
-def _load_traffic(net, cfg: ScenarioConfig, seed: int,
-                  duration: Optional[float] = None) -> int:
-    """Inject background + incast flows; returns the flow count."""
-    duration = duration if duration is not None else cfg.duration
+def _load_traffic(net, cfg: ScenarioConfig, seed: int, *,
+                  train: bool = False) -> int:
+    """Inject background + incast flows; returns the flow count.
+
+    The measured run's background follows ``cfg.phases`` when set; the
+    pretraining run (``train``) is ``cfg.pretrain_intervals`` long and
+    always ``cfg.workload`` at ``cfg.load``.
+    """
+    duration = cfg.pretrain_intervals * cfg.delta_t if train else cfg.duration
+    phases = () if train else cfg.phases
     rng = np.random.default_rng(seed)
     hosts = net.host_names()
-    gen = PoissonTrafficGenerator(hosts, workload_by_name(cfg.workload), rng=rng)
-    flows = gen.generate(TrafficConfig(load=cfg.load, duration=duration,
-                                       host_rate_bps=cfg.host_rate_bps,
-                                       start_time=0.0))
+    schedule = PatternSchedule(phases or [PatternSegment(
+        cfg.workload, 0.0, duration, cfg.load)])
+    flows = schedule.generate_flows(hosts, cfg.host_rate_bps, rng)
     if cfg.incast:
-        inc = IncastGenerator(hosts, rng=rng, first_flow_id=gen.next_flow_id())
+        inc = IncastGenerator(hosts, rng=rng, first_flow_id=len(flows))
         flows.extend(inc.generate(IncastConfig(
             fan_in=cfg.incast_fan_in, response_bytes=cfg.incast_bytes,
             period=cfg.incast_period, duration=duration)))
@@ -191,10 +241,12 @@ def build_scheme(name: str, switch_names: List[str], *,
 
 def _default_pet_config(cfg: ScenarioConfig) -> PETConfig:
     """Workload-appropriate reward weights (paper §5.2) on the fast
-    training profile (scaled to this repo's short simulations)."""
+    training profile (scaled to this repo's short simulations), then the
+    scenario's ``pet`` overrides."""
     beta = (0.7, 0.3) if cfg.workload == "datamining" else (0.3, 0.7)
-    return PETConfig.fast(beta1=beta[0], beta2=beta[1],
-                          delta_t=cfg.delta_t, seed=cfg.seed)
+    return replace(PETConfig.fast(beta1=beta[0], beta2=beta[1],
+                                  delta_t=cfg.delta_t, seed=cfg.seed),
+                   **cfg.pet)
 
 
 # --------------------------------------------------------------- pretraining
@@ -203,16 +255,23 @@ def _default_pet_config(cfg: ScenarioConfig) -> PETConfig:
 _PRETRAIN_CACHE: Dict[str, object] = {}
 
 
+#: scenario fields only the measured run reads
+_MEASURED_ONLY = ("duration", "online_training", "phases", "link_failure")
+#: (simulator, the fabric field it reads)
+_FABRICS = (("fluid", "fluid"), ("fluid_shard", "fattree"),
+            ("packet", "packet"))
+
+
 def _pretrain_key(scheme: str, cfg: ScenarioConfig, pet_cfg: PETConfig) -> str:
-    """Digest of everything the training run reads: the fabric, the
-    traffic, its length and Δt, the seed and the learning config (the
+    """Digest of everything the training run reads: every scenario field
+    but the measured-run-only ones and the other simulators' fabrics, and
+    the resolved learning config (which carries ``cfg.pet``; the
     sanitizer only checks, so it is left out)."""
-    fabric = {"fluid": cfg.fluid, "fluid_shard": cfg.fattree,
-              "packet": cfg.packet}[cfg.simulator]
-    return fingerprint((scheme, cfg.simulator, fabric, cfg.workload, cfg.load,
-                        cfg.incast, cfg.incast_fan_in, cfg.incast_period,
-                        cfg.incast_bytes, cfg.pretrain_intervals, cfg.delta_t,
-                        cfg.seed, replace(pet_cfg, sanitize=False)))
+    skip = _MEASURED_ONLY + ("pet",) + tuple(
+        f for sim, f in _FABRICS if sim != cfg.simulator)
+    read = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+            if f.name not in skip}
+    return fingerprint((scheme, read, replace(pet_cfg, sanitize=False)))
 
 
 def clear_pretrain_cache() -> None:
@@ -221,10 +280,9 @@ def clear_pretrain_cache() -> None:
 
 
 def _train_network_factory(cfg: ScenarioConfig):
-    train_duration = cfg.pretrain_intervals * cfg.delta_t
     def make_train_net():
         tn = _make_network(cfg, cfg.seed + 101)
-        _load_traffic(tn, cfg, cfg.seed + 102, duration=train_duration)
+        _load_traffic(tn, cfg, cfg.seed + 102, train=True)
         return tn
     return make_train_net
 
@@ -239,22 +297,22 @@ def _cached_pretrain(scheme: str, cfg: ScenarioConfig,
     return _PRETRAIN_CACHE[key]
 
 
-def _cached_pretrain_acc(cfg: ScenarioConfig, controller: ACCController,
-                         base_pet: PETConfig) -> Dict:
+def _acc_trainee(switch_names: List[str], base: PETConfig) -> ACCController:
+    """ACC's offline trainee.  It runs DDQN's own defaults (eps 1.0 ->
+    0.05 over 2000 steps): high exploration while off the production
+    network.  The deployed controller (build_scheme) then continues online
+    with a low exploration floor — the same offline-explore /
+    online-exploit split PET uses."""
+    return ACCController(switch_names, ACCConfig(base=base, seed=base.seed))
+
+
+def _cached_pretrain_acc(cfg: ScenarioConfig, base_pet: PETConfig) -> Dict:
     key = _pretrain_key("acc", cfg, base_pet)
     if key not in _PRETRAIN_CACHE:
-        tn = _train_network_factory(cfg)()
-        # The offline trainee runs DDQN's own defaults (eps 1.0 -> 0.05
-        # over 2000 steps): high exploration while off the production
-        # network.  The deployed controller (build_scheme) then continues
-        # online with a low exploration floor — the same offline-explore /
-        # online-exploit split PET uses.
-        trainee = ACCController(tn.switch_names(),
-                                ACCConfig(base=base_pet, seed=base_pet.seed))
-        trainee.set_training(True)
-        run_control_loop(tn, trainee, intervals=cfg.pretrain_intervals,
-                         delta_t=cfg.delta_t)
-        _PRETRAIN_CACHE[key] = trainee.state_dict()
+        (t,) = _train([_Trainee(_train_network_factory(cfg), base_pet,
+                                make_controller=_acc_trainee)],
+                      episodes=1, intervals_per_episode=cfg.pretrain_intervals)
+        _PRETRAIN_CACHE[key] = t.controller.state_dict()
     return _PRETRAIN_CACHE[key]
 
 
@@ -273,6 +331,8 @@ class _PreparedScenario:
     on_interval: Optional[Callable] = None
     queue_samples: List[float] = field(default_factory=list)
     utils: List[float] = field(default_factory=list)
+    #: ``now`` of the link failure and of its restore, as they fire
+    failure_times: List[float] = field(default_factory=list)
 
     @property
     def drain(self) -> int:
@@ -284,26 +344,26 @@ class _PreparedScenario:
             self.queue_samples.append(st.avg_qlen_bytes)
         u = [st.utilization for st in stats.values()]
         self.utils.append(float(np.mean(u)) if u else 0.0)
+        if self.cfg.link_failure is not None:
+            fail_at, restore_at, fraction = self.cfg.link_failure
+            if i == self.cfg._interval(fail_at):
+                self.net.fail_uplinks(
+                    fraction, rng=np.random.default_rng(self.cfg.seed + 2))
+                self.failure_times.append(now)
+            elif i == self.cfg._interval(restore_at):
+                self.net.restore_uplinks()
+                self.failure_times.append(now)
         if self.on_interval is not None:
             self.on_interval(i, now, stats)
 
 
-def _setup_scenario(scheme: str, cfg: Optional[ScenarioConfig] = None, *,
-                    pet_config: Optional[PETConfig] = None,
-                    network=None) -> _PreparedScenario:
+def _setup_scenario(scheme: str,
+                    cfg: Optional[ScenarioConfig] = None) -> _PreparedScenario:
     """Build the traffic-loaded simulator and the (pretrained) scheme."""
     cfg = cfg or ScenarioConfig()
-    base_pet = pet_config or _default_pet_config(cfg)
-    base_pet = replace(base_pet, delta_t=cfg.delta_t)
-
-    own_network = network is None
-    if own_network:
-        net = _make_network(cfg, cfg.seed)
-        n_flows = _load_traffic(net, cfg, cfg.seed + 1)
-    else:
-        net = network
-        n_flows = len(net.flows)
-
+    base_pet = _default_pet_config(cfg)
+    net = _make_network(cfg, cfg.seed)
+    n_flows = _load_traffic(net, cfg, cfg.seed + 1)
     controller = build_scheme(scheme, net.switch_names(),
                               pet_config=base_pet, seed=cfg.seed)
 
@@ -324,15 +384,32 @@ def _setup_scenario(scheme: str, cfg: Optional[ScenarioConfig] = None, *,
         # interval budget on the training run for a fair comparison.
         with tr.span("scenario.pretrain", scheme=scheme,
                      intervals=cfg.pretrain_intervals):
-            state = _cached_pretrain_acc(cfg, controller, base_pet)
+            state = _cached_pretrain_acc(cfg, base_pet)
         controller.load_state_dict(state)
         controller.advance_exploration(cfg.pretrain_intervals)
 
     controller.set_training(cfg.online_training)
-    intervals = max(int(round(cfg.duration / cfg.delta_t)), 1)
+    intervals = max(cfg._interval(cfg.duration), 1)
     return _PreparedScenario(scheme=scheme, cfg=cfg, net=net,
                              controller=controller, n_flows=n_flows,
                              intervals=intervals)
+
+
+def _windows(prep: _PreparedScenario) -> Dict[str, Dict[str, FCTStats]]:
+    """FCT statistics per phase and around the link failure."""
+    cfg, done = prep.cfg, prep.net.finished_flows
+    out = {}
+    for k, ph in enumerate(cfg.phases):
+        out[f"{k}:{ph.workload}"] = [
+            f for f in done
+            if ph.start_time <= f.start_time < ph.start_time + ph.duration]
+    if prep.failure_times:
+        t0, t1 = prep.failure_times
+        out["before"] = [f for f in done if f.finish_time < t0]
+        out["during"] = [f for f in done if t0 <= f.finish_time < t1]
+        out["after"] = [f for f in done if t1 <= f.finish_time]
+    return {name: fct_statistics(flows, cfg.host_rate_bps, cfg.base_rtt)
+            for name, flows in out.items()}
 
 
 def _finalize_scenario(prep: _PreparedScenario) -> ExperimentResult:
@@ -348,7 +425,8 @@ def _finalize_scenario(prep: _PreparedScenario) -> ExperimentResult:
         scheme=prep.scheme, scenario=cfg, fct=fct, queue=queue, latency=lat,
         mean_utilization=float(np.mean(prep.utils)) if prep.utils else 0.0,
         flows_finished=len(net.finished_flows), flows_total=prep.n_flows,
-        queue_samples=prep.queue_samples, extra=extra)
+        queue_samples=prep.queue_samples, extra=extra,
+        windows=_windows(prep))
 
 
 def _measure(preps: List[_PreparedScenario]) -> List[ExperimentResult]:
@@ -376,9 +454,7 @@ def _measure(preps: List[_PreparedScenario]) -> List[ExperimentResult]:
 
 
 def run_scenario(scheme: str, cfg: Optional[ScenarioConfig] = None, *,
-                 pet_config: Optional[PETConfig] = None,
-                 on_interval: Optional[Callable] = None,
-                 network=None) -> ExperimentResult:
+                 on_interval: Optional[Callable] = None) -> ExperimentResult:
     """Run one scheme through one scenario and collect the paper metrics.
 
     Parameters
@@ -387,17 +463,11 @@ def run_scenario(scheme: str, cfg: Optional[ScenarioConfig] = None, *,
         One of :data:`SCHEMES`.
     cfg:
         Scenario; defaults to 60%-load Web Search on the fluid fabric.
-    pet_config:
-        Override the learning configuration (ablation benches use this).
     on_interval:
-        Extra per-interval callback (pattern switches, failure injection).
-    network:
-        Pre-built simulator (with traffic already loaded) to use instead
-        of the scenario's default; the caller owns its traffic in that
-        case.
+        Extra per-interval callback ``(i, now, stats)`` of the measured
+        run (probes, timers).
     """
-    prep = _setup_scenario(scheme, cfg, pet_config=pet_config,
-                           network=network)
+    prep = _setup_scenario(scheme, cfg)
     prep.on_interval = on_interval
     return _measure([prep])[0]
 

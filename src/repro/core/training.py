@@ -14,7 +14,8 @@ trained against recorded/simulated traffic on a training fabric, and a
 *single* agent's parameters (the best-rewarded one) are exported as the
 initial model that deployment installs on every switch
 (:meth:`repro.core.pet.PETController.install_pretrained`).  Every
-pretraining entry point runs the one episode loop, :func:`_train`.
+pretraining entry point — ACC's included — runs the one episode loop,
+:func:`_train`.
 """
 
 from __future__ import annotations
@@ -223,16 +224,19 @@ def _resolve_config(config: Optional[PETConfig],
 # --------------------------------------------------------------- pretraining
 @dataclass
 class _Trainee:
-    """One PET controller's offline run inside :func:`_train`."""
+    """One controller's offline run inside :func:`_train`."""
 
     make_network: Callable[[], object]
     config: PETConfig
+    #: builds the trained controller from the network's switch names and
+    #: ``config``: PET by default, ACC for its offline pretraining
+    make_controller: Callable[[List[str], PETConfig], object] = PETController
     #: scopes the trainee's setup and decides (what the engine does per task)
     task_seed: Optional[int] = None
     checkpoints: Optional[CheckpointManager] = None
     #: first restore the newest intact checkpoint from ``checkpoints``
     resume: bool = False
-    controller: Optional[PETController] = None
+    controller: Optional[object] = None
     done_intervals: int = 0
     episodes: List[LoopResult] = field(default_factory=list)
 
@@ -261,7 +265,8 @@ def _train(trainees: List[_Trainee], *, episodes: int,
     for t in trainees:
         with _scoped(t.task_seed):
             nets.append(t.make_network())
-            t.controller = PETController(nets[-1].switch_names(), t.config)
+            t.controller = t.make_controller(nets[-1].switch_names(),
+                                             t.config)
             t.controller.set_training(True)
         if t.resume and t.checkpoints is not None:
             resumed_step = t.checkpoints.restore_into(t.controller)

@@ -1,13 +1,16 @@
 """Tests for experiment-harness internals: cache keys, defaults, drains."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.analysis.experiments import (ScenarioConfig, _default_pet_config,
                                         _pretrain_key)
 from repro.core.config import PETConfig
+from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.fluid import FluidConfig
+from repro.netsim.topology import TopologyConfig
+from repro.traffic.patterns import PatternSegment
 
 
 def cfg(**kw):
@@ -17,6 +20,32 @@ def cfg(**kw):
     return ScenarioConfig(**kw)
 
 
+#: the scenario fields the pretraining run does not read
+MEASURED_ONLY = ("duration", "online_training", "phases", "link_failure")
+#: a changed value for every ScenarioConfig field
+VARIED = {
+    "workload": "datamining", "load": 0.31, "duration": 0.5,
+    "simulator": "fluid_shard", "delta_t": 2e-3, "seed": 5,
+    "incast": False, "incast_fan_in": 24, "incast_period": 5e-3,
+    "incast_bytes": 100_000, "pretrain_intervals": 99,
+    "online_training": False,
+    "phases": (PatternSegment("datamining", 0.0, 0.1, 0.5),),
+    "link_failure": (0.05, 0.1, 0.1),
+    "pet": {"history_k": 2},
+    "fluid": FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                         host_rate_bps=10e9, spine_rate_bps=80e9),
+    "packet": TopologyConfig(n_leaf=3),
+    "fattree": FatTreeConfig(n_pods=2),
+}
+#: each fabric field is varied under the simulator that reads it
+SIMULATOR = {"packet": "packet", "fattree": "fluid_shard"}
+
+
+def _value_id(value):
+    return None if isinstance(value, (str, int, float)) else \
+        type(value).__name__
+
+
 class TestPretrainKey:
     def test_same_scenario_same_key(self):
         pet = PETConfig(seed=0)
@@ -24,14 +53,21 @@ class TestPretrainKey:
             _pretrain_key("pet", cfg(), pet)
 
     @pytest.mark.parametrize("field,value", [
-        ("load", 0.31), ("workload", "datamining"),
-        ("pretrain_intervals", 99), ("seed", 5), ("incast", False),
-        ("incast_fan_in", 24), ("incast_period", 5e-3),
-        ("incast_bytes", 100_000), ("delta_t", 2e-3)])
+        (f.name, VARIED.get(f.name)) for f in fields(ScenarioConfig)],
+        ids=_value_id)
     def test_scenario_fields_change_key(self, field, value):
-        pet = PETConfig(seed=0)
-        assert _pretrain_key("pet", cfg(), pet) != \
-            _pretrain_key("pet", cfg(**{field: value}), pet)
+        """Every field changes the key, except the measured-run-only ones,
+        which must not; a new field fails here until it is classified."""
+        assert field in VARIED, f"classify ScenarioConfig.{field} here"
+        base = cfg(simulator=SIMULATOR.get(field, "fluid"))
+        changed = replace(base, **{field: value})
+
+        def key(c):
+            return _pretrain_key("pet", c, _default_pet_config(c))
+        if field in MEASURED_ONLY:
+            assert key(changed) == key(base)
+        else:
+            assert key(changed) != key(base)
 
     def test_scheme_changes_key(self):
         pet = PETConfig(seed=0)
@@ -94,6 +130,28 @@ class TestPretrainCache:
         ex.clear_pretrain_cache()
 
 
+#: ``fingerprint`` of ACC's offline-pretrained state on
+#: ``TestAccPretrain``'s scenario, captured while ACC's pretraining still
+#: ran its own control loop
+_PINNED_ACC_PRETRAIN = \
+    "3b24c1faf36ffb3825d84bd1a7d825103c90c4e36bba87cbf6fdd25f477f9b5d"
+
+
+class TestAccPretrain:
+    def test_state_pinned(self):
+        """ACC pretrains in the one episode loop with the bits it had in
+        its own loop."""
+        import repro.analysis.experiments as ex
+        from repro.fingerprint import fingerprint
+        c = cfg(duration=0.02, pretrain_intervals=120, load=0.4, seed=0,
+                fluid=FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=4,
+                                  host_rate_bps=10e9, spine_rate_bps=40e9))
+        ex.clear_pretrain_cache()
+        state = ex._cached_pretrain_acc(c, _default_pet_config(c))
+        ex.clear_pretrain_cache()
+        assert fingerprint(state) == _PINNED_ACC_PRETRAIN
+
+
 class TestDefaultPetConfig:
     def test_websearch_weights(self):
         c = _default_pet_config(cfg(workload="websearch"))
@@ -112,6 +170,11 @@ class TestDefaultPetConfig:
         c = _default_pet_config(cfg())
         assert c.actor_lr == pytest.approx(3e-3)
         assert c.update_interval == 100
+
+    def test_scenario_overrides_applied(self):
+        c = _default_pet_config(cfg(pet={"history_k": 1, "beta1": 0.9,
+                                         "beta2": 0.1}))
+        assert (c.history_k, c.beta1, c.beta2, c.seed) == (1, 0.9, 0.1, 0)
 
 
 class TestReportFormatting:
