@@ -57,15 +57,11 @@ class RetryExhausted(RuntimeError):
 def retry_call(fn: Callable[[], Any], *,
                policy: Optional[RetryPolicy] = None,
                retry_on: Tuple[Type[BaseException], ...] = (Exception,),
-               sleep: Callable[[float], None] = time.sleep,
-               on_retry: Optional[Callable[[int, BaseException], None]] = None
-               ) -> Any:
+               sleep: Callable[[float], None] = time.sleep) -> Any:
     """Call ``fn()`` until it succeeds or the policy is exhausted.
 
     Only exceptions matching ``retry_on`` are retried; anything else
     propagates immediately (a programming error should not be hammered).
-    ``on_retry(retry_index, exc)`` fires before each backoff sleep —
-    the serve plane uses it to emit ``serve.retry`` telemetry.
     """
     pol = policy or RetryPolicy()
     last: Optional[BaseException] = None
@@ -76,8 +72,6 @@ def retry_call(fn: Callable[[], Any], *,
             last = exc
             if attempt == pol.attempts - 1:
                 break
-            if on_retry is not None:
-                on_retry(attempt, exc)
             sleep(pol.delay(attempt))
     assert last is not None
     raise RetryExhausted(pol.attempts, last) from last

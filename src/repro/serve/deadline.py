@@ -65,7 +65,7 @@ class _Job:
 class DeadlineDecider:
     """Run callables on a replaceable worker thread with a wall budget."""
 
-    def __init__(self, *, max_replacements: int = 16,
+    def __init__(self, *, max_replacements: int = 8,
                  name: str = "serve-decide") -> None:
         if max_replacements < 0:
             raise ValueError("max_replacements must be >= 0")

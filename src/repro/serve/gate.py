@@ -54,8 +54,9 @@ class GateConfig:
     fct_slack_s: float = 1e-4
     #: relative mean-utilization drop allowed.
     util_tolerance: float = 0.10
-    #: deadline/crash strikes before an acting policy is demoted.
-    max_breaches: int = 3
+    #: consecutive faulty decides before a shadow is suspended, a canary
+    #: rolled back or an incumbent demoted.
+    max_strikes: int = 3
     #: only let a canary act while the plane is healthy.
     canary_requires_ready: bool = True
 
@@ -64,8 +65,8 @@ class GateConfig:
             raise ValueError("shadow/canary tick counts must be >= 1")
         if self.eval_min_ticks < 1 or self.window_ticks < 1:
             raise ValueError("window sizes must be >= 1")
-        if self.max_breaches < 1:
-            raise ValueError("max_breaches must be >= 1")
+        if self.max_strikes < 1:
+            raise ValueError("max_strikes must be >= 1")
         for tol in (self.queue_tolerance, self.fct_tolerance,
                     self.util_tolerance):
             if not math.isfinite(tol) or tol < 0.0:

@@ -14,9 +14,9 @@ item 1, RL-CC's deployment gap):
   the same deadline/bounds envelope as the incumbent, while the
   promotion gate compares its windowed FCT/queue metrics against the
   incumbent's frozen baseline;
-- a gate breach (or three deadline/crash strikes) **rolls the canary
-  back**: the incumbent resumes acting and the candidate sits out a
-  cool-down before it can be promoted again;
+- a gate breach (or ``max_strikes`` consecutive faulty decides)
+  **rolls the canary back**: the incumbent resumes acting and the
+  candidate sits out a cool-down before it can be promoted again;
 - a canary that survives ``canary_ticks`` is **promoted**: it becomes
   the incumbent, the previous incumbent is retired (and kept for
   manual rollback).
@@ -100,11 +100,12 @@ class PolicyRecord:
     #: consecutive clean shadow ticks (faults reset it) — the
     #: promotion-eligibility signal.
     clean_streak: int = 0
-    #: lifetime decide faults (exceptions, deadline breaches,
-    #: out-of-bounds proposals) while shadowing.
+    #: lifetime faulty decides (deadline breaches, exceptions,
+    #: out-of-bounds writes), across all stages.
     faults: int = 0
-    #: deadline/crash strikes while *acting* (canary or promoted).
-    breaches: int = 0
+    #: consecutive faulty decides; a clean decide and every stage
+    #: change reset it.
+    strikes: int = 0
     #: canary ticks completed in the current evaluation.
     canary_ticks: int = 0
     #: tick before which this policy may not be (re-)promoted.
@@ -134,7 +135,7 @@ class PolicyRecord:
             "registered_tick": self.registered_tick,
             "shadow_ticks": self.shadow_ticks,
             "clean_streak": self.clean_streak,
-            "faults": self.faults, "breaches": self.breaches,
+            "faults": self.faults, "strikes": self.strikes,
             "canary_ticks": self.canary_ticks,
             "cooldown_until": self.cooldown_until,
             "rollbacks": self.rollbacks,
@@ -221,9 +222,8 @@ class PolicyRegistry:
                            and self.canary_name is None):
             raise LifecycleError(f"cannot promote {name!r}: {reason}")
         rec = self.records[name]
-        rec.stage = "canary"
+        self._set_stage(rec, "canary")
         rec.canary_ticks = 0
-        rec.breaches = 0
         self.canary_name = name
         return rec
 
@@ -232,13 +232,8 @@ class PolicyRegistry:
         rec = self.canary
         if rec is None:
             raise LifecycleError("no canary to roll back")
-        rec.stage = "shadow"
-        rec.cooldown_until = tick + cooldown_ticks
-        rec.clean_streak = 0
-        rec.rollbacks += 1
-        rec.last_error = reason
         self.canary_name = None
-        return rec
+        return self._back_to_shadow(rec, tick + cooldown_ticks, reason)
 
     def complete_promotion(self, *, tick: int) -> PolicyRecord:
         rec = self.canary
@@ -246,27 +241,23 @@ class PolicyRegistry:
             raise LifecycleError("no canary to promote")
         old = self.incumbent
         if old.name != rec.name:
-            old.stage = "retired" if old.name != self.STATIC else "promoted"
+            self._set_stage(old, "retired" if old.name != self.STATIC
+                            else "promoted")
             self.previous_incumbent = old.name
-        rec.stage = "promoted"
+        self._set_stage(rec, "promoted")
         self.incumbent_name = rec.name
         self.canary_name = None
         return rec
 
     def demote_incumbent(self, *, tick: int, cooldown_ticks: int,
                          reason: str) -> PolicyRecord:
-        """Three-strikes demotion: the incumbent falls back to static."""
+        """Strike-out demotion: the incumbent falls back to static."""
         rec = self.incumbent
         if rec.name == self.STATIC:
             return rec          # static is the floor; nothing below it
-        rec.stage = "shadow"
-        rec.cooldown_until = tick + cooldown_ticks
-        rec.clean_streak = 0
-        rec.rollbacks += 1
-        rec.last_error = reason
         self.incumbent_name = self.STATIC
-        self.records[self.STATIC].stage = "promoted"
-        return rec
+        self._set_stage(self.records[self.STATIC], "promoted")
+        return self._back_to_shadow(rec, tick + cooldown_ticks, reason)
 
     def suspend(self, name: str, *, reason: str) -> PolicyRecord:
         """Stop scoring a persistently faulty shadow (wedged decides)."""
@@ -277,8 +268,22 @@ class PolicyRegistry:
             self.canary_name = None
         if self.incumbent_name == rec.name:
             self.incumbent_name = self.STATIC
-            self.records[self.STATIC].stage = "promoted"
-        rec.stage = "suspended"
+            self._set_stage(self.records[self.STATIC], "promoted")
+        self._set_stage(rec, "suspended")
+        rec.last_error = reason
+        return rec
+
+    @staticmethod
+    def _set_stage(rec: PolicyRecord, stage: str) -> None:
+        rec.stage, rec.strikes = stage, 0    # a stage change clears strikes
+
+    def _back_to_shadow(self, rec: PolicyRecord, cooldown_until: int,
+                        reason: str) -> PolicyRecord:
+        """Rollback/demotion: shadow again, cooling down, one more rollback."""
+        self._set_stage(rec, "shadow")
+        rec.cooldown_until = cooldown_until
+        rec.clean_streak = 0
+        rec.rollbacks += 1
         rec.last_error = reason
         return rec
 

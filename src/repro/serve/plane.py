@@ -14,10 +14,11 @@ Per tick::
 
     chaos faults fire → fabric advances Δt → telemetry read (retried)
     → chaos poisons the copy controllers see → acting policy decides
-      (deadline-bounded, buffered) → on time: buffer flushed to fabric;
-      late/crashed: static safe ECN applied *this tick* + one strike
+      (deadline-bounded, buffered) → clean: buffer flushed to fabric;
+      faulty: buffer dropped, static safe ECN applied *this tick*
     → every shadow scores the same telemetry into its own buffer
-      (never flushed) → true fabric metrics feed the gate windows
+      (never flushed) → each faulty decide is one strike
+    → true fabric metrics feed the gate windows
     → gate verdict (rollback / promotion) → periodic checkpoint
       hot-reload → health re-derived → obs export.
 
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.static_ecn import secn1
 from repro.netsim.ecn import SECN1, ECNConfig
@@ -50,6 +51,12 @@ __all__ = ["ServeConfig", "ControlPlane", "HEALTH_STATES"]
 HEALTH_STATES = ("starting", "ready", "degraded", "failed")
 
 
+#: backoff for telemetry reads.
+_TELEMETRY_RETRY = RetryPolicy(attempts=3, base_delay_s=0.005)
+#: backoff for checkpoint hot-reload (corrupt files re-read).
+_RELOAD_RETRY = RetryPolicy(attempts=3, base_delay_s=0.01)
+
+
 @dataclass
 class ServeConfig:
     """Control-plane knobs."""
@@ -62,26 +69,16 @@ class ServeConfig:
     degraded_hold_ticks: int = 25
     #: check registered checkpoint directories every N ticks (0: never).
     reload_every_ticks: int = 50
-    #: consecutive shadow faults before a shadow is suspended.
-    shadow_max_strikes: int = 3
-    #: safe configuration applied on fallback ticks.
-    safe_ecn: ECNConfig = field(default_factory=lambda: SECN1)
-    #: backoff for telemetry reads.
-    telemetry_retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(attempts=3, base_delay_s=0.005))
-    #: backoff for checkpoint hot-reload (corrupt files re-read).
-    reload_retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(attempts=3, base_delay_s=0.01))
-    #: decider worker replacements before the plane pins itself static.
-    max_decider_replacements: int = 8
 
     def __post_init__(self) -> None:
         if self.delta_t <= 0.0:
             raise ValueError("delta_t must be positive")
         if self.decide_budget_s <= 0.0:
             raise ValueError("decide_budget_s must be positive")
-        if self.shadow_max_strikes < 1:
-            raise ValueError("shadow_max_strikes must be >= 1")
+        if self.degraded_hold_ticks < 0:
+            raise ValueError("degraded_hold_ticks must be >= 0")
+        if self.reload_every_ticks < 0:
+            raise ValueError("reload_every_ticks must be >= 0 (0: never)")
 
 
 class ControlPlane:
@@ -124,7 +121,6 @@ class ControlPlane:
         self._inner: Dict[str, Any] = {}
         self.registry = PolicyRegistry(self._guard(secn1()))
         self._deciders: Dict[str, DeadlineDecider] = {}
-        self._consecutive_faults: Dict[str, int] = {}
         self._fault_log_len: Dict[str, int] = {}
 
         self.tick_count = 0
@@ -161,9 +157,7 @@ class ControlPlane:
         """Per-policy decider: a wedged shadow never starves the others."""
         d = self._deciders.get(name)
         if d is None:
-            d = self._deciders[name] = DeadlineDecider(
-                max_replacements=self.config.max_decider_replacements,
-                name=f"serve-{name}")
+            d = self._deciders[name] = DeadlineDecider(name=f"serve-{name}")
         return d
 
     # -- registration & lifecycle ops ----------------------------------------
@@ -178,7 +172,6 @@ class ControlPlane:
                 name, self._guard(controller), tick=self.tick_count,
                 checkpoints=checkpoints, loaded_step=loaded_step)
             self._inner[name] = controller
-            self._consecutive_faults[name] = 0
             self._event("serve.register", policy=name)
             return rec.snapshot()
 
@@ -303,16 +296,12 @@ class ControlPlane:
     def _read_telemetry(self, t: int, now: float) -> Optional[Dict[str, Any]]:
         """Fabric stats, retried; a dead telemetry path is a fault tick."""
         try:
-            return retry_call(self.net.queue_stats,
-                              policy=self.config.telemetry_retry,
+            return retry_call(self.net.queue_stats, policy=_TELEMETRY_RETRY,
                               sleep=self.sleep)
         except RetryExhausted as exc:
             self.telemetry_failures += 1
-            self.last_fault_tick = t
-            self.net.set_ecn_all(self.config.safe_ecn)
-            self.applied_by["fallback"] += 1
+            self._fallback(t)
             self._inc("serve.telemetry_failures")
-            self._inc("serve.applied", source="fallback")
             self._event("serve.telemetry_failed", tick=t,
                         error=type(exc.last).__name__ if exc.last else "?")
             return None
@@ -326,59 +315,94 @@ class ControlPlane:
                 return canary, "canary"
         return self.registry.incumbent, "incumbent"
 
-    def _acting_decide(self, t: int, now: float, seen: Dict[str, Any]) -> str:
-        """Run the acting policy under deadline + buffer; fall back late."""
-        rec, source = self._acting_record()
+    def _fallback(self, t: int) -> None:
+        """Static safe ECN (SECN1) on every switch, this tick."""
+        self.net.set_ecn_all(SECN1)
+        self.applied_by["fallback"] += 1
+        self._inc("serve.applied", source="fallback")
+        self.last_fault_tick = t
+
+    def _decide(self, rec: Any, seen: Dict[str, Any], now: float,
+                t: int) -> Tuple[BufferedNetwork, Optional[str]]:
+        """One buffered, deadline-bounded decide and its verdict: the
+        fault is ``None`` unless the decider was not ``ok``, the guard
+        logged a ``controller-error``, or a buffered write is out of
+        bounds."""
         buf = BufferedNetwork(self.net)
         outcome = self._decider(rec.name).submit(
             rec.controller.decide, seen, now, buf,
             budget_s=self.config.decide_budget_s)
-        if outcome.ok:
+        guard_error = self._note_guard_faults(rec, t)
+        if not outcome.ok:
+            fault = outcome.status + (f": {type(outcome.error).__name__}"
+                                      if outcome.error is not None else "")
+        elif guard_error is not None:
+            fault = f"controller-error: {guard_error}"
+        elif not all(config_in_bounds(cfg) for _, cfg in buf.buffered):
+            fault = "out-of-bounds proposal"
+        else:
+            fault = None
+        return buf, fault
+
+    def _strike(self, rec: Any, fault: Optional[str], t: int) -> None:
+        """One strike rule for every decide: clean clears the strikes;
+        at ``max_strikes`` a shadow is suspended, a canary rolled back,
+        an incumbent demoted (static stays).  Exhausted suspends at once.
+        """
+        if fault is None:
+            rec.strikes = 0
+            return
+        rec.faults += 1
+        rec.strikes += 1
+        rec.last_error = fault
+        self.last_fault_tick = t
+        if rec.stage == "shadow":
+            rec.clean_streak = 0
+            self._inc("serve.shadow_faults", policy=rec.name)
+            self._event("serve.shadow_fault", tick=t, policy=rec.name,
+                        status=fault, strikes=rec.strikes)
+        else:
+            self.breaches_total += 1
+            self._inc("serve.decide_breaches", status=fault.split(":")[0],
+                      policy=rec.name)
+            self._event("serve.decide_breach", tick=t, policy=rec.name,
+                        status=fault, strikes=rec.strikes)
+        if rec.name == PolicyRegistry.STATIC:
+            return
+        gcfg = self.gate.config
+        if fault == "exhausted" or (rec.stage == "shadow"
+                                    and rec.strikes >= gcfg.max_strikes):
+            self.registry.suspend(rec.name, reason=fault)
+            self._event("serve.suspend", policy=rec.name, reason=fault)
+        elif rec.strikes < gcfg.max_strikes:
+            return
+        elif rec.stage == "canary":
+            self.registry.rollback_canary(
+                tick=t, cooldown_ticks=gcfg.cooldown_ticks,
+                reason=f"{rec.strikes} decide breaches")
+            self.rollbacks_total += 1
+            self._inc("serve.rollbacks", cause="breaches")
+            self._event("serve.rollback", policy=rec.name, cause="breaches")
+        else:
+            self._inc("serve.demotions", cause="breaches")
+            self.demote(reason=f"{rec.strikes} decide breaches")
+
+    def _acting_decide(self, t: int, now: float, seen: Dict[str, Any]) -> str:
+        """Run the acting policy; flush a clean decide, else fall back."""
+        rec, source = self._acting_record()
+        buf, fault = self._decide(rec, seen, now, t)
+        if fault is None:
             buf.flush()
             rec.record_proposals(t, buf.buffered)
             if source == "canary":
                 rec.canary_ticks += 1
             self.applied_by[source] += 1
             self._inc("serve.applied", source=source)
-            self._note_guard_faults(rec, t)
-            return source
-
-        # Late, crashed, or decider exhausted: static safety *this tick*.
-        self.net.set_ecn_all(self.config.safe_ecn)
-        self.applied_by["fallback"] += 1
-        self._inc("serve.applied", source="fallback")
-        rec.breaches += 1
-        self.breaches_total += 1
-        self.last_fault_tick = t
-        rec.last_error = (f"{outcome.status}"
-                          + (f": {type(outcome.error).__name__}"
-                             if outcome.error is not None else ""))
-        self._inc("serve.decide_breaches", status=outcome.status,
-                  policy=rec.name)
-        self._event("serve.decide_breach", tick=t, policy=rec.name,
-                    status=outcome.status, breaches=rec.breaches)
-        gcfg = self.gate.config
-        if outcome.status == "exhausted" and rec.name != PolicyRegistry.STATIC:
-            self.registry.suspend(rec.name, reason="decider exhausted")
-            self._event("serve.suspend", policy=rec.name,
-                        reason="decider exhausted")
-        elif rec.breaches >= gcfg.max_breaches:
-            if source == "canary":
-                self.registry.rollback_canary(
-                    tick=t, cooldown_ticks=gcfg.cooldown_ticks,
-                    reason=f"{rec.breaches} decide breaches")
-                self.rollbacks_total += 1
-                self._inc("serve.rollbacks", cause="breaches")
-                self._event("serve.rollback", policy=rec.name,
-                            cause="breaches")
-            elif rec.name != PolicyRegistry.STATIC:
-                self.registry.demote_incumbent(
-                    tick=t, cooldown_ticks=gcfg.cooldown_ticks,
-                    reason=f"{rec.breaches} decide breaches")
-                self._baseline.clear()
-                self._inc("serve.demotions", cause="breaches")
-                self._event("serve.demote", policy=rec.name, cause="breaches")
-        return "fallback"
+        else:
+            self._fallback(t)        # the buffer is dropped, never flushed
+            source = "fallback"
+        self._strike(rec, fault, t)
+        return source
 
     def _score_shadows(self, t: int, now: float,
                        seen: Dict[str, Any]) -> None:
@@ -387,39 +411,13 @@ class ControlPlane:
         for rec in self.registry.shadows():
             if rec.name == acting_name:
                 continue
-            buf = BufferedNetwork(self.net)
-            outcome = self._decider(rec.name).submit(
-                rec.controller.decide, seen, now, buf,
-                budget_s=self.config.decide_budget_s)
+            buf, fault = self._decide(rec, seen, now, t)
             rec.shadow_ticks += 1
-            clean = outcome.ok and all(
-                config_in_bounds(cfg) for _, cfg in buf.buffered)
-            if clean:
+            if fault is None:
                 rec.record_proposals(t, buf.buffered)
                 rec.clean_streak += 1
-                self._consecutive_faults[rec.name] = 0
-            else:
-                rec.faults += 1
-                rec.clean_streak = 0
-                rec.last_error = (
-                    "out-of-bounds proposal" if outcome.ok
-                    else f"{outcome.status}"
-                    + (f": {type(outcome.error).__name__}"
-                       if outcome.error is not None else ""))
-                self.last_fault_tick = t
-                strikes = self._consecutive_faults.get(rec.name, 0) + 1
-                self._consecutive_faults[rec.name] = strikes
-                self._inc("serve.shadow_faults", policy=rec.name)
-                self._event("serve.shadow_fault", tick=t, policy=rec.name,
-                            status=outcome.status, strikes=strikes)
-                if (strikes >= self.config.shadow_max_strikes
-                        or outcome.status == "exhausted"):
-                    self.registry.suspend(rec.name,
-                                          reason=rec.last_error or "faulty")
-                    self._event("serve.suspend", policy=rec.name,
-                                reason=rec.last_error)
+            self._strike(rec, fault, t)
             # NB: buf is dropped — shadow writes never reach the fabric.
-            self._note_guard_faults(rec, t)
 
     def _push_metrics(self, stats: Dict[str, Any], acting_src: str) -> None:
         """True fabric metrics (not the chaos-filtered copy) → windows."""
@@ -483,33 +481,30 @@ class ControlPlane:
         try:
             result = retry_call(
                 lambda: rec.checkpoints.load_newer_than(rec.loaded_step),
-                policy=self.config.reload_retry,
+                policy=_RELOAD_RETRY,
                 retry_on=(CheckpointCorruptError, OSError),
                 sleep=self.sleep)
         except RetryExhausted as exc:
-            rec.reload_failures += 1
-            rec.last_error = (f"reload: {type(exc.last).__name__}"
-                              if exc.last else "reload failed")
-            self._inc("serve.reload_failures", policy=rec.name)
-            self._event("serve.reload_failed", policy=rec.name,
-                        error=rec.last_error)
-            return
+            return self._reload_failed(rec,
+                                       f"reload: {type(exc.last).__name__}")
         if result is None:
             return                         # nothing newer; keep serving
         state, step = result
         try:
             rec.controller.load_state_dict(state)
         except Exception as exc:   # noqa: BLE001 — keep old weights
-            rec.reload_failures += 1
-            rec.last_error = f"reload apply: {type(exc).__name__}"
-            self._inc("serve.reload_failures", policy=rec.name)
-            self._event("serve.reload_failed", policy=rec.name,
-                        error=rec.last_error)
-            return
+            return self._reload_failed(
+                rec, f"reload apply: {type(exc).__name__}")
         rec.loaded_step = step
         rec.reloads += 1
         self._inc("serve.reloads", policy=rec.name)
         self._event("serve.reload", policy=rec.name, step=step)
+
+    def _reload_failed(self, rec: Any, error: str) -> None:
+        rec.reload_failures += 1
+        rec.last_error = error
+        self._inc("serve.reload_failures", policy=rec.name)
+        self._event("serve.reload_failed", policy=rec.name, error=error)
 
     def _reload_all(self) -> None:
         for rec in self.registry.records.values():
@@ -517,16 +512,18 @@ class ControlPlane:
                 self._hot_reload(rec)
 
     # -- health ---------------------------------------------------------------
-    def _note_guard_faults(self, rec: Any, t: int) -> None:
-        """New guard FaultLog entries (quarantines, bad telemetry,
-        out-of-bounds actions) mark this tick as faulty."""
-        log = getattr(rec.controller, "log", None)
-        if log is None:
-            return
-        n = len(log.events)
-        if n > self._fault_log_len.get(rec.name, 0):
+    def _note_guard_faults(self, rec: Any, t: int) -> Optional[str]:
+        """New guard FaultLog entries mark the tick faulty for health;
+        returns the error name of a ``controller-error`` among them."""
+        start = self._fault_log_len.get(rec.name, 0)
+        new = rec.controller.log.events[start:]
+        self._fault_log_len[rec.name] = start + len(new)
+        if new:
             self.last_fault_tick = t
-        self._fault_log_len[rec.name] = n
+        for ev in new:
+            if ev.kind == "controller-error":
+                return str(ev.detail.get("error", "?"))
+        return None
 
     def _refresh_health(self) -> None:
         if self.health == "failed":

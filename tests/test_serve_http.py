@@ -10,7 +10,6 @@ import urllib.request
 import pytest
 
 from repro.netsim.fluid import FluidConfig, FluidNetwork
-from repro.serve.backoff import RetryPolicy
 from repro.serve.gate import GateConfig, PromotionGate
 from repro.serve.plane import ControlPlane, ServeConfig
 from repro.serve.server import PolicyServer
@@ -40,9 +39,7 @@ def _request(url, payload=None, timeout=5.0):
 def served():
     plane = ControlPlane(
         _tiny_factory,
-        config=ServeConfig(
-            degraded_hold_ticks=3,
-            telemetry_retry=RetryPolicy(attempts=2, base_delay_s=0.0)),
+        config=ServeConfig(degraded_hold_ticks=3),
         gate=PromotionGate(GateConfig(min_shadow_ticks=1, canary_ticks=50,
                                       eval_min_ticks=2, cooldown_ticks=5,
                                       window_ticks=10)))

@@ -14,11 +14,12 @@ import time
 import pytest
 
 from repro import obs
-from repro.netsim.ecn import ECNConfig
+from repro.devtools.sanitize import ECN_KMAX_CEILING_BYTES
+from repro.netsim.ecn import SECN1, ECNConfig
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.resilience.faults import ChaosInjector, FaultPlan
+from repro.resilience.guard import config_in_bounds
 from repro.rl.checkpoint import CheckpointManager
-from repro.serve.backoff import RetryPolicy
 from repro.serve.gate import (GateConfig, GateDecision, PromotionGate,
                               WindowSummary)
 from repro.serve.lifecycle import PolicyRegistry
@@ -45,9 +46,7 @@ def fast_gate(**over):
 
 def fast_config(**over):
     base = dict(decide_budget_s=0.5, degraded_hold_ticks=3,
-                reload_every_ticks=0,
-                telemetry_retry=RetryPolicy(attempts=3, base_delay_s=0.0),
-                reload_retry=RetryPolicy(attempts=3, base_delay_s=0.0))
+                reload_every_ticks=0)
     base.update(over)
     return ServeConfig(**base)
 
@@ -87,6 +86,51 @@ class SlowController(SentinelController):
     def decide(self, stats, now, network):
         time.sleep(self.sleep_s)
         return super().decide(stats, now, network)
+
+
+class RaisingController(SentinelController):
+    """Raises an unattributed error on every call; the guard swallows it."""
+
+    def decide(self, stats, now, network):
+        self.decides += 1
+        raise RuntimeError("policy bug")
+
+
+class OutOfBoundsWriter(SentinelController):
+    """Writes a Kmax above the guard ceiling and returns nothing, so
+    only the buffered writes show the fault."""
+
+    def __init__(self):
+        super().__init__()
+        self.cfg = ECNConfig(10_000, 2 * ECN_KMAX_CEILING_BYTES, 0.5)
+
+    def decide(self, stats, now, network):
+        super().decide(stats, now, network)
+        return {}
+
+
+class SpacedMissController(SentinelController):
+    """Overruns its budget only on the given (1-based) calls."""
+
+    def __init__(self, miss_calls, sleep_s=0.1):
+        super().__init__(kmin=10_000)
+        self.miss_calls = set(miss_calls)
+        self.sleep_s = sleep_s
+        self.calls = 0
+
+    def decide(self, stats, now, network):
+        self.calls += 1
+        if self.calls in self.miss_calls:
+            time.sleep(self.sleep_s)
+        return super().decide(stats, now, network)
+
+
+#: one controller per way a decide can be faulty: late, crashed (the
+#: guard logs a ``controller-error`` and returns nothing), or writing
+#: out-of-bounds configs it never returns.
+FAULTY = pytest.mark.parametrize("make_faulty", [
+    lambda: SlowController(sleep_s=0.2), RaisingController,
+    OutOfBoundsWriter], ids=["slow", "raises", "oob_writes"])
 
 
 def spy_writes(plane):
@@ -174,41 +218,74 @@ class TestDeadlineFallback:
         assert out["acting"] == "fallback"
         # The very same tick wrote the safe config to the fabric.
         new = applied[before:]
-        assert any(sw == "*" and cfg == plane.config.safe_ecn
-                   for sw, cfg in new)
+        assert any(sw == "*" and cfg == SECN1 for sw, cfg in new)
         assert plane.applied_by["fallback"] == 1
         rec = plane.registry.records["slow"]
-        assert rec.breaches == 1
+        assert rec.strikes == 1 and rec.faults == 1
         assert plane.health == "degraded"
         plane.close()
 
-    def test_three_strikes_rolls_canary_back(self):
+    @staticmethod
+    def _three_fallback_ticks(plane, applied):
+        """Three ticks, each one a same-tick SECN1 fallback."""
+        for i in range(3):
+            before = len(applied)
+            out = plane.tick()
+            assert out["acting"] == "fallback"
+            assert ("*", SECN1) in applied[before:]
+            assert plane.applied_by["fallback"] == i + 1
+        # No faulty decide's write ever reached the fabric.
+        assert all(config_in_bounds(cfg) and cfg.kmin_bytes != SENTINEL_KMIN
+                   for _, cfg in applied)
+
+    @FAULTY
+    def test_three_strikes_rolls_canary_back(self, make_faulty):
         plane = make_plane(config=fast_config(decide_budget_s=0.02))
-        plane.register("slow", SlowController(sleep_s=0.2))
-        plane.promote("slow", force=True)
-        for _ in range(3):
-            plane.tick()
-        rec = plane.registry.records["slow"]
+        applied = spy_writes(plane)
+        plane.register("bad", make_faulty())
+        plane.promote("bad", force=True)
+        self._three_fallback_ticks(plane, applied)
+        rec = plane.registry.records["bad"]
         assert rec.stage == "shadow"          # rolled back
         assert rec.rollbacks == 1
         assert rec.cooldown_until > 0
         assert plane.registry.canary_name is None
         assert plane.rollbacks_total == 1
+        assert plane.breaches_total == 3
         # The incumbent (static) is acting again.
         out = plane.tick()
         assert out["acting"] in ("incumbent", "fallback")
         plane.close()
 
-    def test_three_strikes_demotes_incumbent_to_static(self):
+    @FAULTY
+    def test_three_strikes_demotes_incumbent_to_static(self, make_faulty):
         plane = make_plane(config=fast_config(decide_budget_s=0.02))
-        plane.register("slow", SlowController(sleep_s=0.2))
-        plane.promote("slow", force=True)
+        applied = spy_writes(plane)
+        plane.register("bad", make_faulty())
+        plane.promote("bad", force=True)
         plane.registry.complete_promotion(tick=0)
-        assert plane.registry.incumbent_name == "slow"
-        for _ in range(3):
-            plane.tick()
+        assert plane.registry.incumbent_name == "bad"
+        self._three_fallback_ticks(plane, applied)
         assert plane.registry.incumbent_name == PolicyRegistry.STATIC
-        assert plane.registry.records["slow"].stage == "shadow"
+        assert plane.registry.records["bad"].stage == "shadow"
+        assert plane.breaches_total == 3
+        plane.close()
+
+    def test_spaced_misses_leave_incumbent_in_place(self):
+        # Misses on ticks 9, 19 and 29 of 40 are three strikes, but never
+        # three in a row: each clean decide in between clears them.
+        plane = make_plane(config=fast_config(decide_budget_s=0.02))
+        plane.register("spaced", SpacedMissController({10, 20, 30}))
+        plane.promote("spaced", force=True)
+        plane.registry.complete_promotion(tick=0)
+        acting = [plane.tick()["acting"] for _ in range(40)]
+        assert [t for t, a in enumerate(acting) if a == "fallback"] == \
+            [9, 19, 29]
+        rec = plane.registry.records["spaced"]
+        assert plane.registry.incumbent_name == "spaced"
+        assert rec.stage == "promoted"
+        assert rec.faults == 3 and rec.strikes == 0
+        assert plane.breaches_total == 3
         plane.close()
 
 
@@ -445,19 +522,24 @@ class TestHotReload:
 
 # ------------------------------------------------------------ shadow faults
 class TestShadowSuspension:
-    def test_persistently_slow_shadow_is_suspended(self):
-        plane = make_plane(config=fast_config(decide_budget_s=0.02,
-                                              shadow_max_strikes=2))
-        plane.register("slow", SlowController(sleep_s=0.1))
-        for _ in range(4):
+    @FAULTY
+    def test_persistently_faulty_shadow_is_suspended(self, make_faulty):
+        gate = fast_gate(max_strikes=2)
+        plane = make_plane(config=fast_config(decide_budget_s=0.02),
+                           gate=gate)
+        plane.register("bad", make_faulty())
+        rec = plane.registry.records["bad"]
+        for _ in range(2):
             plane.tick()
-        rec = plane.registry.records["slow"]
+            assert not plane.registry.eligible(
+                "bad", min_shadow_ticks=gate.config.min_shadow_ticks,
+                tick=plane.tick_count)[0]
         assert rec.stage == "suspended"
-        assert rec.faults >= 2
+        assert rec.faults == 2 and rec.clean_streak == 0
+        assert rec.shadow_ticks == 2
         plane.close()
 
     def test_out_of_bounds_shadow_proposal_is_a_fault(self):
-        from repro.devtools.sanitize import ECN_KMAX_CEILING_BYTES
         plane = make_plane()
         bad = SentinelController()
         # Above the guard ceiling: constructible, but never applicable.
@@ -496,6 +578,16 @@ class TestPlaneOps:
         assert "p" in plane.registry.records
         plane.tick()                            # still serves
         plane.close()
+
+    def test_negative_reload_interval_rejected(self):
+        # t % -1 == 0 would hot-reload on every tick from tick 1.
+        with pytest.raises(ValueError, match="reload_every_ticks"):
+            ServeConfig(reload_every_ticks=-1)
+
+    def test_negative_degraded_hold_rejected(self):
+        # A negative hold would keep health from ever turning degraded.
+        with pytest.raises(ValueError, match="degraded_hold_ticks"):
+            ServeConfig(degraded_hold_ticks=-1)
 
     def test_health_starts_starting_then_ready(self):
         plane = make_plane()
