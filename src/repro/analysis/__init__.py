@@ -13,6 +13,10 @@
   benchmark output.
 - :mod:`repro.analysis.resilience` — fault-log summaries and recovery
   times for chaos runs (``python -m repro chaos``).
+
+This package re-exports only what the experiment runner loads; import
+the report, sweep, time-series, convergence and resilience helpers from
+their own modules.
 """
 
 from repro.analysis.fct import FCTStats, fct_statistics, normalized_fcts
@@ -21,21 +25,10 @@ from repro.analysis.queues import QueueLengthStats, queue_length_statistics, \
 from repro.analysis.experiments import (ExperimentResult, ScenarioConfig,
                                         build_scheme, run_scenario,
                                         run_scenario_grid)
-from repro.analysis.report import format_table
-from repro.analysis.timeseries import TimeSeriesRecorder
-from repro.analysis.convergence import (moving_average, recovery_time,
-                                        settling_time)
-from repro.analysis.resilience import (fault_summary, first_fault_time,
-                                       quarantine_spans, recovery_after)
-from repro.analysis.sweep import SweepSpec, run_sweep, sweep_table_rows
 
 __all__ = [
     "FCTStats", "fct_statistics", "normalized_fcts",
     "QueueLengthStats", "queue_length_statistics", "latency_statistics",
     "ExperimentResult", "ScenarioConfig", "build_scheme", "run_scenario",
     "run_scenario_grid",
-    "format_table", "TimeSeriesRecorder",
-    "moving_average", "recovery_time", "settling_time",
-    "fault_summary", "first_fault_time", "quarantine_spans", "recovery_after",
-    "SweepSpec", "run_sweep", "sweep_table_rows",
 ]

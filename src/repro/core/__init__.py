@@ -21,7 +21,8 @@
   DTDE multi-agent orchestration (one IPPO learner per switch).
 - :mod:`repro.core.multiqueue` —
   :class:`~repro.core.multiqueue.MultiQueuePETController` (§4.5.2): one
-  switch model applied per queue, observing through the same fleet forms.
+  switch model applied per queue, observing through the same fleet forms
+  (imported from its own module, not re-exported here).
 - :mod:`repro.core.training` — hybrid offline pre-training + online
   incremental training (§4.4).
 """
@@ -34,7 +35,6 @@ from repro.core.ncm import FleetNCM
 from repro.core.observer import FleetObservation, FleetObserver
 from repro.core.ecn_cm import ECNConfigModule
 from repro.core.pet import PETController
-from repro.core.multiqueue import MultiQueuePETController
 from repro.core.training import (SeedRunResult, pretrain_multi_seed,
                                  pretrain_offline, pretrain_offline_multi,
                                  pretrain_one_seed, run_control_loop)
@@ -43,7 +43,7 @@ __all__ = [
     "PETConfig", "ActionCodec", "StateBuilder", "HistoryWindow",
     "TelemetryColumns", "RewardComputer", "FleetNCM", "FleetObserver",
     "FleetObservation",
-    "ECNConfigModule", "PETController", "MultiQueuePETController",
+    "ECNConfigModule", "PETController",
     "pretrain_offline", "pretrain_offline_multi", "run_control_loop",
     "SeedRunResult", "pretrain_one_seed", "pretrain_multi_seed",
 ]

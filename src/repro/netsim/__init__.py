@@ -19,6 +19,11 @@ Packet-level components
 - :mod:`repro.netsim.network` — assembled packet-level network facade
   implementing the simulator API consumed by :mod:`repro.gymenv`.
 - :mod:`repro.netsim.failures` — link-failure injection (paper Fig. 7).
+- :mod:`repro.netsim.pfc` — priority flow control.
+
+The transports, failures and PFC are imported from their own modules
+(:class:`PacketNetwork` loads the transports when it is built), so the
+fluid runs never load them.
 
 Fluid model
 -----------
@@ -44,8 +49,6 @@ from repro.netsim.network import PacketNetwork, QueueStats
 from repro.netsim.fluid import FluidNetwork, FluidConfig
 from repro.netsim.batchfluid import BatchFluidNetwork, BatchCompatError
 from repro.netsim.shard import ShardedFluidNetwork
-from repro.netsim.failures import LinkFailureInjector
-from repro.netsim.pfc import PFCController, enable_pfc
 
 __all__ = [
     "Simulator", "Event", "Packet", "Flow", "MICE_ELEPHANT_THRESHOLD",
@@ -53,7 +56,6 @@ __all__ = [
     "LeafSpineTopology", "TopologyConfig",
     "FatTreeConfig", "FatTreeTopology",
     "PacketNetwork", "QueueStats",
-    "FluidNetwork", "FluidConfig", "LinkFailureInjector",
+    "FluidNetwork", "FluidConfig",
     "BatchFluidNetwork", "BatchCompatError", "ShardedFluidNetwork",
-    "PFCController", "enable_pfc",
 ]

@@ -28,9 +28,8 @@ that pod's aggregation switch ``c // core_per_agg``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.parallel.seeding import fallback_rng
@@ -42,6 +41,9 @@ from repro.netsim.host import HostNode
 from repro.netsim.link import OutputPort
 from repro.netsim.queueing import ByteQueue
 from repro.netsim.switch import SwitchNode
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx   # graph() imports it where it is used
 
 __all__ = ["FatTreeConfig", "FatTreeTopology"]
 
@@ -345,6 +347,7 @@ class FatTreeTopology:
 
     # -- graph view (for validation/analysis) -------------------------------
     def graph(self) -> nx.Graph:
+        import networkx as nx
         g = nx.Graph()
         cfg = self.config
         for h in self.hosts:

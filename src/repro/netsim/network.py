@@ -30,13 +30,14 @@ from repro.netsim.queueing import FlowObservation
 from repro.obs.metrics import get_registry
 from repro.netsim.switch import SwitchNode
 from repro.netsim.topology import LeafSpineTopology, TopologyConfig
-from repro.netsim.transport import (DCQCNTransport, DCTCPTransport,
-                                    HPCCTransport, HostTransport)
 
 __all__ = ["QueueStats", "PacketNetwork"]
 
-_TRANSPORTS = {"dcqcn": DCQCNTransport, "dctcp": DCTCPTransport,
-               "hpcc": HPCCTransport}
+#: transport name -> its class in :mod:`repro.netsim.transport`, which
+#: is imported when a packet network is built, not by every importer of
+#: :class:`QueueStats`.
+_TRANSPORTS = {"dcqcn": "DCQCNTransport", "dctcp": "DCTCPTransport",
+               "hpcc": "HPCCTransport"}
 
 
 @dataclass
@@ -172,9 +173,10 @@ class PacketNetwork:
 
     # -- wiring -------------------------------------------------------------
     def _install_transports(self, transport: str, kwargs: dict) -> None:
-        cls = _TRANSPORTS[transport]
+        from repro.netsim import transport as transports
+        cls = getattr(transports, _TRANSPORTS[transport])
         for h in self.topology.hosts:
-            t: HostTransport = cls(self.sim, h, **kwargs)
+            t = cls(self.sim, h, **kwargs)
             t._flow_size_lookup = self._flow_size         # type: ignore[assignment]
             t._flow_completed_cb = self._flow_completed    # type: ignore[assignment]
             h.attach_transport(t)

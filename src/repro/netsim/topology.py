@@ -15,9 +15,8 @@ Routing is the canonical 2-tier scheme:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.parallel.seeding import fallback_rng
@@ -30,6 +29,9 @@ from repro.netsim.link import OutputPort
 from repro.netsim.queueing import ByteQueue
 from repro.netsim.switch import SwitchNode
 from repro.netsim.ecn import ECNMarker
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx   # graph() imports it where it is used
 
 __all__ = ["TopologyConfig", "LeafSpineTopology"]
 
@@ -180,6 +182,7 @@ class LeafSpineTopology:
 
     # -- graph view (for validation/analysis) -------------------------------
     def graph(self) -> nx.Graph:
+        import networkx as nx
         g = nx.Graph()
         for h in self.hosts:
             g.add_node(h.name, kind="host")

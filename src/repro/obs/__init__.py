@@ -11,6 +11,10 @@ on/off switch:
   point events (fault events ride the same bus via
   :class:`repro.resilience.log.FaultLog`).
 
+The exporters (:mod:`repro.obs.export`) and the profiler
+(:mod:`repro.obs.profile`) are imported from their own modules; this
+package loads only what the instrumented layers run.
+
 Disabled (the default) both are null objects: mutators are no-ops,
 ``bool(...)`` is False (the guard hot paths use to skip telemetry-only
 work), and instrumented runs are bit-identical to uninstrumented ones —
@@ -19,9 +23,10 @@ the fingerprint overhead guard in ``tests/test_obs_integration.py``.
 Usage::
 
     from repro import obs
+    from repro.obs.export import write_jsonl
     registry, tracer = obs.enable()
     ...  # run anything
-    obs.export.write_jsonl("trace.jsonl", tracer, registry)
+    write_jsonl("trace.jsonl", tracer, registry)
     obs.disable()
 
 or end-to-end from the shell: ``python -m repro trace --scenario
@@ -33,13 +38,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional, Tuple
 
-from repro.obs import export, metrics, profile, trace
+from repro.obs import metrics, trace
 from repro.obs.metrics import MetricsRegistry, NullRegistry, get_registry
 from repro.obs.trace import NullTracer, Span, Tracer, get_tracer
 
 __all__ = ["MetricsRegistry", "NullRegistry", "Tracer", "NullTracer",
            "Span", "get_registry", "get_tracer", "enable", "disable",
-           "enabled", "telemetry", "metrics", "trace", "export", "profile"]
+           "enabled", "telemetry", "metrics", "trace"]
 
 
 def enable(registry: Optional[MetricsRegistry] = None,

@@ -33,6 +33,7 @@ from repro.analysis.experiments import (SCHEMES, ScenarioConfig,
                                         _load_traffic, build_scheme)
 from repro.core.training import run_control_loop
 from repro.netsim.fluid import FluidConfig, FluidNetwork
+from repro.obs.export import write_csv, write_jsonl
 from repro.obs.profile import hot_path_attribution, profile_table, profiled
 
 __all__ = ["trace_main", "build_trace_parser", "run_traced_scenario"]
@@ -139,10 +140,10 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
             "seed": args.seed, "duration": args.duration,
             "chaos": not args.no_chaos,
             "intervals": result.intervals, "faults": result.fault_count}
-    lines = obs.export.write_jsonl(args.out, tracer, registry, meta=meta)
+    lines = write_jsonl(args.out, tracer, registry, meta=meta)
     print(f"wrote {args.out} ({lines} lines)")
     if args.csv:
-        obs.export.write_csv(args.csv, tracer.spans)
+        write_csv(args.csv, tracer.spans)
         print(f"wrote {args.csv} ({len(tracer.spans)} spans)")
     _print_summary(result, registry, tracer)
     if args.profile:

@@ -24,18 +24,16 @@ Everything emits a structured :class:`~repro.resilience.log.FaultLog`
 consumed by :mod:`repro.analysis.resilience`; ``python -m repro chaos``
 runs the Fig. 7 scenario plus the extended fault matrix end to end.
 See ``docs/RESILIENCE.md``.
+
+The chaos side is imported from :mod:`repro.resilience.faults`; this
+package re-exports only the guard and the log the serve plane runs.
 """
 
-from repro.resilience.faults import (AgentCrashError, ChaosInjector,
-                                     FaultInjectingController, FaultPlan,
-                                     FaultSpec)
 from repro.resilience.guard import (GuardConfig, ResilientController,
                                     SwitchHealth)
 from repro.resilience.log import FaultEvent, FaultLog
 
 __all__ = [
-    "AgentCrashError", "ChaosInjector", "FaultInjectingController",
-    "FaultPlan", "FaultSpec",
     "GuardConfig", "ResilientController", "SwitchHealth",
     "FaultEvent", "FaultLog",
 ]

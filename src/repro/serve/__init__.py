@@ -14,7 +14,8 @@ online-deploy flow), built from parts that already exist in the repo:
 - :mod:`repro.serve.deadline` — per-decide wall-clock budgets on
   replaceable worker threads;
 - :mod:`repro.serve.backoff` — retry with exponential backoff;
-- :mod:`repro.serve.supervisor` — watchdog-restarted rollout thread;
+- :mod:`repro.serve.supervisor` — watchdog-restarted rollout thread
+  (imported from its own module, not re-exported here);
 - :mod:`repro.serve.server` — the stdlib HTTP face (``/health``,
   ``/ready``, ``/state``, ``/action``, ``/reset``, ``/rollout``);
 - :mod:`repro.serve.cli` — ``python -m repro serve`` (and the CI
@@ -32,7 +33,6 @@ from repro.serve.lifecycle import (BufferedNetwork, LifecycleError,
                                    PolicyRecord, PolicyRegistry)
 from repro.serve.plane import ControlPlane, ServeConfig
 from repro.serve.server import PolicyServer
-from repro.serve.supervisor import Supervisor
 
 __all__ = [
     "RetryPolicy", "RetryExhausted", "retry_call",
@@ -41,5 +41,5 @@ __all__ = [
     "WindowSummary",
     "BufferedNetwork", "LifecycleError", "PolicyRecord", "PolicyRegistry",
     "ControlPlane", "ServeConfig",
-    "PolicyServer", "Supervisor",
+    "PolicyServer",
 ]

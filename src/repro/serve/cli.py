@@ -29,6 +29,7 @@ from repro import obs
 from repro.analysis.experiments import (ScenarioConfig, _load_traffic,
                                         _make_network)
 from repro.netsim.fluid import FluidConfig
+from repro.obs.export import write_jsonl
 from repro.resilience.faults import ChaosInjector, FaultPlan
 from repro.serve.gate import GateConfig, PromotionGate
 from repro.serve.plane import ControlPlane, ServeConfig
@@ -186,7 +187,7 @@ def _run_smoke(args: argparse.Namespace) -> int:
         server.stop()
         plane.close()
         if args.out:
-            lines = obs.export.write_jsonl(
+            lines = write_jsonl(
                 args.out, tracer, registry,
                 meta={"mode": "serve-smoke", "states": seen_states})
             print(f"wrote {lines} obs lines to {args.out}", file=sys.stderr)
@@ -230,9 +231,8 @@ def _run_server(args: argparse.Namespace) -> int:
         server.stop()
         plane.close()
         if args.out:
-            obs.export.write_jsonl(args.out, obs.get_tracer(),
-                                   obs.get_registry(),
-                                   meta={"mode": "serve"})
+            write_jsonl(args.out, obs.get_tracer(), obs.get_registry(),
+                        meta={"mode": "serve"})
             obs.disable()
 
 

@@ -13,6 +13,10 @@
   (paper Fig. 6 convergence experiment).
 - :mod:`repro.traffic.classify` — mice/elephant classification and ratio
   computation.
+- :mod:`repro.traffic.trace` — flow-trace save/load.
+
+``classify`` and ``trace`` are imported from their own modules; this
+package re-exports only the generators.
 """
 
 from repro.traffic.cdf import PiecewiseCDF
@@ -21,8 +25,6 @@ from repro.traffic.workloads import (WEB_SEARCH, DATA_MINING, workload_by_name,
 from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
 from repro.traffic.incast import IncastGenerator, IncastConfig
 from repro.traffic.patterns import PatternSchedule, PatternSegment
-from repro.traffic.classify import mice_elephant_ratio, split_by_class
-from repro.traffic.trace import save_trace, load_trace, trace_summary
 
 __all__ = [
     "PiecewiseCDF", "WEB_SEARCH", "DATA_MINING", "WORKLOADS",
@@ -30,6 +32,4 @@ __all__ = [
     "PoissonTrafficGenerator", "TrafficConfig",
     "IncastGenerator", "IncastConfig",
     "PatternSchedule", "PatternSegment",
-    "mice_elephant_ratio", "split_by_class",
-    "save_trace", "load_trace", "trace_summary",
 ]

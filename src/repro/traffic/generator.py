@@ -12,6 +12,7 @@ all-to-all pattern of the paper's background traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -75,18 +76,20 @@ class PoissonTrafficGenerator:
         times = times[times < cfg.duration]
         n = times.size
         sizes = np.maximum(self.workload.sample(self.rng, n), cfg.min_size)
-        flows: List[Flow] = []
         n_hosts = len(self.hosts)
         srcs = self.rng.integers(n_hosts, size=n)
         offs = self.rng.integers(1, n_hosts, size=n)
         dsts = (srcs + offs) % n_hosts
-        tag = cfg.tag or self.workload.name
-        for t, size, s, d in zip(times, sizes, srcs, dsts):
-            flows.append(Flow(flow_id=self._next_id, src=self.hosts[int(s)],
-                              dst=self.hosts[int(d)], size_bytes=int(size),
-                              start_time=cfg.start_time + float(t), tag=tag))
-            self._next_id += 1
-        return flows
+        # ``tolist`` turns each column into Python ints/floats in one
+        # call; the Flows are then built row by row from those columns.
+        host = self.hosts.__getitem__
+        ids = range(self._next_id, self._next_id + n)
+        self._next_id += n
+        return list(map(Flow, ids, map(host, srcs.tolist()),
+                        map(host, dsts.tolist()),
+                        sizes.astype(np.int64).tolist(),
+                        (times + cfg.start_time).tolist(),
+                        repeat(cfg.tag or self.workload.name, n)))
 
     def next_flow_id(self) -> int:
         return self._next_id

@@ -10,6 +10,7 @@ the incast-degree state feature lets PET detect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -55,26 +56,40 @@ class IncastGenerator:
 
         When ``aggregator`` is None a fresh one is drawn per round
         (spreading incast across the fabric, as partition–aggregate jobs
-        do); fixing it concentrates the bursts on one access link.
+        do); fixing it concentrates the bursts on one access link, which
+        must be one of the generator's hosts.
         """
-        fan_in = min(cfg.fan_in, len(self.hosts) - 1)
-        flows: List[Flow] = []
+        n_hosts = len(self.hosts)
+        fixed = None
+        if aggregator is not None:
+            if aggregator not in self.hosts:
+                raise ValueError(f"aggregator {aggregator!r} is not one of "
+                                 "the generator's hosts")
+            fixed = self.hosts.index(aggregator)
+        fan_in = min(cfg.fan_in, n_hosts - 1)
+        srcs: List[int] = []
+        dsts: List[int] = []
+        starts: List[float] = []
         t = cfg.start_time
         end = cfg.start_time + cfg.duration
         while t < end:
-            agg = aggregator or self.hosts[int(self.rng.integers(len(self.hosts)))]
-            workers = [h for h in self.hosts if h != agg]
-            chosen = self.rng.choice(len(workers), size=fan_in, replace=False)
-            for w in np.atleast_1d(chosen):
-                jit = (self.rng.uniform(-cfg.jitter, cfg.jitter)
-                       if cfg.jitter > 0 else 0.0)
-                flows.append(Flow(flow_id=self._next_id, src=workers[int(w)],
-                                  dst=agg, size_bytes=cfg.response_bytes,
-                                  start_time=max(t + jit, cfg.start_time),
-                                  tag=cfg.tag))
-                self._next_id += 1
+            agg = int(self.rng.integers(n_hosts)) if fixed is None else fixed
+            # Worker j of the hosts without the aggregator is host j, or
+            # host j + 1 from the aggregator's index on.
+            w = self.rng.choice(n_hosts - 1, size=fan_in, replace=False)
+            srcs += (w + (w >= agg)).tolist()
+            dsts += [agg] * fan_in
+            jit = (self.rng.uniform(-cfg.jitter, cfg.jitter, size=fan_in)
+                   if cfg.jitter > 0 else np.zeros(fan_in))
+            starts += np.maximum(t + jit, cfg.start_time).tolist()
             t += cfg.period
-        return flows
+        host = self.hosts.__getitem__
+        n = len(srcs)
+        ids = range(self._next_id, self._next_id + n)
+        self._next_id += n
+        return list(map(Flow, ids, map(host, srcs), map(host, dsts),
+                        repeat(cfg.response_bytes, n), starts,
+                        repeat(cfg.tag, n)))
 
     def next_flow_id(self) -> int:
         return self._next_id

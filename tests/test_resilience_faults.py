@@ -12,8 +12,8 @@ from repro.netsim.failures import LinkFailureInjector
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
-from repro.resilience import (AgentCrashError, ChaosInjector, FaultPlan,
-                              FaultSpec)
+from repro.resilience.faults import (AgentCrashError, ChaosInjector,
+                                     FaultPlan, FaultSpec)
 from repro.resilience.cli import chaos_main, run_chaos_scenario
 
 

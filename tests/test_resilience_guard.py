@@ -13,8 +13,8 @@ from repro.devtools.sanitize import InvariantViolation
 from repro.netsim.ecn import SECN1, ECNConfig
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import QueueStats
-from repro.resilience import (AgentCrashError, ChaosInjector, FaultPlan,
-                              GuardConfig, ResilientController)
+from repro.resilience import GuardConfig, ResilientController
+from repro.resilience.faults import AgentCrashError, ChaosInjector, FaultPlan
 
 SWITCHES = ["leaf0", "leaf1", "spine0"]
 

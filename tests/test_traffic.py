@@ -7,9 +7,9 @@ from repro.netsim.flow import Flow
 from repro.traffic import (DATA_MINING, WEB_SEARCH, IncastConfig,
                            IncastGenerator, PatternSchedule, PatternSegment,
                            PiecewiseCDF, PoissonTrafficGenerator,
-                           TrafficConfig, mice_elephant_ratio, split_by_class,
-                           workload_by_name)
-from repro.traffic.classify import count_classes
+                           TrafficConfig, workload_by_name)
+from repro.traffic.classify import (count_classes, mice_elephant_ratio,
+                                    split_by_class)
 
 
 class TestPiecewiseCDF:
