@@ -15,8 +15,7 @@
   times for chaos runs (``python -m repro chaos``).
 
 This package re-exports only what the experiment runner loads; import
-the report, sweep, time-series, convergence and resilience helpers from
-their own modules.
+the report, convergence and resilience helpers from their own modules.
 """
 
 from repro.analysis.fct import FCTStats, fct_statistics, normalized_fcts

@@ -37,8 +37,7 @@ from repro.baselines.dynamic_ecn import AMTController, QAECNController
 from repro.baselines.static_ecn import secn1, secn2
 from repro.core.config import PETConfig
 from repro.core.pet import PETController
-from repro.core.training import (_Trainee, _train, drive, lockstep_groups,
-                                 pretrain_offline_multi)
+from repro.core.training import _Trainee, _train, drive, lockstep_groups
 from repro.fingerprint import fingerprint
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.fluid import FluidConfig, FluidNetwork
@@ -159,9 +158,15 @@ class ExperimentResult:
     #: failure, ``"before"``/``"during"``/``"after"`` (by finish time)
     windows: Dict[str, Dict[str, FCTStats]] = field(default_factory=dict)
 
-    def summary_row(self) -> Dict[str, float]:
-        """Flat row for the report tables."""
+    def summary_row(self) -> Dict[str, Any]:
+        """Flat row for the report tables: the job, then its metrics."""
+        cfg = self.scenario
         return {
+            "scheme": self.scheme,
+            "workload": cfg.workload,
+            "load": cfg.load,
+            "seed": cfg.seed,
+            "simulator": cfg.simulator,
             "overall_avg_fct": self.fct["overall"].avg,
             "mice_avg_fct": self.fct["mice"].avg,
             "mice_p99_fct": self.fct["mice"].p99,
@@ -287,16 +292,6 @@ def _train_network_factory(cfg: ScenarioConfig):
     return make_train_net
 
 
-def _cached_pretrain(scheme: str, cfg: ScenarioConfig,
-                     train_cfg: PETConfig) -> Dict:
-    key = _pretrain_key(scheme, cfg, train_cfg)
-    if key not in _PRETRAIN_CACHE:
-        _PRETRAIN_CACHE[key] = pretrain_offline_multi(
-            _train_network_factory(cfg), train_cfg, episodes=1,
-            intervals_per_episode=cfg.pretrain_intervals, seed=cfg.seed)
-    return _PRETRAIN_CACHE[key]
-
-
 def _acc_trainee(switch_names: List[str], base: PETConfig) -> ACCController:
     """ACC's offline trainee.  It runs DDQN's own defaults (eps 1.0 ->
     0.05 over 2000 steps): high exploration while off the production
@@ -304,16 +299,6 @@ def _acc_trainee(switch_names: List[str], base: PETConfig) -> ACCController:
     with a low exploration floor — the same offline-explore /
     online-exploit split PET uses."""
     return ACCController(switch_names, ACCConfig(base=base, seed=base.seed))
-
-
-def _cached_pretrain_acc(cfg: ScenarioConfig, base_pet: PETConfig) -> Dict:
-    key = _pretrain_key("acc", cfg, base_pet)
-    if key not in _PRETRAIN_CACHE:
-        (t,) = _train([_Trainee(_train_network_factory(cfg), base_pet,
-                                make_controller=_acc_trainee)],
-                      episodes=1, intervals_per_episode=cfg.pretrain_intervals)
-        _PRETRAIN_CACHE[key] = t.controller.state_dict()
-    return _PRETRAIN_CACHE[key]
 
 
 # --------------------------------------------------------------- runner
@@ -357,42 +342,66 @@ class _PreparedScenario:
             self.on_interval(i, now, stats)
 
 
-def _setup_scenario(scheme: str,
-                    cfg: Optional[ScenarioConfig] = None) -> _PreparedScenario:
-    """Build the traffic-loaded simulator and the (pretrained) scheme."""
-    cfg = cfg or ScenarioConfig()
-    base_pet = _default_pet_config(cfg)
-    net = _make_network(cfg, cfg.seed)
-    n_flows = _load_traffic(net, cfg, cfg.seed + 1)
-    controller = build_scheme(scheme, net.switch_names(),
-                              pet_config=base_pet, seed=cfg.seed)
+def _prepare(jobs: List) -> List[_PreparedScenario]:
+    """Set up ``(scheme, ScenarioConfig)`` jobs for :func:`_measure`.
 
-    # ---- offline pre-training on an identically distributed run ----------
-    # Pre-trained states are cached in-process so a benchmark sweep does
-    # not retrain per load point (the paper likewise deploys ONE offline
-    # pre-trained initial model, §4.4.1).
+    Builds every job's traffic-loaded simulator and controller in job
+    order.  Then PET, ``pet_ablated`` and ACC are offline pretrained on
+    an identically distributed run: each training run not yet in
+    ``_PRETRAIN_CACHE`` trains once, and all of them train together in
+    one :func:`repro.core.training._train` per ``pretrain_intervals``, so
+    compatible training fabrics step as one batch.  The cache key
+    (:func:`_pretrain_key`) holds the load, seed and fabric, so each
+    load point of a figure trains its own model; repeats of a job train
+    nothing.  Finally each controller, in job order, loads its state and
+    continues online.
+    """
+    preps: List[_PreparedScenario] = []
+    keys: List[Optional[str]] = []
+    #: pretrain_intervals -> the uncached training runs of that length
+    pending: Dict[int, Dict[str, _Trainee]] = {}
+    for scheme, cfg in jobs:
+        cfg = cfg or ScenarioConfig()
+        base_pet = _default_pet_config(cfg)
+        net = _make_network(cfg, cfg.seed)
+        n_flows = _load_traffic(net, cfg, cfg.seed + 1)
+        controller = build_scheme(scheme, net.switch_names(),
+                                  pet_config=base_pet, seed=cfg.seed)
+        key = None
+        if scheme in ("pet", "pet_ablated", "acc") \
+                and cfg.pretrain_intervals > 0:
+            # ACC trains online from scratch in its paper; it gets the
+            # same interval budget on the training run for a fair
+            # comparison, with its own offline trainee.
+            acc = scheme == "acc"
+            train_cfg = base_pet if acc else controller.config
+            key = _pretrain_key(scheme, cfg, train_cfg)
+            if key not in _PRETRAIN_CACHE:
+                pending.setdefault(cfg.pretrain_intervals, {}).setdefault(
+                    key, _Trainee(_train_network_factory(cfg), train_cfg,
+                                  make_controller=(_acc_trainee if acc
+                                                   else PETController)))
+        keys.append(key)
+        preps.append(_PreparedScenario(
+            scheme=scheme, cfg=cfg, net=net, controller=controller,
+            n_flows=n_flows, intervals=max(cfg._interval(cfg.duration), 1)))
+
     tr = get_tracer()
-    if scheme in ("pet", "pet_ablated") and cfg.pretrain_intervals > 0:
-        with tr.span("scenario.pretrain", scheme=scheme,
-                     intervals=cfg.pretrain_intervals):
-            state = _cached_pretrain(scheme, cfg, controller.config)
-        controller.load_state_dict(state)
-        controller.advance_exploration(cfg.pretrain_intervals)
-        controller.reset_episode()
-    elif scheme == "acc" and cfg.pretrain_intervals > 0:
-        # ACC trains online from scratch in its paper; give it the same
-        # interval budget on the training run for a fair comparison.
-        with tr.span("scenario.pretrain", scheme=scheme,
-                     intervals=cfg.pretrain_intervals):
-            state = _cached_pretrain_acc(cfg, base_pet)
-        controller.load_state_dict(state)
-        controller.advance_exploration(cfg.pretrain_intervals)
+    for n, batch in pending.items():
+        with tr.span("scenario.pretrain", trainees=len(batch), intervals=n):
+            _train(list(batch.values()), episodes=1, intervals_per_episode=n)
+        for k, t in batch.items():
+            _PRETRAIN_CACHE[k] = t.controller.state_dict()
 
-    controller.set_training(cfg.online_training)
-    intervals = max(cfg._interval(cfg.duration), 1)
-    return _PreparedScenario(scheme=scheme, cfg=cfg, net=net,
-                             controller=controller, n_flows=n_flows,
-                             intervals=intervals)
+    for prep, key in zip(preps, keys):
+        controller = prep.controller
+        if key is not None:
+            controller.load_state_dict(_PRETRAIN_CACHE[key])
+            controller.advance_exploration(prep.cfg.pretrain_intervals)
+            if prep.scheme != "acc":
+                controller.reset_episode()
+        controller.set_training(prep.cfg.online_training)
+    return preps
 
 
 def _windows(prep: _PreparedScenario) -> Dict[str, Dict[str, FCTStats]]:
@@ -467,7 +476,7 @@ def run_scenario(scheme: str, cfg: Optional[ScenarioConfig] = None, *,
         Extra per-interval callback ``(i, now, stats)`` of the measured
         run (probes, timers).
     """
-    prep = _setup_scenario(scheme, cfg)
+    (prep,) = _prepare([(scheme, cfg)])
     prep.on_interval = on_interval
     return _measure([prep])[0]
 
@@ -479,10 +488,9 @@ def run_scenario_grid(jobs: List, *, workers: int = 1,
     """Run many independent ``(scheme, ScenarioConfig)`` jobs; results
     come back in job order, each bit-identical to ``run_scenario``.
 
-    The figure-matrix analogue of :func:`repro.analysis.sweep.run_sweep`.
     With ``workers=1`` and no ``engine`` the jobs run in this process:
-    set up in job order (sharing the pretraining cache), then measured by
-    :func:`_measure`, which steps compatible fluid jobs as one batch.  A
+    :func:`_prepare` sets them up and pretrains them as one batch, then
+    :func:`_measure` steps compatible fluid jobs as one batch.  A
     failing job raises its own exception.  Otherwise each job is one
     :class:`repro.parallel.TaskSpec` of ``engine`` (default: an
     :class:`repro.parallel.Engine` of ``workers`` processes); each worker
@@ -496,7 +504,7 @@ def run_scenario_grid(jobs: List, *, workers: int = 1,
         raise ValueError("sim_batch=True is the only legal value; "
                          "compatible fluid jobs batch on their own")
     if workers == 1 and engine is None:
-        return _measure([_setup_scenario(scheme, cfg) for scheme, cfg in jobs])
+        return _measure(_prepare(jobs))
     from repro.parallel.engine import Engine, TaskSpec
     eng = engine if engine is not None else Engine(workers=workers)
     specs = [TaskSpec(task_id=i, fn=run_scenario, args=(scheme, cfg))

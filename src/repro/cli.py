@@ -121,7 +121,10 @@ def _dispatch(argv: List[str]) -> int:
     if argv and argv[0] == "serve":
         from repro.serve.cli import serve_main
         return serve_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if len(set(args.scheme)) < len(args.scheme):
+        parser.error("--scheme: each scheme may be given once")
     if args.sanitize or sanitize.enabled_from_env():
         sanitize.enable()
     common = dict(workload=args.workload, load=args.load,

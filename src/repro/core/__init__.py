@@ -35,15 +35,12 @@ from repro.core.ncm import FleetNCM
 from repro.core.observer import FleetObservation, FleetObserver
 from repro.core.ecn_cm import ECNConfigModule
 from repro.core.pet import PETController
-from repro.core.training import (SeedRunResult, pretrain_multi_seed,
-                                 pretrain_offline, pretrain_offline_multi,
-                                 pretrain_one_seed, run_control_loop)
+from repro.core.training import pretrain_offline_multi, run_control_loop
 
 __all__ = [
     "PETConfig", "ActionCodec", "StateBuilder", "HistoryWindow",
     "TelemetryColumns", "RewardComputer", "FleetNCM", "FleetObserver",
     "FleetObservation",
     "ECNConfigModule", "PETController",
-    "pretrain_offline", "pretrain_offline_multi", "run_control_loop",
-    "SeedRunResult", "pretrain_one_seed", "pretrain_multi_seed",
+    "pretrain_offline_multi", "run_control_loop",
 ]

@@ -9,21 +9,17 @@ written once, in :func:`drive`, over the replicas one ``advance`` moves:
 :func:`lockstep_groups` builds from R compatible fluid networks is its
 R-replica call.
 
-``pretrain_offline`` reproduces the offline phase: a PET controller is
-trained against recorded/simulated traffic on a training fabric, and a
-*single* agent's parameters (the best-rewarded one) are exported as the
-initial model that deployment installs on every switch
-(:meth:`repro.core.pet.PETController.install_pretrained`).  Every
-pretraining entry point — ACC's included — runs the one episode loop,
+``pretrain_offline_multi`` reproduces the offline phase: a PET
+controller is trained against simulated traffic on a training fabric,
+crash-safe under a checkpoint manager, and its per-switch models are
+exported for deployment.  Every pretraining — the experiment runner's
+batched PET and ACC trainings included — runs the one episode loop,
 :func:`_train`.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,13 +32,11 @@ from repro.netsim.ecn import SECN1
 from repro.netsim.fluid import FluidNetwork
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.parallel.seeding import current_task_seed, derive_seed, task_seed
+from repro.parallel.seeding import current_task_seed
 from repro.rl.checkpoint import CheckpointManager
 
 __all__ = ["LoopResult", "run_control_loop", "drive", "lockstep_groups",
-           "pretrain_offline",
-           "pretrain_offline_multi", "SeedRunResult", "pretrain_one_seed",
-           "pretrain_multi_seed"]
+           "pretrain_offline_multi"]
 
 
 @dataclass
@@ -83,12 +77,6 @@ def _collect_faults(controller, chaos) -> List:
     return events
 
 
-def _scoped(seed: Optional[int]):
-    """``task_seed(seed)``; no context for ``None``, which would clear an
-    enclosing task's seed."""
-    return nullcontext() if seed is None else task_seed(seed)
-
-
 def run_control_loop(network, controller, *, intervals: int, delta_t: float,
                      on_interval: Optional[Callable[[int, float, Dict], None]] = None,
                      chaos=None) -> LoopResult:
@@ -118,9 +106,7 @@ def run_control_loop(network, controller, *, intervals: int, delta_t: float,
 
 
 def drive(stepper, replicas: Sequence[Tuple], *, intervals: int,
-          delta_t: float, chaos=None,
-          task_seeds: Optional[Sequence[Optional[int]]] = None
-          ) -> List[LoopResult]:
+          delta_t: float, chaos=None) -> List[LoopResult]:
     """The control-loop tick, over the replicas one ``advance`` moves.
 
     ``replicas`` holds ``(network, controller, on_interval)`` triples and
@@ -130,14 +116,11 @@ def drive(stepper, replicas: Sequence[Tuple], *, intervals: int,
     reads its statistics, lets its controller decide and runs its
     ``on_interval``, with the same arithmetic for any R, so a replica's
     :class:`LoopResult` is bit-identical to its solo run.
-    ``task_seeds[r]``, when not None, scopes replica r's decide in
-    :func:`repro.parallel.seeding.task_seed`.
     """
     if intervals <= 0:
         raise ValueError("intervals must be positive")
     tr = get_tracer()
     reg = get_registry()
-    seeds = task_seeds if task_seeds is not None else [None] * len(replicas)
     traces: List[List[float]] = [[] for _ in replicas]
     qlens: List[Dict[str, List[float]]] = [{} for _ in replicas]
     for i in range(intervals):
@@ -146,13 +129,13 @@ def drive(stepper, replicas: Sequence[Tuple], *, intervals: int,
                 chaos.tick(stepper.now)
             with tr.span("net.advance", interval=i):
                 stepper.advance(delta_t)
-            for (net, controller, on_interval), seed, trace, qlen in zip(
-                    replicas, seeds, traces, qlens):
+            for (net, controller, on_interval), trace, qlen in zip(
+                    replicas, traces, qlens):
                 with tr.span("net.queue_stats", interval=i):
                     stats = net.queue_stats()
                 seen = (stats if chaos is None
                         else chaos.filter_stats(stats, net.now))
-                with tr.span("controller.decide", interval=i), _scoped(seed):
+                with tr.span("controller.decide", interval=i):
                     controller.decide(seen, net.now, net)
                 util = [st.utilization for st in stats.values()]
                 mean_util = float(np.mean(util)) if util else 0.0
@@ -231,14 +214,10 @@ class _Trainee:
     #: builds the trained controller from the network's switch names and
     #: ``config``: PET by default, ACC for its offline pretraining
     make_controller: Callable[[List[str], PETConfig], object] = PETController
-    #: scopes the trainee's setup and decides (what the engine does per task)
-    task_seed: Optional[int] = None
+    #: first restores the newest intact checkpoint, then saves new ones
     checkpoints: Optional[CheckpointManager] = None
-    #: first restore the newest intact checkpoint from ``checkpoints``
-    resume: bool = False
     controller: Optional[object] = None
     done_intervals: int = 0
-    episodes: List[LoopResult] = field(default_factory=list)
 
     def checkpointer(self, base: int, every: int) -> Optional[Callable]:
         if self.checkpoints is None:
@@ -258,17 +237,17 @@ def _train(trainees: List[_Trainee], *, episodes: int,
 
     Each episode every trainee gets a fresh network; the networks that
     :func:`lockstep_groups` can batch step together.  Fills each
-    trainee's ``controller`` and ``episodes``.
+    trainee's ``controller``.
     """
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
     tr = get_tracer()
     nets = []
     for t in trainees:
-        with _scoped(t.task_seed):
-            nets.append(t.make_network())
-            t.controller = t.make_controller(nets[-1].switch_names(),
-                                             t.config)
-            t.controller.set_training(True)
-        if t.resume and t.checkpoints is not None:
+        nets.append(t.make_network())
+        t.controller = t.make_controller(nets[-1].switch_names(), t.config)
+        t.controller.set_training(True)
+        if t.checkpoints is not None:
             resumed_step = t.checkpoints.restore_into(t.controller)
             if resumed_step is not None:
                 t.controller.advance_exploration(resumed_step)
@@ -277,9 +256,8 @@ def _train(trainees: List[_Trainee], *, episodes: int,
     for ep in range(episodes):
         if ep > 0:
             for k, t in enumerate(trainees):
-                with _scoped(t.task_seed):
-                    nets[k] = t.make_network()
-                    t.controller.reset_episode()
+                nets[k] = t.make_network()
+                t.controller.reset_episode()
         replicas = []
         for k, t in enumerate(trainees):
             get_registry().inc("train.episodes")
@@ -289,47 +267,13 @@ def _train(trainees: List[_Trainee], *, episodes: int,
             replicas.append((nets[k], t.controller,
                              t.checkpointer(base, checkpoint_every)))
         for stepper, group in lockstep_groups(nets, delta_ts):
-            results = drive(stepper, [replicas[k] for k in group],
-                            intervals=intervals_per_episode,
-                            delta_t=delta_ts[group[0]],
-                            task_seeds=[trainees[k].task_seed for k in group])
-            for k, res in zip(group, results):
-                trainees[k].episodes.append(res)
+            drive(stepper, [replicas[k] for k in group],
+                  intervals=intervals_per_episode, delta_t=delta_ts[group[0]])
     for t in trainees:
         if t.checkpoints is not None:
             t.checkpoints.save(t.controller.state_dict(), t.done_intervals
                                + episodes * intervals_per_episode)
     return trainees
-
-
-def pretrain_offline(make_network: Callable[[], object],
-                     config: Optional[PETConfig] = None, *,
-                     episodes: int = 3, intervals_per_episode: int = 200,
-                     seed: Optional[int] = None) -> Dict:
-    """Offline phase: train PET on simulated traffic, export one model.
-
-    ``make_network`` builds a fresh traffic-loaded simulator per episode
-    (the caller decides workload/load — typically the historical traffic
-    mix of the target data center, §4.4.1).
-
-    Returns the state dict of the best-performing agent, ready for
-    :meth:`PETController.install_pretrained`.
-    """
-    (t,) = _train([_Trainee(make_network, _resolve_config(config, seed))],
-                  episodes=episodes,
-                  intervals_per_episode=intervals_per_episode)
-    controller = t.controller
-    # Export the agent with the best recent reward as the initial model.
-    # Note: reward magnitude tracks how congested a switch is, so the
-    # single-model export picks among the *congested* (leaf) agents —
-    # an idle spine earns a trivially high reward with an untrained
-    # policy.  Congestion is identified by the latency term: agents
-    # whose queues never built saw no learning signal.
-    informative = [s for s in controller.switches
-                   if controller.mean_recent_reward(s) < 0.98]
-    pool = informative or controller.switches
-    best = max(pool, key=lambda s: controller.mean_recent_reward(s))
-    return controller.trainer.agents[best].state_dict()
 
 
 def pretrain_offline_multi(make_network: Callable[[], object],
@@ -361,118 +305,8 @@ def pretrain_offline_multi(make_network: Callable[[], object],
     if checkpoints is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
     (t,) = _train([_Trainee(make_network, _resolve_config(config, seed),
-                            checkpoints=checkpoints, resume=True)],
+                            checkpoints=checkpoints)],
                   episodes=episodes,
                   intervals_per_episode=intervals_per_episode,
                   checkpoint_every=checkpoint_every)
     return t.controller.state_dict()
-
-
-# --------------------------------------------------------------- multi-seed
-@dataclass
-class SeedRunResult:
-    """One seed's offline training run (picklable across workers)."""
-
-    seed: int
-    state: Dict
-    episodes: List[LoopResult] = field(default_factory=list)
-
-    @property
-    def reward_trace(self) -> List[float]:
-        """Per-interval mean-utilization trace, episodes concatenated."""
-        return [x for ep in self.episodes for x in ep.reward_trace]
-
-    @property
-    def mean_reward(self) -> float:
-        trace = self.reward_trace
-        return float(np.mean(trace)) if trace else 0.0
-
-
-def _pretrain_seeds(make_network: Callable[[int], object],
-                    config: Optional[PETConfig], seeds: Sequence[int], *,
-                    episodes: int, intervals_per_episode: int,
-                    checkpoint_dir: Optional[str], checkpoint_every: int,
-                    checkpoint_keep: int = 3) -> List[SeedRunResult]:
-    """Train every seed in this process, each under its own task seed."""
-    trainees = [_Trainee(
-        partial(make_network, s), replace(config or PETConfig(), seed=s),
-        task_seed=s,
-        checkpoints=None if checkpoint_dir is None else CheckpointManager(
-            os.path.join(checkpoint_dir, f"seed-{s:08d}"),
-            keep=checkpoint_keep)) for s in seeds]
-    _train(trainees, episodes=episodes,
-           intervals_per_episode=intervals_per_episode,
-           checkpoint_every=checkpoint_every)
-    return [SeedRunResult(seed=s, state=t.controller.state_dict(),
-                          episodes=t.episodes)
-            for s, t in zip(seeds, trainees)]
-
-
-def pretrain_one_seed(make_network: Callable[[int], object],
-                      config: Optional[PETConfig] = None, *,
-                      seed: int, episodes: int = 1,
-                      intervals_per_episode: int = 1000,
-                      checkpoint_dir: Optional[str] = None,
-                      checkpoint_every: int = 500,
-                      checkpoint_keep: int = 3) -> SeedRunResult:
-    """One seed's offline training rollout (an engine task body).
-
-    ``make_network(seed)`` must build a fresh traffic-loaded simulator —
-    and must be picklable (module-level function or a
-    :func:`functools.partial` over one) so the rollout can execute in a
-    worker process.  With ``checkpoint_dir``, checkpoints rotate inside
-    a per-seed subdirectory (``seed-{seed:08d}/``), so concurrent
-    workers never contend for the same rotation.
-    """
-    return _pretrain_seeds(make_network, config, [seed], episodes=episodes,
-                           intervals_per_episode=intervals_per_episode,
-                           checkpoint_dir=checkpoint_dir,
-                           checkpoint_every=checkpoint_every,
-                           checkpoint_keep=checkpoint_keep)[0]
-
-
-def pretrain_multi_seed(make_network: Callable[[int], object],
-                        config: Optional[PETConfig] = None, *,
-                        seeds: Optional[Sequence[int]] = None,
-                        n_seeds: Optional[int] = None, seed_root: int = 0,
-                        episodes: int = 1, intervals_per_episode: int = 1000,
-                        workers: int = 1, engine=None,
-                        checkpoint_dir: Optional[str] = None,
-                        checkpoint_every: int = 500) -> List[SeedRunResult]:
-    """Independent per-seed offline trainings, one result per seed.
-
-    The multi-seed analogue of :func:`pretrain_offline_multi`.  Seeds
-    default to the spawn-key derivation ``derive_seed(seed_root, i)``,
-    and results come back in seed order.  With ``workers=1`` and no
-    ``engine`` every seed trains in this process, under its own task
-    seed, and seeds whose networks :func:`lockstep_groups` can batch
-    step as one :class:`repro.netsim.batchfluid.BatchFluidNetwork`.
-    Otherwise each seed is one :class:`repro.parallel.TaskSpec` run by
-    ``engine`` (default: an :class:`repro.parallel.Engine` of
-    ``workers`` processes).  Both return identical lists
-    (``tests/test_determinism.py`` locks this down).
-    """
-    from repro.parallel.engine import Engine, TaskSpec
-    if seeds is None:
-        if n_seeds is None or n_seeds < 1:
-            raise ValueError("pass seeds=... or n_seeds >= 1")
-        seeds = [derive_seed(seed_root, i) for i in range(n_seeds)]
-    seeds = [int(s) for s in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    if workers == 1 and engine is None:
-        return _pretrain_seeds(make_network, config, seeds,
-                               episodes=episodes,
-                               intervals_per_episode=intervals_per_episode,
-                               checkpoint_dir=checkpoint_dir,
-                               checkpoint_every=checkpoint_every)
-    eng = engine if engine is not None else Engine(workers=workers)
-    specs = [TaskSpec(task_id=i, fn=pretrain_one_seed,
-                      args=(make_network, config),
-                      kwargs={"seed": s, "episodes": episodes,
-                              "intervals_per_episode": intervals_per_episode,
-                              "checkpoint_dir": checkpoint_dir,
-                              "checkpoint_every": checkpoint_every},
-                      seed=s)
-             for i, s in enumerate(seeds)]
-    return eng.run(specs).values()

@@ -61,7 +61,7 @@ class CallSite:
     #: ("numpy.random.default_rng", "repro.parallel.engine.TaskSpec").
     dotted: Optional[str]
     #: qualname of the resolved *program* function, when resolution
-    #: succeeded ("repro.core.training.pretrain_one_seed").
+    #: succeeded ("repro.core.training.pretrain_offline_multi").
     callee: Optional[str] = None
     #: qualname of the program class being instantiated, when the call
     #: is a constructor (resolution then points at ``__init__`` if any).

@@ -1,9 +1,10 @@
 """Process-pool rollout engine: fan out independent simulation tasks.
 
-Every evaluation surface in this repo — multi-seed offline pretraining,
-``analysis.sweep`` grids, benchmark figure matrices — is a batch of
-*independent* rollouts, and the engine runs such a batch with four
-guarantees the figure pipeline depends on (docs/PARALLEL.md):
+Every evaluation surface in this repo — the scheme × load × seed job
+grids of :func:`repro.analysis.experiments.run_scenario_grid` behind
+the benchmark figures and the CLI — is a batch of *independent*
+rollouts, and the engine runs such a batch with four guarantees the
+figure pipeline depends on (docs/PARALLEL.md):
 
 1. **pickled run-specs** — tasks travel to workers as pickled
    :class:`TaskSpec` records (module-level callable + args).  Specs are

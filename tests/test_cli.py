@@ -44,6 +44,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "secn1" in out and "secn2" in out
 
+    def test_repeated_scheme_is_a_usage_error(self, capsys):
+        """Rows are keyed by scheme, so a repeat would run two jobs and
+        print one row."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--scheme", "secn1", "secn1", "--duration", "0.01",
+                  "--pretrain", "0", "--hosts-per-leaf", "2",
+                  "--leaves", "2", "--spines", "1"])
+        assert exc.value.code == 2
+        assert "each scheme may be given once" in capsys.readouterr().err
+
     def test_fattree_sharded_run(self, capsys):
         args = ["--scheme", "secn1", "--topology", "fattree",
                 "--pods", "2", "--hosts-per-leaf", "2",

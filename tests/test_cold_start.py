@@ -37,8 +37,7 @@ NOT_LOADED = (
     "repro.netsim.transport", "repro.netsim.transport.base",
     "repro.netsim.transport.dcqcn", "repro.netsim.transport.dctcp",
     "repro.netsim.transport.hpcc",
-    "repro.analysis.sweep", "repro.analysis.report",
-    "repro.analysis.timeseries", "repro.analysis.convergence",
+    "repro.analysis.report", "repro.analysis.convergence",
     "repro.analysis.resilience",
     "repro.resilience.faults",
     "repro.obs.export", "repro.obs.profile",

@@ -7,7 +7,7 @@ from repro.baselines.acc import ACCConfig, ACCController
 from repro.baselines.static_ecn import StaticECNController, secn1, secn2
 from repro.core.config import PETConfig
 from repro.core.pet import PETController
-from repro.core.training import pretrain_offline, run_control_loop
+from repro.core.training import run_control_loop
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
@@ -215,14 +215,3 @@ class TestTrainingLoop:
     def test_run_control_loop_validation(self):
         with pytest.raises(ValueError):
             run_control_loop(tiny_net(), secn1(), intervals=0, delta_t=1e-3)
-
-    def test_pretrain_offline_returns_installable_state(self):
-        def make_net():
-            return loaded_net(seed=11, n_flows=10)
-
-        state = pretrain_offline(make_net, fast_cfg(update_interval=4),
-                                 episodes=2, intervals_per_episode=10)
-        assert "actor" in state and "critic" in state
-        net = tiny_net()
-        pet = PETController(net.switch_names(), fast_cfg())
-        pet.install_pretrained(state)   # shape-compatible

@@ -8,7 +8,6 @@ a different seed must not.
 """
 
 import dataclasses
-import os
 import pickle
 
 import numpy as np
@@ -116,56 +115,33 @@ class TestComponentDeterminism:
 
 
 # ----------------------------------------------------- parallel engine
-def _train_net(seed):
-    """Module-level (picklable) traffic-loaded trainer fabric."""
-    net = FluidNetwork(FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
-                                   host_rate_bps=10e9, spine_rate_bps=40e9),
-                       seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    gen = PoissonTrafficGenerator(net.host_names(), WEB_SEARCH, rng=rng)
-    net.start_flows(gen.generate(TrafficConfig(load=0.5, duration=0.05,
-                                               host_rate_bps=10e9)))
-    return net
-
-
 class TestParallelTrainingDeterminism:
-    """workers=1 and workers=4 with the same seed_root must produce
-    identical reward traces, final states, and checkpoint contents —
-    the engine's core acceptance criterion (docs/PARALLEL.md).
+    """PET jobs through ``run_scenario_grid`` in process (pretrained as
+    one batch) and over two workers (each paying its own pretraining)
+    must agree bit for bit — the engine's core acceptance criterion
+    (docs/PARALLEL.md)."""
 
-    'Byte-identical checkpoints' is asserted on *content* digests:
-    the npz container embeds zip-member timestamps, so the raw file
-    bytes legitimately differ between two saves of identical tensors.
-    """
+    @staticmethod
+    def _jobs(seeds):
+        from repro.analysis.experiments import ScenarioConfig
+        return [("pet", ScenarioConfig(
+            duration=0.01, pretrain_intervals=40, seed=s, load=0.5,
+            incast=False, pet={"update_interval": 5},
+            fluid=FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                              host_rate_bps=10e9, spine_rate_bps=40e9)))
+            for s in seeds]
 
-    SEED_ROOT = 123
-    N_SEEDS = 2
-    INTERVALS = 40
-
-    def _run(self, workers, ckpt_dir):
-        from repro.core.training import pretrain_multi_seed
-        return pretrain_multi_seed(
-            _train_net, n_seeds=self.N_SEEDS, seed_root=self.SEED_ROOT,
-            intervals_per_episode=self.INTERVALS, workers=workers,
-            checkpoint_dir=ckpt_dir, checkpoint_every=20)
-
-    def test_workers1_vs_workers4_identical(self, tmp_path):
-        from repro.rl.checkpoint import CheckpointManager
-
-        d1, d4 = str(tmp_path / "w1"), str(tmp_path / "w4")
-        r1 = self._run(1, d1)
-        r4 = self._run(4, d4)
-        assert [r.seed for r in r1] == [r.seed for r in r4]
-        for a, b in zip(r1, r4):
-            assert a.reward_trace == b.reward_trace   # exact float equality
-            assert len(a.reward_trace) == self.INTERVALS
-            assert fingerprint(a.state) == fingerprint(b.state)
-        for r in r1:
-            sub = f"seed-{r.seed:08d}"
-            s1, step1 = CheckpointManager(os.path.join(d1, sub)).load_latest()
-            s4, step4 = CheckpointManager(os.path.join(d4, sub)).load_latest()
-            assert step1 == step4
-            assert fingerprint(s1) == fingerprint(s4)
+    def test_pet_grid_workers1_vs_workers2_identical(self):
+        from repro.analysis.experiments import (clear_pretrain_cache,
+                                                run_scenario_grid)
+        jobs = self._jobs((123, 124))
+        clear_pretrain_cache()
+        local = run_scenario_grid(jobs, workers=1)
+        clear_pretrain_cache()
+        fanned = run_scenario_grid(jobs, workers=2)
+        assert [r.scheme for r in fanned] == ["pet", "pet"]
+        assert fingerprint(local[0]) != fingerprint(local[1])
+        assert fingerprint(local) == fingerprint(fanned)
 
     def test_scenario_matrix_workers1_vs_workers2_identical(self):
         """``run_scenario`` with the incast generator on — a scheme × seed
@@ -192,13 +168,15 @@ class TestParallelTrainingDeterminism:
         assert fingerprint(serial[0]) != fingerprint(serial[1])
         assert fingerprint(serial) == fingerprint(fanned)
 
-    def test_different_seed_root_differs(self, tmp_path):
-        from repro.core.training import pretrain_multi_seed
-        r1 = pretrain_multi_seed(_train_net, n_seeds=1, seed_root=1,
-                                 intervals_per_episode=self.INTERVALS)
-        r2 = pretrain_multi_seed(_train_net, n_seeds=1, seed_root=2,
-                                 intervals_per_episode=self.INTERVALS)
-        assert r1[0].reward_trace != r2[0].reward_trace
+    def test_different_seed_trains_a_different_model(self):
+        import repro.analysis.experiments as ex
+        jobs = self._jobs((1, 2))
+        ex.clear_pretrain_cache()
+        ex.run_scenario_grid(jobs)
+        states = [ex._PRETRAIN_CACHE[ex._pretrain_key(
+            s, c, ex._default_pet_config(c))] for s, c in jobs]
+        ex.clear_pretrain_cache()
+        assert fingerprint(states[0]) != fingerprint(states[1])
 
 
 # ----------------------------------------------------- the digest itself

@@ -65,3 +65,27 @@ class TestECNMarker:
         assert not m.should_mark(500)
         m.set_config(ECNConfig(100, 200, 1.0))
         assert m.should_mark(500)
+
+
+class TestDelayDerivedECN:
+    def test_delay_to_bytes_conversion(self):
+        cfg = ECNConfig.from_delay(100e-6, 10e9)   # 100us at 10 Gbps
+        assert cfg.kmax_bytes == 125_000
+        assert cfg.kmin_bytes == 31_250
+
+    def test_scales_with_port_speed(self):
+        slow = ECNConfig.from_delay(50e-6, 25e9)
+        fast = ECNConfig.from_delay(50e-6, 100e9)
+        assert fast.kmax_bytes == 4 * slow.kmax_bytes
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ECNConfig.from_delay(0.0, 1e9)
+        with pytest.raises(ValueError):
+            ECNConfig.from_delay(1e-3, 0.0)
+
+    def test_marks_at_equivalent_delay(self):
+        cfg = ECNConfig.from_delay(10e-6, 8e9, pmax=1.0)  # 10us at 8 Gbps
+        # queue of exactly the delay budget: at Kmax -> always mark
+        assert cfg.marking_probability(10_000) == 1.0
+        assert cfg.marking_probability(1_000) == 0.0

@@ -103,29 +103,38 @@ class TestPretrainKey:
             replace(pet, sanitize=True))
 
 
+def _trained_state(scheme, c):
+    """The cached offline model of ``scheme`` on scenario ``c``."""
+    import repro.analysis.experiments as ex
+    return ex._PRETRAIN_CACHE[_pretrain_key(
+        scheme, c, _default_pet_config(c))]
+
+
 class TestPretrainCache:
     def test_incast_fan_in_trains_its_own_model(self, monkeypatch):
-        """Fan-in 8 and 24 must not share one cached model; a repeat of
+        """Fan-in 2 and 3 must not share one cached model; a repeat of
         either config still hits the cache."""
         import repro.analysis.experiments as ex
         from repro.fingerprint import fingerprint
         trained = []
-        train = ex.pretrain_offline_multi
+        train = ex._train
 
-        def spy(*args, **kwargs):
-            trained.append(1)
-            return train(*args, **kwargs)
-        monkeypatch.setattr(ex, "pretrain_offline_multi", spy)
-        pet = PETConfig.fast(update_interval=5, seed=3)
+        def spy(trainees, **kwargs):
+            trained.extend(trainees)
+            return train(trainees, **kwargs)
+        monkeypatch.setattr(ex, "_train", spy)
         low, high = (cfg(incast_fan_in=f, incast_period=5e-3, seed=3,
-                         pretrain_intervals=20) for f in (2, 3))
+                         duration=0.01, pretrain_intervals=20,
+                         pet={"update_interval": 5}) for f in (2, 3))
+        jobs = [("pet", low), ("pet", high)]
         ex.clear_pretrain_cache()
-        a = ex._cached_pretrain("pet", low, pet)
-        b = ex._cached_pretrain("pet", high, pet)
+        ex.run_scenario_grid(jobs)
         assert len(trained) == 2
+        a, b = _trained_state("pet", low), _trained_state("pet", high)
         assert fingerprint(a) != fingerprint(b)
-        assert ex._cached_pretrain("pet", low, pet) is a
-        assert ex._cached_pretrain("pet", high, pet) is b
+        ex.run_scenario_grid(jobs)
+        assert _trained_state("pet", low) is a
+        assert _trained_state("pet", high) is b
         assert len(trained) == 2
         ex.clear_pretrain_cache()
 
@@ -139,15 +148,16 @@ _PINNED_ACC_PRETRAIN = \
 
 class TestAccPretrain:
     def test_state_pinned(self):
-        """ACC pretrains in the one episode loop with the bits it had in
-        its own loop."""
+        """ACC pretrains in the one episode loop, batched beside PET, with
+        the bits it had in its own loop."""
         import repro.analysis.experiments as ex
         from repro.fingerprint import fingerprint
         c = cfg(duration=0.02, pretrain_intervals=120, load=0.4, seed=0,
                 fluid=FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=4,
                                   host_rate_bps=10e9, spine_rate_bps=40e9))
         ex.clear_pretrain_cache()
-        state = ex._cached_pretrain_acc(c, _default_pet_config(c))
+        ex.run_scenario_grid([("pet", c), ("acc", c)])
+        state = _trained_state("acc", c)
         ex.clear_pretrain_cache()
         assert fingerprint(state) == _PINNED_ACC_PRETRAIN
 

@@ -1,19 +1,24 @@
 """Tests for the scenario harness that drives the benchmark suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro.analysis.experiments as ex
 from repro.analysis.experiments import (SCHEMES, ExperimentResult,
-                                        ScenarioConfig, _measure,
-                                        _setup_scenario, build_scheme,
-                                        clear_pretrain_cache, run_scenario,
-                                        run_scenario_grid)
+                                        ScenarioConfig, _measure, _prepare,
+                                        build_scheme, clear_pretrain_cache,
+                                        run_scenario, run_scenario_grid)
 from repro.baselines.acc import ACCController
 from repro.baselines.static_ecn import StaticECNController
-from repro.core.config import PETConfig
 from repro.core.pet import PETController
 from repro.fingerprint import fingerprint
+from repro.netsim.batchfluid import BatchFluidNetwork
+from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.fluid import FluidConfig
+from repro.netsim.topology import TopologyConfig
+from repro.parallel.engine import Engine
 from repro.traffic.patterns import PatternSchedule, PatternSegment
 
 
@@ -218,7 +223,7 @@ class TestJobForm:
 
         def probe(i, now, stats):
             at[i] = now
-        prep = _setup_scenario(scheme, cfg)
+        (prep,) = _prepare([(scheme, cfg)])
         prep.on_interval = probe
         (r,) = _measure([prep])
         assert prep.failure_times == [
@@ -228,3 +233,208 @@ class TestJobForm:
         assert r.windows["during"]["overall"].count > 0
         assert sum(w["overall"].count for w in r.windows.values()) == \
             r.flows_finished
+
+
+# ------------------------------------------------------------ the grid
+def tiny_base(**kw):
+    """A static-scheme job on a four-host fabric, no pretraining."""
+    return replace(ScenarioConfig(
+        duration=0.02, pretrain_intervals=0, seed=1, load=0.4, incast=False,
+        fluid=FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                          host_rate_bps=10e9, spine_rate_bps=40e9)), **kw)
+
+
+def batch_spy(monkeypatch):
+    """The replica count of every ``BatchFluidNetwork.advance``."""
+    replicas = []
+    advance = BatchFluidNetwork.advance
+
+    def spy(batch, dt):
+        replicas.append(len(batch))
+        advance(batch, dt)
+    monkeypatch.setattr(BatchFluidNetwork, "advance", spy)
+    return replicas
+
+
+def train_spy(monkeypatch):
+    """The trainees of every offline pretraining the grid starts."""
+    trained = []
+    train = ex._train
+
+    def spy(trainees, **kwargs):
+        trained.append(len(trainees))
+        return train(trainees, **kwargs)
+    monkeypatch.setattr(ex, "_train", spy)
+    return trained
+
+
+class TestGrid:
+    """In-process grids batch compatible fluid jobs by themselves; each
+    result must equal ``run_scenario`` run job by job."""
+
+    def test_serial_grid(self):
+        jobs = [("secn1", tiny_base()), ("secn2", tiny_base())]
+        results = run_scenario_grid(jobs, workers=1)
+        assert [r.scheme for r in results] == ["secn1", "secn2"]
+        for r in results:
+            row = r.summary_row()
+            assert np.isfinite(row["overall_avg_fct"])
+            assert row["workload"] == "websearch"
+
+    def test_workers_match_serial(self):
+        jobs = [("secn1", tiny_base())]
+        serial = run_scenario_grid(jobs, workers=1)
+        parallel = run_scenario_grid(jobs, workers=2)
+        assert fingerprint(serial) == fingerprint(parallel)
+
+    def test_rows_stand_alone(self):
+        jobs = [("secn1", tiny_base(load=0.3)),
+                ("secn2", tiny_base(load=0.5, workload="datamining"))]
+        rows = [r.summary_row() for r in run_scenario_grid(jobs)]
+        for (scheme, cfg), row in zip(jobs, rows):
+            assert {k: row[k] for k in ("scheme", "workload", "load", "seed",
+                                        "simulator")} == {
+                "scheme": scheme, "workload": cfg.workload, "load": cfg.load,
+                "seed": 1, "simulator": "fluid"}
+            assert np.isfinite(row["overall_avg_fct"])
+
+    def test_matches_solo_bitwise(self):
+        base = tiny_base(pretrain_intervals=20, seed=5)
+        jobs = [(s, replace(base, load=load))
+                for s in ("pet", "secn1") for load in (0.4, 0.7)]
+        clear_pretrain_cache()
+        solo = [run_scenario(s, c) for s, c in jobs]
+        clear_pretrain_cache()
+        grid = run_scenario_grid(jobs)
+        clear_pretrain_cache()
+        assert [r.summary_row() for r in grid] == \
+            [r.summary_row() for r in solo]
+        assert fingerprint(grid) == fingerprint(solo)
+
+    def test_mixed_substrates_batch_only_the_compatible_pair(self,
+                                                             monkeypatch):
+        """Mixed jobs: a compatible fluid pair, fluid jobs of another
+        duration and of another fabric, a packet job and a fat-tree job.
+        Only the pair may step as a batch, and every result must match
+        its solo run."""
+        pair = tiny_base(pretrain_intervals=20)
+        jobs = [("pet", pair),
+                ("secn1", tiny_base(duration=0.03)),
+                ("secn1", ScenarioConfig(
+                    simulator="packet", duration=0.004, pretrain_intervals=0,
+                    seed=1, load=0.4, incast=False,
+                    packet=TopologyConfig(n_spine=1, n_leaf=2,
+                                          hosts_per_leaf=2))),
+                ("secn2", pair),
+                ("secn1", tiny_base(fluid=FluidConfig(
+                    n_spine=2, n_leaf=2, hosts_per_leaf=2,
+                    host_rate_bps=10e9, spine_rate_bps=40e9))),
+                ("secn2", ScenarioConfig(
+                    simulator="fluid_shard", duration=0.01,
+                    pretrain_intervals=0, seed=1, load=0.4, incast=False,
+                    fattree=FatTreeConfig.small()))]
+        replicas = batch_spy(monkeypatch)
+        clear_pretrain_cache()
+        ref = [run_scenario(s, c) for s, c in jobs]
+        assert replicas == []
+        clear_pretrain_cache()
+        grid = run_scenario_grid(jobs)
+        clear_pretrain_cache()
+        assert [r.scheme for r in grid] == [s for s, _ in jobs]
+        assert [fingerprint(r) for r in grid] == [fingerprint(r) for r in ref]
+        intervals = round(pair.duration / pair.delta_t)
+        drain = max(int(0.2 * intervals), 10)
+        assert replicas == [2] * (intervals + drain)
+
+    def test_sim_batch_false_is_rejected(self):
+        with pytest.raises(ValueError, match="sim_batch"):
+            run_scenario_grid([("secn1", tiny_base())], sim_batch=False)
+
+    def test_engine_path_matches_in_process(self):
+        jobs = [("secn1", tiny_base()), ("secn2", tiny_base())]
+        local = run_scenario_grid(jobs)
+        fanned = run_scenario_grid(jobs, engine=Engine(workers=2))
+        assert fingerprint(local) == fingerprint(fanned)
+
+
+#: the offline pretraining budget of every learning job below
+PRETRAIN = 20
+#: PET, ACC and Fig. 9's ablated PET at two loads and two seeds on one
+#: fluid fabric, then a fat-tree PET job
+PRETRAIN_JOBS = [
+    (scheme, tiny_base(load=load, seed=seed, pretrain_intervals=PRETRAIN,
+                       duration=0.01, pet={"update_interval": 5}))
+    for scheme in ("pet", "acc", "pet_ablated")
+    for load in (0.3, 0.6) for seed in (1, 2)] + [
+    ("pet", ScenarioConfig(
+        simulator="fluid_shard", duration=0.01, pretrain_intervals=PRETRAIN,
+        seed=1, load=0.4, incast=False, pet={"update_interval": 5},
+        fattree=FatTreeConfig.small()))]
+
+
+class TestBatchedPretraining:
+    """The grid pretrains its learning jobs together: one
+    :func:`repro.core.training._train` steps every compatible fluid
+    training fabric as one batch, with each job's bits unchanged."""
+
+    def test_batch_matches_solo_and_workers(self, monkeypatch):
+        replicas = batch_spy(monkeypatch)
+        solo = []
+        for job in PRETRAIN_JOBS:
+            clear_pretrain_cache()
+            solo.append(run_scenario(*job))
+        assert replicas == []
+        clear_pretrain_cache()
+        grid = run_scenario_grid(PRETRAIN_JOBS)
+        clear_pretrain_cache()
+        fluid = len(PRETRAIN_JOBS) - 1
+        intervals = round(PRETRAIN_JOBS[0][1].duration / 1e-3)
+        drain = max(int(0.2 * intervals), 10)
+        # the fluid trainings step as one batch, the fat-tree one alone;
+        # then the fluid measured runs batch likewise
+        assert replicas == [fluid] * PRETRAIN + [fluid] * (intervals + drain)
+        fanned = run_scenario_grid(PRETRAIN_JOBS, engine=Engine(workers=2))
+        assert [fingerprint(r) for r in grid] == \
+            [fingerprint(r) for r in solo]
+        assert fingerprint(grid) == fingerprint(fanned)
+
+    def test_fat_tree_trainings_step_alone(self, monkeypatch):
+        """Fat-tree jobs never join a fluid batch: two seeds train and
+        run one at a time, each equal to its solo run."""
+        fat = PRETRAIN_JOBS[-1]
+        jobs = [fat, (fat[0], replace(fat[1], seed=2))]
+        replicas = batch_spy(monkeypatch)
+        solo = []
+        for job in jobs:
+            clear_pretrain_cache()
+            solo.append(run_scenario(*job))
+        clear_pretrain_cache()
+        grid = run_scenario_grid(jobs)
+        clear_pretrain_cache()
+        assert replicas == []
+        assert [fingerprint(r) for r in grid] == \
+            [fingerprint(r) for r in solo]
+        assert fingerprint(grid[0]) != fingerprint(grid[1])
+
+    def test_identical_jobs_train_once_and_warm_grid_trains_nothing(
+            self, monkeypatch):
+        trained = train_spy(monkeypatch)
+        job = PRETRAIN_JOBS[0]
+        clear_pretrain_cache()
+        a, b = run_scenario_grid([job, job])
+        assert trained == [1]
+        assert fingerprint(a) == fingerprint(b)
+        warm = run_scenario_grid([job, job])
+        clear_pretrain_cache()
+        assert trained == [1]
+        assert fingerprint(warm) == fingerprint([a, b])
+
+    def test_one_training_call_per_pretraining_length(self, monkeypatch):
+        trained = train_spy(monkeypatch)
+        scheme, cfg = PRETRAIN_JOBS[0]
+        longer = replace(cfg, pretrain_intervals=2 * PRETRAIN)
+        clear_pretrain_cache()
+        run_scenario_grid([(scheme, cfg), ("acc", longer), ("pet", longer),
+                           ("acc", cfg)])
+        clear_pretrain_cache()
+        assert trained == [2, 2]

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.core.training import pretrain_one_seed
+from repro.core.config import PETConfig
+from repro.core.training import pretrain_offline_multi
 from repro.fingerprint import fingerprint
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.obs.cli import trace_main
@@ -76,7 +77,7 @@ class TestTraceCLI:
 
 
 def _train_network(seed, duration, load):
-    """Traffic-loaded trainer fabric for ``pretrain_one_seed``."""
+    """Traffic-loaded trainer fabric for ``pretrain_offline_multi``."""
     fabric = FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
                          host_rate_bps=10e9, spine_rate_bps=40e9)
     net = FluidNetwork(fabric, seed=seed)
@@ -91,9 +92,9 @@ def _train_network(seed, duration, load):
 
 def _tiny_pretrain():
     """A short, seeded offline pretraining run (the acceptance workload)."""
-    make = partial(_train_network, duration=0.03, load=0.4)
-    return pretrain_one_seed(make, None, seed=3, episodes=1,
-                             intervals_per_episode=30)
+    make = partial(_train_network, 3, duration=0.03, load=0.4)
+    return pretrain_offline_multi(make, PETConfig(seed=3), episodes=1,
+                                  intervals_per_episode=30)
 
 
 class TestZeroOverheadWhenDisabled:

@@ -645,33 +645,32 @@ class TestUpdateThreads:
         assert all(len(a.buffer) == 20 for a in trainer.agents.values())
 
     def test_engine_workers_share_the_cores(self):
-        """``pretrain_multi_seed`` under ``Engine(workers=2)`` trains the
+        """PET jobs through ``run_scenario_grid`` over two workers run the
         same bytes as in process, and each worker starts no more update
         groups than its share of the cores."""
-        from repro.core.config import PETConfig
-        from repro.core.training import pretrain_multi_seed
+        from repro.analysis.experiments import (clear_pretrain_cache,
+                                                run_scenario_grid)
         from repro.fingerprint import fingerprint
         from repro.obs import metrics
-        from repro.parallel import Engine, usable_cores
+        from repro.parallel import usable_cores
 
-        cfg = PETConfig(seed=None, update_interval=5, delta_t=1e-3,
-                        ppo_epochs=2)
-        kw = dict(seeds=[3, 14], episodes=1, intervals_per_episode=11)
+        jobs = [("pet", _two_group_scenario(s)) for s in (3, 14)]
 
-        def groups(**extra):
+        def groups(workers):
             reg = metrics.MetricsRegistry()
             prev = metrics.set_registry(reg)
+            clear_pretrain_cache()
             try:
-                out = pretrain_multi_seed(_two_group_net, cfg, **kw,
-                                          **extra)
+                out = run_scenario_grid(jobs, workers=workers)
             finally:
                 metrics.set_registry(prev)
+                clear_pretrain_cache()
             seen = [s.maximum for (name, _), s in reg.histograms.items()
                     if name == "ppo.update_groups"]
-            return fingerprint([(r.seed, r.state) for r in out]), seen
+            return fingerprint(out), seen
 
-        local, local_groups = groups()
-        fanned, fanned_groups = groups(engine=Engine(workers=2))
+        local, local_groups = groups(1)
+        fanned, fanned_groups = groups(2)
         assert fanned == local
         cores = usable_cores()
         assert max(local_groups) == min(cores, 2)
@@ -679,19 +678,14 @@ class TestUpdateThreads:
         assert max(fanned_groups) <= max(1, cores // 2)
 
 
-def _two_group_net(seed):
-    """A fabric with switches enough for two update groups."""
-    from repro.netsim.flow import Flow
-    from repro.netsim.fluid import FluidConfig, FluidNetwork
+def _two_group_scenario(seed):
+    """A PET job on a fabric with switches enough for two update groups."""
+    from repro.analysis.experiments import ScenarioConfig
+    from repro.netsim.fluid import FluidConfig
     from repro.rl.stacked import MIN_AGENTS_PER_GROUP
-    net = FluidNetwork(FluidConfig(n_spine=2,
-                                   n_leaf=2 * MIN_AGENTS_PER_GROUP - 2,
-                                   hosts_per_leaf=2, host_rate_bps=10e9,
-                                   spine_rate_bps=40e9), seed=seed)
-    rng = np.random.default_rng(seed)
-    hosts = net.host_names()
-    for i in range(30):
-        s, d = rng.choice(len(hosts), 2, replace=False)
-        net.start_flow(Flow(i, hosts[s], hosts[d],
-                            int(rng.integers(50_000, 3_000_000))))
-    return net
+    return ScenarioConfig(
+        duration=0.005, pretrain_intervals=11, seed=seed, load=0.5,
+        incast=False, pet={"update_interval": 5, "ppo_epochs": 2},
+        fluid=FluidConfig(n_spine=2, n_leaf=2 * MIN_AGENTS_PER_GROUP - 2,
+                          hosts_per_leaf=2, host_rate_bps=10e9,
+                          spine_rate_bps=40e9))

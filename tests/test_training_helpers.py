@@ -33,6 +33,14 @@ def test_pretrain_offline_multi_exports_every_switch():
     ctrl.load_state_dict(state)    # shape compatible per switch
 
 
+def test_pretrain_offline_multi_rejects_zero_episodes():
+    """No episode means no training: the loop refuses rather than
+    export an untrained model."""
+    with pytest.raises(ValueError, match="episodes"):
+        pretrain_offline_multi(make_net, PETConfig(seed=0), episodes=0,
+                               intervals_per_episode=10)
+
+
 def test_pretrain_offline_multi_multiple_episodes():
     cfg = PETConfig(seed=1, update_interval=5)
     state = pretrain_offline_multi(make_net, cfg, episodes=2,
@@ -67,81 +75,3 @@ def test_fast_profile_overrides_and_defaults():
     assert cfg.clip_eps == 0.2
     # explicit overrides win
     assert PETConfig.fast(actor_lr=1e-4).actor_lr == pytest.approx(1e-4)
-
-
-# ----------------------------------------------------- in-process multi-seed
-class _NotFluid:
-    """A fluid network behind a proxy: it runs, but cannot be batched."""
-
-    def __init__(self, net):
-        self._net = net
-
-    def __getattr__(self, name):
-        return getattr(self._net, name)
-
-
-def _proxied_net(seed):
-    return _NotFluid(make_net(seed))
-
-
-class TestPretrainMultiSeedSimBatch:
-    """In-process pretrain_multi_seed steps compatible seeds as one
-    BatchFluidNetwork; it must equal pretrain_one_seed run seed by seed
-    and the Engine's process pool."""
-
-    CFG = PETConfig(seed=None, update_interval=5, delta_t=1e-3)
-    KW = dict(seeds=[3, 14, 15], episodes=2, intervals_per_episode=6)
-
-    @staticmethod
-    def _canon(results):
-        from repro.fingerprint import fingerprint
-        return fingerprint([
-            (r.seed, r.state,
-             [(ep.intervals, ep.mean_reward, ep.rewards_per_switch,
-               ep.reward_trace) for ep in r.episodes])
-            for r in results])
-
-    @staticmethod
-    def _spy(monkeypatch):
-        from repro.netsim.batchfluid import BatchFluidNetwork
-        replicas = []
-        advance = BatchFluidNetwork.advance
-
-        def spy(batch, dt):
-            replicas.append(len(batch))
-            advance(batch, dt)
-        monkeypatch.setattr(BatchFluidNetwork, "advance", spy)
-        return replicas
-
-    def test_bit_identical_to_engine_path(self, monkeypatch):
-        from repro.core.training import pretrain_multi_seed, pretrain_one_seed
-        from repro.parallel.engine import Engine
-        replicas = self._spy(monkeypatch)
-        kw = dict(self.KW)
-        seeds = kw.pop("seeds")
-        solo = [pretrain_one_seed(make_net, self.CFG, seed=s, **kw)
-                for s in seeds]
-        assert replicas == []
-        local = pretrain_multi_seed(make_net, self.CFG, **self.KW)
-        assert replicas == [3] * 12
-        fanned = pretrain_multi_seed(make_net, self.CFG, **self.KW,
-                                     engine=Engine(workers=2))
-        assert self._canon(local) == self._canon(solo)
-        assert self._canon(local) == self._canon(fanned)
-
-    def test_non_fluid_networks_train_one_seed_at_a_time(self, monkeypatch):
-        from repro.core.training import pretrain_multi_seed
-        replicas = self._spy(monkeypatch)
-        proxied = pretrain_multi_seed(_proxied_net, self.CFG, **self.KW)
-        assert replicas == []
-        batched = pretrain_multi_seed(make_net, self.CFG, **self.KW)
-        assert self._canon(proxied) == self._canon(batched)
-
-    def test_checkpoints_written_per_seed(self, tmp_path):
-        from repro.core.training import pretrain_multi_seed
-        pretrain_multi_seed(make_net, self.CFG, seeds=[1, 2], episodes=1,
-                            intervals_per_episode=4,
-                            checkpoint_dir=str(tmp_path), checkpoint_every=2)
-        dirs = sorted(p.name for p in tmp_path.iterdir())
-        assert dirs == ["seed-00000001", "seed-00000002"]
-        assert all(any(p.iterdir()) for p in tmp_path.iterdir())
