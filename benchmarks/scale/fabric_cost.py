@@ -1,4 +1,4 @@
-"""Fat-tree sub-step cost against live queues and active flows.
+"""Fat-tree sub-step cost against live queues, window blocks and active flows.
 
 Measures what one 50 µs sub-step of ``ShardedFluidNetwork`` costs on the
 ``scale_xl`` per-pod shape (16 edges × 40 hosts, 8 aggregation switches
@@ -7,30 +7,33 @@ Measures what one 50 µs sub-step of ``ShardedFluidNetwork`` costs on the
 - ``n_pods`` ∈ {4, 8, 16} at 5 % load;
 - load ∈ {1, 5, 20 %} at 16 pods (``FatTreeConfig.scale_xl()`` itself).
 
-One trial builds the fabric, starts the whole trial's traffic, runs warm-up
-ticks and then times ``advance(1 ms)`` (20 sub-steps) tick by tick, with
-``queue_stats()`` between ticks outside the timed part, as the control
-loop calls it.  Each sub-step's active flows and live queues (the block
-the step integrates: queues on an active path or holding bytes) are
-counted by wrapping ``flow_phase`` / ``integrate_queue_block`` where the
-network calls them; a trial in which either wrapper saw no sub-step
-exits non-zero rather than report zeros.  Between two sub-steps the
-active set changes by the flows admitted and the flows finished (the
-change in active flows plus the finishes), so each trial also records
-admissions and finishes per sub-step and the median number of sub-steps
-between changes of the active set — the length of a membership epoch
-(a reroute would change it too, but this sweep fails no link).  Trials
-visit the points round-robin, so a slow spell of the machine spreads
-over all of them; ``calib_ms`` (the fixed kernel of
-``benchmarks/perf/stats.py``) is recorded beside every trial to show one.
+One trial builds the fabric, starts the whole trial's traffic, runs
+warm-up ticks and then times ``advance(1 ms)`` (20 sub-steps) tick by
+tick, with ``queue_stats()`` between ticks outside the timed part, as
+the control loop calls it.  Each ``advance`` is one window whose
+sub-steps run on one block of queues (those holding bytes when it opens
+or on the path of a flow active in it); its size is counted by wrapping
+the network's ``_open_window``. Each sub-step's active flows and live
+queues (by the plain per-sub-step rule: on an active path or holding
+bytes) are counted by wrapping ``flow_phase`` where the network calls
+it; a trial in which either wrapper saw nothing exits non-zero rather
+than report zeros.  Between two sub-steps the active set changes by the
+flows admitted and the flows finished (the change in active flows plus
+the finishes), so each trial also records admissions and finishes per
+sub-step and the median number of sub-steps between changes of the
+active set — the length of a membership epoch (a reroute would change it
+too, but this sweep fails no link). Trials visit the points round-robin,
+so a slow spell of the machine spreads over all of them; ``calib_ms``
+(the fixed kernel of ``benchmarks/perf/stats.py``) is recorded beside
+every trial to show one.
 
 Writes one JSON row per trial to ``--out`` (pods, load, seed, mean
-active flows, mean live queues, ``n_queues``, admissions and finishes
-per sub-step, median epoch in sub-steps, ms per sub-step, ``cpu_count``,
-``calib_ms``), then prints the summary: per point the median [q1..q3] of
-ms per sub-step and the medians of the epoch columns, and least-squares
-slopes of ms per sub-step against live queues and against active flows
-over all rows.
+active flows, mean live queues, mean window block, ``n_queues``,
+admissions and finishes per sub-step, median epoch in sub-steps, ms per
+sub-step, ``cpu_count``, ``calib_ms``), then prints the summary: per
+point the median [q1..q3] of ms per sub-step and the medians of the
+epoch columns, and least-squares slopes of ms per sub-step against live
+queues and against active flows over all rows.
 
     python benchmarks/scale/fabric_cost.py            # 5 trials a point
     python benchmarks/scale/fabric_cost.py --quick    # 1 short trial a point
@@ -66,7 +69,8 @@ TICK = 1e-3
 #: (n_pods, load) points: the pod sweep at 5 %, the load sweep at 16 pods
 POINTS = ((4, 0.05), (8, 0.05), (16, 0.05), (16, 0.01), (16, 0.20))
 #: the per-trial columns summarised per point
-_COLUMNS = ("active_flows", "live_queues", "admissions_per_substep",
+_COLUMNS = ("active_flows", "live_queues", "window_queues",
+            "admissions_per_substep",
             "finishes_per_substep", "epoch_median_substeps", "ms_per_substep")
 
 
@@ -88,19 +92,27 @@ def trial(pods: int, load: float, seed: int, warm: int,
     flows: List[int] = []
     finished: List[int] = []
     live: List[int] = []
-    flow_phase, integrate = fluid.flow_phase, shard.integrate_queue_block
+    window: List[int] = []
+    block: List[Any] = []       # the open window's queues
+    flow_phase, open_window = fluid.flow_phase, net._open_window
 
-    def counted_flow_phase(src, *args, **kwargs):
+    def counted_open_window(*args):
+        q, qmap = open_window(*args)
+        block[:] = [q]
+        window.append(len(q.queues))
+        return q, qmap
+
+    def counted_flow_phase(src, rate, path, *args, **kwargs):
         flows.append(len(src))
         finished.append(len(net.finished_flows))
-        return flow_phase(src, *args, **kwargs)
-
-    def counted_integrate(q_len, *args):
-        live.append(len(q_len))
-        return integrate(q_len, *args)
+        if block:   # a queue off the block is empty and on no path
+            on = block[0].q_len != 0.0
+            on[path[path >= 0]] = True
+            live.append(int(on.sum()))
+        return flow_phase(src, rate, path, *args, **kwargs)
 
     fluid.flow_phase = counted_flow_phase
-    shard.integrate_queue_block = counted_integrate
+    net._open_window = counted_open_window
     try:
         spent = 0.0
         for _ in range(ticks):
@@ -109,11 +121,12 @@ def trial(pods: int, load: float, seed: int, warm: int,
             spent += time.perf_counter() - t0
             net.queue_stats()
     finally:
-        fluid.flow_phase, shard.integrate_queue_block = flow_phase, integrate
+        fluid.flow_phase = flow_phase
+        del net._open_window
     for name, seen in (("fluid.flow_phase", flows),
-                       ("shard.integrate_queue_block", live)):
+                       ("ShardedFluidNetwork._open_window", window)):
         if not seen:
-            sys.exit(f"pods={pods} load={load} seed={seed}: no sub-step "
+            sys.exit(f"pods={pods} load={load} seed={seed}: the step never "
                      f"called {name}, so the trial has no samples")
     # between consecutive sub-steps: finishes, and admissions = the change
     # in active flows plus the finishes
@@ -124,6 +137,7 @@ def trial(pods: int, load: float, seed: int, warm: int,
     return {"pods": pods, "load": load, "seed": seed,
             "active_flows": float(np.mean(flows)),
             "live_queues": float(np.mean(live)),
+            "window_queues": float(np.mean(window)),
             "n_queues": net.n_queues,
             "admissions_per_substep": float(np.mean(admissions)),
             "finishes_per_substep": float(np.mean(finishes)),
@@ -176,7 +190,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 fh.write(json.dumps(row) + "\n")
                 print(f"pods={pods:2d} load={load:.2f} seed={t}: "
                       f"{row['active_flows']:7.0f} flows "
-                      f"{row['live_queues']:7.0f}/{row['n_queues']} live queues "
+                      f"{row['live_queues']:7.0f}/{row['window_queues']:.0f}/"
+                      f"{row['n_queues']} live/window/all queues "
                       f"+{row['admissions_per_substep']:.1f} "
                       f"-{row['finishes_per_substep']:.1f} flows "
                       f"epoch {row['epoch_median_substeps']:g} "
@@ -189,7 +204,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         m = p["ms_per_substep"]
         print(f"  pods={p['pods']:2d} load={p['load']:.2f}  "
               f"flows {p['active_flows']['median']:7.0f}  "
-              f"live {p['live_queues']['median']:7.0f} of {p['n_queues']:6d}  "
+              f"live {p['live_queues']['median']:7.0f} "
+              f"window {p['window_queues']['median']:7.0f} "
+              f"of {p['n_queues']:6d}  "
               f"+{p['admissions_per_substep']['median']:.1f} "
               f"-{p['finishes_per_substep']['median']:.1f} per sub-step, "
               f"epoch {p['epoch_median_substeps']['median']:g}  "

@@ -159,7 +159,8 @@ def flow_phase(src: np.ndarray, rate: np.ndarray, path: np.ndarray,
         scale_src[over] = line / per_src[over]
         send = rate * scale_src[src]
     ok = path >= 0
-    flow = ok.nonzero()[1]                      # hop-major, like path[ok]
+    # hop-major, like path[ok]; half the cost of ok.nonzero()[1]
+    flow = np.broadcast_to(np.arange(path.shape[1]), path.shape)[ok]
     weights, queues = send[flow], path[ok]
     if owners is None:
         return send, np.bincount(queues, weights=weights,
@@ -310,18 +311,24 @@ class _PendingFlows:
         self._staged = []
         self._n_staged = 0
 
-    def pop_due(self, now: float) -> Tuple[int, int]:
-        """Consume the flows whose start time has come; returns their row
-        range ``[lo, hi)``, in start-time then registration order."""
+    def due(self, now: float) -> Tuple[int, int]:
+        """The row range ``[lo, hi)`` of the flows whose start time has
+        come by ``now``, in start-time then registration order."""
         if self._staged:
             self._merge_staged()
         lo = self.lo
         if self._next_start > now:
             return lo, lo
-        hi = int(self.start.searchsorted(now, "right"))
-        self.lo = hi
-        self._next_start = (float(self.start[hi]) if hi < len(self.start)
-                            else math.inf)
+        return lo, int(self.start.searchsorted(now, "right"))
+
+    def pop_due(self, now: float) -> Tuple[int, int]:
+        """Consume the flows whose start time has come; returns their
+        :meth:`due` row range."""
+        lo, hi = self.due(now)
+        if hi > lo:
+            self.lo = hi
+            self._next_start = (float(self.start[hi]) if hi < len(self.start)
+                                else math.inf)
         return lo, hi
 
 
@@ -454,8 +461,7 @@ class _FluidStepper:
         steps = max(1, int(round(dt / self.config.step_dt)))
         for net in self._nets:      # admission routes this far ahead
             net._route_horizon = net.now + steps * self.config.step_dt
-        for _ in range(steps):
-            self._step(self.config.step_dt)
+        self._step(self.config.step_dt, steps)
         reg = get_registry()
         if reg:
             reg.inc("netsim.advance_calls", sim=self._SIM_LABEL)
@@ -463,67 +469,88 @@ class _FluidStepper:
                     sim=self._SIM_LABEL)
             reg.inc("netsim.virtual_s", dt, sim=self._SIM_LABEL)
 
-    def _step(self, dt: float) -> None:
-        """One Δt: admission, then the three phases over the active rows
-        in (owner, slot) order, then each network's completion records
-        and Fig. 8 latency sample over its run of them."""
+    def _step(self, dt: float, steps: int = 1) -> None:
+        """One window of ``steps`` Δt sub-steps, each: admission, then the
+        three phases over the active rows in (owner, slot) order, then
+        each network's completion records and Fig. 8 latency sample over
+        its run of them.  The sub-steps run on the window's queues
+        (:meth:`_open_window`); ``qmap`` relabels the paths into them."""
         cfg, tab, nets = self.config, self._table, self._nets
-        for net in nets:
-            net.now += dt
-            net._activate_due()
-            net._acc_time += dt
-        if not tab.hi:              # no flow yet: every queue is empty
-            self._acc_qlen_area += self.q_len * dt
-            return
-        at = tab.f_active[:tab.hi].nonzero()[0]
-        rate, src = tab.f_rate[at], tab.f_src[at]
-        path = tab.f_path[at].T                     # (H, k), hop-major
-        n_hosts, owners = cfg.n_hosts, None
-        if self._OWNER_AXIS == "pod":
-            owners = (at // tab.cap, self._first_seen)
-        elif self._OWNER_AXIS == "replica":
-            owner = at // tab.cap
-            n_hosts *= tab.n_owners
-            src = src + owner * cfg.n_hosts
-            path = np.where(path >= 0, path + owner * self.n_queues, -1)
-        send, arrival, on_path = flow_phase(
-            src, rate, path, cfg.host_rate_bps / 8.0, n_hosts,
-            len(self.q_len), owners)
-        p_mark, srv_ratio = self._integrate(arrival, on_path, dt)
-        qdelay, done = feedback_phase(
-            cfg, dt, tab.f_rate, tab.f_alpha, tab.f_remaining, tab.f_active,
-            at, rate, send, path, p_mark, srv_ratio, self.q_len, self.q_cap)
-        bounds = ([0, len(at)] if len(nets) == 1 else
-                  at.searchsorted(np.arange(len(nets) + 1) * tab.cap).tolist())
-        for net, lo, hi in zip(nets, bounds, bounds[1:]):
-            fin, delay = done[lo:hi], qdelay[lo:hi]
-            if fin.any():
-                rows = at[lo:hi][fin]
-                tab.release(rows)
-                # finish times keep the residual queueing delay and stay
-                # np.float64: fingerprints print them with repr
-                for fid, t in zip(tab.f_fid[rows].tolist(),
-                                  net.now + delay[fin]):
-                    flow = net.flow_objs[fid]
-                    flow.finish_time = t
-                    flow.bytes_sent = flow.bytes_acked = flow.size_bytes
-                    net.finished_flows.append(flow)
-                delay = delay[~fin]
-            # one draw of the network's RNG over its surviving flows
-            if delay.size and len(net.latencies) < cfg.latency_sample_cap:
-                net.latencies.append((net.now, cfg.base_rtt / 2.0 + delay[
-                    int(net.rng.integers(delay.size))]))
+        q, qmap = self._open_window(dt, steps)
+        for _ in range(steps):
+            for net in nets:
+                net.now += dt
+                net._activate_due()
+                net._acc_time += dt
+            if not tab.hi:          # no flow yet: every queue is empty
+                q._acc_qlen_area += q.q_len * dt
+                continue
+            at = tab.f_active[:tab.hi].nonzero()[0]
+            rate, src = tab.f_rate[at], tab.f_src[at]
+            n_hosts, owners = cfg.n_hosts, None
+            # (H, k), hop-major; ``take`` gathers rows at a fraction of
+            # the cost of ``f_path[at]``
+            path = tab.f_path.take(at, axis=0)
+            path = (path if qmap is None else qmap.take(path)).T
+            if self._OWNER_AXIS == "pod":
+                owners = (at // tab.cap, self._first_seen)
+            elif self._OWNER_AXIS == "replica":
+                owner = at // tab.cap
+                n_hosts *= tab.n_owners
+                src = src + owner * cfg.n_hosts
+                path = np.where(path >= 0, path + owner * self.n_queues, -1)
+            send, arrival, _ = flow_phase(
+                src, rate, path, cfg.host_rate_bps / 8.0, n_hosts,
+                len(q.q_len), owners)
+            p_mark, srv_ratio = self._integrate(q, arrival, dt)
+            qdelay, done = feedback_phase(
+                cfg, dt, tab.f_rate, tab.f_alpha, tab.f_remaining,
+                tab.f_active, at, rate, send, path, p_mark, srv_ratio,
+                q.q_len, q.q_cap)
+            bounds = ([0, len(at)] if len(nets) == 1 else at.searchsorted(
+                np.arange(len(nets) + 1) * tab.cap).tolist())
+            for net, lo, hi in zip(nets, bounds, bounds[1:]):
+                fin, delay = done[lo:hi], qdelay[lo:hi]
+                if fin.any():
+                    rows = at[lo:hi][fin]
+                    tab.release(rows)
+                    # finish times keep the residual queueing delay and
+                    # stay np.float64: fingerprints print them with repr
+                    for fid, t in zip(tab.f_fid[rows].tolist(),
+                                      net.now + delay[fin]):
+                        flow = net.flow_objs[fid]
+                        flow.finish_time = t
+                        flow.bytes_sent = flow.bytes_acked = flow.size_bytes
+                        net.finished_flows.append(flow)
+                    delay = delay[~fin]
+                # one draw of the network's RNG over its surviving flows
+                if delay.size and len(net.latencies) < cfg.latency_sample_cap:
+                    net.latencies.append((net.now, cfg.base_rtt / 2.0 + delay[
+                        int(net.rng.integers(delay.size))]))
+        self._close_window(q)
 
-    def _integrate(self, arrival: np.ndarray, on_path: np.ndarray,
+    def _open_window(self, dt: float, steps: int
+                     ) -> Tuple[Any, Optional[np.ndarray]]:
+        """The queues the next ``steps`` sub-steps run on — an object with
+        the per-queue arrays — and the map of queue ids into them
+        (``None``: the ids index them as they are).  Here the network's
+        own arrays, every queue."""
+        return self, None
+
+    def _close_window(self, q: Any) -> None:
+        """Hand the window's queues back (nothing to do on one's own)."""
+
+    def _integrate(self, q: Any, arrival: np.ndarray,
                    dt: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Integrate and account every queue; returns ``(p_mark, srv_ratio)``."""
+        """Integrate and account every queue of ``q``; returns ``(p_mark,
+        srv_ratio)``."""
         served_rate, new_qlen, drops, p_mark, srv_ratio = \
-            integrate_queue_block(self.q_len, self.q_cap, self.kmin,
-                                  self.kmax, self.pmax, arrival, dt,
+            integrate_queue_block(q.q_len, q.q_cap, q.kmin, q.kmax, q.pmax,
+                                  arrival, dt,
                                   self.config.switch_buffer_bytes)
-        account_queue_block(self._acc_tx, self._acc_marked,
-                            self._acc_qlen_area, self._acc_drops, self.q_len,
-                            served_rate, new_qlen, drops, p_mark, dt)
+        account_queue_block(q._acc_tx, q._acc_marked, q._acc_qlen_area,
+                            q._acc_drops, q.q_len, served_rate, new_qlen,
+                            drops, p_mark, dt)
         return p_mark, srv_ratio
 
 
@@ -632,17 +659,25 @@ class FlowTableMixin(_FluidStepper):
         lo, hi = pend.pop_due(self.now)
         if lo == hi:
             return
-        if self._routed is None or hi > self._routed[0] + len(self._routed[2]):
-            ahead = max(hi, int(pend.start.searchsorted(self._route_horizon,
-                                                        "right")))
-            self._routed = (lo, *self._route_batch(
-                pend.fid[lo:ahead], pend.src[lo:ahead], pend.dst[lo:ahead]))
-        r0, paths, choices = self._routed
+        r0, paths, choices = self._route_ahead(lo, hi)
         self._table.admit(
             self._owners_of(pend.src[lo:hi]), pend.fid[lo:hi],
             pend.src[lo:hi], pend.dst[lo:hi], pend.size[lo:hi],
             cfg.start_rate_fraction * cfg.host_rate_bps / 8.0,
             paths[lo - r0:hi - r0], choices[lo - r0:hi - r0])
+
+    def _route_ahead(self, lo: int, hi: int
+                     ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """``_routed``, made to hold the routes of pending rows ``[lo,
+        hi)``: when it does not, every pending row from ``lo`` up to
+        ``hi`` and to ``_route_horizon`` is routed in one call."""
+        if self._routed is None or hi > self._routed[0] + len(self._routed[2]):
+            pend = self._pending
+            ahead = max(hi, int(pend.start.searchsorted(self._route_horizon,
+                                                        "right")))
+            self._routed = (lo, *self._route_batch(
+                pend.fid[lo:ahead], pend.src[lo:ahead], pend.dst[lo:ahead]))
+        return self._routed
 
     def _refresh_routes(self) -> None:
         """Rebuild ``_live[i, j, :_n_live[i, j]]``, the uplinks up at both

@@ -16,8 +16,11 @@ one fluid step of :mod:`repro.netsim.fluid`, the **pods as its owners**:
   in pod order: edge-down is reached by its own pod at hop 0 or 2 and by
   every other pod at hop 4, agg-down at 1 and 3, core-down (no own pod)
   by every pod at hop 2, and edge-up / agg-up carry their own pod only;
-- each sub-step integrates only the **live** queues, on an active path
-  or holding bytes: any other is empty and unfed, so integrating it
+- each ``advance`` is one **window**: its sub-steps run on one compact
+  block of the queues that hold bytes when it opens or lie on the path
+  of a flow active or admitted in it, gathered once and scattered back
+  once.  Any other queue is empty and unfed for the whole window (link
+  state, ECN and flows change only between windows), so integrating it
   would change no bit.
 
 Ownership and the queue blocks are fixed by the topology, and a pod
@@ -30,22 +33,27 @@ queue with plain loops.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
-from repro.netsim.fluid import (FlowTable, FlowTableMixin, SwitchStatsMixin,
-                                account_queue_block, integrate_queue_block)
+from repro.netsim.fluid import FlowTable, FlowTableMixin, SwitchStatsMixin
 from repro.netsim.routing import ecmp_hash_array
 
 __all__ = ["ShardedFluidNetwork"]
 
-#: per-queue state arrays (attribute names), all ``(n_queues,)``
+#: per-queue arrays (attribute names), ``(n_queues,)`` but ``_qmap``,
+#: which has one more entry
 _QUEUE_FIELDS = ("q_len", "q_cap", "q_cap_nominal", "kmin", "kmax", "pmax",
                  "_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops",
-                 "_p_mark", "_srv_ratio", "q_switch")
+                 "q_switch", "_qmap")
+#: the per-queue arrays a window's block holds; a sub-step writes the
+#: first five, and only those are scattered back
+_WINDOW_FIELDS = ("q_len", "_acc_tx", "_acc_marked", "_acc_qlen_area",
+                  "_acc_drops", "q_cap", "kmin", "kmax", "pmax")
 
 
 class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
@@ -110,13 +118,13 @@ class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
                           (agg_up, core_down),
                           np.concatenate((edge_up.ravel(), agg_down.ravel())))
         #: the flow phase's first-appearance scratch, one row of queues per
-        #: pod (``pod * n_queues + queue``), all int32 max between steps
+        #: pod (``pod * |W| + q`` over the open window's ``|W|`` queues),
+        #: all int32 max between steps
         self._first_seen = np.full(n_p * n_queues, np.iinfo(np.int32).max,
                                    dtype=np.int32)
-        #: the most recent sub-step's RED mark probability and service
-        #: ratio, by global queue id; only the live queues' are current
-        self._p_mark = np.zeros(n_queues)
-        self._srv_ratio = np.ones(n_queues)
+        #: queue id -> its index in the open window's block (stale outside
+        #: it); the last entry maps the ``-1`` path padding to ``-1``
+        self._qmap = np.full(n_queues + 1, -1, dtype=np.int64)
         self._init_flows(FlowTable(n_p, cfg.initial_flow_capacity,
                                    self._MAX_HOPS, "f_core"), hpp)
 
@@ -207,38 +215,42 @@ class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
         """Advance virtual time by ``dt`` (an integer number of steps)."""
         self._advance(dt)
 
-    def _integrate(self, arrival: np.ndarray, on_path: np.ndarray,
-                   dt: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Queue integration + interval accounting of the **live** queues
-        only — every queue on an active flow's path (``on_path``, as the
-        flow phase found them) and every queue whose buffer is not exactly
-        empty (``!= 0.0``, so a NaN is never skipped) — gathered, stepped
-        as one block and scattered back.
+    def _open_window(self, dt: float, steps: int
+                     ) -> Tuple[SimpleNamespace, np.ndarray]:
+        """Gather the block the window's ``steps`` sub-steps run on: every
+        queue whose buffer is not exactly empty (``!= 0.0``, so a NaN is
+        kept), on an active flow's path, or on the path of a flow due by
+        the window's last sub-step — routed here, into the ``_routed``
+        its admission takes the route from.
 
-        Every queue left out holds no bytes and receives none, so its
-        integration is an exact no-op — ``+0.0`` on non-negative
-        accumulators, ``q_len`` stays ``0.0`` — and no path reads its
-        ``p_mark`` / ``srv_ratio``; skipping it changes no bit.
+        Every queue left out holds no bytes and receives none until the
+        window closes, so its integration would be an exact no-op —
+        ``+0.0`` on non-negative accumulators, ``q_len`` stays ``0.0`` —
+        and no path reads its ``p_mark`` / ``srv_ratio``; leaving it out
+        changes no bit.  Relabelling the queues leaves every ``bincount``
+        bin's terms and their order as they were.
         """
-        live = self.q_len != 0.0
-        live[on_path] = True
-        live = live.nonzero()[0]
-        q_len = self.q_len[live]
-        served_rate, new_qlen, drops, p_mark, srv_ratio = \
-            integrate_queue_block(q_len, self.q_cap[live], self.kmin[live],
-                                  self.kmax[live], self.pmax[live],
-                                  arrival[live], dt,
-                                  float(self.config.switch_buffer_bytes))
-        acc = [a[live] for a in (self._acc_tx, self._acc_marked,
-                                 self._acc_qlen_area, self._acc_drops)]
-        account_queue_block(*acc, q_len, served_rate, new_qlen, drops,
-                            p_mark, dt)
-        self.q_len[live] = q_len
-        (self._acc_tx[live], self._acc_marked[live],
-         self._acc_qlen_area[live], self._acc_drops[live]) = acc
-        self._p_mark[live] = p_mark
-        self._srv_ratio[live] = srv_ratio
-        return self._p_mark, self._srv_ratio
+        tab, n = self._table, self.n_queues
+        keep = np.zeros(n + 1, dtype=bool)      # keep[n]: the -1 padding
+        np.not_equal(self.q_len, 0.0, out=keep[:n])
+        keep[tab.f_path[:tab.hi][tab.f_active[:tab.hi]]] = True
+        end = self.now
+        for _ in range(steps):
+            end += dt
+        lo, hi = self._pending.due(end)
+        if hi > lo:
+            r0, paths, _ = self._route_ahead(lo, hi)
+            keep[paths[lo - r0:hi - r0]] = True
+        queues = keep[:n].nonzero()[0]
+        self._qmap[queues] = np.arange(len(queues))
+        return SimpleNamespace(queues=queues, **{
+            name: getattr(self, name)[queues] for name in _WINDOW_FIELDS}), \
+            self._qmap
+
+    def _close_window(self, q: SimpleNamespace) -> None:
+        """Scatter what the sub-steps wrote back into the fabric's arrays."""
+        for name in _WINDOW_FIELDS[:5]:
+            getattr(self, name)[q.queues] = getattr(q, name)
 
     # ------------------------------------------------------------ capacity
     def bytes_in_flight(self) -> float:
@@ -258,7 +270,8 @@ class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
                               + scratch,
                               "flow_bytes": self._table.row_bytes()}
                   for p in range(self.config.n_pods)}
-        report["core"] = {
-            "queue_bytes": (self.n_queues - self._core0) * per_queue,
+        report["core"] = {      # and ``_qmap``'s padding entry
+            "queue_bytes": (self.n_queues - self._core0) * per_queue
+            + self._qmap.itemsize,
             "flow_bytes": 0}
         return report

@@ -14,9 +14,8 @@ Two variants:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, Sequence, Tuple
+from typing import Dict, Hashable, Sequence, Tuple
 
 import numpy as np
 
@@ -41,17 +40,34 @@ class Transition:
 
 
 class ReplayBuffer:
-    """Uniform-sampling ring buffer."""
+    """Uniform-sampling ring buffer, stored as columns: ``(capacity, d)``
+    ring arrays of ``obs`` and ``next_obs`` plus action, reward and done
+    columns, allocated at the first push.  A sample gathers each column
+    once; the oldest of the buffered transitions is index 0 of the draw,
+    as in a ``deque(maxlen=capacity)``."""
 
     def __init__(self, capacity: int, rng: np.random.Generator | None = None) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._store: Deque[Transition] = deque(maxlen=capacity)
         self.rng = rng if rng is not None else fallback_rng(0)
+        self._cols: Tuple[np.ndarray, ...] = ()
+        self._len = 0
+        self._next = 0              # the ring row the next push writes
 
     def push(self, t: Transition) -> None:
-        self._store.append(t)
+        if not self._cols:
+            cap = self.capacity
+            self._cols = (np.empty((cap,) + t.obs.shape, t.obs.dtype),
+                          np.empty(cap, dtype=np.int64), np.empty(cap),
+                          np.empty((cap,) + t.next_obs.shape, t.next_obs.dtype),
+                          np.empty(cap, dtype=bool))
+        i = self._next
+        for col, value in zip(self._cols, (t.obs, t.action, t.reward,
+                                           t.next_obs, t.done)):
+            col[i] = value
+        self._next = (i + 1) % self.capacity
+        self._len = min(self._len + 1, self.capacity)
 
     def add(self, obs, action, reward, next_obs, done) -> None:
         self.push(Transition(np.asarray(obs, dtype=np.float64).ravel(), int(action),
@@ -60,25 +76,27 @@ class ReplayBuffer:
                              bool(done)))
 
     def __len__(self) -> int:
-        return len(self._store)
+        return self._len
 
     def sample(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                                np.ndarray, np.ndarray]:
-        """Sample with replacement; returns stacked arrays."""
-        if len(self._store) == 0:
+        """Sample with replacement; returns ``(obs, actions, rewards,
+        next_obs, dones)`` arrays."""
+        if self._len == 0:
             raise ValueError("cannot sample from an empty buffer")
-        idx = self.rng.integers(len(self._store), size=batch_size)
-        batch = [self._store[i] for i in idx]
-        obs = np.stack([t.obs for t in batch])
-        actions = np.array([t.action for t in batch], dtype=np.int64)
-        rewards = np.array([t.reward for t in batch])
-        next_obs = np.stack([t.next_obs for t in batch])
-        dones = np.array([t.done for t in batch], dtype=bool)
+        idx = self.rng.integers(self._len, size=batch_size)
+        rows = (self._next - self._len + idx) % self.capacity
+        obs, actions, rewards, next_obs, dones = (
+            col.take(rows, axis=0) for col in self._cols)
         return obs, actions, rewards, next_obs, dones
 
     def nbytes(self) -> int:
-        """Resident memory estimate of the buffered transitions."""
-        return sum(t.nbytes() for t in self._store)
+        """Resident memory estimate of the buffered transitions, as the
+        sum of their :meth:`Transition.nbytes`."""
+        if not self._cols:
+            return 0
+        obs, _, _, next_obs, _ = self._cols
+        return self._len * int(obs[0].nbytes + next_obs[0].nbytes + 8 + 8 + 1)
 
 
 class GlobalReplayBuffer:

@@ -1,5 +1,7 @@
 """Tests for IPPO orchestration, replay buffers, and Double DQN."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,33 @@ class TestReplayBuffer:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             ReplayBuffer(0)
+
+    @pytest.mark.parametrize("pushes", [1, 5, 7, 8, 23])
+    def test_columns_sample_what_a_deque_of_transitions_samples(self, pushes):
+        """The ring columns against the ``deque(maxlen=capacity)`` of
+        transitions they replaced, over the same ``rng.integers`` draws:
+        the same rows, bit for bit, oldest transition first, before and
+        after the ring wraps; and the same ``nbytes``."""
+        rng = np.random.default_rng(3)
+        buf = ReplayBuffer(7, rng=np.random.default_rng(11))
+        ref, ref_rng = deque(maxlen=7), np.random.default_rng(11)
+        for _ in range(pushes):
+            t = Transition(rng.standard_normal(4), int(rng.integers(9)),
+                           float(rng.standard_normal()),
+                           rng.standard_normal(4), bool(rng.integers(2)))
+            buf.push(t)
+            ref.append(t)
+            assert len(buf) == len(ref)
+            assert buf.nbytes() == sum(r.nbytes() for r in ref)
+            batch = [ref[i] for i in ref_rng.integers(len(ref), size=6)]
+            want = (np.stack([r.obs for r in batch]),
+                    np.array([r.action for r in batch], dtype=np.int64),
+                    np.array([r.reward for r in batch]),
+                    np.stack([r.next_obs for r in batch]),
+                    np.array([r.done for r in batch], dtype=bool))
+            for got, expect in zip(buf.sample(6), want):
+                assert got.dtype == expect.dtype
+                assert got.tobytes() == expect.tobytes()
 
 
 class TestGlobalReplayBuffer:

@@ -6,10 +6,12 @@ Over a run with no ``queue_stats()`` reset, for every queue ``q``::
     Σ arrival[q]·Δt == _acc_tx[q] + _acc_drops[q] + (q_len[q] at the end − at the start)
 
 to a relative 1e-12, on a solo network, every replica of a batch and a
-fat-tree (which integrates only its live queues).  The arrivals are what
-``flow_phase`` hands the step, taken by wrapping it, so the ledger does
-not rest on the integration it checks; buffers small enough for incast
-to drop bytes put the drop term in it.
+fat-tree.  The arrivals are what ``flow_phase`` hands the step, taken by
+wrapping it, so the ledger does not rest on the integration it checks;
+the fat-tree steps each ``advance`` on a block of its queues, and the
+block's arrivals are mapped back to queue ids through the window's queue
+list.  Buffers small enough for incast to drop bytes put the drop term
+in it.
 """
 
 import dataclasses
@@ -63,15 +65,25 @@ def _ledger_run(kind, n_flows, seed, buffer_bytes, steps):
     start = [net.q_len.copy() for net in nets]
     arrived = np.zeros(sum(len(q) for q in start))
     real = fluid_mod.flow_phase
+    #: the open window's queue ids (the fat-tree's); all of them otherwise
+    window = [slice(None)]
+    open_window = stepper._open_window
+
+    def opened(*args):
+        q, qmap = open_window(*args)
+        if qmap is not None:
+            window[0] = q.queues
+        return q, qmap
 
     def spy(*args, **kwargs):
         _, arrival, on_path = out = real(*args, **kwargs)
         # a queue is fed only from the on-path hops the step integrates
         assert np.isin(np.flatnonzero(arrival), on_path).all()
-        arrived[:] += arrival * cfg.step_dt
+        arrived[window[0]] += arrival * cfg.step_dt
         return out
 
-    with mock.patch.object(fluid_mod, "flow_phase", spy):
+    with mock.patch.object(fluid_mod, "flow_phase", spy), \
+            mock.patch.object(stepper, "_open_window", opened):
         stepper.advance(steps * cfg.step_dt)
     out, lo = [], 0
     for net, q0 in zip(nets, start):

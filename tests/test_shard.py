@@ -22,7 +22,7 @@ from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import flow_phase
 from repro.netsim.routing import ecmp_hash, splitmix64
-from repro.netsim import shard as shard_mod
+from repro.netsim import fluid as fluid_mod
 from repro.netsim.shard import ShardedFluidNetwork
 from repro.fingerprint import fingerprint
 from tests.owner_tables import flow_table_state, owner_tables
@@ -143,7 +143,7 @@ class TestPinnedFingerprints:
 #: taken from ``src/``
 _PER_QUEUE = ("q_len", "q_cap", "q_cap_nominal", "kmin", "kmax", "pmax",
               "_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops",
-              "_p_mark", "_srv_ratio", "q_switch", "_first_seen")
+              "q_switch", "_qmap", "_first_seen")
 #: ... and the columns of its flow table
 _PER_FLOW = ("f_src", "f_dst", "f_size", "f_remaining", "f_rate",
              "f_alpha", "f_active", "f_core", "f_path", "f_fid")
@@ -562,12 +562,20 @@ def test_sharded_flow_tables_survive_divergence_and_reroutes(
 
 
 # ------------------------------------------------------------- live queues
+def _block_state(q):
+    return {name: getattr(q, name).copy() for name in
+            ("q_len", "_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops")}
+
+
 def test_integration_work_follows_live_queues(monkeypatch):
-    """Every sub-step integrates one block of exactly the queues on an
-    active flow's path or holding bytes — counted here with plain loops
-    over the pod tables — through an incast whose flows finish while
-    their queues still drain, and an empty block once the fabric has
-    drained."""
+    """Every ``advance`` steps one block of exactly the queues that hold
+    bytes when it opens or lie on the path of a flow active at any of its
+    sub-steps — counted here with plain loops over the pod tables — and a
+    block queue that is not live at a sub-step (empty and on no active
+    path) leaves it with ``q_len == 0.0`` and bit-unchanged accumulators.
+    Windows of 1 to 20 sub-steps, through an incast whose flows finish
+    while their queues still drain (a window holds that backlog though no
+    flow crosses it), and an empty block once the fabric has drained."""
     cfg = FatTreeConfig.production_scale()
     net = ShardedFluidNetwork(cfg, seed=0)
     _load(net, cfg, n_flows=60, spread=1e-3, hot=3)
@@ -575,27 +583,60 @@ def test_integration_work_follows_live_queues(monkeypatch):
     # same step, with h0's queue still deep
     net.start_flows([Flow(100 + k, f"h{k}", "h0", 200_000)
                      for k in range(1, cfg.hosts_per_edge)])
-    calls = []
-    real = shard_mod.integrate_queue_block
+    windows = []
+    open_window, close_window = net._open_window, net._close_window
+    real_flow_phase = fluid_mod.flow_phase
 
-    def spy(q_len, *args):
-        on_path = {int(q) for tab in owner_tables(net)
-                   for i in range(tab.n_flows) if tab.f_active[i]
-                   for q in tab.f_path[i] if q >= 0}
+    def opened(dt, steps):
         backlog = {q for q in range(net.n_queues) if net.q_len[q] != 0.0}
-        calls.append((len(q_len), len(on_path | backlog),
-                      len(backlog - on_path)))
-        return real(q_len, *args)
+        q, qmap = open_window(dt, steps)
+        windows.append({"block": q, "steps": steps, "backlog": backlog,
+                        "on_path": set(), "live": [], "states": []})
+        return q, qmap
 
-    monkeypatch.setattr(shard_mod, "integrate_queue_block", spy)
+    def spy(*args, **kwargs):
+        w = windows[-1]
+        q = w["block"]
+        on_path = {int(g) for tab in owner_tables(net)
+                   for i in range(tab.n_flows) if tab.f_active[i]
+                   for g in tab.f_path[i] if g >= 0}
+        w["on_path"] |= on_path
+        w["live"].append(on_path | {int(g) for g, b in zip(q.queues, q.q_len)
+                                    if b != 0.0})
+        w["states"].append(_block_state(q))
+        return real_flow_phase(*args, **kwargs)
+
+    def closed(q):
+        windows[-1]["states"].append(_block_state(q))
+        close_window(q)
+
+    monkeypatch.setattr(net, "_open_window", opened)
+    monkeypatch.setattr(net, "_close_window", closed)
+    monkeypatch.setattr(fluid_mod, "flow_phase", spy)
+    # the incast flows finish on sub-step 11, so the window opening on
+    # sub-step 12 holds h0's backlog with no flow left on its path
+    lengths = (1, 7, 3, 20)
     while net.active_flow_count() or net.q_len.any():
-        net._step(cfg.step_dt)
-        assert len(calls) < 5_000
-    net._step(cfg.step_dt)
-    assert [block for block, _, _ in calls] == [live for _, live, _ in calls]
-    assert max(off_path for _, _, off_path in calls) > 0
+        net.advance(lengths[len(windows) % 4] * cfg.step_dt)
+        assert len(windows) < 1_000
+    net.advance(7 * cfg.step_dt)
+    off_path = 0
+    for w in windows:
+        block = w["block"].queues.tolist()
+        assert block == sorted(w["backlog"] | w["on_path"])
+        assert len(w["states"]) == w["steps"] + 1
+        off_path += len(w["backlog"] - w["on_path"])
+        for live, before, after in zip(w["live"], w["states"],
+                                       w["states"][1:]):
+            idle = np.array([g not in live for g in block], dtype=bool)
+            assert (after["q_len"][idle] == 0.0).all()
+            for name in ("_acc_tx", "_acc_marked", "_acc_qlen_area",
+                         "_acc_drops"):
+                assert after[name][idle].tobytes() == \
+                    before[name][idle].tobytes(), name
+    assert off_path > 0
     assert len(net.finished_flows) == len(net.flow_objs)
-    assert calls[-1][0] == 0
+    assert len(windows[-1]["block"].queues) == 0
 
 
 def test_nan_buffer_off_every_path_is_still_integrated():
