@@ -30,7 +30,8 @@ ALL_SCHEMES = ("pet", "acc", "secn1", "secn2")
 
 
 def bench_fabric() -> FluidConfig:
-    """The benchmark fabric: a 64-host leaf-spine at 10/40 Gbps.
+    """The benchmark fabric: a 32-host leaf-spine (4 leaves × 8 hosts,
+    2 spines) at 10/40 Gbps.
 
     Proportionally identical to the paper's 288-host 25/100 Gbps fabric
     (4:1 fabric:host rate, same 2-tier shape), scaled down so the full

@@ -6,13 +6,13 @@ the paper's evaluation reports (normalized FCT buckets, queue-length
 statistics, latency, utilization, and — for ACC — the global-replay
 overhead meters).
 
-The default substrate is the fluid model (DESIGN.md §2) on a
-64-host fabric; pass ``simulator="packet"`` for packet-level runs
-(slower, smaller horizons) or ``simulator="fluid_shard"`` for the
-spatially-sharded multi-pod fat-tree (docs/TOPOLOGIES.md).  Learning
-schemes are offline pre-trained on an identically-distributed training
-run before the measured run, exactly the paper's hybrid offline+online
-regime (§4.4).
+The default substrate is the fluid model (DESIGN.md §2) on a 32-host
+fabric (4 leaves × 8 hosts, 2 spines); pass ``simulator="packet"`` for
+packet-level runs (slower, smaller horizons) or
+``simulator="fluid_shard"`` for the spatially-sharded multi-pod fat-tree
+(docs/TOPOLOGIES.md).  Learning schemes are offline pre-trained on an
+identically-distributed training run before the measured run, exactly
+the paper's hybrid offline+online regime (§4.4).
 
 Every evaluation beyond Fig. 4 is a change to one scenario, so it is a
 field of :class:`ScenarioConfig`: a traffic-pattern schedule

@@ -24,14 +24,15 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.netsim.ecn import ECNConfig
-from repro.netsim.fluid import FlowTable, FluidConfig, FluidNetwork, _FluidStepper
+from repro.netsim.fluid import (FlowTable, FluidConfig, FluidNetwork,
+                                _bind_acc, _FluidStepper)
 from repro.netsim.network import QueueStats
 
 __all__ = ["BatchCompatError", "BatchFluidNetwork"]
 
-#: the per-queue arrays a replica keeps in its block of the batch's
-_QUEUE_1D = ("q_len", "q_cap", "kmin", "kmax", "pmax",
-             "_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops")
+#: the per-queue arrays a replica keeps in its block of the batch's (and
+#: its column block of the batch's ``(4, R*Q)`` accumulators)
+_QUEUE_1D = ("q_len", "q_cap", "kmin", "kmax", "pmax")
 
 
 class BatchCompatError(ValueError):
@@ -120,7 +121,9 @@ class BatchFluidNetwork(_FluidStepper):
             setattr(self, name, flat)
             for r, net in enumerate(nets):
                 setattr(net, name, flat[r * q:(r + 1) * q])
+        _bind_acc(self, np.concatenate([net._acc for net in nets], axis=1))
         for r, net in enumerate(nets):
+            _bind_acc(net, self._acc[:, r * q:(r + 1) * q])
             net._table, net._owners, net._batch = self._table, range(r, r + 1), self
 
     # ------------------------------------------------------------ accessors
@@ -160,6 +163,7 @@ class BatchFluidNetwork(_FluidStepper):
         for r, net in enumerate(self._nets):
             for name in _QUEUE_1D:
                 setattr(net, name, getattr(net, name).copy())
+            _bind_acc(net, net._acc.copy())
             net._table = FlowTable.stack([(self._table, r)])
             net._owners, net._batch = range(1), None
         self._detached = True

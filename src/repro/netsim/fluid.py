@@ -20,10 +20,9 @@ ACC and the static baselines run unmodified on either simulator.
 Every fluid network — solo, batch (:mod:`repro.netsim.batchfluid`) and
 fat-tree (:mod:`repro.netsim.shard`) — keeps its flows in one
 :class:`FlowTable` of ``(n_owners, cap)`` rows and is stepped by the one
-:meth:`_FluidStepper._step`: :func:`flow_phase`,
-:func:`integrate_queue_block` (+ :func:`account_queue_block`) and
-:func:`feedback_phase` over the active rows (docs/PERFORMANCE.md, "One
-flow table, one step"; ``tests/test_step_oracle.py`` holds the
+:meth:`_FluidStepper._step`: :func:`flow_phase`, :func:`queue_phase`
+and :func:`feedback_phase` over the active rows (docs/PERFORMANCE.md,
+"One flow table, one step"; ``tests/test_step_oracle.py`` holds the
 plain-loop oracle).
 """
 
@@ -45,8 +44,10 @@ from repro.netsim.routing import ecmp_hash_array
 from repro.obs.metrics import get_registry
 
 __all__ = ["FluidConfig", "FluidNetwork", "FlowTable", "FlowTableMixin",
-           "SwitchStatsMixin", "flow_phase", "integrate_queue_block",
-           "account_queue_block", "feedback_phase"]
+           "SwitchStatsMixin", "flow_phase", "queue_phase", "feedback_phase"]
+
+#: the rows of an ``_acc`` block: the interval accumulators, in order
+_ACC_ROWS = ("_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops")
 
 
 @dataclass
@@ -125,7 +126,8 @@ class FluidConfig:
 
 def flow_phase(src: np.ndarray, rate: np.ndarray, path: np.ndarray,
                line: float, n_hosts: int, n_queues: int,
-               owners: Optional[Tuple[np.ndarray, np.ndarray]] = None
+               owners: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+               flow_ix: Optional[np.ndarray] = None
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """NIC sharing + per-queue arrival reduction over the ``k`` active flows.
 
@@ -135,7 +137,10 @@ def flow_phase(src: np.ndarray, rate: np.ndarray, path: np.ndarray,
     a network's own, or replica-offset ids (``r*n_hosts + h``,
     ``r*Q + q``) when several networks step as one.  Returns each flow's
     send rate, the arrival rate of every queue, and the queue of every
-    on-path hop, hop-major (``path[path >= 0]``).
+    on-path hop, hop-major (``path[path >= 0]``).  ``flow_ix`` is
+    ``path``'s shape of flow numbers (``flow_ix[h, i] == i``); a caller
+    that steps many times passes a slice of one broadcast ``arange``
+    instead of having one built per call.
 
     Flows are summed into a queue in hop-major flow order — one
     ``bincount``, which adds in appearance order.  Where owners can share
@@ -150,17 +155,16 @@ def flow_phase(src: np.ndarray, rate: np.ndarray, path: np.ndarray,
     is own pod first, then pod order (:mod:`repro.netsim.shard`) — the
     association of a per-pod exchange.
     """
-    # cap the sum of a host's flow rates at line rate
+    # cap the sum of a host's flow rates at line rate; a host at or under
+    # it (or NaN, which ``fmax`` skips) scales by ``line / line``, 1.0
     per_src = np.bincount(src, weights=rate, minlength=n_hosts)
-    over = per_src > line
     send = rate
-    if over.any():
-        scale_src = np.ones(n_hosts)
-        scale_src[over] = line / per_src[over]
-        send = rate * scale_src[src]
+    if np.logical_or.reduce(per_src > line):
+        send = rate * (line / np.fmax(per_src, line))[src]
     ok = path >= 0
-    # hop-major, like path[ok]; half the cost of ok.nonzero()[1]
-    flow = np.broadcast_to(np.arange(path.shape[1]), path.shape)[ok]
+    if flow_ix is None:
+        flow_ix = np.broadcast_to(np.arange(path.shape[1]), path.shape)
+    flow = flow_ix[ok]      # hop-major, like path[ok]
     weights, queues = send[flow], path[ok]
     if owners is None:
         return send, np.bincount(queues, weights=weights,
@@ -175,92 +179,141 @@ def flow_phase(src: np.ndarray, rate: np.ndarray, path: np.ndarray,
                              minlength=n_queues), queues
 
 
-def integrate_queue_block(q_len: np.ndarray, q_cap: np.ndarray,
-                          kmin: np.ndarray, kmax: np.ndarray,
-                          pmax: np.ndarray, arrival: np.ndarray,
-                          dt: float, buffer_bytes: float) -> Tuple[
-                              np.ndarray, np.ndarray, np.ndarray,
-                              np.ndarray, np.ndarray]:
-    """One Δt of queue integration + RED marking for a block of queues.
+def _bind_acc(obj: Any, acc: np.ndarray) -> None:
+    """Make the ``(4, n)`` block ``acc`` ``obj``'s interval accumulators:
+    ``obj._acc`` and its row views, named by :data:`_ACC_ROWS`."""
+    obj._acc = acc
+    for name, row in zip(_ACC_ROWS, acc):
+        setattr(obj, name, row)
 
-    Returns ``(served_rate, new_qlen, drops, p_mark, srv_ratio)``.
+
+class _QueueWindow:
+    """The queues one window's sub-steps run on, and the window's scratch.
+
+    ``q_len``, ``q_cap``, ``kmin``, ``kmax``, ``pmax`` and the ``(4, n)``
+    accumulator block ``_acc`` are a network's own arrays (solo, batch)
+    or a block gathered from them (the fat-tree, whose ``queues`` are
+    the block's queue ids).  Link state and ECN change only between
+    windows, so the RED ``span`` is computed once, here.  ``hop`` is the
+    hop table: per queue, the three values the feedback reads — ``1 −
+    p_mark``, ``srv_ratio``, ``q_len / q_cap`` — written by
+    :func:`queue_phase`, and a last column holding the identity
+    ``(1.0, 1.0, 0.0)``, which a ``-1`` path pad reads.  ``inc`` holds a
+    sub-step's four accumulator increments (``inc_rows``: its rows, in
+    ``_acc``'s order).
+    """
+
+    def __init__(self, q_len: np.ndarray, q_cap: np.ndarray,
+                 kmin: np.ndarray, kmax: np.ndarray, pmax: np.ndarray,
+                 acc: np.ndarray, queues: Optional[np.ndarray] = None
+                 ) -> None:
+        n = len(q_len)
+        self.q_len, self.q_cap, self.queues = q_len, q_cap, queues
+        self.kmin, self.kmax, self.pmax = kmin, kmax, pmax
+        _bind_acc(self, acc)
+        self.span = np.maximum(kmax - kmin, 1.0)
+        self.hop = np.empty((3, n + 1))
+        self.hop[:, n] = (1.0, 1.0, 0.0)
+        self.no_mark, self.srv_ratio, self.delay = self.hop[:, :n]
+        self.inc = np.empty((4, n))
+        self.inc_rows = tuple(self.inc)
+
+
+class _StepScalars:
+    """The scalars of a Δt sub-step of ``cfg``'s fabric, as 0-d float64
+    arrays: NumPy takes a 0-d operand at about half the dispatch cost of
+    a Python float, and converts the float to the same float64 value."""
+
+    def __init__(self, cfg: Any, dt: float) -> None:
+        line = cfg.host_rate_bps / 8.0
+        for name, value in (
+                ("zero", 0.0), ("half", 0.5), ("one", 1.0), ("dt", dt),
+                ("buffer_bytes", cfg.switch_buffer_bytes), ("line", line),
+                ("keep", 1.0 - cfg.g), ("g", cfg.g),
+                ("md_gain", cfg.md_gain), ("marked", 1e-3),
+                ("ai_step", cfg.ai_fraction * line),
+                ("min_rate", cfg.min_rate_fraction * line)):
+            setattr(self, name, np.array(value, dtype=np.float64))
+
+
+def queue_phase(q: _QueueWindow, arrival: np.ndarray,
+                c: _StepScalars) -> None:
+    """One Δt of integration, RED marking and interval accounting for
+    every queue of the window ``q``, in place: the new queue lengths, the
+    accumulators and the hop table.
+
     Every operation is elementwise per queue, so which other queues —
     another replica's, another pod's — share the call never changes an
-    element.  Clamps are ``maximum``/``minimum`` pairs: ``np.clip`` gives
-    the same bits at two to three times the dispatch cost, and dispatch
-    is what a step on a small fabric is made of.
+    element, and adding the four increments as one ``(4, n)`` block adds
+    each accumulator element the same one term.  Clamps are
+    ``maximum``/``minimum`` pairs: ``np.clip`` gives the same bits at two
+    to three times the dispatch cost, and dispatch is what a step on a
+    small fabric is made of.
     """
+    q_len, q_cap, inc, dt, zero = q.q_len, q.q_cap, q.inc, c.dt, c.zero
+    tx, marked, area, drops = q.inc_rows
     served_rate = np.minimum(arrival + q_len / dt, q_cap)
-    new_qlen = np.maximum(q_len + (arrival - q_cap) * dt, 0.0)
-    drops = np.maximum(new_qlen - buffer_bytes, 0.0)
-    new_qlen = np.minimum(new_qlen, buffer_bytes)
+    new_qlen = np.maximum(q_len + (arrival - q_cap) * dt, zero)
+    np.maximum(new_qlen - c.buffer_bytes, zero, out=drops)
+    np.minimum(new_qlen, c.buffer_bytes, out=new_qlen)
     # RED mark probability on instantaneous occupancy
-    span = np.maximum(kmax - kmin, 1.0)
-    p_mark = np.minimum(np.maximum((new_qlen - kmin) / span, 0.0), 1.0) * pmax
-    p_mark = np.where(new_qlen >= kmax, 1.0, p_mark)
-    srv_ratio = q_cap / np.maximum(arrival, q_cap)   # <=1 where overloaded
-    return served_rate, new_qlen, drops, p_mark, srv_ratio
+    p_mark = np.minimum(np.maximum((new_qlen - q.kmin) / q.span, zero),
+                        c.one) * q.pmax
+    np.putmask(p_mark, new_qlen >= q.kmax, c.one)
+    np.multiply(served_rate, dt, out=tx)
+    np.multiply(tx, p_mark, out=marked)
+    np.multiply(c.half * (q_len + new_qlen), dt, out=area)
+    q._acc += inc
+    np.subtract(c.one, p_mark, out=q.no_mark)
+    # <=1 where overloaded
+    np.divide(q_cap, np.maximum(arrival, q_cap), out=q.srv_ratio)
+    np.divide(new_qlen, q_cap, out=q.delay)
+    q_len[...] = new_qlen
 
 
-def account_queue_block(acc_tx: np.ndarray, acc_marked: np.ndarray,
-                        acc_qlen_area: np.ndarray, acc_drops: np.ndarray,
-                        q_len: np.ndarray, served_rate: np.ndarray,
-                        new_qlen: np.ndarray, drops: np.ndarray,
-                        p_mark: np.ndarray, dt: float) -> None:
-    """Add one integrated Δt to the interval accumulators and commit the
-    new queue lengths — in place: ``q_len`` may be a replica's row of
-    batch storage."""
-    tx = served_rate * dt
-    acc_tx += tx
-    acc_marked += tx * p_mark
-    acc_qlen_area += 0.5 * (q_len + new_qlen) * dt
-    acc_drops += drops
-    np.copyto(q_len, new_qlen)
+def feedback_phase(c: _StepScalars, tab: "FlowTable", at: np.ndarray,
+                   rate: np.ndarray, send: np.ndarray, path: np.ndarray,
+                   hop: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per-hop feedback, DCQCN-like AIMD and progress of the ``k``
+    active flows; returns their queueing delay and, if any of them
+    finished, which (else ``None``).
 
-
-def feedback_phase(cfg: Any, dt: float, f_rate: np.ndarray,
-                   f_alpha: np.ndarray, f_remaining: np.ndarray,
-                   f_active: np.ndarray, at: Any, rate: np.ndarray,
-                   send: np.ndarray, path: np.ndarray, p_mark: np.ndarray,
-                   srv_ratio: np.ndarray, q_len: np.ndarray,
-                   q_cap: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-hop feedback, DCQCN-like AIMD and progress of the ``k`` active
-    flows; returns their queueing delay and which of them finished.
-
-    ``at`` holds the flows' rows of the flat ``f_*`` columns; ``rate``,
-    ``send`` and ``path`` are what :func:`flow_phase` took and returned.
-    Rate, alpha and bytes remaining are updated in place, and a finished
-    flow's slot is deactivated with nothing left to send.
+    ``at`` holds the flows' rows of ``tab``; ``rate``, ``send`` and
+    ``path`` are what :func:`flow_phase` took and returned, and ``hop``
+    is the window's hop table (:class:`_QueueWindow`), read back after
+    integration.  Rate, alpha and bytes remaining are updated in place,
+    and a finished flow's slot is deactivated with nothing left to send.
     """
-    # Queue state along each path, read back after integration.  A padded
-    # hop (-1) reads the last queue and is replaced by the identity
-    # (x1.0, min 1.0, +0.0), so every flow sees its own hops in order.
-    ok = path >= 0
-    hop_no_mark = np.where(ok, 1.0 - p_mark[path], 1.0)
-    hop_srv = np.where(ok, srv_ratio[path], 1.0)
-    hop_delay = np.where(ok, q_len[path] / q_cap[path], 0.0)
+    # One gather of the queue state along every path; a padded hop (-1)
+    # reads the identity column (x1.0, min 1.0, +0.0), so every flow sees
+    # its own hops in order.  The hops are combined by a loop, in hop
+    # order: ``add.reduce`` over the hop axis may sum pairwise.
+    on_path = hop.take(path, axis=1)
+    hop_no_mark, hop_srv, hop_delay = on_path[0], on_path[1], on_path[2]
     no_mark, bottleneck, qdelay = hop_no_mark[0], hop_srv[0], hop_delay[0]
-    for hop in range(1, len(path)):
-        no_mark = no_mark * hop_no_mark[hop]
-        bottleneck = np.minimum(bottleneck, hop_srv[hop])
-        qdelay = qdelay + hop_delay[hop]
-    mark_frac = 1.0 - no_mark
+    for h in range(1, len(path)):
+        no_mark = no_mark * hop_no_mark[h]
+        bottleneck = np.minimum(bottleneck, hop_srv[h])
+        qdelay = qdelay + hop_delay[h]
+    mark_frac = c.one - no_mark
 
-    line = cfg.host_rate_bps / 8.0
-    a = (1.0 - cfg.g) * f_alpha[at] + cfg.g * mark_frac
-    f_alpha[at] = a
-    cut = 1.0 - (a * 0.5 * cfg.md_gain * mark_frac)
-    new_rate = np.where(mark_frac > 1e-3, rate * cut,
-                        rate + cfg.ai_fraction * line)
-    f_rate[at] = np.minimum(
-        np.maximum(new_rate, cfg.min_rate_fraction * line), line)
+    a = c.keep * tab.f_alpha[at] + c.g * mark_frac
+    tab.f_alpha[at] = a
+    cut = c.one - (a * c.half * c.md_gain * mark_frac)
+    new_rate = rate + c.ai_step
+    np.putmask(new_rate, mark_frac > c.marked, rate * cut)
+    np.maximum(new_rate, c.min_rate, out=new_rate)
+    np.minimum(new_rate, c.line, out=new_rate)
+    tab.f_rate[at] = new_rate
 
-    remaining = f_remaining[at] - send * bottleneck * dt
-    done = remaining <= 0.0
-    if done.any():
-        remaining[done] = 0.0
-        f_active[at] = ~done
-    f_remaining[at] = remaining
+    remaining = tab.f_remaining[at] - send * bottleneck * c.dt
+    done = remaining <= c.zero
+    if np.logical_or.reduce(done):
+        remaining[done] = c.zero
+        tab.f_active[at] = ~done
+    else:
+        done = None
+    tab.f_remaining[at] = remaining
     return qdelay, done
 
 
@@ -426,7 +479,10 @@ class FlowTable:
             self._resize(cap)
         rows = [r * cap + i for r, i in zip(owners, slots)]
         self.hi = max(self.hi, max(rows) + 1)
-        at = np.array(rows)
+        # one flow (most sub-steps' admission) scatters through a slice,
+        # at a fraction of the cost of an index array
+        at = (slice(rows[0], rows[0] + 1) if len(rows) == 1
+              else np.array(rows))
         self.f_fid[at] = fid
         self.f_src[at] = src
         self.f_dst[at] = dst
@@ -477,6 +533,10 @@ class _FluidStepper:
         (:meth:`_open_window`); ``qmap`` relabels the paths into them."""
         cfg, tab, nets = self.config, self._table, self._nets
         q, qmap = self._open_window(dt, steps)
+        c = _StepScalars(cfg, dt)
+        # flow numbers, ``flow_ix[h, i] == i``, grown to the most flows
+        # active at once so far; each sub-step slices its ``(H, k)``
+        flow_ix = np.empty((tab.hops, 0), dtype=np.intp)
         for _ in range(steps):
             for net in nets:
                 net.now += dt
@@ -486,6 +546,9 @@ class _FluidStepper:
                 q._acc_qlen_area += q.q_len * dt
                 continue
             at = tab.f_active[:tab.hi].nonzero()[0]
+            k = len(at)
+            if k > flow_ix.shape[1]:
+                flow_ix = np.broadcast_to(np.arange(2 * k), (tab.hops, 2 * k))
             rate, src = tab.f_rate[at], tab.f_src[at]
             n_hosts, owners = cfg.n_hosts, None
             # (H, k), hop-major; ``take`` gathers rows at a fraction of
@@ -499,59 +562,52 @@ class _FluidStepper:
                 n_hosts *= tab.n_owners
                 src = src + owner * cfg.n_hosts
                 path = np.where(path >= 0, path + owner * self.n_queues, -1)
-            send, arrival, _ = flow_phase(
-                src, rate, path, cfg.host_rate_bps / 8.0, n_hosts,
-                len(q.q_len), owners)
-            p_mark, srv_ratio = self._integrate(q, arrival, dt)
-            qdelay, done = feedback_phase(
-                cfg, dt, tab.f_rate, tab.f_alpha, tab.f_remaining,
-                tab.f_active, at, rate, send, path, p_mark, srv_ratio,
-                q.q_len, q.q_cap)
-            bounds = ([0, len(at)] if len(nets) == 1 else at.searchsorted(
-                np.arange(len(nets) + 1) * tab.cap).tolist())
+            send, arrival, _ = flow_phase(src, rate, path, c.line, n_hosts,
+                                          len(q.q_len), owners,
+                                          flow_ix[:, :k])
+            queue_phase(q, arrival, c)
+            qdelay, done = feedback_phase(c, tab, at, rate, send, path, q.hop)
+            if len(nets) == 1:
+                self._close_substep(nets[0], at, done, qdelay)
+                continue
+            bounds = at.searchsorted(
+                np.arange(len(nets) + 1) * tab.cap).tolist()
             for net, lo, hi in zip(nets, bounds, bounds[1:]):
-                fin, delay = done[lo:hi], qdelay[lo:hi]
-                if fin.any():
-                    rows = at[lo:hi][fin]
-                    tab.release(rows)
-                    # finish times keep the residual queueing delay and
-                    # stay np.float64: fingerprints print them with repr
-                    for fid, t in zip(tab.f_fid[rows].tolist(),
-                                      net.now + delay[fin]):
-                        flow = net.flow_objs[fid]
-                        flow.finish_time = t
-                        flow.bytes_sent = flow.bytes_acked = flow.size_bytes
-                        net.finished_flows.append(flow)
-                    delay = delay[~fin]
-                # one draw of the network's RNG over its surviving flows
-                if delay.size and len(net.latencies) < cfg.latency_sample_cap:
-                    net.latencies.append((net.now, cfg.base_rtt / 2.0 + delay[
-                        int(net.rng.integers(delay.size))]))
+                fin = None if done is None else done[lo:hi]
+                self._close_substep(net, at[lo:hi], fin, qdelay[lo:hi])
         self._close_window(q)
 
+    def _close_substep(self, net: Any, at: np.ndarray,
+                       fin: Optional[np.ndarray], delay: np.ndarray) -> None:
+        """``net``'s completion records of its active rows ``at`` (``fin``:
+        which finished; ``None`` if none did) and its latency sample."""
+        cfg, tab = self.config, self._table
+        if fin is not None and np.logical_or.reduce(fin):
+            rows = at[fin]
+            tab.release(rows)
+            # finish times keep the residual queueing delay and stay
+            # np.float64: fingerprints print them with repr
+            for fid, t in zip(tab.f_fid[rows].tolist(), net.now + delay[fin]):
+                flow = net.flow_objs[fid]
+                flow.finish_time = t
+                flow.bytes_sent = flow.bytes_acked = flow.size_bytes
+                net.finished_flows.append(flow)
+            delay = delay[~fin]
+        # one draw of the network's RNG over its surviving flows
+        if delay.size and len(net.latencies) < cfg.latency_sample_cap:
+            net.latencies.append((net.now, cfg.base_rtt / 2.0 + delay[
+                int(net.rng.integers(delay.size))]))
+
     def _open_window(self, dt: float, steps: int
-                     ) -> Tuple[Any, Optional[np.ndarray]]:
-        """The queues the next ``steps`` sub-steps run on — an object with
-        the per-queue arrays — and the map of queue ids into them
-        (``None``: the ids index them as they are).  Here the network's
-        own arrays, every queue."""
-        return self, None
+                     ) -> Tuple[_QueueWindow, Optional[np.ndarray]]:
+        """The queues the next ``steps`` sub-steps run on and the map of
+        queue ids into them (``None``: the ids index them as they are).
+        Here the network's own arrays, every queue."""
+        return _QueueWindow(self.q_len, self.q_cap, self.kmin, self.kmax,
+                            self.pmax, self._acc), None
 
-    def _close_window(self, q: Any) -> None:
+    def _close_window(self, q: _QueueWindow) -> None:
         """Hand the window's queues back (nothing to do on one's own)."""
-
-    def _integrate(self, q: Any, arrival: np.ndarray,
-                   dt: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Integrate and account every queue of ``q``; returns ``(p_mark,
-        srv_ratio)``."""
-        served_rate, new_qlen, drops, p_mark, srv_ratio = \
-            integrate_queue_block(q.q_len, q.q_cap, q.kmin, q.kmax, q.pmax,
-                                  arrival, dt,
-                                  self.config.switch_buffer_bytes)
-        account_queue_block(q._acc_tx, q._acc_marked, q._acc_qlen_area,
-                            q._acc_drops, q.q_len, served_rate, new_qlen,
-                            drops, p_mark, dt)
-        return p_mark, srv_ratio
 
 
 class FlowTableMixin(_FluidStepper):
@@ -820,10 +876,9 @@ class SwitchStatsMixin:
         self.uplink_up = np.ones(uplinks[0].shape, dtype=bool)
         # uniform fabric capacity scale (chaos degradation faults)
         self.fabric_capacity_factor = 1.0
-        self._acc_tx = np.zeros(n)              # bytes served
-        self._acc_marked = np.zeros(n)          # marked bytes served
-        self._acc_qlen_area = np.zeros(n)
-        self._acc_drops = np.zeros(n)
+        # bytes served, marked bytes served, queue-length area, bytes
+        # dropped: one block, so a sub-step adds to all four with one call
+        _bind_acc(self, np.zeros((len(_ACC_ROWS), n)))
         self._acc_time = 0.0
 
     def _switch_id(self, name: str) -> int:
@@ -876,11 +931,8 @@ class SwitchStatsMixin:
         interval = max(self._acc_time, 1e-12)
         names = self._switch_names_cached()
         out = self._grouped_stats(names, interval)
-        self._acc_tx[:] = 0.0
-        self._acc_marked[:] = 0.0
-        self._acc_qlen_area[:] = 0.0
         self._dropped_bytes += float(self._acc_drops.sum())
-        self._acc_drops[:] = 0.0
+        self._acc.fill(0.0)
         self._acc_time = 0.0
         return out
 

@@ -33,27 +33,27 @@ queue with plain loops.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
-from repro.netsim.fluid import FlowTable, FlowTableMixin, SwitchStatsMixin
+from repro.netsim.fluid import (FlowTable, FlowTableMixin, SwitchStatsMixin,
+                                _QueueWindow)
 from repro.netsim.routing import ecmp_hash_array
 
 __all__ = ["ShardedFluidNetwork"]
 
 #: per-queue arrays (attribute names), ``(n_queues,)`` but ``_qmap``,
-#: which has one more entry
+#: which has one more entry; the ``(4, n_queues)`` accumulator block
+#: ``_acc`` comes on top
 _QUEUE_FIELDS = ("q_len", "q_cap", "q_cap_nominal", "kmin", "kmax", "pmax",
-                 "_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops",
                  "q_switch", "_qmap")
-#: the per-queue arrays a window's block holds; a sub-step writes the
-#: first five, and only those are scattered back
-_WINDOW_FIELDS = ("q_len", "_acc_tx", "_acc_marked", "_acc_qlen_area",
-                  "_acc_drops", "q_cap", "kmin", "kmax", "pmax")
+#: the per-queue arrays a window's block holds beside ``_acc``; a
+#: sub-step writes the first and the accumulators, and only those are
+#: scattered back
+_WINDOW_FIELDS = ("q_len", "q_cap", "kmin", "kmax", "pmax")
 
 
 class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
@@ -216,7 +216,7 @@ class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
         self._advance(dt)
 
     def _open_window(self, dt: float, steps: int
-                     ) -> Tuple[SimpleNamespace, np.ndarray]:
+                     ) -> Tuple[_QueueWindow, np.ndarray]:
         """Gather the block the window's ``steps`` sub-steps run on: every
         queue whose buffer is not exactly empty (``!= 0.0``, so a NaN is
         kept), on an active flow's path, or on the path of a flow due by
@@ -243,14 +243,14 @@ class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
             keep[paths[lo - r0:hi - r0]] = True
         queues = keep[:n].nonzero()[0]
         self._qmap[queues] = np.arange(len(queues))
-        return SimpleNamespace(queues=queues, **{
-            name: getattr(self, name)[queues] for name in _WINDOW_FIELDS}), \
-            self._qmap
+        return _QueueWindow(*(getattr(self, name).take(queues)
+                              for name in _WINDOW_FIELDS),
+                            self._acc.take(queues, axis=1), queues), self._qmap
 
-    def _close_window(self, q: SimpleNamespace) -> None:
+    def _close_window(self, q: _QueueWindow) -> None:
         """Scatter what the sub-steps wrote back into the fabric's arrays."""
-        for name in _WINDOW_FIELDS[:5]:
-            getattr(self, name)[q.queues] = getattr(q, name)
+        self.q_len[q.queues] = q.q_len
+        self._acc[:, q.queues] = q._acc
 
     # ------------------------------------------------------------ capacity
     def bytes_in_flight(self) -> float:
@@ -264,7 +264,7 @@ class ShardedFluidNetwork(FlowTableMixin, SwitchStatsMixin):
         the fullest pod has needed so far) and ``core`` (the core plane's
         queues; it owns no flows)."""
         per_queue = sum(getattr(self, name).itemsize
-                        for name in _QUEUE_FIELDS)
+                        for name in _QUEUE_FIELDS) + self._acc[:, 0].nbytes
         scratch = self._first_seen.nbytes // self.config.n_pods
         report = {f"pod{p}": {"queue_bytes": self._pod_block * per_queue
                               + scratch,

@@ -140,10 +140,10 @@ class TestPinnedFingerprints:
 
 
 #: the arrays ``memory_report()`` must account for, named here and not
-#: taken from ``src/``
+#: taken from ``src/``; ``_acc`` is the ``(4, Q)`` accumulator block whose
+#: rows are ``_acc_tx``, ``_acc_marked``, ``_acc_qlen_area``, ``_acc_drops``
 _PER_QUEUE = ("q_len", "q_cap", "q_cap_nominal", "kmin", "kmax", "pmax",
-              "_acc_tx", "_acc_marked", "_acc_qlen_area", "_acc_drops",
-              "q_switch", "_qmap", "_first_seen")
+              "_acc", "q_switch", "_qmap", "_first_seen")
 #: ... and the columns of its flow table
 _PER_FLOW = ("f_src", "f_dst", "f_size", "f_remaining", "f_rate",
              "f_alpha", "f_active", "f_core", "f_path", "f_fid")
