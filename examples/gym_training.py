@@ -59,7 +59,7 @@ def main() -> None:
         print(f"episode {ep + 1:2d}: mean reward {total / INTERVALS:.3f}")
         obs = env.reset()
 
-    probs = agent.policy.probs(obs)[0]
+    probs = agent.probs(obs)[0]
     print("\ntop actions of the trained policy:")
     for a in np.argsort(probs)[-3:][::-1]:
         ecn = env.codec.decode(int(a))

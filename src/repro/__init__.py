@@ -7,8 +7,8 @@ Top-level layout
     The paper's contribution: the PET controller (per-switch IPPO agents,
     six-factor state, action codec, reward, NCM, ECN-CM, hybrid training).
 ``repro.rl``
-    Pure-NumPy reinforcement-learning substrate: MLPs, Adam, PPO/IPPO,
-    Double DQN with local/global replay.
+    Pure-NumPy reinforcement-learning substrate: one packed MLP with
+    Adam, PPO/IPPO, Double DQN with local/global replay.
 ``repro.netsim``
     Discrete-event packet-level data-center network simulator plus a fast
     fluid-model simulator, standing in for ns-3.

@@ -380,14 +380,27 @@ class Engine:
         deadlines: Dict[Future, float] = {}
         try:
             while queue or in_flight:
+                broken = False
                 while queue and len(in_flight) < self.queue_depth:
                     pending = queue.popleft()
+                    try:
+                        fut = pool.submit(_execute_payload, pending.payload,
+                                          collect)
+                    except BrokenProcessPool:
+                        # The pool broke since the last wait: the task
+                        # never ran, so it goes back uncharged.
+                        queue.appendleft(pending)
+                        broken = True
+                        break
                     pending.attempts += 1
-                    fut = pool.submit(_execute_payload, pending.payload,
-                                      collect)
                     in_flight[fut] = pending
                     if self.task_timeout_s is not None:
                         deadlines[fut] = time.monotonic() + self.task_timeout_s
+                if broken:
+                    pool, retried = self._recover(pool, [], in_flight,
+                                                  deadlines, outcomes, collect)
+                    retries += retried
+                    continue
                 wait_s = None
                 if deadlines:
                     wait_s = max(0.0, min(deadlines.values()) - time.monotonic())
@@ -415,31 +428,41 @@ class Engine:
                     else:
                         outcomes.append(outcome)
                 if crashed:
-                    # The pool is broken: every other in-flight future is
-                    # about to fail the same way.  Drain them, recycle the
-                    # pool, and give each affected task its isolated retry.
-                    if in_flight:
-                        wait(list(in_flight))
-                        # Drain order is immaterial: outcomes are re-sorted
-                        # by task id before the merge.
-                        for fut, pending in in_flight.items():  # pet: noqa-PET104
-                            outcome = self._classify(fut, pending)
-                            if outcome is None:
-                                crashed.append(pending)
-                            else:
-                                outcomes.append(outcome)
-                        in_flight.clear()
-                    deadlines.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    for pending in crashed:
-                        outcome, retried = self._retry_isolated(pending,
-                                                                collect)
-                        retries += retried
-                        outcomes.append(outcome)
-                    pool = self._new_pool(self.workers)
+                    pool, retried = self._recover(pool, crashed, in_flight,
+                                                  deadlines, outcomes, collect)
+                    retries += retried
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         return outcomes, retries
+
+    def _recover(self, pool: ProcessPoolExecutor, crashed: List[_Pending],
+                 in_flight: Dict[Future, _Pending],
+                 deadlines: Dict[Future, float], outcomes: List[TaskOutcome],
+                 collect: bool) -> Tuple[ProcessPoolExecutor, int]:
+        """The pool is broken (a future reported a crash, or ``submit``
+        refused): every other in-flight future is about to fail the same
+        way.  Drain them, recycle the pool, and give each casualty — the
+        ``crashed`` ones and any the drain finds — its isolated retry.
+        Returns the fresh pool and the retries spent."""
+        if in_flight:
+            wait(list(in_flight))
+            # Drain order is immaterial: outcomes are re-sorted by task
+            # id before the merge.
+            for fut, pending in in_flight.items():  # pet: noqa-PET104
+                outcome = self._classify(fut, pending)
+                if outcome is None:
+                    crashed.append(pending)
+                else:
+                    outcomes.append(outcome)
+            in_flight.clear()
+        deadlines.clear()
+        pool.shutdown(wait=False, cancel_futures=True)
+        retries = 0
+        for pending in crashed:
+            outcome, retried = self._retry_isolated(pending, collect)
+            retries += retried
+            outcomes.append(outcome)
+        return self._new_pool(self.workers), retries
 
     def _expire_tasks(self, expired: Sequence[Future],
                       pool: ProcessPoolExecutor,

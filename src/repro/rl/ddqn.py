@@ -3,8 +3,11 @@
 ACC (SIGCOMM 2021) tunes ECN thresholds with a multi-agent DDQN (van
 Hasselt et al., 2016) that samples from a *global* experience replay
 shared by all switches.  This module provides the single-agent DDQN
-learner; :class:`repro.baselines.acc.ACCController` wires one learner per
-switch to a :class:`repro.rl.replay.GlobalReplayBuffer`.
+learner — its online and target Q-networks are one-row ReLU
+:class:`~repro.rl.stacked.PackedMLP` networks, trained with the same
+forward, backward, clip and Adam step as PPO's rows;
+:class:`repro.baselines.acc.ACCController` wires one learner per switch
+to a :class:`repro.rl.replay.GlobalReplayBuffer`.
 
 Double-Q target::
 
@@ -18,9 +21,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.rl.nn import MLP, clip_gradients
-from repro.rl.optim import Adam
 from repro.rl.replay import ReplayBuffer
+from repro.rl.stacked import PackedMLP, Rows
 
 __all__ = ["DDQNConfig", "DDQNAgent"]
 
@@ -40,6 +42,10 @@ class DDQNConfig:
     eps_decay_steps: int = 2000
     seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.lr <= 0:
+            raise ValueError("learning rate must be positive")
+
 
 class DDQNAgent:
     """Double DQN with a target network and linear epsilon decay."""
@@ -48,12 +54,12 @@ class DDQNAgent:
                  replay: Optional[ReplayBuffer] = None) -> None:
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        self.q = MLP([config.obs_dim, *config.hidden, config.n_actions],
-                     activation="relu", rng=self.rng)
-        self.q_target = MLP([config.obs_dim, *config.hidden, config.n_actions],
-                            activation="relu", rng=self.rng)
-        self.q_target.copy_from(self.q)
-        self.opt = Adam(self.q, config.lr)
+        sizes = [config.obs_dim, *config.hidden, config.n_actions]
+        self.q = PackedMLP(sizes, [self.rng], activation="relu")
+        self.q_target = PackedMLP(sizes, [self.rng], activation="relu")
+        self.q_target.params[...] = self.q.params
+        self._q = Rows(self.q, slice(None), config.lr)
+        self._q_target = self.q_target.layers(self.q_target.params)
         # A local buffer is used when no shared buffer is supplied; the ACC
         # controller passes a view onto the global pool instead.
         self.replay = replay if replay is not None else ReplayBuffer(
@@ -68,7 +74,8 @@ class DDQNAgent:
         return cfg.eps_start + frac * (cfg.eps_end - cfg.eps_start)
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
-        return self.q.forward(np.atleast_2d(obs))[0]
+        x = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+        return self.q.forward(x[None], self._q.layers)[0, 0]
 
     def act(self, obs: np.ndarray, *, greedy: bool = False) -> int:
         self.steps += 1
@@ -86,34 +93,37 @@ class DDQNAgent:
         obs, actions, rewards, next_obs, dones = buf.sample(cfg.batch_size)
         m = len(obs)
 
+        q = self._q
         # Double-Q target: online net selects, target net evaluates.
-        next_q_online = self.q.forward(next_obs)
+        next_q_online = self.q.forward(next_obs[None], q.layers)[0]
         best_next = np.argmax(next_q_online, axis=1)
-        next_q_target = self.q_target.forward(next_obs)
+        next_q_target = self.q_target.forward(next_obs[None],
+                                              self._q_target)[0]
         target_vals = next_q_target[np.arange(m), best_next]
         y = rewards + cfg.gamma * target_vals * (~dones)
 
-        q_all = self.q.forward(obs)
+        inputs: list = []
+        q_all = self.q.forward(obs[None], q.layers, inputs)[0]
         q_sa = q_all[np.arange(m), actions]
         td = q_sa - y
         loss = float(np.mean(td ** 2))
 
         grad_q = np.zeros_like(q_all)
         grad_q[np.arange(m), actions] = 2.0 * td / m
-        self.q.zero_grad()
-        self.q.backward(grad_q)
-        clip_gradients(self.q.gradients().values(), cfg.max_grad_norm)
-        self.opt.step()
-
+        self.q.backward(grad_q[None], q.layers, q.dlayers, inputs)
+        self.q.clip(q.grads, cfg.max_grad_norm)
         self.train_steps += 1
+        q.adam([self.train_steps])
+
         if self.train_steps % cfg.target_sync_interval == 0:
-            self.q_target.copy_from(self.q)
+            self.q_target.params[...] = self.q.params
         return {"loss": loss, "mean_q": float(q_sa.mean()), "trained": 1.0}
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
-        return {"q": self.q.state_dict(), "q_target": self.q_target.state_dict()}
+        return {"q": self.q.state_dict(0),
+                "q_target": self.q_target.state_dict(0)}
 
     def load_state_dict(self, state: Dict[str, Dict[str, np.ndarray]]) -> None:
-        self.q.load_state_dict(state["q"])
-        self.q_target.load_state_dict(state["q_target"])
+        self.q.load_state_dict(0, state["q"])
+        self.q_target.load_state_dict(0, state["q_target"])

@@ -52,11 +52,12 @@ class IPPOTrainer:
         if len(set(ids)) != len(ids):
             raise ValueError("agent ids must be unique")
         self.config = config
-        self.agents: Dict[Hashable, PPOAgent] = {}
-        for i, aid in enumerate(ids):
-            seed = None if config.seed is None else config.seed + i
-            self.agents[aid] = PPOAgent(replace(config, seed=seed))
-        self.learner = PPOLearner(list(self.agents.values()))
+        configs = [replace(config, seed=None if config.seed is None
+                           else config.seed + i) for i in range(len(ids))]
+        self.learner = PPOLearner(configs)
+        self.agents: Dict[Hashable, PPOAgent] = {
+            aid: PPOAgent.of_row(self.learner, i, c)
+            for i, (aid, c) in enumerate(zip(ids, configs))}
         self._row = {aid: i for i, aid in enumerate(ids)}
 
     @property
@@ -80,8 +81,8 @@ class IPPOTrainer:
         takes ``epsilons`` as a sequence aligned with it and returns the
         three columns as arrays — the form the fleet observer feeds.
 
-        The per-agent MLP forwards collapse into one batched forward
-        over the learner's packed weights — bit-identical per agent,
+        The per-agent forwards collapse into one batched forward over
+        the learner's packed weights — bit-identical per agent,
         including each agent's private sampling stream.
         """
         if isinstance(observations, np.ndarray):

@@ -1,9 +1,8 @@
-"""Categorical policies and exploration schedules.
+"""The softmax policy head and the exploration schedule.
 
-:class:`CategoricalPolicy` wraps a logits network with a softmax head and
-provides sampling, log-probabilities, entropy, and the analytic gradients
-of those quantities with respect to the logits (used by the PPO learner's
-manual backprop).
+:func:`softmax` turns the actor's logits into action probabilities
+(sampling and the logit gradients live beside the learner, in
+:mod:`repro.rl.stacked`).
 
 :class:`ExplorationSchedule` implements the paper's exponentially decaying
 exploration rate (Eq. 13)::
@@ -15,15 +14,9 @@ with ``eps_t = eps`` during the warm-up phase ``t <= T``.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from repro.parallel.seeding import fallback_rng
-
-from repro.rl.nn import MLP
-
-__all__ = ["softmax", "log_softmax", "CategoricalPolicy", "ExplorationSchedule"]
+__all__ = ["softmax", "ExplorationSchedule"]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -32,79 +25,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically-stable log-softmax over the last axis."""
-    z = np.asarray(z, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-class CategoricalPolicy:
-    """Discrete stochastic policy ``pi(a|s) = softmax(net(s))``.
-
-    Parameters
-    ----------
-    net:
-        Logits network mapping ``(batch, obs_dim)`` to ``(batch, n_actions)``.
-    rng:
-        Generator used for action sampling and epsilon exploration.
-    """
-
-    def __init__(self, net: MLP, rng: np.random.Generator | None = None) -> None:
-        self.net = net
-        self.rng = rng if rng is not None else fallback_rng(0)
-        self.n_actions = net.sizes[-1]
-
-    def probs(self, obs: np.ndarray) -> np.ndarray:
-        return softmax(self.net.forward(obs))
-
-    def log_probs(self, obs: np.ndarray) -> np.ndarray:
-        return log_softmax(self.net.forward(obs))
-
-    def act(self, obs: np.ndarray, *, epsilon: float = 0.0,
-            greedy: bool = False) -> Tuple[int, float]:
-        """Sample one action for a single observation.
-
-        Returns ``(action, log_prob_of_action)`` under the *policy*
-        distribution (ignoring the epsilon mixing, as is standard for
-        epsilon-assisted on-policy exploration in the online phase).
-        """
-        obs = np.atleast_2d(obs)
-        if obs.shape[0] != 1:
-            raise ValueError("act() expects a single observation")
-        p = self.probs(obs)[0]
-        if greedy:
-            a = int(np.argmax(p))
-        elif epsilon > 0.0 and self.rng.random() < epsilon:
-            a = int(self.rng.integers(self.n_actions))
-        else:
-            a = int(self.rng.choice(self.n_actions, p=p))
-        logp = float(np.log(max(p[a], 1e-12)))
-        return a, logp
-
-    def entropy(self, obs: np.ndarray) -> np.ndarray:
-        p = self.probs(obs)
-        logp = np.log(np.clip(p, 1e-12, None))
-        return -(p * logp).sum(axis=-1)
-
-    # -- analytic logits gradients (for manual backprop) ------------------
-    @staticmethod
-    def grad_log_prob_logits(probs: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """d log pi(a|s) / d logits = onehot(a) - probs, rowwise (any
-        leading axes: ``actions`` has the shape of ``probs[..., 0]``)."""
-        g = -probs
-        at = np.asarray(actions)[..., None]
-        np.put_along_axis(g, at, np.take_along_axis(g, at, -1) + 1.0, -1)
-        return g
-
-    @staticmethod
-    def grad_entropy_logits(probs: np.ndarray) -> np.ndarray:
-        """d H(pi) / d logits = -p * (log p + H), rowwise."""
-        logp = np.log(np.clip(probs, 1e-12, None))
-        ent = -(probs * logp).sum(axis=-1, keepdims=True)
-        return -probs * (logp + ent)
 
 
 class ExplorationSchedule:

@@ -10,7 +10,7 @@ is the paper's Eq. 11::
     L_v(omega) = E[ (V_omega(s) - R_hat)^2 ]
 
 Gradients are computed analytically at the logits/value head and
-backpropagated through the NumPy MLPs, by the stacked learner of
+backpropagated through the packed NumPy MLPs, by the stacked learner of
 :mod:`repro.rl.stacked` (an agent on its own is its one-row case).
 """
 
@@ -21,9 +21,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.rl.nn import MLP
-from repro.rl.policy import CategoricalPolicy
-from repro.rl.stacked import PPOLearner, RolloutBuffer
+from repro.rl.policy import softmax
+from repro.rl.stacked import PPOLearner, RolloutBuffer, sample
 
 __all__ = ["PPOConfig", "RolloutBuffer", "PPOAgent", "approx_kl_k3"]
 
@@ -61,6 +60,10 @@ class PPOConfig:
     normalize_advantages: bool = True
     seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.actor_lr <= 0 or self.critic_lr <= 0:
+            raise ValueError("learning rate must be positive")
+
 
 class PPOAgent:
     """Actor-critic PPO learner with separate actor/critic networks.
@@ -68,22 +71,31 @@ class PPOAgent:
     The agent's weights, Adam moments and rollout are row ``row`` of a
     :class:`~repro.rl.stacked.PPOLearner` (``learner``): a fresh agent
     is the one row of its own, and :class:`~repro.rl.ippo.IPPOTrainer`
-    stacks its agents into one.  Its generator ``rng`` draws its initial
-    weights, its actions and its epoch shuffles.
+    builds one learner for all its agents and hands out rows
+    (:meth:`of_row`).  Its generator ``rng`` draws its initial weights,
+    its actions and its epoch shuffles.
     """
 
     def __init__(self, config: PPOConfig) -> None:
-        self.config = config
-        self.rng = np.random.default_rng(config.seed)
-        self.actor = MLP([config.obs_dim, *config.hidden, config.n_actions],
-                         activation="tanh", out_scale=0.01, rng=self.rng)
-        self.critic = MLP([config.obs_dim, *config.hidden, 1],
-                          activation="tanh", rng=self.rng)
-        self.policy = CategoricalPolicy(self.actor, rng=self.rng)
-        self.learner: PPOLearner       # these three are set by the
-        self.row: int                  # learner that adopts the agent
-        self.buffer: RolloutBuffer
-        PPOLearner([self])
+        self._bind(PPOLearner([config]), 0, config)
+
+    @classmethod
+    def of_row(cls, learner: PPOLearner, row: int,
+               config: PPOConfig) -> "PPOAgent":
+        """The agent that is row ``row`` of ``learner`` (built from
+        ``config`` among its configs)."""
+        agent = cls.__new__(cls)
+        agent._bind(learner, row, config)
+        return agent
+
+    def _bind(self, learner: PPOLearner, row: int, config: PPOConfig) -> None:
+        self.config, self.learner, self.row = config, learner, row
+        self.rng = learner.rngs[row]
+        self.buffer = RolloutBuffer(learner, row)
+        # one-row views of the packed layers: acting forwards this row only
+        self._actor = learner.actor.layers(learner.actor.params[row:row + 1])
+        self._critic = learner.critic.layers(
+            learner.critic.params[row:row + 1])
 
     @property
     def updates(self) -> int:
@@ -91,14 +103,25 @@ class PPOAgent:
         return int(self.learner.updates[self.row])
 
     # -- acting ------------------------------------------------------------
+    def probs(self, obs: np.ndarray) -> np.ndarray:
+        """The policy's action probabilities, one row per observation."""
+        return softmax(self.learner.actor.forward(_batch(obs), self._actor)[0])
+
     def value(self, obs: np.ndarray) -> float:
-        return float(self.critic.forward(np.atleast_2d(obs))[0, 0])
+        return float(self.learner.critic.forward(_batch(obs),
+                                                 self._critic)[0, 0, 0])
 
     def act(self, obs: np.ndarray, *, epsilon: float = 0.0,
             greedy: bool = False) -> Dict[str, float]:
-        """Select an action; returns dict with action, log_prob and value."""
-        a, logp = self.policy.act(obs, epsilon=epsilon, greedy=greedy)
-        return {"action": a, "log_prob": logp, "value": self.value(obs)}
+        """Select an action for one observation; returns dict with action,
+        log_prob (under the policy, without the epsilon mixing) and value."""
+        obs = np.atleast_2d(obs)
+        if obs.shape[0] != 1:
+            raise ValueError("act() expects a single observation")
+        actions, log_probs = sample(self.probs(obs),
+                                    None if greedy else [self.rng], [epsilon])
+        return {"action": int(actions[0]), "log_prob": float(log_probs[0]),
+                "value": self.value(obs)}
 
     def record(self, obs: np.ndarray, action: int, reward: float, done: bool,
                log_prob: float, value: float, *, truncated: bool = False,
@@ -133,9 +156,14 @@ class PPOAgent:
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
-        return {"actor": self.actor.state_dict(),
-                "critic": self.critic.state_dict()}
+        return {"actor": self.learner.actor.state_dict(self.row),
+                "critic": self.learner.critic.state_dict(self.row)}
 
     def load_state_dict(self, state: Dict[str, Dict[str, np.ndarray]]) -> None:
-        self.actor.load_state_dict(state["actor"])
-        self.critic.load_state_dict(state["critic"])
+        self.learner.actor.load_state_dict(self.row, state["actor"])
+        self.learner.critic.load_state_dict(self.row, state["critic"])
+
+
+def _batch(obs: np.ndarray) -> np.ndarray:
+    """Observations as the one-row stack ``(1, m, obs_dim)``."""
+    return np.atleast_2d(np.asarray(obs, dtype=np.float64))[None]

@@ -1,18 +1,26 @@
-"""One stacked learner for a fleet of independent PPO agents.
+"""The one MLP of :mod:`repro.rl`, and one stacked PPO learner for a
+fleet of independent agents.
 
-IPPO agents share an architecture but never parameters.  So ``A``
-agents' actor and critic parameters, gradients and Adam moments are
-packed ``(A, n)`` rows (:class:`PackedMLP`), their rollouts are
-``(A, cap, …)`` arrays, and :class:`PPOLearner` owns both.  Every
-agent's ``Linear.W/b/dW/db`` and its ``RolloutBuffer`` are views of its
-row, so nothing is held twice.  The fleet's inference is one
-``(A, 1, in) @ (A, in, out)`` matmul per layer, and its PPO update runs
-GAE, the epochs and every minibatch's forward, backward, gradient clip
-and Adam step as stacked ``(A, m, ·)`` calls.
+:class:`PackedMLP` holds ``A`` same-shaped MLPs as packed ``(A, n)``
+rows of parameters, gradients and Adam moments; weights are drawn
+straight into the rows.  Its forward, backward, gradient clip and (via
+:class:`Rows`) Adam step run on any run of rows as stacked
+``(A', m, ·)`` calls.  PPO uses tanh rows (:class:`PPOLearner`), ACC's
+Double DQN a one-row ReLU network (:mod:`repro.rl.ddqn`).
 
-**Bit-identity.**  Slice ``a`` of every stacked call computes what the
-plain per-agent 2-D update computes for agent ``a``
-(``tests/test_ppo.py`` holds the learner to that oracle byte for byte):
+IPPO agents share an architecture but never parameters.  So
+:class:`PPOLearner` packs ``A`` agents' actor and critic as rows, their
+rollouts as ``(A, cap, …)`` arrays, and owns both; every agent's
+:class:`RolloutBuffer` is a view of its row, so nothing is held twice.
+The fleet's inference is one ``(A, 1, in) @ (A, in, out)`` matmul per
+layer, and its PPO update runs GAE, the epochs and every minibatch's
+forward, backward, gradient clip and Adam step as stacked calls.  A lone
+:class:`~repro.rl.ppo.PPOAgent` is the one-row case; it acts on its own
+row's one-row view through the same forward and :func:`sample`.
+
+**Bit-identity.**  Slice ``a`` of every stacked call computes what a
+plain per-agent 2-D loop computes for agent ``a`` (``tests/test_ppo.py``
+holds the learner to such a loop byte for byte):
 
 - stacked ``matmul`` picks gemm, gemv or dot *per slice*, from the
   slice's shape and strides, exactly as for the 2-D product;
@@ -36,22 +44,23 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from repro.obs.metrics import get_registry
 from repro.parallel.engine import usable_cores
 from repro.rl.gae import compute_gae
-from repro.rl.nn import MLP, Linear
 from repro.rl.optim import adam_direction
-from repro.rl.policy import CategoricalPolicy, softmax
+from repro.rl.policy import softmax
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.rl.ppo import PPOAgent
+    from repro.rl.ppo import PPOConfig
 
-__all__ = ["StackingError", "PackedMLP", "RolloutBuffer", "PPOLearner",
-           "MIN_AGENTS_PER_GROUP", "MAX_STACK"]
+__all__ = ["StackingError", "PackedMLP", "Rows", "RolloutBuffer",
+           "PPOLearner", "sample", "grad_log_prob_logits",
+           "grad_entropy_logits", "MIN_AGENTS_PER_GROUP", "MAX_STACK"]
 
 #: Fewest agents an update thread is given.  Below it a second group
 #: costs more in per-call overhead than it wins in parallel work:
@@ -71,7 +80,7 @@ _ROLLOUT_FIELDS = (("obs", np.float64), ("actions", np.int64),
                    ("rewards", np.float64), ("dones", bool),
                    ("log_probs", np.float64), ("values", np.float64),
                    ("truncateds", bool), ("bootstraps", np.float64))
-#: Adam's constants (PyTorch's defaults, as :class:`repro.rl.optim.Adam`)
+#: Adam's constants (PyTorch's defaults)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 _STATS = ("policy_loss", "value_loss", "entropy", "approx_kl", "clip_frac")
 
@@ -81,55 +90,63 @@ class StackingError(ValueError):
 
 
 class PackedMLP:
-    """``A`` same-shaped tanh MLPs as packed rows.
+    """``A`` same-shaped MLPs with a linear head, as packed rows.
 
-    Row ``a`` of :attr:`params` is agent ``a``'s ``W0, b0, W1, b1, …``
-    raveled in ``MLP.parameters()`` order; :attr:`grads` and Adam's
-    moments :attr:`m` and :attr:`v` share that layout.  The constructor
-    copies each network's weights into its row and rebinds its
-    ``Linear`` arrays to views of the row.
+    Row ``a`` of :attr:`params` is network ``a``'s ``W0, b0, W1, b1, …``
+    raveled; :attr:`grads` and Adam's moments :attr:`m` and :attr:`v`
+    share that layout.  Each row's weights are drawn from its own
+    generator in ``rngs``, layer by layer, uniform in
+    ``±sqrt(6 / (in + out))`` (the head's scaled by ``out_scale``, small
+    for a policy head so it starts near uniform); biases start at 0.
+
+    Parameters
+    ----------
+    sizes:
+        ``[in_dim, hidden..., out_dim]``.
+    rngs:
+        One generator per row.
+    activation:
+        ``"tanh"`` (PPO) or ``"relu"`` (DDQN), between linear layers.
     """
 
-    def __init__(self, mlps: Sequence[MLP]) -> None:
-        ref = mlps[0]
-        #: per linear layer: (layer index, in, out, W offset, b offset)
-        self.layout = []
+    def __init__(self, sizes: Sequence[int], rngs: Sequence[np.random.Generator],
+                 *, activation: str = "tanh", out_scale: float = 1.0) -> None:
+        sizes = tuple(int(n) for n in sizes)
+        if len(sizes) < 2:
+            raise ValueError("an MLP needs at least input and output sizes")
+        if min(sizes) <= 0:
+            raise ValueError("MLP layer widths must be positive")
+        if activation not in ("tanh", "relu"):
+            raise ValueError(f"unknown activation {activation!r}")
+        self.activation = activation
+        self.in_dim, self.out_dim = sizes[0], sizes[-1]
+        #: per linear layer: (in, out, W offset, b offset)
+        self.layout: List[Tuple[int, int, int, int]] = []
         off = 0
-        for li, layer in enumerate(ref.layers):
-            if isinstance(layer, Linear):
-                i, o = layer.W.shape
-                self.layout.append((li, i, o, off, off + i * o))
-                off += i * o + o
-        shape = (len(mlps), off)
-        self.params = np.empty(shape)
+        for i, o in zip(sizes, sizes[1:]):
+            self.layout.append((i, o, off, off + i * o))
+            off += i * o + o
+        shape = (len(rngs), off)
+        self.params = np.zeros(shape)
         self.grads = np.zeros(shape)
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
-        for a, mlp in enumerate(mlps):
-            if mlp.sizes != ref.sizes or mlp.activation != "tanh":
-                raise StackingError(
-                    f"networks diverge: {mlp.sizes}/{mlp.activation} "
-                    f"!= {ref.sizes}/tanh")
-            for li, i, o, w, b in self.layout:
-                lin = mlp.layers[li]
-                self.params[a, w:b] = lin.W.ravel()
-                self.params[a, b:b + o] = lin.b
-                lin.W = self.params[a, w:b].reshape(i, o)
-                lin.b = self.params[a, b:b + o]
-                lin.dW = self.grads[a, w:b].reshape(i, o)
-                lin.db = self.grads[a, b:b + o]
-            mlp.invalidate_param_cache()
-        self.in_dim, self.out_dim = ref.sizes[0], ref.sizes[-1]
+        head = len(self.layout) - 1
+        for row, rng in zip(self.params, rngs):
+            for k, (i, o, w, b) in enumerate(self.layout):
+                limit = np.sqrt(6.0 / (i + o))
+                scale = out_scale if k == head else 1.0
+                row[w:b] = (rng.uniform(-limit, limit, size=(i, o))
+                            * scale).ravel()
 
     def layers(self, flat: np.ndarray) -> List[tuple]:
         """``(W, b)`` per layer, ``(A', in, out)`` and ``(A', 1, out)``
         views of the packed rows ``flat`` (``params`` or ``grads`` rows)."""
         n = len(flat)
         return [(flat[:, w:b].reshape(n, i, o), flat[:, b:b + o][:, None])
-                for _, i, o, w, b in self.layout]
+                for i, o, w, b in self.layout]
 
-    @staticmethod
-    def forward(x: np.ndarray, layers: List[tuple],
+    def forward(self, x: np.ndarray, layers: List[tuple],
                 inputs: Optional[list] = None) -> np.ndarray:
         """``(A', m, in)`` → ``(A', m, out)``; ``inputs`` collects each
         layer's input for :meth:`backward`."""
@@ -140,28 +157,30 @@ class PackedMLP:
             x = x @ W
             x += b
             if k != last:
-                x = np.tanh(x)
+                x = np.tanh(x) if self.activation == "tanh" else np.where(
+                    x > 0, x, 0.0)
         return x
 
-    @staticmethod
-    def backward(g: np.ndarray, layers: List[tuple], dlayers: List[tuple],
-                 inputs: list) -> None:
+    def backward(self, g: np.ndarray, layers: List[tuple],
+                 dlayers: List[tuple], inputs: list) -> None:
         """Write the gradients of the loss whose gradient at the output is
         ``g`` into ``dlayers`` (views of the ``grads`` rows)."""
         for k in range(len(layers) - 1, -1, -1):
-            x = inputs[k]
+            x = inputs[k]                # the activation's output
             dW, db = dlayers[k]
             np.matmul(x.transpose(0, 2, 1), g, out=dW)
             g.sum(axis=1, out=db[:, 0])
             if k:
                 g = g @ layers[k][0].transpose(0, 2, 1)
-                g = g * (1.0 - x * x)            # x is tanh's output
+                g = g * (1.0 - x * x) if self.activation == "tanh" else g * (
+                    x > 0)
 
-    def clip(self, grads: np.ndarray, max_norm: float) -> None:
-        """Scale each row so its global L2 norm is at most ``max_norm``:
-        per parameter array a per-slice dot, summed in parameter order."""
+    def clip(self, grads: np.ndarray, max_norm: float) -> np.ndarray:
+        """Scale each row so its global L2 norm is at most ``max_norm``
+        (0 disables): per parameter array a per-slice dot, summed in
+        parameter order.  Returns the pre-clip norms."""
         sq = 0.0
-        for _, _, o, w, b in self.layout:
+        for _, o, w, b in self.layout:
             for part in (grads[:, w:b], grads[:, b:b + o]):
                 sq = sq + (part[:, None, :] @ part[:, :, None])[:, 0, 0]
         total = np.sqrt(sq)
@@ -169,11 +188,38 @@ class PackedMLP:
         if max_norm > 0 and over.any():
             grads *= np.divide(max_norm, total, out=np.ones_like(total),
                                where=over)[:, None]
+        return total
+
+    # -- checkpoints -----------------------------------------------------
+    def state_dict(self, row: int) -> Dict[str, np.ndarray]:
+        """Copies of row ``row``'s ``{"layer0.W", "layer0.b", "layer2.W",
+        …}``: layer ``2k`` is linear layer ``k`` (checkpoints number the
+        activations too)."""
+        out: Dict[str, np.ndarray] = {}
+        for k, (W, b) in enumerate(self.layers(self.params[row:row + 1])):
+            out[f"layer{2 * k}.W"] = W[0].copy()
+            out[f"layer{2 * k}.b"] = b[0, 0].copy()
+        return out
+
+    def load_state_dict(self, row: int, state: Dict[str, np.ndarray]) -> None:
+        """Write ``state`` (a :meth:`state_dict`) into row ``row``; a
+        checkpoint is outside input, so its keys and every shape are
+        checked before anything is written."""
+        want = self.state_dict(row)
+        if set(state) != set(want):
+            raise ValueError("state dict keys do not match the network")
+        for key, v in want.items():
+            if np.shape(state[key]) != v.shape:
+                raise ValueError(f"shape mismatch for {key}")
+        for k, (W, b) in enumerate(self.layers(self.params[row:row + 1])):
+            W[0] = state[f"layer{2 * k}.W"]
+            b[0, 0] = state[f"layer{2 * k}.b"]
 
 
-class _Rows:
-    """One network's packed arrays for some agents: views of a
-    contiguous run of rows, else copies that :meth:`store` writes back."""
+class Rows:
+    """One network's packed arrays for the rows ``sel``: views when
+    ``sel`` is a slice, else copies that :meth:`store` writes back; what
+    a forward, backward, clip and Adam step at rate ``lr`` work on."""
 
     def __init__(self, net: PackedMLP, sel, lr: float) -> None:
         self.net, self.sel, self.lr = net, sel, lr
@@ -184,7 +230,11 @@ class _Rows:
         self.scratch = (np.empty_like(self.params),
                         np.empty_like(self.params))
 
-    def adam(self, b1t: np.ndarray, b2t: np.ndarray) -> None:
+    def adam(self, steps: Sequence[int]) -> None:
+        """One Adam step of every row, row ``j`` taking its
+        ``steps[j]``-th."""
+        b1t = np.array([1.0 - _BETA1 ** t for t in steps])[:, None]
+        b2t = np.array([1.0 - _BETA2 ** t for t in steps])[:, None]
         self.params -= adam_direction(self.grads, self.m, self.v, b1t, b2t,
                                       self.lr, _BETA1, _BETA2, _EPS,
                                       *self.scratch)
@@ -193,6 +243,54 @@ class _Rows:
         if not isinstance(self.sel, slice):
             for name in ("params", "grads", "m", "v"):
                 getattr(self.net, name)[self.sel] = getattr(self, name)
+
+
+def sample(probs: np.ndarray, rngs: Optional[Sequence[np.random.Generator]],
+           epsilons: Optional[Sequence[float]] = None
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """One action per row of ``probs`` and its log-probability under
+    ``probs`` (ignoring the epsilon mixing, as is standard for
+    epsilon-assisted on-policy exploration).
+
+    ``rngs`` None is greedy: the argmax, touching no generator.  Else row
+    ``j`` draws from ``rngs[j]``: uniformly with probability
+    ``epsilons[j]`` (default 0), otherwise from ``probs[j]``.
+    """
+    if rngs is None:
+        actions = probs.argmax(axis=1)
+    else:
+        eps_of = epsilons if epsilons is not None else [0.0] * len(rngs)
+        actions = np.empty(len(rngs), dtype=np.int64)
+        for j, (rng, eps, p) in enumerate(zip(rngs, eps_of, probs)):
+            if eps > 0.0 and rng.random() < eps:
+                actions[j] = rng.integers(p.shape[0])
+            else:
+                # Inlined ``rng.choice(n, p=p)``: numpy's implementation
+                # normalizes the cumsum, draws one uniform, and
+                # right-searchsorts it — replicated verbatim (same
+                # single RNG draw, same floats), minus its per-call
+                # validation.
+                cdf = p.cumsum()
+                cdf /= cdf[-1]
+                actions[j] = cdf.searchsorted(rng.random(), side="right")
+    chosen = probs[np.arange(len(actions)), actions]
+    return actions, np.log(np.maximum(chosen, 1e-12))
+
+
+def grad_log_prob_logits(probs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """d log pi(a|s) / d logits = onehot(a) - probs, rowwise (any leading
+    axes: ``actions`` has the shape of ``probs[..., 0]``)."""
+    g = -probs
+    at = np.asarray(actions)[..., None]
+    np.put_along_axis(g, at, np.take_along_axis(g, at, -1) + 1.0, -1)
+    return g
+
+
+def grad_entropy_logits(probs: np.ndarray) -> np.ndarray:
+    """d H(pi) / d logits = -p * (log p + H), rowwise."""
+    logp = np.log(np.clip(probs, 1e-12, None))
+    ent = -(probs * logp).sum(axis=-1, keepdims=True)
+    return -probs * (logp + ent)
 
 
 class RolloutBuffer:
@@ -232,30 +330,25 @@ class RolloutBuffer:
 class PPOLearner:
     """The packed networks, Adam moments and rollouts of ``A`` PPO agents.
 
-    Built from fresh :class:`~repro.rl.ppo.PPOAgent` objects that share
-    one :class:`~repro.rl.ppo.PPOConfig` up to the seed (each keeps its
-    own generator); the agents become views of rows ``0..A-1``.  A lone
-    ``PPOAgent`` is the one-row case.
+    Built from one :class:`~repro.rl.ppo.PPOConfig` per agent, equal up
+    to the seed: row ``a``'s generator is ``default_rng(configs[a].seed)``
+    and draws its actor's initial weights, then its critic's, then its
+    actions and epoch shuffles.  :class:`~repro.rl.ppo.PPOAgent` is the
+    handle on one row.
     """
 
-    def __init__(self, agents: Sequence["PPOAgent"]) -> None:
-        agents = list(agents)
-        cfg = replace(agents[0].config, seed=None)
-        for agent in agents:
-            if replace(agent.config, seed=None) != cfg:
-                raise StackingError("agents' configs diverge")
-            old = getattr(agent, "learner", None)
-            if old is not None and (old.length[agent.row]
-                                    or old.steps[agent.row]):
-                raise ValueError("only fresh agents can join a learner")
+    def __init__(self, configs: Sequence["PPOConfig"]) -> None:
+        configs = list(configs)
+        cfg = replace(configs[0], seed=None)
+        if any(replace(c, seed=None) != cfg for c in configs):
+            raise StackingError("agents' configs diverge")
         self.config = cfg
-        #: each agent's generator (the learner holds no agent: an agent
-        #: points at its learner, and a cycle would outlive its owner
-        #: until the next full garbage collection)
-        self.rngs = [a.rng for a in agents]
-        self.actor = PackedMLP([a.actor for a in agents])
-        self.critic = PackedMLP([a.critic for a in agents])
-        n = len(agents)
+        #: each agent's generator
+        self.rngs = [np.random.default_rng(c.seed) for c in configs]
+        self.actor = PackedMLP([cfg.obs_dim, *cfg.hidden, cfg.n_actions],
+                               self.rngs, out_scale=0.01)
+        self.critic = PackedMLP([cfg.obs_dim, *cfg.hidden, 1], self.rngs)
+        n = len(configs)
         #: Adam steps and completed updates per agent
         self.steps = np.zeros(n, dtype=np.int64)
         self.updates = np.zeros(n, dtype=np.int64)
@@ -265,9 +358,6 @@ class PPOLearner:
         self._actor_layers = self.actor.layers(self.actor.params)
         self._critic_layers = self.critic.layers(self.critic.params)
         self._obs_buf = np.zeros((n, cfg.obs_dim))
-        for row, agent in enumerate(agents):
-            agent.learner, agent.row = self, row
-            agent.buffer = RolloutBuffer(self, row)
 
     # -- rollouts ------------------------------------------------------------
     def _alloc_rollout(self, cap: int) -> None:
@@ -305,48 +395,30 @@ class PPOLearner:
     def act(self, observations: np.ndarray, rows: Optional[np.ndarray],
             epsilons: Optional[Sequence[float]], greedy: bool
             ) -> Dict[str, np.ndarray]:
-        """Batched equivalent of the per-agent ``PPOAgent.act`` loop.
+        """Actions of many agents in one stacked forward.
 
         ``observations[j]`` belongs to agent ``rows[j]`` (every agent, in
         row order, when ``rows`` is None) and is explored with
         ``epsilons[j]``.  Returns the ``action`` / ``log_prob`` /
-        ``value`` columns, bit-identical per agent (same logits → same
-        probabilities, and each agent's own generator is consumed in the
-        same sequence as the serial path); a greedy call touches no
-        generator and runs no per-agent Python at all.
+        ``value`` columns; each agent's own generator is drawn as its
+        :meth:`~repro.rl.ppo.PPOAgent.act` would draw it, and a greedy
+        call touches no generator and runs no per-agent Python at all.
         """
         x = observations
         if rows is not None:
             x = self._obs_buf
             x[rows] = observations
         h = x[:, None, :]
-        probs = softmax(PackedMLP.forward(h, self._actor_layers)[:, 0])
-        vals = PackedMLP.forward(h, self._critic_layers)[:, 0, 0]
+        probs = softmax(self.actor.forward(h, self._actor_layers)[:, 0])
+        vals = self.critic.forward(h, self._critic_layers)[:, 0, 0]
         if rows is not None:
             probs, vals = probs[rows], vals[rows]
-        if greedy:
-            actions = probs.argmax(axis=1)
-        else:
+        rngs = None
+        if not greedy:
             rngs = (self.rngs if rows is None
                     else [self.rngs[i] for i in rows.tolist()])
-            eps_of = epsilons if epsilons is not None else [0.0] * len(rngs)
-            actions = np.empty(len(rngs), dtype=np.int64)
-            for j, (rng, eps, p) in enumerate(zip(rngs, eps_of, probs)):
-                if eps > 0.0 and rng.random() < eps:
-                    actions[j] = rng.integers(p.shape[0])
-                else:
-                    # Inlined ``rng.choice(n, p=p)``: numpy's implementation
-                    # normalizes the cumsum, draws one uniform, and
-                    # right-searchsorts it — replicated verbatim (same
-                    # single RNG draw, same floats), minus its per-call
-                    # validation.
-                    cdf = p.cumsum()
-                    cdf /= cdf[-1]
-                    actions[j] = cdf.searchsorted(rng.random(), side="right")
-        chosen = probs[np.arange(len(actions)), actions]
-        return {"action": actions,
-                "log_prob": np.log(np.maximum(chosen, 1e-12)),
-                "value": vals}
+        actions, log_probs = sample(probs, rngs, epsilons)
+        return {"action": actions, "log_prob": log_probs, "value": vals}
 
     def critic_values(self, rows: np.ndarray, observations: np.ndarray
                       ) -> np.ndarray:
@@ -354,7 +426,7 @@ class PPOLearner:
         each), in one stacked forward."""
         x = self._obs_buf
         x[rows] = observations
-        h = PackedMLP.forward(x[:, None, :], self._critic_layers)
+        h = self.critic.forward(x[:, None, :], self._critic_layers)
         return h[rows, 0, 0]
 
     def describe(self) -> Dict[str, object]:
@@ -363,8 +435,8 @@ class PPOLearner:
             "agents": len(self.rngs),
             "obs_dim": self.actor.in_dim,
             "n_actions": self.actor.out_dim,
-            "actor_layers": [[i, o] for _, i, o, _, _ in self.actor.layout],
-            "critic_layers": [[i, o] for _, i, o, _, _ in self.critic.layout],
+            "actor_layers": [[i, o] for i, o, _, _ in self.actor.layout],
+            "critic_layers": [[i, o] for i, o, _, _ in self.critic.layout],
         }
 
     # -- learning ------------------------------------------------------------
@@ -463,8 +535,8 @@ class PPOLearner:
         cfg = self.config
         sel = (slice(rows[0], rows[-1] + 1)
                if rows[-1] - rows[0] + 1 == len(rows) else rows)
-        nets = (_Rows(self.actor, sel, cfg.actor_lr),
-                _Rows(self.critic, sel, cfg.critic_lr))
+        nets = (Rows(self.actor, sel, cfg.actor_lr),
+                Rows(self.critic, sel, cfg.critic_lr))
         steps = self.steps[sel].copy()
         obs, actions = self.obs[sel, :T], self.actions[sel, :T]
         old_logp = self.log_probs[sel, :T]
@@ -499,12 +571,10 @@ class PPOLearner:
         actor, critic = nets
         m = actions.shape[1]
         ts = steps.tolist()
-        b1t = np.array([1.0 - _BETA1 ** t for t in ts])[:, None]
-        b2t = np.array([1.0 - _BETA2 ** t for t in ts])[:, None]
 
         # ---- actor -------------------------------------------------------
         inputs: list = []
-        probs = softmax(PackedMLP.forward(obs, actor.layers, inputs))
+        probs = softmax(self.actor.forward(obs, actor.layers, inputs))
         logp_all = np.log(np.clip(probs, 1e-12, None))
         new_logp = np.take_along_axis(logp_all, actions[..., None], -1)[..., 0]
         ratio = np.exp(new_logp - old_logp)
@@ -518,22 +588,22 @@ class PPOLearner:
         # where clip() is the identity; elsewhere the clipped branch is
         # constant in theta
         coef = np.where(unclipped <= clipped, unclipped, 0.0)
-        grad_logp = CategoricalPolicy.grad_log_prob_logits(probs, actions)
+        grad_logp = grad_log_prob_logits(probs, actions)
         grad = -(coef[..., None] * grad_logp) / m
         # entropy bonus (maximize entropy -> subtract its gradient)
-        grad -= cfg.entropy_coef * CategoricalPolicy.grad_entropy_logits(probs) / m
-        PackedMLP.backward(grad, actor.layers, actor.dlayers, inputs)
+        grad -= cfg.entropy_coef * grad_entropy_logits(probs) / m
+        self.actor.backward(grad, actor.layers, actor.dlayers, inputs)
         self.actor.clip(actor.grads, cfg.max_grad_norm)
-        actor.adam(b1t, b2t)
+        actor.adam(ts)
 
         # ---- critic ------------------------------------------------------
         inputs = []
-        v = PackedMLP.forward(obs, critic.layers, inputs)[..., 0]
+        v = self.critic.forward(obs, critic.layers, inputs)[..., 0]
         value_loss = ((v - returns) ** 2).mean(axis=1)
         grad_v = (2.0 * (v - returns) / m)[..., None]
-        PackedMLP.backward(grad_v, critic.layers, critic.dlayers, inputs)
+        self.critic.backward(grad_v, critic.layers, critic.dlayers, inputs)
         self.critic.clip(critic.grads, cfg.max_grad_norm)
-        critic.adam(b1t, b2t)
+        critic.adam(ts)
 
         log_ratio = new_logp - old_logp
         approx_kl = ((ratio - 1.0) - log_ratio).mean(axis=1)   # k3

@@ -51,8 +51,8 @@ class TestCheckpointFile:
         b.load_state_dict(load_checkpoint(path))
         obs = np.zeros(a.trainer.agents["leaf0"].config.obs_dim)
         np.testing.assert_allclose(
-            a.trainer.agents["leaf0"].policy.probs(obs),
-            b.trainer.agents["leaf0"].policy.probs(obs))
+            a.trainer.agents["leaf0"].probs(obs),
+            b.trainer.agents["leaf0"].probs(obs))
 
 
 class TestMovingAverage:

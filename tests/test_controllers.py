@@ -100,8 +100,8 @@ class TestPETController:
         s = net.switch_names()[0]
         obs = np.zeros(a.trainer.agents[s].config.obs_dim)
         np.testing.assert_allclose(
-            a.trainer.agents[s].policy.probs(obs),
-            b.trainer.agents[s].policy.probs(obs))
+            a.trainer.agents[s].probs(obs),
+            b.trainer.agents[s].probs(obs))
 
     def test_install_pretrained_broadcasts(self):
         net = loaded_net()
@@ -109,7 +109,7 @@ class TestPETController:
         src = pet.trainer.agents[net.switch_names()[0]].state_dict()
         pet.install_pretrained(src)
         obs = np.zeros(pet.trainer.agents[net.switch_names()[0]].config.obs_dim)
-        probs = [ag.policy.probs(obs) for ag in pet.trainer.agents.values()]
+        probs = [ag.probs(obs) for ag in pet.trainer.agents.values()]
         for p in probs[1:]:
             np.testing.assert_allclose(p, probs[0])
 

@@ -107,11 +107,18 @@ class TestComponentDeterminism:
         assert d1 == d2
 
     def test_default_mlp_init_is_reproducible(self):
-        from repro.rl.nn import MLP
-        w1 = MLP([4, 8, 2]).parameters()
-        w2 = MLP([4, 8, 2]).parameters()
-        assert w1.keys() == w2.keys()
-        assert all(np.array_equal(w1[k], w2[k]) for k in w1)
+        """Weights are drawn from the generators the network is given,
+        and nothing else: equal seeds, equal rows."""
+        from repro.rl.ppo import PPOAgent, PPOConfig
+        from repro.rl.stacked import PackedMLP
+        w1, w2 = (PackedMLP([4, 8, 2], [np.random.default_rng(0)]).params
+                  for _ in range(2))
+        assert w1.tobytes() == w2.tobytes()
+        s1, s2 = (PPOAgent(PPOConfig(seed=0)).state_dict() for _ in range(2))
+        for net in ("actor", "critic"):
+            assert s1[net].keys() == s2[net].keys()
+            assert all(np.array_equal(s1[net][k], s2[net][k])
+                       for k in s1[net])
 
 
 # ----------------------------------------------------- parallel engine

@@ -414,5 +414,5 @@ class TestCLI:
             monkeypatch.chdir(cwd)
             assert devtools_main(args) == 0
             err = capsys.readouterr().err
-            assert "(5 baselined finding(s) suppressed)" in err
+            assert "(4 baselined finding(s) suppressed)" in err
             assert "stale" not in err

@@ -1,9 +1,10 @@
 """Smoke tests: every example imports cleanly and exposes main().
 
 Running the examples end-to-end takes minutes (they train agents); CI
-verifies their imports, argument-free entry points, and that the
-quickstart's scenario construction is valid — the full runs are
-documented in the README.
+verifies their imports, argument-free entry points, that the
+quickstart's scenario construction is valid, and runs the gym example
+shrunk to one short episode — the full runs are documented in the
+README.
 """
 
 import importlib.util
@@ -43,3 +44,19 @@ def test_quickstart_scenario_is_valid():
     import inspect
     src = inspect.getsource(module.main)
     assert "ScenarioConfig" in src and "run_scenario" in src
+
+
+def test_gym_training_runs_one_short_episode(monkeypatch, capsys):
+    """One episode of 120 intervals: long enough for ``agent.update`` to
+    fire (every 100 steps), then the policy's top three actions."""
+    module = _load("gym_training")
+    monkeypatch.setattr(module, "EPISODES", 1)
+    monkeypatch.setattr(module, "INTERVALS", 120)
+    module.main()
+    out = capsys.readouterr().out
+    assert "episode  1: mean reward" in out
+    top = [line for line in out.splitlines() if line.startswith("  p=")]
+    assert len(top) == 3
+    probs = [float(line.split(":")[0][4:]) for line in top]
+    assert probs == sorted(probs, reverse=True)
+    assert all(0.0 <= p <= 1.0 for p in probs)

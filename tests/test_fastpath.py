@@ -1,10 +1,12 @@
 """Bit-identity tests for the vectorised hot paths (:mod:`repro.rl.stacked`
 and friends).
 
-The stacked IPPO forward is compared with a plain loop over the agents'
-own ``PPOAgent.act/value/record/update``.  The paths whose reference
-loops were deleted are held by plain-loop oracles
-(``tests/test_gae.py``, ``tests/test_optim.py``, ``tests/test_ppo.py``,
+The stacked IPPO forward is compared with a plain loop over the agents:
+2-D matmuls on each agent's own checkpoint and ``rng.choice`` on its own
+generator (``tests/plain_rl.py``), then its own ``PPOAgent.record/
+update``.  The paths whose reference loops were deleted are held by
+plain-loop oracles (``tests/test_gae.py``, ``tests/test_optim.py``,
+``tests/test_ppo.py``, ``tests/test_ippo_replay_ddqn.py``,
 ``tests/test_engine.py``, ``tests/test_packet_network.py``,
 ``tests/test_step_oracle.py``, ``tests/test_switch_telemetry.py``) and,
 end to end, by the digests pinned at the bottom of this file.
@@ -27,9 +29,9 @@ from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
 from repro.rl.ippo import IPPOTrainer
-from repro.rl.nn import MLP, clip_gradients
-from repro.rl.ppo import PPOAgent, PPOConfig
-from repro.rl.stacked import PPOLearner, StackingError
+from repro.rl.ppo import PPOConfig
+from repro.rl.stacked import PackedMLP, PPOLearner, StackingError
+from tests import plain_rl
 from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
 from repro.traffic.workloads import workload_by_name
 
@@ -46,10 +48,17 @@ def _canon(x):
 
 
 def _act_each(agents, observations, epsilons, greedy=False):
-    """The reference: every agent's own ``PPOAgent.act``, one at a time."""
-    return {aid: agents[aid].act(obs, epsilon=epsilons.get(aid, 0.0),
-                                 greedy=greedy)
+    """The reference: every agent's decision from its own checkpoint and
+    generator by the plain 2-D forward and ``rng.choice``, one at a
+    time."""
+    return {aid: plain_rl.act(agents[aid].state_dict(), agents[aid].rng, obs,
+                              epsilon=epsilons.get(aid, 0.0), greedy=greedy)
             for aid, obs in observations.items()}
+
+
+def _value(agent, obs):
+    return float(plain_rl.PlainMLP(agent.state_dict()["critic"])
+                 .forward(obs)[0, 0])
 
 
 # ------------------------------------------------------------ batched IPPO
@@ -72,7 +81,7 @@ def _rollout(stacked, seed, n_agents=4, steps=30, updates=2):
                 vals = trainer.values(obs)
             else:
                 dec = _act_each(agents, obs, eps)
-                vals = {aid: agents[aid].value(o) for aid, o in obs.items()}
+                vals = {aid: _value(agents[aid], o) for aid, o in obs.items()}
             log.append((_canon(dec), _canon(vals)))
             rewards = {aid: float(obs_rng.normal()) for aid in ids}
             dones = {aid: t == steps - 1 for aid in ids}
@@ -97,18 +106,13 @@ def test_batched_ippo_bit_identical(seed):
 
 def test_heterogeneous_agents_raise_stacking_error():
     """One config builds every agent, so they stack; agents whose
-    networks or hyperparameters diverge cannot share a learner — an
-    error, not a quiet per-agent fallback."""
+    configs — networks or hyperparameters — diverge beyond the seed
+    cannot share a learner: an error, not a quiet per-agent fallback."""
     cfg = PPOConfig(obs_dim=5, n_actions=4, hidden=(8,), seed=3)
-    wide = PPOAgent(replace(cfg, hidden=(12,)))
-    with pytest.raises(StackingError, match="diverge"):
-        PPOLearner([PPOAgent(cfg), wide])
     with pytest.raises(StackingError, match="configs diverge"):
-        PPOLearner([PPOAgent(cfg), PPOAgent(replace(cfg, actor_lr=1e-2))])
-    wide.actor = MLP([5, 8, 4], rng=np.random.default_rng(0))
-    wide.critic = MLP([5, 8, 1], rng=np.random.default_rng(0))
-    with pytest.raises(StackingError, match="networks diverge"):
-        PPOLearner([PPOAgent(replace(cfg, hidden=(12,))), wide])
+        PPOLearner([cfg, replace(cfg, hidden=(12,), seed=4)])
+    with pytest.raises(StackingError, match="configs diverge"):
+        PPOLearner([cfg, replace(cfg, actor_lr=1e-2)])
     trainer = IPPOTrainer(["a", "b"], cfg)
     assert trainer.stacking_status()["actor_layers"] == [[5, 8], [8, 4]]
 
@@ -118,25 +122,27 @@ def _random_weight_trainer(seed, n_agents=5):
     trainer = IPPOTrainer([f"sw{i}" for i in range(n_agents)], cfg)
     rng = np.random.default_rng(seed + 99)
     for agent in trainer.agents.values():       # policies far from uniform
-        for net in (agent.actor, agent.critic):
-            for layer in net.layers:
-                if hasattr(layer, "W"):
-                    layer.W[...] = rng.normal(size=layer.W.shape)
-                    layer.b[...] = rng.normal(size=layer.b.shape)
+        state = agent.state_dict()
+        for net in state.values():
+            for key, p in net.items():
+                net[key] = rng.normal(size=p.shape)
+        agent.load_state_dict(state)
     return trainer
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
 def test_greedy_matrix_act_equals_per_agent_act(seed):
     """The array-native greedy act — one argmax, one log, no per-agent
-    Python — returns each agent's own ``PPOAgent.act(greedy=True)``, and
-    touches nobody's generator."""
+    Python — returns each agent's own ``PPOAgent.act(greedy=True)`` and
+    the plain 2-D argmax, and touches nobody's generator."""
     trainer = _random_weight_trainer(seed)
     ids = trainer.agent_ids
     obs = np.random.default_rng(seed).normal(size=(len(ids), 6))
-    rng_states = [a.policy.rng.bit_generator.state
+    rng_states = [a.rng.bit_generator.state
                   for a in trainer.agents.values()]
     want = [trainer.agents[aid].act(o, greedy=True) for aid, o in zip(ids, obs)]
+    assert want == list(_act_each(trainer.agents, dict(zip(ids, obs)), {},
+                                  greedy=True).values())
     assert len({w["action"] for w in want}) > 1
     cols = trainer.act(obs, greedy=True)
     assert trainer.stacking_status()["stacked"]
@@ -150,7 +156,7 @@ def test_greedy_matrix_act_equals_per_agent_act(seed):
     # the mapping form is the same computation
     as_dicts = trainer.act(dict(zip(ids, obs)), greedy=True)
     assert [as_dicts[aid] for aid in ids] == want
-    assert [a.policy.rng.bit_generator.state
+    assert [a.rng.bit_generator.state
             for a in trainer.agents.values()] == rng_states
 
 
@@ -158,7 +164,7 @@ def test_greedy_matrix_act_equals_per_agent_act(seed):
 def test_sampling_matrix_act_equals_mapping_act(stacked):
     """Same private generators, same draw order, whichever way the
     observations arrive — the trainer's mapping form, or (``stacked``
-    False) each agent's own ``PPOAgent.act`` in a plain loop."""
+    False) the plain 2-D forward and ``rng.choice`` per agent."""
     by_matrix = _random_weight_trainer(3)
     by_mapping = _random_weight_trainer(3)
     ids = by_matrix.agent_ids
@@ -214,27 +220,34 @@ def test_engine_cancel_after_fire_does_not_corrupt_counter():
     assert sim.pending() == 0 == sim._scan_pending()
 
 
-# ------------------------------------------------------------ clip_gradients
+# ------------------------------------------------------------ gradient clip
 def test_clip_gradients_pins_pre_clip_norm():
+    """The packed clip's per-slice dot keeps the plain sum-of-squares
+    norm, and scales every gradient by exactly ``max_norm / norm``."""
+    net = PackedMLP([24, 64, 10], [np.random.default_rng(1)])
     rng = np.random.default_rng(0)
     grads = [rng.normal(size=(24, 64)), rng.normal(size=64),
              rng.normal(size=(64, 10)), rng.normal(size=10)]
     expect = float(np.sqrt(sum(float((g ** 2).sum()) for g in grads)))
-    copies = [g.copy() for g in grads]
-    total = clip_gradients(copies, max_norm=0.5)
+
+    def clipped(gs, max_norm):
+        net.grads[0] = np.concatenate([g.ravel() for g in gs])
+        total = net.clip(net.grads, max_norm)
+        return float(total[0]), net.grads[0].copy()
+
+    total, after = clipped(grads, 0.5)
     # the vectorized np.dot reduction must keep the seed's exact norm
     assert total == expect
     scale = 0.5 / expect
-    for before, after in zip(grads, copies):
-        assert after.tobytes() == (before * scale).tobytes()
+    assert after.tobytes() == np.concatenate(
+        [(g * scale).ravel() for g in grads]).tobytes()
     # under the clip threshold: untouched, same norm convention
     small = [g * 1e-6 for g in grads]
-    keep = [g.copy() for g in small]
-    total_small = clip_gradients(small, max_norm=0.5)
+    total_small, kept = clipped(small, 0.5)
     assert total_small == expect * 1e-6 or total_small == float(
-        np.sqrt(sum(float((g ** 2).sum()) for g in keep)))
-    for a, b in zip(small, keep):
-        assert a.tobytes() == b.tobytes()
+        np.sqrt(sum(float((g ** 2).sum()) for g in small)))
+    assert kept.tobytes() == np.concatenate(
+        [g.ravel() for g in small]).tobytes()
 
 
 # ------------------------------------------------------------ pinned runs

@@ -118,7 +118,7 @@ class TestTrainedPETBehaviour:
                    for s in pet.switches)
         assert all(a.updates >= 3 for a in pet.trainer.agents.values())
         for agent in pet.trainer.agents.values():
-            for p in agent.actor.parameters().values():
+            for p in agent.state_dict()["actor"].values():
                 assert np.all(np.isfinite(p))
 
     def test_reward_improves_during_training(self):

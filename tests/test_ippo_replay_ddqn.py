@@ -9,6 +9,7 @@ from repro.rl.ddqn import DDQNAgent, DDQNConfig
 from repro.rl.ippo import IPPOTrainer
 from repro.rl.ppo import PPOConfig
 from repro.rl.replay import GlobalReplayBuffer, ReplayBuffer, Transition
+from tests import plain_rl
 
 
 class TestIPPOTrainer:
@@ -18,8 +19,8 @@ class TestIPPOTrainer:
 
     def test_agents_are_independent_parameterizations(self):
         tr = self._trainer()
-        pa = tr.agents["a"].actor.state_dict()
-        pb = tr.agents["b"].actor.state_dict()
+        pa = tr.agents["a"].state_dict()["actor"]
+        pb = tr.agents["b"].state_dict()["actor"]
         assert any(not np.allclose(pa[k], pb[k]) for k in pa)
 
     def test_act_and_record_per_agent(self):
@@ -52,7 +53,7 @@ class TestIPPOTrainer:
         tr = self._trainer()
         src = tr.agents["a"].state_dict()
         tr.broadcast_parameters(src)
-        pb = tr.agents["b"].actor.state_dict()
+        pb = tr.agents["b"].state_dict()["actor"]
         for k, v in src["actor"].items():
             np.testing.assert_allclose(pb[k], v)
 
@@ -171,13 +172,14 @@ class TestDDQN:
         for i in range(20):
             agent.replay.add(np.ones(2) * i, i % 2, 1.0, np.ones(2), False)
         agent.train_step()
-        diverged = any(
-            not np.allclose(agent.q.state_dict()[k], agent.q_target.state_dict()[k])
-            for k in agent.q.state_dict())
+        state = agent.state_dict()
+        diverged = any(not np.allclose(state["q"][k], state["q_target"][k])
+                       for k in state["q"])
         assert diverged
         agent.train_step()   # second step triggers the hard sync
-        for k, v in agent.q.state_dict().items():
-            np.testing.assert_allclose(agent.q_target.state_dict()[k], v)
+        state = agent.state_dict()
+        for k, v in state["q"].items():
+            np.testing.assert_allclose(state["q_target"][k], v)
 
     def test_learns_bandit(self):
         """Constant state, action 1 pays 1, action 0 pays 0."""
@@ -201,3 +203,78 @@ class TestDDQN:
         b.load_state_dict(a.state_dict())
         np.testing.assert_allclose(a.q_values(np.ones(2)),
                                    b.q_values(np.ones(2)))
+
+
+class _PlainDDQN:
+    """The textbook Double-DQN step on plain 2-D ReLU MLPs
+    (``tests/plain_rl.py``: Python-level layers, per-parameter Adam, an
+    ``np.dot`` clip), started from an agent's checkpoint."""
+
+    def __init__(self, agent):
+        self.cfg = agent.config
+        state = agent.state_dict()
+        self.q = plain_rl.PlainMLP(state["q"], "relu")
+        self.target = plain_rl.PlainMLP(state["q_target"], "relu")
+        self.clipped = self.syncs = 0
+
+    def train_step(self, batch):
+        cfg = self.cfg
+        obs, actions, rewards, next_obs, dones = batch
+        m = len(obs)
+        best_next = np.argmax(self.q.forward(next_obs), axis=1)
+        target_vals = self.target.forward(next_obs)[np.arange(m), best_next]
+        y = rewards + cfg.gamma * target_vals * (~dones)
+        q_all = self.q.forward(obs)
+        q_sa = q_all[np.arange(m), actions]
+        td = q_sa - y
+        grad_q = np.zeros_like(q_all)
+        grad_q[np.arange(m), actions] = 2.0 * td / m
+        grads = self.q.backward(grad_q)
+        self.clipped += plain_rl.clip([g.copy() for g in grads],
+                                      0.0) > cfg.max_grad_norm
+        self.q.step(grads, cfg.lr, cfg.max_grad_norm)
+        if self.q.t % cfg.target_sync_interval == 0:
+            self.target = plain_rl.PlainMLP(self.q.state_dict(), "relu")
+            self.syncs += 1
+        return {"loss": float(np.mean(td ** 2)), "mean_q": float(q_sa.mean()),
+                "trained": 1.0}
+
+
+class TestDDQNOracle:
+    """``DDQNAgent`` against the plain step, byte for byte."""
+
+    def test_train_steps_and_q_values_equal_the_plain_ddqn(self):
+        cfg = DDQNConfig(obs_dim=6, n_actions=10, batch_size=32, lr=3e-3,
+                         gamma=0.9, target_sync_interval=100,
+                         max_grad_norm=0.5, seed=3)
+        agent = DDQNAgent(cfg)
+        plain = _PlainDDQN(agent)
+        # two replays with equal generators and contents: the agent
+        # samples one, the oracle the same batches from the other
+        bufs = [ReplayBuffer(500, rng=np.random.default_rng(4))
+                for _ in range(2)]
+        data = np.random.default_rng(5)
+
+        def push():
+            t = (data.normal(size=6), int(data.integers(10)),
+                 float(data.normal()), data.normal(size=6),
+                 bool(data.random() < 0.1))
+            for buf in bufs:
+                buf.add(*t)
+
+        for _ in range(64):
+            push()
+        for _ in range(420):
+            push()
+            got = agent.train_step(bufs[0])
+            assert got == plain.train_step(bufs[1].sample(cfg.batch_size))
+            assert agent.q.params[0].tobytes() == plain.q.flat().tobytes()
+            assert agent.q.m[0].tobytes() == plain.q.flat(plain.q.m).tobytes()
+            assert agent.q.v[0].tobytes() == plain.q.flat(plain.q.v).tobytes()
+            assert (agent.q_target.params[0].tobytes()
+                    == plain.target.flat().tobytes())
+        assert plain.syncs >= 3
+        assert 0 < plain.clipped < 420      # the clip fires, and not always
+        for obs in data.normal(size=(200, 6)):
+            assert (agent.q_values(obs).tobytes()
+                    == plain.q.forward(obs)[0].tobytes())

@@ -130,8 +130,8 @@ class TestMultiQueueController:
         b = MultiQueuePETController(net.switch_names(), PETConfig(seed=5))
         b.load_state_dict(a.state_dict())
         obs = np.zeros(a.agents["leaf0"].config.obs_dim)
-        np.testing.assert_allclose(a.agents["leaf0"].policy.probs(obs),
-                                   b.agents["leaf0"].policy.probs(obs))
+        np.testing.assert_allclose(a.agents["leaf0"].probs(obs),
+                                   b.agents["leaf0"].probs(obs))
 
     def test_queues_are_fixed_by_the_first_interval(self):
         """The first ``port_stats`` lays out the rows of the input

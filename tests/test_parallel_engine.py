@@ -247,6 +247,42 @@ class TestCrashRecovery:
         assert failure.attempts == 2          # initial + one isolated retry
         assert report.outcomes[1].ok and report.outcomes[1].value == 16
 
+    def test_pool_broken_at_submit_recycles_and_completes(self):
+        """A pool can break between a ``wait`` and the next ``submit``;
+        the refused task goes back uncharged, the in-flight ones settle
+        (their casualties would get the isolated retry), and a fresh
+        pool runs the rest."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BreaksOnThirdSubmit:
+            def __init__(self, pool):
+                self.pool, self.calls = pool, 0
+
+            def submit(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 3:
+                    raise BrokenProcessPool("injected")
+                return self.pool.submit(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.pool, name)
+
+        engine = Engine(workers=2, queue_depth=2)
+        real, pools = engine._new_pool, []
+
+        def new_pool(workers):
+            pool = real(workers)
+            pools.append(pool)
+            return BreaksOnThirdSubmit(pool) if len(pools) == 1 else pool
+
+        engine._new_pool = new_pool
+        specs = [TaskSpec(task_id=i, fn=_square, args=(i,)) for i in range(5)]
+        report = engine.run(specs)
+        assert report.values() == [0, 1, 4, 9, 16]
+        assert [o.attempts for o in report.outcomes] == [1] * 5
+        assert report.retries == 0
+        assert len(pools) == 2              # the broken pool was recycled
+
     def test_crash_with_retries_disabled_fails_immediately(self):
         specs = [TaskSpec(task_id=0, fn=_crash_always, args=(None,))]
         report = run_tasks(specs, workers=WORKERS, max_retries=0)

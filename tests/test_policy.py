@@ -1,11 +1,15 @@
-"""Tests for the categorical policy and the Eq. 13 exploration schedule."""
+"""Tests for the softmax policy head, the action sampler (on a one-agent
+learner), the logit gradients and the Eq. 13 exploration schedule."""
+
+import copy
 
 import numpy as np
 import pytest
 
-from repro.rl.nn import MLP
-from repro.rl.policy import (CategoricalPolicy, ExplorationSchedule,
-                             log_softmax, softmax)
+from repro.rl.policy import ExplorationSchedule, softmax
+from repro.rl.ppo import PPOAgent, PPOConfig
+from repro.rl.stacked import grad_entropy_logits, grad_log_prob_logits
+from tests import plain_rl
 
 
 class TestSoftmax:
@@ -24,76 +28,103 @@ class TestSoftmax:
         assert np.isfinite(p).all()
         assert p[0, 0] == pytest.approx(1.0)
 
-    def test_log_softmax_consistency(self):
-        z = np.random.default_rng(1).normal(size=(3, 4))
-        np.testing.assert_allclose(log_softmax(z), np.log(softmax(z)),
-                                   atol=1e-12)
+
+def _log_softmax(z):
+    return np.log(softmax(z))
 
 
 class TestCategoricalPolicy:
-    def _policy(self, seed=0, n_actions=4):
-        net = MLP([3, 8, n_actions], rng=np.random.default_rng(seed))
-        return CategoricalPolicy(net, rng=np.random.default_rng(seed + 1))
+    """The policy of a lone :class:`PPOAgent`: the one-agent learner's
+    forward and sampler."""
+
+    N_ACTIONS = 4
+
+    def _agent(self, seed=0):
+        return PPOAgent(PPOConfig(obs_dim=3, n_actions=self.N_ACTIONS,
+                                  hidden=(8,), seed=seed))
 
     def test_act_returns_valid_action_and_logprob(self):
-        pol = self._policy()
-        a, logp = pol.act(np.zeros(3))
-        assert 0 <= a < pol.n_actions
-        assert logp <= 0.0
+        agent = self._agent()
+        d = agent.act(np.zeros(3))
+        assert 0 <= d["action"] < self.N_ACTIONS
+        assert d["log_prob"] <= 0.0
+        assert d["log_prob"] == float(np.log(agent.probs(np.zeros(3))[0,
+                                                                  d["action"]]))
 
     def test_greedy_picks_argmax(self):
-        pol = self._policy()
+        agent = self._agent()
         obs = np.ones(3)
-        p = pol.probs(obs)[0]
-        a, _ = pol.act(obs, greedy=True)
-        assert a == int(np.argmax(p))
+        p = agent.probs(obs)[0]
+        state = agent.rng.bit_generator.state
+        d = agent.act(obs, greedy=True)
+        assert d["action"] == int(np.argmax(p))
+        assert d == plain_rl.act(agent.state_dict(), None, obs, greedy=True)
+        assert agent.rng.bit_generator.state == state
 
     def test_sampling_matches_distribution(self):
-        pol = self._policy(seed=3)
+        """Draws follow the policy, and are exactly ``rng.choice(n, p=p)``
+        on the agent's generator and the plain 2-D forward's ``p``."""
+        agent = self._agent(seed=3)
         obs = np.ones(3)
-        p = pol.probs(obs)[0]
-        counts = np.zeros(pol.n_actions)
+        p = agent.probs(obs)[0]
+        state, twin = agent.state_dict(), copy.deepcopy(agent.rng)
+        counts = np.zeros(self.N_ACTIONS)
         n = 5000
         for _ in range(n):
-            a, _ = pol.act(obs)
-            counts[a] += 1
+            d = agent.act(obs)
+            assert d == plain_rl.act(state, twin, obs)
+            counts[d["action"]] += 1
         np.testing.assert_allclose(counts / n, p, atol=0.03)
 
     def test_epsilon_one_is_uniform(self):
-        pol = self._policy(seed=4)
+        agent = self._agent(seed=4)
         obs = np.ones(3)
-        counts = np.zeros(pol.n_actions)
+        state, twin = agent.state_dict(), copy.deepcopy(agent.rng)
+        counts = np.zeros(self.N_ACTIONS)
         n = 4000
-        for _ in range(n):
-            a, _ = pol.act(obs, epsilon=1.0)
-            counts[a] += 1
+        for i in range(n):
+            eps = 1.0 if i % 10 else 0.5
+            d = agent.act(obs, epsilon=eps)
+            assert d == plain_rl.act(state, twin, obs, epsilon=eps)
+            counts[d["action"]] += 1
         np.testing.assert_allclose(counts / n, 0.25, atol=0.04)
 
     def test_entropy_bounds(self):
-        pol = self._policy()
-        h = pol.entropy(np.zeros((2, 3)))
+        """The entropy of the policy, and the one an update reports, lie
+        in [0, log n]."""
+        agent = self._agent()
+        p = agent.probs(np.zeros((2, 3)))
+        h = -(p * np.log(p)).sum(axis=-1)
         assert np.all(h >= 0)
-        assert np.all(h <= np.log(pol.n_actions) + 1e-9)
+        assert np.all(h <= np.log(self.N_ACTIONS) + 1e-9)
+        rng = np.random.default_rng(0)
+        for _ in range(16):
+            obs = rng.normal(size=3)
+            d = agent.act(obs)
+            agent.record(obs, d["action"], 1.0, True, d["log_prob"],
+                         d["value"])
+        ent = agent.update()["entropy"]
+        assert 0.0 < ent <= np.log(self.N_ACTIONS) + 1e-9
 
     def test_batch_obs_rejected_by_act(self):
-        pol = self._policy()
+        agent = self._agent()
         with pytest.raises(ValueError):
-            pol.act(np.zeros((2, 3)))
+            agent.act(np.zeros((2, 3)))
 
     def test_grad_log_prob_logits(self):
         """Analytic d log p(a)/d z vs numerical differentiation."""
         rng = np.random.default_rng(5)
         z = rng.normal(size=(1, 4))
         a = np.array([2])
-        analytic = CategoricalPolicy.grad_log_prob_logits(softmax(z), a)
+        analytic = grad_log_prob_logits(softmax(z), a)
         eps = 1e-6
         num = np.zeros_like(z)
         for j in range(4):
             zp, zm = z.copy(), z.copy()
             zp[0, j] += eps
             zm[0, j] -= eps
-            num[0, j] = (log_softmax(zp)[0, a[0]] -
-                         log_softmax(zm)[0, a[0]]) / (2 * eps)
+            num[0, j] = (_log_softmax(zp)[0, a[0]] -
+                         _log_softmax(zm)[0, a[0]]) / (2 * eps)
         np.testing.assert_allclose(analytic, num, atol=1e-6)
 
     def test_grad_entropy_logits(self):
@@ -104,7 +135,7 @@ class TestCategoricalPolicy:
             p = softmax(zz)
             return float(-(p * np.log(p)).sum())
 
-        analytic = CategoricalPolicy.grad_entropy_logits(softmax(z))
+        analytic = grad_entropy_logits(softmax(z))
         eps = 1e-6
         num = np.zeros_like(z)
         for j in range(5):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rl.ppo import PPOAgent, PPOConfig, approx_kl_k3
+from tests import plain_rl
 
 
 def _agent(**overrides):
@@ -98,7 +99,7 @@ class TestPPOAgent:
         b = PPOAgent(PPOConfig(obs_dim=3, n_actions=4, hidden=(16, 16), seed=9))
         obs = np.ones(3)
         b.load_state_dict(a.state_dict())
-        np.testing.assert_allclose(a.policy.probs(obs), b.policy.probs(obs))
+        np.testing.assert_allclose(a.probs(obs), b.probs(obs))
         assert a.value(obs) == pytest.approx(b.value(obs))
 
     def test_greedy_act_deterministic(self):
@@ -124,14 +125,14 @@ class TestPPOAgent:
         agent = _agent(epochs=1, normalize_advantages=False,
                        entropy_coef=0.0)
         obs = np.zeros(3)
-        p_before = agent.policy.probs(obs)[0].copy()
+        p_before = agent.probs(obs)[0].copy()
         target = 2
         logp = float(np.log(p_before[target]))
         # many identical transitions, all rewarding action `target`
         for _ in range(32):
             agent.record(obs, target, 1.0, True, logp, 0.0)
         agent.update()
-        p_after = agent.policy.probs(obs)[0]
+        p_after = agent.probs(obs)[0]
         assert p_after[target] > p_before[target]
 
 
@@ -327,23 +328,17 @@ def _gae_loop(rewards, values, dones, truncateds, bootstraps, last_value,
 
 class _PlainPPO:
     """The plain per-agent 2-D PPO update that the stacked learner
-    replaced, kept as its oracle: one agent's own MLPs, its own
-    :class:`~repro.rl.optim.Adam` per network, Python-list rollouts and
-    a copy of its generator."""
+    replaced, kept as its oracle: one agent's own plain MLPs with their
+    own textbook Adam (``tests/plain_rl.py``), Python-list rollouts and a
+    copy of its generator."""
 
     def __init__(self, agent):
         import copy
 
-        from repro.rl.nn import MLP
-        from repro.rl.optim import Adam
-
         cfg = self.cfg = agent.config
-        self.actor = MLP(agent.actor.sizes)
-        self.critic = MLP(agent.critic.sizes)
-        self.actor.load_state_dict(agent.actor.state_dict())
-        self.critic.load_state_dict(agent.critic.state_dict())
-        self.actor_opt = Adam(self.actor, cfg.actor_lr)
-        self.critic_opt = Adam(self.critic, cfg.critic_lr)
+        state = agent.state_dict()
+        self.actor = plain_rl.PlainMLP(state["actor"])
+        self.critic = plain_rl.PlainMLP(state["critic"])
         self.rng = copy.deepcopy(agent.rng)   # _fill refreshes it
         self.rollout = []
 
@@ -355,8 +350,6 @@ class _PlainPPO:
                              float(value), bool(truncated), float(bootstrap)))
 
     def update(self, last_obs=None):
-        from repro.rl.policy import softmax
-
         zero = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
                 "approx_kl": 0.0, "clip_frac": 0.0}
         if not self.rollout:
@@ -386,19 +379,17 @@ class _PlainPPO:
             for start in range(0, n, cfg.minibatch_size):
                 mb = slice(start, start + cfg.minibatch_size)
                 s = self._minibatch(obs_e[mb], act_e[mb], logp_e[mb],
-                                    adv_e[mb], ret_e[mb], softmax)
+                                    adv_e[mb], ret_e[mb])
                 for k in stats:
                     stats[k] += s[k]
                 batches += 1
         self.rollout = []
         return {k: v / batches for k, v in stats.items()}
 
-    def _minibatch(self, obs, actions, old_logp, adv, returns, softmax):
-        from repro.rl.nn import clip_gradients
-
+    def _minibatch(self, obs, actions, old_logp, adv, returns):
         cfg = self.cfg
         m = len(obs)
-        probs = softmax(self.actor.forward(obs))
+        probs = plain_rl.softmax(self.actor.forward(obs))
         logp_all = np.log(np.clip(probs, 1e-12, None))
         new_logp = logp_all[np.arange(m), actions]
         ratio = np.exp(new_logp - old_logp)
@@ -415,17 +406,13 @@ class _PlainPPO:
         grad_logits = -(coef[:, None] * grad_logp) / m
         ent = -(probs * logp_all).sum(axis=-1, keepdims=True)
         grad_logits -= cfg.entropy_coef * (-probs * (logp_all + ent)) / m
-        self.actor.zero_grad()
-        self.actor.backward(grad_logits)
-        clip_gradients(self.actor.gradients().values(), cfg.max_grad_norm)
-        self.actor_opt.step()
+        self.actor.step(self.actor.backward(grad_logits), cfg.actor_lr,
+                        cfg.max_grad_norm)
 
         v = self.critic.forward(obs)[:, 0]
         value_loss = float(np.mean((v - returns) ** 2))
-        self.critic.zero_grad()
-        self.critic.backward((2.0 * (v - returns) / m)[:, None])
-        clip_gradients(self.critic.gradients().values(), cfg.max_grad_norm)
-        self.critic_opt.step()
+        self.critic.step(self.critic.backward((2.0 * (v - returns) / m)[:, None]),
+                         cfg.critic_lr, cfg.max_grad_norm)
 
         return {"policy_loss": policy_loss, "value_loss": value_loss,
                 "entropy": float(entropy.mean()),
@@ -437,12 +424,11 @@ class _PlainPPO:
 def _assert_same_as_oracle(agent, plain):
     """Weights, Adam moments and generator state, byte for byte."""
     learner, row = agent.learner, agent.row
-    for net, packed, opt in ((plain.actor, learner.actor, plain.actor_opt),
-                             (plain.critic, learner.critic, plain.critic_opt)):
-        flat = np.concatenate([p.ravel() for p in net.parameters().values()])
-        assert flat.tobytes() == packed.params[row].tobytes()
-        assert opt._fm.tobytes() == packed.m[row].tobytes()
-        assert opt._fv.tobytes() == packed.v[row].tobytes()
+    for net, packed in ((plain.actor, learner.actor),
+                        (plain.critic, learner.critic)):
+        assert net.flat().tobytes() == packed.params[row].tobytes()
+        assert net.flat(net.m).tobytes() == packed.m[row].tobytes()
+        assert net.flat(net.v).tobytes() == packed.v[row].tobytes()
     assert agent.rng.bit_generator.state == plain.rng.bit_generator.state
 
 

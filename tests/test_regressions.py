@@ -148,14 +148,19 @@ class TestUnseededFallbackRNGs:
         assert failed_set() == failed_set()
 
     def test_policy_and_replay_default_rngs_are_deterministic(self):
-        from repro.rl.nn import MLP
-        from repro.rl.policy import CategoricalPolicy
+        from repro.rl.ppo import PPOAgent, PPOConfig
         from repro.rl.replay import ReplayBuffer, Transition
+        from repro.rl.stacked import PackedMLP
 
+        # a network has no fallback generator: its rows are drawn from
+        # the ones it is given, and a seeded agent acts reproducibly
+        with pytest.raises(TypeError):
+            PackedMLP([4, 8, 3])    # type: ignore[call-arg]
         obs = np.zeros(4)
-        a1 = [CategoricalPolicy(MLP([4, 8, 3])).act(obs, epsilon=0.5)[0]
+        cfg = PPOConfig(obs_dim=4, n_actions=3, hidden=(8,), seed=0)
+        a1 = [PPOAgent(cfg).act(obs, epsilon=0.5)["action"]
               for _ in range(20)]
-        a2 = [CategoricalPolicy(MLP([4, 8, 3])).act(obs, epsilon=0.5)[0]
+        a2 = [PPOAgent(cfg).act(obs, epsilon=0.5)["action"]
               for _ in range(20)]
         assert a1 == a2
 
