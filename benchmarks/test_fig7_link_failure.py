@@ -9,17 +9,29 @@ the normalized FCT of flows finishing inside the failure window.
 
 from paperbench import print_banner, run_jobs, standard_scenario
 from repro.analysis.report import format_table
+from repro.resilience.faults import FaultPlan
 
 LOAD = 0.6
 DURATION = 0.24
-#: (fail_at_s, restore_at_s, fraction): 10% of the uplinks fail at 1/3 of
-#: the run and come back at 2/3
-FAILURE = (0.08, 0.16, 0.10)
+DELTA_T = 1e-3
+
+
+def _mid(t):
+    """The middle of the interval ``round(t / Δt)``.  A fault fires at the
+    first interval boundary at or after its time, so this instant fires
+    at the boundary that ends interval ``round(t / Δt)``, clear of the
+    rounding the clock's sums carry."""
+    return (round(t / DELTA_T) + 0.5) * DELTA_T
+
+
+#: 10% of the fabric's links fail at 1/3 of the run and come back at 2/3
+FAULTS = tuple(FaultPlan().link_down(_mid(0.08), 0.10)
+               .link_restore(_mid(0.16)).specs)
 
 
 def _collect():
     cfg = standard_scenario("websearch", LOAD, duration=DURATION,
-                            incast=False, link_failure=FAILURE)
+                            delta_t=DELTA_T, incast=False, faults=FAULTS)
     results = run_jobs({s: (s, cfg) for s in ("pet", "acc", "secn1")})
     return {s: (r, {name: (r.windows[name]["overall"].avg,
                            r.windows[name]["overall"].count)
@@ -27,7 +39,7 @@ def _collect():
             for s, r in results.items()}
 
 
-def test_fig7_link_failure(benchmark):
+def test_fig7_failed_links(benchmark):
     out = benchmark.pedantic(_collect, rounds=1, iterations=1)
 
     print_banner("Fig. 7 — normalized FCT around a 10% link-failure episode")

@@ -16,16 +16,16 @@ the paper's hybrid offline+online regime (§4.4).
 
 Every evaluation beyond Fig. 4 is a change to one scenario, so it is a
 field of :class:`ScenarioConfig`: a traffic-pattern schedule
-(``phases``, Fig. 6), a link-failure episode (``link_failure``,
-Fig. 7) or a learning-config override (``pet``, the ablations).  A
-figure is thus a list of ``(scheme, ScenarioConfig)`` jobs for
-:func:`run_scenario_grid`.
+(``phases``, Fig. 6), a fault timeline (``faults``: Fig. 7's link
+failure, or the chaos matrix of ``python -m repro chaos``) or a
+learning-config override (``pet``, the ablations).  A figure is thus a
+list of ``(scheme, ScenarioConfig)`` jobs for :func:`run_scenario_grid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +48,9 @@ from repro.obs.trace import get_tracer
 from repro.traffic.incast import IncastConfig, IncastGenerator
 from repro.traffic.patterns import PatternSchedule, PatternSegment
 from repro.traffic.workloads import workload_by_name
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.resilience.faults import FaultSpec
 
 __all__ = ["ScenarioConfig", "ExperimentResult", "build_scheme",
            "run_scenario", "run_scenario_grid", "SCHEMES"]
@@ -76,9 +79,9 @@ class ScenarioConfig:
     # Fig. 6: the measured run's background traffic follows this schedule
     # instead of one ``workload`` @ ``load`` stream (pretraining does not)
     phases: Tuple[PatternSegment, ...] = ()
-    # Fig. 7: (fail_at_s, restore_at_s, fraction) of the fabric's uplinks
-    # that fail during the measured run
-    link_failure: Optional[Tuple[float, float, float]] = None
+    # Fig. 7 and the chaos matrix: the measured run's fault timeline, a
+    # FaultPlan's specs, applied by a ChaosInjector under the guard
+    faults: Tuple["FaultSpec", ...] = ()
     # the ablations: PETConfig fields overriding the scenario's default
     pet: Dict[str, Any] = field(default_factory=dict)
     # fluid fabric (benchmark scale; see DESIGN.md for the scaling note)
@@ -100,17 +103,11 @@ class ScenarioConfig:
         self.phases = tuple(self.phases)
         if self.phases:
             PatternSchedule(self.phases)    # rejects overlapping phases
-        if self.link_failure is not None:
-            if self.simulator == "packet":
-                raise ValueError("link_failure needs a fluid simulator")
-            fail_at, restore_at, fraction = self.link_failure
-            if not 0.0 < fraction <= 1.0:
-                raise ValueError("link_failure fraction must be in (0, 1]")
-            if not 0 <= self._interval(fail_at) < self._interval(
-                    restore_at) < self._interval(self.duration):
-                raise ValueError(
-                    "link_failure must fail, then restore, at distinct "
-                    "intervals inside the measured run")
+        self.faults = tuple(self.faults)
+        late = sorted({s.kind for s in self.faults if s.at >= self.duration})
+        if late:
+            raise ValueError(f"faults {late} start at or after duration: "
+                             "the measured run never reaches them")
         names = {f.name for f in fields(PETConfig)}
         bad = sorted(k for k in self.pet
                      if k not in names or k in ("seed", "delta_t"))
@@ -121,6 +118,17 @@ class ScenarioConfig:
     def _interval(self, t: float) -> int:
         """Index of the measured-run interval at time ``t``."""
         return int(round(t / self.delta_t))
+
+    @property
+    def intervals(self) -> int:
+        """Tuning intervals of the measured run."""
+        return max(self._interval(self.duration), 1)
+
+    @property
+    def drain_intervals(self) -> int:
+        """Intervals run after the measured run, with no new arrivals, so
+        in-flight flows finish."""
+        return max(int(0.2 * self.intervals), 10)
 
     @property
     def host_rate_bps(self) -> float:
@@ -148,6 +156,7 @@ class ExperimentResult:
     fct: Dict[str, FCTStats]
     queue: QueueLengthStats
     latency: Dict[str, float]
+    #: the mean of :attr:`utilization_trace`
     mean_utilization: float
     flows_finished: int
     flows_total: int
@@ -157,6 +166,11 @@ class ExperimentResult:
     #: (``"0:websearch"``, …; flows by start time) and, around a link
     #: failure, ``"before"``/``"during"``/``"after"`` (by finish time)
     windows: Dict[str, Dict[str, FCTStats]] = field(default_factory=dict)
+    #: the :class:`repro.resilience.log.FaultEvent`\ s of the measured run
+    #: and drain: injected faults and the guard's reactions
+    faults: List = field(default_factory=list)
+    #: per-interval mean link utilization of the measured run
+    utilization_trace: List[float] = field(default_factory=list)
 
     def summary_row(self) -> Dict[str, Any]:
         """Flat row for the report tables: the job, then its metrics."""
@@ -261,7 +275,7 @@ _PRETRAIN_CACHE: Dict[str, object] = {}
 
 
 #: scenario fields only the measured run reads
-_MEASURED_ONLY = ("duration", "online_training", "phases", "link_failure")
+_MEASURED_ONLY = ("duration", "online_training", "phases", "faults")
 #: (simulator, the fabric field it reads)
 _FABRICS = (("fluid", "fluid"), ("fluid_shard", "fattree"),
             ("packet", "packet"))
@@ -284,12 +298,15 @@ def clear_pretrain_cache() -> None:
     _PRETRAIN_CACHE.clear()
 
 
-def _train_network_factory(cfg: ScenarioConfig):
-    def make_train_net():
-        tn = _make_network(cfg, cfg.seed + 101)
-        _load_traffic(tn, cfg, cfg.seed + 102, train=True)
-        return tn
-    return make_train_net
+def _network_factory(cfg: ScenarioConfig, seed: int, traffic_seed: int, *,
+                     train: bool = False) -> Callable[[], object]:
+    """Builds fresh traffic-loaded networks of ``cfg`` (see
+    :func:`_load_traffic`)."""
+    def make_net():
+        net = _make_network(cfg, seed)
+        _load_traffic(net, cfg, traffic_seed, train=train)
+        return net
+    return make_net
 
 
 def _acc_trainee(switch_names: List[str], base: PETConfig) -> ACCController:
@@ -312,16 +329,14 @@ class _PreparedScenario:
     net: object
     controller: object
     n_flows: int
-    intervals: int
+    #: the :class:`repro.resilience.faults.ChaosInjector` of ``cfg.faults``
+    chaos: Optional[object] = None
+    #: what the control loop drives: ``controller``, guarded when the job
+    #: has faults
+    driven: Optional[object] = None
     on_interval: Optional[Callable] = None
     queue_samples: List[float] = field(default_factory=list)
     utils: List[float] = field(default_factory=list)
-    #: ``now`` of the link failure and of its restore, as they fire
-    failure_times: List[float] = field(default_factory=list)
-
-    @property
-    def drain(self) -> int:
-        return max(int(0.2 * self.intervals), 10)
 
     def collect(self, i: int, now: float, stats: Dict) -> None:
         """The per-interval sampler of the measured run."""
@@ -329,17 +344,30 @@ class _PreparedScenario:
             self.queue_samples.append(st.avg_qlen_bytes)
         u = [st.utilization for st in stats.values()]
         self.utils.append(float(np.mean(u)) if u else 0.0)
-        if self.cfg.link_failure is not None:
-            fail_at, restore_at, fraction = self.cfg.link_failure
-            if i == self.cfg._interval(fail_at):
-                self.net.fail_uplinks(
-                    fraction, rng=np.random.default_rng(self.cfg.seed + 2))
-                self.failure_times.append(now)
-            elif i == self.cfg._interval(restore_at):
-                self.net.restore_uplinks()
-                self.failure_times.append(now)
         if self.on_interval is not None:
             self.on_interval(i, now, stats)
+
+
+def _guard(cfg: ScenarioConfig, net,
+           controller) -> Tuple[Optional[object], object]:
+    """The job's fault injector and the controller its run drives.
+
+    A job with ``faults`` gets a :class:`ChaosInjector` of them, drawing
+    the links it fails from ``default_rng(seed + 2)``, and its controller
+    runs inside a :class:`ResilientController` that shares the
+    injector's log.  A job without faults builds and wraps nothing.
+    """
+    if not cfg.faults:
+        return None, controller
+    # imported here: a run without faults never loads the chaos modules
+    from repro.resilience.faults import ChaosInjector, FaultPlan
+    from repro.resilience.guard import ResilientController
+    from repro.resilience.log import FaultLog
+    chaos = ChaosInjector(net, FaultPlan(list(cfg.faults)),
+                          rng=np.random.default_rng(cfg.seed + 2),
+                          log=FaultLog())
+    return chaos, ResilientController(chaos.wrap(controller),
+                                      net.switch_names(), log=chaos.log)
 
 
 def _prepare(jobs: List) -> List[_PreparedScenario]:
@@ -354,7 +382,8 @@ def _prepare(jobs: List) -> List[_PreparedScenario]:
     (:func:`_pretrain_key`) holds the load, seed and fabric, so each
     load point of a figure trains its own model; repeats of a job train
     nothing.  Finally each controller, in job order, loads its state and
-    continues online.
+    continues online; a job with faults drives it guarded
+    (:func:`_guard`).
     """
     preps: List[_PreparedScenario] = []
     keys: List[Optional[str]] = []
@@ -378,13 +407,16 @@ def _prepare(jobs: List) -> List[_PreparedScenario]:
             key = _pretrain_key(scheme, cfg, train_cfg)
             if key not in _PRETRAIN_CACHE:
                 pending.setdefault(cfg.pretrain_intervals, {}).setdefault(
-                    key, _Trainee(_train_network_factory(cfg), train_cfg,
+                    key, _Trainee(_network_factory(cfg, cfg.seed + 101,
+                                                   cfg.seed + 102, train=True),
+                                  train_cfg,
                                   make_controller=(_acc_trainee if acc
                                                    else PETController)))
         keys.append(key)
+        chaos, driven = _guard(cfg, net, controller)
         preps.append(_PreparedScenario(
             scheme=scheme, cfg=cfg, net=net, controller=controller,
-            n_flows=n_flows, intervals=max(cfg._interval(cfg.duration), 1)))
+            n_flows=n_flows, chaos=chaos, driven=driven))
 
     tr = get_tracer()
     for n, batch in pending.items():
@@ -404,16 +436,22 @@ def _prepare(jobs: List) -> List[_PreparedScenario]:
     return preps
 
 
-def _windows(prep: _PreparedScenario) -> Dict[str, Dict[str, FCTStats]]:
-    """FCT statistics per phase and around the link failure."""
-    cfg, done = prep.cfg, prep.net.finished_flows
+def _windows(cfg: ScenarioConfig, done: List,
+             faults: List) -> Dict[str, Dict[str, FCTStats]]:
+    """FCT statistics per phase and around the link failure: "during"
+    opens at the run's first ``link-down`` and closes at the next
+    ``link-restore`` (or never)."""
     out = {}
     for k, ph in enumerate(cfg.phases):
         out[f"{k}:{ph.workload}"] = [
             f for f in done
             if ph.start_time <= f.start_time < ph.start_time + ph.duration]
-    if prep.failure_times:
-        t0, t1 = prep.failure_times
+    down = next((k for k, e in enumerate(faults) if e.kind == "link-down"),
+                None)
+    if down is not None:
+        t0 = faults[down].time
+        t1 = next((e.time for e in faults[down:]
+                   if e.kind == "link-restore"), np.inf)
         out["before"] = [f for f in done if f.finish_time < t0]
         out["during"] = [f for f in done if t0 <= f.finish_time < t1]
         out["after"] = [f for f in done if t1 <= f.finish_time]
@@ -430,12 +468,14 @@ def _finalize_scenario(prep: _PreparedScenario) -> ExperimentResult:
     extra: Dict[str, float] = {}
     if isinstance(prep.controller, ACCController):
         extra.update(prep.controller.overhead_report())
+    faults = list(prep.chaos.log.events) if prep.chaos is not None else []
     return ExperimentResult(
         scheme=prep.scheme, scenario=cfg, fct=fct, queue=queue, latency=lat,
         mean_utilization=float(np.mean(prep.utils)) if prep.utils else 0.0,
         flows_finished=len(net.finished_flows), flows_total=prep.n_flows,
         queue_samples=prep.queue_samples, extra=extra,
-        windows=_windows(prep))
+        windows=_windows(cfg, net.finished_flows, faults), faults=faults,
+        utilization_trace=prep.utils)
 
 
 def _measure(preps: List[_PreparedScenario]) -> List[ExperimentResult]:
@@ -445,20 +485,30 @@ def _measure(preps: List[_PreparedScenario]) -> List[ExperimentResult]:
     batch (solo fluid networks of one fabric, Δt and horizon) step as one
     :class:`repro.netsim.batchfluid.BatchFluidNetwork`; every other job
     runs solo.  Either way each job's result is bit-identical to its solo
-    run.
+    run.  A job's fault injector is armed for its measured run and
+    drain, and disarmed afterwards, also on error.
     """
     tr = get_tracer()
-    horizons = [(p.cfg.delta_t, p.intervals) for p in preps]
+    horizons = [(p.cfg.delta_t, p.cfg.intervals) for p in preps]
     for stepper, group in lockstep_groups([p.net for p in preps], horizons):
         jobs = [preps[k] for k in group]
-        first = jobs[0]
-        with tr.span("scenario.measure", scheme=first.scheme, jobs=len(jobs),
-                     intervals=first.intervals):
-            drive(stepper, [(p.net, p.controller, p.collect) for p in jobs],
-                  intervals=first.intervals, delta_t=first.cfg.delta_t)
-            # drain: let in-flight flows finish without new arrivals
-            drive(stepper, [(p.net, p.controller, None) for p in jobs],
-                  intervals=first.drain, delta_t=first.cfg.delta_t)
+        first = jobs[0].cfg
+        chaos = [p.chaos for p in jobs if p.chaos is not None]
+        with tr.span("scenario.measure", scheme=jobs[0].scheme,
+                     jobs=len(jobs), intervals=first.intervals):
+            for c in chaos:
+                c.arm()
+            try:
+                drive(stepper, [(p.net, p.driven, p.collect, p.chaos)
+                                for p in jobs],
+                      intervals=first.intervals, delta_t=first.delta_t)
+                # drain: let in-flight flows finish without new arrivals
+                drive(stepper, [(p.net, p.driven, None, p.chaos)
+                                for p in jobs],
+                      intervals=first.drain_intervals, delta_t=first.delta_t)
+            finally:
+                for c in chaos:
+                    c.disarm()
     return [_finalize_scenario(p) for p in preps]
 
 

@@ -1,9 +1,10 @@
 """Fault-log analysis: summaries and recovery metrics.
 
 Consumes the structured :class:`repro.resilience.log.FaultLog` events
-that a chaos run attaches to :class:`repro.core.training.LoopResult`
-(duck-typed: anything with ``.time`` / ``.kind`` / ``.switch`` works,
-so this module imports nothing from :mod:`repro.resilience`).
+that a run with faults reports (``ExperimentResult.faults``,
+:attr:`repro.core.training.LoopResult.faults`; duck-typed: anything
+with ``.time`` / ``.kind`` / ``.switch`` works, so this module imports
+nothing from :mod:`repro.resilience`).
 
 The headline quantity mirrors the paper's §5.5.5 robustness reading:
 how long after a disturbance the utilization/FCT trace returns to its

@@ -101,21 +101,24 @@ def run_control_loop(network, controller, *, intervals: int, delta_t: float,
         ``on_interval`` keep observing the network's ground truth).  The
         injected/handled fault events land in :attr:`LoopResult.faults`.
     """
-    return drive(network, [(network, controller, on_interval)],
-                 intervals=intervals, delta_t=delta_t, chaos=chaos)[0]
+    return drive(network, [(network, controller, on_interval, chaos)],
+                 intervals=intervals, delta_t=delta_t)[0]
 
 
 def drive(stepper, replicas: Sequence[Tuple], *, intervals: int,
-          delta_t: float, chaos=None) -> List[LoopResult]:
+          delta_t: float) -> List[LoopResult]:
     """The control-loop tick, over the replicas one ``advance`` moves.
 
-    ``replicas`` holds ``(network, controller, on_interval)`` triples and
-    ``stepper`` advances all their networks: the network itself for one
-    replica, or the :class:`~repro.netsim.batchfluid.BatchFluidNetwork`
-    whose views they are.  After each ``advance`` every replica in turn
-    reads its statistics, lets its controller decide and runs its
-    ``on_interval``, with the same arithmetic for any R, so a replica's
-    :class:`LoopResult` is bit-identical to its solo run.
+    ``replicas`` holds ``(network, controller, on_interval, chaos)``
+    tuples and ``stepper`` advances all their networks: the network
+    itself for one replica, or the
+    :class:`~repro.netsim.batchfluid.BatchFluidNetwork` whose views they
+    are.  Every replica's ``chaos`` injector (or ``None``) ticks before
+    the ``advance``; after it every replica in turn reads its
+    statistics, lets its controller decide on what its injector lets
+    through and runs its ``on_interval``, with the same arithmetic for
+    any R, so a replica's :class:`LoopResult` is bit-identical to its
+    solo run.
     """
     if intervals <= 0:
         raise ValueError("intervals must be positive")
@@ -124,12 +127,14 @@ def drive(stepper, replicas: Sequence[Tuple], *, intervals: int,
     traces: List[List[float]] = [[] for _ in replicas]
     qlens: List[Dict[str, List[float]]] = [{} for _ in replicas]
     for i in range(intervals):
-        with tr.span("loop.tick", interval=i, now=stepper.now):
-            if chaos is not None:
-                chaos.tick(stepper.now)
+        now = stepper.now
+        with tr.span("loop.tick", interval=i, now=now):
+            for *_, chaos in replicas:
+                if chaos is not None:
+                    chaos.tick(now)
             with tr.span("net.advance", interval=i):
                 stepper.advance(delta_t)
-            for (net, controller, on_interval), trace, qlen in zip(
+            for (net, controller, on_interval, chaos), trace, qlen in zip(
                     replicas, traces, qlens):
                 with tr.span("net.queue_stats", interval=i):
                     stats = net.queue_stats()
@@ -152,7 +157,7 @@ def drive(stepper, replicas: Sequence[Tuple], *, intervals: int,
                                            for k, v in qlen.items()},
                        reward_trace=trace,
                        faults=_collect_faults(controller, chaos))
-            for (_net, controller, _cb), trace, qlen in zip(
+            for (_net, controller, _cb, chaos), trace, qlen in zip(
                 replicas, traces, qlens)]
 
 
@@ -265,7 +270,7 @@ def _train(trainees: List[_Trainee], *, episodes: int,
                      intervals=intervals_per_episode)
             base = t.done_intervals + ep * intervals_per_episode
             replicas.append((nets[k], t.controller,
-                             t.checkpointer(base, checkpoint_every)))
+                             t.checkpointer(base, checkpoint_every), None))
         for stepper, group in lockstep_groups(nets, delta_ts):
             drive(stepper, [replicas[k] for k in group],
                   intervals=intervals_per_episode, delta_t=delta_ts[group[0]])

@@ -18,12 +18,17 @@ Packet-level components
   HPCC rate control.
 - :mod:`repro.netsim.network` — assembled packet-level network facade
   implementing the simulator API consumed by :mod:`repro.gymenv`.
-- :mod:`repro.netsim.failures` — link-failure injection (paper Fig. 7).
 - :mod:`repro.netsim.pfc` — priority flow control.
 
-The transports, failures and PFC are imported from their own modules
+The transports and PFC are imported from their own modules
 (:class:`PacketNetwork` loads the transports when it is built), so the
 fluid runs never load them.
+
+Every network answers one fabric-link vocabulary — ``fail_uplinks``,
+``restore_uplinks`` and ``set_fabric_capacity_factor`` — that
+:class:`repro.resilience.faults.ChaosInjector` calls for paper Fig. 7's
+link failure and the chaos matrix's degradation.  A failed link is down
+in both directions on every substrate.
 
 Fluid model
 -----------

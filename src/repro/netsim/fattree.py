@@ -28,7 +28,7 @@ that pod's aggregation switch ``c // core_per_agg``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,9 +41,6 @@ from repro.netsim.host import HostNode
 from repro.netsim.link import OutputPort
 from repro.netsim.queueing import ByteQueue
 from repro.netsim.switch import SwitchNode
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx   # graph() imports it where it is used
 
 __all__ = ["FatTreeConfig", "FatTreeTopology"]
 
@@ -200,11 +197,10 @@ class FatTreeConfig:
 
 
 class FatTreeTopology:
-    """Instantiated packet-level fat-tree: devices, ports, routes, graph.
+    """Instantiated packet-level fat-tree: devices, ports and routes.
 
     Mirrors :class:`~repro.netsim.topology.LeafSpineTopology`'s surface
-    (``hosts``, ``switches()``, ``node()``, ``fabric_ports``,
-    ``graph()``), so :class:`~repro.netsim.network.PacketNetwork`
+    (``hosts``, ``switches()``, ``node()``, ``fabric_ports``), so :class:`~repro.netsim.network.PacketNetwork`
     assembles either fabric unchanged.
     """
 
@@ -219,7 +215,8 @@ class FatTreeTopology:
         self.aggs: List[List[SwitchNode]] = []
         self.cores: List[SwitchNode] = []
         #: (switch_name, port_index) of every fabric port (edge↔agg and
-        #: agg↔core), used by the failure injector to pick fabric links.
+        #: agg↔core), a link's two directions one after the other;
+        #: ``PacketNetwork.fail_uplinks`` fails links by these pairs.
         self.fabric_ports: List[Tuple[str, int]] = []
         self._by_name: Dict[str, object] = {}
         self._build()
@@ -344,32 +341,3 @@ class FatTreeTopology:
         if not (host_name.startswith("h") and 0 <= i < self.config.n_hosts):
             raise KeyError(f"unknown host {host_name!r}")
         return self.edges[self.config.pod_of_host(i)][self.config.edge_of_host(i)]
-
-    # -- graph view (for validation/analysis) -------------------------------
-    def graph(self) -> nx.Graph:
-        import networkx as nx
-        g = nx.Graph()
-        cfg = self.config
-        for h in self.hosts:
-            g.add_node(h.name, kind="host")
-        for p in range(cfg.n_pods):
-            for sw in self.edges[p]:
-                g.add_node(sw.name, kind="edge", pod=p)
-            for sw in self.aggs[p]:
-                g.add_node(sw.name, kind="agg", pod=p)
-        for sw in self.cores:
-            g.add_node(sw.name, kind="core")
-        for i in range(cfg.n_hosts):
-            p, e = cfg.pod_of_host(i), cfg.edge_of_host(i)
-            g.add_edge(f"h{i}", f"pod{p}.edge{e}", rate=cfg.host_rate_bps)
-        for p in range(cfg.n_pods):
-            for e in range(cfg.edge_per_pod):
-                for a in range(cfg.agg_per_pod):
-                    g.add_edge(f"pod{p}.edge{e}", f"pod{p}.agg{a}",
-                               rate=cfg.agg_rate_bps)
-            for a in range(cfg.agg_per_pod):
-                for k in range(cfg.core_per_agg):
-                    c = a * cfg.core_per_agg + k
-                    g.add_edge(f"pod{p}.agg{a}", f"core{c}",
-                               rate=cfg.core_rate_bps)
-        return g

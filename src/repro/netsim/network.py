@@ -7,7 +7,9 @@ exposes exactly what an ECN-tuning controller needs:
 - ``queue_stats()`` — per-switch interval statistics (the raw material
   of the paper's six-factor state),
 - ``set_ecn(switch, config)`` — the knob (ECN-CM applies it),
-- flow injection and FCT / per-packet-latency collection.
+- flow injection and FCT / per-packet-latency collection,
+- the fabric-link faults of paper Fig. 7 and the chaos matrix
+  (``fail_uplinks``, ``restore_uplinks``, ``set_fabric_capacity_factor``).
 
 The fluid model (:mod:`repro.netsim.fluid`) implements the same
 interface, so controllers and the gym bridge are simulator-agnostic.
@@ -170,6 +172,12 @@ class PacketNetwork:
         self._switch_list = list(self.topology.switches())
         self._last_stats_time = 0.0
         self._reset_baselines()
+        # the builders list each fabric link's two directions one after
+        # the other in ``fabric_ports``
+        self._fabric_ports = [self.topology.node(sw).ports[i]
+                              for sw, i in self.topology.fabric_ports]
+        self._fabric_nominal_bps = [p.rate_bps for p in self._fabric_ports]
+        self.fabric_capacity_factor = 1.0
 
     # -- wiring -------------------------------------------------------------
     def _install_transports(self, transport: str, kwargs: dict) -> None:
@@ -320,8 +328,40 @@ class PacketNetwork:
         get_registry().inc("netsim.ecn_set", sim="packet")
 
     def set_ecn_all(self, config: ECNConfig) -> None:
-        for sw in self.topology.switches():
-            sw.set_ecn_all(config)
+        for name in self.switch_names():
+            self.set_ecn(name, config)
+
+    # -- failures ---------------------------------------------------------------
+    def fail_uplinks(self, fraction: float,
+                     rng: Optional[np.random.Generator] = None) -> int:
+        """Take down both directions of a fraction of the fabric's links
+        (leaf↔spine, or edge↔agg and agg↔core on a fat-tree): of the
+        links still up, ``max(1, round(fraction × links))`` fail, as on
+        the fluid networks.  A switch's ECMP skips its own down ports;
+        no route is withdrawn elsewhere."""
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError("fraction must be in (0, 1]")
+        rng = rng or self.rng
+        links = list(zip(self._fabric_ports[0::2], self._fabric_ports[1::2]))
+        up = [k for k, (a, b) in enumerate(links) if a.up and b.up]
+        n = max(1, int(round(fraction * len(links))))
+        for k in rng.choice(up, size=min(n, len(up)), replace=False):
+            for port in links[k]:
+                port.set_up(False)
+        return min(n, len(up))
+
+    def restore_uplinks(self) -> None:
+        for port in self._fabric_ports:
+            port.set_up(True)
+
+    def set_fabric_capacity_factor(self, factor: float) -> None:
+        """Uniformly scale fabric (switch↔switch) port rates; recomputed
+        from the nominal rates, so ``factor=1.0`` restores them exactly."""
+        if not 0.0 < factor <= 1.0:
+            raise ValueError("capacity factor must be in (0, 1]")
+        self.fabric_capacity_factor = float(factor)
+        for port, rate in zip(self._fabric_ports, self._fabric_nominal_bps):
+            port.rate_bps = rate * factor
 
     def switch_names(self) -> List[str]:
         return [sw.name for sw in self.topology.switches()]

@@ -15,7 +15,7 @@ Routing is the canonical 2-tier scheme:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from repro.netsim.link import OutputPort
 from repro.netsim.queueing import ByteQueue
 from repro.netsim.switch import SwitchNode
 from repro.netsim.ecn import ECNMarker
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx   # graph() imports it where it is used
 
 __all__ = ["TopologyConfig", "LeafSpineTopology"]
 
@@ -81,7 +78,7 @@ class TopologyConfig:
 
 
 class LeafSpineTopology:
-    """Instantiated fabric: devices, ports, routes, and a graph view."""
+    """Instantiated fabric: devices, ports and routes."""
 
     def __init__(self, config: TopologyConfig, sim: Simulator,
                  rng: Optional[np.random.Generator] = None) -> None:
@@ -91,8 +88,9 @@ class LeafSpineTopology:
         self.hosts: List[HostNode] = []
         self.leaves: List[SwitchNode] = []
         self.spines: List[SwitchNode] = []
-        #: (switch_name, port_index) of each leaf->spine / spine->leaf port,
-        #: used by the failure injector to pick fabric links.
+        #: (switch_name, port_index) of each leaf->spine / spine->leaf
+        #: port, a link's two directions one after the other;
+        #: ``PacketNetwork.fail_uplinks`` fails links by these pairs.
         self.fabric_ports: List[Tuple[str, int]] = []
         self._by_name: Dict[str, object] = {}
         self._build()
@@ -179,22 +177,3 @@ class LeafSpineTopology:
         if not (host_name.startswith("h") and 0 <= i < self.config.n_hosts):
             raise KeyError(f"unknown host {host_name!r}")
         return self.leaves[i // self.config.hosts_per_leaf]
-
-    # -- graph view (for validation/analysis) -------------------------------
-    def graph(self) -> nx.Graph:
-        import networkx as nx
-        g = nx.Graph()
-        for h in self.hosts:
-            g.add_node(h.name, kind="host")
-        for sw in self.leaves:
-            g.add_node(sw.name, kind="leaf")
-        for sw in self.spines:
-            g.add_node(sw.name, kind="spine")
-        cfg = self.config
-        for i in range(cfg.n_hosts):
-            g.add_edge(f"h{i}", f"leaf{i // cfg.hosts_per_leaf}",
-                       rate=cfg.host_rate_bps)
-        for j in range(cfg.n_leaf):
-            for k in range(cfg.n_spine):
-                g.add_edge(f"leaf{j}", f"spine{k}", rate=cfg.spine_rate_bps)
-        return g

@@ -1,9 +1,11 @@
 """``python -m repro trace`` — run one scenario under full telemetry.
 
-Builds a traffic-loaded fluid fabric, drives the chosen scheme (default
-PET, training on-line) through the Δt control loop with the metrics
-registry + tracer enabled, optionally injects the extended chaos matrix
-(default on, so fault events appear on the bus), and writes:
+Runs one scenario job — the chosen scheme (default PET, training
+on-line) on a small traffic-loaded fluid fabric, with the extended chaos
+matrix as its ``faults`` unless ``--no-chaos`` — through
+:func:`repro.analysis.experiments.run_scenario` with the metrics
+registry + tracer enabled, so setup, the measured run, its drain and the
+fault events all land on the bus, and writes:
 
 - ``--out`` (default ``trace.jsonl``) — the JSONL trace: meta line,
   every span/event, one line per metric series (docs/OBSERVABILITY.md
@@ -24,19 +26,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
-import numpy as np
-
 from repro import obs
-from repro.analysis.experiments import (SCHEMES, ScenarioConfig,
-                                        _load_traffic, build_scheme)
-from repro.core.training import run_control_loop
+from repro.analysis.experiments import SCHEMES, ScenarioConfig, run_scenario
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.obs.export import write_csv, write_jsonl
 from repro.obs.profile import hot_path_attribution, profile_table, profiled
 
-__all__ = ["trace_main", "build_trace_parser", "run_traced_scenario"]
+__all__ = ["trace_main", "build_trace_parser"]
 
 DEFAULT_OUT = "trace.jsonl"
 
@@ -70,49 +69,29 @@ def build_trace_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run_traced_scenario(args: argparse.Namespace):
-    """Drive the traced control loop; returns (result, registry, tracer)."""
+def _scenario(args: argparse.Namespace) -> ScenarioConfig:
+    """The traced job: no pretraining, the extended fault matrix unless
+    ``--no-chaos``."""
     fabric = FluidConfig(n_spine=args.spines, n_leaf=args.leaves,
                          hosts_per_leaf=args.hosts_per_leaf,
                          host_rate_bps=10e9, spine_rate_bps=40e9)
-    cfg = ScenarioConfig(workload=args.scenario, load=args.load,
-                         duration=args.duration, pretrain_intervals=0,
-                         seed=args.seed, fluid=fabric)
-    net = FluidNetwork(cfg.fluid, seed=cfg.seed)
-    _load_traffic(net, cfg, cfg.seed + 1)
-    controller = build_scheme(args.scheme, net.switch_names(), seed=cfg.seed)
-    controller.set_training(True)
-
-    chaos = None
-    driven = controller
+    faults = ()
     if not args.no_chaos:
-        from repro.resilience.faults import ChaosInjector, FaultPlan
-        from repro.resilience.guard import ResilientController
-        from repro.resilience.log import FaultLog
-        log = FaultLog()
-        plan = FaultPlan.extended(cfg.duration, net.switch_names())
-        chaos = ChaosInjector(net, plan,
-                              rng=np.random.default_rng(cfg.seed), log=log)
-        driven = ResilientController(chaos.wrap(controller),
-                                     net.switch_names(), log=log)
-        chaos.arm()
-
-    registry, tracer = obs.enable()
-    intervals = max(int(round(cfg.duration / cfg.delta_t)), 1)
-    try:
-        result = run_control_loop(net, driven, intervals=intervals,
-                                  delta_t=cfg.delta_t, chaos=chaos)
-    finally:
-        if chaos is not None:
-            chaos.disarm()
-        obs.disable()
-    return result, registry, tracer
+        from repro.resilience.faults import FaultPlan
+        faults = tuple(FaultPlan.extended(
+            args.duration, FluidNetwork(fabric).switch_names()).specs)
+    # PPO updates every 32 intervals, not the fast profile's 100, so a
+    # short trace still reaches ``ppo.update``
+    return ScenarioConfig(workload=args.scenario, load=args.load,
+                          duration=args.duration, pretrain_intervals=0,
+                          seed=args.seed, fluid=fabric, faults=faults,
+                          pet={"update_interval": 32})
 
 
-def _print_summary(result, registry, tracer) -> None:
-    print(f"\nintervals={result.intervals} "
-          f"mean_reward={result.mean_reward:.6f} "
-          f"faults={result.fault_count} spans={len(tracer.spans)}")
+def _print_summary(intervals, result, registry, tracer) -> None:
+    print(f"\nintervals={intervals} "
+          f"mean_util={result.mean_utilization:.6f} "
+          f"faults={len(result.faults)} spans={len(tracer.spans)}")
     attribution = hot_path_attribution(tracer)
     if attribution:
         print(f"\n{'stage':<20} {'count':>7} {'total_s':>10} {'mean_ms':>10}")
@@ -130,22 +109,23 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     print(f"trace scheme={args.scheme} scenario={args.scenario} "
           f"seed={args.seed} duration={args.duration * 1e3:.0f}ms "
           f"chaos={'off' if args.no_chaos else 'on'}", file=sys.stderr)
-    if args.profile:
-        with profiled() as prof:
-            result, registry, tracer = run_traced_scenario(args)
-    else:
-        result, registry, tracer = run_traced_scenario(args)
+    cfg = _scenario(args)
+    with obs.telemetry() as (registry, tracer), \
+            (profiled() if args.profile else nullcontext()) as prof:
+        result = run_scenario(args.scheme, cfg)
 
+    # every control-loop tick: the measured run and its drain
+    intervals = cfg.intervals + cfg.drain_intervals
     meta = {"scheme": args.scheme, "scenario": args.scenario,
             "seed": args.seed, "duration": args.duration,
             "chaos": not args.no_chaos,
-            "intervals": result.intervals, "faults": result.fault_count}
+            "intervals": intervals, "faults": len(result.faults)}
     lines = write_jsonl(args.out, tracer, registry, meta=meta)
     print(f"wrote {args.out} ({lines} lines)")
     if args.csv:
         write_csv(args.csv, tracer.spans)
         print(f"wrote {args.csv} ({len(tracer.spans)} spans)")
-    _print_summary(result, registry, tracer)
+    _print_summary(intervals, result, registry, tracer)
     if args.profile:
         print("\ncProfile (top 25 by cumulative time):")
         print(profile_table(prof))

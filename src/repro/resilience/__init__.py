@@ -10,6 +10,8 @@ those first-class, in three layers:
   failures/flaps, capacity degradation, telemetry blackout, observation
   corruption (NaN/inf/negative), agent-crash injection, and
   dropped/delayed ECN application — deterministic under a fixed seed.
+  A scenario carries a plan's specs as ``ScenarioConfig.faults``, and
+  the experiment runner applies them to its measured run, guarded.
 - :mod:`repro.resilience.guard` — :class:`ResilientController`, a
   :class:`~repro.core.controller.Controller`-protocol wrapper that
   sanitizes telemetry, quarantines a crashing agent onto the static
@@ -22,7 +24,8 @@ those first-class, in three layers:
 
 Everything emits a structured :class:`~repro.resilience.log.FaultLog`
 consumed by :mod:`repro.analysis.resilience`; ``python -m repro chaos``
-runs the Fig. 7 scenario plus the extended fault matrix end to end.
+runs the Fig. 7 scenario plus the extended fault matrix end to end, one
+scenario job per scheme.
 See ``docs/RESILIENCE.md``.
 
 The chaos side is imported from :mod:`repro.resilience.faults`; this

@@ -3,9 +3,10 @@
 Runs the paper's Fig. 7 link-failure scenario (``--matrix fig7``) or the
 extended fault matrix (``--matrix extended``: link failure + capacity
 degradation + telemetry blackout + observation corruption + agent crash
-+ unreliable ECN application) against one or more schemes, with the
-graceful-degradation guard wrapped around each controller (disable with
-``--no-guard`` to watch a run die), and reports:
++ unreliable ECN application) against one or more schemes.  Each scheme
+is one scenario job whose ``faults`` are the matrix, run by
+:func:`repro.analysis.experiments.run_scenario_grid`, which drives every
+controller inside the graceful-degradation guard.  It reports:
 
 - the full structured fault log (injections and guard reactions),
 - per-scheme recovery time after the first disruptive fault,
@@ -18,21 +19,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.analysis.experiments import (SCHEMES, ScenarioConfig,
-                                        _load_traffic, build_scheme)
+                                        run_scenario_grid)
 from repro.analysis.resilience import (fault_summary, first_fault_time,
                                        recovery_after)
-from repro.core.training import LoopResult, run_control_loop
 from repro.netsim.fluid import FluidConfig, FluidNetwork
-from repro.resilience.faults import ChaosInjector, FaultPlan
-from repro.resilience.guard import ResilientController
-from repro.resilience.log import FaultLog
+from repro.resilience.faults import FaultPlan
 
-__all__ = ["chaos_main", "build_chaos_parser", "run_chaos_scenario"]
+__all__ = ["chaos_main", "build_chaos_parser"]
 
 
 def build_chaos_parser() -> argparse.ArgumentParser:
@@ -52,9 +48,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=0.1,
                    help="seconds of virtual time under chaos")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-guard", action="store_true",
-                   help="run WITHOUT the ResilientController wrapper "
-                        "(agent-crash faults then abort the run)")
     p.add_argument("--quick", action="store_true",
                    help="small fabric + short horizon (CI smoke)")
     p.add_argument("--hosts-per-leaf", type=int, default=8)
@@ -64,47 +57,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
                    help="worker processes for the scheme fan-out "
                         "(1 = serial in-process)")
     return p
-
-
-def _build_plan(matrix: str, duration: float,
-                switches: List[str]) -> FaultPlan:
-    if matrix == "fig7":
-        return FaultPlan.fig7(duration)
-    return FaultPlan.extended(duration, switches)
-
-
-def run_chaos_scenario(scheme: str, cfg: ScenarioConfig, matrix: str, *,
-                       guard: bool = True
-                       ) -> Tuple[LoopResult, FaultLog, Optional[int]]:
-    """One scheme through one chaos scenario.
-
-    Returns the loop result, the merged fault log (shared between the
-    injector and the guard, so it reads as one cause→reaction timeline),
-    and the recovery time (intervals) after the first disruptive fault.
-    """
-    net = FluidNetwork(cfg.fluid, seed=cfg.seed)
-    _load_traffic(net, cfg, cfg.seed + 1)
-    controller = build_scheme(scheme, net.switch_names(), seed=cfg.seed)
-    controller.set_training(True)
-
-    log = FaultLog()
-    plan = _build_plan(matrix, cfg.duration, net.switch_names())
-    chaos = ChaosInjector(net, plan,
-                          rng=np.random.default_rng(cfg.seed), log=log)
-    wrapped = chaos.wrap(controller)
-    driven = (ResilientController(wrapped, net.switch_names(), log=log)
-              if guard else wrapped)
-    chaos.arm()
-    try:
-        intervals = max(int(round(cfg.duration / cfg.delta_t)), 1)
-        result = run_control_loop(net, driven, intervals=intervals,
-                                  delta_t=cfg.delta_t, chaos=chaos)
-    finally:
-        chaos.disarm()
-    fault_t = first_fault_time(log.events)
-    recovery = (recovery_after(result.reward_trace, fault_t, cfg.delta_t)
-                if fault_t is not None else None)
-    return result, log, recovery
 
 
 def chaos_main(argv: Optional[List[str]] = None) -> int:
@@ -120,45 +72,36 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
         duration = args.duration
 
     print(f"chaos matrix={args.matrix} seed={args.seed} "
-          f"guard={'off' if args.no_guard else 'on'} "
           f"duration={duration * 1e3:.0f}ms")
+    plan = (FaultPlan.fig7(duration) if args.matrix == "fig7" else
+            FaultPlan.extended(duration, FluidNetwork(fabric).switch_names()))
     cfg = ScenarioConfig(workload=args.workload, load=args.load,
                          duration=duration, pretrain_intervals=0,
-                         seed=args.seed, fluid=fabric)
-    rows: List[Tuple[str, LoopResult, FaultLog, Optional[int]]] = []
-    if args.workers > 1 and len(args.scheme) > 1:
-        from repro.parallel.engine import Engine, TaskSpec
-        print(f"running {len(args.scheme)} schemes under chaos across "
-              f"{args.workers} workers ...", file=sys.stderr)
-        specs = [TaskSpec(task_id=i, fn=run_chaos_scenario,
-                          args=(scheme, cfg, args.matrix),
-                          kwargs={"guard": not args.no_guard})
-                 for i, scheme in enumerate(args.scheme)]
-        outcomes = Engine(workers=args.workers).run(specs).values()
-        for scheme, (result, log, recovery) in zip(args.scheme, outcomes):
-            rows.append((scheme, result, log, recovery))
-    else:
-        for scheme in args.scheme:
-            print(f"running {scheme} under chaos ...", file=sys.stderr)
-            result, log, recovery = run_chaos_scenario(
-                scheme, cfg, args.matrix, guard=not args.no_guard)
-            rows.append((scheme, result, log, recovery))
+                         seed=args.seed, fluid=fabric,
+                         faults=tuple(plan.specs))
+    print(f"running {len(args.scheme)} scheme(s) under chaos ...",
+          file=sys.stderr)
+    results = run_scenario_grid([(s, cfg) for s in args.scheme],
+                                workers=args.workers)
 
-    for scheme, result, log, recovery in rows:
-        print(f"\n== {scheme}: fault log ==")
-        for event in log:
+    for r in results:
+        print(f"\n== {r.scheme}: fault log ==")
+        for event in r.faults:
             print(f"  {event}")
-        summary = " ".join(f"{k}={v}" for k, v in fault_summary(log).items())
+        summary = " ".join(f"{k}={v}"
+                           for k, v in fault_summary(r.faults).items())
         print(f"  summary: {summary if summary else 'no faults'}")
     print("\n== chaos metrics ==")
     print(f"{'scheme':<12} {'intervals':>9} {'faults':>7} "
           f"{'recovery':>9} {'mean_util':>12} {'mean_qlen_b':>14}")
-    for scheme, result, log, recovery in rows:
-        mean_q = (float(np.mean(list(result.rewards_per_switch.values())))
-                  if result.rewards_per_switch else 0.0)
+    for r in results:
+        fault_t = first_fault_time(r.faults)
+        recovery = (recovery_after(r.utilization_trace, fault_t, cfg.delta_t)
+                    if fault_t is not None else None)
         rec = f"{recovery}" if recovery is not None else "-"
-        print(f"{scheme:<12} {result.intervals:>9} {result.fault_count:>7} "
-              f"{rec:>9} {result.mean_reward:>12.9f} {mean_q:>14.3f}")
+        print(f"{r.scheme:<12} {len(r.utilization_trace):>9} "
+              f"{len(r.faults):>7} {rec:>9} {r.mean_utilization:>12.9f} "
+              f"{r.queue.mean_bytes:>14.3f}")
     return 0
 
 

@@ -1,8 +1,9 @@
-"""Composable, seeded chaos fault injection for both simulators.
+"""Composable, seeded chaos fault injection for every simulator.
 
-This generalizes :class:`repro.netsim.failures.LinkFailureInjector`
-(which only covers the paper's Fig. 7 link-failure episode) into a
-declarative :class:`FaultPlan` executed by a :class:`ChaosInjector`:
+The paper's Fig. 7 link-failure episode and the wider chaos matrix are
+one declarative :class:`FaultPlan` executed by a :class:`ChaosInjector`.
+A scenario carries its plan's specs as ``ScenarioConfig.faults``, and
+the experiment runner applies them, guarded, to the measured run:
 
 ===================  ========================================================
 fault kind           effect
@@ -21,14 +22,17 @@ link flap            expands into alternating down/restore events
                      tuning interval with seeded probability
 ===================  ========================================================
 
-Network-level events (link up/down, degradation) are *schedulable on the
-event engine*: against :class:`~repro.netsim.network.PacketNetwork` the
-injector registers them as exact-time simulator events; against the
-time-stepped :class:`~repro.netsim.fluid.FluidNetwork` they fire at the
-first control-interval boundary past their timestamp.  Control-plane
-faults (blackout, corruption, crash, ECN unreliability) are inherently
-interval-granular and are applied by the control loop via
-:meth:`ChaosInjector.filter_stats` / :meth:`ChaosInjector.wrap`.
+Network-level events call the fabric-link methods every network has
+(``fail_uplinks``, ``restore_uplinks``, ``set_fabric_capacity_factor``);
+a failed link is down in both directions. One-shot link events are
+*schedulable on the event engine*: against
+:class:`~repro.netsim.network.PacketNetwork` the injector registers them
+as exact-time simulator events; against the time-stepped fluid networks
+they fire at the first control-interval boundary at or after their
+timestamp. Control-plane faults (blackout, corruption, crash, ECN
+unreliability) are inherently interval-granular and are applied by the
+control loop via :meth:`ChaosInjector.filter_stats` /
+:meth:`ChaosInjector.wrap`.
 
 Everything is deterministic under a fixed seed: the plan is a static
 timeline, and every random draw (link choice, ECN drop coin) comes from
@@ -43,8 +47,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.parallel.seeding import fallback_rng
-
-from repro.netsim.failures import LinkFailureInjector
 from repro.resilience.log import FaultLog
 
 __all__ = ["AgentCrashError", "FaultSpec", "FaultPlan", "ChaosInjector",
@@ -86,6 +88,9 @@ class FaultSpec:
             raise ValueError("fault time must be non-negative")
         if self.kind in _WINDOW_KINDS and self.until <= self.at:
             raise ValueError(f"{self.kind} window must end after it starts")
+        if self.kind == "link-down" \
+                and not 0.0 < self.params.get("fraction", 0.0) <= 1.0:
+            raise ValueError("link-down fraction must be in (0, 1]")
 
     def active(self, now: float) -> bool:
         return self.kind in _WINDOW_KINDS and self.at <= now < self.until
@@ -200,57 +205,6 @@ class FaultPlan:
 
 
 # --------------------------------------------------------------------------
-# link adapters: one fault vocabulary over both simulators
-# --------------------------------------------------------------------------
-class _FluidLinks:
-    """Fabric-link control for :class:`FluidNetwork`."""
-
-    def __init__(self, network, rng: np.random.Generator) -> None:
-        self.network = network
-        self.rng = rng
-
-    def down(self, fraction: float) -> int:
-        return self.network.fail_uplinks(fraction, rng=self.rng)
-
-    def restore(self) -> None:
-        self.network.restore_uplinks()
-
-    def degrade(self, factor: float) -> None:
-        self.network.set_fabric_capacity_factor(factor)
-
-    def undegrade(self) -> None:
-        self.network.set_fabric_capacity_factor(1.0)
-
-
-class _PacketLinks:
-    """Fabric-link control for :class:`PacketNetwork`."""
-
-    def __init__(self, network, rng: np.random.Generator) -> None:
-        self.network = network
-        self.injector = LinkFailureInjector(network, rng=rng)
-        self._orig_rates: Dict[Tuple[str, int], float] = {}
-
-    def down(self, fraction: float) -> int:
-        return len(self.injector.fail_fraction(fraction))
-
-    def restore(self) -> None:
-        self.injector.restore_all()
-
-    def degrade(self, factor: float) -> None:
-        for sw_name, idx in self.network.topology.fabric_ports:
-            port = self.network.topology.node(sw_name).ports[idx]
-            key = (sw_name, idx)
-            if key not in self._orig_rates:
-                self._orig_rates[key] = port.rate_bps
-            port.rate_bps = self._orig_rates[key] * factor
-
-    def undegrade(self) -> None:
-        for (sw_name, idx), rate in self._orig_rates.items():
-            self.network.topology.node(sw_name).ports[idx].rate_bps = rate
-        self._orig_rates.clear()
-
-
-# --------------------------------------------------------------------------
 # the injector
 # --------------------------------------------------------------------------
 class ChaosInjector:
@@ -280,16 +234,12 @@ class ChaosInjector:
         self.plan = plan
         self.rng = rng if rng is not None else fallback_rng(0)
         self.log = log if log is not None else FaultLog()
-        self._links = (_FluidLinks(network, self.rng)
-                       if hasattr(network, "fail_uplinks")
-                       else _PacketLinks(network, self.rng))
         self._pending = [s for s in plan.sorted_specs()
                          if s.kind in _ONESHOT_KINDS]
         self._windows = [s for s in plan.sorted_specs()
                          if s.kind in _WINDOW_KINDS]
         self._window_state: Dict[int, bool] = {i: False
                                                for i in range(len(self._windows))}
-        self._engine_scheduled = False
         self._armed = False
         self._orig_set_ecn = None
         self._delayed_configs: List[Tuple[float, str, Any]] = []
@@ -306,7 +256,6 @@ class ChaosInjector:
             for spec in self._pending:
                 sim.schedule_at(max(spec.at, sim.now), self._fire, spec)
             self._pending = []
-            self._engine_scheduled = True
         self._orig_set_ecn = self.network.set_ecn
         self.network.set_ecn = self._chaotic_set_ecn   # instance shadow
         self._armed = True
@@ -346,22 +295,23 @@ class ChaosInjector:
     def _fire(self, spec: FaultSpec) -> None:
         now = self.network.now
         if spec.kind == "link-down":
-            n = self._links.down(spec.params["fraction"])
+            n = self.network.fail_uplinks(spec.params["fraction"],
+                                          rng=self.rng)
             self.log.record(now, "link-down", None,
                             {"fraction": spec.params["fraction"], "links": n})
         elif spec.kind == "link-restore":
-            self._links.restore()
+            self.network.restore_uplinks()
             self.log.record(now, "link-restore")
 
     def _begin_window(self, spec: FaultSpec, now: float) -> None:
         if spec.kind == "degrade":
-            self._links.degrade(spec.params["factor"])
+            self.network.set_fabric_capacity_factor(spec.params["factor"])
         self.log.record(now, spec.kind + "-begin", spec.switch,
                         dict(spec.params))
 
     def _end_window(self, spec: FaultSpec, now: float) -> None:
         if spec.kind == "degrade":
-            self._links.undegrade()
+            self.network.set_fabric_capacity_factor(1.0)
         self.log.record(now, spec.kind + "-end", spec.switch)
 
     # -- telemetry faults ----------------------------------------------------

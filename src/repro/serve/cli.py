@@ -26,8 +26,7 @@ import urllib.request
 from typing import Any, Dict, List, Optional
 
 from repro import obs
-from repro.analysis.experiments import (ScenarioConfig, _load_traffic,
-                                        _make_network)
+from repro.analysis.experiments import ScenarioConfig, _network_factory
 from repro.netsim.fluid import FluidConfig
 from repro.obs.export import write_jsonl
 from repro.resilience.faults import ChaosInjector, FaultPlan
@@ -68,11 +67,7 @@ def _make_plane(args: argparse.Namespace, *, smoke: bool) -> ControlPlane:
                           host_rate_bps=10e9, spine_rate_bps=40e9))
     cfg = ScenarioConfig(workload=args.workload, load=args.load,
                          duration=0.5, seed=args.seed, fluid=fabric)
-
-    def network_factory():
-        net = _make_network(cfg, args.seed)
-        _load_traffic(net, cfg, args.seed)
-        return net
+    network_factory = _network_factory(cfg, args.seed, args.seed)
 
     chaos_factory = None
     if smoke:

@@ -33,7 +33,7 @@ HARNESS_IMPORTS = (
 #: loaded only by the code that runs them, never by the imports above.
 NOT_LOADED = (
     "networkx",
-    "repro.netsim.pfc", "repro.netsim.failures",
+    "repro.netsim.pfc",
     "repro.netsim.transport", "repro.netsim.transport.base",
     "repro.netsim.transport.dcqcn", "repro.netsim.transport.dctcp",
     "repro.netsim.transport.hpcc",
@@ -71,19 +71,6 @@ def test_experiments_and_serve_plane_skip_networkx():
     code = ("import sys, repro.analysis.experiments, repro.serve.plane\n"
             "print('networkx' in sys.modules)")
     assert fresh(code).strip() == "False"
-
-
-def test_graph_views_still_import_networkx():
-    code = ("import sys\n"
-            "from repro.netsim.engine import Simulator\n"
-            "from repro.netsim.topology import LeafSpineTopology, "
-            "TopologyConfig\n"
-            "topo = LeafSpineTopology(TopologyConfig(), Simulator())\n"
-            "before = 'networkx' in sys.modules\n"
-            "g = topo.graph()\n"
-            "print(before, g.number_of_nodes() == len(topo.hosts) "
-            "+ len(topo.leaves) + len(topo.spines))")
-    assert fresh(code).split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("package", PACKAGES)

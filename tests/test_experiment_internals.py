@@ -10,6 +10,7 @@ from repro.core.config import PETConfig
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.fluid import FluidConfig
 from repro.netsim.topology import TopologyConfig
+from repro.resilience.faults import FaultPlan
 from repro.traffic.patterns import PatternSegment
 
 
@@ -21,7 +22,7 @@ def cfg(**kw):
 
 
 #: the scenario fields the pretraining run does not read
-MEASURED_ONLY = ("duration", "online_training", "phases", "link_failure")
+MEASURED_ONLY = ("duration", "online_training", "phases", "faults")
 #: a changed value for every ScenarioConfig field
 VARIED = {
     "workload": "datamining", "load": 0.31, "duration": 0.5,
@@ -30,7 +31,7 @@ VARIED = {
     "incast_bytes": 100_000, "pretrain_intervals": 99,
     "online_training": False,
     "phases": (PatternSegment("datamining", 0.0, 0.1, 0.5),),
-    "link_failure": (0.05, 0.1, 0.1),
+    "faults": tuple(FaultPlan().link_down(0.05).link_restore(0.1).specs),
     "pet": {"history_k": 2},
     "fluid": FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
                          host_rate_bps=10e9, spine_rate_bps=80e9),

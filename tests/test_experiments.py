@@ -7,7 +7,7 @@ import pytest
 
 import repro.analysis.experiments as ex
 from repro.analysis.experiments import (SCHEMES, ExperimentResult,
-                                        ScenarioConfig, _measure, _prepare,
+                                        ScenarioConfig, _make_network,
                                         build_scheme, clear_pretrain_cache,
                                         run_scenario, run_scenario_grid)
 from repro.baselines.acc import ACCController
@@ -19,6 +19,7 @@ from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.fluid import FluidConfig
 from repro.netsim.topology import TopologyConfig
 from repro.parallel.engine import Engine
+from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.traffic.patterns import PatternSchedule, PatternSegment
 
 
@@ -31,6 +32,22 @@ def tiny_scenario(**kw):
                                        spine_rate_bps=40e9))
     kw.setdefault("seed", 0)
     return ScenarioConfig(**kw)
+
+
+def link_failure(fail_at, restore_at, fraction, delta_t=1e-3):
+    """Fig. 7's episode as faults: ``fraction`` of the fabric's links fail
+    after interval ``round(fail_at / delta_t)`` and come back after
+    interval ``round(restore_at / delta_t)``.
+
+    Each event sits mid-interval, at ``(round(t / delta_t) + ½) ·
+    delta_t``: an event fires at the first interval boundary at or after
+    its time, so the boundary it fires at is the one ending that
+    interval, whatever rounding the clock's sums carry.
+    """
+    def mid(t):
+        return (round(t / delta_t) + 0.5) * delta_t
+    return tuple(FaultPlan().link_down(mid(fail_at), fraction)
+                 .link_restore(mid(restore_at)).specs)
 
 
 class TestBuildScheme:
@@ -80,27 +97,27 @@ class TestScenarioValidation:
                                    PatternSegment("datamining", 0.05, 0.1,
                                                   0.5)))
 
-    def test_restore_not_after_failure(self):
-        with pytest.raises(ValueError, match="link_failure"):
-            ScenarioConfig(duration=0.1, link_failure=(0.05, 0.05, 0.1))
-        with pytest.raises(ValueError, match="link_failure"):
-            ScenarioConfig(duration=0.1, link_failure=(0.06, 0.04, 0.1))
-
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
     def test_failure_fraction_outside_unit_interval(self, fraction):
         with pytest.raises(ValueError, match="fraction"):
-            ScenarioConfig(duration=0.1, link_failure=(0.02, 0.05, fraction))
+            ScenarioConfig(duration=0.1, faults=(FaultSpec(
+                "link-down", 0.02, params={"fraction": fraction}),))
 
     @pytest.mark.parametrize("instants", [(0.02, 0.2), (0.2, 0.3),
                                           (-0.01, 0.05)])
     def test_failure_outside_the_run(self, instants):
-        with pytest.raises(ValueError, match="link_failure"):
-            ScenarioConfig(duration=0.1, link_failure=(*instants, 0.1))
+        """A fault at or after ``duration`` never fires: rejected, like a
+        negative time."""
+        with pytest.raises(ValueError, match="fault"):
+            ScenarioConfig(duration=0.1, faults=tuple(
+                FaultPlan().link_down(instants[0])
+                .link_restore(instants[1]).specs))
 
     def test_failure_on_packet_simulator(self):
-        with pytest.raises(ValueError, match="fluid"):
-            ScenarioConfig(simulator="packet", duration=0.1,
-                           link_failure=(0.02, 0.05, 0.1))
+        """Faults are a field of every substrate's scenario."""
+        faults = link_failure(0.02, 0.05, 0.1)
+        cfg = ScenarioConfig(simulator="packet", duration=0.1, faults=faults)
+        assert cfg.faults == faults
 
     def test_unknown_pet_key(self):
         with pytest.raises(ValueError, match="history_len"):
@@ -171,7 +188,7 @@ class TestRunScenario:
 SHAPES = {
     "fig6": {"incast": False, "phases": tuple(PatternSchedule.paper_fig6(
         load=0.5, scale=0.003).segments)},
-    "fig7": {"incast": False, "link_failure": (0.01, 0.02, 0.5)},
+    "fig7": {"incast": False, "faults": link_failure(0.01, 0.02, 0.5)},
     "ablation": {"pet": {"history_k": 2}},
 }
 JOBS = {f"{shape}-{scheme}": (scheme, tiny_scenario(
@@ -215,20 +232,17 @@ class TestJobForm:
             r.flows_finished
 
     def test_failure_window_starts_at_fail_interval(self):
-        """"during" opens at the ``now`` of interval
-        ``round(fail_at_s / delta_t)`` and closes at the restore's."""
+        """The link fails at the ``now`` that ends interval
+        ``round(fail_at_s / delta_t)``; "during" opens there and closes at
+        the restore's."""
         scheme, cfg = JOBS["fig7-secn1"]
-        fail_at, restore_at, _ = cfg.link_failure
         at = {}
-
-        def probe(i, now, stats):
-            at[i] = now
-        (prep,) = _prepare([(scheme, cfg)])
-        prep.on_interval = probe
-        (r,) = _measure([prep])
-        assert prep.failure_times == [
-            at[round(fail_at / cfg.delta_t)],
-            at[round(restore_at / cfg.delta_t)]]
+        r = run_scenario(scheme, cfg,
+                         on_interval=lambda i, now, stats: at.setdefault(i,
+                                                                         now))
+        assert [(e.kind, e.time) for e in r.faults] == [
+            ("link-down", at[round(0.01 / cfg.delta_t)]),
+            ("link-restore", at[round(0.02 / cfg.delta_t)])]
         assert list(r.windows) == ["before", "during", "after"]
         assert r.windows["during"]["overall"].count > 0
         assert sum(w["overall"].count for w in r.windows.values()) == \
@@ -438,3 +452,97 @@ class TestBatchedPretraining:
                            ("acc", cfg)])
         clear_pretrain_cache()
         assert trained == [2, 2]
+
+
+# ------------------------------------------------------------ faults
+#: ``_digest`` of fault jobs, captured when a link failure was still the
+#: ``(fail_at_s, restore_at_s, fraction)`` field the runner fired by hand
+#: after those intervals; its mid-interval FaultPlan must fire at the
+#: same boundaries and draw the same links.
+_PINNED_FAULT_JOBS = {
+    "fig7-pet":
+        "6da2419c61335f84fcd8f3baa6f2e14137ee1a9e173674bf1456fab3b3c4b2eb",
+    "fig7-acc":
+        "b6ef60004a8377744171f174dbca826a8b3ba0a88436485ffb5a56055f60d0a3",
+    "fig7-secn1":
+        "cb21ff49f967af9389e779a29b42ea0ab6c4965775ebcbbbf722a7e813ed80ea",
+    "fattree-secn1":
+        "f5f502b2509542e2258f11dc164d03cfe31b0deb93ac99ea894a852cb866e054",
+}
+FATTREE_FAILURE = ScenarioConfig(
+    simulator="fluid_shard", duration=0.02, pretrain_intervals=0, seed=1,
+    load=0.4, incast=False, fattree=FatTreeConfig.small(),
+    faults=link_failure(0.006, 0.012, 0.25))
+#: one no-pretraining job per substrate
+SUBSTRATES = {
+    "fluid": tiny_base(duration=0.03, fluid=FluidConfig(
+        n_spine=2, n_leaf=2, hosts_per_leaf=2, host_rate_bps=10e9,
+        spine_rate_bps=40e9)),
+    "fluid_shard": tiny_base(duration=0.03, simulator="fluid_shard",
+                             fattree=FatTreeConfig.small()),
+    "packet": tiny_base(duration=0.03, simulator="packet",
+                        packet=TopologyConfig(n_spine=2, n_leaf=2,
+                                              hosts_per_leaf=2)),
+}
+
+
+def extended(cfg):
+    """``cfg`` under the whole chaos matrix of its own switches."""
+    switches = _make_network(cfg, cfg.seed).switch_names()
+    return replace(cfg, faults=tuple(
+        FaultPlan.extended(cfg.duration, switches).specs))
+
+
+class TestFaults:
+    """A scenario's faults run through the one runner on every
+    substrate, guarded, with the bits of the hand-fired link failure."""
+
+    def test_fault_jobs_hold_their_pinned_digests(self, job_runs):
+        for name in ("fig7-pet", "fig7-acc", "fig7-secn1"):
+            assert _digest(job_runs["solo"][name]) == \
+                _PINNED_FAULT_JOBS[name]
+        assert _digest(run_scenario("secn1", FATTREE_FAILURE)) == \
+            _PINNED_FAULT_JOBS["fattree-secn1"]
+
+    @pytest.mark.parametrize("simulator", list(SUBSTRATES))
+    def test_extended_matrix_completes_guarded(self, simulator):
+        cfg = extended(SUBSTRATES[simulator])
+        r = run_scenario("pet", cfg)
+        kinds = {e.kind for e in r.faults}
+        for spec in cfg.faults:
+            assert any(k.startswith(spec.kind) for k in kinds), spec.kind
+        # the guard quarantined the crashing agent and cleaned telemetry
+        assert {"agent-crash", "quarantine", "reinstate",
+                "telemetry-missing", "telemetry-corrupt"} <= kinds
+        assert len(r.utilization_trace) == cfg.intervals
+        assert r.mean_utilization == float(np.mean(r.utilization_trace))
+        assert r.flows_finished > 0
+
+    def test_fig7_on_packet_reports_windows(self):
+        cfg = replace(SUBSTRATES["packet"],
+                      faults=link_failure(0.01, 0.02, 0.25))
+        r = run_scenario("secn1", cfg)
+        assert [e.kind for e in r.faults] == ["link-down", "link-restore"]
+        assert r.faults[0].detail["links"] == 1
+        assert list(r.windows) == ["before", "during", "after"]
+        assert sum(w["overall"].count for w in r.windows.values()) == \
+            r.flows_finished
+
+    def test_in_process_and_workers_agree(self):
+        jobs = [("pet", extended(SUBSTRATES["fluid"])),
+                ("secn1", extended(SUBSTRATES["fluid"])),
+                ("secn1", replace(SUBSTRATES["packet"],
+                                  faults=link_failure(0.01, 0.02, 0.25)))]
+
+        def digests(results):
+            return [fingerprint((r.fct, r.queue, r.windows, r.queue_samples,
+                                 r.faults)) for r in results]
+        assert digests(run_scenario_grid(jobs)) == \
+            digests(run_scenario_grid(jobs, workers=2))
+
+    @pytest.mark.parametrize("plan", [FaultPlan.fig7(0.05),
+                                      FaultPlan().degrade(0.03, 0.04)],
+                             ids=["restore-beyond", "window-at-duration"])
+    def test_spec_beyond_duration_is_rejected(self, plan):
+        with pytest.raises(ValueError, match="duration"):
+            replace(SUBSTRATES["fluid"], faults=tuple(plan.specs))

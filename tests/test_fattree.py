@@ -8,7 +8,6 @@ given, and an explicit value inconsistent with the delays is rejected
 instead of silently skewing FCT normalization.
 """
 
-import networkx as nx
 import pytest
 
 from repro.netsim.fattree import FatTreeConfig, FatTreeTopology
@@ -17,6 +16,7 @@ from repro.netsim.fluid import FluidConfig
 from repro.netsim.network import PacketNetwork
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import LeafSpineTopology, TopologyConfig
+from tests.wiring import hops, wired_neighbours
 
 
 class TestFatTreeConfig:
@@ -100,9 +100,12 @@ class TestFatTreeTopology:
 
     def test_graph_is_connected(self):
         cfg, topo = self._topo()
-        g = topo.graph()
-        assert nx.is_connected(g)
-        assert g.number_of_nodes() == cfg.n_switches + cfg.n_hosts
+        adj = wired_neighbours(topo)
+        assert len(adj) == cfg.n_switches + cfg.n_hosts
+        assert all(len(hops(adj, n)) == len(adj) for n in adj)
+        assert all(a in adj[b] for a in adj for b in adj[a])
+        # host -> edge -> agg -> core -> agg -> edge -> host across pods
+        assert hops(adj, "h0")[f"h{cfg.n_hosts - 1}"] == 6
 
     def test_edge_of_unknown_host_raises_keyerror(self):
         _, topo = self._topo()

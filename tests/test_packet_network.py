@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.netsim.ecn import ECNConfig
-from repro.netsim.failures import LinkFailureInjector
 from repro.netsim.flow import Flow
+from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
 
@@ -187,21 +187,41 @@ class TestIncastBehaviour:
 
 
 class TestLinkFailures:
+    """``fail_uplinks`` fails whole links, both directions, by the fluid
+    networks' rule."""
+
+    @staticmethod
+    def _down(net):
+        return [(sw, i) for sw, i in net.topology.fabric_ports
+                if not net.topology.node(sw).ports[i].up]
+
     def test_fail_fraction_and_restore(self):
         net = mk_net()
-        inj = LinkFailureInjector(net, rng=np.random.default_rng(0))
-        chosen = inj.fail_fraction(0.25)
-        assert len(chosen) >= 1
-        assert inj.any_down()
-        for sw_name, idx in chosen:
-            assert not net.topology.node(sw_name).ports[idx].up
-        assert inj.restore_all() == len(chosen)
-        assert not inj.any_down()
+        assert net.fail_uplinks(0.25, rng=np.random.default_rng(0)) == 1
+        assert len(self._down(net)) == 2
+        net.restore_uplinks()
+        assert self._down(net) == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
+    def test_failure_takes_both_directions_down(self, seed, fraction):
+        """Every downed port's reverse port is down too, and the link
+        count is what the same-shaped fluid fabric fails."""
+        net = mk_net()
+        n = net.fail_uplinks(fraction, rng=np.random.default_rng(seed))
+        down = self._down(net)
+        nodes = {(sw, i): net.topology.node(sw) for sw, i in down}
+        for (sw, i), node in nodes.items():
+            peer = node.ports[i].peer
+            assert any(p.peer is node and not p.up for p in peer.ports)
+        assert len(down) == 2 * n == 2 * max(1, round(fraction * 4))
+        fluid = FluidNetwork(FluidConfig(n_spine=2, n_leaf=2,
+                                         hosts_per_leaf=2), seed=seed)
+        assert fluid.fail_uplinks(fraction) == n
 
     def test_flows_survive_partial_failure(self):
         """With 2 spines, failing one leaf uplink leaves a path."""
         net = mk_net()
-        inj = LinkFailureInjector(net, rng=np.random.default_rng(3))
         # fail exactly one leaf->spine port
         leaf_ports = [(s, i) for (s, i) in net.topology.fabric_ports
                       if s.startswith("leaf")]
@@ -213,18 +233,20 @@ class TestLinkFailures:
         assert all(f.done for f in flows)
 
     def test_schedule_episode(self):
+        """The link methods run as events of the simulator's engine."""
         net = mk_net()
-        inj = LinkFailureInjector(net, rng=np.random.default_rng(0))
-        inj.schedule_episode(fail_at=0.01, restore_at=0.02, fraction=0.25)
+        net.sim.schedule_at(0.01, net.fail_uplinks, 0.25)
+        net.sim.schedule_at(0.02, net.restore_uplinks)
         net.advance(0.015)
-        assert inj.any_down()
+        assert len(self._down(net)) == 2
         net.advance(0.01)
-        assert not inj.any_down()
+        assert self._down(net) == []
 
     def test_schedule_validation(self):
         net = mk_net()
-        inj = LinkFailureInjector(net)
-        with pytest.raises(ValueError):
-            inj.schedule_episode(fail_at=1.0, restore_at=0.5)
-        with pytest.raises(ValueError):
-            inj.fail_fraction(0.0)
+        for fraction in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="fraction"):
+                net.fail_uplinks(fraction)
+        for factor in (0.0, 1.5):
+            with pytest.raises(ValueError, match="capacity factor"):
+                net.set_fabric_capacity_factor(factor)

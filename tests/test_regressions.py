@@ -135,15 +135,15 @@ class TestUnseededFallbackRNGs:
         assert p1 == p2
 
     def test_failure_injector_default_rng_is_deterministic(self):
-        from repro.netsim.failures import LinkFailureInjector
         from repro.netsim.network import PacketNetwork
         from repro.netsim.topology import TopologyConfig
 
         def failed_set():
             net = PacketNetwork(TopologyConfig(n_spine=2, n_leaf=4,
                                                hosts_per_leaf=2))
-            inj = LinkFailureInjector(net)
-            return sorted(inj.fail_fraction(0.5))
+            net.fail_uplinks(0.5)      # draws from the network's own rng
+            return [(sw, i) for sw, i in net.topology.fabric_ports
+                    if not net.topology.node(sw).ports[i].up]
 
         assert failed_set() == failed_set()
 

@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import ScenarioConfig
+from repro.analysis.experiments import ScenarioConfig, run_scenario
 from repro.analysis.resilience import (fault_summary, first_fault_time,
                                        quarantine_spans)
 from repro.cli import main as repro_main
-from repro.netsim.ecn import SECN1, SECN2, ECNConfig
-from repro.netsim.failures import LinkFailureInjector
+from repro.fingerprint import fingerprint
+from repro.netsim.ecn import SECN2
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
+from repro.obs import telemetry
 from repro.resilience.faults import (AgentCrashError, ChaosInjector,
                                      FaultPlan, FaultSpec)
-from repro.resilience.cli import chaos_main, run_chaos_scenario
+from repro.resilience.cli import chaos_main
 
 
 def mk_fluid(seed=0):
@@ -72,6 +73,9 @@ class TestFaultPlan:
             FaultPlan().ecn_unreliable(0.0, 1.0, drop_p=0.8, delay_p=0.5)
         with pytest.raises(ValueError):
             FaultPlan().link_flap(0.0, 1.0, period=0.0)
+        for fraction in (0.0, 1.5):
+            with pytest.raises(ValueError, match="fraction"):
+                FaultPlan().link_down(0.0, fraction)
         with pytest.raises(ValueError):
             FaultPlan.fig7(0.0)
         with pytest.raises(ValueError):
@@ -245,6 +249,30 @@ class TestECNUnreliability:
         finally:
             chaos.disarm()
 
+    @pytest.mark.parametrize("make", [mk_fluid, mk_packet],
+                             ids=["fluid", "packet"])
+    def test_set_ecn_all_passes_through_chaos(self, make):
+        """A whole-fabric write (a static scheme, the serve plane's
+        fallback) is one ``set_ecn`` per switch, so chaos and the
+        ``netsim.ecn_set`` counter see every one of them."""
+        net = make()
+        before = {n: st.ecn for n, st in net.queue_stats().items()}
+        chaos = ChaosInjector(net, FaultPlan().ecn_unreliable(
+            0.0, 1.0, drop_p=1.0))
+        chaos.arm()
+        try:
+            net.set_ecn_all(SECN2)
+        finally:
+            chaos.disarm()
+        assert {n: st.ecn for n, st in net.queue_stats().items()} == before
+        assert [e.switch for e in chaos.log] == net.switch_names()
+        assert {e.kind for e in chaos.log} == {"ecn-dropped"}
+        with telemetry() as (reg, _):
+            net.set_ecn_all(SECN2)
+        assert sum(v for (name, _), v in reg.counters.items()
+                   if name == "netsim.ecn_set") == len(net.switch_names())
+        assert {st.ecn for st in net.queue_stats().values()} == {SECN2}
+
     def test_outside_window_applies_immediately(self):
         net = mk_fluid()
         plan = FaultPlan().ecn_unreliable(0.5, 1.0, drop_p=1.0)
@@ -258,55 +286,59 @@ class TestECNUnreliability:
 
 
 class TestInjectorIdempotency:
-    """Satellite fix: LinkFailureInjector under repeated/overlapping use."""
+    """Repeated or overlapping link failures on the packet simulator."""
+
+    @staticmethod
+    def _down(net):
+        return [(sw, i) for sw, i in net.topology.fabric_ports
+                if not net.topology.node(sw).ports[i].up]
 
     def test_fail_fraction_twice_never_duplicates(self):
         net = mk_packet()
-        inj = LinkFailureInjector(net, rng=np.random.default_rng(0))
-        first = inj.fail_fraction(0.5)
-        second = inj.fail_fraction(0.5)
-        assert not set(first) & set(second)
-        assert len(inj.failed) == len(set(inj.failed))
-        for sw, idx in inj.failed:
-            assert not net.topology.node(sw).ports[idx].up
+        rng = np.random.default_rng(0)
+        # 4 links: each call fails round(0.5 * 4) = 2 of those still up
+        assert net.fail_uplinks(0.5, rng=rng) == 2
+        assert net.fail_uplinks(0.5, rng=rng) == 2
+        assert len(self._down(net)) == len(net.topology.fabric_ports)
 
     def test_fail_all_then_again_is_a_noop(self):
         net = mk_packet()
-        inj = LinkFailureInjector(net, rng=np.random.default_rng(0))
-        inj.fail_fraction(1.0)
-        assert inj.fail_fraction(1.0) == []
+        assert net.fail_uplinks(1.0, rng=np.random.default_rng(0)) == 4
+        assert net.fail_uplinks(1.0, rng=np.random.default_rng(0)) == 0
 
     def test_restore_all_twice_is_safe(self):
         net = mk_packet()
-        inj = LinkFailureInjector(net, rng=np.random.default_rng(0))
-        chosen = inj.fail_fraction(0.5)
-        assert inj.restore_all() == len(chosen)
-        assert inj.restore_all() == 0
-        assert inj.failed == []
+        net.fail_uplinks(0.5, rng=np.random.default_rng(0))
+        net.restore_uplinks()
+        assert self._down(net) == []
+        net.restore_uplinks()
+        assert self._down(net) == []
 
 
 class TestChaosDeterminism:
     def _cfg(self, seed=0):
         fabric = FluidConfig(n_spine=2, n_leaf=2, hosts_per_leaf=2,
                              host_rate_bps=10e9, spine_rate_bps=40e9)
+        plan = FaultPlan.extended(0.02, FluidNetwork(fabric).switch_names())
         return ScenarioConfig(duration=0.02, pretrain_intervals=0,
-                              seed=seed, fluid=fabric)
+                              seed=seed, fluid=fabric,
+                              faults=tuple(plan.specs))
 
     def test_same_seed_same_faultlog_and_metrics(self):
-        r1, log1, rec1 = run_chaos_scenario("secn1", self._cfg(), "extended")
-        r2, log2, rec2 = run_chaos_scenario("secn1", self._cfg(), "extended")
-        assert log1.signature() == log2.signature()
-        assert r1.mean_reward == r2.mean_reward
-        assert r1.rewards_per_switch == r2.rewards_per_switch
-        assert rec1 == rec2
+        r1 = run_scenario("secn1", self._cfg())
+        r2 = run_scenario("secn1", self._cfg())
+        assert [e.signature() for e in r1.faults] == \
+            [e.signature() for e in r2.faults]
+        assert r1.utilization_trace == r2.utilization_trace
+        assert fingerprint(r1) == fingerprint(r2)
 
     def test_analysis_helpers_consume_the_log(self):
-        result, log, _ = run_chaos_scenario("secn1", self._cfg(), "extended")
-        summary = fault_summary(log)
+        result = run_scenario("secn1", self._cfg())
+        summary = fault_summary(result.faults)
         assert summary.get("link-down") == 1
-        assert first_fault_time(log) is not None
-        assert isinstance(quarantine_spans(log), list)
-        assert result.fault_count == len(result.faults) > 0
+        assert first_fault_time(result.faults) is not None
+        assert isinstance(quarantine_spans(result.faults), list)
+        assert summary.get("quarantine", 0) >= 1
 
 
 class TestChaosCLI:
@@ -322,8 +354,3 @@ class TestChaosCLI:
                          "--scheme", "secn1", "--matrix", "fig7"])
         assert rc == 0
         assert "fault log" in capsys.readouterr().out
-
-    def test_no_guard_flag_parses(self):
-        args = __import__("repro.resilience.cli", fromlist=["x"]) \
-            .build_chaos_parser().parse_args(["--no-guard"])
-        assert args.no_guard is True

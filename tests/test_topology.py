@@ -1,11 +1,11 @@
 """Tests for leaf-spine topology construction and routing."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.netsim.engine import Simulator
 from repro.netsim.topology import LeafSpineTopology, TopologyConfig
+from tests.wiring import hops, wired_neighbours
 
 
 @pytest.fixture
@@ -79,21 +79,24 @@ class TestRouting:
 
 
 class TestGraphView:
+    """The wired ports form the leaf–spine: every link runs both ways."""
+
     def test_connected(self, topo):
-        g = topo.graph()
-        assert nx.is_connected(g)
-        assert g.number_of_nodes() == 12 + 3 + 2
+        adj = wired_neighbours(topo)
+        assert len(adj) == 12 + 3 + 2
+        assert all(len(hops(adj, n)) == len(adj) for n in adj)
+        assert all(a in adj[b] for a in adj for b in adj[a])
 
     def test_host_degree_one(self, topo):
-        g = topo.graph()
+        adj = wired_neighbours(topo)
         for i in range(12):
-            assert g.degree[f"h{i}"] == 1
+            assert adj[f"h{i}"] == {topo.leaf_of(f"h{i}").name}
 
     def test_path_length_cross_leaf(self, topo):
-        g = topo.graph()
         # host -> leaf -> spine -> leaf -> host = 4 hops
-        assert nx.shortest_path_length(g, "h0", "h5") == 4
-        assert nx.shortest_path_length(g, "h0", "h1") == 2
+        dist = hops(wired_neighbours(topo), "h0")
+        assert dist["h5"] == 4
+        assert dist["h1"] == 2
 
 
 class TestConfig:
