@@ -253,15 +253,20 @@ class PacketNetwork:
         self._last_stats_time = now
 
     def queue_stats(self) -> Dict[str, QueueStats]:
-        """Interval stats per switch; resets the interval afterwards."""
+        """Interval stats per switch; resets the interval afterwards.
+
+        A record lists the switch's flows still active now, with the
+        bytes its queues have seen of them; finished flows are dropped
+        from the queues' tables here."""
         get_registry().inc("netsim.stats_collections", sim="packet")
         now = self.sim.now
         interval = max(now - self._last_stats_time, 1e-12)
         out: Dict[str, QueueStats] = {}
+        flows = self.flows
         for sw in self._switch_list:
             tx = marked = drops = 0
             avg_q = 0.0
-            flow_obs: Dict[int, FlowObservation] = {}
+            merged: Dict[int, FlowObservation] = {}
             # Baselines read positionally from the per-switch list —
             # the same integers ``_port_baseline`` holds for
             # ``port_stats()``, without per-port key construction.
@@ -272,7 +277,16 @@ class PacketNetwork:
                 marked += c.dequeued_marked_bytes - b_m
                 drops += c.dropped_pkts - b_d
                 avg_q += port.queue.time_avg_qlen(now)
-                flow_obs.update(port.queue.flow_obs)
+                seen = port.queue.flow_obs
+                for fid in [f for f in seen if flows[f].done]:
+                    del seen[fid]
+                merged.update(seen)
+            # the switch's active flows as of now, oldest ``last_seen``
+            # first, copied: the record does not change after collection
+            flow_obs = {o.flow_id: FlowObservation(o.flow_id, o.src, o.dst,
+                                                   o.bytes_seen, now)
+                        for o in sorted(merged.values(),
+                                        key=lambda o: o.last_seen)}
             out[sw.name] = QueueStats(
                 switch=sw.name, interval=interval,
                 qlen_bytes=float(sw.total_qlen_bytes()),

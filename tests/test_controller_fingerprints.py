@@ -109,8 +109,8 @@ def _pet_fat_tree():
 
 
 def _pet_packet():
-    """Queue-observed flows carry their own ``last_seen``, which orders
-    the threshold sweep inside a slot."""
+    """A switch's flows reach its record in the order its queues last
+    saw them, which orders the threshold sweep inside a slot."""
     net = _packet()
     pet = _pet(net, ncm_memory_threshold_bytes=48 * 200)
     digest = _run(net, pet, 120)
@@ -165,8 +165,11 @@ _PINNED = {
         "beef1b539115e898b13ca52d73f83189b4b39c6c73545e89f36ce9e64fa506de",
     "pet_fat_tree":
         "fdc7fa58abfec4386402ee2374c5cabd21806dcebd5eda3eeca38e6f5d4220b8",
+    # re-pinned when packet records started to list only the flows still
+    # active at collection (was a88384811fcd2b19…): finished flows had
+    # stayed in every record, and the NCM counted them
     "pet_packet":
-        "a88384811fcd2b1969d3ad4a7c7a8f19f40d475e8673144acbb913c5cd4828ee",
+        "101f1a6882488af7032de41c383300f9c573035b171dd87da1ff4fd88ce4abf9",
     "acc_fluid":
         "d2cbed04fa9bdd6b2d90c42de29f3a468e76b75e8bba80655b2eeba859a1a176",
     "multiqueue_fluid":

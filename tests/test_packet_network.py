@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.config import PETConfig
+from repro.core.ncm import FleetNCM
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
@@ -76,10 +78,44 @@ class TestStats:
 
     def test_flow_observations_reach_stats(self):
         net = mk_net()
-        net.start_flow(Flow(7, "h0", "h2", 50_000))
+        net.start_flow(Flow(7, "h0", "h2", 500_000))
         net.advance(0.005)
         stats = net.queue_stats()
+        assert not net.flows[7].done
         assert 7 in stats["leaf0"].flow_obs
+
+    def test_finished_flows_leave_the_records(self):
+        """Four 20 kB flows finish in the first millisecond: from then on
+        no record lists them, the queues forget them, and the NCM stops
+        counting them."""
+        net = mk_net(host_rate_bps=10e9, spine_rate_bps=40e9)
+        net.start_flows([Flow(i, f"h{i}", f"h{(i + 2) % 4}", 20_000)
+                         for i in range(4)])
+        names = net.switch_names()
+        ncm = FleetNCM(names, PETConfig())
+        for _ in range(40):
+            net.advance(1e-3)
+            stats = net.queue_stats()
+            incast, _, flows = ncm.ingest([stats[s] for s in names],
+                                          np.arange(len(names)))
+        assert len(net.finished_flows) == 4
+        assert [len(stats[s].flow_obs) for s in names] == [0, 0, 0, 0]
+        assert all(not port.queue.flow_obs
+                   for sw in net.topology.switches() for port in sw.ports)
+        assert incast.tolist() == flows.tolist() == [0, 0, 0, 0]
+
+    def test_record_does_not_change_after_collection(self):
+        """A record holds the values of its collection: the next interval
+        of a 5 MB flow does not reach back into it."""
+        net = mk_net(host_rate_bps=10e9, spine_rate_bps=40e9)
+        net.start_flow(Flow(1, "h0", "h3", 5_000_000))
+        net.advance(1e-3)
+        rec = net.queue_stats()["leaf0"]
+        before = rec.flow_obs[1].bytes_seen
+        assert 0 < before < 5_000_000
+        net.advance(1e-3)
+        assert net.queue_stats()["leaf0"].flow_obs[1].bytes_seen > before
+        assert rec.flow_obs[1].bytes_seen == before
 
     def test_marked_bytes_with_aggressive_ecn(self):
         net = mk_net()
@@ -121,7 +157,10 @@ class TestStats:
                 assert st.max_port_qlen_bytes == max(p.qlen_bytes
                                                      for p in mine)
                 assert st.interval == mine[0].interval
-                assert st.flow_obs == flow_obs
+                # the switch reports its ports' flows still active, merged
+                assert {f: o.bytes_seen for f, o in st.flow_obs.items()} == \
+                    {f: o.bytes_seen for f, o in flow_obs.items()
+                     if not net.flows[f].done}
                 seen["tx"] += st.tx_bytes
                 seen["marked"] += st.tx_marked_bytes
                 seen["drops"] += st.dropped_pkts
