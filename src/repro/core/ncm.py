@@ -31,14 +31,14 @@ monitor is a fleet of one.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import PETConfig
 from repro.netsim.flow import MICE_ELEPHANT_THRESHOLD
 from repro.obs.metrics import get_registry
-from repro.netsim.network import QueueStats
+from repro.netsim.network import FlowRows, QueueStats
 
 __all__ = ["FleetNCM"]
 
@@ -83,10 +83,6 @@ class FleetNCM:
         self.cleanups_scheduled = np.zeros(n, dtype=np.int64)
         self.cleanups_threshold = np.zeros(n, dtype=np.int64)
         self.entries_pruned = np.zeros(n, dtype=np.int64)
-        #: host -> id, for observations that arrive as dicts (a snapshot's
-        #: rows carry host indices already; a switch reports one way or
-        #: the other, so the two id spaces never meet in a window)
-        self._host_ids: Dict[Any, int] = {}
         self.clear()
 
     def clear(self) -> None:
@@ -102,40 +98,26 @@ class FleetNCM:
     def _flow_rows(self, records: Sequence[QueueStats], rows: np.ndarray,
                    slot: int) -> np.ndarray:
         """The records' per-flow observations as slot ``slot`` of the
-        window table.
-
-        Records that point into a collection snapshot share its cached
-        ``rows()`` (all last seen at once, so already in sweep order);
-        the others (a packet simulator's, a ``replace(flow_obs=…)``) are
-        read entry by entry from their dict.
-        """
-        by_snapshot: Dict[int, Tuple[Any, List[int], List[int]]] = {}
-        loose: List[Tuple] = []
-        host_id = self._host_ids
+        window table: each record's rows of its collection's
+        :class:`~repro.netsim.network.FlowRows`, read once per table (a
+        switch's rows are already in sweep order)."""
+        by_table: Dict[int, Tuple[FlowRows, List[int], List[int]]] = {}
         for row, st in zip(rows.tolist(), records):
-            source = st.flow_source
-            if source is None:
-                loose += [(row, fid,
-                           host_id.setdefault(o.src, len(host_id)),
-                           host_id.setdefault(o.dst, len(host_id)),
-                           o.bytes_seen > MICE_ELEPHANT_THRESHOLD, slot)
-                          for fid, o in sorted(st.flow_obs.items(),
-                                               key=lambda kv: kv[1].last_seen)]
-            else:
-                _, at, to = by_snapshot.setdefault(id(source[0]),
-                                                   (source[0], [], []))
-                at.append(source[1])
+            if st.flow_rows is not None:
+                table, index = st.flow_rows
+                _, at, to = by_table.setdefault(id(table), (table, [], []))
+                at.append(index)
                 to.append(row)
-        tables = [np.array(loose, dtype=np.int64).reshape(-1, 6).T]
-        for snap, at, to in by_snapshot.values():
-            sw, fid, src, dst, seen = snap.rows()
+        tables = [np.empty((6, 0), dtype=np.int64)]
+        for table, at, to in by_table.values():
+            sw, fid, src, dst, seen = table.rows()
             row_of = np.full(max(int(sw.max(initial=0)), max(at)) + 1, -1)
             row_of[at] = to
             sw = row_of[sw]
-            table = np.empty((6, sw.size), dtype=np.int64)
-            table[:5] = sw, fid, src, dst, seen > MICE_ELEPHANT_THRESHOLD
-            table[_SLOT] = slot
-            tables.append(table.take((sw >= 0).nonzero()[0], axis=1))
+            block = np.empty((6, sw.size), dtype=np.int64)
+            block[:5] = sw, fid, src, dst, seen > MICE_ELEPHANT_THRESHOLD
+            block[_SLOT] = slot
+            tables.append(block.take((sw >= 0).nonzero()[0], axis=1))
         return np.concatenate(tables, axis=1)
 
     def ingest(self, records: Sequence[QueueStats], rows: np.ndarray

@@ -137,10 +137,9 @@ class BatchFluidNetwork(_FluidStepper):
     def view(self, r: int) -> FluidNetwork:
         """Replica ``r`` as a live :class:`FluidNetwork` (shared storage).
 
-        Supports the full solo surface — ``queue_stats``,
-        ``flow_observations`` (via ``queue_stats``), ``set_ecn``,
-        failures, ``start_flows`` — except ``advance``, which must go
-        through the batch.
+        Supports the full solo surface — ``queue_stats`` (its flow
+        table included), ``set_ecn``, failures, ``start_flows`` — except
+        ``advance``, which must go through the batch.
         """
         return self._nets[r]
 

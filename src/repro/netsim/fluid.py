@@ -38,8 +38,7 @@ import numpy as np
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.ecn import SECN1 as _DEFAULT_ECN
 from repro.netsim.flow import Flow
-from repro.netsim.network import QueueStats
-from repro.netsim.queueing import FlowObservation
+from repro.netsim.network import FlowRows, QueueStats
 from repro.netsim.routing import ecmp_hash_array
 from repro.obs.metrics import get_registry
 
@@ -761,8 +760,7 @@ class FlowTableMixin(_FluidStepper):
         tab, at = self._table, self._table.active(self._owners)
         return _ObsSnapshot(
             tab.f_fid[at].tolist(), tab.f_size[at] - tab.f_remaining[at],
-            tab.f_path[at], tab.f_src[at], tab.f_dst[at], self.now,
-            self.flow_objs, self.q_switch)
+            tab.f_path[at], tab.f_src[at], tab.f_dst[at], self.q_switch)
 
     def active_flow_count(self) -> int:
         return len(self._table.active(self._owners)) + len(self._pending)
@@ -772,36 +770,33 @@ class FlowTableMixin(_FluidStepper):
         return self.flow_objs
 
 
-class _ObsSnapshot:
-    """Collection-time copy of what the per-flow observations are made
+class _ObsSnapshot(FlowRows):
+    """A fluid collection's :class:`~repro.netsim.network.FlowRows`,
+    built on the first :meth:`rows` call from copies of what it is made
     of — the active flows' ids, bytes seen, endpoints and queue paths, in
-    flow-table order.  Array consumers read :meth:`rows`; a switch's
-    ``{fid: FlowObservation}`` dict (:meth:`of_switch`) is a view of
-    them.  Holding copies makes both immune to whatever happens to the
-    flow slots afterwards.
+    flow-table order — so a reader that never asks (a static controller)
+    never pays for it, and whatever happens to the flow slots afterwards
+    does not reach it.
     """
 
     def __init__(self, fids: List[int], seen: np.ndarray, paths: np.ndarray,
-                 src: np.ndarray, dst: np.ndarray, now: float,
-                 flow_objs: Dict[int, Flow], q_switch: np.ndarray) -> None:
+                 src: np.ndarray, dst: np.ndarray,
+                 q_switch: np.ndarray) -> None:
         self._fids = fids
         self._seen = seen
         self._paths = paths
         self._src = src
         self._dst = dst
-        self._now = now
-        self._flow_objs = flow_objs
         self._q_switch = q_switch
         self._rows: Optional[Tuple[np.ndarray, ...]] = None
-        self._obs: Dict[int, FlowObservation] = {}
 
     def rows(self) -> Tuple[np.ndarray, ...]:
-        """The observations of every switch as five int64 columns
-        ``(switch index, flow id, src host id, dst host id, bytes seen)``
-        — one row per (flow, switch on its path), flows in slot order and
-        a flow's switches in path order (a switch it meets twice counts
-        at its first hop), every row last seen at collection time.  Built
-        on first call and shared by every reader of the collection."""
+        """One row per (flow, switch on its path): a flow that meets a
+        switch twice is one row, at its first hop; flows in slot order
+        and a flow's switches in path order; ``bytes seen`` is
+        ``int(max(seen, 1.0))``; every row last seen at collection time.
+        Built on first call and shared by every reader of the
+        collection."""
         if self._rows is None:
             on_path = self._paths >= 0
             sw = self._q_switch[self._paths]
@@ -817,17 +812,6 @@ class _ObsSnapshot:
                           np.array(self._fids, dtype=np.int64)[flow],
                           self._src[flow], self._dst[flow], seen[flow])
         return self._rows
-
-    def of_switch(self, s: int) -> Dict[int, FlowObservation]:
-        """Switch ``s``'s rows as ``{fid: FlowObservation}``, in row order —
-        one observation per flow, shared by every switch on its path."""
-        sw, fid, _, _, seen = self.rows()
-        mine = (sw == s).nonzero()[0]
-        obs, flows, now = self._obs, self._flow_objs, self._now
-        for f, b in zip(fid[mine].tolist(), seen[mine].tolist()):
-            if f not in obs:
-                obs[f] = FlowObservation(f, flows[f].src, flows[f].dst, b, now)
-        return {f: obs[f] for f in fid[mine].tolist()}
 
 
 class SwitchStatsMixin:
@@ -957,19 +941,17 @@ class SwitchStatsMixin:
         cols[2] /= interval
         cols[5] *= 8.0
         tx, marked, avg_q, drops, qlen, cap, qmax = cols.tolist()
+        # per-flow observations: columns now, rows on first read
+        snap = self._snapshot_observations()
         # positional, in QueueStats field order: about half the cost of
         # a keyword construction per switch
-        records = list(map(
+        return dict(zip(names, map(
             QueueStats, names, repeat(interval), qlen, qmax, avg_q,
             map(int, tx), map(int, marked),
             [int(d // 1000) if d else 0 for d in drops], cap,
             map(self._switch_ecn.__getitem__, range(len(names))),
-            map(len, self._switch_index_cache())))
-        # per-flow observations: columns now, rows or dicts on first read
-        snap = self._snapshot_observations()
-        for s, st in enumerate(records):
-            st.defer_flow_obs(snap, s)
-        return dict(zip(names, records))
+            map(len, self._switch_index_cache()),
+            zip(repeat(snap), range(len(names))))))
 
     def switch_queue_indices(self, switch_name: str) -> List[int]:
         """Global queue ids belonging to one switch, in stable order."""

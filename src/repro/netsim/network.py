@@ -17,8 +17,7 @@ interface, so controllers and the gym bridge are simulator-agnostic.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,13 +32,42 @@ from repro.obs.metrics import get_registry
 from repro.netsim.switch import SwitchNode
 from repro.netsim.topology import LeafSpineTopology, TopologyConfig
 
-__all__ = ["QueueStats", "PacketNetwork"]
+__all__ = ["FlowRows", "QueueStats", "PacketNetwork"]
 
 #: transport name -> its class in :mod:`repro.netsim.transport`, which
 #: is imported when a packet network is built, not by every importer of
 #: :class:`QueueStats`.
 _TRANSPORTS = {"dcqcn": "DCQCNTransport", "dctcp": "DCTCPTransport",
                "hpcc": "HPCCTransport"}
+
+
+class FlowRows:
+    """The per-flow observations of one collection, every switch's: five
+    int64 columns ``(switch index, flow id, src host id, dst host id,
+    bytes seen)``, one row per (flow, switch), a switch's rows oldest
+    observation first.  The records of the collection share it, each as
+    ``(table, its switch index)``.  Tables compare and print by value,
+    so records compare and fingerprint by what they observed."""
+
+    def __init__(self, columns: Tuple[np.ndarray, ...]) -> None:
+        self._columns = columns
+
+    def rows(self) -> Tuple[np.ndarray, ...]:
+        """The five columns."""
+        return self._columns
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FlowRows):
+            return NotImplemented
+        return all(np.array_equal(a, b)
+                   for a, b in zip(self.rows(), other.rows()))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        names = ("switch", "flow", "src", "dst", "bytes")
+        return "FlowRows({})".format(", ".join(
+            f"{n}={c.tolist()}" for n, c in zip(names, self.rows())))
 
 
 @dataclass
@@ -49,14 +77,9 @@ class QueueStats:
     These are the directly-available quantities of the paper's state
     category 1 (qlen, txRate, txRate^(m), current ECN) plus the raw
     per-flow observations the NCM turns into the category-2 quantities
-    (incast degree, mice/elephant ratio).
-
-    A simulator may *defer* ``flow_obs`` (:meth:`defer_flow_obs`): the
-    record then only points at the collection's columnar snapshot, and
-    the per-flow dicts are built the first time somebody reads the
-    attribute — never for a consumer that does not (a static controller)
-    or that reads the snapshot's rows instead (:attr:`flow_source`, the
-    fleet observer).  :meth:`replace` copies a record without reading it.
+    (incast degree, mice/elephant ratio): ``flow_rows``, the
+    collection's :class:`FlowRows` and this switch's index in it
+    (``None`` on a per-port record).
     """
 
     switch: str
@@ -70,46 +93,8 @@ class QueueStats:
     capacity_bps: float          # aggregate live egress capacity
     ecn: Optional[ECNConfig]
     n_queues: int = 1            # egress queues aggregated into this record
-    flow_obs: Dict[int, FlowObservation] = field(default_factory=dict)
-
-    def defer_flow_obs(self, snapshot: Any, index: int) -> None:
-        """Forget ``flow_obs``: it is switch ``index`` of ``snapshot``, and
-        its first read sets it to ``snapshot.of_switch(index)``."""
-        del self.flow_obs
-        self._flow_source = (snapshot, index)
-
-    @property
-    def flow_source(self) -> Optional[Tuple[Any, int]]:
-        """``(snapshot, switch index)`` when the per-flow observations are
-        a slice of a collection snapshot's ``rows()``, else ``None`` (they
-        are the ``flow_obs`` dict and nothing else)."""
-        return self.__dict__.get("_flow_source")
-
-    def __getattr__(self, name: str) -> Any:
-        # Reached only when normal lookup fails — for ``flow_obs`` that
-        # means a deferred one, and the read is the signal to build it.
-        source = (self.__dict__.get("_flow_source")
-                  if name == "flow_obs" else None)
-        if source is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.flow_obs = obs = source[0].of_switch(source[1])
-        return obs
-
-    def replace(self, **changes: Any) -> "QueueStats":
-        """A copy with ``changes`` applied, like ``dataclasses.replace`` —
-        which reads every field and so would force a deferred
-        ``flow_obs``; this carries it across unread, snapshot handle
-        included.  Replacing ``flow_obs`` itself drops the handle: the
-        new dict is then all there is."""
-        unknown = set(changes) - {f.name for f in fields(self)}
-        if unknown:
-            raise TypeError(f"unknown QueueStats field(s) {sorted(unknown)}")
-        out = copy.copy(self)
-        out.__dict__.update(changes)
-        if "flow_obs" in changes:
-            out.__dict__.pop("_flow_source", None)
-        return out
+    flow_rows: Optional[Tuple[FlowRows, int]] = field(default=None,
+                                                      repr=False)
 
     @property
     def avg_qlen_per_queue(self) -> float:
@@ -170,6 +155,9 @@ class PacketNetwork:
         # parallel to sw.ports (no tuple-key hashing per port).
         self._switch_baseline: Dict[str, List[Tuple[int, int, int]]] = {}
         self._switch_list = list(self.topology.switches())
+        #: host name -> host index, the host ids of the records' flow table
+        self._host_index = {h.name: i for i, h in
+                            enumerate(self.topology.hosts)}
         self._last_stats_time = 0.0
         self._reset_baselines()
         # the builders list each fabric link's two directions one after
@@ -255,15 +243,18 @@ class PacketNetwork:
     def queue_stats(self) -> Dict[str, QueueStats]:
         """Interval stats per switch; resets the interval afterwards.
 
-        A record lists the switch's flows still active now, with the
-        bytes its queues have seen of them; finished flows are dropped
-        from the queues' tables here."""
+        The records' :class:`FlowRows` lists each switch's flows still
+        active now, with the bytes its queues have seen of them, in the
+        order its queues last saw them (a later port's observation of a
+        flow wins); finished flows are dropped from the queues' tables
+        here."""
         get_registry().inc("netsim.stats_collections", sim="packet")
         now = self.sim.now
         interval = max(now - self._last_stats_time, 1e-12)
         out: Dict[str, QueueStats] = {}
-        flows = self.flows
-        for sw in self._switch_list:
+        flows, host = self.flows, self._host_index
+        rows: List[Tuple[int, int, int, int, int]] = []
+        for s, sw in enumerate(self._switch_list):
             tx = marked = drops = 0
             avg_q = 0.0
             merged: Dict[int, FlowObservation] = {}
@@ -281,12 +272,9 @@ class PacketNetwork:
                 for fid in [f for f in seen if flows[f].done]:
                     del seen[fid]
                 merged.update(seen)
-            # the switch's active flows as of now, oldest ``last_seen``
-            # first, copied: the record does not change after collection
-            flow_obs = {o.flow_id: FlowObservation(o.flow_id, o.src, o.dst,
-                                                   o.bytes_seen, now)
-                        for o in sorted(merged.values(),
-                                        key=lambda o: o.last_seen)}
+            rows += [(s, o.flow_id, host[o.src], host[o.dst], o.bytes_seen)
+                     for o in sorted(merged.values(),
+                                     key=lambda o: o.last_seen)]
             out[sw.name] = QueueStats(
                 switch=sw.name, interval=interval,
                 qlen_bytes=float(sw.total_qlen_bytes()),
@@ -294,8 +282,11 @@ class PacketNetwork:
                 avg_qlen_bytes=avg_q,
                 tx_bytes=tx, tx_marked_bytes=marked, dropped_pkts=drops,
                 capacity_bps=sw.aggregate_capacity_bps(),
-                ecn=sw.current_ecn(), n_queues=len(sw.ports),
-                flow_obs=flow_obs)
+                ecn=sw.current_ecn(), n_queues=len(sw.ports))
+        table = FlowRows(tuple(np.array(rows, dtype=np.int64)
+                                .reshape(-1, 5).T.copy()))
+        for s, st in enumerate(out.values()):
+            st.flow_rows = (table, s)
         self._reset_baselines()
         return out
 
@@ -322,7 +313,7 @@ class PacketNetwork:
                     dropped_pkts=c.dropped_pkts - b_d,
                     capacity_bps=port.rate_bps if port.up else 0.0,
                     ecn=port.marker.config if port.marker else None,
-                    n_queues=1, flow_obs=dict(port.queue.flow_obs))
+                    n_queues=1)
         return out
 
     # -- control ----------------------------------------------------------------
@@ -379,19 +370,6 @@ class PacketNetwork:
 
     def switch_names(self) -> List[str]:
         return [sw.name for sw in self.topology.switches()]
-
-    def prune_flow_observations(self, older_than: float) -> int:
-        """NCM cleanup primitive across every queue; returns pruned count."""
-        pruned = 0
-        for sw in self.topology.switches():
-            for port in sw.ports:
-                pruned += port.queue.prune_flow_obs(older_than)
-        return pruned
-
-    def flow_observation_memory(self) -> int:
-        """Bytes of NCM observation state currently resident."""
-        return sum(port.queue.flow_obs_nbytes()
-                   for sw in self.topology.switches() for port in sw.ports)
 
     # -- convenience -----------------------------------------------------------
     def host_names(self) -> List[str]:

@@ -7,9 +7,9 @@ packet storage, the queue keeps:
 - interval counters for dequeued bytes / ECN-marked dequeued bytes
   (txRate, txRate^(m) of the paper's state vector),
 - a per-flow observation table (flow id → src, dst, cumulative bytes,
-  last-seen) that the Network Condition Monitor reads to compute the
-  incast degree and mice/elephant ratio, and prunes via its cleanup
-  strategies.
+  last-seen) that :meth:`PacketNetwork.queue_stats
+  <repro.netsim.network.PacketNetwork.queue_stats>` copies into the
+  records the Network Condition Monitor reads, dropping finished flows.
 """
 
 from __future__ import annotations
@@ -146,19 +146,3 @@ class ByteQueue:
         else:
             obs.bytes_seen += pkt.size_bytes
             obs.last_seen = now
-
-    def prune_flow_obs(self, older_than: float) -> int:
-        """Drop observations idle since before ``older_than``; returns count.
-
-        This is the primitive both of the NCM's cleanup strategies
-        (scheduled and threshold-triggered) are built on.
-        """
-        stale = [fid for fid, o in self.flow_obs.items() if o.last_seen < older_than]
-        for fid in stale:
-            del self.flow_obs[fid]
-        return len(stale)
-
-    def flow_obs_nbytes(self) -> int:
-        """Rough memory footprint of the observation table (NCM metering)."""
-        # flow id + two endpoints + bytes + timestamp, ~48B per entry
-        return 48 * len(self.flow_obs)

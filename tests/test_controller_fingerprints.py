@@ -15,16 +15,15 @@ from repro.baselines.acc import ACCConfig, ACCController
 from repro.core.config import PETConfig
 from repro.core.multiqueue import MultiQueuePETController
 from repro.core.pet import PETController
-from repro.netsim import fluid as fluid_mod
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
-from repro.netsim.queueing import FlowObservation
 from repro.netsim.shard import ShardedFluidNetwork
 from repro.netsim.topology import TopologyConfig
 from repro.fingerprint import fingerprint
 from repro.resilience.guard import ResilientController
+from tests.flow_rows import count_row_builds
 
 DT = 1e-3
 
@@ -191,16 +190,9 @@ def test_pinned_fingerprint(name):
 
 # ---------------------------------------------------- no per-flow objects
 @pytest.fixture
-def obs_built(monkeypatch):
-    """Counts FlowObservation constructions in the fluid collection path."""
-    built = []
-
-    def counting(*args):
-        built.append(args[0])
-        return FlowObservation(*args)
-
-    monkeypatch.setattr(fluid_mod, "FlowObservation", counting)
-    return built
+def rows_built(monkeypatch):
+    """The fluid collection tables whose rows were built."""
+    return count_row_builds(monkeypatch)
 
 
 def _controllers(net):
@@ -215,17 +207,17 @@ def _controllers(net):
 
 @pytest.mark.parametrize("kind", ["leaf_spine", "fat_tree"])
 @pytest.mark.parametrize("who", ["pet", "acc", "guarded_pet"])
-def test_decide_constructs_no_flow_observation(kind, who, obs_built):
+def test_decide_constructs_no_flow_observation(kind, who, rows_built):
+    """No per-flow object on the control path: a decision reads its
+    collection's columns, built once and shared by every switch."""
     net = _fluid() if kind == "leaf_spine" else _fat_tree()
     controller = _controllers(net)[who]
     flows_seen = 0
-    for _ in range(12):
+    for tick in range(12):
         net.advance(DT)
         stats = net.queue_stats()
         controller.decide(stats, net.now, net)
         flows_seen += net.active_flow_count()
+        assert len(rows_built) == tick + 1
+        assert rows_built[-1] is stats[net.switch_names()[0]].flow_rows[0]
     assert flows_seen > 0
-    assert obs_built == []
-    # the dict view is still there for whoever asks
-    assert any(st.flow_obs for st in stats.values())
-    assert obs_built

@@ -32,6 +32,7 @@ from repro.rl.ippo import IPPOTrainer
 from repro.rl.ppo import PPOConfig
 from repro.rl.stacked import PackedMLP, PPOLearner, StackingError
 from tests import plain_rl
+from tests.flow_rows import pinned_form
 from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
 from repro.traffic.workloads import workload_by_name
 
@@ -278,7 +279,7 @@ def _interval_stats(net, intervals):
     stats = []
     for _ in range(intervals):
         net.advance(1e-3)
-        stats.append(net.queue_stats())
+        stats.append(pinned_form(net.queue_stats(), net))
     return stats
 
 

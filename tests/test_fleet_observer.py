@@ -4,11 +4,13 @@ The columnar NCM is checked against a plain-dict model of paper §4.5.1
 (one list of slot dicts per switch, merged latest-wins, swept exactly as
 the text says); the whole-fleet state, reward and history against Eq. 2-3 and 6-8
 written out per record (:func:`_features`, :func:`_reward`) and a plain
-list; the snapshot's ``rows()`` and ``of_switch()`` against a plain loop
-over its paths.
+list; the fluid snapshot's ``rows()`` against a plain loop over its
+paths.
 Everything is compared exactly — the observer feeds learners whose
 weights are fingerprinted.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,9 +26,9 @@ from repro.core.state import HistoryWindow, StateBuilder, TelemetryColumns
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork, _ObsSnapshot
-from repro.netsim.network import PacketNetwork, QueueStats
-from repro.netsim.queueing import FlowObservation
+from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
+from tests.flow_rows import build_rows, record, switch_rows
 
 MB = 1_000_000          # the DevoFlow mice/elephant threshold
 SWITCHES = ["s0", "s1", "s2"]
@@ -57,8 +59,8 @@ class DictNCM:
         ratio = mice / len(merged) if merged else 0.5
         return incast, ratio, len(merged)
 
-    def ingest(self, flow_obs):
-        self.slots.append(dict(flow_obs))
+    def ingest(self, flows):
+        self.slots.append(dict(flows))
         self.ingests += 1
         out = self.analyze()
         cfg = self.cfg
@@ -82,13 +84,7 @@ class DictNCM:
         return out
 
 
-def _record(switch, flow_obs=None, **fields):
-    base = dict(switch=switch, interval=1e-3, qlen_bytes=0.0,
-                max_port_qlen_bytes=0.0, avg_qlen_bytes=0.0, tx_bytes=0,
-                tx_marked_bytes=0, dropped_pkts=0, capacity_bps=1e9,
-                ecn=None)
-    base.update(fields)
-    return QueueStats(**base, flow_obs=flow_obs if flow_obs is not None else {})
+_record = record
 
 
 def _features(cfg, rec, incast, ratio):
@@ -116,27 +112,6 @@ def _reward(cfg, rec):
     return cfg.beta1 * rec.utilization + cfg.beta2 * latency
 
 
-class FakeSnapshot:
-    """What a fluid collection hands out, built from per-switch dicts:
-    the ``rows()`` columns in each dict's order, and the dicts."""
-
-    def __init__(self, per_switch, now):
-        self.now = now
-        self._dicts = per_switch             # {switch index: {fid: entry}}
-        cols = [(idx, fid, src, dst, nbytes)
-                for idx, entries in per_switch.items()
-                for fid, (src, dst, nbytes, _) in entries.items()]
-        self._rows = tuple(np.array(c, dtype=np.int64)
-                           for c in (zip(*cols) if cols else [()] * 5))
-
-    def rows(self):
-        return self._rows
-
-    def of_switch(self, idx):
-        return {fid: FlowObservation(fid, src, dst, nbytes, self.now)
-                for fid, (src, dst, nbytes, _) in self._dicts[idx].items()}
-
-
 def _check_tick(fleet, models, present, got):
     rows = [SWITCHES.index(s) for s in present]
     want = [models[s].last for s in present]
@@ -159,8 +134,8 @@ _ENTRY = st.tuples(_HOSTS, _HOSTS, _BYTES, st.sampled_from([0.0, 1.0, 2.0]))
 _SLOT = st.dictionaries(st.integers(0, 7), _ENTRY, max_size=6)
 #: per tick and switch: absent (None) or the slot it reports
 _TICK = st.lists(st.one_of(st.none(), _SLOT), min_size=3, max_size=3)
-#: per switch: its records are slices of a collection snapshot (True) or
-#: carry a plain ``flow_obs`` dict (False)
+#: per switch: its record's rows sit in the tick's shared table (True) or
+#: in a table of its own (False)
 _SOURCES = st.lists(st.booleans(), min_size=3, max_size=3)
 _CONFIG = st.builds(
     PETConfig, history_k=st.integers(1, 3),
@@ -169,31 +144,22 @@ _CONFIG = st.builds(
     ncm_threshold_drop_fraction=st.sampled_from([0.25, 0.5, 0.9]))
 
 
-def _run_against_model(cfg, ticks, via_snapshot=(False, False, False)):
+def _run_against_model(cfg, ticks, shared=(False, False, False)):
     fleet = FleetNCM(SWITCHES, cfg)
     models = {s: DictNCM(cfg) for s in SWITCHES}
-    for t, tick in enumerate(ticks):
+    for tick in ticks:
         present = [s for s, slot in zip(SWITCHES, tick) if slot is not None]
         if not present:
             continue
-        # snapshot switch indices deliberately differ from fleet rows
-        snap = FakeSnapshot({10 - i: slot for i, slot in enumerate(tick)
-                             if slot is not None and via_snapshot[i]},
-                            float(t))
+        # shared-table switch indices deliberately differ from fleet rows
+        table = build_rows({10 - i: slot for i, slot in enumerate(tick)
+                            if slot is not None and shared[i]})
         records = []
         for i, (s, entries) in enumerate(zip(SWITCHES, tick)):
             if entries is None:
                 continue
-            if via_snapshot[i]:
-                # a snapshot's observations were all last seen at its time
-                entries = {fid: (src, dst, nbytes, float(t))
-                           for fid, (src, dst, nbytes, _) in entries.items()}
-                rec = _record(s)
-                rec.defer_flow_obs(snap, 10 - i)
-            else:
-                rec = _record(s, {fid: FlowObservation(fid, *e)
-                                  for fid, e in entries.items()})
-            records.append(rec)
+            records.append(_record(s, flow_rows=(table, 10 - i))
+                           if shared[i] else _record(s, entries))
             models[s].last = models[s].ingest(entries)
         rows = np.array([SWITCHES.index(s) for s in present])
         _check_tick(fleet, models, present, fleet.ingest(records, rows))
@@ -201,10 +167,10 @@ def _run_against_model(cfg, ticks, via_snapshot=(False, False, False)):
 
 
 @given(cfg=_CONFIG, ticks=st.lists(_TICK, min_size=1, max_size=14),
-       via_snapshot=_SOURCES)
+       shared=_SOURCES)
 @settings(max_examples=300, deadline=None)
-def test_columnar_ncm_equals_the_dict_model(cfg, ticks, via_snapshot):
-    _run_against_model(cfg, ticks, via_snapshot)
+def test_columnar_ncm_equals_the_dict_model(cfg, ticks, shared):
+    _run_against_model(cfg, ticks, shared)
 
 
 def _slot(*fids, src=0, dst=1, nbytes=10, t=0.0):
@@ -270,14 +236,10 @@ class TestCasesThatBreakANaivePort:
                            seed=0)
         seen = np.array([0.2, MB + 0.7, MB + 1.2])
         snap = _ObsSnapshot([5, 6, 7], seen, np.array([[0], [0], [0]]),
-                            np.array([0, 1, 2]), np.array([3, 3, 3]), 1.0,
-                            {f: Flow(f, f"h{f - 5}", "h3", 10) for f in (5, 6, 7)},
+                            np.array([0, 1, 2]), np.array([3, 3, 3]),
                             net.q_switch)
         assert snap.rows()[4].tolist() == [1, MB, MB + 1]
-        assert [o.bytes_seen for o in snap.of_switch(0).values()] == \
-            [1, MB, MB + 1]
-        rec = _record("s0")
-        rec.defer_flow_obs(snap, 0)
+        rec = _record("s0", flow_rows=(snap, 0))
         fleet = FleetNCM(["s0"], PETConfig())
         incast, ratio, flows = fleet.ingest([rec], np.array([0]))
         assert (incast[0], ratio[0], flows[0]) == (3, 2 / 3, 3)
@@ -297,29 +259,30 @@ class TestCasesThatBreakANaivePort:
         for _ in range(12):
             net.advance(2e-3)
             stats = net.queue_stats()
-            assert all(st_.flow_source is None for st_ in stats.values())
             got = fleet.ingest([stats[s] for s in names],
                                np.arange(len(names)))
+            # the model sees the flows' host names, the NCM the host ids
+            flows = net.flows
             want = [models[s].ingest(
-                {fid: (o.src, o.dst, o.bytes_seen, o.last_seen)
-                 for fid, o in stats[s].flow_obs.items()}) for s in names]
+                {fid: (flows[fid].src, flows[fid].dst, nbytes, 0.0)
+                 for fid, (_, _, nbytes) in switch_rows(stats[s]).items()})
+                for s in names]
             assert [g.tolist() for g in got] == [list(w) for w in zip(*want)]
             busiest = max(busiest, int(got[0].max()))
         assert busiest >= 4                       # the incast was seen
 
 
 # ------------------------------------------------------ snapshot rows()
-def _dict_expansion(fids, seen, paths, flows, now, q_switch):
-    """Per switch ``{fid: FlowObservation}`` as a plain loop: flows in
-    slot order, each switch on a flow's path in hop order."""
+def _dict_expansion(fids, seen, paths, src, dst, q_switch):
+    """Per switch ``{fid: (src, dst, bytes seen)}`` as a plain loop: flows
+    in slot order, each switch on a flow's path in hop order."""
     out = {}
-    for fid, nbytes, path in zip(fids, seen.tolist(), paths.tolist()):
-        flow = flows[fid]
-        obs = FlowObservation(fid, flow.src, flow.dst,
-                              int(nbytes if nbytes > 1.0 else 1.0), now)
+    for fid, s, d, nbytes, path in zip(fids, src.tolist(), dst.tolist(),
+                                       seen.tolist(), paths.tolist()):
+        row = (s, d, int(nbytes if nbytes > 1.0 else 1.0))
         for q in path:
             if q >= 0:
-                out.setdefault(int(q_switch[q]), {})[fid] = obs
+                out.setdefault(int(q_switch[q]), {})[fid] = row
     return out
 
 
@@ -327,8 +290,8 @@ def _dict_expansion(fids, seen, paths, flows, now, q_switch):
 @settings(max_examples=150, deadline=None)
 def test_snapshot_rows_are_its_dict_expansion(data, n_flows, hops):
     """Any paths at all — padded, revisiting a switch, revisiting a queue:
-    ``rows()`` and ``of_switch()`` are the plain per-switch expansion, each
-    switch in the loop's order, one observation object per flow."""
+    ``rows()`` is the plain per-switch expansion, each switch in the
+    loop's order."""
     q_switch = np.array(data.draw(st.lists(st.integers(0, 3), min_size=6,
                                            max_size=6)))
     paths = np.array(data.draw(st.lists(
@@ -340,34 +303,27 @@ def test_snapshot_rows_are_its_dict_expansion(data, n_flows, hops):
         min_size=n_flows, max_size=n_flows)))
     fids = [100 + 3 * i for i in range(n_flows)]
     src, dst = np.arange(n_flows) % 4, (np.arange(n_flows) + 1) % 4
-    flows = {f: Flow(f, f"h{s}", f"h{d}", 10)
-             for f, s, d in zip(fids, src.tolist(), dst.tolist())}
-    snap = _ObsSnapshot(fids, seen, paths, src, dst, 2.5, flows, q_switch)
-    oracle = _dict_expansion(fids, seen, paths, flows, 2.5, q_switch)
+    snap = _ObsSnapshot(fids, seen, paths, src, dst, q_switch)
+    oracle = _dict_expansion(fids, seen, paths, src, dst, q_switch)
     sw, fid, s_, d_, nbytes = (c.tolist() for c in snap.rows())
-    dicts = [snap.of_switch(switch) for switch in range(4)]
-    for switch, got in enumerate(dicts):
+    for switch in range(4):
         mine = [i for i, x in enumerate(sw) if x == switch]
         want = oracle.get(switch, {})
         assert [fid[i] for i in mine] == list(want)
-        assert [(f"h{s_[i]}", f"h{d_[i]}", nbytes[i]) for i in mine] == \
-            [(o.src, o.dst, o.bytes_seen) for o in want.values()]
-        assert list(got.items()) == list(want.items())
+        assert [(s_[i], d_[i], nbytes[i]) for i in mine] == \
+            list(want.values())
     assert set(sw) <= set(range(4))
-    for f in fids:
-        assert len({id(d[f]) for d in dicts if f in d}) <= 1
 
 
-def test_replace_keeps_the_snapshot_handle_unless_flow_obs_changes():
-    snap = FakeSnapshot({0: {1: (0, 1, 10, 0.0), 2: (2, 1, 10, 0.0)}}, 0.0)
-    rec = _record("s0")
-    rec.defer_flow_obs(snap, 0)
-    repaired = rec.replace(avg_qlen_bytes=0.0, tx_bytes=7)
-    assert repaired.flow_source == (snap, 0) and "flow_obs" not in vars(repaired)
-    swapped = rec.replace(flow_obs={9: FlowObservation(9, "a", "b", 10, 0.0)})
-    assert swapped.flow_source is None
+def test_replace_keeps_the_table_handle_unless_it_is_replaced():
+    table = build_rows({0: {1: (0, 1, 10, 0.0), 2: (2, 1, 10, 0.0)}})
+    rec = _record("s0", flow_rows=(table, 0))
+    repaired = dataclasses.replace(rec, avg_qlen_bytes=0.0, tx_bytes=7)
+    assert repaired.flow_rows[0] is table and repaired.flow_rows[1] == 0
+    swapped = dataclasses.replace(
+        rec, flow_rows=(build_rows({0: {9: ("a", "b", 10, 0.0)}}), 0))
     fleet = FleetNCM(["s0", "s1"], PETConfig())
-    got = fleet.ingest([repaired, swapped.replace(switch="s1")],
+    got = fleet.ingest([repaired, dataclasses.replace(swapped, switch="s1")],
                        np.array([0, 1]))
     assert got[2].tolist() == [2, 1] and got[0].tolist() == [2, 1]
 
@@ -464,8 +420,8 @@ def test_observer_equals_the_per_switch_pipeline_on_a_real_fabric(arm):
         for s, obs, reward in zip(seen.switches, seen.obs, seen.reward):
             rec = stats[s]
             incast, ratio, _ = models[s].ingest(
-                {fid: (o.src, o.dst, o.bytes_seen, o.last_seen)
-                 for fid, o in rec.flow_obs.items()})
+                {fid: (src, dst, nbytes, 0.0)
+                 for fid, (src, dst, nbytes) in switch_rows(rec).items()})
             history[s] = (history[s] + [np.array(
                 _features(cfg, rec, incast, ratio))])[-cfg.history_k:]
             pad = [np.zeros(6)] * (cfg.history_k - len(history[s]))
@@ -517,11 +473,8 @@ def test_one_switch_monitor_is_the_one_row_fleet():
     """A switch's monitor on its own is ``FleetNCM([switch])``."""
     ncm = FleetNCM(["s0"], PETConfig(history_k=2))
     row = np.array([0])
-    a = ncm.ingest([_record("s0", {1: FlowObservation(1, "a", "x", 10, 0.0)})],
-                   row)
-    b = ncm.ingest([_record("s0",
-                            {2: FlowObservation(2, "b", "x", 5 * MB, 1.0)})],
-                   row)
+    a = ncm.ingest([_record("s0", {1: ("a", "x", 10, 0.0)})], row)
+    b = ncm.ingest([_record("s0", {2: ("b", "x", 5 * MB, 1.0)})], row)
     assert [c.tolist() for c in a] == [[1], [1.0], [1]]
     assert [c.tolist() for c in b] == [[2], [0.5], [2]]
     assert [c.tolist() for c in ncm.analyze()] == [c.tolist() for c in b]

@@ -10,6 +10,7 @@ from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.shard import ShardedFluidNetwork
+from tests.flow_rows import switch_rows
 from tests.owner_tables import owner_tables
 
 
@@ -249,8 +250,8 @@ class TestStatsInterface:
         net.start_flow(Flow(9, "h0", "h4", 50_000_000))
         net.advance(1e-3)
         stats = net.queue_stats()
-        assert 9 in stats["leaf1"].flow_obs      # destination leaf
-        spine_obs = [9 in stats[s].flow_obs for s in ("spine0", "spine1")]
+        assert 9 in switch_rows(stats["leaf1"])      # destination leaf
+        spine_obs = [9 in switch_rows(stats[s]) for s in ("spine0", "spine1")]
         assert sum(spine_obs) == 1               # exactly one spine on path
 
     def test_set_ecn_per_switch(self):

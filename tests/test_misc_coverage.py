@@ -13,6 +13,7 @@ from repro.netsim.link import OutputPort
 from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
 from repro.traffic.patterns import PatternSchedule, PatternSegment
+from tests.flow_rows import switch_rows
 from tests.owner_tables import owner_tables
 
 
@@ -59,22 +60,29 @@ class TestPacketNetworkNCMHelpers:
                                             host_rate_bps=1e8,
                                             spine_rate_bps=4e8), seed=0)
 
+    def _observed(self, net):
+        return sum(len(port.queue.flow_obs)
+                   for sw in net.topology.switches() for port in sw.ports)
+
     def test_prune_flow_observations(self):
+        """A collection drops the queues' observations of finished flows."""
         net = self._net()
         net.start_flow(Flow(1, "h0", "h2", 30_000))
         net.advance(0.05)
-        assert net.flow_observation_memory() > 0
-        pruned = net.prune_flow_observations(older_than=net.now + 1.0)
-        assert pruned > 0
-        assert net.flow_observation_memory() == 0
+        assert net.flows[1].done and self._observed(net) > 0
+        stats = net.queue_stats()
+        assert self._observed(net) == 0
+        assert not any(switch_rows(st) for st in stats.values())
 
     def test_prune_keeps_fresh_observations(self):
+        """... and keeps those of the flows still active."""
         net = self._net()
         net.start_flow(Flow(1, "h0", "h2", 500_000))
         net.advance(0.005)
-        before = net.flow_observation_memory()
-        net.prune_flow_observations(older_than=0.0)   # nothing is older
-        assert net.flow_observation_memory() == before
+        before = self._observed(net)
+        stats = net.queue_stats()
+        assert self._observed(net) == before > 0
+        assert 1 in switch_rows(stats["leaf0"])
 
     def test_active_flow_count(self):
         net = self._net()

@@ -7,19 +7,16 @@ from repro.core.action import ActionCodec
 from repro.core.config import PETConfig
 from repro.core.ecn_cm import ECNConfigModule
 from repro.core.ncm import FleetNCM
-from repro.netsim.network import QueueStats
-from repro.netsim.queueing import FlowObservation
+from tests.flow_rows import record
 
 
-def mk_stats(switch="leaf0", flow_obs=None):
-    return QueueStats(switch=switch, interval=1e-3, qlen_bytes=0,
-                      max_port_qlen_bytes=0, avg_qlen_bytes=0, tx_bytes=0,
-                      tx_marked_bytes=0, dropped_pkts=0, capacity_bps=1e9,
-                      ecn=None, flow_obs=flow_obs or {})
+def mk_stats(switch="leaf0", flows=None):
+    return record(switch, flows)
 
 
 def obs(fid, src, dst, nbytes=1000, t=0.0):
-    return FlowObservation(fid, src, dst, nbytes, t)
+    """Flow ``fid`` as a record lists it."""
+    return (src, dst, nbytes, t)
 
 
 def monitor(cfg=None):
@@ -34,7 +31,7 @@ def ingest(ncm, stats):
 
 
 def incast_degree(table):
-    return ingest(monitor(), mk_stats(flow_obs=table))[0]
+    return ingest(monitor(), mk_stats(flows=table))[0]
 
 
 class TestIncastDegree:
@@ -58,10 +55,10 @@ class TestIncastDegree:
 class TestNCMIngestAnalyze:
     def test_analysis_combines_window_slots(self):
         ncm = monitor(PETConfig(history_k=3))
-        incast, _, _ = ingest(ncm, mk_stats(flow_obs={1: obs(1, "a", "x")}))
+        incast, _, _ = ingest(ncm, mk_stats(flows={1: obs(1, "a", "x")}))
         assert incast == 1
         incast, _, flows = ingest(ncm,
-                                  mk_stats(flow_obs={2: obs(2, "b", "x")}))
+                                  mk_stats(flows={2: obs(2, "b", "x")}))
         # both senders to x retained in the window
         assert incast == 2
         assert flows == 2
@@ -69,7 +66,7 @@ class TestNCMIngestAnalyze:
     def test_flow_ratio_from_observed_bytes(self):
         table = {1: obs(1, "a", "x", nbytes=100),
                  2: obs(2, "b", "x", nbytes=5_000_000)}
-        _, ratio, _ = ingest(monitor(), mk_stats(flow_obs=table))
+        _, ratio, _ = ingest(monitor(), mk_stats(flows=table))
         assert ratio == pytest.approx(0.5)
 
     def test_empty_observation_neutral_ratio(self):
@@ -84,7 +81,7 @@ class TestNCMCleanup:
                         ncm_memory_threshold_bytes=10**9)
         ncm = monitor(cfg)
         for i in range(6):
-            ingest(ncm, mk_stats(flow_obs={i: obs(i, "a", "x")}))
+            ingest(ncm, mk_stats(flows={i: obs(i, "a", "x")}))
         assert ncm.cleanups_scheduled[0] == 2      # at slots 3 and 6
         assert ncm.retained_slots()[0] <= max(cfg.history_k,
                                               cfg.ncm_cleanup_interval_slots)
@@ -96,7 +93,7 @@ class TestNCMCleanup:
                         ncm_threshold_drop_fraction=0.5)
         ncm = monitor(cfg)
         burst = {i: obs(i, f"h{i}", "agg", t=float(i)) for i in range(40)}
-        ingest(ncm, mk_stats(flow_obs=burst))
+        ingest(ncm, mk_stats(flows=burst))
         assert ncm.cleanups_threshold[0] >= 1
         assert ncm.memory_bytes()[0] <= 48 * 40    # roughly half dropped
         assert ncm.entries_pruned[0] >= 20
@@ -104,7 +101,7 @@ class TestNCMCleanup:
     def test_memory_metering(self):
         ncm = monitor()
         assert ncm.memory_bytes()[0] == 0
-        ingest(ncm, mk_stats(flow_obs={1: obs(1, "a", "x")}))
+        ingest(ncm, mk_stats(flows={1: obs(1, "a", "x")}))
         assert ncm.memory_bytes()[0] == 48
 
 
@@ -166,7 +163,7 @@ class TestThresholdSweepSlotHygiene:
     def test_sweep_drops_emptied_slots(self):
         ncm = self._bursty_ncm()
         for i in range(6):
-            ingest(ncm, mk_stats(flow_obs={i: obs(i, "a", "x", t=i * 1e-3)}))
+            ingest(ncm, mk_stats(flows={i: obs(i, "a", "x", t=i * 1e-3)}))
         assert ncm.cleanups_threshold[0] >= 1
         # no empty husks
         assert ncm.retained_slots()[0] == self._data_bearing_slots(ncm) > 0
@@ -174,7 +171,7 @@ class TestThresholdSweepSlotHygiene:
     def test_slot_count_stays_bounded_under_burst(self):
         ncm = self._bursty_ncm()
         for i in range(50):
-            ingest(ncm, mk_stats(flow_obs={i: obs(i, "a", "x", t=i * 1e-3)}))
+            ingest(ncm, mk_stats(flows={i: obs(i, "a", "x", t=i * 1e-3)}))
         # pre-fix the list grew ~one emptied slot per sweep; post-fix the
         # retained slots are exactly the data-bearing ones
         assert ncm.retained_slots()[0] <= 3
@@ -183,6 +180,6 @@ class TestThresholdSweepSlotHygiene:
     def test_memory_gauges_emitted_when_enabled(self):
         import repro.obs as obs_mod
         with obs_mod.telemetry() as (reg, _):
-            ingest(monitor(), mk_stats(flow_obs={1: obs(1, "a", "x")}))
+            ingest(monitor(), mk_stats(flows={1: obs(1, "a", "x")}))
             assert reg.gauge_value("ncm.memory_bytes", switch="leaf0") == 48.0
             assert reg.gauge_value("ncm.retained_slots", switch="leaf0") == 1.0

@@ -10,6 +10,7 @@ from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
+from tests.flow_rows import switch_rows
 
 
 def mk_net(**kw):
@@ -82,7 +83,7 @@ class TestStats:
         net.advance(0.005)
         stats = net.queue_stats()
         assert not net.flows[7].done
-        assert 7 in stats["leaf0"].flow_obs
+        assert 7 in switch_rows(stats["leaf0"])
 
     def test_finished_flows_leave_the_records(self):
         """Four 20 kB flows finish in the first millisecond: from then on
@@ -99,7 +100,7 @@ class TestStats:
             incast, _, flows = ncm.ingest([stats[s] for s in names],
                                           np.arange(len(names)))
         assert len(net.finished_flows) == 4
-        assert [len(stats[s].flow_obs) for s in names] == [0, 0, 0, 0]
+        assert [len(switch_rows(stats[s])) for s in names] == [0, 0, 0, 0]
         assert all(not port.queue.flow_obs
                    for sw in net.topology.switches() for port in sw.ports)
         assert incast.tolist() == flows.tolist() == [0, 0, 0, 0]
@@ -111,11 +112,11 @@ class TestStats:
         net.start_flow(Flow(1, "h0", "h3", 5_000_000))
         net.advance(1e-3)
         rec = net.queue_stats()["leaf0"]
-        before = rec.flow_obs[1].bytes_seen
-        assert 0 < before < 5_000_000
+        before = switch_rows(rec)
+        assert 0 < before[1][2] < 5_000_000
         net.advance(1e-3)
-        assert net.queue_stats()["leaf0"].flow_obs[1].bytes_seen > before
-        assert rec.flow_obs[1].bytes_seen == before
+        assert switch_rows(net.queue_stats()["leaf0"])[1][2] > before[1][2]
+        assert switch_rows(rec) == before
 
     def test_marked_bytes_with_aggressive_ecn(self):
         net = mk_net()
@@ -144,10 +145,9 @@ class TestStats:
                 mine = [ports[(name, i)] for i in range(st.n_queues)]
                 assert len(mine) == sum(1 for sw, _ in ports if sw == name)
                 avg_q = 0.0
-                flow_obs = {}
                 for p in mine:
                     avg_q += p.avg_qlen_bytes
-                    flow_obs.update(p.flow_obs)
+                    assert p.flow_rows is None
                 assert st.tx_bytes == sum(p.tx_bytes for p in mine)
                 assert st.tx_marked_bytes == sum(p.tx_marked_bytes
                                                  for p in mine)
@@ -157,10 +157,16 @@ class TestStats:
                 assert st.max_port_qlen_bytes == max(p.qlen_bytes
                                                      for p in mine)
                 assert st.interval == mine[0].interval
-                # the switch reports its ports' flows still active, merged
-                assert {f: o.bytes_seen for f, o in st.flow_obs.items()} == \
-                    {f: o.bytes_seen for f, o in flow_obs.items()
-                     if not net.flows[f].done}
+                # the switch reports its ports' flows, all still active,
+                # merged (a later port wins) and oldest ``last_seen`` first
+                merged = {}
+                for port in net.topology.node(name).ports:
+                    merged.update(port.queue.flow_obs)
+                assert not any(net.flows[f].done for f in merged)
+                want = sorted(merged.values(), key=lambda o: o.last_seen)
+                assert [(f, b) for f, (_, _, b) in
+                        switch_rows(st).items()] == \
+                    [(o.flow_id, o.bytes_seen) for o in want]
                 seen["tx"] += st.tx_bytes
                 seen["marked"] += st.tx_marked_bytes
                 seen["drops"] += st.dropped_pkts

@@ -86,21 +86,6 @@ class TestFlowObservation:
         q.enqueue(_pkt(flow_id=9, kind=PacketKind.ACK, size=64), 0.0)
         assert 9 not in q.flow_obs
 
-    def test_prune_old_observations(self):
-        q = ByteQueue(10_000)
-        q.enqueue(_pkt(flow_id=1), 1.0)
-        q.enqueue(_pkt(flow_id=2), 5.0)
-        pruned = q.prune_flow_obs(older_than=3.0)
-        assert pruned == 1
-        assert set(q.flow_obs) == {2}
-
-    def test_memory_estimate_scales_with_entries(self):
-        q = ByteQueue(10_000)
-        assert q.flow_obs_nbytes() == 0
-        for i in range(5):
-            q.enqueue(_pkt(flow_id=i), 0.0)
-        assert q.flow_obs_nbytes() == 5 * 48
-
 
 def test_invalid_capacity():
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from repro.netsim.routing import ecmp_hash, splitmix64
 from repro.netsim import fluid as fluid_mod
 from repro.netsim.shard import ShardedFluidNetwork
 from repro.fingerprint import fingerprint
+from tests.flow_rows import pinned_form
 from tests.owner_tables import flow_table_state, owner_tables
 
 
@@ -65,7 +66,7 @@ def _run_fp(cfg, *, steps=150, n_flows=40, fail_at=None, seed=3, hot=0):
         if fail_at is not None and k == fail_at:
             net.fail_uplinks(0.25, rng=np.random.default_rng(99))
         if (k + 1) % 50 == 0:
-            stats.append(net.queue_stats())
+            stats.append(pinned_form(net.queue_stats(), net))
     flows = flow_table_state(net)
     return fingerprint({"stats": stats, "q_len": net.q_len.copy(),
                          "rates": flows["f_rate"], "paths": flows["f_path"],

@@ -37,6 +37,7 @@ from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork, flow_phase
 from repro.fingerprint import fingerprint
 from repro.netsim.shard import ShardedFluidNetwork
+from tests.flow_rows import pinned_form
 from tests.owner_tables import owner_tables
 
 #: a buffer small enough that incast overflows it, so drops are exercised
@@ -346,7 +347,7 @@ def _observables(net):
     return {"finished": [(f.flow_id, f.finish_time)
                          for f in net.finished_flows],
             "latencies": list(net.latencies), "q_len": net.q_len.copy(),
-            "stats": net.queue_stats()}
+            "stats": pinned_form(net.queue_stats(), net)}
 
 
 def _assert_float64_records(net):

@@ -15,15 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.static_ecn import secn1
-from repro.netsim import fluid as fluid_mod
 from repro.netsim.batchfluid import BatchFluidNetwork
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
-from repro.netsim.queueing import FlowObservation
 from repro.netsim.shard import ShardedFluidNetwork
 from repro.resilience.faults import ChaosInjector, FaultPlan
+from tests.flow_rows import count_row_builds, switch_rows
 from tests.owner_tables import owner_tables
 
 #: edge switches 5 queues (×8), agg switches 3 (×4), and a core plane of
@@ -218,10 +217,10 @@ def test_port_stats_report_the_drops_their_switch_sums(kind):
         assert sum(mine) <= st_.dropped_pkts <= sum(mine) + len(mine), name
 
 
-# ------------------------------------------------------------ flow_obs
+# ------------------------------------------------------------ flow table
 def _obs_oracle(net):
-    """Per-switch observations by a plain loop over the flow table(s) in
-    (owner, slot) order."""
+    """Per-switch ``{fid: (src, dst, bytes seen)}`` by a plain loop over
+    the flow table(s) in (owner, slot) order, hosts as their indices."""
     out = {}
     for tab in owner_tables(net):
         for i in range(tab.n_flows):
@@ -230,24 +229,22 @@ def _obs_oracle(net):
             fid = tab.fid_at[i]
             flow = net.flow_objs[fid]
             seen = float(tab.f_size[i]) - float(tab.f_remaining[i])
-            obs = FlowObservation(fid, flow.src, flow.dst,
-                                  int(max(seen, 1.0)), net.now)
+            row = (int(flow.src[1:]), int(flow.dst[1:]), int(max(seen, 1.0)))
             for q in tab.f_path[i]:
                 if q >= 0:
-                    out.setdefault(int(net.q_switch[q]), {})[fid] = obs
+                    out.setdefault(int(net.q_switch[q]), {})[fid] = row
     return out
 
 
 @pytest.mark.parametrize("kind", ["leaf_spine", "fat_tree"])
 def test_flow_obs_is_a_collection_time_snapshot(kind):
     """Read *after* further stepping — flows progressed, finished, slots
-    reused — ``flow_obs`` still shows ``bytes_seen``/``last_seen`` as of
-    the collection, in the oracle's insertion order."""
+    reused — a record's rows still show the bytes seen as of the
+    collection, in the oracle's order."""
     net = _networks()[kind]
     _load(net, 50, seed=11, spread=4e-3)
     net.advance(1e-3)
     want = _obs_oracle(net)
-    t_collect = net.now
     stats = net.queue_stats()
     finished_before = len(net.finished_flows)
     for _ in range(6):
@@ -257,16 +254,14 @@ def test_flow_obs_is_a_collection_time_snapshot(kind):
     names = net.switch_names()
     assert any(want.get(s) for s in range(len(names)))
     for s, name in enumerate(names):
-        got = stats[name].flow_obs
-        assert type(got) is dict
-        assert list(got.items()) == list(want.get(s, {}).items())
-        assert all(o.last_seen == t_collect for o in got.values())
+        assert stats[name].flow_rows[1] == s
+        assert list(switch_rows(stats[name]).items()) == \
+            list(want.get(s, {}).items())
 
 
 def test_flow_obs_equals_reference_twin_in_order():
     """Collection after collection, as flows start and finish in between:
-    every switch's dict equals the plain-loop twin above, item for item
-    in insertion order."""
+    every switch's rows equal the plain-loop twin above, row for row."""
     net = FluidNetwork(_LEAF_SPINE, seed=2)
     _load(net, 40, seed=5, spread=2e-3)
     for _ in range(3):
@@ -275,27 +270,20 @@ def test_flow_obs_equals_reference_twin_in_order():
         stats = net.queue_stats()
         assert any(want.values())
         for s, name in enumerate(net.switch_names()):
-            assert list(stats[name].flow_obs.items()) == \
+            assert list(switch_rows(stats[name]).items()) == \
                 list(want.get(s, {}).items())
 
 
 @pytest.fixture
-def obs_built(monkeypatch):
-    """Counts FlowObservation constructions in the fluid collection path."""
-    built = []
-
-    def counting(*args):
-        built.append(args[0])
-        return FlowObservation(*args)
-
-    monkeypatch.setattr(fluid_mod, "FlowObservation", counting)
-    return built
+def rows_built(monkeypatch):
+    """The fluid collection tables whose rows were built."""
+    return count_row_builds(monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["leaf_spine", "fat_tree"])
-def test_flow_obs_never_built_when_unread(kind, obs_built):
-    """A static controller reads no ``flow_obs``: a whole run constructs
-    zero observations.  The first read expands once, for every switch."""
+def test_flow_obs_never_built_when_unread(kind, rows_built):
+    """A static controller reads no flow table: a whole run builds no
+    rows.  The first read builds them once, for every switch."""
     net = _networks()[kind]
     _load(net, 40, seed=8, spread=3e-3)
     controller = secn1()
@@ -303,32 +291,34 @@ def test_flow_obs_never_built_when_unread(kind, obs_built):
         net.advance(1e-3)
         stats = net.queue_stats()
         controller.decide(stats, net.now, net)
-    assert obs_built == []
+    assert rows_built == []
     active = sum(int(t.f_active.sum()) for t in owner_tables(net))
     assert active > 0
+    tables = {id(st_.flow_rows[0]) for st_ in stats.values()}
     for st_ in stats.values():
-        st_.flow_obs
-    assert len(obs_built) == active          # one expansion, shared
+        st_.flow_rows[0].rows()
+    assert len(tables) == len(rows_built) == 1       # one build, shared
+    assert len(np.unique(rows_built[0].rows()[1])) == active
 
 
-def test_replace_neither_forces_nor_loses_flow_obs(obs_built):
+def test_replace_neither_forces_nor_loses_flow_obs(rows_built):
     net = FluidNetwork(_LEAF_SPINE, seed=3)
     _load(net, 30, seed=6)
     net.advance(1e-3)
     stats = net.queue_stats()
     st_ = stats["leaf0"]
-    copy = st_.replace(avg_qlen_bytes=0.0, tx_bytes=7)
-    assert obs_built == []
+    copy = dataclasses.replace(st_, avg_qlen_bytes=0.0, tx_bytes=7)
+    assert rows_built == []
     assert (copy.avg_qlen_bytes, copy.tx_bytes) == (0.0, 7)
     assert st_.tx_bytes != 7 and copy.switch == "leaf0"
-    assert copy.flow_obs and copy.flow_obs == st_.flow_obs
+    assert copy.flow_rows[0] is st_.flow_rows[0]
+    assert copy.flow_rows[1] == st_.flow_rows[1]
+    assert switch_rows(copy) and switch_rows(copy) == switch_rows(st_)
     with pytest.raises(TypeError):
-        st_.replace(no_such_field=1)
-    # a record that was read before it was copied keeps what was read
-    assert st_.replace(tx_bytes=1).flow_obs is st_.flow_obs
+        dataclasses.replace(st_, no_such_field=1)
 
 
-def test_chaos_and_guard_copies_keep_flow_obs_deferred(obs_built):
+def test_chaos_and_guard_copies_keep_flow_obs_deferred(rows_built):
     from repro.resilience.guard import ResilientController
 
     net = FluidNetwork(_LEAF_SPINE, seed=3)
@@ -337,10 +327,12 @@ def test_chaos_and_guard_copies_keep_flow_obs_deferred(obs_built):
     plan = FaultPlan().corrupt("leaf1", 0.0, 1.0,
                                stats_field="avg_qlen_bytes",
                                value=float("nan"))
-    seen = ChaosInjector(net, plan).filter_stats(net.queue_stats(), 0.5)
+    stats = net.queue_stats()
+    seen = ChaosInjector(net, plan).filter_stats(stats, 0.5)
     assert np.isnan(seen["leaf1"].avg_qlen_bytes)
     guard = ResilientController(secn1(), net.switch_names())
     clean = guard._sanitize_stats(seen, 0.5)
     assert clean["leaf1"].avg_qlen_bytes == 0.0
-    assert obs_built == []
-    assert clean["leaf1"].flow_obs
+    assert rows_built == []
+    assert clean["leaf1"].flow_rows == stats["leaf1"].flow_rows
+    assert switch_rows(clean["leaf1"])
