@@ -29,7 +29,7 @@ from repro.netsim.flow import Flow
 from repro.netsim.packet import Packet
 from repro.netsim.queueing import FlowObservation
 from repro.obs.metrics import get_registry
-from repro.netsim.switch import SwitchNode
+from repro.netsim.switch import SwitchNode, withdraw_dead_routes
 from repro.netsim.topology import LeafSpineTopology, TopologyConfig
 
 __all__ = ["FlowRows", "QueueStats", "PacketNetwork"]
@@ -342,8 +342,9 @@ class PacketNetwork:
         """Take down both directions of a fraction of the fabric's links
         (leaf↔spine, or edge↔agg and agg↔core on a fat-tree): of the
         links still up, ``max(1, round(fraction × links))`` fail, as on
-        the fluid networks.  A switch's ECMP skips its own down ports;
-        no route is withdrawn elsewhere."""
+        the fluid networks.  Every switch then withdraws the next hops
+        that can no longer reach a destination, so ECMP picks among the
+        paths still whole end to end (the fluid networks' choice)."""
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         rng = rng or self.rng
@@ -353,11 +354,13 @@ class PacketNetwork:
         for k in rng.choice(up, size=min(n, len(up)), replace=False):
             for port in links[k]:
                 port.set_up(False)
+        withdraw_dead_routes(self._switch_list)
         return min(n, len(up))
 
     def restore_uplinks(self) -> None:
         for port in self._fabric_ports:
             port.set_up(True)
+        withdraw_dead_routes(self._switch_list)
 
     def set_fabric_capacity_factor(self, factor: float) -> None:
         """Uniformly scale fabric (switch↔switch) port rates; recomputed

@@ -2,10 +2,13 @@
 
 Each switch owns a set of :class:`~repro.netsim.link.OutputPort` objects
 and a routing table mapping destination hosts to lists of candidate
-ports (equal-cost next hops).  ECMP picks among live candidates by flow
-hash, so a flow stays on one path (no reordering) but different flows
-spread across the fabric — and a failed link is routed around, which is
-what lets the Fig. 7 robustness experiment recover.
+ports (equal-cost next hops).  ECMP picks among the live next hops by
+flow hash, so a flow stays on one path (no reordering) but different
+flows spread across the fabric.  After a link-state change
+:func:`withdraw_dead_routes` drops every next hop that can no longer
+reach the destination, on every switch, so a failed link is routed
+around wherever it sits — what lets the Fig. 7 robustness experiment
+recover.
 
 The switch is also the unit the paper attaches one RL agent to: the PET
 controller reads aggregated statistics across the switch's ports and
@@ -14,14 +17,14 @@ applies one ECN configuration to all of its queues.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.link import OutputPort
 from repro.netsim.packet import Packet
 from repro.netsim.routing import ecmp_hash as _ecmp_hash
 
-__all__ = ["SwitchNode"]
+__all__ = ["SwitchNode", "withdraw_dead_routes"]
 
 
 class SwitchNode:
@@ -32,6 +35,9 @@ class SwitchNode:
         self.ports: List[OutputPort] = []
         #: destination host name -> list of port indices (equal cost).
         self.routes: Dict[Any, List[int]] = {}
+        #: ``routes`` less the next hops that cannot reach the destination
+        #: any more (:func:`withdraw_dead_routes`)
+        self.next_hops: Dict[Any, List[int]] = {}
         self.forwarded = 0
         self.routing_drops = 0
 
@@ -46,10 +52,13 @@ class SwitchNode:
             if not 0 <= i < len(self.ports):
                 raise IndexError(f"port index {i} out of range")
         self.routes[dst] = list(port_indices)
+        self.next_hops[dst] = list(port_indices)
 
     # -- datapath ---------------------------------------------------------
     def receive(self, pkt: Packet) -> None:
-        candidates = self.routes.get(pkt.dst)
+        # the own-port check covers a port taken down behind the
+        # network's back; after a withdrawal it removes nothing
+        candidates = self.next_hops.get(pkt.dst)
         if not candidates:
             self.routing_drops += 1
             return
@@ -82,3 +91,26 @@ class SwitchNode:
 
     def aggregate_capacity_bps(self) -> float:
         return sum(p.rate_bps for p in self.ports if p.up)
+
+
+def withdraw_dead_routes(switches: Iterable[SwitchNode]) -> None:
+    """Recompute every switch's ``next_hops`` after a link-state change:
+    a candidate port stays if it is up and its peer can still reach the
+    destination — a host by being it, a switch by having a next hop
+    left.  Up-down routes are loop-free, so the memoized walk ends."""
+    memo: Dict[Tuple[int, Any], List[int]] = {}
+
+    def hops(sw: SwitchNode, dst: Any) -> List[int]:
+        key = (id(sw), dst)
+        if key not in memo:
+            memo[key] = [i for i in sw.routes.get(dst, ())
+                         if sw.ports[i].up and reaches(sw.ports[i].peer, dst)]
+        return memo[key]
+
+    def reaches(node: Any, dst: Any) -> bool:
+        if isinstance(node, SwitchNode):
+            return bool(hops(node, dst))
+        return getattr(node, "name", None) == dst
+
+    for sw in switches:
+        sw.next_hops = {dst: hops(sw, dst) for dst in sw.routes}

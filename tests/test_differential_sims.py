@@ -10,7 +10,9 @@ agree on the physics:
   absolute 0.15 (the fluid model's documented fidelity band);
 - both rank per-switch average queue occupancy the same way — the
   fan-in destination leaf is the hottest switch in both worlds;
-- both move (essentially) all offered bytes.
+- both move (essentially) all offered bytes;
+- on a 2×2×2 fabric, healthy or with one link down, both list the same
+  flows at every switch in their telemetry tables.
 
 Deliberately cheap — 1e8 b/s host links keep the packet run to a few
 hundred packets, well inside the tier-1 time budget.
@@ -24,6 +26,7 @@ from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
 from repro.netsim.topology import TopologyConfig
+from tests.flow_rows import switch_rows
 
 # Same fabric in both worlds: 1 spine, 2 leaves, 2 hosts per leaf,
 # slow links (1e8 b/s) so the packet run stays cheap.
@@ -183,3 +186,54 @@ class TestFatTreeDifferential:
             delivered = stats["pod1.edge1"].tx_bytes
             assert delivered >= 0.75 * offered
             assert delivered <= 2.0 * offered
+
+
+# --------------------------------------------------------- flow telemetry
+#
+# Both simulators hand the NCM one table format, and on matching 2×2×2
+# fabrics (same switch names, same splitmix64 ECMP over the paths whole
+# end to end) they must list the same flows at every switch: the same
+# (flow id, src, dst) rows; only the bytes seen may differ.
+_ROWS_CFG = dict(n_spine=2, n_leaf=2, hosts_per_leaf=2)
+
+
+def _flow_rows_by_switch(net, flows, failed_seed):
+    if failed_seed is not None:
+        assert net.fail_uplinks(
+            0.25, rng=np.random.default_rng(failed_seed)) == 1
+    net.start_flows(flows)
+    net.advance(2e-3)
+    stats = net.queue_stats()
+    assert all(not f.done for f in flows)
+    return {name: {(fid, src, dst)
+                   for fid, (src, dst, _) in switch_rows(st).items()}
+            for name, st in stats.items()}
+
+
+@pytest.mark.parametrize("failed_seed", [None, 0, 1, 2, 3])
+def test_both_simulators_report_the_same_flow_rows(failed_seed):
+    """Every ordered host pair carries a long flow, some of them twice;
+    with ``failed_seed`` one leaf–spine link is down (the same one on
+    both: both draw it from the links in leaf-major order)."""
+    pairs = [(s, d) for s in range(4) for d in range(4) if s != d]
+
+    def flows():
+        return [Flow(100 + i, f"h{s}", f"h{d}", 50_000_000)
+                for i, (s, d) in enumerate(pairs + pairs[::3])]
+
+    fluid = FluidNetwork(FluidConfig(**_ROWS_CFG), seed=1)
+    packet = PacketNetwork(TopologyConfig(**_ROWS_CFG), seed=1)
+    got_fluid = _flow_rows_by_switch(fluid, flows(), failed_seed)
+    got_packet = _flow_rows_by_switch(packet, flows(), failed_seed)
+    assert got_fluid == got_packet
+    spines = {s: got_fluid[s] for s in ("spine0", "spine1")}
+    if failed_seed is None:
+        assert all(spines.values())
+    else:
+        down = [p for p in packet._fabric_ports if not p.up]
+        leaf, spine = sorted(p.owner.name for p in down)
+        assert not fluid.uplink_up[int(leaf[4:]), int(spine[5:])]
+        # every flow between the two leaves avoids the failed link's spine
+        assert spines.pop(spine) == set()
+        assert len(spines.popitem()[1]) == sum(
+            int(f.src[1:]) // 2 != int(f.dst[1:]) // 2 for f in flows())

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import PETConfig
 from repro.core.ncm import FleetNCM
 from repro.netsim.ecn import ECNConfig
+from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork
@@ -275,6 +276,37 @@ class TestLinkFailures:
         flows = [Flow(i, "h0", "h2", 50_000) for i in range(3)]
         net.start_flows(flows)
         net.advance(2.0)
+        assert all(f.done for f in flows)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_routes_withdrawn_around_a_failed_link(self, seed):
+        """Three 100 kB flows h0→h2 with one of the four links down:
+        wherever it sits (the destination leaf's for seeds 0, 2, 3, 4),
+        every flow finishes, and a restore brings back the configured
+        next hops."""
+        net = PacketNetwork(TopologyConfig(n_spine=2, n_leaf=2,
+                                           hosts_per_leaf=2), seed=1)
+        routes = {sw.name: dict(sw.routes) for sw in net.topology.switches()}
+        assert net.fail_uplinks(0.25, rng=np.random.default_rng(seed)) == 1
+        flows = [Flow(i, "h0", "h2", 100_000) for i in range(3)]
+        net.start_flows(flows)
+        net.advance(0.2)
+        assert all(f.done for f in flows)
+        net.restore_uplinks()
+        assert {sw.name: sw.next_hops for sw in net.topology.switches()} \
+            == routes
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fat_tree_routes_withdrawn_around_failed_links(self, seed):
+        """Flows between the two pods of the small fat-tree, with one of
+        its twelve switch-to-switch links down (edge–agg or agg–core, at
+        either pod), all finish."""
+        net = PacketNetwork(FatTreeConfig.small(), seed=1)
+        assert net.fail_uplinks(0.05, rng=np.random.default_rng(seed)) == 1
+        flows = [Flow(i, f"h{i % 4}", f"h{4 + (i * 3) % 4}", 100_000)
+                 for i in range(8)]
+        net.start_flows(flows)
+        net.advance(0.2)
         assert all(f.done for f in flows)
 
     def test_schedule_episode(self):
