@@ -18,7 +18,7 @@ interface, so controllers and the gym bridge are simulator-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,8 +61,6 @@ class FlowRows:
             return NotImplemented
         return all(np.array_equal(a, b)
                    for a, b in zip(self.rows(), other.rows()))
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         names = ("switch", "flow", "src", "dst", "bytes")

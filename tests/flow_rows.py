@@ -3,9 +3,9 @@
 :func:`record` makes a switch record whose
 :class:`~repro.netsim.network.FlowRows` holds given observations, laid
 out as a simulator's collection lays them out: a switch's rows oldest
-``last_seen`` first (ties in the given order), host names interned as
-ids.  :func:`pinned_form` renders a collection in the form the suite's
-pinned digests were captured in, before records carried a table.
+``last_seen`` first (ties in the given order), hosts as integers.
+:func:`pinned_form` renders a collection in the form the suite's pinned
+digests were captured in, before records carried a table.
 """
 
 from dataclasses import fields
@@ -16,13 +16,12 @@ import numpy as np
 from repro.netsim.network import FlowRows, QueueStats
 from repro.netsim.queueing import FlowObservation
 
-#: host name -> id, shared by every table built here so that one host
-#: keeps one id across the slots of a window
-_HOSTS: Dict[Any, int] = {}
-
 
 def host_id(name: Any) -> int:
-    return _HOSTS.setdefault(name, len(_HOSTS))
+    """A host's id: an int as it is, a name as the integer its bytes
+    spell, so one host keeps one id in every table built here."""
+    return name if isinstance(name, int) else int.from_bytes(
+        name.encode(), "big")
 
 
 def build_rows(per_switch: Dict[int, Dict[int, tuple]]) -> FlowRows:
