@@ -84,9 +84,6 @@ class DictNCM:
         return out
 
 
-_record = record
-
-
 def _features(cfg, rec, incast, ratio):
     """Eq. 2's six features of one record, normalized to [0, 1]; the
     Fig. 9 arms zero D_incast / R_flow."""
@@ -158,8 +155,8 @@ def _run_against_model(cfg, ticks, shared=(False, False, False)):
         for i, (s, entries) in enumerate(zip(SWITCHES, tick)):
             if entries is None:
                 continue
-            records.append(_record(s, flow_rows=(table, 10 - i))
-                           if shared[i] else _record(s, entries))
+            records.append(record(s, flow_rows=(table, 10 - i))
+                           if shared[i] else record(s, entries))
             models[s].last = models[s].ingest(entries)
         rows = np.array([SWITCHES.index(s) for s in present])
         _check_tick(fleet, models, present, fleet.ingest(records, rows))
@@ -239,7 +236,7 @@ class TestCasesThatBreakANaivePort:
                             np.array([0, 1, 2]), np.array([3, 3, 3]),
                             net.q_switch)
         assert snap.rows()[4].tolist() == [1, MB, MB + 1]
-        rec = _record("s0", flow_rows=(snap, 0))
+        rec = record("s0", flow_rows=(snap, 0))
         fleet = FleetNCM(["s0"], PETConfig())
         incast, ratio, flows = fleet.ingest([rec], np.array([0]))
         assert (incast[0], ratio[0], flows[0]) == (3, 2 / 3, 3)
@@ -317,7 +314,7 @@ def test_snapshot_rows_are_its_dict_expansion(data, n_flows, hops):
 
 def test_replace_keeps_the_table_handle_unless_it_is_replaced():
     table = build_rows({0: {1: (0, 1, 10, 0.0), 2: (2, 1, 10, 0.0)}})
-    rec = _record("s0", flow_rows=(table, 0))
+    rec = record("s0", flow_rows=(table, 0))
     repaired = dataclasses.replace(rec, avg_qlen_bytes=0.0, tx_bytes=7)
     assert repaired.flow_rows[0] is table and repaired.flow_rows[1] == 0
     swapped = dataclasses.replace(
@@ -331,7 +328,7 @@ def test_replace_keeps_the_table_handle_unless_it_is_replaced():
 # ------------------------------------------------ state, reward, history
 _NUM = st.one_of(st.floats(0, 1e12), st.sampled_from([0.0, 1.0, 1e9]))
 _RECORD = st.builds(
-    _record, switch=st.just("s"), interval=st.sampled_from([0.0, 1e-3, 2.5e-4]),
+    record, switch=st.just("s"), interval=st.sampled_from([0.0, 1e-3, 2.5e-4]),
     qlen_bytes=_NUM, avg_qlen_bytes=_NUM, capacity_bps=_NUM,
     tx_bytes=st.integers(0, 10**12), tx_marked_bytes=st.integers(0, 10**12),
     n_queues=st.integers(0, 9),
@@ -473,8 +470,8 @@ def test_one_switch_monitor_is_the_one_row_fleet():
     """A switch's monitor on its own is ``FleetNCM([switch])``."""
     ncm = FleetNCM(["s0"], PETConfig(history_k=2))
     row = np.array([0])
-    a = ncm.ingest([_record("s0", {1: ("a", "x", 10, 0.0)})], row)
-    b = ncm.ingest([_record("s0", {2: ("b", "x", 5 * MB, 1.0)})], row)
+    a = ncm.ingest([record("s0", {1: ("a", "x", 10, 0.0)})], row)
+    b = ncm.ingest([record("s0", {2: ("b", "x", 5 * MB, 1.0)})], row)
     assert [c.tolist() for c in a] == [[1], [1.0], [1]]
     assert [c.tolist() for c in b] == [[2], [0.5], [2]]
     assert [c.tolist() for c in ncm.analyze()] == [c.tolist() for c in b]

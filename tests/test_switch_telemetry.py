@@ -1,5 +1,5 @@
 """Switch telemetry collection: segment-reduced ``queue_stats`` and the
-deferred per-flow observations (``SwitchStatsMixin``).
+per-flow table built on first read (``SwitchStatsMixin``).
 
 The oracles here are written in this file, not in ``src/``: a plain
 per-switch boolean-mask recomputation for the statistics, and a plain
