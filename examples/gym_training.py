@@ -3,8 +3,9 @@
 Shows the environment API the paper couples its learners to: a
 single-agent :class:`DCNEnv` controlling one switch.  Any RL library
 speaking ``reset()/step()`` plugs in here; we use the repo's own
-NumPy PPO to keep the example dependency-free, and print the learning
-curve plus what the final policy chose.
+NumPy PPO, an :class:`IPPOTrainer` of one agent, to keep the example
+dependency-free, and print the learning curve plus what the final
+policy chose.
 
 Run:  python examples/gym_training.py
 """
@@ -19,7 +20,8 @@ import numpy as np
 from repro.core.config import PETConfig
 from repro.gymenv import DCNEnv, EnvConfig
 from repro.netsim.fluid import FluidConfig
-from repro.rl.ppo import PPOAgent, PPOConfig
+from repro.rl.ippo import IPPOTrainer
+from repro.rl.ppo import PPOConfig
 
 EPISODES = 10
 INTERVALS = 200
@@ -34,32 +36,32 @@ def main() -> None:
         episode_intervals=INTERVALS, seed=0))
     print(f"observation dim: {env.obs_dim}, actions: {env.n_actions}")
 
-    agent = PPOAgent(PPOConfig(
+    obs = env.reset()
+    s = env.agent_switch                  # the one agent's id
+    trainer = IPPOTrainer([s], PPOConfig(
         obs_dim=env.obs_dim, n_actions=env.n_actions, seed=0,
         actor_lr=3e-3, critic_lr=5e-3, epochs=10, gamma=0.9,
         gae_lambda=0.8, entropy_coef=0.003))
 
-    obs = env.reset()
     steps = 0
     for ep in range(EPISODES):
         total = 0.0
         for _ in range(INTERVALS):
-            d = agent.act(obs)
-            next_obs, reward, done, info = env.step(d["action"])
+            d = trainer.act({s: obs})
+            next_obs, reward, done, info = env.step(d[s]["action"])
             # A time-limit cut-off is a truncation: GAE bootstraps
             # V(s_T) from next_obs instead of treating it as terminal.
-            agent.record(obs, d["action"], reward, done,
-                         d["log_prob"], d["value"],
-                         truncated=info.get("TimeLimit.truncated", False))
+            trainer.record({s: obs}, d, {s: reward}, {s: done},
+                           {s: info["TimeLimit.truncated"]})
             obs = next_obs
             total += reward
             steps += 1
             if steps % 100 == 0:
-                agent.update(obs)
+                trainer.update({s: obs})
         print(f"episode {ep + 1:2d}: mean reward {total / INTERVALS:.3f}")
         obs = env.reset()
 
-    probs = agent.probs(obs)[0]
+    probs = trainer.learner.probs([0], obs)[0, 0]
     print("\ntop actions of the trained policy:")
     for a in np.argsort(probs)[-3:][::-1]:
         ecn = env.codec.decode(int(a))

@@ -284,13 +284,12 @@ _FABRICS = (("fluid", "fluid"), ("fluid_shard", "fattree"),
 def _pretrain_key(scheme: str, cfg: ScenarioConfig, pet_cfg: PETConfig) -> str:
     """Digest of everything the training run reads: every scenario field
     but the measured-run-only ones and the other simulators' fabrics, and
-    the resolved learning config (which carries ``cfg.pet``; the
-    sanitizer only checks, so it is left out)."""
+    the resolved learning config (which carries ``cfg.pet``)."""
     skip = _MEASURED_ONLY + ("pet",) + tuple(
         f for sim, f in _FABRICS if sim != cfg.simulator)
     read = {f.name: getattr(cfg, f.name) for f in fields(cfg)
             if f.name not in skip}
-    return fingerprint((scheme, read, replace(pet_cfg, sanitize=False)))
+    return fingerprint((scheme, read, pet_cfg))
 
 
 def clear_pretrain_cache() -> None:

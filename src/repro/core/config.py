@@ -68,12 +68,6 @@ class PETConfig:
 
     seed: Optional[int] = None
 
-    # ---- devtools ---------------------------------------------------------
-    #: install the runtime invariant sanitizer
-    #: (:mod:`repro.devtools.sanitize`) when the environment/controller is
-    #: constructed; also enabled globally by the ``PET_SANITIZE`` env var.
-    sanitize: bool = False
-
     def __post_init__(self) -> None:
         if self.alpha_kb <= 0:
             raise ValueError("alpha must be positive")

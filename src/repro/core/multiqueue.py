@@ -74,7 +74,6 @@ class MultiQueuePETController:
         self.ncm = FleetNCM(self.switches, cfg)
         self.trainer = IPPOTrainer(self.switches,
                                    ppo_config(cfg, self.codec.n_actions))
-        self.agents = self.trainer.agents
         self.exploration: Dict[str, ExplorationSchedule] = {
             s: ExplorationSchedule(cfg.explore_eps0, cfg.decay_rate,
                                    cfg.decay_step) for s in self.switches}
@@ -125,10 +124,10 @@ class MultiQueuePETController:
             for key, pending in list(self._pending.items()):
                 if key not in obs_now:
                     continue
-                self.agents[key[0]].record(pending["obs"], pending["action"],
-                                           rewards[key], False,
-                                           pending["log_prob"],
-                                           pending["value"])
+                self.trainer.learner.record(
+                    self.switches.index(key[0]), pending["obs"],
+                    pending["action"], rewards[key], False,
+                    pending["log_prob"], pending["value"])
             self._steps += 1
             if self._steps % cfg.update_interval == 0:
                 self.trainer.update()
@@ -138,8 +137,8 @@ class MultiQueuePETController:
                for s in self.switches}
         for key, obs in obs_now.items():
             s = key[0]
-            decision = self.agents[s].act(obs, epsilon=eps[s],
-                                          greedy=not self.training)
+            decision = self.trainer.act({s: obs}, epsilon=eps[s],
+                                        greedy=not self.training)[s]
             self._pending[key] = {"obs": obs, **decision}
             ecn = self.codec.decode(int(decision["action"]))
             network.set_ecn_port(s, key[1], ecn)

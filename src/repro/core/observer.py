@@ -8,8 +8,8 @@ runs each stage once over columns: scalar fields read off the records,
 per-flow rows taken once from the collection's snapshot
 (:class:`~repro.core.ncm.FleetNCM`), then normalization, history shift
 and reward as whole-fleet array operations.  ``PETController``,
-``ACCController``, ``MultiAgentDCNEnv`` and ``DCNEnv`` (a fleet of one)
-all observe through it.
+``ACCController`` and ``MultiAgentDCNEnv`` (and so ``DCNEnv``, its
+one-switch view) all observe through it.
 """
 
 from __future__ import annotations

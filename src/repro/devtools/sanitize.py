@@ -33,8 +33,6 @@ Enablement (any of):
 - ``PET_SANITIZE=1`` in the environment (the repo's ``conftest.py``
   turns the sanitizer on for the whole test suite unless
   ``PET_SANITIZE=0``);
-- ``PETConfig(sanitize=True)`` — the gym environments enable it at
-  construction;
 - ``python -m repro --sanitize ...`` on the CLI;
 - programmatically via :func:`enable` / :func:`disable`.
 

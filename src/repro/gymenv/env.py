@@ -1,14 +1,19 @@
-"""Single-agent Gym-style DCN environment.
+"""Gym-style DCN environments: one agent per switch, or one switch.
 
-One designated switch is agent-controlled; every other switch keeps the
-default static ECN.  Observations are PET's normalized six-factor state
-stacked over the history window; actions index the
-:class:`~repro.core.action.ActionCodec`; the reward is paper Eq. 6.
+:class:`MultiAgentDCNEnv` is the environment: every switch is an agent
+(DTDE), with per-switch observation, reward and done dicts and an
+action dict ``{switch: action_id}`` — the interface PET's IPPO training
+consumes, so any learner can train against the simulator without PET's
+controller plumbing.  :class:`DCNEnv` is its one-switch view: one
+designated switch is agent-controlled, every other switch keeps the
+default static ECN, and the dicts unwrap to classic Gym's ``obs =
+env.reset()``, ``obs, reward, done, info = env.step(action)``.
 
-API shape follows classic Gym: ``obs = env.reset()``,
-``obs, reward, done, info = env.step(action)``.  ECN tuning is a
-continuing task with no terminal states, so every episode end is a
-*time-limit truncation*: ``done`` goes True at the horizon and
+Observations are PET's normalized six-factor state stacked over the
+history window; actions index the
+:class:`~repro.core.action.ActionCodec`; the reward is paper Eq. 6.  ECN
+tuning is a continuing task with no terminal states, so every episode
+end is a *time-limit truncation*: ``done`` goes True at the horizon and
 ``info["TimeLimit.truncated"]`` is set (Gym's ``TimeLimit`` wrapper
 convention) so learners bootstrap ``V(s_T)`` instead of treating the
 cut-off as absorbing.
@@ -17,7 +22,7 @@ cut-off as absorbing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from repro.obs.trace import get_tracer
 from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
 from repro.traffic.workloads import workload_by_name
 
-__all__ = ["EnvConfig", "DCNEnv", "default_network"]
+__all__ = ["EnvConfig", "MultiAgentDCNEnv", "DCNEnv", "default_network"]
 
 
 @dataclass
@@ -61,27 +66,25 @@ def default_network(config: EnvConfig, episode: int) -> FluidNetwork:
     return net
 
 
-class DCNEnv:
-    """Gym-style wrapper: one agent, one tuned switch."""
+class MultiAgentDCNEnv:
+    """Per-switch dict-style environment."""
 
     def __init__(self, config: Optional[EnvConfig] = None,
                  network_factory: Optional[Callable[[], object]] = None) -> None:
         self.config = config or EnvConfig()
         self._factory = network_factory or (
             lambda: default_network(self.config, self._episode))
-        cfg = self.config
-        if cfg.pet.sanitize:
-            from repro.devtools import sanitize as _sanitize
-            _sanitize.enable()
-        self.codec = ActionCodec.from_config(cfg.pet)
+        self._episode = 0
+        self.codec = ActionCodec.from_config(self.config.pet)
         self.net = None
-        self.agent_switch = cfg.agent_switch
-        #: NCM → state → history → reward of the one tuned switch
+        #: picks the acting switches of each episode's fabric: every
+        #: switch here, the one tuned switch under :class:`DCNEnv`
+        self.agents_of: Callable[[object], List[str]] = (
+            lambda net: net.switch_names())
+        self.agents: list = []
         self.observer: Optional[FleetObserver] = None
         self._t = 0
-        self._episode = 0
 
-    # -- spaces -------------------------------------------------------------
     @property
     def n_actions(self) -> int:
         return self.codec.n_actions
@@ -90,43 +93,93 @@ class DCNEnv:
     def obs_dim(self) -> int:
         return self.config.pet.history_k * self.config.pet.n_state_features
 
-    # -- gym API --------------------------------------------------------------
-    def reset(self) -> np.ndarray:
+    def reset(self) -> Dict[str, np.ndarray]:
         self.net = self._factory()
         self._episode += 1
-        if self.agent_switch is None:
-            self.agent_switch = self.net.switch_names()[0]
-        self.observer = FleetObserver([self.agent_switch], self.config.pet)
+        self.agents = self.agents_of(self.net)
+        self.observer = FleetObserver(self.agents, self.config.pet)
         self._t = 0
         # prime the first observation with one idle interval
         self.net.advance(self.config.pet.delta_t)
-        return self.observer.observe(self.net.queue_stats()).obs[0]
+        return self._observe()
 
-    def step(self, action: int) -> Tuple[np.ndarray, float, bool, Dict]:
+    def _observe(self) -> Dict[str, np.ndarray]:
+        self._last_stats = self.net.queue_stats()
+        self._seen = self.observer.observe(self._last_stats)
+        return dict(zip(self._seen.switches, self._seen.obs))
+
+    def step(self, actions: Dict[str, int]
+             ) -> Tuple[Dict[str, np.ndarray], Dict[str, float],
+                        Dict[str, bool], Dict]:
         if self.net is None:
             raise RuntimeError("call reset() before step()")
-        with get_tracer().span("env.step", t=self._t):
-            return self._step(action)
+        with get_tracer().span("env.step", t=self._t,
+                               agents=len(self.agents)):
+            for s, a in actions.items():
+                self.net.set_ecn(s, self.codec.decode(int(a)))
+            self.net.advance(self.config.pet.delta_t)
+            obs = self._observe()
+            rewards = dict(zip(self._seen.switches,
+                               self._seen.reward.tolist()))
+            self._t += 1
+            # Horizon reached = time-limit truncation for every agent
+            # simultaneously (no terminal states in ECN tuning).
+            truncated = self._t >= self.config.episode_intervals
+            dones = {s: truncated for s in self.agents}
+            info = {"now": self.net.now,
+                    "TimeLimit.truncated": truncated,
+                    "mean_utilization": float(np.mean(
+                        [st.utilization for st in self._last_stats.values()]))}
+            reg = get_registry()
+            if reg:
+                reg.inc("env.steps")
+                for r in rewards.values():
+                    reg.observe("env.reward", r)
+            return obs, rewards, dones, info
 
-    def _step(self, action: int) -> Tuple[np.ndarray, float, bool, Dict]:
-        ecn = self.codec.decode(int(action))
-        self.net.set_ecn(self.agent_switch, ecn)
-        self.net.advance(self.config.pet.delta_t)
-        stats_all = self.net.queue_stats()
-        stats = stats_all[self.agent_switch]
-        seen = self.observer.observe(stats_all)
-        obs, reward = seen.obs[0], float(seen.reward[0])
-        self._t += 1
-        # The only episode end is the time horizon — a truncation, not a
-        # termination (there is no absorbing state in ECN tuning).
-        truncated = self._t >= self.config.episode_intervals
-        done = truncated
-        info = {"utilization": stats.utilization,
-                "avg_qlen_bytes": stats.avg_qlen_bytes,
-                "ecn": ecn, "now": self.net.now,
-                "TimeLimit.truncated": truncated}
-        reg = get_registry()
-        if reg:
-            reg.inc("env.steps")
-            reg.observe("env.reward", reward)
-        return obs, reward, done, info
+
+class DCNEnv:
+    """Gym-style wrapper: one agent, one tuned switch.
+
+    The one-switch view of :class:`MultiAgentDCNEnv`: ``fleet`` is a
+    fleet env whose only agent is ``agent_switch`` (the fabric's first
+    switch when unset), and :meth:`reset` and :meth:`step` unwrap its
+    dicts.
+    """
+
+    def __init__(self, config: Optional[EnvConfig] = None,
+                 network_factory: Optional[Callable[[], object]] = None) -> None:
+        self.fleet = MultiAgentDCNEnv(config, network_factory)
+        self.fleet.agents_of = self._agents_of
+        self.config, self.codec = self.fleet.config, self.fleet.codec
+        self.agent_switch = self.config.agent_switch
+
+    def _agents_of(self, net) -> List[str]:
+        if self.agent_switch is None:
+            self.agent_switch = net.switch_names()[0]
+        return [self.agent_switch]
+
+    @property
+    def net(self):
+        return self.fleet.net
+
+    @property
+    def n_actions(self) -> int:
+        return self.fleet.n_actions
+
+    @property
+    def obs_dim(self) -> int:
+        return self.fleet.obs_dim
+
+    def reset(self) -> np.ndarray:
+        return self.fleet.reset()[self.agent_switch]
+
+    def step(self, action: int) -> Tuple[np.ndarray, float, bool, Dict]:
+        s = self.agent_switch
+        obs, rewards, dones, info = self.fleet.step({s: action})
+        stats = self.fleet._last_stats[s]
+        return obs[s], rewards[s], dones[s], {
+            "utilization": stats.utilization,
+            "avg_qlen_bytes": stats.avg_qlen_bytes,
+            "ecn": self.codec.decode(int(action)), "now": info["now"],
+            "TimeLimit.truncated": info["TimeLimit.truncated"]}

@@ -10,15 +10,16 @@ dependency:
   learner: the agents' weights, Adam moments and rollouts in packed
   ``(A, …)`` arrays, so one ``matmul`` per layer serves a whole fleet's
   inference and the PPO update runs as stacked calls, one agent group
-  per core.
+  per core.  A lone agent is its one-row case.
 - :mod:`repro.rl.optim` — Adam's elementwise step over packed rows.
 - :mod:`repro.rl.policy` — the softmax policy head and the exponentially
   decaying exploration rate (paper Eq. 13).
 - :mod:`repro.rl.gae` — Generalized Advantage Estimation (paper Eq. 9–10).
-- :mod:`repro.rl.ppo` — single-agent PPO with the clipped surrogate
+- :mod:`repro.rl.ppo` — PPO's hyperparameters: the clipped surrogate
   objective (paper Eq. 11) and squared-error value loss (paper Eq. 12).
 - :mod:`repro.rl.ippo` — Independent PPO: one PPO learner per agent, no
-  parameter or experience sharing (the DTDE paradigm of the paper).
+  parameter or experience sharing (the DTDE paradigm of the paper); the
+  one way to act, record and update, for a fleet or a lone agent.
 - :mod:`repro.rl.replay` — uniform replay buffers, including the *global*
   replay buffer that ACC's DDQN requires (used to quantify its overhead).
 - :mod:`repro.rl.ddqn` — Double DQN learner (the ACC baseline's algorithm).
@@ -26,7 +27,7 @@ dependency:
 
 from repro.rl.policy import ExplorationSchedule
 from repro.rl.gae import compute_gae, discounted_returns
-from repro.rl.ppo import PPOAgent, PPOConfig, RolloutBuffer
+from repro.rl.ppo import PPOConfig
 from repro.rl.ippo import IPPOTrainer
 from repro.rl.stacked import PackedMLP
 from repro.rl.replay import ReplayBuffer, GlobalReplayBuffer, Transition
@@ -35,7 +36,7 @@ from repro.rl.ddqn import DDQNAgent, DDQNConfig
 __all__ = [
     "PackedMLP", "ExplorationSchedule",
     "compute_gae", "discounted_returns",
-    "PPOAgent", "PPOConfig", "RolloutBuffer",
+    "PPOConfig",
     "IPPOTrainer",
     "ReplayBuffer", "GlobalReplayBuffer", "Transition",
     "DDQNAgent", "DDQNConfig",

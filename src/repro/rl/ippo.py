@@ -8,10 +8,11 @@ Execution (DTDE) paradigm the paper adopts: zero inter-switch
 communication and no global experience replay (contrast with ACC's DDQN
 in :mod:`repro.rl.ddqn`).
 
-:class:`IPPOTrainer` is a thin orchestration convenience: it holds the
-per-agent learners, routes per-agent observations/rewards, and triggers
-per-agent updates.  Nothing in it mixes data across agents: they share
-one stacked learner for speed, never a parameter or a transition.
+:class:`IPPOTrainer` is the one front door to the learners: it routes
+per-agent observations/rewards to rows of one stacked learner and
+triggers per-agent updates; a lone agent is a trainer of one id.
+Nothing in it mixes data across agents: they share one stacked learner
+for speed, never a parameter or a transition.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Dict, Hashable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from repro.rl.ppo import PPOAgent, PPOConfig
+from repro.rl.ppo import PPOConfig
 from repro.rl.stacked import PPOLearner
 
 __all__ = ["IPPOTrainer"]
@@ -42,7 +43,8 @@ class IPPOTrainer:
     The agents are rows of one :class:`~repro.rl.stacked.PPOLearner`
     (``learner``), in ``agent_ids`` order: one stacked forward acts for
     all of them and one stacked update trains them, bit-identical per
-    agent to its own ``PPOAgent`` calls.
+    agent to a plain per-agent loop (``tests/test_ppo.py``,
+    ``tests/test_fastpath.py``).
     """
 
     def __init__(self, agent_ids: Iterable[Hashable], config: PPOConfig) -> None:
@@ -55,14 +57,11 @@ class IPPOTrainer:
         configs = [replace(config, seed=None if config.seed is None
                            else config.seed + i) for i in range(len(ids))]
         self.learner = PPOLearner(configs)
-        self.agents: Dict[Hashable, PPOAgent] = {
-            aid: PPOAgent.of_row(self.learner, i, c)
-            for i, (aid, c) in enumerate(zip(ids, configs))}
         self._row = {aid: i for i, aid in enumerate(ids)}
 
     @property
     def agent_ids(self):
-        return list(self.agents.keys())
+        return list(self._row)
 
     def _rows(self, ids) -> np.ndarray:
         return np.array([self._row[aid] for aid in ids], dtype=np.int64)
@@ -123,8 +122,11 @@ class IPPOTrainer:
         ``truncateds`` marks per-agent time-limit cut-offs (the
         multi-agent env surfaces one shared flag via
         ``info["TimeLimit.truncated"]``); truncated steps bootstrap
-        through the boundary instead of zeroing ``V`` — see
-        :meth:`repro.rl.ppo.PPOAgent.record`.
+        through the boundary instead of zeroing ``V``.  For a truncation
+        in the *middle* of a rollout, ``bootstrap_values`` carries the
+        successor state's value (the observation recorded next belongs
+        to a new episode); one on the rollout's *final* step bootstraps
+        from the last observation handed to :meth:`update`.
         """
         ids = list(observations)
         if not ids:
@@ -165,11 +167,15 @@ class IPPOTrainer:
 
     # -- checkpointing (offline pre-training -> online deployment) ---------
     def state_dict(self) -> Dict[Hashable, Dict]:
-        return {aid: agent.state_dict() for aid, agent in self.agents.items()}
+        """``{agent id: {"actor": …, "critic": …}}``, each a copy of the
+        agent's row as a :meth:`~repro.rl.stacked.PackedMLP.state_dict`."""
+        return {aid: {"actor": self.learner.actor.state_dict(i),
+                      "critic": self.learner.critic.state_dict(i)}
+                for aid, i in self._row.items()}
 
     def load_state_dict(self, state: Mapping[Hashable, Dict]) -> None:
         for aid, s in state.items():
-            self.agents[aid].load_state_dict(s)
+            self._load(self._row[aid], s)
 
     def broadcast_parameters(self, source_state: Dict) -> None:
         """Install one pre-trained model on every agent.
@@ -178,5 +184,9 @@ class IPPOTrainer:
         initial model is installed on all switches, which then diverge via
         online local incremental training (§4.4).
         """
-        for agent in self.agents.values():
-            agent.load_state_dict(source_state)
+        for i in self._row.values():
+            self._load(i, source_state)
+
+    def _load(self, row: int, state: Mapping[str, Dict]) -> None:
+        self.learner.actor.load_state_dict(row, state["actor"])
+        self.learner.critic.load_state_dict(row, state["critic"])

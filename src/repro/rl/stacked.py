@@ -9,14 +9,11 @@ straight into the rows.  Its forward, backward, gradient clip and (via
 Double DQN a one-row ReLU network (:mod:`repro.rl.ddqn`).
 
 IPPO agents share an architecture but never parameters.  So
-:class:`PPOLearner` packs ``A`` agents' actor and critic as rows, their
-rollouts as ``(A, cap, …)`` arrays, and owns both; every agent's
-:class:`RolloutBuffer` is a view of its row, so nothing is held twice.
-The fleet's inference is one ``(A, 1, in) @ (A, in, out)`` matmul per
-layer, and its PPO update runs GAE, the epochs and every minibatch's
-forward, backward, gradient clip and Adam step as stacked calls.  A lone
-:class:`~repro.rl.ppo.PPOAgent` is the one-row case; it acts on its own
-row's one-row view through the same forward and :func:`sample`.
+:class:`PPOLearner` packs ``A`` agents' actor and critic as rows and
+their rollouts as ``(A, cap, …)`` arrays.  The fleet's inference is one
+``(A, 1, in) @ (A, in, out)`` matmul per layer, and its PPO update runs
+GAE, the epochs and every minibatch's forward, backward, gradient clip
+and Adam step as stacked calls.  A lone agent is a learner of one row.
 
 **Bit-identity.**  Slice ``a`` of every stacked call computes what a
 plain per-agent 2-D loop computes for agent ``a`` (``tests/test_ppo.py``
@@ -58,8 +55,7 @@ from repro.rl.policy import softmax
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rl.ppo import PPOConfig
 
-__all__ = ["StackingError", "PackedMLP", "Rows", "RolloutBuffer",
-           "PPOLearner", "sample", "grad_log_prob_logits",
+__all__ = ["StackingError", "PackedMLP", "Rows", "PPOLearner", "sample", "grad_log_prob_logits",
            "grad_entropy_logits", "MIN_AGENTS_PER_GROUP", "MAX_STACK"]
 
 #: Fewest agents an update thread is given.  Below it a second group
@@ -293,48 +289,18 @@ def grad_entropy_logits(probs: np.ndarray) -> np.ndarray:
     return -probs * (logp + ent)
 
 
-class RolloutBuffer:
-    """One agent's on-policy trajectory since its last update: a row
-    view of its :class:`PPOLearner`'s rollout arrays.
-
-    ``truncateds[t]`` distinguishes a time-limit cut-off from a true
-    terminal state; ``bootstraps[t]`` carries ``V`` of the successor
-    state for truncated steps (0 elsewhere) so GAE can bootstrap through
-    the boundary (see :func:`repro.rl.gae.compute_gae`).  The columns
-    (``obs``, ``actions``, ``rewards``, ``dones``, ``log_probs``,
-    ``values``, ``truncateds``, ``bootstraps``) read as arrays of the
-    stored length.
-    """
-
-    def __init__(self, learner: "PPOLearner", row: int) -> None:
-        self._learner, self._row = learner, row
-
-    def add(self, obs: np.ndarray, action: int, reward: float, done: bool,
-            log_prob: float, value: float, *, truncated: bool = False,
-            bootstrap_value: float = 0.0) -> None:
-        self._learner.record(self._row, np.ravel(obs), action, reward, done,
-                             log_prob, value, truncated, bootstrap_value)
-
-    def __len__(self) -> int:
-        return int(self._learner.length[self._row])
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        if name not in dict(_ROLLOUT_FIELDS):
-            raise AttributeError(name)
-        return getattr(self._learner, name)[self._row, :len(self)]
-
-    def clear(self) -> None:
-        self._learner.length[self._row] = 0
-
-
 class PPOLearner:
     """The packed networks, Adam moments and rollouts of ``A`` PPO agents.
 
     Built from one :class:`~repro.rl.ppo.PPOConfig` per agent, equal up
     to the seed: row ``a``'s generator is ``default_rng(configs[a].seed)``
     and draws its actor's initial weights, then its critic's, then its
-    actions and epoch shuffles.  :class:`~repro.rl.ppo.PPOAgent` is the
-    handle on one row.
+    actions and epoch shuffles.  Row ``a``'s rollout is
+    ``obs[a, :length[a]]`` and likewise for every column of
+    :meth:`record`; ``truncateds`` tells a time-limit cut-off from a
+    true terminal state, and ``bootstraps`` carries ``V`` of the
+    successor state of a truncated step (0 elsewhere), so GAE can
+    bootstrap through the boundary (:func:`repro.rl.gae.compute_gae`).
     """
 
     def __init__(self, configs: Sequence["PPOConfig"]) -> None:
@@ -400,9 +366,9 @@ class PPOLearner:
         ``observations[j]`` belongs to agent ``rows[j]`` (every agent, in
         row order, when ``rows`` is None) and is explored with
         ``epsilons[j]``.  Returns the ``action`` / ``log_prob`` /
-        ``value`` columns; each agent's own generator is drawn as its
-        :meth:`~repro.rl.ppo.PPOAgent.act` would draw it, and a greedy
-        call touches no generator and runs no per-agent Python at all.
+        ``value`` columns; each agent's own generator is drawn once per
+        row, in ``rows`` order, and a greedy call touches no generator
+        and runs no per-agent Python at all.
         """
         x = observations
         if rows is not None:
@@ -419,6 +385,17 @@ class PPOLearner:
                     else [self.rngs[i] for i in rows.tolist()])
         actions, log_probs = sample(probs, rngs, epsilons)
         return {"action": actions, "log_prob": log_probs, "value": vals}
+
+    def probs(self, rows, observations: np.ndarray) -> np.ndarray:
+        """Action probabilities of agents ``rows`` (a sequence of
+        rows): ``observations[j]`` is one observation of agent
+        ``rows[j]`` or an ``(m, obs_dim)`` stack of them.  Returns
+        ``(len(rows), m, n_actions)``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        x = np.asarray(observations, dtype=np.float64).reshape(
+            len(rows), -1, self.actor.in_dim)
+        return softmax(self.actor.forward(
+            x, self.actor.layers(self.actor.params[rows])))
 
     def critic_values(self, rows: np.ndarray, observations: np.ndarray
                       ) -> np.ndarray:

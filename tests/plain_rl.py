@@ -1,7 +1,8 @@
 """Plain reference implementations of the RL math, written without
 ``repro.rl``'s network, optimizer or sampler: the oracles that the
 packed network, its Adam step and clip, the action sampler, PPO's
-update and DDQN's train step are held to, byte for byte.
+update (with its k3 KL diagnostic) and DDQN's train step are held to,
+byte for byte.
 
 Everything here is the textbook form, one 2-D array at a time:
 ``x @ W + b`` with tanh or ReLU between layers, hand-written backward,
@@ -121,3 +122,18 @@ def act(state, rng, obs, *, epsilon=0.0, greedy=False):
     value = float(PlainMLP(state["critic"]).forward(obs)[0, 0])
     return {"action": a, "log_prob": float(np.log(max(p[a], 1e-12))),
             "value": value}
+
+
+def approx_kl_k3(old_logp, new_logp):
+    """The k3 KL estimator ``E[(ratio - 1) - log(ratio)]``.
+
+    The naive k1 estimator ``E[old_logp - new_logp]`` is signed: its
+    per-sample terms cancel, it frequently goes negative, and it is
+    useless as a divergence diagnostic.  k3 (Schulman, "Approximating KL
+    Divergence") is non-negative term-by-term — ``(x-1) - log(x) >= 0``
+    for all x > 0 — unbiased, and low-variance, so it is the standard
+    early-stopping/trust-region signal, and what the learner reports as
+    ``approx_kl``.
+    """
+    log_ratio = np.asarray(new_logp) - np.asarray(old_logp)
+    return float(np.mean((np.exp(log_ratio) - 1.0) - log_ratio))

@@ -49,10 +49,9 @@ class TestCheckpointFile:
         save_checkpoint(path, a.state_dict())
         b = PETController(["leaf0", "spine0"], PETConfig(seed=9))
         b.load_state_dict(load_checkpoint(path))
-        obs = np.zeros(a.trainer.agents["leaf0"].config.obs_dim)
-        np.testing.assert_allclose(
-            a.trainer.agents["leaf0"].probs(obs),
-            b.trainer.agents["leaf0"].probs(obs))
+        obs = np.zeros(a.trainer.config.obs_dim)
+        np.testing.assert_allclose(a.trainer.learner.probs([0], obs),
+                                   b.trainer.learner.probs([0], obs))
 
 
 class TestMovingAverage:

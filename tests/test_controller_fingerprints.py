@@ -141,7 +141,7 @@ def _run_multiqueue(net, ticks, *, absent=None, **overrides):
         for (switch, port), c in ctrl.decide(ports, stats, net.now,
                                              net).items():
             applied.append((switch, port, c.kmin_bytes, c.kmax_bytes, c.pmax))
-    assert all(a.updates >= 2 for a in ctrl.agents.values())
+    assert all(ctrl.trainer.learner.updates >= 2)
     return fingerprint({"ecn": applied, "state": ctrl.state_dict()})
 
 

@@ -68,7 +68,7 @@ class TestPETController:
             net.advance(1e-3)
             pet.decide(net.queue_stats(), net.now, net)
         assert len(pet.update_stats) == 2   # at steps 3 and 6
-        assert all(a.updates == 2 for a in pet.trainer.agents.values())
+        assert all(pet.trainer.learner.updates == 2)
 
     def test_eval_mode_does_not_update(self):
         net = loaded_net()
@@ -78,7 +78,7 @@ class TestPETController:
             net.advance(1e-3)
             pet.decide(net.queue_stats(), net.now, net)
         assert pet.update_stats == []
-        assert all(len(a.buffer) == 0 for a in pet.trainer.agents.values())
+        assert not pet.trainer.learner.length.any()
 
     def test_eval_mode_greedy_is_deterministic(self):
         actions = []
@@ -97,19 +97,18 @@ class TestPETController:
         a = PETController(net.switch_names(), fast_cfg(seed=1))
         b = PETController(net.switch_names(), fast_cfg(seed=2))
         b.load_state_dict(a.state_dict())
-        s = net.switch_names()[0]
-        obs = np.zeros(a.trainer.agents[s].config.obs_dim)
-        np.testing.assert_allclose(
-            a.trainer.agents[s].probs(obs),
-            b.trainer.agents[s].probs(obs))
+        obs = np.zeros(a.trainer.config.obs_dim)
+        np.testing.assert_allclose(a.trainer.learner.probs([0], obs),
+                                   b.trainer.learner.probs([0], obs))
 
     def test_install_pretrained_broadcasts(self):
         net = loaded_net()
         pet = PETController(net.switch_names(), fast_cfg(seed=3))
-        src = pet.trainer.agents[net.switch_names()[0]].state_dict()
+        src = pet.trainer.state_dict()[net.switch_names()[0]]
         pet.install_pretrained(src)
-        obs = np.zeros(pet.trainer.agents[net.switch_names()[0]].config.obs_dim)
-        probs = [ag.probs(obs) for ag in pet.trainer.agents.values()]
+        n = len(net.switch_names())
+        obs = np.zeros((n, pet.trainer.config.obs_dim))
+        probs = pet.trainer.learner.probs(range(n), obs)
         for p in probs[1:]:
             np.testing.assert_allclose(p, probs[0])
 

@@ -109,12 +109,14 @@ class TestComponentDeterminism:
     def test_default_mlp_init_is_reproducible(self):
         """Weights are drawn from the generators the network is given,
         and nothing else: equal seeds, equal rows."""
-        from repro.rl.ppo import PPOAgent, PPOConfig
+        from repro.rl.ippo import IPPOTrainer
+        from repro.rl.ppo import PPOConfig
         from repro.rl.stacked import PackedMLP
         w1, w2 = (PackedMLP([4, 8, 2], [np.random.default_rng(0)]).params
                   for _ in range(2))
         assert w1.tobytes() == w2.tobytes()
-        s1, s2 = (PPOAgent(PPOConfig(seed=0)).state_dict() for _ in range(2))
+        s1, s2 = (IPPOTrainer(["a"], PPOConfig(seed=0)).state_dict()["a"]
+                  for _ in range(2))
         for net in ("actor", "critic"):
             assert s1[net].keys() == s2[net].keys()
             assert all(np.array_equal(s1[net][k], s2[net][k])

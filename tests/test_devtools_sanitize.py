@@ -61,16 +61,6 @@ class TestEnablement:
         monkeypatch.setenv("PET_SANITIZE", "1")
         assert sanitize.enabled_from_env(default=False)
 
-    def test_petconfig_flag_enables_sanitizer(self):
-        from repro.core.config import PETConfig
-        from repro.gymenv.env import DCNEnv, EnvConfig
-        sanitize.disable()
-        try:
-            DCNEnv(EnvConfig(pet=PETConfig(sanitize=True)))
-            assert sanitize.is_enabled()
-        finally:
-            sanitize.enable()
-
     def test_context_manager_standalone(self):
         sanitize.disable()
         try:

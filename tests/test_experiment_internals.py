@@ -97,11 +97,10 @@ class TestPretrainKey:
         assert _pretrain_key("pet", cfg(), pet) != \
             _pretrain_key("pet", faster, pet)
 
-    def test_sanitizer_and_untrained_fields_keep_key(self):
+    def test_untrained_fields_keep_key(self):
         pet = PETConfig(seed=0)
         assert _pretrain_key("pet", cfg(), pet) == _pretrain_key(
-            "pet", cfg(duration=0.5, online_training=False),
-            replace(pet, sanitize=True))
+            "pet", cfg(duration=0.5, online_training=False), pet)
 
 
 def _trained_state(scheme, c):

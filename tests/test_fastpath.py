@@ -3,8 +3,8 @@ and friends).
 
 The stacked IPPO forward is compared with a plain loop over the agents:
 2-D matmuls on each agent's own checkpoint and ``rng.choice`` on its own
-generator (``tests/plain_rl.py``), then its own ``PPOAgent.record/
-update``.  The paths whose reference loops were deleted are held by
+generator (``tests/plain_rl.py``), then a record and an update of its
+own learner row, one agent at a time.  The paths whose reference loops were deleted are held by
 plain-loop oracles (``tests/test_gae.py``, ``tests/test_optim.py``,
 ``tests/test_ppo.py``, ``tests/test_ippo_replay_ddqn.py``,
 ``tests/test_engine.py``, ``tests/test_packet_network.py``,
@@ -48,18 +48,19 @@ def _canon(x):
     return x
 
 
-def _act_each(agents, observations, epsilons, greedy=False):
+def _act_each(trainer, observations, epsilons, greedy=False):
     """The reference: every agent's decision from its own checkpoint and
     generator by the plain 2-D forward and ``rng.choice``, one at a
     time."""
-    return {aid: plain_rl.act(agents[aid].state_dict(), agents[aid].rng, obs,
+    states, ids = trainer.state_dict(), trainer.agent_ids
+    return {aid: plain_rl.act(states[aid],
+                              trainer.learner.rngs[ids.index(aid)], obs,
                               epsilon=epsilons.get(aid, 0.0), greedy=greedy)
             for aid, obs in observations.items()}
 
 
-def _value(agent, obs):
-    return float(plain_rl.PlainMLP(agent.state_dict()["critic"])
-                 .forward(obs)[0, 0])
+def _value(state, obs):
+    return float(plain_rl.PlainMLP(state["critic"]).forward(obs)[0, 0])
 
 
 # ------------------------------------------------------------ batched IPPO
@@ -70,7 +71,6 @@ def _rollout(stacked, seed, n_agents=4, steps=30, updates=2):
                     minibatch_size=16, epochs=2)
     ids = [f"sw{i}" for i in range(n_agents)]
     trainer = IPPOTrainer(ids, cfg)
-    agents = trainer.agents
     obs_rng = np.random.default_rng(seed + 1000)
     log = []
     for u in range(updates):
@@ -81,21 +81,24 @@ def _rollout(stacked, seed, n_agents=4, steps=30, updates=2):
                 dec = trainer.act(obs, epsilons=eps)
                 vals = trainer.values(obs)
             else:
-                dec = _act_each(agents, obs, eps)
-                vals = {aid: _value(agents[aid], o) for aid, o in obs.items()}
+                dec = _act_each(trainer, obs, eps)
+                states = trainer.state_dict()
+                vals = {aid: _value(states[aid], o) for aid, o in obs.items()}
             log.append((_canon(dec), _canon(vals)))
             rewards = {aid: float(obs_rng.normal()) for aid in ids}
             dones = {aid: t == steps - 1 for aid in ids}
             if stacked:
                 trainer.record(obs, dec, rewards, dones)
             else:
-                for aid in ids:
-                    agents[aid].record(obs[aid], dec[aid]["action"],
-                                       rewards[aid], dones[aid],
-                                       dec[aid]["log_prob"], dec[aid]["value"])
+                for row, aid in enumerate(ids):
+                    trainer.learner.record(
+                        row, obs[aid], dec[aid]["action"], rewards[aid],
+                        dones[aid], dec[aid]["log_prob"], dec[aid]["value"])
         last = {aid: obs_rng.normal(size=6) for aid in ids}
         stats = (trainer.update(last) if stacked else
-                 {aid: agents[aid].update(last[aid]) for aid in ids})
+                 {aid: trainer.learner.update(np.array([row]),
+                                              last[aid][None])[0]
+                  for row, aid in enumerate(ids)})
         log.append(_canon(stats))
     return log, _canon(trainer.state_dict())
 
@@ -122,28 +125,29 @@ def _random_weight_trainer(seed, n_agents=5):
     cfg = PPOConfig(obs_dim=6, n_actions=10, hidden=(16, 16), seed=seed)
     trainer = IPPOTrainer([f"sw{i}" for i in range(n_agents)], cfg)
     rng = np.random.default_rng(seed + 99)
-    for agent in trainer.agents.values():       # policies far from uniform
-        state = agent.state_dict()
+    states = trainer.state_dict()
+    for state in states.values():               # policies far from uniform
         for net in state.values():
             for key, p in net.items():
                 net[key] = rng.normal(size=p.shape)
-        agent.load_state_dict(state)
+    trainer.load_state_dict(states)
     return trainer
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11])
 def test_greedy_matrix_act_equals_per_agent_act(seed):
     """The array-native greedy act — one argmax, one log, no per-agent
-    Python — returns each agent's own ``PPOAgent.act(greedy=True)`` and
-    the plain 2-D argmax, and touches nobody's generator."""
+    Python — returns what each agent's one-row act and the plain 2-D
+    argmax return, and touches nobody's generator."""
     trainer = _random_weight_trainer(seed)
     ids = trainer.agent_ids
     obs = np.random.default_rng(seed).normal(size=(len(ids), 6))
-    rng_states = [a.rng.bit_generator.state
-                  for a in trainer.agents.values()]
-    want = [trainer.agents[aid].act(o, greedy=True) for aid, o in zip(ids, obs)]
-    assert want == list(_act_each(trainer.agents, dict(zip(ids, obs)), {},
-                                  greedy=True).values())
+    rng_states = [g.bit_generator.state for g in trainer.learner.rngs]
+    want = list(_act_each(trainer, dict(zip(ids, obs)), {},
+                          greedy=True).values())
+    for i, o in enumerate(obs):
+        one = trainer.act(o[None], rows=np.array([i]), greedy=True)
+        assert {k: v.tolist()[0] for k, v in one.items()} == want[i]
     assert len({w["action"] for w in want}) > 1
     cols = trainer.act(obs, greedy=True)
     assert trainer.stacking_status()["stacked"]
@@ -157,8 +161,8 @@ def test_greedy_matrix_act_equals_per_agent_act(seed):
     # the mapping form is the same computation
     as_dicts = trainer.act(dict(zip(ids, obs)), greedy=True)
     assert [as_dicts[aid] for aid in ids] == want
-    assert [a.rng.bit_generator.state
-            for a in trainer.agents.values()] == rng_states
+    assert [g.bit_generator.state
+            for g in trainer.learner.rngs] == rng_states
 
 
 @pytest.mark.parametrize("stacked", [True, False])
@@ -181,7 +185,7 @@ def test_sampling_matrix_act_equals_mapping_act(stacked):
         mapping = {aid: obs[ids.index(aid)] for aid in chosen}
         dicts = (by_mapping.act(mapping, epsilons=dict(zip(ids, eps)))
                  if stacked else
-                 _act_each(by_mapping.agents, mapping, dict(zip(ids, eps))))
+                 _act_each(by_mapping, mapping, dict(zip(ids, eps))))
         for j, aid in enumerate(chosen):
             assert {k: v[j] for k, v in cols.items()} == dicts[aid]
 
@@ -311,8 +315,8 @@ def _ppo_update():
         dec = trainer.act(obs, epsilon=0.1)
         for i, aid in enumerate(ids):
             d = dec[aid]
-            trainer.agents[aid].record(
-                obs[aid], int(d["action"]), float(all_rewards[t, i]),
+            trainer.learner.record(
+                i, obs[aid], int(d["action"]), float(all_rewards[t, i]),
                 False, d["log_prob"], d["value"])
         if (t + 1) % horizon == 0:
             out["stats"].append(trainer.update(all_obs[t + 1]))

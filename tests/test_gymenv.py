@@ -61,7 +61,7 @@ class TestDCNEnv:
         env.step(0)
         obs = env.reset()
         assert obs.shape == (env.obs_dim,)
-        assert env._t == 0
+        assert env.fleet._t == 0
 
     def test_invalid_action_rejected(self):
         env = DCNEnv(env_config())

@@ -92,7 +92,7 @@ class TestTrainedPETBehaviour:
         leaf_kmax = []
         for s in ("leaf0", "leaf1"):
             obs = pet.observer.history.observation()[pet.switches.index(s)]
-            d = pet.trainer.agents[s].act(obs, greedy=True)
+            d = pet.trainer.act({s: obs}, greedy=True)[s]
             leaf_kmax.append(pet.codec.decode(d["action"]).kmax_bytes)
         assert min(leaf_kmax) <= 1_280_000, \
             f"trained leaves still pick deep thresholds: {leaf_kmax}"
@@ -116,9 +116,9 @@ class TestTrainedPETBehaviour:
         # rewards are finite and the policies updated without blow-ups
         assert all(np.isfinite(pet.mean_recent_reward(s))
                    for s in pet.switches)
-        assert all(a.updates >= 3 for a in pet.trainer.agents.values())
-        for agent in pet.trainer.agents.values():
-            for p in agent.state_dict()["actor"].values():
+        assert all(pet.trainer.learner.updates >= 3)
+        for state in pet.trainer.state_dict().values():
+            for p in state["actor"].values():
                 assert np.all(np.isfinite(p))
 
     def test_reward_improves_during_training(self):

@@ -19,8 +19,8 @@ class TestIPPOTrainer:
 
     def test_agents_are_independent_parameterizations(self):
         tr = self._trainer()
-        pa = tr.agents["a"].state_dict()["actor"]
-        pb = tr.agents["b"].state_dict()["actor"]
+        pa = tr.state_dict()["a"]["actor"]
+        pb = tr.state_dict()["b"]["actor"]
         assert any(not np.allclose(pa[k], pb[k]) for k in pa)
 
     def test_act_and_record_per_agent(self):
@@ -30,8 +30,7 @@ class TestIPPOTrainer:
         assert set(decisions) == {"a", "b"}
         tr.record(obs, decisions, {"a": 1.0, "b": 0.0},
                   {"a": False, "b": False})
-        assert len(tr.agents["a"].buffer) == 1
-        assert len(tr.agents["b"].buffer) == 1
+        assert tr.learner.length.tolist() == [1, 1]
 
     def test_update_returns_per_agent_stats(self):
         tr = self._trainer()
@@ -41,19 +40,21 @@ class TestIPPOTrainer:
             tr.record(obs, d, {"a": 1.0, "b": 0.5}, {"a": False, "b": False})
         stats = tr.update(obs)
         assert set(stats) == {"a", "b"}
-        assert len(tr.agents["a"].buffer) == 0
+        assert tr.learner.length.tolist() == [0, 0]
 
     def test_no_experience_crosses_agents(self):
         """Agent b's buffer must not grow when only a records."""
         tr = self._trainer()
-        tr.agents["a"].record(np.zeros(2), 0, 1.0, False, 0.0, 0.0)
-        assert len(tr.agents["b"].buffer) == 0
+        tr.record({"a": np.zeros(2)},
+                  {"a": {"action": 0, "log_prob": 0.0, "value": 0.0}},
+                  {"a": 1.0}, {"a": False})
+        assert tr.learner.length.tolist() == [1, 0]
 
     def test_broadcast_parameters(self):
         tr = self._trainer()
-        src = tr.agents["a"].state_dict()
+        src = tr.state_dict()["a"]
         tr.broadcast_parameters(src)
-        pb = tr.agents["b"].state_dict()["actor"]
+        pb = tr.state_dict()["b"]["actor"]
         for k, v in src["actor"].items():
             np.testing.assert_allclose(pb[k], v)
 

@@ -113,7 +113,7 @@ class TestMultiQueueController:
         ctrl = MultiQueuePETController(net.switch_names(),
                                        PETConfig(seed=2, update_interval=2))
         self._drive(ctrl, net, intervals=5)
-        assert all(a.updates >= 1 for a in ctrl.agents.values())
+        assert all(ctrl.trainer.learner.updates >= 1)
 
     def test_eval_mode_freezes_buffers(self):
         net = fluid_net()
@@ -121,17 +121,17 @@ class TestMultiQueueController:
                                        PETConfig(seed=3, update_interval=2))
         ctrl.set_training(False)
         self._drive(ctrl, net, intervals=4)
-        assert all(len(a.buffer) == 0 for a in ctrl.agents.values())
-        assert all(a.updates == 0 for a in ctrl.agents.values())
+        assert not ctrl.trainer.learner.length.any()
+        assert not ctrl.trainer.learner.updates.any()
 
     def test_checkpoint_roundtrip(self):
         net = fluid_net()
         a = MultiQueuePETController(net.switch_names(), PETConfig(seed=4))
         b = MultiQueuePETController(net.switch_names(), PETConfig(seed=5))
         b.load_state_dict(a.state_dict())
-        obs = np.zeros(a.agents["leaf0"].config.obs_dim)
-        np.testing.assert_allclose(a.agents["leaf0"].probs(obs),
-                                   b.agents["leaf0"].probs(obs))
+        obs = np.zeros(a.trainer.config.obs_dim)
+        np.testing.assert_allclose(a.trainer.learner.probs([0], obs),
+                                   b.trainer.learner.probs([0], obs))
 
     def test_queues_are_fixed_by_the_first_interval(self):
         """The first ``port_stats`` lays out the rows of the input

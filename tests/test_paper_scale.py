@@ -63,7 +63,7 @@ def test_pet_controls_288_host_fabric(paper_net):
                         PETConfig.fast(delta_t=1e-3, seed=0))
     result = run_control_loop(net, pet, intervals=5, delta_t=1e-3)
     assert result.intervals == 5
-    assert len(pet.trainer.agents) == 18
+    assert len(pet.trainer.agent_ids) == 18
 
 
 def test_packet_topology_builds_at_paper_scale():

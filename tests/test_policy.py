@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.rl.policy import ExplorationSchedule, softmax
-from repro.rl.ppo import PPOAgent, PPOConfig
+from repro.rl.ippo import IPPOTrainer
+from repro.rl.ppo import PPOConfig
 from repro.rl.stacked import grad_entropy_logits, grad_log_prob_logits
 from tests import plain_rl
 
@@ -34,44 +35,56 @@ def _log_softmax(z):
 
 
 class TestCategoricalPolicy:
-    """The policy of a lone :class:`PPOAgent`: the one-agent learner's
+    """The policy of a lone agent (a trainer of one id): the learner's
     forward and sampler."""
 
     N_ACTIONS = 4
 
     def _agent(self, seed=0):
-        return PPOAgent(PPOConfig(obs_dim=3, n_actions=self.N_ACTIONS,
-                                  hidden=(8,), seed=seed))
+        return IPPOTrainer(["a"], PPOConfig(obs_dim=3,
+                                            n_actions=self.N_ACTIONS,
+                                            hidden=(8,), seed=seed))
+
+    @staticmethod
+    def _act(agent, obs, **kw):
+        return agent.act({"a": obs}, **kw)["a"]
+
+    @staticmethod
+    def _probs(agent, obs):
+        return agent.learner.probs([0], obs)[0]
 
     def test_act_returns_valid_action_and_logprob(self):
         agent = self._agent()
-        d = agent.act(np.zeros(3))
+        d = self._act(agent, np.zeros(3))
         assert 0 <= d["action"] < self.N_ACTIONS
         assert d["log_prob"] <= 0.0
-        assert d["log_prob"] == float(np.log(agent.probs(np.zeros(3))[0,
-                                                                  d["action"]]))
+        assert d["log_prob"] == float(np.log(
+            self._probs(agent, np.zeros(3))[0, d["action"]]))
 
     def test_greedy_picks_argmax(self):
         agent = self._agent()
         obs = np.ones(3)
-        p = agent.probs(obs)[0]
-        state = agent.rng.bit_generator.state
-        d = agent.act(obs, greedy=True)
+        p = self._probs(agent, obs)[0]
+        rng = agent.learner.rngs[0]
+        state = rng.bit_generator.state
+        d = self._act(agent, obs, greedy=True)
         assert d["action"] == int(np.argmax(p))
-        assert d == plain_rl.act(agent.state_dict(), None, obs, greedy=True)
-        assert agent.rng.bit_generator.state == state
+        assert d == plain_rl.act(agent.state_dict()["a"], None, obs,
+                                 greedy=True)
+        assert rng.bit_generator.state == state
 
     def test_sampling_matches_distribution(self):
         """Draws follow the policy, and are exactly ``rng.choice(n, p=p)``
         on the agent's generator and the plain 2-D forward's ``p``."""
         agent = self._agent(seed=3)
         obs = np.ones(3)
-        p = agent.probs(obs)[0]
-        state, twin = agent.state_dict(), copy.deepcopy(agent.rng)
+        p = self._probs(agent, obs)[0]
+        state = agent.state_dict()["a"]
+        twin = copy.deepcopy(agent.learner.rngs[0])
         counts = np.zeros(self.N_ACTIONS)
         n = 5000
         for _ in range(n):
-            d = agent.act(obs)
+            d = self._act(agent, obs)
             assert d == plain_rl.act(state, twin, obs)
             counts[d["action"]] += 1
         np.testing.assert_allclose(counts / n, p, atol=0.03)
@@ -79,12 +92,13 @@ class TestCategoricalPolicy:
     def test_epsilon_one_is_uniform(self):
         agent = self._agent(seed=4)
         obs = np.ones(3)
-        state, twin = agent.state_dict(), copy.deepcopy(agent.rng)
+        state = agent.state_dict()["a"]
+        twin = copy.deepcopy(agent.learner.rngs[0])
         counts = np.zeros(self.N_ACTIONS)
         n = 4000
         for i in range(n):
             eps = 1.0 if i % 10 else 0.5
-            d = agent.act(obs, epsilon=eps)
+            d = self._act(agent, obs, epsilon=eps)
             assert d == plain_rl.act(state, twin, obs, epsilon=eps)
             counts[d["action"]] += 1
         np.testing.assert_allclose(counts / n, 0.25, atol=0.04)
@@ -93,23 +107,24 @@ class TestCategoricalPolicy:
         """The entropy of the policy, and the one an update reports, lie
         in [0, log n]."""
         agent = self._agent()
-        p = agent.probs(np.zeros((2, 3)))
+        p = self._probs(agent, np.zeros((2, 3)))
         h = -(p * np.log(p)).sum(axis=-1)
         assert np.all(h >= 0)
         assert np.all(h <= np.log(self.N_ACTIONS) + 1e-9)
         rng = np.random.default_rng(0)
         for _ in range(16):
             obs = rng.normal(size=3)
-            d = agent.act(obs)
-            agent.record(obs, d["action"], 1.0, True, d["log_prob"],
-                         d["value"])
-        ent = agent.update()["entropy"]
+            d = self._act(agent, obs)
+            agent.learner.record(0, obs, d["action"], 1.0, True,
+                                 d["log_prob"], d["value"])
+        ent = agent.update()["a"]["entropy"]
         assert 0.0 < ent <= np.log(self.N_ACTIONS) + 1e-9
 
     def test_batch_obs_rejected_by_act(self):
+        """One agent, one observation: two rows for one agent raise."""
         agent = self._agent()
         with pytest.raises(ValueError):
-            agent.act(np.zeros((2, 3)))
+            agent.act(np.zeros((2, 3)), rows=np.array([0]))
 
     def test_grad_log_prob_logits(self):
         """Analytic d log p(a)/d z vs numerical differentiation."""

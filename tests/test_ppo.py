@@ -1,65 +1,92 @@
-"""Tests for the PPO learner (paper Eq. 11-12)."""
+"""Tests for the PPO learner (paper Eq. 11-12).
+
+A lone agent is an :class:`~repro.rl.ippo.IPPOTrainer` of one id (``"a"``):
+it acts through the trainer, records into row 0 of the learner's
+rollout arrays and updates through the trainer.
+"""
 
 import numpy as np
 import pytest
 
-from repro.rl.ppo import PPOAgent, PPOConfig, approx_kl_k3
+from repro.rl.ippo import IPPOTrainer
+from repro.rl.ppo import PPOConfig
 from tests import plain_rl
+from tests.plain_rl import approx_kl_k3
 
 
 def _agent(**overrides):
     cfg = PPOConfig(obs_dim=3, n_actions=4, hidden=(16, 16), seed=0,
                     **overrides)
-    return PPOAgent(cfg)
+    return IPPOTrainer(["a"], cfg)
+
+
+def _act(trainer, obs, aid="a", **kw):
+    return trainer.act({aid: obs}, **kw)[aid]
+
+
+def _record(trainer, obs, d, reward, done, row=0, **kw):
+    trainer.learner.record(row, obs, d["action"], reward, done,
+                           d["log_prob"], d["value"], **kw)
+
+
+def _rollout(trainer, name, row=0):
+    """Column ``name`` of agent ``row``'s rollout, as stored so far."""
+    learner = trainer.learner
+    return getattr(learner, name)[row, :learner.length[row]]
 
 
 class TestRolloutBuffer:
-    """An agent's buffer is a row view of its learner's rollout arrays."""
+    """An agent's rollout is a row of its learner's rollout arrays."""
 
     def test_add_and_len(self):
-        buf = _agent().buffer
-        buf.add(np.zeros(3), 1, 0.5, False, -0.2, 0.1)
-        assert len(buf) == 1
-        assert buf.actions.tolist() == [1] and buf.rewards.tolist() == [0.5]
-        buf.clear()
-        assert len(buf) == 0
+        trainer = _agent()
+        trainer.learner.record(0, np.zeros(3), 1, 0.5, False, -0.2, 0.1)
+        assert trainer.learner.length[0] == 1
+        assert _rollout(trainer, "actions").tolist() == [1]
+        assert _rollout(trainer, "rewards").tolist() == [0.5]
+        trainer.update()
+        assert trainer.learner.length[0] == 0
 
     def test_flattens_obs(self):
-        buf = _agent().buffer
-        buf.add(np.zeros((1, 3)), 0, 0.0, False, 0.0, 0.0)
-        assert buf.obs[0].shape == (3,)
+        trainer = _agent()
+        trainer.record({"a": np.zeros((1, 3))},
+                       {"a": {"action": 0, "log_prob": 0.0, "value": 0.0}},
+                       {"a": 0.0}, {"a": False})
+        assert _rollout(trainer, "obs")[0].shape == (3,)
 
     def test_grows_past_its_capacity_keeping_every_row(self):
-        agent = _agent()
+        trainer = _agent()
         for t in range(150):
-            agent.record(np.full(3, t), t % 4, float(t), False, 0.0, 0.0)
-        assert agent.learner.cap >= 150
-        assert agent.buffer.obs[:, 0].tolist() == list(range(150))
-        assert agent.buffer.rewards.tolist() == [float(t) for t in range(150)]
+            trainer.learner.record(0, np.full(3, t), t % 4, float(t), False,
+                                   0.0, 0.0)
+        assert trainer.learner.cap >= 150
+        assert _rollout(trainer, "obs")[:, 0].tolist() == list(range(150))
+        assert _rollout(trainer, "rewards").tolist() == [
+            float(t) for t in range(150)]
 
 
 class TestPPOAgent:
+    """A lone agent: a trainer of one id."""
+
     def test_act_returns_decision(self):
-        agent = _agent()
-        d = agent.act(np.zeros(3))
+        d = _act(_agent(), np.zeros(3))
         assert set(d) == {"action", "log_prob", "value"}
         assert 0 <= d["action"] < 4
 
     def test_update_on_empty_buffer_is_noop(self):
-        agent = _agent()
-        stats = agent.update()
+        trainer = _agent()
+        stats = trainer.update()["a"]
         assert stats["policy_loss"] == 0.0
-        assert agent.updates == 0
+        assert trainer.learner.updates[0] == 0
 
     def test_update_clears_buffer_and_counts(self):
-        agent = _agent()
+        trainer = _agent()
         for _ in range(8):
-            d = agent.act(np.zeros(3))
-            agent.record(np.zeros(3), d["action"], 1.0, False,
-                         d["log_prob"], d["value"])
-        stats = agent.update(last_obs=np.zeros(3))
-        assert len(agent.buffer) == 0
-        assert agent.updates == 1
+            _record(trainer, np.zeros(3), _act(trainer, np.zeros(3)), 1.0,
+                    False)
+        stats = trainer.update({"a": np.zeros(3)})["a"]
+        assert trainer.learner.length[0] == 0
+        assert trainer.learner.updates[0] == 1
         assert np.isfinite(stats["policy_loss"])
         assert np.isfinite(stats["value_loss"])
 
@@ -70,15 +97,14 @@ class TestPPOAgent:
         for it in range(60):
             for _ in range(64):
                 obs = rng.normal(size=3)
-                d = agent.act(obs)
+                d = _act(agent, obs)
                 reward = 1.0 if d["action"] == int(np.argmax(obs)) else 0.0
-                agent.record(obs, d["action"], reward, True,
-                             d["log_prob"], d["value"])
+                _record(agent, obs, d, reward, True)
             agent.update()
         hits = 0
         for _ in range(200):
             obs = rng.normal(size=3)
-            d = agent.act(obs, greedy=True)
+            d = _act(agent, obs, greedy=True)
             hits += d["action"] == int(np.argmax(obs))
         assert hits / 200 > 0.8
 
@@ -88,23 +114,24 @@ class TestPPOAgent:
         obs = np.ones(3)
         for _ in range(40):
             for _ in range(32):
-                d = agent.act(obs)
-                agent.record(obs, d["action"], 2.0, True,
-                             d["log_prob"], d["value"])
+                _record(agent, obs, _act(agent, obs), 2.0, True)
             agent.update()
-        assert agent.value(obs) == pytest.approx(2.0, abs=0.3)
+        assert agent.values({"a": obs})["a"] == pytest.approx(2.0, abs=0.3)
 
     def test_checkpoint_roundtrip(self):
         a = _agent()
-        b = PPOAgent(PPOConfig(obs_dim=3, n_actions=4, hidden=(16, 16), seed=9))
+        b = IPPOTrainer(["a"], PPOConfig(obs_dim=3, n_actions=4,
+                                         hidden=(16, 16), seed=9))
         obs = np.ones(3)
         b.load_state_dict(a.state_dict())
-        np.testing.assert_allclose(a.probs(obs), b.probs(obs))
-        assert a.value(obs) == pytest.approx(b.value(obs))
+        np.testing.assert_allclose(a.learner.probs([0], obs),
+                                   b.learner.probs([0], obs))
+        assert a.values({"a": obs})["a"] == pytest.approx(
+            b.values({"a": obs})["a"])
 
     def test_greedy_act_deterministic(self):
         agent = _agent()
-        actions = {agent.act(np.ones(3), greedy=True)["action"]
+        actions = {_act(agent, np.ones(3), greedy=True)["action"]
                    for _ in range(10)}
         assert len(actions) == 1
 
@@ -113,10 +140,8 @@ class TestPPOAgent:
         agent = _agent(epochs=4, actor_lr=1e-2)
         for _ in range(32):
             o = rng.normal(size=3)
-            d = agent.act(o)
-            agent.record(o, d["action"], rng.normal(), False,
-                         d["log_prob"], d["value"])
-        stats = agent.update(last_obs=np.zeros(3))
+            _record(agent, o, _act(agent, o), rng.normal(), False)
+        stats = agent.update({"a": np.zeros(3)})["a"]
         assert stats["approx_kl"] >= 0.0
 
     def test_policy_moves_toward_advantaged_action(self):
@@ -125,19 +150,20 @@ class TestPPOAgent:
         agent = _agent(epochs=1, normalize_advantages=False,
                        entropy_coef=0.0)
         obs = np.zeros(3)
-        p_before = agent.probs(obs)[0].copy()
+        p_before = agent.learner.probs([0], obs)[0, 0]
         target = 2
         logp = float(np.log(p_before[target]))
         # many identical transitions, all rewarding action `target`
         for _ in range(32):
-            agent.record(obs, target, 1.0, True, logp, 0.0)
+            agent.learner.record(0, obs, target, 1.0, True, logp, 0.0)
         agent.update()
-        p_after = agent.probs(obs)[0]
+        p_after = agent.learner.probs([0], obs)[0, 0]
         assert p_after[target] > p_before[target]
 
 
 class TestKLEstimator:
-    """The k3 estimator replacing the signed k1 ``mean(old - new)``."""
+    """The k3 estimator replacing the signed k1 ``mean(old - new)``: the
+    oracle of the learner's ``approx_kl`` (``tests/plain_rl.py``)."""
 
     def test_identical_policies_give_zero(self):
         lp = np.log(np.full(4, 0.25))
@@ -197,19 +223,17 @@ class TestTruncationBootstrap:
 
     def _fill(self, agent, obs, n, *, final_done, final_truncated):
         for i in range(n):
-            d = agent.act(obs)
             last = i == n - 1
-            agent.record(obs, d["action"], 1.0, final_done and last,
-                         d["log_prob"], d["value"],
-                         truncated=final_truncated and last)
+            _record(agent, obs, _act(agent, obs), 1.0, final_done and last,
+                    truncated=final_truncated and last)
 
     def test_truncated_episode_end_bootstraps_last_value(self, monkeypatch):
         captured = self._capture_gae_args(monkeypatch)
         agent = _agent()
         obs = np.ones(3)
-        expected_v = agent.value(obs)          # critic pre-update
+        expected_v = agent.values({"a": obs})["a"]     # critic pre-update
         self._fill(agent, obs, 8, final_done=False, final_truncated=True)
-        agent.update(last_obs=obs)
+        agent.update({"a": obs})
         assert captured["dones"][-1]           # truncation still ends episode
         assert captured["truncateds"][-1]
         assert captured["last_value"] == pytest.approx(expected_v)
@@ -221,7 +245,7 @@ class TestTruncationBootstrap:
         agent = _agent()
         obs = np.ones(3)
         self._fill(agent, obs, 8, final_done=True, final_truncated=False)
-        agent.update(last_obs=obs)
+        agent.update({"a": obs})
         assert captured["dones"][-1]
         assert not captured["truncateds"][-1]
         assert captured["last_value"] == 0.0
@@ -231,21 +255,22 @@ class TestTruncationBootstrap:
         captured = self._capture_gae_args(monkeypatch)
         agent = _agent()
         obs = np.ones(3)
-        d = agent.act(obs)
-        agent.record(obs, d["action"], 1.0, False, d["log_prob"], d["value"],
-                     truncated=True, bootstrap_value=3.5)
+        _record(agent, obs, _act(agent, obs), 1.0, False, truncated=True,
+                bootstrap=3.5)
         self._fill(agent, obs, 3, final_done=True, final_truncated=False)
         agent.update()
         assert captured["truncateds"][0]
         assert captured["bootstrap_values"][0] == pytest.approx(3.5)
 
     def test_buffer_records_truncation_as_done(self):
-        buf = _agent().buffer
-        buf.add(np.zeros(3), 0, 1.0, False, 0.0, 0.0, truncated=True)
-        assert buf.dones.tolist() == [True]
-        assert buf.truncateds.tolist() == [True]
-        buf.clear()
-        assert len(buf.truncateds) == 0 and len(buf.bootstraps) == 0
+        trainer = _agent()
+        trainer.learner.record(0, np.zeros(3), 0, 1.0, False, 0.0, 0.0,
+                               truncated=True)
+        assert _rollout(trainer, "dones").tolist() == [True]
+        assert _rollout(trainer, "truncateds").tolist() == [True]
+        trainer.update()
+        assert len(_rollout(trainer, "truncateds")) == 0
+        assert len(_rollout(trainer, "bootstraps")) == 0
 
 
 class TestEpochGather:
@@ -263,12 +288,11 @@ class TestEpochGather:
         n = 21
         for t in range(n):
             obs = rng.normal(size=3)
-            d = agent.act(obs)
-            agent.record(obs, d["action"], float(rng.normal()),
-                         t % 9 == 8, d["log_prob"], d["value"])
-        buf = agent.buffer
-        obs, actions = buf.obs.copy(), buf.actions.copy()
-        old_logp = buf.log_probs.copy()
+            _record(agent, obs, _act(agent, obs), float(rng.normal()),
+                    t % 9 == 8)
+        obs, actions = (_rollout(agent, "obs").copy(),
+                        _rollout(agent, "actions").copy())
+        old_logp = _rollout(agent, "log_probs").copy()
 
         gae_out = []
         real_gae = stacked_mod.compute_gae
@@ -287,8 +311,8 @@ class TestEpochGather:
 
         monkeypatch.setattr(stacked_mod, "compute_gae", spy_gae)
         monkeypatch.setattr(learner, "_minibatch", spy_minibatch)
-        shuffler = copy.deepcopy(agent.rng)
-        agent.update(last_obs=np.zeros(3))
+        shuffler = copy.deepcopy(learner.rngs[0])
+        agent.update({"a": np.zeros(3)})
 
         (adv, returns), = gae_out
         adv, returns = adv[0], returns[0]
@@ -332,14 +356,16 @@ class _PlainPPO:
     own textbook Adam (``tests/plain_rl.py``), Python-list rollouts and a
     copy of its generator."""
 
-    def __init__(self, agent):
+    def __init__(self, trainer, aid):
         import copy
 
-        cfg = self.cfg = agent.config
-        state = agent.state_dict()
+        cfg = self.cfg = trainer.config
+        state = trainer.state_dict()[aid]
         self.actor = plain_rl.PlainMLP(state["actor"])
         self.critic = plain_rl.PlainMLP(state["critic"])
-        self.rng = copy.deepcopy(agent.rng)   # _fill refreshes it
+        self.row = trainer.agent_ids.index(aid)
+        # _fill refreshes it
+        self.rng = copy.deepcopy(trainer.learner.rngs[self.row])
         self.rollout = []
 
     def record(self, obs, action, reward, done, log_prob, value,
@@ -421,38 +447,39 @@ class _PlainPPO:
                                            > cfg.clip_eps))}
 
 
-def _assert_same_as_oracle(agent, plain):
+def _assert_same_as_oracle(trainer, plain):
     """Weights, Adam moments and generator state, byte for byte."""
-    learner, row = agent.learner, agent.row
+    learner, row = trainer.learner, plain.row
     for net, packed in ((plain.actor, learner.actor),
                         (plain.critic, learner.critic)):
         assert net.flat().tobytes() == packed.params[row].tobytes()
         assert net.flat(net.m).tobytes() == packed.m[row].tobytes()
         assert net.flat(net.v).tobytes() == packed.v[row].tobytes()
-    assert agent.rng.bit_generator.state == plain.rng.bit_generator.state
+    assert (learner.rngs[row].bit_generator.state
+            == plain.rng.bit_generator.state)
 
 
-def _fill(agents, plains, rng, lengths, *, truncate_at=()):
+def _fill(trainer, plains, rng, lengths, *, truncate_at=()):
     """Record ``lengths[i]`` transitions for agent ``i`` (and its
     oracle); a step in ``truncate_at`` is a time-limit cut, mid-buffer
     ones carrying an explicit bootstrap value.  Each oracle then takes
     a copy of its agent's generator, which acting has advanced."""
     import copy
 
-    for agent, plain, T in zip(agents, plains, lengths):
-        dim = agent.config.obs_dim
+    dim = trainer.config.obs_dim
+    for aid, plain, T in zip(trainer.agent_ids, plains, lengths):
         for t in range(T):
             obs = rng.normal(size=dim)
-            d = agent.act(obs, epsilon=0.1)
+            d = _act(trainer, obs, aid, epsilon=0.1)
             reward = float(rng.normal())
             done = bool(rng.random() < 0.05)
             trunc = t in truncate_at or (t - T) in truncate_at
-            boot = float(rng.normal()) if trunc and t != T - 1 else None
-            args = (obs, d["action"], reward, done, d["log_prob"], d["value"])
-            agent.record(*args, truncated=trunc, bootstrap_value=boot)
-            plain.record(*args, truncated=trunc,
-                         bootstrap=0.0 if boot is None else boot)
-        plain.rng = copy.deepcopy(agent.rng)
+            boot = (float(rng.normal()) if trunc and t != T - 1 else 0.0)
+            _record(trainer, obs, d, reward, done, plain.row,
+                    truncated=trunc, bootstrap=boot)
+            plain.record(obs, d["action"], reward, done, d["log_prob"],
+                         d["value"], truncated=trunc, bootstrap=boot)
+        plain.rng = copy.deepcopy(trainer.learner.rngs[plain.row])
 
 
 _ORACLE_CFG = dict(obs_dim=24, n_actions=10, hidden=(64, 64), epochs=3,
@@ -481,20 +508,20 @@ class TestStackedLearnerOracle:
 
     def _check(self, trainer, lengths, rng, *, truncate_at=(), rounds=2,
                bootstrap_some=True):
-        agents = list(trainer.agents.values())
-        plains = [_PlainPPO(a) for a in agents]
+        ids = trainer.agent_ids
+        plains = [_PlainPPO(trainer, aid) for aid in ids]
         stats_seen = []
         for _ in range(rounds):
-            _fill(agents, plains, rng, lengths, truncate_at=truncate_at)
-            last = {aid: rng.normal(size=a.config.obs_dim)
-                    for i, (aid, a) in enumerate(trainer.agents.items())
+            _fill(trainer, plains, rng, lengths, truncate_at=truncate_at)
+            last = {aid: rng.normal(size=trainer.config.obs_dim)
+                    for i, aid in enumerate(ids)
                     if not bootstrap_some or i % 3}
             got = trainer.update(last)
-            for (aid, agent), plain in zip(trainer.agents.items(), plains):
+            for aid, plain in zip(ids, plains):
                 want = plain.update(last.get(aid))
                 assert got[aid] == want, aid
-                _assert_same_as_oracle(agent, plain)
-                assert len(agent.buffer) == 0
+                _assert_same_as_oracle(trainer, plain)
+            assert not trainer.learner.length.any()
             stats_seen.append(got)
         return stats_seen
 
@@ -530,17 +557,17 @@ class TestStackedLearnerOracle:
         trainer = self._trainer(32)
         lengths = [100 if i % 5 else 0 for i in range(32)]
         lengths[3], lengths[17], lengths[30] = 37, 1, 37
-        agents = list(trainer.agents.values())
-        states = [a.rng.bit_generator.state for a in agents]
+        rngs = trainer.learner.rngs
+        states = [g.bit_generator.state for g in rngs]
         stats = self._check(trainer, lengths, np.random.default_rng(2),
                             rounds=1)
-        for i, agent in enumerate(agents):
+        for i, updates in enumerate(trainer.learner.updates.tolist()):
             if lengths[i] == 0:
-                assert agent.rng.bit_generator.state == states[i]
-                assert agent.updates == 0
+                assert rngs[i].bit_generator.state == states[i]
+                assert updates == 0
                 assert set(stats[0][f"s{i}"].values()) == {0.0}
             else:
-                assert agent.updates == 1
+                assert updates == 1
 
     def test_more_groups_than_cores_switching_every_microsecond(
             self, monkeypatch):
@@ -560,17 +587,18 @@ class TestStackedLearnerOracle:
             sys.setswitchinterval(interval)
 
     def test_one_agent(self):
-        agent = PPOAgent(PPOConfig(seed=5, **_ORACLE_CFG))
-        plain = _PlainPPO(agent)
+        agent = IPPOTrainer(["a"], PPOConfig(seed=5, **_ORACLE_CFG))
+        plain = _PlainPPO(agent, "a")
         rng = np.random.default_rng(3)
         for last in (None, rng.normal(size=24)):
-            _fill([agent], [plain], rng, [100], truncate_at=(50,))
-            assert agent.update(last) == plain.update(last)
+            _fill(agent, [plain], rng, [100], truncate_at=(50,))
+            got = agent.update(None if last is None else {"a": last})
+            assert got["a"] == plain.update(last)
             _assert_same_as_oracle(agent, plain)
-        state = agent.rng.bit_generator.state
-        assert agent.update() == plain.update()        # empty: a no-op
-        assert agent.rng.bit_generator.state == state
-        assert agent.updates == 2
+        state = agent.learner.rngs[0].bit_generator.state
+        assert agent.update()["a"] == plain.update()    # empty: a no-op
+        assert agent.learner.rngs[0].bit_generator.state == state
+        assert agent.learner.updates[0] == 2
 
 
 class TestUpdateThreads:
@@ -580,8 +608,8 @@ class TestUpdateThreads:
         cfg = PPOConfig(seed=0, obs_dim=6, hidden=(16, 16), epochs=1)
         trainer = IPPOTrainer([f"s{i}" for i in range(n_agents)], cfg)
         rng = np.random.default_rng(0)
-        agents = list(trainer.agents.values())
-        _fill(agents, [_PlainPPO(a) for a in agents], rng, [20] * n_agents)
+        _fill(trainer, [_PlainPPO(trainer, aid) for aid in trainer.agent_ids],
+              rng, [20] * n_agents)
         return trainer
 
     def test_no_update_thread_outlives_update(self, monkeypatch):
@@ -628,7 +656,7 @@ class TestUpdateThreads:
         assert finished == ["MainThread"]
         assert not [th for th in threading.enumerate()
                     if th.name.startswith("ppo-update")]
-        assert all(len(a.buffer) == 20 for a in trainer.agents.values())
+        assert trainer.learner.length.tolist() == [20] * 16
 
     def test_engine_workers_share_the_cores(self):
         """PET jobs through ``run_scenario_grid`` over two workers run the

@@ -148,7 +148,8 @@ class TestUnseededFallbackRNGs:
         assert failed_set() == failed_set()
 
     def test_policy_and_replay_default_rngs_are_deterministic(self):
-        from repro.rl.ppo import PPOAgent, PPOConfig
+        from repro.rl.ippo import IPPOTrainer
+        from repro.rl.ppo import PPOConfig
         from repro.rl.replay import ReplayBuffer, Transition
         from repro.rl.stacked import PackedMLP
 
@@ -158,10 +159,10 @@ class TestUnseededFallbackRNGs:
             PackedMLP([4, 8, 3])    # type: ignore[call-arg]
         obs = np.zeros(4)
         cfg = PPOConfig(obs_dim=4, n_actions=3, hidden=(8,), seed=0)
-        a1 = [PPOAgent(cfg).act(obs, epsilon=0.5)["action"]
-              for _ in range(20)]
-        a2 = [PPOAgent(cfg).act(obs, epsilon=0.5)["action"]
-              for _ in range(20)]
+        a1 = [IPPOTrainer(["a"], cfg).act({"a": obs}, epsilon=0.5)["a"][
+            "action"] for _ in range(20)]
+        a2 = [IPPOTrainer(["a"], cfg).act({"a": obs}, epsilon=0.5)["a"][
+            "action"] for _ in range(20)]
         assert a1 == a2
 
         def sample_ids():

@@ -2,8 +2,9 @@
 
 The digests below were taken, with the same constructions, before the
 networks moved onto packed rows (when every network was a list of layer
-objects): keys, shapes, dtypes and values of a fresh ``PPOAgent``,
-``IPPOTrainer``, ``PETController``, ``DDQNAgent`` and ``ACCController``,
+objects): keys, shapes, dtypes and values of a fresh lone PPO agent
+(a one-id ``IPPOTrainer``), a three-agent ``IPPOTrainer``, a
+``PETController``, a ``DDQNAgent`` and an ``ACCController``,
 and of a ``DDQNAgent`` after 60 train steps.  ``data/parent_checkpoint``
 holds a ``PETController`` checkpoint written by that code's
 ``CheckpointManager`` after 24 control intervals.
@@ -20,7 +21,8 @@ from repro.fingerprint import fingerprint
 from repro.rl.checkpoint import CheckpointManager
 from repro.rl.ddqn import DDQNAgent, DDQNConfig
 from repro.rl.ippo import IPPOTrainer
-from repro.rl.ppo import PPOAgent, PPOConfig
+from repro.rl.ppo import PPOConfig
+from tests import plain_rl
 
 _DATA = os.path.join(os.path.dirname(__file__), "data", "parent_checkpoint")
 
@@ -60,7 +62,7 @@ def _ddqn_trained():
 
 def _states():
     return {
-        "ppo_agent": PPOAgent(PPOConfig(seed=3)).state_dict(),
+        "ppo_agent": IPPOTrainer(["a"], PPOConfig(seed=3)).state_dict()["a"],
         "ippo": IPPOTrainer(["a", "b", "c"], PPOConfig(
             obs_dim=5, n_actions=4, hidden=(8, 8), seed=1)).state_dict(),
         "pet": PETController(["leaf0", "spine0"],
@@ -92,7 +94,7 @@ def test_parent_checkpoint_restores_into_pet_controller():
     assert mgr.skipped == []
     assert fingerprint(pet.state_dict()) == _PINNED_PARENT_CHECKPOINT
     # and the restored rows are what acting reads
-    agent = pet.trainer.agents["leaf0"]
-    obs = np.zeros(agent.config.obs_dim)
+    obs = np.zeros(pet.trainer.config.obs_dim)
     cols = pet.trainer.act(obs[None], rows=np.array([0]), greedy=True)
-    assert cols["value"][0] == agent.value(obs)
+    critic = pet.trainer.state_dict()["leaf0"]["critic"]
+    assert cols["value"][0] == plain_rl.PlainMLP(critic).forward(obs)[0, 0]
