@@ -124,6 +124,9 @@ class ControlPlane:
         self._fault_log_len: Dict[str, int] = {}
 
         self.tick_count = 0
+        #: the records the last tick read (None: it read none); ``/state``
+        #: reports them, as a second collection would open a new interval
+        self.last_stats: Optional[Dict[str, Any]] = None
         self.health = "starting"
         self.failure_reason: Optional[str] = None
         self.last_fault_tick = -(10 ** 9)
@@ -234,6 +237,7 @@ class ControlPlane:
             if self.chaos is not None:
                 self.chaos.disarm()
             self.net = self._network_factory()
+            self.last_stats = None
             self.switches = list(self.net.switch_names())
             self.chaos = self._arm_chaos(self.net)
             # Re-wrap every controller against the new chaos plan; the
@@ -266,7 +270,7 @@ class ControlPlane:
             self.net.advance(self.config.delta_t)
             now = self.net.now
 
-            stats = self._read_telemetry(t, now)
+            stats = self.last_stats = self._read_telemetry(t, now)
             acting_src = None
             if stats is not None:
                 seen = (self.chaos.filter_stats(stats, now)
@@ -589,20 +593,15 @@ class ControlPlane:
 
     def state_snapshot(self) -> Dict[str, Any]:
         with self._lock:
-            queues = {}
-            try:
-                for name, st in self.net.queue_stats().items():
-                    queues[name] = {
-                        "qlen_bytes": float(st.qlen_bytes),
-                        "avg_qlen_bytes": float(st.avg_qlen_bytes),
-                        "dropped_pkts": int(st.dropped_pkts),
-                        "ecn": None if st.ecn is None else {
-                            "kmin_bytes": st.ecn.kmin_bytes,
-                            "kmax_bytes": st.ecn.kmax_bytes,
-                            "pmax": st.ecn.pmax},
-                    }
-            except Exception:   # noqa: BLE001 — snapshot must not 500
-                queues = {}
+            queues = {
+                name: {"qlen_bytes": float(st.qlen_bytes),
+                       "avg_qlen_bytes": float(st.avg_qlen_bytes),
+                       "dropped_pkts": int(st.dropped_pkts),
+                       "ecn": None if st.ecn is None else {
+                           "kmin_bytes": st.ecn.kmin_bytes,
+                           "kmax_bytes": st.ecn.kmax_bytes,
+                           "pmax": st.ecn.pmax}}
+                for name, st in (self.last_stats or {}).items()}
             stacking = {}
             for name, inner in self._inner.items():
                 trainer = getattr(inner, "trainer", None)

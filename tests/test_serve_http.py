@@ -9,6 +9,7 @@ import urllib.request
 
 import pytest
 
+from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.serve.gate import GateConfig, PromotionGate
 from repro.serve.plane import ControlPlane, ServeConfig
@@ -79,6 +80,36 @@ class TestEndpoints:
         assert "static" in body["registry"]["policies"]
         assert set(body["gate"]) >= {"min_shadow_ticks", "canary_ticks"}
         assert body["queues"]                  # per-switch stats present
+
+    def test_state_reports_the_last_ticks_records(self):
+        """``/state`` shows the interval the last tick read, and opens no
+        interval of its own (a collection resets the interval)."""
+        def loaded():
+            net = _tiny_factory()
+            net.start_flows([Flow(i, f"h{i % 2}", "h2", 5_000_000)
+                             for i in range(4)])
+            return net
+
+        plane = ControlPlane(loaded)
+        plane.sleep = lambda _s: None
+        reads = []
+        collect = plane.net.queue_stats
+        plane.net.queue_stats = lambda: reads.append(collect()) or reads[-1]
+        server = PolicyServer(plane, host="127.0.0.1", port=0).start()
+        try:
+            plane.run_ticks(5)
+            status, body = _request(f"{server.url}/state")
+        finally:
+            server.stop()
+            plane.close()
+        assert status == 200 and len(reads) == 5
+        last = reads[-1]
+        assert max(st.avg_qlen_bytes for st in last.values()) > 0
+        assert {name: (q["qlen_bytes"], q["avg_qlen_bytes"],
+                       q["dropped_pkts"])
+                for name, q in body["queues"].items()} == {
+            name: (st.qlen_bytes, st.avg_qlen_bytes, st.dropped_pkts)
+            for name, st in last.items()}
 
     def test_unknown_path_404(self, served):
         _, server = served
