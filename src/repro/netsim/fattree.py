@@ -215,9 +215,12 @@ class FatTreeTopology:
         self.aggs: List[List[SwitchNode]] = []
         self.cores: List[SwitchNode] = []
         #: (switch_name, port_index) of every fabric port (edge↔agg and
-        #: agg↔core), a link's two directions one after the other;
-        #: ``PacketNetwork.fail_uplinks`` fails links by these pairs.
+        #: agg↔core), a link's two directions one after the other
         self.fabric_ports: List[Tuple[str, int]] = []
+        #: the agg↔core pairs of ``fabric_ports``: the pod↔core links the
+        #: sharded fluid fat-tree fails too, and so the ones
+        #: ``PacketNetwork.fail_uplinks`` fails
+        self.uplink_ports: List[Tuple[str, int]] = []
         self._by_name: Dict[str, object] = {}
         self._build()
 
@@ -304,11 +307,10 @@ class FatTreeTopology:
                                        cfg.fabric_link_delay)
                     iu = agg.add_port(up)
                     core_idx.append(iu)
-                    self.fabric_ports.append((agg.name, iu))
                     down = self._mk_port(core, agg, cfg.core_rate_bps,
                                          cfg.fabric_link_delay)
                     idn = core.add_port(down)
-                    self.fabric_ports.append((core.name, idn))
+                    self.uplink_ports += [(agg.name, iu), (core.name, idn)]
                     # core reaches every host of pod p through this agg
                     for i in range(pod_lo, pod_hi):
                         core.set_route(f"h{i}", [idn])
@@ -316,6 +318,7 @@ class FatTreeTopology:
                 for i in range(cfg.n_hosts):
                     if not pod_lo <= i < pod_hi:
                         agg.set_route(f"h{i}", core_idx)
+        self.fabric_ports += self.uplink_ports
 
     # -- lookup --------------------------------------------------------------
     def node(self, name: str):

@@ -133,7 +133,7 @@ class PacketNetwork:
         self.sim = Simulator()
         self.rng = np.random.default_rng(seed)
         # The two builders expose the same duck-typed surface (hosts,
-        # switches(), node(), fabric_ports); everything below is
+        # switches(), node(), fabric_ports, uplink_ports); everything below is
         # topology-agnostic.
         if isinstance(self.config, FatTreeConfig):
             self.topology: LeafSpineTopology | FatTreeTopology = \
@@ -159,9 +159,12 @@ class PacketNetwork:
         self._last_stats_time = 0.0
         self._reset_baselines()
         # the builders list each fabric link's two directions one after
-        # the other in ``fabric_ports``
+        # the other in ``fabric_ports`` and ``uplink_ports``
         self._fabric_ports = [self.topology.node(sw).ports[i]
                               for sw, i in self.topology.fabric_ports]
+        ports = [self.topology.node(sw).ports[i]
+                 for sw, i in self.topology.uplink_ports]
+        self._uplinks = list(zip(ports[0::2], ports[1::2]))
         self._fabric_nominal_bps = [p.rate_bps for p in self._fabric_ports]
         self.fabric_capacity_factor = 1.0
 
@@ -337,16 +340,17 @@ class PacketNetwork:
     # -- failures ---------------------------------------------------------------
     def fail_uplinks(self, fraction: float,
                      rng: Optional[np.random.Generator] = None) -> int:
-        """Take down both directions of a fraction of the fabric's links
-        (leaf↔spine, or edge↔agg and agg↔core on a fat-tree): of the
-        links still up, ``max(1, round(fraction × links))`` fail, as on
-        the fluid networks.  Every switch then withdraws the next hops
-        that can no longer reach a destination, so ECMP picks among the
-        paths still whole end to end (the fluid networks' choice)."""
+        """Take down both directions of a fraction of the fabric's
+        uplinks (leaf↔spine, or agg↔core on a fat-tree: the pod↔core
+        links the sharded fluid fat-tree fails): of the links still up,
+        ``max(1, round(fraction × links))`` fail, as on the fluid
+        networks.  Every switch then withdraws the next hops that can no
+        longer reach a destination, so ECMP picks among the paths still
+        whole end to end (the fluid networks' choice)."""
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         rng = rng or self.rng
-        links = list(zip(self._fabric_ports[0::2], self._fabric_ports[1::2]))
+        links = self._uplinks
         up = [k for k, (a, b) in enumerate(links) if a.up and b.up]
         n = max(1, int(round(fraction * len(links))))
         for k in rng.choice(up, size=min(n, len(up)), replace=False):

@@ -92,6 +92,7 @@ class LeafSpineTopology:
         #: port, a link's two directions one after the other;
         #: ``PacketNetwork.fail_uplinks`` fails links by these pairs.
         self.fabric_ports: List[Tuple[str, int]] = []
+        self.uplink_ports = self.fabric_ports
         self._by_name: Dict[str, object] = {}
         self._build()
 

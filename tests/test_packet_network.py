@@ -299,15 +299,36 @@ class TestLinkFailures:
     @pytest.mark.parametrize("seed", range(4))
     def test_fat_tree_routes_withdrawn_around_failed_links(self, seed):
         """Flows between the two pods of the small fat-tree, with one of
-        its twelve switch-to-switch links down (edge–agg or agg–core, at
-        either pod), all finish."""
+        its four agg–core links down, all finish."""
         net = PacketNetwork(FatTreeConfig.small(), seed=1)
-        assert net.fail_uplinks(0.05, rng=np.random.default_rng(seed)) == 1
+        assert net.fail_uplinks(0.25, rng=np.random.default_rng(seed)) == 1
         flows = [Flow(i, f"h{i % 4}", f"h{4 + (i * 3) % 4}", 100_000)
                  for i in range(8)]
         net.start_flows(flows)
         net.advance(0.2)
         assert all(f.done for f in flows)
+
+    def test_fat_tree_fails_the_sharded_fluid_links(self):
+        """Both substrates fail the same population on a fat-tree: its
+        ``n_pods × n_core`` agg–core (pod–core) links, and no edge–agg
+        link; capacity scaling still reaches every fabric port."""
+        from repro.netsim.shard import ShardedFluidNetwork
+
+        cfg = FatTreeConfig.small()
+        net = PacketNetwork(cfg, seed=1)
+        fluid = ShardedFluidNetwork(cfg, seed=1)
+        links = cfg.n_pods * cfg.n_core
+        assert links == 4
+        assert net.fail_uplinks(1.0) == fluid.fail_uplinks(1.0) == links
+        down = self._down(net)
+        assert len(down) == 2 * links
+        assert not any("edge" in sw for sw, _ in down)
+        ports = [net.topology.node(sw).ports[i]
+                 for sw, i in net.topology.fabric_ports]
+        assert len(ports) == 24                 # 8 edge–agg + 4 agg–core
+        nominal = [p.rate_bps for p in ports]
+        net.set_fabric_capacity_factor(0.5)
+        assert [p.rate_bps for p in ports] == [r * 0.5 for r in nominal]
 
     def test_schedule_episode(self):
         """The link methods run as events of the simulator's engine."""
