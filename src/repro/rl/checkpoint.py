@@ -267,14 +267,7 @@ class CheckpointManager:
     def load_latest(self) -> Optional[Tuple[Nested, int]]:
         """``(state, step)`` from the newest uncorrupted checkpoint, or
         ``None`` when the directory has no loadable checkpoint at all."""
-        for step, path in reversed(self.checkpoints()):
-            try:
-                return load_checkpoint(path), step
-            except FileNotFoundError:
-                continue            # pruned by a concurrent manager mid-walk
-            except (CheckpointError, ValueError) as exc:
-                self.skipped.append(f"{path}: {exc}")
-        return None
+        return self.load_newer_than(None)
 
     def load_newer_than(self, step: Optional[int]
                         ) -> Optional[Tuple[Nested, int]]:
