@@ -26,6 +26,8 @@ FABRIC = FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=4,
                      host_rate_bps=10e9, spine_rate_bps=40e9)
 DELTA_T = 1e-3
 HOT_HOST = "h0"       # everything converges here (leaf0, local queue 0)
+TRAIN_INTERVALS = 1000
+EVAL_INTERVALS = 30
 
 
 def build_network(seed: int, n_elephants: int = 3,
@@ -53,12 +55,12 @@ def main() -> None:
 
     print("training the multi-queue controller on the hotspot mix ...")
     net = build_network(seed=10, horizon=1.0)
-    for i in range(1000):
+    for i in range(TRAIN_INTERVALS):
         net.advance(DELTA_T)
         port_stats = net.port_stats()
         switch_stats = net.queue_stats()
         ctrl.decide(port_stats, switch_stats, net.now, net)
-    ctrl.advance_exploration(1000)
+    ctrl.advance_exploration(TRAIN_INTERVALS)
 
     print("\nevaluation: per-queue thresholds at leaf0 "
           "(queue 0 serves the hot host)\n")
@@ -66,7 +68,7 @@ def main() -> None:
     net = build_network(seed=3, horizon=0.03)
     last = {}
     hot_q, cold_q = [], []
-    for i in range(30):
+    for i in range(EVAL_INTERVALS):
         net.advance(DELTA_T)
         port_stats = net.port_stats()
         switch_stats = net.queue_stats()

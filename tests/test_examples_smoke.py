@@ -2,9 +2,9 @@
 
 Running the examples end-to-end takes minutes (they train agents); CI
 verifies their imports, argument-free entry points, that the
-quickstart's scenario construction is valid, and runs the gym example
-shrunk to one short episode — the full runs are documented in the
-README.
+quickstart's scenario construction is valid, and runs the gym and
+multi-queue examples shrunk (one short episode, one update) — the full
+runs are documented in the README.
 """
 
 import importlib.util
@@ -60,3 +60,21 @@ def test_gym_training_runs_one_short_episode(monkeypatch, capsys):
     probs = [float(line.split(":")[0][4:]) for line in top]
     assert probs == sorted(probs, reverse=True)
     assert all(0.0 <= p <= 1.0 for p in probs)
+
+
+def test_multiqueue_tuning_trains_and_applies_per_queue_thresholds(
+        monkeypatch, capsys):
+    """120 training intervals, so the switch models update once (every
+    100 steps), then five greedy intervals: every queue of the hot leaf
+    gets a threshold row."""
+    module = _load("multiqueue_tuning")
+    monkeypatch.setattr(module, "TRAIN_INTERVALS", 120)
+    monkeypatch.setattr(module, "EVAL_INTERVALS", 5)
+    module.main()
+    out = capsys.readouterr().out
+    rows = [line.split() for line in out.splitlines()
+            if line.strip().split(" ")[0].isdigit()]
+    assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4]
+    assert [r[1] for r in rows] == ["HOT"] + ["cold"] * 4
+    assert all(0 < float(r[2]) <= float(r[3]) for r in rows)
+    assert "hot queue mean occupancy:" in out
