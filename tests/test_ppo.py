@@ -11,7 +11,6 @@ import pytest
 from repro.rl.ippo import IPPOTrainer
 from repro.rl.ppo import PPOConfig
 from tests import plain_rl
-from tests.plain_rl import approx_kl_k3
 
 
 def _agent(**overrides):
@@ -167,7 +166,7 @@ class TestKLEstimator:
 
     def test_identical_policies_give_zero(self):
         lp = np.log(np.full(4, 0.25))
-        assert approx_kl_k3(lp, lp) == pytest.approx(0.0)
+        assert plain_rl.approx_kl_k3(lp, lp) == pytest.approx(0.0)
 
     def test_nonnegative_where_k1_goes_negative(self):
         # samples whose likelihood rose under the new policy: k1 < 0
@@ -175,7 +174,7 @@ class TestKLEstimator:
         new = np.log(np.array([0.7, 0.6, 0.5]))
         k1 = float(np.mean(old - new))
         assert k1 < 0
-        assert approx_kl_k3(old, new) >= 0.0
+        assert plain_rl.approx_kl_k3(old, new) >= 0.0
 
     def test_termwise_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -184,7 +183,7 @@ class TestKLEstimator:
         log_ratio = new - old
         terms = (np.exp(log_ratio) - 1.0) - log_ratio
         assert np.all(terms >= 0.0)       # (x-1) - log(x) >= 0 for x > 0
-        assert approx_kl_k3(old, new) == pytest.approx(terms.mean())
+        assert plain_rl.approx_kl_k3(old, new) == pytest.approx(terms.mean())
 
     def test_matches_exact_kl_under_proportional_sampling(self):
         """With action counts exactly proportional to p, the sample mean
@@ -196,7 +195,7 @@ class TestKLEstimator:
         old = np.log(p[actions])
         new = np.log(q[actions])
         exact = float(np.sum(p * np.log(p / q)))
-        assert approx_kl_k3(old, new) == pytest.approx(exact)
+        assert plain_rl.approx_kl_k3(old, new) == pytest.approx(exact)
 
 
 class TestTruncationBootstrap:
@@ -442,7 +441,7 @@ class _PlainPPO:
 
         return {"policy_loss": policy_loss, "value_loss": value_loss,
                 "entropy": float(entropy.mean()),
-                "approx_kl": approx_kl_k3(old_logp, new_logp),
+                "approx_kl": plain_rl.approx_kl_k3(old_logp, new_logp),
                 "clip_frac": float(np.mean(np.abs(ratio - 1.0)
                                            > cfg.clip_eps))}
 
