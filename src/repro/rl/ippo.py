@@ -175,7 +175,8 @@ class IPPOTrainer:
 
     def load_state_dict(self, state: Mapping[Hashable, Dict]) -> None:
         for aid, s in state.items():
-            self._load(self._row[aid], s)
+            self.learner.actor.load_state_dict(self._row[aid], s["actor"])
+            self.learner.critic.load_state_dict(self._row[aid], s["critic"])
 
     def broadcast_parameters(self, source_state: Dict) -> None:
         """Install one pre-trained model on every agent.
@@ -184,9 +185,4 @@ class IPPOTrainer:
         initial model is installed on all switches, which then diverge via
         online local incremental training (§4.4).
         """
-        for i in self._row.values():
-            self._load(i, source_state)
-
-    def _load(self, row: int, state: Mapping[str, Dict]) -> None:
-        self.learner.actor.load_state_dict(row, state["actor"])
-        self.learner.critic.load_state_dict(row, state["critic"])
+        self.load_state_dict(dict.fromkeys(self._row, source_state))
