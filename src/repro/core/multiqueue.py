@@ -121,13 +121,13 @@ class MultiQueuePETController:
             rewards = dict(zip(keys, self.reward.compute_fleet(cols).tolist()))
 
         if self.training:
-            for key, pending in list(self._pending.items()):
-                if key not in obs_now:
-                    continue
+            closed = [key for key in self._pending if key in obs_now]
+            for keys, rows in self._rounds(closed):
+                done = [self._pending[key] for key in keys]
                 self.trainer.learner.record(
-                    self.switches.index(key[0]), pending["obs"],
-                    pending["action"], rewards[key], False,
-                    pending["log_prob"], pending["value"])
+                    rows, [d["obs"] for d in done], [d["action"] for d in done],
+                    [rewards[k] for k in keys], False,
+                    [d["log_prob"] for d in done], [d["value"] for d in done])
             self._steps += 1
             if self._steps % cfg.update_interval == 0:
                 self.trainer.update()
@@ -135,15 +135,31 @@ class MultiQueuePETController:
         applied: Dict[QueueKey, ECNConfig] = {}
         eps = {s: (self.exploration[s].step() if self.training else 0.0)
                for s in self.switches}
-        for key, obs in obs_now.items():
-            s = key[0]
-            decision = self.trainer.act({s: obs}, epsilon=eps[s],
-                                        greedy=not self.training)[s]
-            self._pending[key] = {"obs": obs, **decision}
-            ecn = self.codec.decode(int(decision["action"]))
-            network.set_ecn_port(s, key[1], ecn)
+        for keys, rows in self._rounds(obs_now):
+            obs = np.array([obs_now[key] for key in keys])
+            cols = self.trainer.act(obs, rows=rows, greedy=not self.training,
+                                    epsilons=[eps[key[0]] for key in keys])
+            for j, key in enumerate(keys):
+                self._pending[key] = {"obs": obs[j], **{
+                    name: col[j] for name, col in cols.items()}}
+        for key in obs_now:
+            ecn = self.codec.decode(int(self._pending[key]["action"]))
+            network.set_ecn_port(key[0], key[1], ecn)
             applied[key] = ecn
         return applied
+
+    def _rounds(self, keys) -> List[Tuple[List[QueueKey], np.ndarray]]:
+        """``keys`` in rounds that hold each switch at most once, round
+        ``j`` its ``j``-th queue, as ``(keys, trainer rows)``: a stacked
+        call per round draws and records per switch in ``keys`` order,
+        as a call per queue would."""
+        rounds: Dict[int, List[QueueKey]] = {}
+        seen = dict.fromkeys(self.switches, 0)
+        for key in keys:
+            rounds.setdefault(seen[key[0]], []).append(key)
+            seen[key[0]] += 1
+        return [(r, np.array([self.switches.index(k[0]) for k in r]))
+                for r in rounds.values()]
 
     def advance_exploration(self, steps: int) -> None:
         for sched in self.exploration.values():
