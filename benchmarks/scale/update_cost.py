@@ -18,10 +18,15 @@ Points are visited round-robin per trial, so a slow spell of the
 machine spreads over all of them; ``calib_ms`` (the fixed kernel of
 ``benchmarks/perf/stats.py``) is recorded beside every row to show one.
 
+Each group's CPU share — its thread's ``time.thread_time()`` over its
+wall time in the update, median over the timed updates — tells a slow
+two-group point that was starved of a CPU (two groups near 0.5 took
+turns on one) from one whose work grew.
+
 Writes one JSON row per (trial, point) to ``--out`` (agents, groups,
-trial, ms per update, ms per agent, the child's peak RSS, ``cpu_count``,
-``calib_ms``), then prints per point the median [q1..q3] of ms per agent
-and, per size, what two groups buy over one.
+trial, ms per update, ms per agent, ``cpu_share`` per group, the child's
+peak RSS, ``cpu_count``, ``calib_ms``), then prints per point the median
+[q1..q3] of ms per agent and, per size, what two groups buy over one.
 
     python benchmarks/scale/update_cost.py            # 3 trials a point
     python benchmarks/scale/update_cost.py --quick    # 1 trial, 1 update
@@ -60,12 +65,32 @@ def point(agents: int, groups: int, reps: int, seed: int) -> Dict[str, Any]:
 
     stacked.usable_cores = lambda: groups
     stacked.MIN_AGENTS_PER_GROUP = 1
+    shares: List[List[float]] = []      # per timed update, per group
+    run_threads = stacked._run_threads
+
+    def timed_threads(work):
+        """``_run_threads`` with each group's CPU share of its wall time."""
+        spent: List[float] = [0.0] * len(work)
+
+        def timed(i, w):
+            c0, t0 = time.thread_time(), time.perf_counter()
+            out = w()
+            spent[i] = ((time.thread_time() - c0)
+                        / max(time.perf_counter() - t0, 1e-9))
+            return out
+        out = run_threads([lambda i=i, w=w: timed(i, w)
+                           for i, w in enumerate(work)])
+        shares.append(spent)
+        return out
+
+    stacked._run_threads = timed_threads
     pet = PETConfig.fast(seed=seed)
     cfg = ppo_config(pet, n_actions=10)
     trainer = IPPOTrainer([f"s{i}" for i in range(agents)], cfg)
     rows = np.arange(agents)
     rng = np.random.default_rng(seed)
-    spent = []
+    spent: List[float] = []
+    cpu_share: List[List[float]] = []
     for _ in range(reps):
         for _ in range(pet.update_interval):
             obs = rng.normal(size=(agents, cfg.obs_dim))
@@ -75,15 +100,25 @@ def point(agents: int, groups: int, reps: int, seed: int) -> Dict[str, Any]:
                                    dec["log_prob"], dec["value"])
         last = dict(zip(trainer.agent_ids,
                         rng.normal(size=(agents, cfg.obs_dim))))
+        del shares[:]
         t0 = time.perf_counter()
         trainer.update(last)
         spent.append(time.perf_counter() - t0)
+        cpu_share.append(shares[-1])
     ms = float(np.median(spent)) * 1e3
     return {"agents": agents, "groups": groups, "seed": seed,
             "ms_per_update": ms, "ms_per_agent": ms / agents,
+            # per group, the median over the updates of its thread's CPU
+            # time over its wall time: 1.0 is a group that had a CPU to
+            # itself; two groups near 0.5 took turns on one
+            "cpu_share": np.median(cpu_share, axis=0).tolist(),
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024,
             "cpu_count": os.cpu_count(), "calib_ms": calibrate()}
+
+
+def _shares(row: Dict[str, Any]) -> str:
+    return "/".join(f"{x:.2f}" for x in row["cpu_share"])
 
 
 def run_child(agents: int, groups: int, reps: int, seed: int
@@ -126,6 +161,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print(f"agents={agents:3d} groups={groups} trial={t}: "
                           f"{row['ms_per_update']:9.1f} ms/update "
                           f"{row['ms_per_agent']:6.2f} ms/agent "
+                          f"cpu share {_shares(row)} "
                           f"rss {row['peak_rss_mb']:6.1f} MB "
                           f"calib {row['calib_ms']:.1f} ms", flush=True)
 

@@ -10,11 +10,11 @@ classification threshold used for the R_flow state feature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from repro.netsim.flow import Flow
+from repro.netsim.flow import MICE_ELEPHANT_THRESHOLD, Flow
 
 __all__ = ["FCTStats", "normalized_fcts", "fct_statistics",
            "MICE_BUCKET_MAX", "ELEPHANT_BUCKET_MIN"]
@@ -47,18 +47,38 @@ class FCTStats:
                    p99=float(np.percentile(arr, 99)))
 
 
+def _columns(flows: Iterable[Flow], bottleneck_bps: float, base_rtt: float
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slowdown and size of every *finished* flow as float64 columns, in
+    flow order, and which of them count: those whose ideal FCT is not
+    ``<= 0`` (where one does not, the column holds its FCT).
+
+    Elementwise, these are the IEEE operations of :attr:`Flow.fct` and
+    :meth:`Flow.ideal_fct` on each record: ``(finish − start) / (size · 8
+    / bps + rtt)``."""
+    done = [f for f in flows if f.finish_time is not None]
+    n = len(done)
+    if n and bottleneck_bps <= 0:
+        raise ValueError("bottleneck rate must be positive")
+    # in place where a column is not needed again: the same operations
+    slowdown = np.fromiter((f.finish_time for f in done), np.float64, n)
+    slowdown -= np.fromiter((f.start_time for f in done), np.float64, n)
+    size = np.fromiter((f.size_bytes for f in done), np.float64, n)
+    del done
+    ideal = size * 8.0
+    ideal /= bottleneck_bps
+    ideal += base_rtt
+    counts = ~(ideal <= 0)
+    np.divide(slowdown, ideal, out=slowdown, where=counts)
+    return slowdown, size, counts
+
+
 def normalized_fcts(flows: Iterable[Flow], bottleneck_bps: float,
                     base_rtt: float = 0.0) -> np.ndarray:
-    """Slowdown of every *finished* flow (>= 1 in an ideal run)."""
-    out: List[float] = []
-    for f in flows:
-        if f.fct is None:
-            continue
-        ideal = f.ideal_fct(bottleneck_bps, base_rtt)
-        if ideal <= 0:
-            continue
-        out.append(f.fct / ideal)
-    return np.asarray(out, dtype=np.float64)
+    """Slowdown of every *finished* flow (>= 1 in an ideal run), in flow
+    order; a flow whose ideal FCT is ``<= 0`` is left out."""
+    slowdown, _, counts = _columns(flows, bottleneck_bps, base_rtt)
+    return slowdown[counts]
 
 
 def fct_statistics(flows: Iterable[Flow], bottleneck_bps: float,
@@ -70,20 +90,14 @@ def fct_statistics(flows: Iterable[Flow], bottleneck_bps: float,
 
     Returns keys ``overall``, ``mice``, ``elephant`` (elephant falls back
     to the >1MB class when nothing reaches the 10 MB bucket, so small
-    scenario runs still report a long-flow figure).
+    scenario runs still report a long-flow figure).  The finished flows
+    are read once into columns, and each bucket is a mask over them.
     """
-    finished = [f for f in flows if f.fct is not None]
-    buckets: Dict[str, List[Flow]] = {"overall": finished,
-                                      "mice": [], "elephant": []}
-    for f in finished:
-        if f.size_bytes <= mice_max:
-            buckets["mice"].append(f)
-        if f.size_bytes >= elephant_min:
-            buckets["elephant"].append(f)
-    if not buckets["elephant"]:
-        buckets["elephant"] = [f for f in finished if f.is_elephant]
-    out: Dict[str, FCTStats] = {}
-    for name, fl in buckets.items():
-        out[name] = FCTStats.from_values(
-            normalized_fcts(fl, bottleneck_bps, base_rtt))
-    return out
+    slowdown, size, counts = _columns(flows, bottleneck_bps, base_rtt)
+    elephant = size >= elephant_min
+    if not elephant.any():
+        elephant = size > MICE_ELEPHANT_THRESHOLD
+    return {name: FCTStats.from_values(slowdown[counts & bucket])
+            for name, bucket in (("overall", counts),
+                                 ("mice", size <= mice_max),
+                                 ("elephant", elephant))}

@@ -130,8 +130,10 @@ class FleetNCM:
         was = self._newest.nonzero()[0]
         sw_old, fid_old = self._win[:2].take(was, axis=1)
         fid_new = table[_FID]
-        if max(abs(fid_old).max(initial=0),
-               abs(fid_new).max(initial=0)) >= (1 << 62) // n:  # sparse ids
+        wide = (1 << 62) // n       # sparse ids; ``abs`` of -2**63 wraps
+        lo = min(fid_old.min(initial=0), fid_new.min(initial=0))
+        hi = max(fid_old.max(initial=0), fid_new.max(initial=0))
+        if hi >= wide or lo <= -wide:
             dense = np.unique(np.concatenate((fid_old, fid_new)),
                               return_inverse=True)[1]
             fid_old, fid_new = dense[:was.size], dense[was.size:]

@@ -22,9 +22,14 @@ def classify_flow_size(size_bytes: int) -> str:
     return "elephant" if size_bytes > MICE_ELEPHANT_THRESHOLD else "mice"
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
-    """One sender→receiver transfer."""
+    """One sender→receiver transfer.
+
+    Slotted: a record carries its fields and nothing else (no
+    ``__dict__``, so no ad-hoc attributes), which is most of what a
+    fabric with hundreds of thousands of flows holds per flow.
+    """
 
     flow_id: int
     src: Any

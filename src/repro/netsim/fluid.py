@@ -584,10 +584,12 @@ class _FluidStepper:
         if fin is not None and np.logical_or.reduce(fin):
             rows = at[fin]
             tab.release(rows)
+            records = net._records
             # finish times keep the residual queueing delay and stay
             # np.float64: fingerprints print them with repr
-            for fid, t in zip(tab.f_fid[rows].tolist(), net.now + delay[fin]):
-                flow = net.flow_objs[fid]
+            for i, t in zip(net._record_of(tab.f_fid[rows]).tolist(),
+                            net.now + delay[fin]):
+                flow = records[i]
                 flow.finish_time = t
                 flow.bytes_sent = flow.bytes_acked = flow.size_bytes
                 net.finished_flows.append(flow)
@@ -623,7 +625,12 @@ class FlowTableMixin(_FluidStepper):
         self._owners = range(table.n_owners)
         #: hosts under each row of ``uplink_up`` (a leaf, a pod)
         self._hosts_per_end = hosts_per_end
-        self.flow_objs: Dict[int, Flow] = {}
+        #: every registered flow's record, in registration order
+        self._records: List[Flow] = []
+        #: every registered flow id, sorted, and the index in
+        #: ``_records`` of each one's record
+        self._ids = np.empty(0, dtype=np.uint64)
+        self._id_record = np.empty(0, dtype=np.int64)
         self._pending = _PendingFlows()
         self.finished_flows: List[Flow] = []
         self.latencies: List[Tuple[float, float]] = []
@@ -656,26 +663,30 @@ class FlowTableMixin(_FluidStepper):
         self._register(flows)
 
     def _register(self, flows: Sequence[Flow]) -> None:
-        """Validate a whole list of flows, then register it: the flows go
-        into ``flow_objs`` and, as columns, into the pending table.
+        """Validate a whole list of flows, then register it: the records
+        go into ``_records``, their ids into the sorted ``_ids`` and the
+        flows, as columns, into the pending table.
 
         Raises ``ValueError`` — before anything is registered — on a flow
         id that is already registered, repeated in the list or outside
         ``[0, 2**64)``, and on a source or destination that is not a host
         of this fabric.  Each distinct host name is parsed once.
         """
-        flow_objs = self.flow_objs
         ids = [f.flow_id for f in flows]
         try:
             fid_col = np.array(ids, dtype=np.uint64)
         except (OverflowError, TypeError):
             raise ValueError("flow ids must be integers in [0, 2**64)") from None
-        by_id = np.sort(fid_col)
-        if ((by_id[1:] == by_id[:-1]).any()
-                or not flow_objs.keys().isdisjoint(ids)):
-            seen: set = set()
+        order = fid_col.argsort(kind="stable")
+        by_id, known = fid_col[order], self._ids
+        at = known.searchsorted(by_id)
+        taken = np.zeros(len(by_id), dtype=bool)
+        if len(known):
+            taken = known[np.minimum(at, len(known) - 1)] == by_id
+        if (by_id[1:] == by_id[:-1]).any() or taken.any():
+            registered, seen = set(by_id[taken].tolist()), set()
             for fid in ids:
-                if fid in flow_objs or fid in seen:
+                if fid in registered or fid in seen:
                     raise ValueError(f"duplicate flow id {fid}")
                 seen.add(fid)
         src = [f.src for f in flows]
@@ -694,8 +705,15 @@ class FlowTableMixin(_FluidStepper):
             np.array([index[h] for h in src], dtype=np.int32),
             np.array([index[h] for h in dst], dtype=np.int32),
             np.array([f.size_bytes for f in flows], dtype=np.float64))
-        flow_objs.update(zip(ids, flows))
+        self._ids = np.insert(known, at, by_id)
+        self._id_record = np.insert(self._id_record, at,
+                                    order + len(self._records))
+        self._records += flows
         self._routed = None     # the merge renumbers the pending rows
+
+    def _record_of(self, fids: np.ndarray) -> np.ndarray:
+        """The ``_records`` index of each registered flow id of ``fids``."""
+        return self._id_record[self._ids.searchsorted(fids)]
 
     @staticmethod
     def _host_index(name) -> int:
@@ -759,7 +777,7 @@ class FlowTableMixin(_FluidStepper):
         ids, copied out in (owner, slot) order."""
         tab, at = self._table, self._table.active(self._owners)
         return _ObsSnapshot(
-            tab.f_fid[at].tolist(), tab.f_size[at] - tab.f_remaining[at],
+            tab.f_fid[at], tab.f_size[at] - tab.f_remaining[at],
             tab.f_path[at], tab.f_src[at], tab.f_dst[at], self.q_switch)
 
     def active_flow_count(self) -> int:
@@ -767,7 +785,9 @@ class FlowTableMixin(_FluidStepper):
 
     @property
     def flows(self) -> Dict[int, Flow]:
-        return self.flow_objs
+        """Every registered flow by id, in registration order: a dict
+        built on each call (the network keeps the records in a list)."""
+        return {f.flow_id: f for f in self._records}
 
 
 class _ObsSnapshot(FlowRows):
@@ -779,7 +799,7 @@ class _ObsSnapshot(FlowRows):
     does not reach it.
     """
 
-    def __init__(self, fids: List[int], seen: np.ndarray, paths: np.ndarray,
+    def __init__(self, fids: np.ndarray, seen: np.ndarray, paths: np.ndarray,
                  src: np.ndarray, dst: np.ndarray,
                  q_switch: np.ndarray) -> None:
         self._fids = fids
@@ -809,7 +829,10 @@ class _ObsSnapshot(FlowRows):
             flow, at_hop = keep.nonzero()
             seen = np.where(self._seen > 1.0, self._seen, 1.0).astype(np.int64)
             self._rows = (sw[flow, at_hop],
-                          np.array(self._fids, dtype=np.int64)[flow],
+                          # an id's 64 bits, as int64: ids from 2**63
+                          # read negative
+                          np.asarray(self._fids, dtype=np.uint64).view(
+                              np.int64)[flow],
                           self._src[flow], self._dst[flow], seen[flow])
         return self._rows
 

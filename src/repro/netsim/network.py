@@ -45,9 +45,10 @@ class FlowRows:
     """The per-flow observations of one collection, every switch's: five
     int64 columns ``(switch index, flow id, src host id, dst host id,
     bytes seen)``, one row per (flow, switch), a switch's rows oldest
-    observation first.  The records of the collection share it, each as
-    ``(table, its switch index)``.  Tables compare and print by value,
-    so records compare and fingerprint by what they observed."""
+    observation first.  A flow id is kept as its 64 bits, so an id from
+    ``2**63`` reads negative.  The records of the collection share it,
+    each as ``(table, its switch index)``.  Tables compare and print by
+    value, so records compare and fingerprint by what they observed."""
 
     def __init__(self, columns: Tuple[np.ndarray, ...]) -> None:
         self._columns = columns
@@ -284,8 +285,10 @@ class PacketNetwork:
                 tx_bytes=tx, tx_marked_bytes=marked, dropped_pkts=drops,
                 capacity_bps=sw.aggregate_capacity_bps(),
                 ecn=sw.current_ecn(), n_queues=len(sw.ports))
-        table = FlowRows(tuple(np.array(rows, dtype=np.int64)
-                                .reshape(-1, 5).T.copy()))
+        # every value is non-negative; a flow id's 64 bits are kept as
+        # int64, so ids from 2**63 read negative
+        table = FlowRows(tuple(np.array(rows, dtype=np.uint64)
+                                .reshape(-1, 5).T.copy().view(np.int64)))
         for s, st in enumerate(out.values()):
             st.flow_rows = (table, s)
         self._reset_baselines()

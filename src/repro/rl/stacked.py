@@ -256,19 +256,23 @@ def sample(probs: np.ndarray, rngs: Optional[Sequence[np.random.Generator]],
         actions = probs.argmax(axis=1)
     else:
         eps_of = epsilons if epsilons is not None else [0.0] * len(rngs)
-        actions = np.empty(len(rngs), dtype=np.int64)
-        for j, (rng, eps, p) in enumerate(zip(rngs, eps_of, probs)):
+        n = probs.shape[1]
+        uniform = np.full(len(rngs), -1, dtype=np.int64)
+        u = np.zeros(len(rngs))
+        # each row's generator draws what ``rng.choice`` would, in row
+        # order: the epsilon test, then a uniform action or one uniform
+        for j, (rng, eps) in enumerate(zip(rngs, eps_of)):
             if eps > 0.0 and rng.random() < eps:
-                actions[j] = rng.integers(p.shape[0])
+                uniform[j] = rng.integers(n)
             else:
-                # Inlined ``rng.choice(n, p=p)``: numpy's implementation
-                # normalizes the cumsum, draws one uniform, and
-                # right-searchsorts it — replicated verbatim (same
-                # single RNG draw, same floats), minus its per-call
-                # validation.
-                cdf = p.cumsum()
-                cdf /= cdf[-1]
-                actions[j] = cdf.searchsorted(rng.random(), side="right")
+                u[j] = rng.random()
+        # numpy's ``choice(n, p=p)`` normalizes the cumsum and
+        # right-searchsorts its uniform: over a non-decreasing cdf, the
+        # count of entries <= u (same floats, same draw, all rows at once)
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        actions = np.count_nonzero(cdf <= u[:, None], axis=1)
+        np.copyto(actions, uniform, where=uniform >= 0)
     chosen = probs[np.arange(len(actions)), actions]
     return actions, np.log(np.maximum(chosen, 1e-12))
 

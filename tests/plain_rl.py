@@ -7,7 +7,8 @@ byte for byte.
 Everything here is the textbook form, one 2-D array at a time:
 ``x @ W + b`` with tanh or ReLU between layers, hand-written backward,
 an ``np.dot`` global-norm clip, Kingma & Ba's Adam per parameter, and
-``rng.choice(n, p=p)`` sampling.
+``rng.choice(n, p=p)`` sampling (``sample``: the same draw, one row at a
+time).
 """
 
 import math
@@ -122,6 +123,25 @@ def act(state, rng, obs, *, epsilon=0.0, greedy=False):
     value = float(PlainMLP(state["critic"]).forward(obs)[0, 0])
     return {"action": a, "log_prob": float(np.log(max(p[a], 1e-12))),
             "value": value}
+
+
+def sample(probs, rngs, epsilons=None):
+    """The stacked sampler one row at a time: row ``j`` tests
+    ``epsilons[j]`` on ``rngs[j]``, then draws ``integers(n)`` or runs
+    ``rng.choice(n, p=probs[j])`` inlined — numpy's normalized cumsum,
+    one uniform, a right ``searchsorted`` — without its per-call
+    validation.  Returns the actions and their log-probabilities."""
+    eps_of = epsilons if epsilons is not None else [0.0] * len(rngs)
+    actions = np.empty(len(rngs), dtype=np.int64)
+    for j, (rng, eps, p) in enumerate(zip(rngs, eps_of, probs)):
+        if eps > 0.0 and rng.random() < eps:
+            actions[j] = rng.integers(p.shape[0])
+        else:
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            actions[j] = cdf.searchsorted(rng.random(), side="right")
+    chosen = probs[np.arange(len(actions)), actions]
+    return actions, np.log(np.maximum(chosen, 1e-12))
 
 
 def approx_kl_k3(old_logp, new_logp):

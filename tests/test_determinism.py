@@ -81,8 +81,8 @@ class TestPacketLevelDeterminism:
         for i in range(6):
             f = Flow(i, f"h{i % 2}", f"h{2 + i % 2}", 30_000,
                      start_time=i * 1e-4)
-            n1.start_flow(Flow(**f.__dict__))
-            n2.start_flow(Flow(**f.__dict__))
+            n1.start_flow(dataclasses.replace(f))
+            n2.start_flow(dataclasses.replace(f))
         n1.advance(0.01)
         n2.advance(0.01)
         assert sorted((f.flow_id, f.finish_time) for f in n1.finished_flows) \

@@ -8,6 +8,9 @@ documented queue layout and the scalar ``ecmp_hash`` — not a call into
 links fail, partition and come back.
 """
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +39,7 @@ class TestRegistration:
         net = _NETWORKS[kind]()
         with pytest.raises(ValueError, match="unknown host"):
             net.start_flow(Flow(1, "h0", dst, 1000))
-        assert net.active_flow_count() == 0 and not net.flow_objs
+        assert net.active_flow_count() == 0 and not net.flows
         net.advance(1e-3)                       # nothing half-registered
 
     @pytest.mark.parametrize("src", ["h9999", "hx", -1])
@@ -66,7 +69,7 @@ class TestRegistration:
         with pytest.raises(ValueError):
             net.start_flows(good[:3] + [bad] + good[3:])
         assert net.active_flow_count() == 1
-        assert list(net.flow_objs) == [0]
+        assert list(net.flows) == [0]
         net.start_flows(good)                   # the good ones still fit
         assert net.active_flow_count() == 6
 
@@ -345,3 +348,48 @@ def test_registering_mid_run_drops_the_routes_made_ahead():
         net._step(dt)
         oracle.after_step()
     assert len(oracle.routes) == 66
+
+
+def test_flow_records_are_slotted():
+    """A ``Flow`` holds its fields and nothing else: no ``__dict__``, no
+    ad-hoc attributes; copies and pickles keep every field."""
+    f = Flow(3, "h0", "h5", 1000, start_time=0.5, tag="websearch")
+    f.finish_time = np.float64(0.75)
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(AttributeError):
+        f.note = "x"
+    for copy in (dataclasses.replace(f), pickle.loads(pickle.dumps(f))):
+        assert copy == f and repr(copy) == repr(f)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ids=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=24,
+                    unique=True),
+       cuts=st.lists(st.integers(0, 24), max_size=3))
+def test_each_completion_finds_its_own_record(ids, cuts):
+    """Completions find a record by its flow id through the sorted id
+    column.  On a one-spine fabric no route depends on an id, so the
+    same flows under any ids — wide ones, out of order, registered over
+    several calls — finish at the same times as under ids 0, 1, …, and
+    each time lands on the record registered in that place."""
+    cuts = sorted(min(c, len(ids)) for c in cuts)
+
+    def run(fids):
+        net = FluidNetwork(FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=4,
+                                       host_rate_bps=10e9,
+                                       spine_rate_bps=40e9), seed=0)
+        flows = [Flow(fid, f"h{i % 8}", f"h{(i + 3) % 8}", 10_000 * (i + 1),
+                      start_time=(i % 3) * 1e-4)
+                 for i, fid in enumerate(fids)]
+        for lo, hi in zip([0] + cuts, cuts + [len(flows)]):
+            net.start_flows(flows[lo:hi])
+        net.advance(5e-3)
+        return flows, net
+
+    wide, net = run(ids)
+    plain, ref = run(list(range(len(ids))))
+    assert all(f.done for f in wide)
+    assert [f.finish_time for f in wide] == [f.finish_time for f in plain]
+    assert [f.flow_id for f in net.finished_flows] == \
+        [ids[f.flow_id] for f in ref.finished_flows]
+    assert list(net.flows) == ids

@@ -97,7 +97,7 @@ class TestConservationAndSharing:
         for i in range(5):
             net.start_flow(Flow(i, "h0", "h4", 10_000, start_time=i * 1e-3))
         net.advance(0.05)
-        assert all(f.done for f in net.flow_objs.values())
+        assert all(f.done for f in net.flows.values())
         assert owner_tables(net)[0].n_flows <= 5
 
     def test_full_table_with_free_slots_does_not_grow(self):
@@ -134,9 +134,9 @@ class TestConservationAndSharing:
         live = int(tab.f_active.sum())
         assert live == 3 == len(tab.fid_at)
         assert tab.n_flows - len(tab.free) == live
-        # nothing but the caller-visible flow record grows with history
+        # no dict grows with history (the flow records are a list)
         assert {k for k, v in vars(net).items()
-                if isinstance(v, dict) and len(v) > 16} == {"flow_objs"}
+                if isinstance(v, dict) and len(v) > 16} == set()
 
 
 class TestQueueDynamics:

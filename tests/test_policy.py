@@ -5,7 +5,10 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.rl import stacked
 from repro.rl.policy import ExplorationSchedule, softmax
 from repro.rl.ippo import IPPOTrainer
 from repro.rl.ppo import PPOConfig
@@ -32,6 +35,37 @@ class TestSoftmax:
 
 def _log_softmax(z):
     return np.log(softmax(z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(agents=st.sampled_from([1, 6, 32]),
+       eps=st.sampled_from([0.0, 0.05, 1.0]),
+       n_actions=st.sampled_from([1, 2, 10]),
+       zeros=st.sampled_from(["none", "some", "row"]),
+       seed=st.integers(0, 2**32 - 1), calls=st.integers(1, 4))
+def test_one_pass_sampler_equals_the_per_row_oracle(agents, eps, n_actions,
+                                                    zeros, seed, calls):
+    """Actions, log-probabilities and every generator's state after the
+    call equal the per-row ``rng.choice`` oracle's, for epsilon 0, small
+    and 1 (per row, or left out), with probabilities that are exactly
+    zero in places or in a whole row."""
+    data = np.random.default_rng(seed)
+    rngs = [np.random.default_rng([seed, a]) for a in range(agents)]
+    twins = copy.deepcopy(rngs)
+    for _ in range(calls):
+        probs = softmax(data.normal(size=(agents, n_actions)))
+        if zeros == "some":
+            probs[data.random(probs.shape) < 0.4] = 0.0
+        elif zeros == "row":
+            probs[data.integers(agents)] = 0.0
+        epsilons = None if eps == 0.0 else [eps] * agents
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got = stacked.sample(probs, rngs, epsilons)
+            want = plain_rl.sample(probs, twins, epsilons)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert [r.bit_generator.state for r in rngs] == \
+            [t.bit_generator.state for t in twins]
 
 
 class TestCategoricalPolicy:

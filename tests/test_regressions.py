@@ -105,11 +105,11 @@ class TestFluidSlotRecycling:
                                        spine_rate_bps=40e9), seed=0)
         net.start_flow(Flow(1, "h0", "h2", 10_000))
         net.advance(5e-3)
-        assert net.flow_objs[1].done
+        assert net.flows[1].done
         assert net._table.free == [[0]]     # slot returned
         net.start_flow(Flow(2, "h0", "h2", 10_000, start_time=net.now))
         net.advance(5e-3)
-        assert net.flow_objs[2].done
+        assert net.flows[2].done
         assert net._table.n_flows == [1]    # second flow reused the slot
 
 

@@ -213,9 +213,9 @@ class TestStackedFlowTable:
         assert live == 3
         assert sum(len(t.fid_at) for t in owner_tables(net)) == live
         assert sum(t.n_flows - len(t.free) for t in owner_tables(net)) == live
-        # nothing but the caller-visible flow record grows with history
+        # no dict grows with history (the flow records are a list)
         assert {k for k, v in vars(net).items()
-                if isinstance(v, dict) and len(v) > 16} == {"flow_objs"}
+                if isinstance(v, dict) and len(v) > 16} == set()
 
 
 # ------------------------------------------------------------- surface
@@ -347,7 +347,7 @@ def test_boundary_exchange_conserves_bytes_in_flight(n_flows, seed):
     cfg = _small()
     net = ShardedFluidNetwork(cfg, seed=0)
     _load(net, cfg, n_flows=n_flows, seed=seed, spread=1e-3)
-    injected_cap = sum(f.size_bytes for f in net.flow_objs.values())
+    injected_cap = sum(f.size_bytes for f in net.flows.values())
     for _ in range(60):
         net._step(cfg.step_dt)
         assert 0.0 <= net.bytes_in_flight() <= injected_cap
@@ -537,8 +537,8 @@ def test_sharded_flow_tables_survive_divergence_and_reroutes(
     net = ShardedFluidNetwork(cfg, seed=0)
     _load(net, cfg, n_flows=n_flows, seed=seed, spread=1e-3)
     owner = {fid: int(cfg.owner_pod_of_flow(int(f.src[1:])))
-             for fid, f in net.flow_objs.items()}
-    injected_cap = sum(f.size_bytes for f in net.flow_objs.values())
+             for fid, f in net.flows.items()}
+    injected_cap = sum(f.size_bytes for f in net.flows.values())
     for k in range(60):
         if k == 20:   # mid-run per-switch divergence
             net.set_ecn("pod1.agg0", ECNConfig(kmin_bytes=5_000,
@@ -636,7 +636,7 @@ def test_integration_work_follows_live_queues(monkeypatch):
                 assert after[name][idle].tobytes() == \
                     before[name][idle].tobytes(), name
     assert off_path > 0
-    assert len(net.finished_flows) == len(net.flow_objs)
+    assert len(net.finished_flows) == len(net.flows)
     assert len(windows[-1]["block"].queues) == 0
 
 

@@ -38,9 +38,9 @@ class TestFluidSlotReuse:
             net.start_flow(Flow(i, "h1", "h3", 20_000,
                                 start_time=i * 1e-3))
         net.advance(0.15)
-        shorts = [f for f in net.flow_objs.values() if f.flow_id > 0]
+        shorts = [f for f in net.flows.values() if f.flow_id > 0]
         assert all(f.done for f in shorts)
-        assert not net.flow_objs[0].done     # elephant still going
+        assert not net.flows[0].done     # elephant still going
         # short flows reused slots around the pinned long flow
         assert net._table.n_flows[0] < 60
 
@@ -94,4 +94,4 @@ class TestStatsInterplay:
                 assert np.isfinite(st.avg_qlen_bytes)
                 assert st.tx_bytes >= 0
                 assert 0.0 <= st.utilization <= 1.0
-        assert all(f.done for f in net.flow_objs.values())
+        assert all(f.done for f in net.flows.values())

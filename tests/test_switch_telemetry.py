@@ -221,13 +221,13 @@ def test_port_stats_report_the_drops_their_switch_sums(kind):
 def _obs_oracle(net):
     """Per-switch ``{fid: (src, dst, bytes seen)}`` by a plain loop over
     the flow table(s) in (owner, slot) order, hosts as their indices."""
-    out = {}
+    out, flows = {}, net.flows
     for tab in owner_tables(net):
         for i in range(tab.n_flows):
             if not tab.f_active[i]:
                 continue
             fid = tab.fid_at[i]
-            flow = net.flow_objs[fid]
+            flow = flows[fid]
             seen = float(tab.f_size[i]) - float(tab.f_remaining[i])
             row = (int(flow.src[1:]), int(flow.dst[1:]), int(max(seen, 1.0)))
             for q in tab.f_path[i]:
