@@ -4,10 +4,11 @@
 evaluation and every benchmark: advance the simulator one Δt, read the
 per-switch statistics, let the controller decide, repeat.  That tick is
 written once, in :func:`drive`, over the replicas one ``advance`` moves:
-``run_control_loop`` is its one-replica call, and a
+``run_control_loop`` is its one-replica call, a
 :class:`~repro.netsim.batchfluid.BatchFluidNetwork` that
 :func:`lockstep_groups` builds from R compatible fluid networks is its
-R-replica call.
+R-replica call, and each :class:`repro.serve.plane.ControlPlane` tick is
+its one-interval call.
 
 ``pretrain_offline_multi`` reproduces the offline phase: a PET
 controller is trained against simulated traffic on a training fabric,
@@ -101,12 +102,28 @@ def run_control_loop(network, controller, *, intervals: int, delta_t: float,
         ``on_interval`` keep observing the network's ground truth).  The
         injected/handled fault events land in :attr:`LoopResult.faults`.
     """
-    return drive(network, [(network, controller, on_interval, chaos)],
-                 intervals=intervals, delta_t=delta_t)[0]
+    trace: List[float] = []
+    qlen: Dict[str, List[float]] = {}
+
+    def record(i: int, now: float, stats: Dict) -> None:
+        util = [st.utilization for st in stats.values()]
+        trace.append(float(np.mean(util)) if util else 0.0)
+        for name, st in stats.items():
+            qlen.setdefault(name, []).append(st.avg_qlen_bytes)
+        if on_interval is not None:
+            on_interval(i, now, stats)
+
+    drive(network, [(network, controller, record, chaos)],
+          intervals=intervals, delta_t=delta_t)
+    return LoopResult(intervals=intervals, mean_reward=float(np.mean(trace)),
+                      rewards_per_switch={k: float(np.mean(v))
+                                          for k, v in qlen.items()},
+                      reward_trace=trace,
+                      faults=_collect_faults(controller, chaos))
 
 
 def drive(stepper, replicas: Sequence[Tuple], *, intervals: int,
-          delta_t: float) -> List[LoopResult]:
+          delta_t: float) -> None:
     """The control-loop tick, over the replicas one ``advance`` moves.
 
     ``replicas`` holds ``(network, controller, on_interval, chaos)``
@@ -117,15 +134,13 @@ def drive(stepper, replicas: Sequence[Tuple], *, intervals: int,
     the ``advance``; after it every replica in turn reads its
     statistics, lets its controller decide on what its injector lets
     through and runs its ``on_interval``, with the same arithmetic for
-    any R, so a replica's :class:`LoopResult` is bit-identical to its
-    solo run.
+    any R, so a replica's run is bit-identical to its solo run.  What a
+    caller keeps of a run, its ``on_interval`` collects.
     """
     if intervals <= 0:
         raise ValueError("intervals must be positive")
     tr = get_tracer()
     reg = get_registry()
-    traces: List[List[float]] = [[] for _ in replicas]
-    qlens: List[Dict[str, List[float]]] = [{} for _ in replicas]
     for i in range(intervals):
         now = stepper.now
         with tr.span("loop.tick", interval=i, now=now):
@@ -134,31 +149,20 @@ def drive(stepper, replicas: Sequence[Tuple], *, intervals: int,
                     chaos.tick(now)
             with tr.span("net.advance", interval=i):
                 stepper.advance(delta_t)
-            for (net, controller, on_interval, chaos), trace, qlen in zip(
-                    replicas, traces, qlens):
+            for net, controller, on_interval, chaos in replicas:
                 with tr.span("net.queue_stats", interval=i):
                     stats = net.queue_stats()
                 seen = (stats if chaos is None
                         else chaos.filter_stats(stats, net.now))
                 with tr.span("controller.decide", interval=i):
                     controller.decide(seen, net.now, net)
-                util = [st.utilization for st in stats.values()]
-                mean_util = float(np.mean(util)) if util else 0.0
-                trace.append(mean_util)
-                for name, st in stats.items():
-                    qlen.setdefault(name, []).append(st.avg_qlen_bytes)
                 if reg:
+                    util = [st.utilization for st in stats.values()]
                     reg.inc("loop.intervals")
-                    reg.observe("loop.mean_utilization", mean_util)
+                    reg.observe("loop.mean_utilization",
+                                float(np.mean(util)) if util else 0.0)
                 if on_interval is not None:
                     on_interval(i, net.now, stats)
-    return [LoopResult(intervals=intervals, mean_reward=float(np.mean(trace)),
-                       rewards_per_switch={k: float(np.mean(v))
-                                           for k, v in qlen.items()},
-                       reward_trace=trace,
-                       faults=_collect_faults(controller, chaos))
-            for (_net, controller, _cb, chaos), trace, qlen in zip(
-                replicas, traces, qlens)]
 
 
 def lockstep_groups(nets: Sequence, horizons: Sequence

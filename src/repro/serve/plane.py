@@ -1,8 +1,8 @@
 """The serving control plane: one tick loop, many policies, one fabric.
 
-:class:`ControlPlane` owns a simulated fabric and drives it tick by
-tick, the way :func:`repro.core.training.run_control_loop` does for batch
-experiments — but built to stay up: every registered policy runs behind
+:class:`ControlPlane` owns a simulated fabric and ticks it through
+:func:`repro.core.training.drive`, the loop every batch experiment runs,
+but built to stay up: every registered policy runs behind
 the resilience guard, every ``decide`` is deadline-bounded on a worker
 thread against a :class:`~repro.serve.lifecycle.BufferedNetwork` (so a
 late or shadow decide can never mutate the fabric), telemetry reads and
@@ -10,13 +10,15 @@ checkpoint hot-reloads retry with exponential backoff, and the
 shadow → canary → promoted lifecycle with its no-regression gate and
 automatic rollback decides *who* acts.
 
-Per tick::
+Per tick, one ``drive`` interval with the plane as its network and its
+controller, then the plane's own upkeep::
 
-    chaos faults fire → fabric advances Δt → telemetry read (retried)
+    chaos faults fire → fabric advances Δt → telemetry read (retried;
+      exhausted: static safe ECN, and the interval ends here)
     → chaos poisons the copy controllers see → acting policy decides
       (deadline-bounded, buffered) → clean: buffer flushed to fabric;
       faulty: buffer dropped, static safe ECN applied *this tick*
-    → every shadow scores the same telemetry into its own buffer
+    → every other shadow scores the same telemetry into its own buffer
       (never flushed) → each faulty decide is one strike
     → true fabric metrics feed the gate windows
     → gate verdict (rollback / promotion) → periodic checkpoint
@@ -31,10 +33,12 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.static_ecn import secn1
+from repro.core.training import drive
 from repro.netsim.ecn import SECN1, ECNConfig
 from repro.obs import get_registry, get_tracer
 from repro.resilience.guard import ResilientController, config_in_bounds
@@ -127,6 +131,7 @@ class ControlPlane:
         #: the records the last tick read (None: it read none); ``/state``
         #: reports them, as a second collection would open a new interval
         self.last_stats: Optional[Dict[str, Any]] = None
+        self._acting_src: Optional[str] = None
         self.health = "starting"
         self.failure_reason: Optional[str] = None
         self.last_fault_tick = -(10 ** 9)
@@ -262,31 +267,22 @@ class ControlPlane:
 
     # -- the tick -------------------------------------------------------------
     def tick(self) -> Dict[str, Any]:
-        """Advance the fabric one Δt and run the whole serve sequence."""
+        """One :func:`~repro.core.training.drive` interval, the plane its
+        network and controller; then reload, health and export."""
         with self._lock:
             t = self.tick_count
-            if self.chaos is not None:
-                self.chaos.tick(self.net.now)
-            self.net.advance(self.config.delta_t)
-            now = self.net.now
-
-            stats = self.last_stats = self._read_telemetry(t, now)
-            acting_src = None
-            if stats is not None:
-                seen = (self.chaos.filter_stats(stats, now)
-                        if self.chaos is not None else stats)
-                acting_src = self._acting_decide(t, now, seen)
-                self._score_shadows(t, now, seen)
-                self._push_metrics(stats, acting_src)
-                self._gate_verdict(t)
+            self._acting_src = None
+            with suppress(RetryExhausted):      # queue_stats fell back
+                drive(self.net, [(self, self, None, self.chaos)],
+                      intervals=1, delta_t=self.config.delta_t)
             cfg = self.config
             if cfg.reload_every_ticks and t and t % cfg.reload_every_ticks == 0:
                 self._reload_all()
             self.tick_count += 1
             self._refresh_health()
             self._export(t)
-            return {"tick": t, "now": now, "health": self.health,
-                    "acting": acting_src,
+            return {"tick": t, "now": self.net.now, "health": self.health,
+                    "acting": self._acting_src,
                     "incumbent": self.registry.incumbent_name,
                     "canary": self.registry.canary_name}
 
@@ -297,27 +293,52 @@ class ControlPlane:
         return last
 
     # -- tick stages ----------------------------------------------------------
-    def _read_telemetry(self, t: int, now: float) -> Optional[Dict[str, Any]]:
-        """Fabric stats, retried; a dead telemetry path is a fault tick."""
+    @property
+    def now(self) -> float:
+        return self.net.now
+
+    def queue_stats(self) -> Dict[str, Any]:
+        """Fabric stats, retried; a dead telemetry path is a fault tick:
+        SECN1 goes on and the re-raised exhaustion ends the tick."""
+        self.last_stats = None
         try:
-            return retry_call(self.net.queue_stats, policy=_TELEMETRY_RETRY,
-                              sleep=self.sleep)
+            self.last_stats = retry_call(
+                self.net.queue_stats, policy=_TELEMETRY_RETRY,
+                sleep=self.sleep)
         except RetryExhausted as exc:
             self.telemetry_failures += 1
-            self._fallback(t)
+            self._fallback(self.tick_count)
             self._inc("serve.telemetry_failures")
-            self._event("serve.telemetry_failed", tick=t,
+            self._event("serve.telemetry_failed", tick=self.tick_count,
                         error=type(exc.last).__name__ if exc.last else "?")
-            return None
+            raise
+        return self.last_stats
 
-    def _acting_record(self):
-        """(record, source) for this tick's acting policy."""
-        canary = self.registry.canary
-        if canary is not None:
-            if (not self.gate.config.canary_requires_ready
-                    or self.health == "ready"):
-                return canary, "canary"
-        return self.registry.incumbent, "incumbent"
+    def decide(self, seen: Dict[str, Any], now: float, _net: Any) -> None:
+        """The acting policy (flushed if clean, else the fallback), then
+        the shadows, on the filtered ``seen``; then windows and gate."""
+        t, canary = self.tick_count, self.registry.canary
+        if canary is not None and (not self.gate.config.canary_requires_ready
+                                   or self.health == "ready"):
+            rec, source = canary, "canary"
+        else:
+            rec, source = self.registry.incumbent, "incumbent"
+        buf, fault = self._decide(rec, seen, now, t)
+        if fault is None:
+            buf.flush()
+            rec.record_proposals(t, buf.buffered)
+            if source == "canary":
+                rec.canary_ticks += 1
+            self.applied_by[source] += 1
+            self._inc("serve.applied", source=source)
+        else:
+            self._fallback(t)        # the buffer is dropped, never flushed
+            source = "fallback"
+        self._strike(rec, fault, t)
+        self._acting_src = source
+        self._score_shadows(rec, t, now, seen)
+        self._push_metrics(self.last_stats, source)
+        self._gate_verdict(t)
 
     def _fallback(self, t: int) -> None:
         """Static safe ECN (SECN1) on every switch, this tick."""
@@ -391,29 +412,12 @@ class ControlPlane:
             self._inc("serve.demotions", cause="breaches")
             self.demote(reason=f"{rec.strikes} decide breaches")
 
-    def _acting_decide(self, t: int, now: float, seen: Dict[str, Any]) -> str:
-        """Run the acting policy; flush a clean decide, else fall back."""
-        rec, source = self._acting_record()
-        buf, fault = self._decide(rec, seen, now, t)
-        if fault is None:
-            buf.flush()
-            rec.record_proposals(t, buf.buffered)
-            if source == "canary":
-                rec.canary_ticks += 1
-            self.applied_by[source] += 1
-            self._inc("serve.applied", source=source)
-        else:
-            self._fallback(t)        # the buffer is dropped, never flushed
-            source = "fallback"
-        self._strike(rec, fault, t)
-        return source
-
-    def _score_shadows(self, t: int, now: float,
+    def _score_shadows(self, acting: Any, t: int, now: float,
                        seen: Dict[str, Any]) -> None:
-        """Score every shadow against a buffer that is never flushed."""
-        acting_name = self._acting_record()[0].name
+        """Score every shadow but ``acting`` (which decided this tick even
+        if its strikes sent it back) against a buffer never flushed."""
         for rec in self.registry.shadows():
-            if rec.name == acting_name:
+            if rec is acting:
                 continue
             buf, fault = self._decide(rec, seen, now, t)
             rec.shadow_ticks += 1

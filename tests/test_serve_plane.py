@@ -11,12 +11,19 @@ obs event stream.
 import math
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.config import PETConfig
+from repro.core.pet import PETController
 from repro.devtools.sanitize import ECN_KMAX_CEILING_BYTES
 from repro.netsim.ecn import SECN1, ECNConfig
+from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.fluid import FluidConfig, FluidNetwork
+from repro.netsim.network import PacketNetwork
+from repro.netsim.shard import ShardedFluidNetwork
+from repro.netsim.topology import TopologyConfig
 from repro.resilience.faults import ChaosInjector, FaultPlan
 from repro.resilience.guard import config_in_bounds
 from repro.rl.checkpoint import CheckpointManager
@@ -25,6 +32,8 @@ from repro.serve.gate import (GateConfig, GateDecision, PromotionGate,
 from repro.serve.lifecycle import PolicyRegistry
 from repro.serve.plane import ControlPlane, ServeConfig
 from repro.serve.supervisor import Supervisor
+from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
+from repro.traffic.workloads import WEB_SEARCH
 
 #: sentinel Kmin no real scheme would propose — greppable in proposals.
 SENTINEL_KMIN = 77_777
@@ -288,6 +297,30 @@ class TestDeadlineFallback:
         assert plane.breaches_total == 3
         plane.close()
 
+    @pytest.mark.parametrize("incumbent", [False, True],
+                             ids=["canary_rollback", "incumbent_demotion"])
+    def test_struck_out_policy_decides_once_in_its_last_tick(self,
+                                                             incumbent):
+        # The strike that sends the acting policy back to shadow must not
+        # let it be scored again, as a shadow, on the same telemetry.
+        plane = make_plane(gate=fast_gate(max_strikes=2))
+        bad = OutOfBoundsWriter()
+        plane.register("bad", bad)
+        plane.promote("bad", force=True)
+        if incumbent:
+            plane.registry.complete_promotion(tick=0)
+        plane.tick()
+        decides = bad.decides
+        plane.tick()                          # the second strike
+        rec = plane.registry.records["bad"]
+        assert rec.stage == "shadow"
+        assert bad.decides == decides + 1
+        assert rec.faults == 2 and rec.strikes == 0
+        # As a shadow it starts a fresh count: one strike, not suspended.
+        plane.tick()
+        assert rec.stage == "shadow" and rec.strikes == 1
+        plane.close()
+
 
 # ------------------------------------------------------------- gate actions
 class _BreachingGate:
@@ -464,6 +497,93 @@ class TestTelemetryRetry:
         assert out["acting"] is None
         assert plane.telemetry_failures == 1
         assert any(sw == "*" for sw, _ in applied)
+        assert plane.health == "degraded"
+        plane.close()
+
+
+# ------------------------------------------------------------ the one tick
+def _within(child, parent):
+    return (parent.start <= child.start
+            and child.start + child.duration_s
+            <= parent.start + parent.duration_s)
+
+
+class TestTickIsADriveInterval:
+    def test_one_tick_records_the_drive_spans_and_interval(self):
+        plane = make_plane()
+        plane.register("p", SentinelController(kmin=10_000))
+        with obs.telemetry() as (reg, tracer):
+            plane.tick()
+            (tick,) = tracer.by_name("loop.tick")
+            for name in ("net.advance", "net.queue_stats",
+                         "controller.decide"):
+                (span,) = tracer.by_name(name)
+                assert _within(span, tick), name
+            assert reg.counter_value("loop.intervals") == 1
+        plane.close()
+
+
+def _loaded(make_net):
+    """A factory of ``make_net()`` fabrics carrying Web Search traffic."""
+    def factory():
+        net = make_net()
+        gen = PoissonTrafficGenerator(net.host_names(), WEB_SEARCH,
+                                      rng=np.random.default_rng(0))
+        net.start_flows(gen.generate(TrafficConfig(
+            load=0.6, duration=0.02,
+            host_rate_bps=net.config.host_rate_bps)))
+        return net
+    return factory
+
+
+SUBSTRATES = pytest.mark.parametrize("factory, n_switches", [
+    (_loaded(lambda: ShardedFluidNetwork(FatTreeConfig.small(), seed=0)), 10),
+    (_loaded(lambda: PacketNetwork(TopologyConfig(), seed=0)), 6),
+], ids=["fat_tree", "packet"])
+
+
+class TestEverySubstrate:
+    @SUBSTRATES
+    def test_pet_goes_shadow_canary_promoted(self, factory, n_switches):
+        plane = ControlPlane(factory, config=fast_config(),
+                             gate=fast_gate(canary_ticks=3,
+                                            eval_min_ticks=100))
+        assert len(plane.switches) == n_switches
+        pet = PETController(plane.switches, PETConfig.fast(seed=0))
+        plane.register("pet", pet)
+        plane.run_ticks(2)
+        rec = plane.registry.records["pet"]
+        assert rec.shadow_ticks == 2 and rec.faults == 0
+        plane.promote("pet")
+        acting = [plane.tick()["acting"] for _ in range(4)]
+        assert acting == ["canary"] * 3 + ["incumbent"]
+        assert plane.registry.incumbent_name == "pet"
+        assert rec.stage == "promoted" and rec.faults == 0
+        assert plane.applied_by["canary"] == 3
+        assert plane.health == "ready"
+        plane.close()
+
+    @SUBSTRATES
+    def test_dead_telemetry_is_a_fallback_tick(self, factory, n_switches):
+        plane = ControlPlane(factory, config=fast_config(), gate=fast_gate())
+        plane.sleep = lambda _s: None
+        pet = PETController(plane.switches, PETConfig.fast(seed=0))
+        plane.register("pet", pet)
+        plane.tick()
+        applied = spy_writes(plane)
+
+        def dead():
+            raise OSError("telemetry bus down")
+
+        plane.net.queue_stats = dead
+        shadow_ticks = plane.registry.records["pet"].shadow_ticks
+        out = plane.tick()
+        assert out["acting"] is None and plane.last_stats is None
+        assert ("*", SECN1) in applied
+        assert all(cfg == SECN1 for _, cfg in applied)
+        assert plane.telemetry_failures == 1
+        assert plane.applied_by["fallback"] == 1
+        assert plane.registry.records["pet"].shadow_ticks == shadow_ticks
         assert plane.health == "degraded"
         plane.close()
 
