@@ -21,12 +21,15 @@ machine spreads over all of them; ``calib_ms`` (the fixed kernel of
 Each group's CPU share — its thread's ``time.thread_time()`` over its
 wall time in the update, median over the timed updates — tells a slow
 two-group point that was starved of a CPU (two groups near 0.5 took
-turns on one) from one whose work grew.
+turns on one) from one whose work grew.  The minor page faults of an
+update (the process's ``ru_minflt`` across it, median over the timed
+updates) count the fresh pages its temporaries touched.
 
 Writes one JSON row per (trial, point) to ``--out`` (agents, groups,
-trial, ms per update, ms per agent, ``cpu_share`` per group, the child's
-peak RSS, ``cpu_count``, ``calib_ms``), then prints per point the median
-[q1..q3] of ms per agent and, per size, what two groups buy over one.
+trial, ms per update, ms per agent, ``cpu_share`` per group, minor
+faults per update, the child's peak RSS, ``cpu_count``, ``calib_ms``),
+then prints per point the median [q1..q3] of ms per agent and, per
+size, what two groups buy over one.
 
     python benchmarks/scale/update_cost.py            # 3 trials a point
     python benchmarks/scale/update_cost.py --quick    # 1 trial, 1 update
@@ -90,6 +93,7 @@ def point(agents: int, groups: int, reps: int, seed: int) -> Dict[str, Any]:
     rows = np.arange(agents)
     rng = np.random.default_rng(seed)
     spent: List[float] = []
+    faults: List[int] = []
     cpu_share: List[List[float]] = []
     for _ in range(reps):
         for _ in range(pet.update_interval):
@@ -101,9 +105,12 @@ def point(agents: int, groups: int, reps: int, seed: int) -> Dict[str, Any]:
         last = dict(zip(trainer.agent_ids,
                         rng.normal(size=(agents, cfg.obs_dim))))
         del shares[:]
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         trainer.update(last)
         spent.append(time.perf_counter() - t0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - f0)
         cpu_share.append(shares[-1])
     ms = float(np.median(spent)) * 1e3
     return {"agents": agents, "groups": groups, "seed": seed,
@@ -112,6 +119,7 @@ def point(agents: int, groups: int, reps: int, seed: int) -> Dict[str, Any]:
             # time over its wall time: 1.0 is a group that had a CPU to
             # itself; two groups near 0.5 took turns on one
             "cpu_share": np.median(cpu_share, axis=0).tolist(),
+            "minflt_per_update": float(np.median(faults)),
             "peak_rss_mb": resource.getrusage(
                 resource.RUSAGE_SELF).ru_maxrss / 1024,
             "cpu_count": os.cpu_count(), "calib_ms": calibrate()}
@@ -162,6 +170,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           f"{row['ms_per_update']:9.1f} ms/update "
                           f"{row['ms_per_agent']:6.2f} ms/agent "
                           f"cpu share {_shares(row)} "
+                          f"{row['minflt_per_update']:7.0f} faults/update "
                           f"rss {row['peak_rss_mb']:6.1f} MB "
                           f"calib {row['calib_ms']:.1f} ms", flush=True)
 

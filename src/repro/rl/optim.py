@@ -16,26 +16,27 @@ __all__ = ["adam_direction"]
 
 def adam_direction(g: np.ndarray, m: np.ndarray, v: np.ndarray, b1t, b2t,
                    lr: float, beta1: float, beta2: float, eps: float,
-                   out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+                   tmp: np.ndarray) -> np.ndarray:
     """Advance Adam's moments ``m``, ``v`` in place by gradient ``g`` and
-    write the step ``lr * m_hat / (sqrt(v_hat) + eps)`` into ``out``.
+    overwrite ``g`` with the step ``lr * m_hat / (sqrt(v_hat) + eps)``;
+    returns ``g``.
 
     ``b1t``/``b2t`` are the bias corrections ``1 - beta ** t``: floats,
     or ``(A, 1)`` columns when ``g`` packs one agent per row.  Every
     operation is elementwise, so packing cannot change a result bit;
     ``tmp`` is scratch of ``g``'s shape.
     """
-    m *= beta1
-    np.multiply(g, 1.0 - beta1, out=out)
-    m += out
-    v *= beta2
     np.multiply(g, g, out=tmp)
     tmp *= 1.0 - beta2
+    v *= beta2
     v += tmp
-    np.divide(m, b1t, out=out)
-    out *= lr                          # == lr * m_hat
+    g *= 1.0 - beta1
+    m *= beta1
+    m += g
+    np.divide(m, b1t, out=g)
+    g *= lr                            # == lr * m_hat
     np.divide(v, b2t, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += eps                         # == sqrt(v_hat) + eps
-    out /= tmp
-    return out
+    g /= tmp
+    return g

@@ -14,17 +14,21 @@ with ``eps_t = eps`` during the warm-up phase ``t <= T``.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = ["softmax", "ExplorationSchedule"]
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically-stable softmax over the last axis."""
+def softmax(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numerically-stable softmax over the last axis, into ``out``
+    (default new; ``z`` itself works)."""
     z = np.asarray(z, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 class ExplorationSchedule:

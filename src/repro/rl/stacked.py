@@ -35,10 +35,19 @@ least :data:`MIN_AGENTS_PER_GROUP` agents per group, and each group into
 stacked calls of at most :data:`MAX_STACK` agents.  The groups run on
 threads started and joined inside :meth:`PPOLearner.update`; every RNG
 draw, registry counter and tracer span stays on the calling thread.
+
+**Memory.**  A group writes its epoch gathers, every minibatch's
+``(A', m, ·)`` temporaries and Adam's scratch into one
+:class:`Workspace`, made when the group starts training and dropped when
+it returns: an update touches few fresh pages, and nothing it allocates
+stays resident until the next.  Each operation is the ufunc it was on
+fresh arrays, with the same operands in the same order, so no result
+changes a bit.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
@@ -55,8 +64,9 @@ from repro.rl.policy import softmax
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rl.ppo import PPOConfig
 
-__all__ = ["StackingError", "PackedMLP", "Rows", "PPOLearner", "sample", "grad_log_prob_logits",
-           "grad_entropy_logits", "MIN_AGENTS_PER_GROUP", "MAX_STACK"]
+__all__ = ["StackingError", "PackedMLP", "Rows", "Workspace", "PPOLearner", "sample",
+           "grad_log_prob_logits", "grad_entropy_logits", "MIN_AGENTS_PER_GROUP",
+           "MAX_STACK"]
 
 #: Fewest agents an update thread is given.  Below it a second group
 #: costs more in per-call overhead than it wins in parallel work:
@@ -143,33 +153,51 @@ class PackedMLP:
                 for i, o, w, b in self.layout]
 
     def forward(self, x: np.ndarray, layers: List[tuple],
-                inputs: Optional[list] = None) -> np.ndarray:
+                inputs: Optional[list] = None,
+                ws: Optional["Workspace"] = None) -> np.ndarray:
         """``(A', m, in)`` → ``(A', m, out)``; ``inputs`` collects each
-        layer's input for :meth:`backward`."""
+        layer's input for :meth:`backward`.  Each layer's output is a new
+        array, or with ``ws`` its buffer ``("h", layer, width)``."""
         last = len(layers) - 1
         for k, (W, b) in enumerate(layers):
             if inputs is not None:
                 inputs.append(x)
-            x = x @ W
+            out = None if ws is None else ws(
+                ("h", k, W.shape[-1]), x.shape[:-1] + W.shape[-1:])
+            x = np.matmul(x, W, out=out)
             x += b
             if k != last:
-                x = np.tanh(x) if self.activation == "tanh" else np.where(
-                    x > 0, x, 0.0)
+                if self.activation == "tanh":
+                    np.tanh(x, out=x)
+                else:
+                    np.copyto(x, 0.0, where=~(x > 0))
         return x
 
     def backward(self, g: np.ndarray, layers: List[tuple],
-                 dlayers: List[tuple], inputs: list) -> None:
+                 dlayers: List[tuple], inputs: list,
+                 ws: Optional["Workspace"] = None) -> None:
         """Write the gradients of the loss whose gradient at the output is
-        ``g`` into ``dlayers`` (views of the ``grads`` rows)."""
+        ``g`` into ``dlayers`` (views of the ``grads`` rows).
+
+        Consumes ``inputs``: once a layer's gradients are written, its
+        input activation is overwritten by the activation's derivative.
+        The gradient passed down is a new array, or with ``ws`` one of
+        the two buffers ``("g", 0)`` and ``("g", 1)`` in turn."""
         for k in range(len(layers) - 1, -1, -1):
             x = inputs[k]                # the activation's output
             dW, db = dlayers[k]
             np.matmul(x.transpose(0, 2, 1), g, out=dW)
             g.sum(axis=1, out=db[:, 0])
             if k:
-                g = g @ layers[k][0].transpose(0, 2, 1)
-                g = g * (1.0 - x * x) if self.activation == "tanh" else g * (
-                    x > 0)
+                g = np.matmul(g, layers[k][0].transpose(0, 2, 1),
+                              out=None if ws is None else ws(("g", k % 2),
+                                                             x.shape))
+                if self.activation == "tanh":
+                    np.multiply(x, x, out=x)
+                    np.subtract(1.0, x, out=x)           # 1 - tanh**2
+                    g *= x
+                else:
+                    g *= x > 0
 
     def clip(self, grads: np.ndarray, max_norm: float) -> np.ndarray:
         """Scale each row so its global L2 norm is at most ``max_norm``
@@ -212,28 +240,49 @@ class PackedMLP:
             b[0, 0] = state[f"layer{2 * k}.b"]
 
 
+class Workspace:
+    """Flat buffers that a run of stacked calls writes its temporaries
+    into, so repeated calls reuse the same memory.  ``ws(key, shape)``
+    is a C-contiguous leading view of buffer ``key``, which is replaced
+    by a larger one when ``shape`` does not fit: sized by its first and
+    largest use, a smaller use (a short last minibatch) is a prefix."""
+
+    def __init__(self) -> None:
+        self._bufs: Dict[object, np.ndarray] = {}
+
+    def __call__(self, key: object, shape: Tuple[int, ...],
+                 dtype=np.float64) -> np.ndarray:
+        n = math.prod(shape)
+        buf = self._bufs.get(key)
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            buf = self._bufs[key] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
+
 class Rows:
     """One network's packed arrays for the rows ``sel``: views when
     ``sel`` is a slice, else copies that :meth:`store` writes back; what
-    a forward, backward, clip and Adam step at rate ``lr`` work on."""
+    a forward, backward, clip and Adam step at rate ``lr`` work on.
+    ``ws`` (default a workspace of its own) holds Adam's scratch; the
+    actor and critic of an update group share one."""
 
-    def __init__(self, net: PackedMLP, sel, lr: float) -> None:
+    def __init__(self, net: PackedMLP, sel, lr: float,
+                 ws: Optional[Workspace] = None) -> None:
         self.net, self.sel, self.lr = net, sel, lr
         self.params, self.grads = net.params[sel], net.grads[sel]
         self.m, self.v = net.m[sel], net.v[sel]
         self.layers = net.layers(self.params)
         self.dlayers = net.layers(self.grads)
-        self.scratch = (np.empty_like(self.params),
-                        np.empty_like(self.params))
+        self.ws = Workspace() if ws is None else ws
 
     def adam(self, steps: Sequence[int]) -> None:
         """One Adam step of every row, row ``j`` taking its
-        ``steps[j]``-th."""
+        ``steps[j]``-th; the step is formed in the gradient rows."""
         b1t = np.array([1.0 - _BETA1 ** t for t in steps])[:, None]
         b2t = np.array([1.0 - _BETA2 ** t for t in steps])[:, None]
         self.params -= adam_direction(self.grads, self.m, self.v, b1t, b2t,
                                       self.lr, _BETA1, _BETA2, _EPS,
-                                      *self.scratch)
+                                      self.ws("adam", self.params.shape))
 
     def store(self) -> None:
         if not isinstance(self.sel, slice):
@@ -277,20 +326,32 @@ def sample(probs: np.ndarray, rngs: Optional[Sequence[np.random.Generator]],
     return actions, np.log(np.maximum(chosen, 1e-12))
 
 
-def grad_log_prob_logits(probs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+def grad_log_prob_logits(probs: np.ndarray, actions: np.ndarray,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
     """d log pi(a|s) / d logits = onehot(a) - probs, rowwise (any leading
-    axes: ``actions`` has the shape of ``probs[..., 0]``)."""
-    g = -probs
+    axes: ``actions`` has the shape of ``probs[..., 0]``), into ``out``
+    (default new)."""
+    g = np.negative(probs, out=out)
     at = np.asarray(actions)[..., None]
     np.put_along_axis(g, at, np.take_along_axis(g, at, -1) + 1.0, -1)
     return g
 
 
-def grad_entropy_logits(probs: np.ndarray) -> np.ndarray:
-    """d H(pi) / d logits = -p * (log p + H), rowwise."""
-    logp = np.log(np.clip(probs, 1e-12, None))
-    ent = -(probs * logp).sum(axis=-1, keepdims=True)
-    return -probs * (logp + ent)
+def grad_entropy_logits(probs: np.ndarray, logp: Optional[np.ndarray] = None,
+                        entropy: Optional[np.ndarray] = None,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    """d H(pi) / d logits = -p * (log p + H), rowwise, into ``out``
+    (default new).  ``logp`` (``log(clip(probs, 1e-12))``) and
+    ``entropy`` (``H``, the shape of ``probs[..., 0]``) are computed
+    when not given; a given ``logp`` is overwritten by ``log p + H``."""
+    if logp is None:
+        logp = np.log(np.clip(probs, 1e-12, None))
+    if entropy is None:
+        entropy = -(probs * logp).sum(axis=-1)
+    logp += entropy[..., None]
+    g = np.negative(probs, out=out)
+    g *= logp
+    return g
 
 
 class PPOLearner:
@@ -512,31 +573,39 @@ class PPOLearner:
     def _train(self, rows: np.ndarray, T: int, perms: np.ndarray,
                adv: np.ndarray, returns: np.ndarray) -> np.ndarray:
         """The PPO epochs of one group; returns its ``(5, A')`` mean
-        stats.  Touches only its own rows, so groups run concurrently."""
+        stats.  Touches only its own rows, so groups run concurrently.
+
+        Every epoch and minibatch writes its ``(A', m, ·)`` temporaries
+        into one :class:`Workspace` of the group, which is dropped on
+        return: nothing it holds stays resident between updates."""
         cfg = self.config
         sel = (slice(rows[0], rows[-1] + 1)
                if rows[-1] - rows[0] + 1 == len(rows) else rows)
-        nets = (Rows(self.actor, sel, cfg.actor_lr),
-                Rows(self.critic, sel, cfg.critic_lr))
+        ws = Workspace()
+        nets = (Rows(self.actor, sel, cfg.actor_lr, ws),
+                Rows(self.critic, sel, cfg.critic_lr, ws))
         steps = self.steps[sel].copy()
-        obs, actions = self.obs[sel, :T], self.actions[sel, :T]
-        old_logp = self.log_probs[sel, :T]
-        at = np.arange(len(rows))[:, None]
+        # an epoch's shuffle as flat indices into the rollout storage,
+        # whose rows are ``cap`` long, and into the group's (A', T)
+        # advantages and returns
+        stored, local = rows * self.cap, np.arange(len(rows)) * T
+        columns = ((self.obs, stored), (self.actions, stored),
+                   (self.log_probs, stored), (adv, local), (returns, local))
         stats = np.zeros((len(_STATS), len(rows)))
         batches = 0
         mbs = cfg.minibatch_size
         for e in range(cfg.epochs):
-            p = perms[:, e]
-            # one gather per epoch, contiguous views per minibatch
-            obs_e, act_e, logp_e = obs[at, p], actions[at, p], old_logp[at, p]
-            adv_e, ret_e = adv[at, p], returns[at, p]
+            # one gather per epoch, contiguous views per minibatch; the
+            # indices are in range, and mode="clip" lets take write
+            # straight into ``out`` (mode="raise" buffers it)
+            epoch = [a.reshape(-1, *a.shape[2:]).take(
+                perms[:, e] + base[:, None], axis=0, mode="clip",
+                out=ws(("epoch", k), (len(rows), T) + a.shape[2:], a.dtype))
+                for k, (a, base) in enumerate(columns)]
             for start in range(0, T, mbs):
-                end = start + mbs
                 steps += 1
                 stats += self._minibatch(
-                    nets, steps, obs_e[:, start:end], act_e[:, start:end],
-                    logp_e[:, start:end], adv_e[:, start:end],
-                    ret_e[:, start:end])
+                    nets, steps, *(a[:, start:start + mbs] for a in epoch))
                 batches += 1
         for net in nets:
             net.store()
@@ -547,42 +616,54 @@ class PPOLearner:
                    actions: np.ndarray, old_logp: np.ndarray,
                    adv: np.ndarray, returns: np.ndarray) -> np.ndarray:
         """One clipped-surrogate (Eq. 11) and value (Eq. 12) step of every
-        agent in the group on its ``(A', m, ·)`` minibatch."""
+        agent in the group on its ``(A', m, ·)`` minibatch, its
+        temporaries in the group's workspace."""
         cfg = self.config
         actor, critic = nets
+        ws = actor.ws
         m = actions.shape[1]
         ts = steps.tolist()
 
         # ---- actor -------------------------------------------------------
         inputs: list = []
-        probs = softmax(self.actor.forward(obs, actor.layers, inputs))
-        logp_all = np.log(np.clip(probs, 1e-12, None))
+        logits = self.actor.forward(obs, actor.layers, inputs, ws)
+        probs = softmax(logits, out=logits)
+        logp_all = np.clip(probs, 1e-12, None, out=ws("logp", probs.shape))
+        np.log(logp_all, out=logp_all)
         new_logp = np.take_along_axis(logp_all, actions[..., None], -1)[..., 0]
         ratio = np.exp(new_logp - old_logp)
         lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
         unclipped = ratio * adv
         clipped = np.clip(ratio, lo, hi) * adv
         policy_loss = -np.minimum(unclipped, clipped).mean(axis=1)
-        entropy = -(probs * logp_all).sum(axis=-1)
+        term = np.multiply(probs, logp_all, out=ws("entropy", probs.shape))
+        entropy = -term.sum(axis=-1)
         # d(-surrogate)/d logits: the min() picks the unclipped branch
         # when unclipped <= clipped — always so inside the clip range,
         # where clip() is the identity; elsewhere the clipped branch is
         # constant in theta
         coef = np.where(unclipped <= clipped, unclipped, 0.0)
-        grad_logp = grad_log_prob_logits(probs, actions)
-        grad = -(coef[..., None] * grad_logp) / m
+        grad = grad_log_prob_logits(probs, actions,
+                                    out=ws("grad", probs.shape))
+        np.multiply(coef[..., None], grad, out=grad)
+        np.negative(grad, out=grad)
+        grad /= m
         # entropy bonus (maximize entropy -> subtract its gradient)
-        grad -= cfg.entropy_coef * grad_entropy_logits(probs) / m
-        self.actor.backward(grad, actor.layers, actor.dlayers, inputs)
+        bonus = grad_entropy_logits(probs, logp_all, entropy, out=term)
+        np.multiply(cfg.entropy_coef, bonus, out=bonus)
+        bonus /= m
+        grad -= bonus
+        self.actor.backward(grad, actor.layers, actor.dlayers, inputs, ws)
         self.actor.clip(actor.grads, cfg.max_grad_norm)
         actor.adam(ts)
 
         # ---- critic ------------------------------------------------------
         inputs = []
-        v = self.critic.forward(obs, critic.layers, inputs)[..., 0]
+        v = self.critic.forward(obs, critic.layers, inputs, ws)[..., 0]
         value_loss = ((v - returns) ** 2).mean(axis=1)
         grad_v = (2.0 * (v - returns) / m)[..., None]
-        self.critic.backward(grad_v, critic.layers, critic.dlayers, inputs)
+        self.critic.backward(grad_v, critic.layers, critic.dlayers, inputs,
+                             ws)
         self.critic.clip(critic.grads, cfg.max_grad_norm)
         critic.adam(ts)
 

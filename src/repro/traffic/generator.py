@@ -53,6 +53,10 @@ class PoissonTrafficGenerator:
         if len(hosts) < 2:
             raise ValueError("need at least two hosts")
         self.hosts = list(hosts)
+        # the names as an object array; ``fromiter`` stores each name as
+        # one element, so a tuple name is not spread over an axis
+        self._names = np.fromiter(self.hosts, dtype=object,
+                                  count=len(self.hosts))
         self.workload = workload
         self.rng = rng if rng is not None else fallback_rng(0)
         self._next_id = first_flow_id
@@ -80,13 +84,13 @@ class PoissonTrafficGenerator:
         srcs = self.rng.integers(n_hosts, size=n)
         offs = self.rng.integers(1, n_hosts, size=n)
         dsts = (srcs + offs) % n_hosts
-        # ``tolist`` turns each column into Python ints/floats in one
-        # call; the Flows are then built row by row from those columns.
-        host = self.hosts.__getitem__
+        # ``tolist`` turns each column into Python objects in one call
+        # (the host columns gather the name objects themselves, making
+        # no int per flow); the Flows are then built row by row.
         ids = range(self._next_id, self._next_id + n)
         self._next_id += n
-        return list(map(Flow, ids, map(host, srcs.tolist()),
-                        map(host, dsts.tolist()),
+        return list(map(Flow, ids, self._names.take(srcs).tolist(),
+                        self._names.take(dsts).tolist(),
                         sizes.astype(np.int64).tolist(),
                         (times + cfg.start_time).tolist(),
                         repeat(cfg.tag or self.workload.name, n)))

@@ -691,6 +691,58 @@ class TestUpdateThreads:
         assert max(fanned_groups) <= max(1, cores // 2)
 
 
+class TestUpdateMemory:
+    def test_second_update_peaks_under_8_mb(self, monkeypatch):
+        """32 agents of PET's online shape (``PETConfig.fast()``: 100
+        transitions, 10 epochs of 64-row minibatches) in two update
+        groups.  Each group writes its minibatch temporaries and Adam's
+        scratch into one workspace, so after a warm-up update the next
+        one's traced peak stays under 8 MB; allocating them afresh per
+        minibatch peaked near 13 MB."""
+        import tracemalloc
+
+        import repro.rl.stacked as stacked_mod
+        from repro.core.config import PETConfig
+        from repro.core.pet import ppo_config
+        from repro.rl.ippo import IPPOTrainer
+        monkeypatch.setattr(stacked_mod, "usable_cores", lambda: 2)
+        pet = PETConfig.fast(seed=0)
+        cfg = ppo_config(pet, n_actions=10)
+        n = 32
+        trainer = IPPOTrainer([f"s{i}" for i in range(n)], cfg)
+        rows = np.arange(n)
+        rng = np.random.default_rng(0)
+
+        def update():
+            for _ in range(pet.update_interval):
+                obs = rng.normal(size=(n, cfg.obs_dim))
+                d = trainer.act(obs, epsilons=[0.1] * n)
+                trainer.learner.record(rows, obs, d["action"],
+                                       rng.normal(size=n), False,
+                                       d["log_prob"], d["value"])
+            trainer.update(dict(zip(trainer.agent_ids,
+                                    rng.normal(size=(n, cfg.obs_dim)))))
+
+        dealt = []
+        real_deal = stacked_mod._deal
+
+        def deal(jobs, k):
+            dealt.append(real_deal(jobs, k))
+            return dealt[-1]
+
+        monkeypatch.setattr(stacked_mod, "_deal", deal)
+        update()
+        tracemalloc.start()
+        try:
+            update()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(hands) for hands in dealt] == [2, 2]
+        assert trainer.learner.updates.tolist() == [2] * n
+        assert peak < 8 * 2**20, peak / 2**20
+
+
 def _two_group_scenario(seed):
     """A PET job on a fabric with switches enough for two update groups."""
     from repro.analysis.experiments import ScenarioConfig

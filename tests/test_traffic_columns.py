@@ -117,6 +117,19 @@ class TestPoissonColumns:
                                 start_time=start)
             assert_same(new.generate(cfg), ref_poisson(ref, cfg), new, ref)
 
+    def test_tuple_names_are_the_hosts_own_objects(self):
+        """Sources and destinations are the host name objects themselves,
+        a tuple name included, as the per-flow loop's indexing gives."""
+        hosts = [("leaf", i // 4, i % 4) for i in range(12)]
+        new, ref = [PoissonTrafficGenerator(
+            hosts, workload_by_name("websearch"),
+            rng=np.random.default_rng(9)) for _ in range(2)]
+        cfg = TrafficConfig(load=0.5, duration=0.02, host_rate_bps=1e9)
+        flows = new.generate(cfg)
+        assert_same(flows, ref_poisson(ref, cfg), new, ref)
+        own = {id(h) for h in hosts}
+        assert all(id(f.src) in own and id(f.dst) in own for f in flows)
+
 
 class TestPatternColumns:
     def test_two_segment_schedule(self):
